@@ -33,6 +33,7 @@
 //! signal is re-derived from the now-committed state within
 //! [`WATCHDOG_INTERVAL`] instead of never.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use tm_core::lock::{Condvar, Mutex};
@@ -68,7 +69,7 @@ impl TmCondVar {
     /// wake-up (see the module docs) — then starts a fresh transaction for
     /// the rest of the body.
     pub fn wait(&self, tx: &mut dyn Tx) -> TxResult<()> {
-        let thread = tx.thread();
+        let thread = Arc::clone(tx.thread());
         TxStats::bump(&thread.stats.condvar_waits);
         // Sample the generation before committing so a signal that lands
         // between our commit and our sleep is not lost.
@@ -128,16 +129,16 @@ impl TmCondVar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use std::time::Duration;
 
-    use tm_core::{Addr, TmConfig, TmSystem, TxCommon, TxCtl, TxMode};
+    use tm_core::{Addr, ThreadCtx, TmConfig, TmSystem, TxCommon, TxCtl, TxMode};
 
     /// A tx whose commit_and_reopen just runs the block, for driving the
     /// condvar protocol without a full STM.
     struct PassTx {
         common: TxCommon,
         system: Arc<TmSystem>,
+        thread: Arc<ThreadCtx>,
         reopened: usize,
     }
 
@@ -173,11 +174,15 @@ mod tests {
         fn system(&self) -> &Arc<TmSystem> {
             &self.system
         }
+        fn thread(&self) -> &Arc<ThreadCtx> {
+            &self.thread
+        }
     }
 
     fn pass_tx(system: &Arc<TmSystem>) -> PassTx {
         PassTx {
-            common: TxCommon::new(system.register_thread(), TxMode::Software, 0),
+            common: TxCommon::new(TxMode::Software, 0),
+            thread: system.register_thread(),
             system: Arc::clone(system),
             reopened: 0,
         }

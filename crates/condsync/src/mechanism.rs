@@ -37,10 +37,9 @@ pub const RESTART_ABORT_CODE: u8 = 0xFE;
 /// attempt, which cannot log values at all), it restarts the transaction in
 /// value-logging software mode; once the value log is populated the
 /// transaction is descheduled with a [`WaitSpec::ReadSetValues`] condition.
-/// The value log itself is a pooled, hash-indexed
-/// [`tm_core::access::WriteLog`] in first-value-wins mode
-/// ([`tm_core::TxCommon::waitset`]), so re-reads deduplicate in O(1) and
-/// re-logging attempts recycle the log's capacity.
+/// The value log itself is a hash-indexed [`tm_core::access::WriteLog`] in
+/// first-value-wins mode ([`tm_core::access::Descriptor::waitset`]), so
+/// re-reads deduplicate in O(1) and re-logging attempts reuse its capacity.
 ///
 /// Never returns `Ok`; the `T` parameter lets call sites use it in tail
 /// position of any expression type.  For a deadline-bounded variant see
@@ -199,11 +198,12 @@ pub fn restart<T>(tx: &mut dyn Tx) -> TxResult<T> {
 mod construct_tests {
     use super::*;
     use std::sync::Arc;
-    use tm_core::{AbortReason, TmConfig, TmSystem, TxCommon, TxMode};
+    use tm_core::{AbortReason, ThreadCtx, TmConfig, TmSystem, TxCommon, TxMode};
 
     struct NullTx {
         common: TxCommon,
         system: Arc<TmSystem>,
+        thread: Arc<ThreadCtx>,
     }
 
     impl Tx for NullTx {
@@ -234,13 +234,17 @@ mod construct_tests {
         fn system(&self) -> &Arc<TmSystem> {
             &self.system
         }
+        fn thread(&self) -> &Arc<ThreadCtx> {
+            &self.thread
+        }
     }
 
     fn null_tx() -> NullTx {
         let system = TmSystem::new(TmConfig::small());
         let th = system.register_thread();
         NullTx {
-            common: TxCommon::new(th, TxMode::Software, 0),
+            common: TxCommon::new(TxMode::Software, 0),
+            thread: th,
             system,
         }
     }

@@ -140,6 +140,18 @@ impl OrigRegistry {
         self.count.store(list.len(), Ordering::Release);
         woken
     }
+
+    /// The engines' post-commit hook: a serial commit has no lock set to
+    /// intersect, so any sleeper's reads may have changed and all are woken;
+    /// any other writer commit wakes the sleepers whose read locks intersect
+    /// its stripe `cover`.
+    pub fn wake_after_commit(&self, thread: &Arc<ThreadCtx>, serial: bool, cover: &[usize]) {
+        if serial {
+            self.wake_all(thread);
+        } else {
+            self.wake_matching(thread, cover);
+        }
+    }
 }
 
 /// The full `Retry-Orig` deschedule path (Algorithm 1), shared by the

@@ -13,8 +13,8 @@ use tm_core::driver::{self, CommitOutcome, TxEngine};
 use tm_core::hwtm::{FaultPlane, HwTm};
 use tm_core::lock::{Mutex, MutexGuard};
 use tm_core::{
-    ThreadCtx, ThreadId, TmRt, TmRuntime, TmSystem, Tx, TxCommon, TxCtl, TxKind, TxMode, TxResult,
-    WaitCondition, WaitSpec, WakeSet,
+    Descriptor, ThreadCtx, ThreadId, TmRt, TmRuntime, TmSystem, Tx, TxCommon, TxCtl, TxKind,
+    TxMode, TxResult, WaitCondition, WaitSpec,
 };
 
 use crate::lines::LineTable;
@@ -198,13 +198,23 @@ impl HtmSim {
 }
 
 impl TxEngine for HtmSim {
-    type Tx<'eng> = HtmTx<'eng>;
+    type Tx<'a> = HtmTx<'a>;
 
-    fn begin(&self, common: TxCommon) -> HtmTx<'_> {
-        HtmTx::begin(self, common)
+    fn begin<'a>(
+        &'a self,
+        thread: &'a Arc<ThreadCtx>,
+        desc: &'a mut Descriptor,
+        common: TxCommon,
+    ) -> HtmTx<'a> {
+        HtmTx::begin(self, thread, desc, common)
     }
 
     fn try_commit(&self, tx: &mut HtmTx<'_>) -> Result<CommitOutcome, TxCtl> {
+        // A hardware commit maps its written cache lines to stripes (a
+        // superset of the written words' stripes) and leaves them in the
+        // descriptor, so the wake scan can be targeted even though orecs
+        // were never touched; serial-fallback commits write directly with no
+        // metadata at all and report `serial`, which wakes every shard.
         tx.try_commit()
     }
 
@@ -227,19 +237,6 @@ impl TxEngine for HtmSim {
     fn mode_after_wake(&self) -> TxMode {
         // After waking, try hardware again from scratch.
         TxMode::Hardware
-    }
-
-    fn committed_stripes(&self, outcome: &CommitOutcome) -> WakeSet {
-        if outcome.hardware {
-            // The commit path mapped its written cache lines to stripes
-            // (a superset of the written words' stripes), so the wake scan
-            // can be targeted even though orecs were never touched.
-            WakeSet::Stripes(outcome.written_orecs.clone())
-        } else {
-            // Serial-fallback commits write directly with no metadata at
-            // all; conservatively wake every shard.
-            WakeSet::All
-        }
     }
 
     fn mode_for_software_switch(&self, _current: TxMode) -> TxMode {

@@ -11,9 +11,10 @@
 
 use std::sync::Arc;
 
-use tm_core::access::{IndexSet, WriteLog};
+use tm_core::access::{Descriptor, WriteLog};
 use tm_core::driver::CommitOutcome;
-use tm_core::hwtm::HwAbort;
+use tm_core::hwtm::{HwAbort, HwTm};
+use tm_core::lock::MutexGuard;
 use tm_core::stats::TxStats;
 use tm_core::{
     AbortReason, Addr, OrecValue, ThreadCtx, TmSystem, Tx, TxCommon, TxCtl, TxMode, TxResult,
@@ -31,110 +32,87 @@ fn hw_fault(thread: &ThreadCtx, fault: HwAbort) -> TxCtl {
     TxCtl::Abort(fault.kind.reason())
 }
 
-/// Execution state specific to the attempt flavour.
-///
-/// The slot sets and logs are pooled access-set containers
-/// (`tm_core::access`): slot membership and read-after-write lookups are
-/// O(1), and re-executed attempts recycle capacity through the thread's
-/// `LogPool`.
-#[derive(Debug)]
-enum State {
-    Hardware {
-        /// Directory slots registered as read.
-        read_slots: IndexSet,
-        /// Directory slots registered as written.
-        write_slots: IndexSet,
-        /// Buffered writes, one entry per address (last value wins).
-        redo: WriteLog,
-    },
-    Serial {
-        /// True while this attempt holds the global serial lock.
-        holding: bool,
-        /// Old values of written locations, one entry per address.
-        undo: WriteLog,
-    },
-}
-
-impl State {
-    /// Returns the state's containers to `thread`'s pool.  Set-size
-    /// high-water marks are recorded where the logs are cleared
-    /// (rollback/commit), before the sizes are lost.
-    fn recycle(self, thread: &ThreadCtx) {
-        match self {
-            State::Hardware {
-                read_slots,
-                write_slots,
-                redo,
-            } => {
-                thread.put_index_set(read_slots);
-                thread.put_index_set(write_slots);
-                thread.put_write_log(redo);
-            }
-            State::Serial { undo, .. } => thread.put_write_log(undo),
+/// Writes the stripe cover of the cache lines `redo` wrote (a superset of
+/// the written words' stripes) into `cover`, sorted and distinct.
+fn written_cover(plane: &dyn HwTm, redo: &WriteLog, cover: &mut Vec<usize>) {
+    cover.clear();
+    let mut last = None;
+    for e in redo.iter() {
+        let line = e.addr.line();
+        // Runs of writes to one line are the common case; the final dedup
+        // absorbs the rest.
+        if last != Some(line) {
+            plane.line_cover(line, cover);
+            last = Some(line);
         }
     }
-
-    /// Records the attempt's set-size high-water marks (called before the
-    /// logs are cleared).
-    fn note_sizes(&self, thread: &ThreadCtx) {
-        match self {
-            State::Hardware {
-                read_slots, redo, ..
-            } => {
-                TxStats::record_max(&thread.stats.read_set_max, read_slots.len() as u64);
-                TxStats::record_max(&thread.stats.write_set_max, redo.len() as u64);
-            }
-            State::Serial { undo, .. } => {
-                TxStats::record_max(&thread.stats.write_set_max, undo.len() as u64);
-            }
-        }
-    }
+    cover.sort_unstable();
+    cover.dedup();
 }
 
 /// An in-flight attempt on the HTM simulator.
+///
+/// It owns no log: the borrowed thread [`Descriptor`] holds them
+/// (`tm_core::access`, so slot membership and read-after-write lookups are
+/// O(1) and a re-executed attempt starts on grown capacity).  A hardware
+/// attempt uses `read_slots` / `write_slots` (directory slots registered as
+/// read / written) and `writes` as its redo buffer (one entry per address,
+/// last value wins); a serial attempt uses `writes` as its undo log (old
+/// values, first write wins).
 #[derive(Debug)]
-pub struct HtmTx<'rt> {
-    rt: &'rt HtmSim,
+pub struct HtmTx<'a> {
+    rt: &'a HtmSim,
+    thread: &'a Arc<ThreadCtx>,
+    d: &'a mut Descriptor,
     common: TxCommon,
-    state: State,
-    mallocs: Vec<(Addr, usize)>,
-    frees: Vec<(Addr, usize)>,
+    /// True for a speculative attempt, false for a serial one.
+    hardware: bool,
+    /// True from begin until the attempt commits or rolls back (and again
+    /// once `commit_and_reopen` begins its continuation); a live serial
+    /// attempt holds the global serial lock.
+    live: bool,
 }
 
-impl<'rt> HtmTx<'rt> {
-    /// Begins a new attempt.  Hardware attempts wait for the fallback lock to
-    /// be free before starting (lock-elision subscription); serial attempts
-    /// acquire the lock and doom all in-flight hardware transactions.
-    pub fn begin(rt: &'rt HtmSim, common: TxCommon) -> Self {
-        let state = if common.mode == TxMode::Hardware {
-            rt.wait_fallback_clear();
-            // A stale doom flag from a previous attempt must not kill this one.
-            common.thread.take_doomed();
-            rt.plane().begin_attempt(common.thread.id);
-            State::Hardware {
-                read_slots: common.thread.take_index_set(),
-                write_slots: common.thread.take_index_set(),
-                redo: common.thread.take_write_log(),
-            }
-        } else {
-            rt.acquire_serial(&common.thread);
-            State::Serial {
-                holding: true,
-                undo: common.thread.take_write_log(),
-            }
-        };
-        HtmTx {
+impl<'a> HtmTx<'a> {
+    /// Begins a new attempt of `thread` on the empty logs of `d`.  Hardware
+    /// attempts wait for the fallback lock to be free before starting
+    /// (lock-elision subscription); serial attempts acquire the lock and
+    /// doom all in-flight hardware transactions.
+    pub fn begin(
+        rt: &'a HtmSim,
+        thread: &'a Arc<ThreadCtx>,
+        d: &'a mut Descriptor,
+        common: TxCommon,
+    ) -> Self {
+        let mut tx = HtmTx {
             rt,
+            thread,
+            d,
             common,
-            state,
-            mallocs: Vec::new(),
-            frees: Vec::new(),
+            hardware: common.mode == TxMode::Hardware,
+            live: false,
+        };
+        tx.enter();
+        tx
+    }
+
+    /// Starts (or, after `commit_and_reopen`, restarts) the attempt in its
+    /// flavour.
+    fn enter(&mut self) {
+        if self.hardware {
+            self.rt.wait_fallback_clear();
+            // A stale doom flag from a previous attempt must not kill this one.
+            self.thread.take_doomed();
+            self.rt.plane().begin_attempt(self.thread.id);
+        } else {
+            self.rt.acquire_serial(self.thread);
         }
+        self.live = true;
     }
 
     /// True if this attempt is speculative (hardware).
     pub fn is_hardware(&self) -> bool {
-        matches!(self.state, State::Hardware { .. })
+        self.hardware
     }
 
     fn retry_log(&mut self, addr: Addr, observed: u64) {
@@ -143,202 +121,171 @@ impl<'rt> HtmTx<'rt> {
         }
         // Substitute the pre-transaction value for locations this (serial)
         // attempt has already written, as Algorithm 5 does with the undo log.
-        let logged = match &self.state {
-            State::Serial { undo, .. } => undo.lookup(addr).unwrap_or(observed),
-            State::Hardware { .. } => observed,
+        let logged = if self.hardware {
+            observed
+        } else {
+            self.d.writes.lookup(addr).unwrap_or(observed)
         };
-        self.common.log_retry_read(addr, logged);
+        self.d.waitset.record_first(addr, logged, || 0);
+    }
+
+    /// Clears this attempt's directory registrations (hardware attempts).
+    fn clear_slots(&self) {
+        let (plane, me) = (self.rt.plane(), self.thread.id);
+        for slot in self.d.write_slots.iter() {
+            plane.clear_write(slot, me);
+        }
+        for slot in self.d.read_slots.iter() {
+            plane.clear_read(slot, me);
+        }
     }
 
     /// Rolls the attempt back.  Safe to call more than once.  Serial attempts
     /// release the fallback lock.
     pub fn rollback(&mut self) {
-        self.state.note_sizes(&self.common.thread);
-        match &mut self.state {
-            State::Hardware {
-                read_slots,
-                write_slots,
-                redo,
-            } => {
-                let me = self.common.thread.id;
-                for slot in read_slots.iter() {
-                    self.rt.plane().clear_read(slot, me);
-                }
-                for slot in write_slots.iter() {
-                    self.rt.plane().clear_write(slot, me);
-                }
-                read_slots.clear();
-                write_slots.clear();
-                redo.clear();
-                self.common.thread.take_doomed();
-            }
-            State::Serial { holding, undo } => {
-                for e in undo.iter().rev() {
-                    self.rt.system().heap.store(e.addr, e.val);
-                }
-                undo.clear();
-                if *holding {
-                    self.rt.release_serial();
-                    *holding = false;
-                }
-            }
+        if !self.live {
+            return;
         }
-        for &(addr, words) in &self.mallocs {
-            self.rt
-                .system()
-                .heap
-                .dealloc_for(&self.common.thread, addr, words);
+        self.live = false;
+        if self.hardware {
+            self.clear_slots();
+            self.thread.take_doomed();
+        } else {
+            for e in self.d.writes.iter().rev() {
+                self.rt.system().heap.store(e.addr, e.val);
+            }
+            self.rt.release_serial();
         }
-        self.mallocs.clear();
-        self.frees.clear();
+        for &(addr, words) in &self.d.mallocs {
+            self.rt.system().heap.dealloc_for(self.thread, addr, words);
+        }
+        self.d.reset(&self.thread.stats);
     }
 
     /// Attempts to commit.  On failure the caller must call
     /// [`HtmTx::rollback`].
     pub fn try_commit(&mut self) -> Result<CommitOutcome, TxCtl> {
-        let system = Arc::clone(self.rt.system());
-        self.state.note_sizes(&self.common.thread);
-        match &mut self.state {
-            State::Hardware {
-                read_slots,
-                write_slots,
-                redo,
-            } => {
-                // The doom check and the write-back must be one atomic step
-                // with respect to other commits and to serial-lock
-                // acquisition (on real hardware the coherence protocol
-                // guarantees this); otherwise two mutually conflicting
-                // transactions can both pass their doom checks and interleave
-                // write-backs, losing updates.  A hybrid runtime's software
-                // write-backs take the same barrier (`commit_barrier`).
-                let commit_guard = self.rt.commit_barrier();
-                if self.common.thread.is_doomed() {
-                    drop(commit_guard);
+        let was_writer = !self.d.writes.is_empty();
+        // A hardware commit finishes under the commit barrier; a serial one
+        // under the serial lock.
+        let barrier = if self.hardware {
+            Some(self.commit_hardware(was_writer)?)
+        } else {
+            None
+        };
+        for &(addr, words) in &self.d.frees {
+            self.rt.system().heap.dealloc_for(self.thread, addr, words);
+        }
+        self.d.reset(&self.thread.stats);
+        self.live = false;
+        Ok(if self.hardware {
+            drop(barrier);
+            CommitOutcome::hardware(was_writer)
+        } else {
+            self.rt.release_serial();
+            CommitOutcome::serial(was_writer)
+        })
+    }
+
+    /// The hardware commit window: doom check, orec coupling, write-back,
+    /// directory clear, and the stripe cover for the wake path.  Returns the
+    /// commit barrier it took.
+    fn commit_hardware(&mut self, was_writer: bool) -> Result<MutexGuard<'a, ()>, TxCtl> {
+        let rt = self.rt;
+        let system: &TmSystem = rt.system();
+        // The doom check and the write-back must be one atomic step
+        // with respect to other commits and to serial-lock
+        // acquisition (on real hardware the coherence protocol
+        // guarantees this); otherwise two mutually conflicting
+        // transactions can both pass their doom checks and interleave
+        // write-backs, losing updates.  A hybrid runtime's software
+        // write-backs take the same barrier (`commit_barrier`).
+        let commit_guard = rt.commit_barrier();
+        if self.thread.is_doomed() {
+            drop(commit_guard);
+            return Err(TxCtl::Abort(AbortReason::HwConflict));
+        }
+        // The backend's commit-window check: past the doom check,
+        // before anything is written, so an abort here (a fault
+        // plane's injection point) can never lose an update.
+        let plane = rt.plane().as_ref();
+        let me = self.thread.id;
+        if let Err(f) = plane.commit_check(me) {
+            drop(commit_guard);
+            return Err(hw_fault(self.thread, f));
+        }
+        let Descriptor {
+            writes: redo,
+            cover,
+            ..
+        } = &mut *self.d;
+        // Hybrid coupling: publish this commit through the software
+        // STM's metadata, with the *same* protocol a software
+        // committer uses.  Every stripe covering a written line is
+        // CAS-acquired (abort on any stripe a software commit
+        // already holds — overlapping data is mid-commit), held
+        // across the write-back, and released at a freshly ticked
+        // clock value after it.  Holding the locks is what makes
+        // the write-back opaque to software readers: a validated
+        // read can never interleave with it, and any transaction
+        // that began before the release observes the new version
+        // and aborts rather than mixing old and new values.  An
+        // acquisition failure releases the acquired prefix at its
+        // original versions and aborts before memory is touched.
+        let coupled = was_writer && rt.orec_coupled();
+        if coupled {
+            written_cover(plane, redo, cover);
+            for (k, &idx) in cover.iter().enumerate() {
+                let cur = system.orecs.load(idx);
+                let ok = !cur.is_locked()
+                    && system
+                        .orecs
+                        .cas(idx, cur, OrecValue::locked(cur.version(), me));
+                if !ok {
+                    for &held in &cover[..k] {
+                        let c = system.orecs.load(held);
+                        system.orecs.store(held, OrecValue::unlocked(c.version()));
+                    }
                     return Err(TxCtl::Abort(AbortReason::HwConflict));
                 }
-                // The backend's commit-window check: past the doom check,
-                // before anything is written, so an abort here (a fault
-                // plane's injection point) can never lose an update.
-                if let Err(f) = self.rt.plane().commit_check(self.common.thread.id) {
-                    drop(commit_guard);
-                    return Err(hw_fault(&self.common.thread, f));
-                }
-                let was_writer = !redo.is_empty();
-                // The stripe cover of the written cache lines (a superset of
-                // the written words' stripes), needed up front by the orec
-                // coupling and after the write-back by the targeted wake
-                // scan.
-                let plane = self.rt.plane();
-                let written_cover = |redo: &WriteLog| {
-                    let mut lines: Vec<_> = redo.iter().map(|e| e.addr.line()).collect();
-                    lines.sort_unstable();
-                    lines.dedup();
-                    let mut cover = Vec::new();
-                    for line in lines {
-                        plane.line_cover(line, &mut cover);
-                    }
-                    cover.sort_unstable();
-                    cover.dedup();
-                    cover
-                };
-                // Hybrid coupling: publish this commit through the software
-                // STM's metadata, with the *same* protocol a software
-                // committer uses.  Every stripe covering a written line is
-                // CAS-acquired (abort on any stripe a software commit
-                // already holds — overlapping data is mid-commit), held
-                // across the write-back, and released at a freshly ticked
-                // clock value after it.  Holding the locks is what makes
-                // the write-back opaque to software readers: a validated
-                // read can never interleave with it, and any transaction
-                // that began before the release observes the new version
-                // and aborts rather than mixing old and new values.  An
-                // acquisition failure releases the acquired prefix at its
-                // original versions and aborts before memory is touched.
-                let mut coupled_cover = Vec::new();
-                if was_writer && self.rt.orec_coupled() {
-                    coupled_cover = written_cover(redo);
-                    let me = self.common.thread.id;
-                    for (k, &idx) in coupled_cover.iter().enumerate() {
-                        let cur = system.orecs.load(idx);
-                        let ok = !cur.is_locked()
-                            && system
-                                .orecs
-                                .cas(idx, cur, OrecValue::locked(cur.version(), me));
-                        if !ok {
-                            for &held in &coupled_cover[..k] {
-                                let c = system.orecs.load(held);
-                                system.orecs.store(held, OrecValue::unlocked(c.version()));
-                            }
-                            return Err(TxCtl::Abort(AbortReason::HwConflict));
-                        }
-                    }
-                }
-                // Write back the buffered stores.  All conflicting in-flight
-                // transactions were doomed when we registered as writer of
-                // their lines, and our writer registrations are still in
-                // place, so no new reader can adopt a partial view without
-                // observing the conflict.
-                for e in redo.iter() {
-                    system.heap.store(e.addr, e.val);
-                }
-                // Release the coupled stripes at a fresh commit timestamp,
-                // making the hardware write-back visible to software read
-                // validation exactly like a software commit's.  The stamp is
-                // taken while the whole CAS cover is held (the ordering the
-                // lazy clock plane's soundness requires), and the epoch is
-                // published only after every stripe is released.
-                if !coupled_cover.is_empty() {
-                    let stamp = system.clock.commit_stamp(&self.common.thread.stats);
-                    for &idx in &coupled_cover {
-                        system.orecs.store(idx, OrecValue::unlocked(stamp.ts));
-                    }
-                    self.common.thread.publish_epoch(stamp.ts);
-                }
-                // Map the committed cache lines back to orec stripes for the
-                // targeted post-commit wake scan (the word-level write set is
-                // architecturally invisible; the line cover is a superset) —
-                // but only if someone is actually waiting, so the common
-                // no-sleeper case pays one atomic load and nothing else.
-                // A waiter that registers after this check double-checks its
-                // condition after registering, and the write-back above is
-                // already complete, so no wakeup is lost.  The coupled path
-                // already computed the cover; reuse it.
-                let mut wake_stripes = coupled_cover;
-                if wake_stripes.is_empty() && was_writer && !system.waiters.is_empty() {
-                    wake_stripes = written_cover(redo);
-                }
-                let me = self.common.thread.id;
-                for slot in write_slots.iter() {
-                    plane.clear_write(slot, me);
-                }
-                for slot in read_slots.iter() {
-                    plane.clear_read(slot, me);
-                }
-                read_slots.clear();
-                write_slots.clear();
-                redo.clear();
-                for &(addr, words) in &self.frees {
-                    system.heap.dealloc_for(&self.common.thread, addr, words);
-                }
-                self.mallocs.clear();
-                self.frees.clear();
-                Ok(CommitOutcome::hardware(was_writer, wake_stripes))
-            }
-            State::Serial { holding, undo } => {
-                let was_writer = !undo.is_empty();
-                undo.clear();
-                for &(addr, words) in &self.frees {
-                    system.heap.dealloc_for(&self.common.thread, addr, words);
-                }
-                self.mallocs.clear();
-                self.frees.clear();
-                if *holding {
-                    self.rt.release_serial();
-                    *holding = false;
-                }
-                Ok(CommitOutcome::serial(was_writer))
             }
         }
+        // Write back the buffered stores.  All conflicting in-flight
+        // transactions were doomed when we registered as writer of
+        // their lines, and our writer registrations are still in
+        // place, so no new reader can adopt a partial view without
+        // observing the conflict.
+        for e in redo.iter() {
+            system.heap.store(e.addr, e.val);
+        }
+        if coupled {
+            // Release the coupled stripes at a fresh commit timestamp,
+            // making the hardware write-back visible to software read
+            // validation exactly like a software commit's.  The stamp is
+            // taken while the whole CAS cover is held (the ordering the
+            // lazy clock plane's soundness requires), and the epoch is
+            // published only after every stripe is released.
+            let stamp = system.clock.commit_stamp(&self.thread.stats);
+            for &idx in cover.iter() {
+                system.orecs.store(idx, OrecValue::unlocked(stamp.ts));
+            }
+            self.thread.publish_epoch(stamp.ts);
+        } else if was_writer && !system.waiters.is_empty() {
+            // Map the committed cache lines back to orec stripes for the
+            // targeted post-commit wake scan (the word-level write set is
+            // architecturally invisible; the line cover is a superset) —
+            // but only if someone is actually waiting, so the common
+            // no-sleeper case pays one atomic load and nothing else.
+            // A waiter that registers after this check double-checks its
+            // condition after registering, and the write-back above is
+            // already complete, so no wakeup is lost.  (The coupled path
+            // already left the cover in place.)
+            written_cover(plane, redo, cover);
+        } else {
+            cover.clear();
+        }
+        self.clear_slots();
+        Ok(commit_guard)
     }
 
     /// Rolls back and materialises the wait condition for a deschedule
@@ -347,22 +294,22 @@ impl<'rt> HtmTx<'rt> {
     pub fn rollback_for_deschedule(&mut self, spec: WaitSpec) -> Result<WaitCondition, TxCtl> {
         match spec {
             WaitSpec::ReadSetValues | WaitSpec::OrigReadLocks => {
-                let pairs = self.common.waitset.drain_pairs();
+                let pairs = self.d.waitset.drain_pairs();
                 self.rollback();
                 Ok(WaitCondition::ValuesChanged(pairs))
             }
             WaitSpec::Addrs(addrs) => {
-                // Record the set high-water marks now: the undo log is
+                // Record the write-set high-water mark now: the undo log is
                 // drained below, before `rollback` can observe its size.
-                self.state.note_sizes(&self.common.thread);
+                TxStats::record_max(&self.thread.stats.write_set_max, self.d.writes.len() as u64);
                 // Undo our writes first so the captured snapshot reflects the
                 // pre-transaction state; as the serial-lock holder we are the
                 // only transaction running, so plain loads are consistent.
-                if let State::Serial { undo, .. } = &mut self.state {
-                    for e in undo.iter().rev() {
+                if !self.hardware {
+                    for e in self.d.writes.iter().rev() {
                         self.rt.system().heap.store(e.addr, e.val);
                     }
-                    undo.clear();
+                    self.d.writes.clear();
                 }
                 let pairs = addrs
                     .iter()
@@ -384,15 +331,6 @@ impl Drop for HtmTx<'_> {
         // Defensive: never leak the serial lock or stale line registrations
         // if a body panics.
         self.rollback();
-        // Recycle the attempt's access sets for the next attempt.
-        let state = std::mem::replace(
-            &mut self.state,
-            State::Serial {
-                holding: false,
-                undo: WriteLog::new(),
-            },
-        );
-        state.recycle(&self.common.thread);
     }
 }
 
@@ -403,39 +341,33 @@ impl Tx for HtmTx<'_> {
             // into an abort instead of a panic.
             return Err(TxCtl::Abort(AbortReason::HwConflict));
         }
-        if !self.is_hardware() {
+        if !self.hardware {
             let val = self.rt.system().heap.load(addr);
             self.retry_log(addr, val);
             return Ok(val);
         }
-        if self.common.thread.is_doomed() {
+        if self.thread.is_doomed() {
             return Err(TxCtl::Abort(AbortReason::HwConflict));
         }
         if self.rt.fallback_held() {
             return Err(TxCtl::Abort(AbortReason::HwFallbackLock));
         }
-        let State::Hardware {
-            read_slots, redo, ..
-        } = &mut self.state
-        else {
-            unreachable!("checked above");
-        };
         // Read-your-writes from the buffered store, O(1) by hash index.
-        if let Some(v) = redo.lookup(addr) {
+        if let Some(v) = self.d.writes.lookup(addr) {
             return Ok(v);
         }
         let plane = self.rt.plane();
         let line = addr.line();
         let slot = plane.slot_for(line);
-        if let Err(f) = plane.read_line(line, slot, self.common.thread.id) {
+        if let Err(f) = plane.read_line(line, slot, self.thread.id) {
             // A conflicting speculative writer has been doomed by the backend
             // (our coherence request invalidates its line); we abort as well
             // rather than consuming a possibly torn value.
-            return Err(hw_fault(&self.common.thread, f));
+            return Err(hw_fault(self.thread, f));
         }
-        if read_slots.insert(slot) {
-            if let Err(f) = plane.check_read_footprint(read_slots.len()) {
-                return Err(hw_fault(&self.common.thread, f));
+        if self.d.read_slots.insert(slot) {
+            if let Err(f) = plane.check_read_footprint(self.d.read_slots.len()) {
+                return Err(hw_fault(self.thread, f));
             }
         }
         Ok(self.rt.system().heap.load(addr))
@@ -445,51 +377,45 @@ impl Tx for HtmTx<'_> {
         if addr.index() >= self.rt.system().heap.len() {
             return Err(TxCtl::Abort(AbortReason::HwConflict));
         }
-        match &mut self.state {
-            State::Hardware {
-                write_slots, redo, ..
-            } => {
-                if self.common.thread.is_doomed() {
-                    return Err(TxCtl::Abort(AbortReason::HwConflict));
-                }
-                if self.rt.fallback_held() {
-                    return Err(TxCtl::Abort(AbortReason::HwFallbackLock));
-                }
-                let plane = self.rt.plane();
-                let line = addr.line();
-                let slot = plane.slot_for(line);
-                // The backend registers us as the line's writer, dooming
-                // every conflicting speculative occupant; a conflict abort
-                // means a foreign writer could not be displaced.
-                if let Err(f) = plane.write_line(line, slot, self.common.thread.id) {
-                    return Err(hw_fault(&self.common.thread, f));
-                }
-                if write_slots.insert(slot) {
-                    if let Err(f) = plane.check_write_footprint(write_slots.len()) {
-                        return Err(hw_fault(&self.common.thread, f));
-                    }
-                }
-                // Buffer the store.  The HTM never consults ownership
-                // records and nothing reads this log's cover (commit maps
-                // written *lines* to stripes), so the cached index is left
-                // degenerate rather than maintained for nobody.
-                redo.record(addr, val, || 0);
-                Ok(())
-            }
-            State::Serial { undo, .. } => {
-                let old = self.rt.system().heap.load(addr);
-                // First write per address keeps the pre-transaction value.
-                undo.record_first(addr, old, || 0);
-                self.rt.system().heap.store(addr, val);
-                Ok(())
+        if !self.hardware {
+            let old = self.rt.system().heap.load(addr);
+            // First write per address keeps the pre-transaction value.
+            self.d.writes.record_first(addr, old, || 0);
+            self.rt.system().heap.store(addr, val);
+            return Ok(());
+        }
+        if self.thread.is_doomed() {
+            return Err(TxCtl::Abort(AbortReason::HwConflict));
+        }
+        if self.rt.fallback_held() {
+            return Err(TxCtl::Abort(AbortReason::HwFallbackLock));
+        }
+        let plane = self.rt.plane();
+        let line = addr.line();
+        let slot = plane.slot_for(line);
+        // The backend registers us as the line's writer, dooming
+        // every conflicting speculative occupant; a conflict abort
+        // means a foreign writer could not be displaced.
+        if let Err(f) = plane.write_line(line, slot, self.thread.id) {
+            return Err(hw_fault(self.thread, f));
+        }
+        if self.d.write_slots.insert(slot) {
+            if let Err(f) = plane.check_write_footprint(self.d.write_slots.len()) {
+                return Err(hw_fault(self.thread, f));
             }
         }
+        // Buffer the store.  The HTM never consults ownership
+        // records and nothing reads this log's cover (commit maps
+        // written *lines* to stripes), so the cached index is left
+        // degenerate rather than maintained for nobody.
+        self.d.writes.record(addr, val, || 0);
+        Ok(())
     }
 
     fn alloc(&mut self, words: usize) -> TxResult<Addr> {
-        match self.rt.system().heap.alloc_for(&self.common.thread, words) {
+        match self.rt.system().heap.alloc_for(self.thread, words) {
             Some(addr) => {
-                self.mallocs.push((addr, words));
+                self.d.mallocs.push((addr, words));
                 Ok(addr)
             }
             None => Err(TxCtl::Abort(AbortReason::OutOfMemory)),
@@ -497,54 +423,26 @@ impl Tx for HtmTx<'_> {
     }
 
     fn free(&mut self, addr: Addr, words: usize) -> TxResult<()> {
-        self.frees.push((addr, words));
+        self.d.frees.push((addr, words));
         Ok(())
     }
 
     fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
-        let hardware = self.is_hardware();
-        match self.try_commit() {
-            Ok(info) => {
-                let stats = &self.common.thread.stats;
-                if info.hardware {
-                    TxStats::bump(&stats.hw_commits);
-                } else {
-                    TxStats::bump(&stats.sw_commits);
-                }
-                if info.serial {
-                    TxStats::bump(&stats.serial_commits);
-                }
-                block();
-                // Begin the continuation transaction in the same flavour,
-                // recycling the committed attempt's (cleared) containers.
-                let prev = std::mem::replace(
-                    &mut self.state,
-                    State::Serial {
-                        holding: false,
-                        undo: WriteLog::new(),
-                    },
-                );
-                prev.recycle(&self.common.thread);
-                if hardware {
-                    self.rt.wait_fallback_clear();
-                    self.common.thread.take_doomed();
-                    self.rt.plane().begin_attempt(self.common.thread.id);
-                    self.state = State::Hardware {
-                        read_slots: self.common.thread.take_index_set(),
-                        write_slots: self.common.thread.take_index_set(),
-                        redo: self.common.thread.take_write_log(),
-                    };
-                } else {
-                    self.rt.acquire_serial(&self.common.thread);
-                    self.state = State::Serial {
-                        holding: true,
-                        undo: self.common.thread.take_write_log(),
-                    };
-                }
-                Ok(())
-            }
-            Err(ctl) => Err(ctl),
+        let info = self.try_commit()?;
+        let stats = &self.thread.stats;
+        if info.hardware {
+            TxStats::bump(&stats.hw_commits);
+        } else {
+            TxStats::bump(&stats.sw_commits);
         }
+        if info.serial {
+            TxStats::bump(&stats.serial_commits);
+        }
+        block();
+        // Begin the continuation transaction in the same flavour, on the
+        // committed attempt's (emptied) logs.
+        self.enter();
+        Ok(())
     }
 
     fn explicit_abort(&mut self, code: u8) -> TxCtl {
@@ -561,5 +459,9 @@ impl Tx for HtmTx<'_> {
 
     fn system(&self) -> &Arc<TmSystem> {
         self.rt.system()
+    }
+
+    fn thread(&self) -> &Arc<ThreadCtx> {
+        self.thread
     }
 }

@@ -10,8 +10,8 @@ use std::sync::Arc;
 use condsync::OrigRegistry;
 use tm_core::driver::{self, CommitOutcome, TxEngine};
 use tm_core::{
-    ThreadCtx, TmRt, TmRuntime, TmSystem, Tx, TxCommon, TxCtl, TxKind, TxResult, WaitCondition,
-    WaitSpec, WakeSet,
+    Descriptor, ThreadCtx, TmRt, TmRuntime, TmSystem, Tx, TxCommon, TxCtl, TxKind, TxResult,
+    WaitCondition, WaitSpec,
 };
 
 use crate::tx::EagerTx;
@@ -40,21 +40,34 @@ impl EagerStm {
 }
 
 impl TxEngine for EagerStm {
-    type Tx<'eng> = EagerTx;
+    type Tx<'a> = EagerTx<'a>;
 
-    fn begin(&self, common: TxCommon) -> EagerTx {
-        EagerTx::begin(&self.system, common)
+    fn begin<'a>(
+        &'a self,
+        thread: &'a Arc<ThreadCtx>,
+        desc: &'a mut Descriptor,
+        common: TxCommon,
+    ) -> EagerTx<'a> {
+        EagerTx::begin(&self.system, thread, desc, common)
     }
 
-    fn try_commit(&self, tx: &mut EagerTx) -> Result<CommitOutcome, TxCtl> {
+    fn try_commit(&self, tx: &mut EagerTx<'_>) -> Result<CommitOutcome, TxCtl> {
+        // The lock set *is* the write set's stripe cover: every written
+        // address hashed to one of these ownership records when its lock was
+        // acquired, so a targeted scan over the cover the commit leaves in
+        // the descriptor cannot lose a wakeup.
         tx.try_commit()
     }
 
-    fn rollback(&self, tx: &mut EagerTx) {
+    fn rollback(&self, tx: &mut EagerTx<'_>) {
         tx.rollback();
     }
 
-    fn materialise_wait(&self, tx: &mut EagerTx, spec: WaitSpec) -> Result<WaitCondition, TxCtl> {
+    fn materialise_wait(
+        &self,
+        tx: &mut EagerTx<'_>,
+        spec: WaitSpec,
+    ) -> Result<WaitCondition, TxCtl> {
         tx.rollback_for_deschedule(spec)
     }
 
@@ -62,19 +75,7 @@ impl TxEngine for EagerStm {
         true
     }
 
-    fn committed_stripes(&self, outcome: &CommitOutcome) -> WakeSet {
-        if outcome.serial {
-            // Serial commits write directly with no metadata at all;
-            // conservatively wake every shard.
-            return WakeSet::All;
-        }
-        // The lock set *is* the write set's stripe cover: every written
-        // address hashed to one of these ownership records when its lock was
-        // acquired, so a targeted scan over them cannot lose a wakeup.
-        WakeSet::Stripes(outcome.written_orecs.clone())
-    }
-
-    fn deschedule_orig(&self, thread: &Arc<ThreadCtx>, tx: &mut EagerTx) {
+    fn deschedule_orig(&self, thread: &Arc<ThreadCtx>, tx: &mut EagerTx<'_>) {
         let read_orecs = tx.read_orec_indices();
         let start = tx.start();
         tx.rollback();
@@ -83,16 +84,13 @@ impl TxEngine for EagerStm {
         });
     }
 
-    fn after_writer_commit(&self, thread: &Arc<ThreadCtx>, outcome: &CommitOutcome) {
-        if !self.orig.is_empty() {
-            if outcome.serial {
-                // A serial commit has no lock set to intersect: any
-                // Retry-Orig sleeper's reads may have changed.
-                self.orig.wake_all(thread);
-            } else {
-                self.orig.wake_matching(thread, &outcome.written_orecs);
-            }
-        }
+    fn after_writer_commit(
+        &self,
+        thread: &Arc<ThreadCtx>,
+        outcome: &CommitOutcome,
+        cover: &[usize],
+    ) {
+        self.orig.wake_after_commit(thread, outcome.serial, cover);
     }
 }
 

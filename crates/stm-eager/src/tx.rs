@@ -3,105 +3,81 @@
 
 use std::sync::Arc;
 
-use tm_core::access::{cover_valid_at, IndexSet, ReadSet, WriteLog};
+use tm_core::access::{cover_valid_at, Descriptor};
 use tm_core::driver::CommitOutcome;
 use tm_core::serial::{subscribe_begin, SerialAttempt};
 use tm_core::stats::TxStats;
 use tm_core::{
-    AbortReason, Addr, OrecValue, SnapshotMode, TmSystem, Tx, TxCommon, TxCtl, TxKind, TxMode,
-    TxResult, WaitCondition, WaitSpec,
+    AbortReason, Addr, OrecValue, SnapshotMode, ThreadCtx, TmSystem, Tx, TxCommon, TxCtl, TxKind,
+    TxMode, TxResult, WaitCondition, WaitSpec,
 };
 
 /// An in-flight eager-STM transaction attempt.
 ///
-/// The read set, undo log and lock set are pooled access-set containers
-/// (`tm_core::access`): read-after-write old-value lookups and lock-set
-/// membership are O(1), the read set's orec cover stays sorted
-/// incrementally, and a re-executed attempt inherits the previous
-/// attempt's capacity through the thread's `LogPool`.
+/// It owns no log: Algorithm 8's `reads`, `undos` and `locks` are the
+/// borrowed thread [`Descriptor`]'s `reads`, `writes` (one entry per
+/// address holding the pre-transaction value) and `locks`
+/// (`tm_core::access`), so read-after-write old-value lookups and lock-set
+/// membership are O(1), the read set's orec cover is sorted at most once,
+/// and a re-executed attempt starts on the capacity the previous one grew.
 #[derive(Debug)]
-pub struct EagerTx {
+pub struct EagerTx<'a> {
     common: TxCommon,
-    system: Arc<TmSystem>,
+    system: &'a Arc<TmSystem>,
+    thread: &'a Arc<ThreadCtx>,
+    d: &'a mut Descriptor,
     /// Global-clock value sampled at begin (Algorithm 9, `start`).
     start: u64,
-    /// Addresses read by the transaction (Algorithm 8, `reads`), with their
-    /// orec stripes cached at read time.
-    reads: ReadSet,
-    /// Old values of written locations (Algorithm 8, `undos`): one entry
-    /// per address holding the pre-transaction value.
-    undos: WriteLog,
-    /// Ownership-record indices held by this transaction (Algorithm 8, `locks`).
-    locks: IndexSet,
-    /// Transactional allocations, undone on abort.
-    mallocs: Vec<(Addr, usize)>,
-    /// Deferred frees, performed at commit.
-    frees: Vec<(Addr, usize)>,
     /// `Some` when this attempt runs serially behind the system's
     /// [`tm_core::SerialGate`] ([`TxMode::Serial`]): all accesses go
     /// straight to the shared serial attempt, the instrumented logs stay
     /// empty.
-    serial: Option<SerialAttempt>,
+    serial: Option<SerialAttempt<'a>>,
     /// True when this attempt runs on the snapshot read path: a declared
     /// read-only transaction in plain [`TxMode::Software`] mode with
     /// [`SnapshotMode`] enabled.  Reads validate against `start` only, no
     /// read set is kept, writes abort with
-    /// [`AbortReason::ReadOnlyWrite`], and the commit is free.
+    /// [`AbortReason::ReadOnlyWrite`], and the commit is free.  Under
+    /// [`SnapshotMode::Extend`] the distinct stripes read so far are kept in
+    /// the descriptor's `snap_cover`, so a too-new version can be survived
+    /// by re-checking that no covered stripe moved past `start`.
     snapshot: bool,
     /// Whether the snapshot attempt has completed at least one read
     /// (gates the [`SnapshotMode::On`] first-read refresh).
     snap_observed: bool,
-    /// The distinct orec stripes read so far, kept only under
-    /// [`SnapshotMode::Extend`] so a too-new version can be survived by
-    /// re-checking that no covered stripe moved past `start`.
-    snap_cover: IndexSet,
 }
 
-impl EagerTx {
-    /// Begins a new attempt: samples the clock and publishes the start time
-    /// for quiescence (through the serial gate's subscription protocol), or
-    /// acquires the serial gate for [`TxMode::Serial`] attempts.
-    pub fn begin(system: &Arc<TmSystem>, common: TxCommon) -> Self {
+impl<'a> EagerTx<'a> {
+    /// Begins a new attempt of `thread` on the empty logs of `d`: samples
+    /// the clock and publishes the start time for quiescence (through the
+    /// serial gate's subscription protocol), or acquires the serial gate for
+    /// [`TxMode::Serial`] attempts.
+    pub fn begin(
+        system: &'a Arc<TmSystem>,
+        thread: &'a Arc<ThreadCtx>,
+        d: &'a mut Descriptor,
+        common: TxCommon,
+    ) -> Self {
         let (serial, start) = if common.mode == TxMode::Serial {
             (
-                Some(SerialAttempt::begin(system, &common.thread)),
+                Some(SerialAttempt::begin(system, thread)),
                 system.clock.now(),
             )
         } else {
-            (None, subscribe_begin(system, &common.thread))
+            (None, subscribe_begin(system, thread))
         };
         let snapshot = common.kind == TxKind::ReadOnly
             && common.mode == TxMode::Software
             && system.config.snapshot.is_enabled();
-        // Snapshot attempts keep no logs at all; skip the pool round trip
-        // (zero-capacity containers are dropped, not pooled, on `put`).
-        let (reads, undos, locks) = if snapshot {
-            (ReadSet::new(), WriteLog::new(), IndexSet::new())
-        } else {
-            (
-                common.thread.take_read_set(),
-                common.thread.take_write_log(),
-                common.thread.take_index_set(),
-            )
-        };
-        let snap_cover = if snapshot && system.config.snapshot == SnapshotMode::Extend {
-            common.thread.take_index_set()
-        } else {
-            IndexSet::new()
-        };
         EagerTx {
             common,
-            system: Arc::clone(system),
+            system,
+            thread,
+            d,
             start,
-            reads,
-            undos,
-            locks,
-            mallocs: Vec::new(),
-            frees: Vec::new(),
             serial,
             snapshot,
             snap_observed: false,
-            snap_cover,
         }
     }
 
@@ -114,11 +90,11 @@ impl EagerTx {
     /// sorted and deduplicated — the read set's own stripe cover, not
     /// recomputed from the address list.
     pub fn read_orec_indices(&mut self) -> Vec<usize> {
-        self.reads.orec_cover().to_vec()
+        self.d.reads.orec_cover().to_vec()
     }
 
     fn me(&self) -> usize {
-        self.common.thread.id
+        self.thread.id
     }
 
     /// Records an `(addr, value)` pair in the Retry value log, substituting
@@ -130,8 +106,8 @@ impl EagerTx {
         if self.common.mode != TxMode::SoftwareRetry {
             return;
         }
-        let logged = self.undos.lookup(addr).unwrap_or(observed);
-        self.common.log_retry_read(addr, logged);
+        let logged = self.d.writes.lookup(addr).unwrap_or(observed);
+        self.d.waitset.record_first(addr, logged, || 0);
     }
 
     /// One snapshot-path read: lock–value–lock against `start` only.  No
@@ -147,13 +123,13 @@ impl EagerTx {
                 if before.version() <= self.start {
                     self.snap_observed = true;
                     if self.system.config.snapshot == SnapshotMode::Extend {
-                        self.snap_cover.insert(idx);
+                        self.d.snap_cover.insert(idx);
                     }
                     return Ok(val);
                 }
                 self.system
                     .clock
-                    .note_stale(before.version(), &self.common.thread.stats);
+                    .note_stale(before.version(), &self.thread.stats);
                 if self.try_snapshot_refresh() {
                     continue;
                 }
@@ -181,12 +157,12 @@ impl EagerTx {
         if !extendable {
             return false;
         }
-        self.common.thread.exit_tx();
-        let new_start = subscribe_begin(&self.system, &self.common.thread);
+        self.thread.exit_tx();
+        let new_start = subscribe_begin(self.system, self.thread);
         // Re-validate *after* the new snapshot is published: anything the
         // check admits was unchanged up to a point at or after `new_start`.
         if self.system.config.snapshot == SnapshotMode::Extend
-            && !cover_valid_at(&self.system.orecs, self.snap_cover.as_slice(), self.start)
+            && !cover_valid_at(&self.system.orecs, self.d.snap_cover.as_slice(), self.start)
         {
             // A covered stripe moved; the attempt is doomed.  Keep the newly
             // published start — the caller aborts and the rollback exits.
@@ -194,7 +170,7 @@ impl EagerTx {
             return false;
         }
         self.start = new_start;
-        TxStats::bump(&self.common.thread.stats.snapshot_refreshes);
+        TxStats::bump(&self.thread.stats.snapshot_refreshes);
         true
     }
 
@@ -211,7 +187,7 @@ impl EagerTx {
             if cur.version() <= self.start {
                 let locked = OrecValue::locked(cur.version(), self.me());
                 if self.system.orecs.cas(idx, cur, locked) {
-                    self.locks.insert(idx);
+                    self.d.locks.insert(idx);
                     return Ok(idx);
                 }
             } else {
@@ -220,7 +196,7 @@ impl EagerTx {
                 // epoch (lazy clock plane; no-op under GV1).
                 self.system
                     .clock
-                    .note_stale(cur.version(), &self.common.thread.stats);
+                    .note_stale(cur.version(), &self.thread.stats);
             }
         }
         Err(TxCtl::Abort(AbortReason::WriteConflict))
@@ -235,42 +211,32 @@ impl EagerTx {
             serial.rollback();
             return;
         }
-        for e in self.undos.iter().rev() {
+        for e in self.d.writes.iter().rev() {
             self.system.heap.store(e.addr, e.val);
         }
-        for idx in self.locks.iter() {
+        for idx in self.d.locks.iter() {
             let cur = self.system.orecs.load(idx);
             self.system
                 .orecs
                 .store(idx, OrecValue::unlocked(cur.version() + 1));
         }
-        if !self.locks.is_empty() {
+        if !self.d.locks.is_empty() {
             // Keep the bumped lock versions legal with respect to the clock
             // (Algorithm 11, line 5): a blind tick under GV1; in lazy mode
             // the inflated versions are covered by `note_stale` on the
             // reader side instead, so the shared line stays untouched.
-            self.system.clock.rollback_bump(&self.common.thread.stats);
+            self.system.clock.rollback_bump(&self.thread.stats);
         }
-        for &(addr, words) in &self.mallocs {
-            self.system
-                .heap
-                .dealloc_for(&self.common.thread, addr, words);
+        for &(addr, words) in &self.d.mallocs {
+            self.system.heap.dealloc_for(self.thread, addr, words);
         }
         self.reset_logs();
-        self.common.thread.exit_tx();
+        self.thread.exit_tx();
     }
 
     fn reset_logs(&mut self) {
-        let stats = &self.common.thread.stats;
-        TxStats::record_max(&stats.read_set_max, self.reads.len() as u64);
-        TxStats::record_max(&stats.write_set_max, self.undos.len() as u64);
-        self.reads.clear();
-        self.undos.clear();
-        self.locks.clear();
-        self.snap_cover.clear();
+        self.d.reset(&self.thread.stats);
         self.snap_observed = false;
-        self.mallocs.clear();
-        self.frees.clear();
     }
 
     /// Attempts to commit (Algorithm 9, `TxCommit`).  On failure the caller
@@ -281,32 +247,30 @@ impl EagerTx {
         }
         // Read-only fast path: every read was validated at the time it
         // happened, so nothing further is required.
-        if self.locks.is_empty() {
+        if self.d.locks.is_empty() {
             if self.snapshot {
                 // The snapshot commit did zero read-set pushes and performs
                 // zero commit-time orec loads.
-                TxStats::bump(&self.common.thread.stats.ro_fast_commits);
+                TxStats::bump(&self.thread.stats.ro_fast_commits);
             }
-            for &(addr, words) in &self.frees {
-                self.system
-                    .heap
-                    .dealloc_for(&self.common.thread, addr, words);
+            for &(addr, words) in &self.d.frees {
+                self.system.heap.dealloc_for(self.thread, addr, words);
             }
             self.reset_logs();
-            self.common.thread.exit_tx();
+            self.thread.exit_tx();
             return Ok(CommitOutcome::read_only());
         }
 
         // Stamped after the lock phase: every orec this commit will touch is
         // already held, which is what makes a non-unique (lazy) stamp sound.
-        let stamp = self.system.clock.commit_stamp(&self.common.thread.stats);
+        let stamp = self.system.clock.commit_stamp(&self.thread.stats);
         let end = stamp.ts;
         // Fast path: if no other transaction committed since we started, the
         // read set cannot have been invalidated.  Requires a *unique* stamp —
         // a lazy stamp may be shared with a concurrent committer, so lazy
         // commits always validate.
         if !stamp.unique || end != self.start + 1 {
-            for e in self.reads.iter() {
+            for e in self.d.reads.iter() {
                 // The stripe index was cached when the read was validated,
                 // so validation does not hash the address a second time.
                 let o = self.system.orecs.load(e.stripe);
@@ -317,7 +281,7 @@ impl EagerTx {
                 } else {
                     self.system
                         .clock
-                        .note_stale(o.version(), &self.common.thread.stats);
+                        .note_stale(o.version(), &self.thread.stats);
                     false
                 };
                 if !ok {
@@ -326,26 +290,26 @@ impl EagerTx {
             }
         }
 
-        // The transaction is committed: release locks at the new version.
-        let written = self.locks.take_entries();
-        for &idx in &written {
+        // The transaction is committed: release locks at the new version,
+        // leaving the lock set as the cover for the driver's wake path.
+        self.d.cover.clear();
+        self.d.cover.extend_from_slice(self.d.locks.as_slice());
+        for &idx in &self.d.cover {
             self.system.orecs.store(idx, OrecValue::unlocked(end));
         }
         // Finalize deferred frees; allocations simply survive.
-        for &(addr, words) in &self.frees {
-            self.system
-                .heap
-                .dealloc_for(&self.common.thread, addr, words);
+        for &(addr, words) in &self.d.frees {
+            self.system.heap.dealloc_for(self.thread, addr, words);
         }
         self.reset_logs();
         // Publish the commit epoch only now that every lock is released and
         // the write-back is visible; later begins start at or above `end`,
         // which also bounds the quiescence wait below.
-        self.common.thread.publish_epoch(end);
-        self.common.thread.exit_tx();
+        self.thread.publish_epoch(end);
+        self.thread.exit_tx();
         // Privatization-safety quiescence (Algorithm 9, line 20).
-        self.system.quiesce(&self.common.thread, end);
-        Ok(CommitOutcome::software_writer(written, end))
+        self.system.quiesce(self.thread, end);
+        Ok(CommitOutcome::software_writer(end))
     }
 
     /// Rolls back and materialises the wait condition for a deschedule
@@ -354,43 +318,50 @@ impl EagerTx {
     /// driver simply re-executes the transaction.
     pub fn rollback_for_deschedule(&mut self, spec: WaitSpec) -> Result<WaitCondition, TxCtl> {
         if let Some(serial) = &mut self.serial {
-            return serial.rollback_for_deschedule(spec, &mut self.common);
+            return serial.rollback_for_deschedule(spec, &mut self.d.waitset);
         }
         match spec {
             WaitSpec::ReadSetValues => {
-                let pairs = self.common.waitset.drain_pairs();
+                let pairs = self.d.waitset.drain_pairs();
                 self.rollback();
                 Ok(WaitCondition::ValuesChanged(pairs))
             }
             WaitSpec::Addrs(addrs) => {
                 // Record the write-set high-water mark now: the undo log is
                 // drained below, before `rollback` can observe its size.
-                TxStats::record_max(
-                    &self.common.thread.stats.write_set_max,
-                    self.undos.len() as u64,
-                );
+                TxStats::record_max(&self.thread.stats.write_set_max, self.d.writes.len() as u64);
                 // Algorithm 6: undo writes first so memory shows the state
                 // from before the transaction, then read the requested
                 // addresses while still holding our locks, validating each
                 // against the start time so the snapshot is consistent.
-                for e in self.undos.iter().rev() {
+                for e in self.d.writes.iter().rev() {
                     self.system.heap.store(e.addr, e.val);
                 }
-                self.undos.clear();
+                self.d.writes.clear();
                 let mut pairs = Vec::with_capacity(addrs.len());
                 let mut consistent = true;
                 for addr in addrs {
-                    let o = self.system.orecs.load_for(addr);
-                    let ok = if o.is_locked() {
-                        o.is_locked_by(self.me())
-                    } else {
-                        o.version() <= self.start
-                    };
+                    // Lock–value–lock, like `TxRead`: a verdict on the orec
+                    // alone lets a writer lock, write and release between
+                    // the check and the load, and the value captured under
+                    // the stale verdict is already the changed one — the
+                    // double-check then sees "unchanged" and the thread
+                    // sleeps on a change that has happened.
+                    let idx = self.system.orecs.index_for(addr);
+                    let before = self.system.orecs.load(idx);
+                    let val = self.system.heap.load(addr);
+                    let after = self.system.orecs.load(idx);
+                    let ok = before == after
+                        && if before.is_locked() {
+                            before.is_locked_by(self.me())
+                        } else {
+                            before.version() <= self.start
+                        };
                     if !ok {
                         consistent = false;
                         break;
                     }
-                    pairs.push((addr, self.system.heap.load(addr)));
+                    pairs.push((addr, val));
                 }
                 self.rollback();
                 if consistent {
@@ -413,24 +384,7 @@ impl EagerTx {
     }
 }
 
-impl Drop for EagerTx {
-    fn drop(&mut self) {
-        // Recycle the attempt's access sets so the next attempt (or the
-        // thread's next transaction) reuses their capacity.
-        let thread = Arc::clone(&self.common.thread);
-        thread.put_read_set(std::mem::take(&mut self.reads));
-        thread.put_write_log(std::mem::take(&mut self.undos));
-        thread.put_index_set(std::mem::take(&mut self.locks));
-        // The Extend-mode stripe cover is an index set, not a read set: it
-        // must not feed the `read_set_max` high-water mark (snapshot commits
-        // keep no read set by construction).
-        thread
-            .pool
-            .put_index_set(std::mem::take(&mut self.snap_cover));
-    }
-}
-
-impl Tx for EagerTx {
+impl Tx for EagerTx<'_> {
     fn read(&mut self, addr: Addr) -> TxResult<u64> {
         // Serial attempts read directly: the gate holder runs alone.  Their
         // reads are never value-logged — a serial `Retry` relogs in
@@ -456,13 +410,13 @@ impl Tx for EagerTx {
             if before.version() <= self.start {
                 // The stripe computed for this validation is cached in the
                 // entry, so commit-time re-validation never hashes again.
-                self.reads.record(addr, idx);
+                self.d.reads.record(addr, idx);
                 self.retry_log(addr, val);
                 return Ok(val);
             }
             self.system
                 .clock
-                .note_stale(before.version(), &self.common.thread.stats);
+                .note_stale(before.version(), &self.thread.stats);
         }
         Err(TxCtl::Abort(AbortReason::ReadConflict))
     }
@@ -480,11 +434,11 @@ impl Tx for EagerTx {
         // Algorithm 10, TxWrite: acquire the orec, log the old value (first
         // write per address only — the log is keyed by address), update in
         // place.  The stripe cover of the write set is the lock set
-        // (`self.locks`), so the undo log's own cover is left degenerate
+        // (`locks`), so the undo log's own cover is left degenerate
         // (constant index) rather than maintained for nobody.
         self.acquire(addr)?;
         let old = self.system.heap.load(addr);
-        self.undos.record_first(addr, old, || 0);
+        self.d.writes.record_first(addr, old, || 0);
         self.system.heap.store(addr, val);
         Ok(())
     }
@@ -513,9 +467,9 @@ impl Tx for EagerTx {
         if self.snapshot {
             return Err(TxCtl::Abort(AbortReason::ReadOnlyWrite));
         }
-        match self.system.heap.alloc_for(&self.common.thread, words) {
+        match self.system.heap.alloc_for(self.thread, words) {
             Some(addr) => {
-                self.mallocs.push((addr, words));
+                self.d.mallocs.push((addr, words));
                 Ok(addr)
             }
             None => Err(TxCtl::Abort(AbortReason::OutOfMemory)),
@@ -530,7 +484,7 @@ impl Tx for EagerTx {
         if self.snapshot {
             return Err(TxCtl::Abort(AbortReason::ReadOnlyWrite));
         }
-        self.frees.push((addr, words));
+        self.d.frees.push((addr, words));
         Ok(())
     }
 
@@ -544,22 +498,22 @@ impl Tx for EagerTx {
             // writer segments count — plus the serial_commits ⊆ sw_commits
             // invariant the stats docs establish.
             if outcome.was_writer {
-                TxStats::bump(&self.common.thread.stats.sw_commits);
-                TxStats::bump(&self.common.thread.stats.serial_commits);
+                TxStats::bump(&self.thread.stats.sw_commits);
+                TxStats::bump(&self.thread.stats.serial_commits);
             }
             block();
             // Continue in the same (serial) flavour: re-acquire the gate.
-            self.serial = Some(SerialAttempt::begin(&self.system, &self.common.thread));
+            self.serial = Some(SerialAttempt::begin(self.system, self.thread));
             self.start = self.system.clock.now();
             return Ok(());
         }
         match self.try_commit() {
             Ok(info) => {
                 if info.was_writer {
-                    TxStats::bump(&self.common.thread.stats.sw_commits);
+                    TxStats::bump(&self.thread.stats.sw_commits);
                 }
                 block();
-                self.start = subscribe_begin(&self.system, &self.common.thread);
+                self.start = subscribe_begin(self.system, self.thread);
                 Ok(())
             }
             Err(ctl) => Err(ctl),
@@ -579,50 +533,70 @@ impl Tx for EagerTx {
     }
 
     fn system(&self) -> &Arc<TmSystem> {
-        &self.system
+        self.system
+    }
+
+    fn thread(&self) -> &Arc<ThreadCtx> {
+        self.thread
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_core::{TmConfig, TxMode};
+    use tm_core::TmConfig;
 
-    fn setup() -> (Arc<TmSystem>, EagerTx) {
-        let system = TmSystem::new(TmConfig::small());
-        let th = system.register_thread();
-        let tx = EagerTx::begin(&system, TxCommon::new(th, TxMode::Software, 0));
-        (system, tx)
+    /// A thread context and a private descriptor for one test handle.
+    fn party(system: &Arc<TmSystem>) -> (Arc<ThreadCtx>, Descriptor) {
+        (system.register_thread(), Descriptor::default())
+    }
+
+    fn software() -> TxCommon {
+        TxCommon::new(TxMode::Software, 0)
+    }
+
+    fn read_only() -> TxCommon {
+        software().with_kind(TxKind::ReadOnly)
+    }
+
+    /// Commits `val` to `addr` from a fresh thread.
+    fn commit_write(system: &Arc<TmSystem>, addr: Addr, val: u64) {
+        let (th, mut d) = party(system);
+        let mut w = EagerTx::begin(system, &th, &mut d, software());
+        w.write(addr, val).unwrap();
+        w.try_commit().unwrap();
     }
 
     #[test]
     fn read_your_own_write() {
-        let (_system, mut tx) = setup();
+        let system = TmSystem::new(TmConfig::small());
+        let (th, mut d) = party(&system);
+        let mut tx = EagerTx::begin(&system, &th, &mut d, software());
         tx.write(Addr(5), 42).unwrap();
         assert_eq!(tx.read(Addr(5)).unwrap(), 42);
     }
 
     #[test]
     fn writes_are_in_place_and_undone_on_rollback() {
-        let (system, tx) = setup();
+        let system = TmSystem::new(TmConfig::small());
         system.heap.store(Addr(5), 7);
-        // Re-begin so the store above predates the transaction.
-        let th = system.register_thread();
-        let mut tx2 = EagerTx::begin(&system, TxCommon::new(th, TxMode::Software, 0));
-        tx2.write(Addr(5), 100).unwrap();
+        let (th, mut d) = party(&system);
+        let mut tx = EagerTx::begin(&system, &th, &mut d, software());
+        tx.write(Addr(5), 100).unwrap();
         assert_eq!(system.heap.load(Addr(5)), 100, "eager STM updates in place");
-        tx2.rollback();
+        tx.rollback();
         assert_eq!(
             system.heap.load(Addr(5)),
             7,
             "rollback restores the old value"
         );
-        drop(tx);
     }
 
     #[test]
     fn commit_releases_locks_at_new_version() {
-        let (system, mut tx) = setup();
+        let system = TmSystem::new(TmConfig::small());
+        let (th, mut d) = party(&system);
+        let mut tx = EagerTx::begin(&system, &th, &mut d, software());
         tx.write(Addr(9), 3).unwrap();
         let idx = system.orecs.index_for(Addr(9));
         assert!(system.orecs.load(idx).is_locked());
@@ -633,14 +607,16 @@ mod tests {
         assert!(!o.is_locked());
         assert_eq!(o.version(), info.commit_time);
         assert_eq!(system.heap.load(Addr(9)), 3);
+        drop(tx);
+        assert_eq!(d.cover, vec![idx], "the lock set is the commit's cover");
     }
 
     #[test]
     fn read_only_commit_is_trivial() {
-        let (system, _tx) = setup();
+        let system = TmSystem::new(TmConfig::small());
         system.heap.store(Addr(3), 11);
-        let th = system.register_thread();
-        let mut tx = EagerTx::begin(&system, TxCommon::new(th, TxMode::Software, 0));
+        let (th, mut d) = party(&system);
+        let mut tx = EagerTx::begin(&system, &th, &mut d, software());
         assert_eq!(tx.read(Addr(3)).unwrap(), 11);
         let info = tx.try_commit().unwrap();
         assert!(!info.was_writer);
@@ -650,10 +626,10 @@ mod tests {
     #[test]
     fn conflicting_write_lock_aborts_second_writer() {
         let system = TmSystem::new(TmConfig::small());
-        let t1 = system.register_thread();
-        let t2 = system.register_thread();
-        let mut tx1 = EagerTx::begin(&system, TxCommon::new(t1, TxMode::Software, 0));
-        let mut tx2 = EagerTx::begin(&system, TxCommon::new(t2, TxMode::Software, 0));
+        let (t1, mut d1) = party(&system);
+        let (t2, mut d2) = party(&system);
+        let mut tx1 = EagerTx::begin(&system, &t1, &mut d1, software());
+        let mut tx2 = EagerTx::begin(&system, &t2, &mut d2, software());
         tx1.write(Addr(4), 1).unwrap();
         assert!(matches!(
             tx2.write(Addr(4), 2),
@@ -666,11 +642,11 @@ mod tests {
     #[test]
     fn read_of_locked_location_aborts() {
         let system = TmSystem::new(TmConfig::small());
-        let t1 = system.register_thread();
-        let t2 = system.register_thread();
-        let mut tx1 = EagerTx::begin(&system, TxCommon::new(t1, TxMode::Software, 0));
+        let (t1, mut d1) = party(&system);
+        let (t2, mut d2) = party(&system);
+        let mut tx1 = EagerTx::begin(&system, &t1, &mut d1, software());
         tx1.write(Addr(8), 5).unwrap();
-        let mut tx2 = EagerTx::begin(&system, TxCommon::new(t2, TxMode::Software, 0));
+        let mut tx2 = EagerTx::begin(&system, &t2, &mut d2, software());
         assert!(tx2.read(Addr(8)).is_err());
         tx1.rollback();
         tx2.rollback();
@@ -681,15 +657,13 @@ mod tests {
         // Two handles are driven from one OS thread, so the committer must
         // not quiesce waiting for the other handle (it could never finish).
         let system = TmSystem::new(TmConfig::small().without_quiescence());
-        let t1 = system.register_thread();
-        let t2 = system.register_thread();
-        // tx1 reads addr 6, then tx2 commits a write to it, then tx1 writes
-        // something else and tries to commit: validation must fail.
-        let mut tx1 = EagerTx::begin(&system, TxCommon::new(t1, TxMode::Software, 0));
+        // tx1 reads addr 6, then another transaction commits a write to it,
+        // then tx1 writes something else and tries to commit: validation
+        // must fail.
+        let (t1, mut d1) = party(&system);
+        let mut tx1 = EagerTx::begin(&system, &t1, &mut d1, software());
         assert_eq!(tx1.read(Addr(6)).unwrap(), 0);
-        let mut tx2 = EagerTx::begin(&system, TxCommon::new(t2, TxMode::Software, 0));
-        tx2.write(Addr(6), 9).unwrap();
-        tx2.try_commit().unwrap();
+        commit_write(&system, Addr(6), 9);
         tx1.write(Addr(7), 1).unwrap();
         assert!(matches!(
             tx1.try_commit(),
@@ -705,15 +679,12 @@ mod tests {
         // See stale_read_detected_at_commit: single-threaded test, two
         // handles, so quiescence must be off.
         let system = TmSystem::new(TmConfig::small().without_quiescence());
-        let t1 = system.register_thread();
-        let t2 = system.register_thread();
-        let mut tx1 = EagerTx::begin(&system, TxCommon::new(t1, TxMode::Software, 0));
+        let (t1, mut d1) = party(&system);
+        let mut tx1 = EagerTx::begin(&system, &t1, &mut d1, software());
         let _ = tx1.read(Addr(2)).unwrap();
         // Another transaction commits a write to a different orec: tx1 can
         // still read locations whose version predates its start.
-        let mut tx2 = EagerTx::begin(&system, TxCommon::new(t2, TxMode::Software, 0));
-        tx2.write(Addr(100), 1).unwrap();
-        tx2.try_commit().unwrap();
+        commit_write(&system, Addr(100), 1);
         // Reading the *updated* location must abort tx1 (version too new).
         assert!(tx1.read(Addr(100)).is_err());
         tx1.rollback();
@@ -723,41 +694,44 @@ mod tests {
     fn retry_mode_logs_pre_transaction_values() {
         let system = TmSystem::new(TmConfig::small());
         system.heap.store(Addr(12), 50);
-        let th = system.register_thread();
-        let mut tx = EagerTx::begin(&system, TxCommon::new(th, TxMode::SoftwareRetry, 1));
+        let (th, mut d) = party(&system);
+        let mut tx = EagerTx::begin(
+            &system,
+            &th,
+            &mut d,
+            TxCommon::new(TxMode::SoftwareRetry, 1),
+        );
         assert_eq!(tx.read(Addr(12)).unwrap(), 50);
         tx.write(Addr(12), 99).unwrap();
         // A read-after-write must log the value from *before* the write,
         // because the write is undone when the transaction deschedules.
         assert_eq!(tx.read(Addr(12)).unwrap(), 99);
-        assert_eq!(tx.common().waitset.pairs(), vec![(Addr(12), 50)]);
+        assert_eq!(tx.d.waitset.pairs(), vec![(Addr(12), 50)]);
         tx.rollback();
     }
 
     #[test]
-    fn reexecuted_attempts_reuse_pooled_logs() {
+    fn reexecuted_attempts_start_on_the_grown_descriptor() {
         let system = TmSystem::new(TmConfig::small());
-        let th = system.register_thread();
-        let mut tx = EagerTx::begin(&system, TxCommon::new(Arc::clone(&th), TxMode::Software, 0));
+        let (th, mut d) = party(&system);
+        let mut tx = EagerTx::begin(&system, &th, &mut d, software());
         let _ = tx.read(Addr(1)).unwrap();
         tx.write(Addr(2), 2).unwrap();
         tx.rollback();
         drop(tx);
-        let before = th.stats.snapshot().log_pool_reuses;
-        let mut tx = EagerTx::begin(&system, TxCommon::new(Arc::clone(&th), TxMode::Software, 1));
-        assert!(
-            th.stats.snapshot().log_pool_reuses >= before + 2,
-            "the second attempt must recycle the first attempt's containers"
-        );
-        tx.rollback();
+        assert!(d.grown());
+        assert!(d.reads.is_empty() && d.writes.is_empty() && d.locks.is_empty());
+        assert!(d.reads.capacity() > 0 && d.writes.capacity() > 0 && d.locks.capacity() > 0);
+        let snap = th.stats.snapshot();
+        assert_eq!((snap.read_set_max, snap.write_set_max), (1, 1));
     }
 
     #[test]
     fn deschedule_rollback_captures_await_values() {
         let system = TmSystem::new(TmConfig::small());
         system.heap.store(Addr(20), 5);
-        let th = system.register_thread();
-        let mut tx = EagerTx::begin(&system, TxCommon::new(Arc::clone(&th), TxMode::Software, 0));
+        let (th, mut d) = party(&system);
+        let mut tx = EagerTx::begin(&system, &th, &mut d, software());
         assert_eq!(tx.read(Addr(20)).unwrap(), 5);
         tx.write(Addr(20), 6).unwrap();
         let cond = tx
@@ -788,8 +762,23 @@ mod tests {
     }
 
     #[test]
+    fn await_capture_rejects_a_location_committed_after_begin() {
+        let system = TmSystem::new(TmConfig::small().without_quiescence());
+        let (th, mut d) = party(&system);
+        let mut tx = EagerTx::begin(&system, &th, &mut d, software());
+        commit_write(&system, Addr(20), 8);
+        // The word's version is past our start: the capture must refuse
+        // rather than record the new value as the one to wait on.
+        assert!(tx
+            .rollback_for_deschedule(WaitSpec::Addrs(vec![Addr(20)]))
+            .is_err());
+    }
+
+    #[test]
     fn transactional_alloc_is_undone_on_rollback() {
-        let (system, mut tx) = setup();
+        let system = TmSystem::new(TmConfig::small());
+        let (th, mut d) = party(&system);
+        let mut tx = EagerTx::begin(&system, &th, &mut d, software());
         let before = system.heap.allocated_words();
         let a = tx.alloc(8).unwrap();
         assert!(!a.is_null());
@@ -800,7 +789,9 @@ mod tests {
 
     #[test]
     fn transactional_free_is_deferred_to_commit() {
-        let (system, mut tx) = setup();
+        let system = TmSystem::new(TmConfig::small());
+        let (th, mut d) = party(&system);
+        let mut tx = EagerTx::begin(&system, &th, &mut d, software());
         let a = system.heap.alloc(4).unwrap();
         let before = system.heap.allocated_words();
         tx.free(a, 4).unwrap();
@@ -815,7 +806,9 @@ mod tests {
 
     #[test]
     fn read_orec_indices_deduplicate() {
-        let (_system, mut tx) = setup();
+        let system = TmSystem::new(TmConfig::small());
+        let (th, mut d) = party(&system);
+        let mut tx = EagerTx::begin(&system, &th, &mut d, software());
         let _ = tx.read(Addr(30)).unwrap();
         let _ = tx.read(Addr(30)).unwrap();
         let _ = tx.read(Addr(31)).unwrap();
@@ -826,19 +819,13 @@ mod tests {
 
     #[test]
     fn rollback_is_idempotent() {
-        let (system, mut tx) = setup();
+        let system = TmSystem::new(TmConfig::small());
+        let (th, mut d) = party(&system);
+        let mut tx = EagerTx::begin(&system, &th, &mut d, software());
         tx.write(Addr(40), 1).unwrap();
         tx.rollback();
         tx.rollback();
         assert_eq!(system.heap.load(Addr(40)), 0);
-    }
-
-    fn begin_snapshot(system: &Arc<TmSystem>) -> EagerTx {
-        let th = system.register_thread();
-        EagerTx::begin(
-            system,
-            TxCommon::new(th, TxMode::Software, 0).with_kind(TxKind::ReadOnly),
-        )
     }
 
     #[test]
@@ -846,24 +833,24 @@ mod tests {
         let system = TmSystem::new(TmConfig::small());
         system.heap.store(Addr(3), 7);
         system.heap.store(Addr(4), 8);
-        let mut tx = begin_snapshot(&system);
+        let (th, mut d) = party(&system);
+        let mut tx = EagerTx::begin(&system, &th, &mut d, read_only());
         assert!(tx.snapshot, "small config enables snapshots");
         assert_eq!(tx.read(Addr(3)).unwrap(), 7);
         assert_eq!(tx.read(Addr(4)).unwrap(), 8);
-        assert!(tx.reads.is_empty(), "snapshot reads record nothing");
-        let th = Arc::clone(&tx.common.thread);
+        assert!(tx.d.reads.is_empty(), "snapshot reads record nothing");
         let info = tx.try_commit().unwrap();
         assert!(!info.was_writer);
-        drop(tx);
         let snap = th.stats.snapshot();
         assert_eq!(snap.ro_fast_commits, 1);
-        assert_eq!(snap.read_set_max, 0, "no read set ever pooled back");
+        assert_eq!(snap.read_set_max, 0, "no read set was ever built");
     }
 
     #[test]
     fn snapshot_write_aborts_with_read_only_write() {
         let system = TmSystem::new(TmConfig::small());
-        let mut tx = begin_snapshot(&system);
+        let (th, mut d) = party(&system);
+        let mut tx = EagerTx::begin(&system, &th, &mut d, read_only());
         assert!(matches!(
             tx.write(Addr(1), 9),
             Err(TxCtl::Abort(AbortReason::ReadOnlyWrite))
@@ -886,15 +873,12 @@ mod tests {
     #[test]
     fn snapshot_refreshes_at_first_read_instead_of_aborting() {
         let system = TmSystem::new(TmConfig::small().without_quiescence());
-        let mut tx = begin_snapshot(&system);
+        let (th, mut d) = party(&system);
+        let mut tx = EagerTx::begin(&system, &th, &mut d, read_only());
         // A foreign commit moves Addr(6) past the snapshot's start.
-        let t2 = system.register_thread();
-        let mut w = EagerTx::begin(&system, TxCommon::new(t2, TxMode::Software, 0));
-        w.write(Addr(6), 9).unwrap();
-        w.try_commit().unwrap();
+        commit_write(&system, Addr(6), 9);
         // First read: too new, but nothing observed yet — refresh, not abort.
         assert_eq!(tx.read(Addr(6)).unwrap(), 9);
-        let th = Arc::clone(&tx.common.thread);
         tx.try_commit().unwrap();
         assert_eq!(th.stats.snapshot().snapshot_refreshes, 1);
     }
@@ -902,12 +886,10 @@ mod tests {
     #[test]
     fn snapshot_on_aborts_on_too_new_after_first_read() {
         let system = TmSystem::new(TmConfig::small().without_quiescence());
-        let mut tx = begin_snapshot(&system);
+        let (th, mut d) = party(&system);
+        let mut tx = EagerTx::begin(&system, &th, &mut d, read_only());
         assert_eq!(tx.read(Addr(5)).unwrap(), 0, "pin the snapshot");
-        let t2 = system.register_thread();
-        let mut w = EagerTx::begin(&system, TxCommon::new(t2, TxMode::Software, 0));
-        w.write(Addr(6), 9).unwrap();
-        w.try_commit().unwrap();
+        commit_write(&system, Addr(6), 9);
         assert!(matches!(
             tx.read(Addr(6)),
             Err(TxCtl::Abort(AbortReason::ReadConflict))
@@ -928,17 +910,14 @@ mod tests {
             .map(Addr)
             .find(|&a| system.orecs.index_for(a) != system.orecs.index_for(Addr(5)))
             .unwrap();
-        let mut tx = begin_snapshot(&system);
+        let (th, mut d) = party(&system);
+        let mut tx = EagerTx::begin(&system, &th, &mut d, read_only());
         assert_eq!(tx.read(Addr(5)).unwrap(), 1, "pin the snapshot");
         // A commit to a *different* stripe moves the clock forward.
-        let t2 = system.register_thread();
-        let mut w = EagerTx::begin(&system, TxCommon::new(t2, TxMode::Software, 0));
-        w.write(other, 9).unwrap();
-        w.try_commit().unwrap();
+        commit_write(&system, other, 9);
         // The cover (only Addr(5)'s stripe) still holds at the old start, so
         // the snapshot extends instead of aborting.
         assert_eq!(tx.read(other).unwrap(), 9);
-        let th = Arc::clone(&tx.common.thread);
         tx.try_commit().unwrap();
         let snap = th.stats.snapshot();
         assert_eq!(snap.snapshot_refreshes, 1);
@@ -953,14 +932,12 @@ mod tests {
                 .without_quiescence()
                 .with_snapshot(SnapshotMode::Extend),
         );
-        let mut tx = begin_snapshot(&system);
+        let (th, mut d) = party(&system);
+        let mut tx = EagerTx::begin(&system, &th, &mut d, read_only());
         assert_eq!(tx.read(Addr(5)).unwrap(), 0);
         // A commit to the *same* address invalidates the cover; the next
         // too-new read cannot extend.
-        let t2 = system.register_thread();
-        let mut w = EagerTx::begin(&system, TxCommon::new(t2, TxMode::Software, 0));
-        w.write(Addr(5), 9).unwrap();
-        w.try_commit().unwrap();
+        commit_write(&system, Addr(5), 9);
         assert!(tx.read(Addr(5)).is_err());
         tx.rollback();
     }
@@ -968,11 +945,11 @@ mod tests {
     #[test]
     fn snapshot_off_disables_the_fast_path() {
         let system = TmSystem::new(TmConfig::small().with_snapshot(SnapshotMode::Off));
-        let mut tx = begin_snapshot(&system);
+        let (th, mut d) = party(&system);
+        let mut tx = EagerTx::begin(&system, &th, &mut d, read_only());
         assert!(!tx.snapshot);
         assert_eq!(tx.read(Addr(3)).unwrap(), 0);
-        assert_eq!(tx.reads.len(), 1, "falls back to the tracked read path");
-        let th = Arc::clone(&tx.common.thread);
+        assert_eq!(tx.d.reads.len(), 1, "falls back to the tracked read path");
         tx.try_commit().unwrap();
         assert_eq!(th.stats.snapshot().ro_fast_commits, 0);
     }

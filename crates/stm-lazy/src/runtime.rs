@@ -10,8 +10,8 @@ use std::sync::Arc;
 use condsync::OrigRegistry;
 use tm_core::driver::{self, CommitOutcome, TxEngine};
 use tm_core::{
-    ThreadCtx, TmRt, TmRuntime, TmSystem, Tx, TxCommon, TxCtl, TxKind, TxResult, WaitCondition,
-    WaitSpec, WakeSet,
+    Descriptor, ThreadCtx, TmRt, TmRuntime, TmSystem, Tx, TxCommon, TxCtl, TxKind, TxResult,
+    WaitCondition, WaitSpec,
 };
 
 use crate::tx::LazyTx;
@@ -40,21 +40,33 @@ impl LazyStm {
 }
 
 impl TxEngine for LazyStm {
-    type Tx<'eng> = LazyTx;
+    type Tx<'a> = LazyTx<'a>;
 
-    fn begin(&self, common: TxCommon) -> LazyTx {
-        LazyTx::begin(&self.system, common)
+    fn begin<'a>(
+        &'a self,
+        thread: &'a Arc<ThreadCtx>,
+        desc: &'a mut Descriptor,
+        common: TxCommon,
+    ) -> LazyTx<'a> {
+        LazyTx::begin(&self.system, thread, desc, common)
     }
 
-    fn try_commit(&self, tx: &mut LazyTx) -> Result<CommitOutcome, TxCtl> {
+    fn try_commit(&self, tx: &mut LazyTx<'_>) -> Result<CommitOutcome, TxCtl> {
+        // Commit-time lock acquisition covered every redo-log address with
+        // an ownership record, so the cover it leaves in the descriptor is a
+        // complete stripe cover of the write set.
         tx.try_commit()
     }
 
-    fn rollback(&self, tx: &mut LazyTx) {
+    fn rollback(&self, tx: &mut LazyTx<'_>) {
         tx.rollback();
     }
 
-    fn materialise_wait(&self, tx: &mut LazyTx, spec: WaitSpec) -> Result<WaitCondition, TxCtl> {
+    fn materialise_wait(
+        &self,
+        tx: &mut LazyTx<'_>,
+        spec: WaitSpec,
+    ) -> Result<WaitCondition, TxCtl> {
         tx.rollback_for_deschedule(spec)
     }
 
@@ -62,19 +74,7 @@ impl TxEngine for LazyStm {
         true
     }
 
-    fn committed_stripes(&self, outcome: &CommitOutcome) -> WakeSet {
-        if outcome.serial {
-            // Serial commits write directly with no metadata at all;
-            // conservatively wake every shard.
-            return WakeSet::All;
-        }
-        // Commit-time lock acquisition covered every redo-log address with
-        // one of these ownership records, so they are a complete stripe
-        // cover of the write set.
-        WakeSet::Stripes(outcome.written_orecs.clone())
-    }
-
-    fn deschedule_orig(&self, thread: &Arc<ThreadCtx>, tx: &mut LazyTx) {
+    fn deschedule_orig(&self, thread: &Arc<ThreadCtx>, tx: &mut LazyTx<'_>) {
         let read_orecs = tx.read_orec_indices();
         let start = tx.start();
         tx.rollback();
@@ -83,16 +83,13 @@ impl TxEngine for LazyStm {
         });
     }
 
-    fn after_writer_commit(&self, thread: &Arc<ThreadCtx>, outcome: &CommitOutcome) {
-        if !self.orig.is_empty() {
-            if outcome.serial {
-                // A serial commit has no lock set to intersect: any
-                // Retry-Orig sleeper's reads may have changed.
-                self.orig.wake_all(thread);
-            } else {
-                self.orig.wake_matching(thread, &outcome.written_orecs);
-            }
-        }
+    fn after_writer_commit(
+        &self,
+        thread: &Arc<ThreadCtx>,
+        outcome: &CommitOutcome,
+        cover: &[usize],
+    ) {
+        self.orig.wake_after_commit(thread, outcome.serial, cover);
     }
 }
 

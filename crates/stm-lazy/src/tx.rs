@@ -2,13 +2,13 @@
 
 use std::sync::Arc;
 
-use tm_core::access::{cover_valid_at, IndexSet, ReadSet, WriteEntry, WriteLog};
+use tm_core::access::{cover_valid_at, Descriptor, WriteEntry};
 use tm_core::driver::CommitOutcome;
 use tm_core::serial::{subscribe_begin, SerialAttempt};
 use tm_core::stats::TxStats;
 use tm_core::{
-    AbortReason, Addr, OrecValue, SnapshotMode, ThreadId, TmSystem, Tx, TxCommon, TxCtl, TxKind,
-    TxMode, TxResult, WaitCondition, WaitSpec,
+    AbortReason, Addr, OrecValue, SnapshotMode, ThreadCtx, ThreadId, TmSystem, Tx, TxCommon, TxCtl,
+    TxKind, TxMode, TxResult, WaitCondition, WaitSpec,
 };
 
 /// Hook a hybrid runtime installs around the redo-log write-back so that
@@ -40,49 +40,50 @@ pub trait CommitInterlock: Send + Sync + std::fmt::Debug {
 
 /// An in-flight lazy-STM transaction attempt.
 ///
-/// The read set and redo log are pooled access-set containers
-/// (`tm_core::access`): read-after-write lookups are O(1) instead of a
-/// reverse scan over the redo log, the write set's orec cover is kept
-/// sorted incrementally for commit-time lock acquisition, and re-executed
-/// attempts recycle capacity through the thread's `LogPool`.
+/// It owns no log: the read set (`reads`) and redo log (`writes`) are the
+/// borrowed thread [`Descriptor`]'s containers (`tm_core::access`), so
+/// read-after-write lookups are O(1), the write set's orec cover is sorted
+/// once for commit-time lock acquisition, and a re-executed attempt starts
+/// on the capacity the previous one grew.
 #[derive(Debug)]
-pub struct LazyTx {
+pub struct LazyTx<'a> {
     common: TxCommon,
-    system: Arc<TmSystem>,
+    system: &'a Arc<TmSystem>,
+    thread: &'a Arc<ThreadCtx>,
+    d: &'a mut Descriptor,
     start: u64,
-    /// Validated reads with their orec stripes cached at read time.
-    reads: ReadSet,
-    /// Redo log: pending writes, one entry per address (last value wins).
-    redo: WriteLog,
-    mallocs: Vec<(Addr, usize)>,
-    frees: Vec<(Addr, usize)>,
     /// `Some` when this attempt runs serially behind the system's
     /// [`tm_core::SerialGate`] ([`TxMode::Serial`]): all accesses go
     /// straight to the shared serial attempt, the instrumented logs stay
     /// empty.
-    serial: Option<SerialAttempt>,
+    serial: Option<SerialAttempt<'a>>,
     /// Hybrid-runtime hook serialising the commit write-back against
     /// hardware commits; `None` for the plain lazy runtime.
-    interlock: Option<Arc<dyn CommitInterlock>>,
+    interlock: Option<&'a dyn CommitInterlock>,
     /// True when this attempt runs on the snapshot read path: a declared
     /// read-only transaction in plain [`TxMode::Software`] mode with
     /// [`SnapshotMode`] enabled.  Reads validate against `start` only, no
     /// read set is kept, writes abort with
-    /// [`AbortReason::ReadOnlyWrite`], and the commit is free.
+    /// [`AbortReason::ReadOnlyWrite`], and the commit is free.  Under
+    /// [`SnapshotMode::Extend`] the distinct stripes read so far are kept in
+    /// the descriptor's `snap_cover`, so a too-new version can be survived
+    /// by re-checking that no covered stripe moved past `start`.
     snapshot: bool,
     /// Whether the snapshot attempt has completed at least one read
     /// (gates the [`SnapshotMode::On`] first-read refresh).
     snap_observed: bool,
-    /// The distinct orec stripes read so far, kept only under
-    /// [`SnapshotMode::Extend`] so a too-new version can be survived by
-    /// re-checking that no covered stripe moved past `start`.
-    snap_cover: IndexSet,
 }
 
-impl LazyTx {
-    /// Begins a new attempt (no hybrid interlock).
-    pub fn begin(system: &Arc<TmSystem>, common: TxCommon) -> Self {
-        Self::begin_with(system, common, None)
+impl<'a> LazyTx<'a> {
+    /// Begins a new attempt of `thread` on the empty logs of `d` (no hybrid
+    /// interlock).
+    pub fn begin(
+        system: &'a Arc<TmSystem>,
+        thread: &'a Arc<ThreadCtx>,
+        d: &'a mut Descriptor,
+        common: TxCommon,
+    ) -> Self {
+        Self::begin_with(system, thread, d, common, None)
     }
 
     /// Begins a new attempt, optionally installing a hybrid-runtime commit
@@ -90,49 +91,33 @@ impl LazyTx {
     /// instrumented attempts publish their start time through the gate's
     /// subscription protocol so a serial acquirer can quiesce them.
     pub fn begin_with(
-        system: &Arc<TmSystem>,
+        system: &'a Arc<TmSystem>,
+        thread: &'a Arc<ThreadCtx>,
+        d: &'a mut Descriptor,
         common: TxCommon,
-        interlock: Option<Arc<dyn CommitInterlock>>,
+        interlock: Option<&'a dyn CommitInterlock>,
     ) -> Self {
         let (serial, start) = if common.mode == TxMode::Serial {
             (
-                Some(SerialAttempt::begin(system, &common.thread)),
+                Some(SerialAttempt::begin(system, thread)),
                 system.clock.now(),
             )
         } else {
-            (None, subscribe_begin(system, &common.thread))
+            (None, subscribe_begin(system, thread))
         };
         let snapshot = common.kind == TxKind::ReadOnly
             && common.mode == TxMode::Software
             && system.config.snapshot.is_enabled();
-        // Snapshot attempts keep no logs at all; skip the pool round trip
-        // (zero-capacity containers are dropped, not pooled, on `put`).
-        let (reads, redo) = if snapshot {
-            (ReadSet::new(), WriteLog::new())
-        } else {
-            (
-                common.thread.take_read_set(),
-                common.thread.take_write_log(),
-            )
-        };
-        let snap_cover = if snapshot && system.config.snapshot == SnapshotMode::Extend {
-            common.thread.take_index_set()
-        } else {
-            IndexSet::new()
-        };
         LazyTx {
             common,
-            system: Arc::clone(system),
+            system,
+            thread,
+            d,
             start,
-            reads,
-            redo,
-            mallocs: Vec::new(),
-            frees: Vec::new(),
             serial,
             interlock,
             snapshot,
             snap_observed: false,
-            snap_cover,
         }
     }
 
@@ -145,11 +130,11 @@ impl LazyTx {
     /// sorted and deduplicated — the read set's own stripe cover, not
     /// recomputed from the address list.
     pub fn read_orec_indices(&mut self) -> Vec<usize> {
-        self.reads.orec_cover().to_vec()
+        self.d.reads.orec_cover().to_vec()
     }
 
     fn me(&self) -> usize {
-        self.common.thread.id
+        self.thread.id
     }
 
     /// Validated read of the *in-memory* value (ignoring the redo log),
@@ -169,7 +154,7 @@ impl LazyTx {
             // clock plane; no-op under GV1).
             self.system
                 .clock
-                .note_stale(before.version(), &self.common.thread.stats);
+                .note_stale(before.version(), &self.thread.stats);
         }
         Err(TxCtl::Abort(AbortReason::ReadConflict))
     }
@@ -187,13 +172,13 @@ impl LazyTx {
                 if before.version() <= self.start {
                     self.snap_observed = true;
                     if self.system.config.snapshot == SnapshotMode::Extend {
-                        self.snap_cover.insert(idx);
+                        self.d.snap_cover.insert(idx);
                     }
                     return Ok(val);
                 }
                 self.system
                     .clock
-                    .note_stale(before.version(), &self.common.thread.stats);
+                    .note_stale(before.version(), &self.thread.stats);
                 if self.try_snapshot_refresh() {
                     continue;
                 }
@@ -221,12 +206,12 @@ impl LazyTx {
         if !extendable {
             return false;
         }
-        self.common.thread.exit_tx();
-        let new_start = subscribe_begin(&self.system, &self.common.thread);
+        self.thread.exit_tx();
+        let new_start = subscribe_begin(self.system, self.thread);
         // Re-validate *after* the new snapshot is published: anything the
         // check admits was unchanged up to a point at or after `new_start`.
         if self.system.config.snapshot == SnapshotMode::Extend
-            && !cover_valid_at(&self.system.orecs, self.snap_cover.as_slice(), self.start)
+            && !cover_valid_at(&self.system.orecs, self.d.snap_cover.as_slice(), self.start)
         {
             // A covered stripe moved; the attempt is doomed.  Keep the newly
             // published start — the caller aborts and the rollback exits.
@@ -234,20 +219,13 @@ impl LazyTx {
             return false;
         }
         self.start = new_start;
-        TxStats::bump(&self.common.thread.stats.snapshot_refreshes);
+        TxStats::bump(&self.thread.stats.snapshot_refreshes);
         true
     }
 
     fn reset_logs(&mut self) {
-        let stats = &self.common.thread.stats;
-        TxStats::record_max(&stats.read_set_max, self.reads.len() as u64);
-        TxStats::record_max(&stats.write_set_max, self.redo.len() as u64);
-        self.reads.clear();
-        self.redo.clear();
-        self.snap_cover.clear();
+        self.d.reset(&self.thread.stats);
         self.snap_observed = false;
-        self.mallocs.clear();
-        self.frees.clear();
     }
 
     /// Discards the attempt (nothing was written in place; serial attempts
@@ -257,13 +235,11 @@ impl LazyTx {
             serial.rollback();
             return;
         }
-        for &(addr, words) in &self.mallocs {
-            self.system
-                .heap
-                .dealloc_for(&self.common.thread, addr, words);
+        for &(addr, words) in &self.d.mallocs {
+            self.system.heap.dealloc_for(self.thread, addr, words);
         }
         self.reset_logs();
-        self.common.thread.exit_tx();
+        self.thread.exit_tx();
     }
 
     /// Attempts to commit.  On failure the caller must invoke
@@ -272,19 +248,17 @@ impl LazyTx {
         if let Some(serial) = &mut self.serial {
             return Ok(serial.commit());
         }
-        if self.redo.is_empty() {
+        if self.d.writes.is_empty() {
             if self.snapshot {
                 // The snapshot commit did zero read-set pushes and performs
                 // zero commit-time orec loads.
-                TxStats::bump(&self.common.thread.stats.ro_fast_commits);
+                TxStats::bump(&self.thread.stats.ro_fast_commits);
             }
-            for &(addr, words) in &self.frees {
-                self.system
-                    .heap
-                    .dealloc_for(&self.common.thread, addr, words);
+            for &(addr, words) in &self.d.frees {
+                self.system.heap.dealloc_for(self.thread, addr, words);
             }
             self.reset_logs();
-            self.common.thread.exit_tx();
+            self.thread.exit_tx();
             return Ok(CommitOutcome::read_only());
         }
 
@@ -295,16 +269,23 @@ impl LazyTx {
         // (this attempt holds no locks before commit).
         let me = self.me();
         let start = self.start;
-        let system = &self.system;
-        let interlock = self.interlock.as_ref();
-        let (entries, write_orecs) = self.redo.entries_with_cover();
+        let system: &TmSystem = self.system;
+        let interlock = self.interlock;
+        let Descriptor {
+            reads,
+            writes,
+            cover,
+            frees,
+            ..
+        } = &mut *self.d;
+        let (entries, write_orecs) = writes.entries_with_cover();
         let release_prefix = |n: usize| {
             for &a in &write_orecs[..n] {
                 let c = system.orecs.load(a);
                 system.orecs.store(a, OrecValue::unlocked(c.version()));
             }
         };
-        let stats = &self.common.thread.stats;
+        let stats = &self.thread.stats;
         for (k, &idx) in write_orecs.iter().enumerate() {
             let cur = system.orecs.load(idx);
             let ok = if cur.is_locked() {
@@ -339,7 +320,6 @@ impl LazyTx {
         // our validation) or entirely after (it observes our locked orecs /
         // doomed lines) this section.
         let must_validate = !stamp.unique || end != start + 1 || interlock.is_some();
-        let reads = &self.reads;
         let mut validate = || -> bool {
             if must_validate {
                 for e in reads.iter() {
@@ -387,32 +367,31 @@ impl LazyTx {
             return Err(TxCtl::Abort(AbortReason::CommitValidation));
         }
 
-        // Success path only: copy the cover out for the outcome.
-        let write_orecs = write_orecs.to_vec();
-        for &(addr, words) in &self.frees {
-            self.system
-                .heap
-                .dealloc_for(&self.common.thread, addr, words);
+        // Success path only: leave the cover for the driver's wake path.
+        cover.clear();
+        cover.extend_from_slice(write_orecs);
+        for &(addr, words) in frees.iter() {
+            system.heap.dealloc_for(self.thread, addr, words);
         }
         self.reset_logs();
         // Publish the commit epoch only now that the write-back is visible
         // and every lock is released; later begins start at or above `end`,
         // which also bounds the quiescence wait below.
-        self.common.thread.publish_epoch(end);
-        self.common.thread.exit_tx();
-        self.system.quiesce(&self.common.thread, end);
-        Ok(CommitOutcome::software_writer(write_orecs, end))
+        self.thread.publish_epoch(end);
+        self.thread.exit_tx();
+        self.system.quiesce(self.thread, end);
+        Ok(CommitOutcome::software_writer(end))
     }
 
     /// Rolls back and materialises the wait condition for a deschedule
     /// request.
     pub fn rollback_for_deschedule(&mut self, spec: WaitSpec) -> Result<WaitCondition, TxCtl> {
         if let Some(serial) = &mut self.serial {
-            return serial.rollback_for_deschedule(spec, &mut self.common);
+            return serial.rollback_for_deschedule(spec, &mut self.d.waitset);
         }
         match spec {
             WaitSpec::ReadSetValues => {
-                let pairs = self.common.waitset.drain_pairs();
+                let pairs = self.d.waitset.drain_pairs();
                 self.rollback();
                 Ok(WaitCondition::ValuesChanged(pairs))
             }
@@ -450,23 +429,7 @@ impl LazyTx {
     }
 }
 
-impl Drop for LazyTx {
-    fn drop(&mut self) {
-        // Recycle the attempt's access sets so the next attempt (or the
-        // thread's next transaction) reuses their capacity.
-        let thread = Arc::clone(&self.common.thread);
-        thread.put_read_set(std::mem::take(&mut self.reads));
-        thread.put_write_log(std::mem::take(&mut self.redo));
-        // The Extend-mode stripe cover is an index set, not a read set: it
-        // must not feed the `read_set_max` high-water mark (snapshot commits
-        // keep no read set by construction).
-        thread
-            .pool
-            .put_index_set(std::mem::take(&mut self.snap_cover));
-    }
-}
-
-impl Tx for LazyTx {
+impl Tx for LazyTx<'_> {
     fn read(&mut self, addr: Addr) -> TxResult<u64> {
         // Serial attempts read directly: the gate holder runs alone.  Their
         // reads are never value-logged — a serial `Retry` relogs in
@@ -479,22 +442,22 @@ impl Tx for LazyTx {
         }
         // Read-your-writes: the redo log takes precedence (O(1) hash-index
         // lookup; the old implementation scanned the log backwards).
-        if let Some(v) = self.redo.lookup(addr) {
+        if let Some(v) = self.d.writes.lookup(addr) {
             if self.common.mode == TxMode::SoftwareRetry {
                 // The Retry value log must hold the value that will be in
                 // memory after the (lazy) transaction is discarded, i.e. the
                 // committed value, not our own pending write.
                 let (mem, _) = self.read_memory(addr)?;
-                self.common.log_retry_read(addr, mem);
+                self.d.waitset.record_first(addr, mem, || 0);
             }
             return Ok(v);
         }
         let (val, idx) = self.read_memory(addr)?;
         // The stripe computed by the validated read is cached in the entry,
         // so commit-time re-validation never hashes the address again.
-        self.reads.record(addr, idx);
+        self.d.reads.record(addr, idx);
         if self.common.mode == TxMode::SoftwareRetry {
-            self.common.log_retry_read(addr, val);
+            self.d.waitset.record_first(addr, val, || 0);
         }
         Ok(val)
     }
@@ -512,7 +475,7 @@ impl Tx for LazyTx {
         // One redo entry per address (last value wins); the orec stripe is
         // hashed once, on the first write.
         let orecs = &self.system.orecs;
-        self.redo.record(addr, val, || orecs.index_for(addr));
+        self.d.writes.record(addr, val, || orecs.index_for(addr));
         Ok(())
     }
 
@@ -532,9 +495,9 @@ impl Tx for LazyTx {
         if self.snapshot {
             return Err(TxCtl::Abort(AbortReason::ReadOnlyWrite));
         }
-        match self.system.heap.alloc_for(&self.common.thread, words) {
+        match self.system.heap.alloc_for(self.thread, words) {
             Some(addr) => {
-                self.mallocs.push((addr, words));
+                self.d.mallocs.push((addr, words));
                 Ok(addr)
             }
             None => Err(TxCtl::Abort(AbortReason::OutOfMemory)),
@@ -549,7 +512,7 @@ impl Tx for LazyTx {
         if self.snapshot {
             return Err(TxCtl::Abort(AbortReason::ReadOnlyWrite));
         }
-        self.frees.push((addr, words));
+        self.d.frees.push((addr, words));
         Ok(())
     }
 
@@ -560,22 +523,22 @@ impl Tx for LazyTx {
             // writer segments count — plus the serial_commits ⊆ sw_commits
             // invariant the stats docs establish.
             if outcome.was_writer {
-                TxStats::bump(&self.common.thread.stats.sw_commits);
-                TxStats::bump(&self.common.thread.stats.serial_commits);
+                TxStats::bump(&self.thread.stats.sw_commits);
+                TxStats::bump(&self.thread.stats.serial_commits);
             }
             block();
             // Continue in the same (serial) flavour: re-acquire the gate.
-            self.serial = Some(SerialAttempt::begin(&self.system, &self.common.thread));
+            self.serial = Some(SerialAttempt::begin(self.system, self.thread));
             self.start = self.system.clock.now();
             return Ok(());
         }
         match self.try_commit() {
             Ok(info) => {
                 if info.was_writer {
-                    TxStats::bump(&self.common.thread.stats.sw_commits);
+                    TxStats::bump(&self.thread.stats.sw_commits);
                 }
                 block();
-                self.start = subscribe_begin(&self.system, &self.common.thread);
+                self.start = subscribe_begin(self.system, self.thread);
                 Ok(())
             }
             Err(ctl) => Err(ctl),
@@ -595,7 +558,11 @@ impl Tx for LazyTx {
     }
 
     fn system(&self) -> &Arc<TmSystem> {
-        &self.system
+        self.system
+    }
+
+    fn thread(&self) -> &Arc<ThreadCtx> {
+        self.thread
     }
 }
 
@@ -604,15 +571,32 @@ mod tests {
     use super::*;
     use tm_core::TmConfig;
 
-    fn fresh_tx(system: &Arc<TmSystem>) -> LazyTx {
-        let th = system.register_thread();
-        LazyTx::begin(system, TxCommon::new(th, TxMode::Software, 0))
+    /// A thread context and a private descriptor for one test handle.
+    fn party(system: &Arc<TmSystem>) -> (Arc<ThreadCtx>, Descriptor) {
+        (system.register_thread(), Descriptor::default())
+    }
+
+    fn software() -> TxCommon {
+        TxCommon::new(TxMode::Software, 0)
+    }
+
+    fn read_only() -> TxCommon {
+        software().with_kind(TxKind::ReadOnly)
+    }
+
+    /// Commits `val` to `addr` from a fresh thread.
+    fn commit_write(system: &Arc<TmSystem>, addr: Addr, val: u64) {
+        let (th, mut d) = party(system);
+        let mut w = LazyTx::begin(system, &th, &mut d, software());
+        w.write(addr, val).unwrap();
+        w.try_commit().unwrap();
     }
 
     #[test]
     fn writes_are_buffered_until_commit() {
         let system = TmSystem::new(TmConfig::small());
-        let mut tx = fresh_tx(&system);
+        let (th, mut d) = party(&system);
+        let mut tx = LazyTx::begin(&system, &th, &mut d, software());
         tx.write(Addr(5), 42).unwrap();
         assert_eq!(
             system.heap.load(Addr(5)),
@@ -627,7 +611,8 @@ mod tests {
     #[test]
     fn last_write_to_an_address_wins() {
         let system = TmSystem::new(TmConfig::small());
-        let mut tx = fresh_tx(&system);
+        let (th, mut d) = party(&system);
+        let mut tx = LazyTx::begin(&system, &th, &mut d, software());
         tx.write(Addr(3), 1).unwrap();
         tx.write(Addr(3), 2).unwrap();
         tx.write(Addr(3), 3).unwrap();
@@ -640,7 +625,8 @@ mod tests {
     fn rollback_discards_buffered_writes() {
         let system = TmSystem::new(TmConfig::small());
         system.heap.store(Addr(8), 9);
-        let mut tx = fresh_tx(&system);
+        let (th, mut d) = party(&system);
+        let mut tx = LazyTx::begin(&system, &th, &mut d, software());
         tx.write(Addr(8), 100).unwrap();
         tx.rollback();
         assert_eq!(system.heap.load(Addr(8)), 9);
@@ -651,11 +637,10 @@ mod tests {
         // Single-threaded test driving two handles: disable quiescence so the
         // committing handle does not wait for the in-flight one.
         let system = TmSystem::new(TmConfig::small().without_quiescence());
-        let mut tx1 = fresh_tx(&system);
+        let (th, mut d) = party(&system);
+        let mut tx1 = LazyTx::begin(&system, &th, &mut d, software());
         assert_eq!(tx1.read(Addr(6)).unwrap(), 0);
-        let mut tx2 = fresh_tx(&system);
-        tx2.write(Addr(6), 5).unwrap();
-        tx2.try_commit().unwrap();
+        commit_write(&system, Addr(6), 5);
         tx1.write(Addr(7), 1).unwrap();
         assert!(matches!(
             tx1.try_commit(),
@@ -670,13 +655,12 @@ mod tests {
         // Single-threaded test driving two handles: disable quiescence so the
         // committing handle does not wait for the in-flight one.
         let system = TmSystem::new(TmConfig::small().without_quiescence());
-        let mut tx1 = fresh_tx(&system);
-        let mut tx2 = fresh_tx(&system);
-        tx1.write(Addr(4), 1).unwrap();
+        let (th, mut d) = party(&system);
+        let mut tx2 = LazyTx::begin(&system, &th, &mut d, software());
         tx2.write(Addr(4), 2).unwrap();
-        tx1.try_commit().unwrap();
-        // tx2 started before tx1's commit, so its lock acquisition sees a
-        // version newer than its start and must abort.
+        commit_write(&system, Addr(4), 1);
+        // tx2 started before the other commit, so its lock acquisition sees
+        // a version newer than its start and must abort.
         assert!(tx2.try_commit().is_err());
         tx2.rollback();
         assert_eq!(system.heap.load(Addr(4)), 1);
@@ -687,16 +671,14 @@ mod tests {
         // Single-threaded test driving two handles: disable quiescence so the
         // committing handle does not wait for the in-flight one.
         let system = TmSystem::new(TmConfig::small().without_quiescence());
-        let mut tx1 = fresh_tx(&system);
-        let mut tx2 = fresh_tx(&system);
-        // tx1 will hold the orec for addr 10 by being mid-commit is hard to
-        // arrange directly; instead let tx1 commit a write to addr 10 so its
-        // version is newer than tx2's start, forcing tx2's multi-location
-        // commit to fail and release the lock it already took on addr 200.
+        let (th, mut d) = party(&system);
+        let mut tx2 = LazyTx::begin(&system, &th, &mut d, software());
+        // Another commit to addr 10 makes its version newer than tx2's
+        // start, forcing tx2's multi-location commit to fail and release the
+        // lock it already took on addr 200.
         tx2.write(Addr(200), 1).unwrap();
         tx2.write(Addr(10), 2).unwrap();
-        tx1.write(Addr(10), 7).unwrap();
-        tx1.try_commit().unwrap();
+        commit_write(&system, Addr(10), 7);
         assert!(tx2.try_commit().is_err());
         tx2.rollback();
         let idx200 = system.orecs.index_for(Addr(200));
@@ -709,38 +691,60 @@ mod tests {
     fn retry_log_records_committed_values_not_pending_writes() {
         let system = TmSystem::new(TmConfig::small());
         system.heap.store(Addr(12), 50);
-        let th = system.register_thread();
-        let mut tx = LazyTx::begin(&system, TxCommon::new(th, TxMode::SoftwareRetry, 1));
+        let (th, mut d) = party(&system);
+        let mut tx = LazyTx::begin(
+            &system,
+            &th,
+            &mut d,
+            TxCommon::new(TxMode::SoftwareRetry, 1),
+        );
         assert_eq!(tx.read(Addr(12)).unwrap(), 50);
         tx.write(Addr(12), 99).unwrap();
         assert_eq!(tx.read(Addr(12)).unwrap(), 99);
-        assert_eq!(tx.common().waitset.pairs(), vec![(Addr(12), 50)]);
+        assert_eq!(tx.d.waitset.pairs(), vec![(Addr(12), 50)]);
         tx.rollback();
     }
 
     #[test]
-    fn reexecuted_attempts_reuse_pooled_logs() {
+    fn reexecuted_attempts_start_on_the_grown_descriptor() {
         let system = TmSystem::new(TmConfig::small());
-        let th = system.register_thread();
-        let mut tx = LazyTx::begin(&system, TxCommon::new(Arc::clone(&th), TxMode::Software, 0));
+        let (th, mut d) = party(&system);
+        let mut tx = LazyTx::begin(&system, &th, &mut d, software());
         let _ = tx.read(Addr(1)).unwrap();
         tx.write(Addr(2), 2).unwrap();
         tx.rollback();
         drop(tx);
-        let before = th.stats.snapshot().log_pool_reuses;
-        let mut tx = LazyTx::begin(&system, TxCommon::new(Arc::clone(&th), TxMode::Software, 1));
-        assert!(
-            th.stats.snapshot().log_pool_reuses >= before + 2,
-            "the second attempt must recycle the first attempt's containers"
-        );
-        tx.rollback();
+        assert!(d.grown());
+        assert!(d.reads.is_empty() && d.writes.is_empty());
+        assert!(d.reads.capacity() > 0 && d.writes.capacity() > 0);
+        let snap = th.stats.snapshot();
+        assert_eq!((snap.read_set_max, snap.write_set_max), (1, 1));
+    }
+
+    #[test]
+    fn writer_commit_leaves_its_lock_cover_in_the_descriptor() {
+        let system = TmSystem::new(TmConfig::small());
+        let (th, mut d) = party(&system);
+        let mut tx = LazyTx::begin(&system, &th, &mut d, software());
+        tx.write(Addr(5), 1).unwrap();
+        tx.write(Addr(300), 2).unwrap();
+        assert!(tx.try_commit().unwrap().was_writer);
+        drop(tx);
+        let mut expect = vec![
+            system.orecs.index_for(Addr(5)),
+            system.orecs.index_for(Addr(300)),
+        ];
+        expect.sort_unstable();
+        expect.dedup();
+        assert_eq!(d.cover, expect);
     }
 
     #[test]
     fn await_snapshot_is_current_memory() {
         let system = TmSystem::new(TmConfig::small());
         system.heap.store(Addr(20), 5);
-        let mut tx = fresh_tx(&system);
+        let (th, mut d) = party(&system);
+        let mut tx = LazyTx::begin(&system, &th, &mut d, software());
         assert_eq!(tx.read(Addr(20)).unwrap(), 5);
         tx.write(Addr(20), 6).unwrap();
         let cond = tx
@@ -757,25 +761,19 @@ mod tests {
     fn alloc_rolls_back_and_free_defers() {
         let system = TmSystem::new(TmConfig::small());
         let base = system.heap.allocated_words();
-        let mut tx = fresh_tx(&system);
+        let (th, mut d) = party(&system);
+        let mut tx = LazyTx::begin(&system, &th, &mut d, software());
         tx.alloc(8).unwrap();
         tx.rollback();
+        drop(tx);
         assert_eq!(system.heap.allocated_words(), base);
 
         let a = system.heap.alloc(4).unwrap();
-        let mut tx = fresh_tx(&system);
+        let mut tx = LazyTx::begin(&system, &th, &mut d, software());
         tx.free(a, 4).unwrap();
         tx.write(Addr(1), 1).unwrap();
         tx.try_commit().unwrap();
         assert_eq!(system.heap.allocated_words(), base);
-    }
-
-    fn begin_snapshot(system: &Arc<TmSystem>) -> LazyTx {
-        let th = system.register_thread();
-        LazyTx::begin(
-            system,
-            TxCommon::new(th, TxMode::Software, 0).with_kind(TxKind::ReadOnly),
-        )
     }
 
     #[test]
@@ -783,24 +781,24 @@ mod tests {
         let system = TmSystem::new(TmConfig::small());
         system.heap.store(Addr(3), 7);
         system.heap.store(Addr(4), 8);
-        let mut tx = begin_snapshot(&system);
+        let (th, mut d) = party(&system);
+        let mut tx = LazyTx::begin(&system, &th, &mut d, read_only());
         assert!(tx.snapshot, "small config enables snapshots");
         assert_eq!(tx.read(Addr(3)).unwrap(), 7);
         assert_eq!(tx.read(Addr(4)).unwrap(), 8);
-        assert!(tx.reads.is_empty(), "snapshot reads record nothing");
-        let th = Arc::clone(&tx.common.thread);
+        assert!(tx.d.reads.is_empty(), "snapshot reads record nothing");
         let info = tx.try_commit().unwrap();
         assert!(!info.was_writer);
-        drop(tx);
         let snap = th.stats.snapshot();
         assert_eq!(snap.ro_fast_commits, 1);
-        assert_eq!(snap.read_set_max, 0, "no read set ever pooled back");
+        assert_eq!(snap.read_set_max, 0, "no read set was ever built");
     }
 
     #[test]
     fn snapshot_write_aborts_with_read_only_write() {
         let system = TmSystem::new(TmConfig::small());
-        let mut tx = begin_snapshot(&system);
+        let (th, mut d) = party(&system);
+        let mut tx = LazyTx::begin(&system, &th, &mut d, read_only());
         assert!(matches!(
             tx.write(Addr(1), 9),
             Err(TxCtl::Abort(AbortReason::ReadOnlyWrite))
@@ -822,14 +820,12 @@ mod tests {
     #[test]
     fn snapshot_refreshes_at_first_read_instead_of_aborting() {
         let system = TmSystem::new(TmConfig::small().without_quiescence());
-        let mut tx = begin_snapshot(&system);
+        let (th, mut d) = party(&system);
+        let mut tx = LazyTx::begin(&system, &th, &mut d, read_only());
         // A foreign commit moves Addr(6) past the snapshot's start.
-        let mut w = fresh_tx(&system);
-        w.write(Addr(6), 9).unwrap();
-        w.try_commit().unwrap();
+        commit_write(&system, Addr(6), 9);
         // First read: too new, but nothing observed yet — refresh, not abort.
         assert_eq!(tx.read(Addr(6)).unwrap(), 9);
-        let th = Arc::clone(&tx.common.thread);
         tx.try_commit().unwrap();
         assert_eq!(th.stats.snapshot().snapshot_refreshes, 1);
     }
@@ -837,11 +833,10 @@ mod tests {
     #[test]
     fn snapshot_on_aborts_on_too_new_after_first_read() {
         let system = TmSystem::new(TmConfig::small().without_quiescence());
-        let mut tx = begin_snapshot(&system);
+        let (th, mut d) = party(&system);
+        let mut tx = LazyTx::begin(&system, &th, &mut d, read_only());
         assert_eq!(tx.read(Addr(5)).unwrap(), 0, "pin the snapshot");
-        let mut w = fresh_tx(&system);
-        w.write(Addr(6), 9).unwrap();
-        w.try_commit().unwrap();
+        commit_write(&system, Addr(6), 9);
         assert!(matches!(
             tx.read(Addr(6)),
             Err(TxCtl::Abort(AbortReason::ReadConflict))
@@ -862,16 +857,14 @@ mod tests {
             .map(Addr)
             .find(|&a| system.orecs.index_for(a) != system.orecs.index_for(Addr(5)))
             .unwrap();
-        let mut tx = begin_snapshot(&system);
+        let (th, mut d) = party(&system);
+        let mut tx = LazyTx::begin(&system, &th, &mut d, read_only());
         assert_eq!(tx.read(Addr(5)).unwrap(), 1, "pin the snapshot");
         // A commit to a *different* stripe moves the clock forward.
-        let mut w = fresh_tx(&system);
-        w.write(other, 9).unwrap();
-        w.try_commit().unwrap();
+        commit_write(&system, other, 9);
         // The cover (only Addr(5)'s stripe) still holds at the old start, so
         // the snapshot extends instead of aborting.
         assert_eq!(tx.read(other).unwrap(), 9);
-        let th = Arc::clone(&tx.common.thread);
         tx.try_commit().unwrap();
         let snap = th.stats.snapshot();
         assert_eq!(snap.snapshot_refreshes, 1);
@@ -886,13 +879,12 @@ mod tests {
                 .without_quiescence()
                 .with_snapshot(SnapshotMode::Extend),
         );
-        let mut tx = begin_snapshot(&system);
+        let (th, mut d) = party(&system);
+        let mut tx = LazyTx::begin(&system, &th, &mut d, read_only());
         assert_eq!(tx.read(Addr(5)).unwrap(), 0);
         // A commit to the *same* address invalidates the cover; the next
         // too-new read cannot extend.
-        let mut w = fresh_tx(&system);
-        w.write(Addr(5), 9).unwrap();
-        w.try_commit().unwrap();
+        commit_write(&system, Addr(5), 9);
         assert!(tx.read(Addr(5)).is_err());
         tx.rollback();
     }
@@ -900,11 +892,11 @@ mod tests {
     #[test]
     fn snapshot_off_disables_the_fast_path() {
         let system = TmSystem::new(TmConfig::small().with_snapshot(SnapshotMode::Off));
-        let mut tx = begin_snapshot(&system);
+        let (th, mut d) = party(&system);
+        let mut tx = LazyTx::begin(&system, &th, &mut d, read_only());
         assert!(!tx.snapshot);
         assert_eq!(tx.read(Addr(3)).unwrap(), 0);
-        assert_eq!(tx.reads.len(), 1, "falls back to the tracked read path");
-        let th = Arc::clone(&tx.common.thread);
+        assert_eq!(tx.d.reads.len(), 1, "falls back to the tracked read path");
         tx.try_commit().unwrap();
         assert_eq!(th.stats.snapshot().ro_fast_commits, 0);
     }

@@ -148,10 +148,15 @@ impl PosMap {
         }
     }
 
-    /// Empties the map, keeping the allocated table for reuse.
+    /// Empties the map, keeping the allocated table for reuse.  An already
+    /// empty map is left alone: a resident descriptor clears every container
+    /// after every attempt, and a table grown by one large transaction must
+    /// not cost a full sweep on each small one that never touches it.
     pub(crate) fn clear(&mut self) {
-        self.slots.fill(VACANT);
-        self.len = 0;
+        if self.len != 0 {
+            self.slots.fill(VACANT);
+            self.len = 0;
+        }
     }
 }
 

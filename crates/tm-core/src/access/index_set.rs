@@ -63,17 +63,7 @@ impl IndexSet {
         self.entries.iter().copied()
     }
 
-    /// Moves the indices out as a `Vec` (for [`crate::CommitOutcome`]),
-    /// leaving the set empty; the hash index keeps its capacity.
-    pub fn take_entries(&mut self) -> Vec<usize> {
-        self.index.clear();
-        std::mem::take(&mut self.entries)
-    }
-
-    /// Allocated capacity (entry vector or hash slab).  The slab counts so
-    /// that a set whose entries were moved out by
-    /// [`IndexSet::take_entries`] — every committed eager writer's lock set
-    /// — is still recycled by the pool instead of dropped.
+    /// Allocated capacity (entry vector or hash slab).
     pub fn capacity(&self) -> usize {
         self.entries.capacity().max(self.index.capacity())
     }
@@ -100,17 +90,6 @@ mod tests {
         assert!(s.contains(2));
         assert!(!s.contains(3));
         assert_eq!(s.len(), 3);
-    }
-
-    #[test]
-    fn take_entries_leaves_a_reusable_set() {
-        let mut s = IndexSet::new();
-        s.insert(1);
-        s.insert(2);
-        assert_eq!(s.take_entries(), vec![1, 2]);
-        assert!(s.is_empty());
-        assert!(!s.contains(1));
-        assert!(s.insert(1), "taken indices can be re-inserted");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The paper's Appendix A algorithms treat each transaction's read set,
 //! write log and lock set as abstract sets; this module is their one
-//! concrete implementation, shared by all three runtimes:
+//! concrete implementation, shared by all four runtimes:
 //!
 //! * [`ReadSet`] — deduplicating append with cached orec stripes and a
 //!   distinct-stripe cover accumulated in O(1) per read and sorted at most
@@ -13,21 +13,26 @@
 //!   tests for redo logs, undo logs and the `Retry` value log alike,
 //! * [`IndexSet`] — insertion-ordered, O(1)-membership sets of small
 //!   indices (orec lock sets, HTM line-slot sets),
-//! * [`LogPool`] — the per-thread recycler that hands a rolled-back
-//!   attempt's capacity to the next attempt instead of reallocating
-//!   (reached through [`crate::thread::ThreadCtx`]).
+//! * [`Descriptor`] — one of each, resident in every
+//!   [`crate::thread::ThreadCtx`] and lent by `&mut` to each attempt, so a
+//!   re-executed attempt (and the thread's next transaction) starts on the
+//!   previous one's capacity without constructing or returning anything,
+//! * [`LogPool`] — a standalone mutex-guarded recycler of the same
+//!   containers for callers outside the driver; no attempt path uses it.
 //!
 //! Exactly the workloads the paper cares about — large transactions that
 //! block, roll back and re-execute under condition synchronization — used
 //! to pay O(log size) per read-after-write and a full sort+dedup per
 //! deschedule on the flat `Vec` logs these types replace.
 
+mod descriptor;
 mod index;
 mod index_set;
 mod pool;
 mod read_set;
 mod write_log;
 
+pub use descriptor::Descriptor;
 pub use index_set::IndexSet;
 pub use pool::{LogPool, Taken};
 pub use read_set::{ReadEntry, ReadSet};

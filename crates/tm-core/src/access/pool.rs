@@ -1,4 +1,9 @@
-//! The per-thread log pool: rolled-back attempts recycle their capacity.
+//! A standalone log pool: cleared containers handed back with their
+//! capacity.
+//!
+//! No runtime uses it: an attempt fills the thread's resident
+//! [`super::Descriptor`], which needs no lock and no hand-off.  The pool
+//! serves callers that keep access sets outside a transaction attempt.
 
 use crate::lock::Mutex;
 
@@ -6,9 +11,7 @@ use super::index_set::IndexSet;
 use super::read_set::ReadSet;
 use super::write_log::WriteLog;
 
-/// Spare instances kept per container kind; a single attempt uses at most
-/// one read set, two write logs (undo/redo + `Retry` value log) and two
-/// index sets (HTM read/write slots), so a small bound suffices.
+/// Spare instances kept per container kind.
 const MAX_SPARES: usize = 4;
 
 #[derive(Debug, Default)]
@@ -18,24 +21,17 @@ struct PoolInner {
     index_sets: Vec<IndexSet>,
 }
 
-/// A pool of cleared access-set containers owned by one thread context.
+/// A pool of cleared access-set containers.
 ///
-/// Every re-executed transaction attempt used to rebuild its logs from
-/// `Vec::new()`, paying the full growth sequence again; the pool hands the
-/// previous attempt's (cleared) containers back instead, so the
-/// re-execution path performs zero log allocations after the first attempt.
-///
-/// The mutex is uncontended in steady state — only the owning thread takes
-/// and returns containers — but keeps the pool safely shareable through the
-/// `Arc<ThreadCtx>` that committers and wakers already clone.
+/// A `put` clears the container and keeps it (up to a small bound per
+/// kind) if it ever grew; a `take` hands one back with that capacity, or a
+/// fresh empty one.
 #[derive(Debug, Default)]
 pub struct LogPool {
     inner: Mutex<PoolInner>,
 }
 
-/// What a take returned: a recycled container or a fresh one.  Callers
-/// (see [`crate::thread::ThreadCtx::take_read_set`] and friends) bump the
-/// `log_pool_reuses` statistic on [`Taken::Recycled`].
+/// What a take returned: a recycled container or a fresh one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Taken {
     /// The container came from the pool with capacity already grown.

@@ -114,8 +114,8 @@ pub type PredFn = fn(&mut dyn Tx, &[u64]) -> TxResult<bool>;
 pub enum WaitSpec {
     /// Wait until some location in the transaction's logged read set changes
     /// value (`Retry`, Algorithm 5).  The value log lives in
-    /// [`crate::tx::TxCommon::waitset`]; the runtime drains it into the
-    /// materialised condition's `(addr, value)` pairs, leaving the pooled
+    /// [`crate::access::Descriptor::waitset`]; the runtime drains it into
+    /// the materialised condition's `(addr, value)` pairs, leaving the
     /// log's capacity for the re-executed attempt.
     ReadSetValues,
     /// Wait until one of the given addresses changes value (`Await`,

@@ -10,20 +10,21 @@
 
 use std::sync::Arc;
 
+use crate::access::Descriptor;
 use crate::ctl::{TxCtl, WaitCondition, WaitSpec};
 use crate::runtime::TmRuntime;
 use crate::thread::ThreadCtx;
 use crate::tx::{Tx, TxCommon, TxMode};
-use crate::waitlist::WakeSet;
 
 /// What a successful commit tells the driver loop.
 ///
-/// One shape serves every runtime: the software STMs report the ownership
-/// records they locked (feeding both the `Retry-Orig` intersection test and
-/// the targeted `wakeWaiters` scan), while hardware commits — whose write
-/// sets are architecturally invisible — report the stripes covered by their
-/// committed cache lines, which the simulator *can* observe.
-#[derive(Debug, Clone, Default)]
+/// One shape serves every runtime, and it is plain data: the stripe cover of
+/// a writer commit is not carried here but left in the attempt's
+/// [`Descriptor::cover`] — the lock set for software commits, the stripes
+/// of the written cache lines (a superset of the written words' stripes,
+/// which the simulator *can* observe) for hardware commits — so a commit
+/// allocates nothing.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CommitOutcome {
     /// True if the transaction performed any write.
     pub was_writer: bool,
@@ -31,14 +32,9 @@ pub struct CommitOutcome {
     pub hardware: bool,
     /// True if the attempt committed while holding the system's
     /// [`crate::serial::SerialGate`].  Serial commits carry no write-set
-    /// metadata, so engines answer [`TxEngine::committed_stripes`] with the
-    /// conservative scan-everything set for them.
+    /// metadata ([`Descriptor::cover`] is meaningless for them), so the
+    /// wake path scans everything.
     pub serial: bool,
-    /// Ownership-record stripe indices covering the commit's write set: the
-    /// lock set for software commits, the stripes of the written cache lines
-    /// (a superset of the written words' stripes) for hardware commits.
-    /// Empty for read-only and serial commits.
-    pub written_orecs: Vec<usize>,
     /// The commit timestamp (global-clock value); 0 when no clock was
     /// ticked (read-only and hardware commits).
     pub commit_time: u64,
@@ -50,28 +46,21 @@ impl CommitOutcome {
         CommitOutcome::default()
     }
 
-    /// A software writer commit with its lock set and timestamp.
-    pub fn software_writer(written_orecs: Vec<usize>, commit_time: u64) -> Self {
+    /// A software writer commit at `commit_time`.
+    pub fn software_writer(commit_time: u64) -> Self {
         CommitOutcome {
             was_writer: true,
-            hardware: false,
-            serial: false,
-            written_orecs,
             commit_time,
+            ..CommitOutcome::default()
         }
     }
 
-    /// A (simulated) hardware commit.  `line_stripes` are the ownership-
-    /// record stripes covered by the committed cache lines (empty for
-    /// read-only commits), which the targeted wake path uses in place of the
-    /// architecturally invisible word-level write set.
-    pub fn hardware(was_writer: bool, line_stripes: Vec<usize>) -> Self {
+    /// A (simulated) hardware commit.
+    pub fn hardware(was_writer: bool) -> Self {
         CommitOutcome {
             was_writer,
             hardware: true,
-            serial: false,
-            written_orecs: line_stripes,
-            commit_time: 0,
+            ..CommitOutcome::default()
         }
     }
 
@@ -80,10 +69,8 @@ impl CommitOutcome {
     pub fn serial(was_writer: bool) -> Self {
         CommitOutcome {
             was_writer,
-            hardware: false,
             serial: true,
-            written_orecs: Vec::new(),
-            commit_time: 0,
+            ..CommitOutcome::default()
         }
     }
 }
@@ -97,17 +84,25 @@ impl CommitOutcome {
 /// dispatch, `Retry` value-log restarts, the deschedule hand-off and
 /// post-commit `wakeWaiters` — lives in [`super::run`] instead.
 pub trait TxEngine: TmRuntime + Sized {
-    /// The attempt descriptor; may borrow the engine (as the HTM simulator's
-    /// does).
-    type Tx<'eng>: Tx
+    /// One attempt.  It owns nothing: the engine, the thread and the
+    /// thread's [`Descriptor`] are all borrowed for `'a`.
+    type Tx<'a>: Tx
     where
-        Self: 'eng;
+        Self: 'a;
 
-    /// Begins a fresh attempt with the given per-attempt metadata.
-    fn begin(&self, common: TxCommon) -> Self::Tx<'_>;
+    /// Begins a fresh attempt of `thread` on the (empty) logs of `desc`
+    /// with the given per-attempt metadata.
+    fn begin<'a>(
+        &'a self,
+        thread: &'a Arc<ThreadCtx>,
+        desc: &'a mut Descriptor,
+        common: TxCommon,
+    ) -> Self::Tx<'a>;
 
     /// Attempts to commit.  On `Err` the driver rolls the attempt back and
-    /// dispatches on the control request.
+    /// dispatches on the control request.  A non-serial writer commit leaves
+    /// the stripe cover of its write set in [`Descriptor::cover`]; the cover
+    /// must never under-report, or the targeted wake scan loses wakeups.
     fn try_commit(&self, tx: &mut Self::Tx<'_>) -> Result<CommitOutcome, TxCtl>;
 
     /// Rolls the attempt back completely.
@@ -180,26 +175,17 @@ pub trait TxEngine: TmRuntime + Sized {
         TxMode::Serial
     }
 
-    /// The waiter-registry shards a committed writer must scan: the stripes
-    /// its commit may have changed, or [`WakeSet::All`] when the write set
-    /// is unknown.
-    ///
-    /// The default is the conservative scan-everything answer, which is
-    /// always correct; engines that know their write set (the software STMs
-    /// via their lock sets, hardware commits via their written cache lines)
-    /// override this so `wakeWaiters` only evaluates sleepers whose
-    /// conditions could actually have been established.  An override must
-    /// never under-report: returning a stripe set that misses a written
-    /// address loses wakeups.
-    fn committed_stripes(&self, outcome: &CommitOutcome) -> WakeSet {
-        let _ = outcome;
-        WakeSet::All
-    }
-
-    /// Post-commit hook for writer transactions, running after the generic
-    /// `wakeWaiters` scan.  The software STMs use it to wake `Retry-Orig`
-    /// sleepers whose read locks intersect the commit's write set.
-    fn after_writer_commit(&self, thread: &Arc<ThreadCtx>, outcome: &CommitOutcome) {
-        let _ = (thread, outcome);
+    /// Post-commit hook for writer transactions, running before the generic
+    /// `wakeWaiters` scan with the commit's stripe `cover` (meaningless when
+    /// `outcome.serial`).  The software STMs use it to wake `Retry-Orig`
+    /// sleepers whose read locks intersect the commit's write set.  Must not
+    /// start a transaction: the thread's descriptor is still checked out.
+    fn after_writer_commit(
+        &self,
+        thread: &Arc<ThreadCtx>,
+        outcome: &CommitOutcome,
+        cover: &[usize],
+    ) {
+        let _ = (thread, outcome, cover);
     }
 }

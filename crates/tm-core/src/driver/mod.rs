@@ -7,19 +7,18 @@
 //! waitset, roll back and hand off to `Deschedule` when a precondition fails,
 //! and run `wakeWaiters` after every writer commit (Algorithm 4).
 //!
-//! Re-execution is also where the access-set pool pays off: every attempt's
-//! logs (read set, write log, lock/line sets, the `Retry` value log in
-//! [`crate::tx::TxCommon::waitset`]) are pooled [`crate::access`] containers
-//! drawn from the thread's [`crate::access::LogPool`], so an aborted
-//! attempt's capacity is handed straight to its re-execution instead of
-//! being reallocated.
+//! Every attempt's logs (read set, write log, lock/line sets, the `Retry`
+//! value log) live in the thread's resident [`crate::access::Descriptor`],
+//! which the loop checks out once per transaction and lends to each attempt:
+//! an attempt allocates nothing, takes no lock and clones no `Arc`, and an
+//! aborted attempt's capacity is simply still there for its re-execution.
 //!
 //! This module owns that orchestration:
 //!
 //! * [`TxEngine`] — the narrow per-runtime interface (begin / commit /
-//!   rollback / materialise_wait plus a few mode-policy hooks, including
-//!   [`TxEngine::committed_stripes`], which tells the wake path which
-//!   waiter-registry shards a commit must scan),
+//!   rollback / materialise_wait plus a few mode-policy hooks; a writer
+//!   commit leaves its stripe cover in the descriptor, which tells the wake
+//!   path which waiter-registry shards to scan),
 //! * [`run`] — the single generic driver loop,
 //! * [`deschedule`] / [`deschedule_until`] / [`wake_waiters_matching`] — the
 //!   paper's parking and waking protocol (unbounded and deadline-bounded),

@@ -30,7 +30,7 @@ use crate::policy::{CmEvent, CmHistory};
 use crate::stats::TxStats;
 use crate::thread::ThreadCtx;
 use crate::tx::{Tx, TxCommon, TxKind, TxMode};
-use crate::waitlist::WakeReason;
+use crate::waitlist::{WakeReason, WakeSet};
 
 use super::engine::TxEngine;
 use super::wake;
@@ -97,11 +97,22 @@ where
     // scoped to this `run` call, so the flag never leaks into a later
     // transaction.
     let mut pending_wake: Option<WakeReason> = None;
+    // The thread's attempt descriptor, held across attempts and released
+    // around everything that runs other transactions on this thread (wake
+    // checks, the deschedule double-check) so they find it warm.
+    let mut desc = thread.checkout();
 
     loop {
-        let mut common = TxCommon::new(Arc::clone(thread), mode, attempts).with_kind(kind);
+        let logs = &mut *desc;
+        if mode == TxMode::SoftwareRetry {
+            logs.waitset.clear();
+        }
+        if logs.grown() {
+            TxStats::bump(&thread.stats.log_pool_reuses);
+        }
+        let mut common = TxCommon::new(mode, attempts).with_kind(kind);
         common.wake_reason = pending_wake;
-        let mut tx = engine.begin(common);
+        let mut tx = engine.begin(thread, logs, common);
         let ctl = match body(&mut tx) {
             Ok(value) => match engine.try_commit(&mut tx) {
                 Ok(outcome) => {
@@ -139,22 +150,33 @@ where
                         thread.stats.op_histogram(class).record(elapsed_nanos);
                     }
                     if outcome.was_writer {
-                        // Post-commit wake-ups: the paper's value-based
-                        // mechanism, targeted at the shards covering the
-                        // commit's write-set stripes, then any engine-
-                        // specific extras (the Retry-Orig lock-set
-                        // intersection on the STMs).  The empty-registry
-                        // check comes first so the common no-sleeper case
-                        // pays one atomic load — building the wake set
-                        // clones the commit's stripe list, which would be
-                        // wasted work.  A waiter registering after this
-                        // check is covered by its own double-check, which
-                        // runs after our (completed) commit.
+                        // Post-commit wake-ups: engine-specific extras first
+                        // (the Retry-Orig lock-set intersection on the STMs
+                        // only borrows the cover), then the paper's
+                        // value-based mechanism, targeted at the shards
+                        // covering the commit's write-set stripes.  The
+                        // empty-registry check keeps the common no-sleeper
+                        // case at one atomic load.  A waiter registering
+                        // after this check is covered by its own
+                        // double-check, which runs after our (completed)
+                        // commit.
+                        engine.after_writer_commit(thread, &outcome, &desc.cover);
                         if !engine.system().waiters.is_empty() {
-                            let wake_set = engine.committed_stripes(&outcome);
+                            // The cover buffer is moved into the wake set,
+                            // not copied, and handed back afterwards; the
+                            // descriptor is released in between because each
+                            // wake check is a transaction of its own.
+                            let wake_set = if outcome.serial {
+                                WakeSet::All
+                            } else {
+                                WakeSet::Stripes(std::mem::take(&mut desc.cover))
+                            };
+                            drop(desc);
                             wake::wake_waiters_matching(engine, thread, &wake_set);
+                            if let WakeSet::Stripes(cover) = wake_set {
+                                thread.checkout().cover = cover;
+                            }
                         }
-                        engine.after_writer_commit(thread, &outcome);
                     }
                     return value;
                 }
@@ -284,8 +306,11 @@ where
                 match engine.materialise_wait(&mut tx, spec) {
                     Ok(cond) => {
                         drop(tx);
+                        // The double-check is a transaction of its own.
+                        drop(desc);
                         let outcome = wake::deschedule_until(engine, thread, cond, deadline);
                         pending_wake = Some(outcome.reason());
+                        desc = thread.checkout();
                     }
                     Err(_) => {
                         // The wait condition could not be captured

@@ -17,7 +17,7 @@
 //!    re-executes the original transaction from its checkpoint.
 //!
 //! Writers call [`wake_waiters_matching`] strictly *after* committing, with
-//! the stripes their commit wrote ([`TxEngine::committed_stripes`]): only the
+//! the stripes their commit wrote ([`Descriptor::cover`]): only the
 //! shards covering those stripes — plus the unindexed shard — are scanned,
 //! so a commit's wake work scales with the sleepers that could actually be
 //! affected, not with every sleeper in the system.  The decision to wake is
@@ -30,7 +30,7 @@
 //! ([`super::run`]) is its only legitimate caller on the hot path; the
 //! `condsync` crate re-exports the entry points as part of its public API.
 //!
-//! [`TxEngine::committed_stripes`]: super::TxEngine::committed_stripes
+//! [`Descriptor::cover`]: crate::access::Descriptor::cover
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -191,9 +191,14 @@ pub fn deschedule_until(
 ///
 /// Called from the committing-writer wake path (behind the empty-registry
 /// fast path) and from the driver's contention-backoff path; costs one
-/// atomic load when no timer is armed.
+/// atomic load when no timer is armed — the clock is read only after that
+/// check, since a commit with untimed sleepers parked pays this every time.
 pub fn poll_timers(rt: &dyn TmRuntime, thread: &Arc<ThreadCtx>) {
-    let poll = rt.system().timers.poll(Instant::now());
+    let timers = &rt.system().timers;
+    if timers.idle() {
+        return;
+    }
+    let poll = timers.poll(Instant::now());
     if poll.ticks > 0 {
         TxStats::add(&thread.stats.timer_ticks, poll.ticks);
     }
@@ -277,6 +282,7 @@ mod tests {
     struct ToyTx {
         common: TxCommon,
         system: Arc<TmSystem>,
+        thread: Arc<ThreadCtx>,
     }
 
     impl Tx for ToyTx {
@@ -310,6 +316,9 @@ mod tests {
         fn system(&self) -> &Arc<TmSystem> {
             &self.system
         }
+        fn thread(&self) -> &Arc<ThreadCtx> {
+            &self.thread
+        }
     }
 
     impl TmRuntime for ToyRuntime {
@@ -326,8 +335,9 @@ mod tests {
         ) -> u64 {
             self.exec_count.fetch_add(1, Ordering::Relaxed);
             let mut tx = ToyTx {
-                common: TxCommon::new(Arc::clone(thread), TxMode::Software, 0),
+                common: TxCommon::new(TxMode::Software, 0),
                 system: Arc::clone(&self.system),
+                thread: Arc::clone(thread),
             };
             body(&mut tx).expect("toy runtime cannot abort")
         }

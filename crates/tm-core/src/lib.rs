@@ -19,11 +19,10 @@
 //!   ([`epoch::EpochTable`]), plus the cache-line padding primitive both are
 //!   built from ([`pad::CachePadded`]),
 //! * the object-safe transaction handle trait ([`tx::Tx`]) plus the common
-//!   per-transaction metadata ([`tx::TxCommon`]) used by `Retry`'s value
-//!   logging,
+//!   per-attempt metadata ([`tx::TxCommon`]),
 //! * the shared access-set layer ([`access`]): hash-indexed read sets,
-//!   write logs and index sets with a per-thread recycling pool, backing
-//!   every runtime's transaction logs,
+//!   write logs and index sets, bundled into the per-thread attempt
+//!   [`access::Descriptor`] that backs every runtime's transaction logs,
 //! * the mode-control plane: the system-wide serial/irrevocable gate and
 //!   shared serial attempt ([`serial`]) plus the pluggable contention-
 //!   management policies that drive backoff and mode escalation ([`policy`]),
@@ -75,7 +74,7 @@ pub mod tx;
 pub mod vars;
 pub mod waitlist;
 
-pub use access::{IndexSet, LogPool, ReadEntry, ReadSet, WriteEntry, WriteLog};
+pub use access::{Descriptor, IndexSet, LogPool, ReadEntry, ReadSet, WriteEntry, WriteLog};
 pub use addr::{Addr, LineId, LINE_WORDS};
 pub use clock::{ClockMode, ClockPlane, CommitStamp, GlobalClock};
 pub use config::{
@@ -94,7 +93,7 @@ pub use sem::Semaphore;
 pub use serial::{subscribe_begin, SerialAttempt, SerialGate};
 pub use stats::{LatencyHistogram, LatencySnapshot, OpClass, StatsSnapshot, TxStats};
 pub use system::TmSystem;
-pub use thread::{ThreadCtx, ThreadId, ThreadRegistry};
+pub use thread::{Checkout, ThreadCtx, ThreadId, ThreadRegistry};
 pub use timer::{TimerPoll, TimerWheel};
 pub use tx::{Tx, TxCommon, TxKind, TxMode};
 pub use vars::{TmArray, TmValue, TmVar};

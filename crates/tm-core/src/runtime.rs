@@ -132,6 +132,7 @@ mod tests {
     struct DirectTx {
         common: crate::tx::TxCommon,
         system: Arc<TmSystem>,
+        thread: Arc<ThreadCtx>,
     }
 
     impl Tx for DirectTx {
@@ -170,6 +171,9 @@ mod tests {
         fn system(&self) -> &Arc<TmSystem> {
             &self.system
         }
+        fn thread(&self) -> &Arc<ThreadCtx> {
+            &self.thread
+        }
     }
 
     impl TmRuntime for DirectRuntime {
@@ -185,7 +189,8 @@ mod tests {
             body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<u64>,
         ) -> u64 {
             let mut tx = DirectTx {
-                common: crate::tx::TxCommon::new(Arc::clone(thread), crate::tx::TxMode::Serial, 0),
+                common: crate::tx::TxCommon::new(crate::tx::TxMode::Serial, 0),
+                thread: Arc::clone(thread),
                 system: Arc::clone(&self.system),
             };
             body(&mut tx).expect("direct runtime cannot abort")

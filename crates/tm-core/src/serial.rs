@@ -39,7 +39,6 @@
 //! were excluded.
 
 use std::sync::atomic::{fence, AtomicBool, Ordering};
-use std::sync::Arc;
 
 use crate::access::WriteLog;
 use crate::addr::Addr;
@@ -50,7 +49,6 @@ use crate::driver::CommitOutcome;
 use crate::stats::TxStats;
 use crate::system::TmSystem;
 use crate::thread::{ThreadCtx, NOT_IN_TX};
-use crate::tx::TxCommon;
 
 /// The system-wide serial/irrevocable flag, honored by every engine.
 ///
@@ -172,11 +170,14 @@ pub fn subscribe_begin(system: &TmSystem, thread: &ThreadCtx) -> u64 {
 /// serial mode a guaranteed-progress path for transactions that keep losing
 /// (or that requested irrevocability via `TxCtl::BecomeSerial`).  The undo
 /// log exists only so the attempt can still be rolled back when the body
-/// requests a deschedule or an explicit abort.
+/// requests a deschedule or an explicit abort.  It is the attempt's own —
+/// not the thread descriptor's — so that dropping the attempt can always
+/// undo and release; serial attempts are the rare last rung, and acquiring
+/// the gate dwarfs the log's allocation.
 #[derive(Debug)]
-pub struct SerialAttempt {
-    system: Arc<TmSystem>,
-    thread: Arc<ThreadCtx>,
+pub struct SerialAttempt<'a> {
+    system: &'a TmSystem,
+    thread: &'a ThreadCtx,
     /// Old values of written locations, one entry per address (first write
     /// wins, as in the eager STM's undo log).
     undo: WriteLog,
@@ -185,14 +186,14 @@ pub struct SerialAttempt {
     frees: Vec<(Addr, usize)>,
 }
 
-impl SerialAttempt {
+impl<'a> SerialAttempt<'a> {
     /// Acquires the gate and begins a serial attempt for `thread`.
-    pub fn begin(system: &Arc<TmSystem>, thread: &Arc<ThreadCtx>) -> Self {
+    pub fn begin(system: &'a TmSystem, thread: &'a ThreadCtx) -> Self {
         system.serial.acquire(system, thread);
         SerialAttempt {
-            system: Arc::clone(system),
-            thread: Arc::clone(thread),
-            undo: thread.take_write_log(),
+            system,
+            thread,
+            undo: WriteLog::new(),
             holding: true,
             mallocs: Vec::new(),
             frees: Vec::new(),
@@ -222,7 +223,7 @@ impl SerialAttempt {
     /// Allocates `words` heap words, undone on rollback.  `None` when the
     /// allocator is exhausted (the caller converts that to `OutOfMemory`).
     pub fn alloc(&mut self, words: usize) -> Option<Addr> {
-        let addr = self.system.heap.alloc_for(&self.thread, words)?;
+        let addr = self.system.heap.alloc_for(self.thread, words)?;
         self.mallocs.push((addr, words));
         Some(addr)
     }
@@ -252,7 +253,7 @@ impl SerialAttempt {
         }
         self.undo.clear();
         for &(addr, words) in &self.mallocs {
-            self.system.heap.dealloc_for(&self.thread, addr, words);
+            self.system.heap.dealloc_for(self.thread, addr, words);
         }
         self.mallocs.clear();
         self.frees.clear();
@@ -267,7 +268,7 @@ impl SerialAttempt {
         let was_writer = !self.undo.is_empty();
         self.undo.clear();
         for &(addr, words) in &self.frees {
-            self.system.heap.dealloc_for(&self.thread, addr, words);
+            self.system.heap.dealloc_for(self.thread, addr, words);
         }
         self.mallocs.clear();
         self.frees.clear();
@@ -276,16 +277,17 @@ impl SerialAttempt {
     }
 
     /// Rolls back and materialises the wait condition for a deschedule
-    /// request, mirroring the instrumented engines' rollback paths.  As the
-    /// gate holder runs alone, plain loads are a consistent snapshot.
+    /// request, mirroring the instrumented engines' rollback paths
+    /// (`waitset` is the attempt's `Retry` value log).  As the gate holder
+    /// runs alone, plain loads are a consistent snapshot.
     pub fn rollback_for_deschedule(
         &mut self,
         spec: WaitSpec,
-        common: &mut TxCommon,
+        waitset: &mut WriteLog,
     ) -> Result<WaitCondition, TxCtl> {
         match spec {
             WaitSpec::ReadSetValues | WaitSpec::OrigReadLocks => {
-                let pairs = common.waitset.drain_pairs();
+                let pairs = waitset.drain_pairs();
                 self.rollback();
                 Ok(WaitCondition::ValuesChanged(pairs))
             }
@@ -312,13 +314,10 @@ impl SerialAttempt {
     }
 }
 
-impl Drop for SerialAttempt {
+impl Drop for SerialAttempt<'_> {
     fn drop(&mut self) {
         // Defensive: never leak the gate if a body panics mid-attempt.
         self.rollback();
-        self.thread
-            .pool
-            .put_write_log(std::mem::take(&mut self.undo));
     }
 }
 
@@ -326,6 +325,7 @@ impl Drop for SerialAttempt {
 mod tests {
     use super::*;
     use crate::config::TmConfig;
+    use std::sync::Arc;
 
     #[test]
     fn gate_round_trip() {
@@ -415,15 +415,13 @@ mod tests {
 
     #[test]
     fn deschedule_capture_reflects_pre_transaction_state() {
-        use crate::tx::TxMode;
         let system = TmSystem::new(TmConfig::small());
         system.heap.store(Addr(20), 5);
         let th = system.register_thread();
-        let mut common = TxCommon::new(Arc::clone(&th), TxMode::Serial, 0);
         let mut s = SerialAttempt::begin(&system, &th);
         s.write(Addr(20), 6);
         let cond = s
-            .rollback_for_deschedule(WaitSpec::Addrs(vec![Addr(20)]), &mut common)
+            .rollback_for_deschedule(WaitSpec::Addrs(vec![Addr(20)]), &mut WriteLog::new())
             .unwrap();
         match cond {
             WaitCondition::ValuesChanged(pairs) => assert_eq!(pairs, vec![(Addr(20), 5)]),

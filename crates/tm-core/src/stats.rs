@@ -75,8 +75,9 @@ pub const LATENCY_BUCKETS: usize = 32;
 /// A cheap fixed-bucket latency histogram: 32 log2 buckets of plain
 /// relaxed counters.
 ///
-/// Recording is one `leading_zeros` plus one relaxed `fetch_add` — cheap
-/// enough for the driver's per-transaction hot path.  The whole histogram is
+/// Recording is one `leading_zeros` plus an owner-only load and store (the
+/// one-writer rule of [`TxStats`]) — cheap enough for the driver's
+/// per-transaction hot path.  The whole histogram is
 /// wrapped in [`CachePadded`] inside [`TxStats`], so one thread's recording
 /// never invalidates another thread's counter lines; buckets *within* a
 /// thread's histogram deliberately share lines (only the owner writes them).
@@ -101,10 +102,10 @@ fn bucket_for(nanos: u64) -> usize {
 }
 
 impl LatencyHistogram {
-    /// Records one sample of `nanos` nanoseconds.
+    /// Records one sample of `nanos` nanoseconds (owner thread only).
     #[inline]
     pub fn record(&self, nanos: u64) {
-        self.buckets[bucket_for(nanos)].fetch_add(1, Ordering::Relaxed);
+        TxStats::bump(&self.buckets[bucket_for(nanos)]);
     }
 
     /// A point-in-time copy of the bucket counts.
@@ -174,6 +175,18 @@ macro_rules! stats_fields {
         histograms { $($(#[$hdoc:meta])* $hname:ident),+ $(,)? }
     ) => {
         /// Live (atomic) per-thread counters, plus high-water marks.
+        ///
+        /// **One writer.**  Only the thread that owns the enclosing
+        /// [`crate::thread::ThreadCtx`] updates these (every `bump`, `add`,
+        /// `record_max` and histogram `record` in the workspace is handed the
+        /// caller's own context), so an update is a relaxed load and a
+        /// relaxed store, not a locked read-modify-write.  Any thread may
+        /// read ([`TxStats::snapshot`]): each field it sees is a value the
+        /// owner stored, so polled counters are exact and monotone.
+        /// [`TxStats::reset`] is the one foreign store; call it only while
+        /// the owner runs no transaction, or an in-flight update may
+        /// overwrite the zero.  A counter that gains a second concurrent
+        /// writer must go back to `fetch_add`.
         ///
         /// Counters sit on commit/abort hot paths, so each one is padded to
         /// its own cache line: a thread banging on `sw_commits` must never
@@ -334,9 +347,9 @@ stats_fields! {
     /// Writer commits that reused `now() + 1` as their timestamp without
     /// writing the shared clock line (lazy plane only).
     clock_reuse,
-    /// Access-set containers (read sets, write logs, index sets) handed out
-    /// from the per-thread [`crate::access::LogPool`] with their capacity
-    /// already grown by an earlier attempt, instead of being allocated.
+    /// Attempts that began on a [`crate::access::Descriptor`] whose
+    /// containers an earlier attempt had already grown, so their logs cost
+    /// no allocation.
     log_pool_reuses,
     /// Read-only transactions that committed on the snapshot fast path
     /// (no read set, no commit-time validation, no clock traffic) — software
@@ -397,22 +410,29 @@ stats_fields! {
 }
 
 impl TxStats {
-    /// Increments a counter by one.
+    /// Increments a counter by one (owner thread only; see the one-writer
+    /// rule on [`TxStats`]).
     #[inline]
     pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+        TxStats::add(counter, 1);
     }
 
-    /// Adds `n` to a counter.
+    /// Adds `n` to a counter (owner thread only).
     #[inline]
     pub fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
+        counter.store(
+            counter.load(Ordering::Relaxed).wrapping_add(n),
+            Ordering::Relaxed,
+        );
     }
 
-    /// Raises a high-water mark to `value` if it is larger.
+    /// Raises a high-water mark to `value` if it is larger (owner thread
+    /// only).
     #[inline]
     pub fn record_max(mark: &AtomicU64, value: u64) {
-        mark.fetch_max(value, Ordering::Relaxed);
+        if value > mark.load(Ordering::Relaxed) {
+            mark.store(value, Ordering::Relaxed);
+        }
     }
 
     /// The latency histogram that records transactions of the given

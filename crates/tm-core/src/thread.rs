@@ -4,13 +4,16 @@
 //! receives an [`ThreadCtx`] carrying its identity, statistics, its padded
 //! slot in the system's [`EpochTable`] (published start time for
 //! privatization-safe quiescence plus the last commit epoch the lazy clock
-//! scans), and the "doomed" flag through which the HTM simulator delivers
-//! asynchronous conflict aborts.
+//! scans), the "doomed" flag through which the HTM simulator delivers
+//! asynchronous conflict aborts, and the resident attempt
+//! [`Descriptor`] the driver lends to every transaction attempt.
 
+use std::cell::UnsafeCell;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use crate::access::{IndexSet, LogPool, ReadSet, Taken, WriteLog};
+use crate::access::Descriptor;
 use crate::epoch::{EpochSlot, EpochTable};
 use crate::lock::RwLock;
 use crate::pad::CachePadded;
@@ -37,6 +40,78 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The thread's resident attempt descriptor behind an exclusive-access
+/// flag — the heap arenas' `ArenaSlot` idiom: one swap to enter, one release
+/// store to leave, on a line only the owner writes.
+#[derive(Default)]
+struct DescriptorSlot {
+    /// Set while a [`Checkout`] of `desc` is live.  Acquire on the swap and
+    /// Release on the store order one holder's writes before the next
+    /// holder's reads.
+    busy: AtomicBool,
+    desc: UnsafeCell<Descriptor>,
+}
+
+// SAFETY: `desc` is reached only through a resident `Checkout`, which exists
+// only after winning the `busy` swap and clears the flag only when dropped,
+// so at most one reference to it is live; `busy` is atomic.  `Descriptor` is
+// plain owned data (`Send`).
+unsafe impl Sync for DescriptorSlot {}
+
+impl std::fmt::Debug for DescriptorSlot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DescriptorSlot")
+            .field("busy", &self.busy.load(Ordering::Relaxed))
+            .finish_non_exhaustive()
+    }
+}
+
+/// Exclusive use of an attempt [`Descriptor`] for one transaction: the
+/// thread's resident one, or a cold heap-allocated one when that was busy.
+/// See [`ThreadCtx::checkout`].
+#[derive(Debug)]
+pub struct Checkout<'a> {
+    slot: &'a DescriptorSlot,
+    /// `Some` when `slot` was busy; dropped with the guard.
+    cold: Option<Box<Descriptor>>,
+}
+
+impl Deref for Checkout<'_> {
+    type Target = Descriptor;
+
+    fn deref(&self) -> &Descriptor {
+        match &self.cold {
+            Some(cold) => cold,
+            // SAFETY: no cold descriptor means this guard won the `busy`
+            // swap and still holds it, so it is the only path to `desc`.
+            None => unsafe { &*self.slot.desc.get() },
+        }
+    }
+}
+
+impl DerefMut for Checkout<'_> {
+    fn deref_mut(&mut self) -> &mut Descriptor {
+        match &mut self.cold {
+            Some(cold) => cold,
+            // SAFETY: as in `deref`; `&mut self` makes the borrow unique.
+            None => unsafe { &mut *self.slot.desc.get() },
+        }
+    }
+}
+
+impl Drop for Checkout<'_> {
+    fn drop(&mut self) {
+        if self.cold.is_none() {
+            if std::thread::panicking() {
+                // A body panicked mid-attempt: its half-filled logs must not
+                // become the start of this thread's next transaction.
+                self.clear();
+            }
+            self.slot.busy.store(false, Ordering::Release);
+        }
+    }
+}
+
 /// Per-thread context shared between the thread itself and other threads
 /// (committers performing quiescence, hardware transactions dooming each
 /// other, writers waking sleepers).
@@ -57,10 +132,8 @@ pub struct ThreadCtx {
     pub doomed: CachePadded<AtomicBool>,
     /// Parking semaphore used when the thread is descheduled.
     pub sem: Semaphore,
-    /// Recycler for the thread's access-set containers: a rolled-back
-    /// attempt's read set / write log / index sets go back here and the
-    /// next attempt takes them out with their capacity intact.
-    pub pool: LogPool,
+    /// The resident attempt descriptor (see [`ThreadCtx::checkout`]).
+    descriptor: DescriptorSlot,
     /// xorshift64 state for the thread's backoff jitter, seeded from the
     /// thread id.  Owner-only (replaces the driver's old process-global
     /// seed atomic, which was a shared hot line).
@@ -80,7 +153,7 @@ impl ThreadCtx {
             epochs,
             doomed: CachePadded::new(AtomicBool::new(false)),
             sem: Semaphore::new(),
-            pool: LogPool::new(),
+            descriptor: DescriptorSlot::default(),
             // splitmix64 never maps distinct inputs to the same output and
             // maps nothing to 0 except one input; or-in a bit so xorshift
             // (which fixes 0) always starts live.
@@ -135,50 +208,21 @@ impl ThreadCtx {
         s
     }
 
-    fn note_reuse(&self, taken: Taken) {
-        if taken == Taken::Recycled {
-            TxStats::bump(&self.stats.log_pool_reuses);
+    /// Checks out the attempt descriptor for one transaction.
+    ///
+    /// The driver calls this once per `run`, lends the descriptor by `&mut`
+    /// to each attempt, and drops the guard before anything that may start
+    /// another transaction on this thread (wake checks, the deschedule
+    /// double-check), so those run on the same warm containers.  A
+    /// transaction started while the descriptor is still out — from inside
+    /// a body, or from a `commit_and_reopen` block — gets a cold one of its
+    /// own instead of waiting.
+    pub fn checkout(&self) -> Checkout<'_> {
+        let busy = self.descriptor.busy.swap(true, Ordering::Acquire);
+        Checkout {
+            slot: &self.descriptor,
+            cold: busy.then(Box::default),
         }
-    }
-
-    /// Takes a cleared [`ReadSet`] from the pool, counting the reuse.
-    pub fn take_read_set(&self) -> ReadSet {
-        let (set, taken) = self.pool.take_read_set();
-        self.note_reuse(taken);
-        set
-    }
-
-    /// Returns a read set to the pool, recording the attempt's read-set
-    /// high-water mark.
-    pub fn put_read_set(&self, set: ReadSet) {
-        TxStats::record_max(&self.stats.read_set_max, set.len() as u64);
-        self.pool.put_read_set(set);
-    }
-
-    /// Takes a cleared [`WriteLog`] from the pool, counting the reuse.
-    pub fn take_write_log(&self) -> WriteLog {
-        let (log, taken) = self.pool.take_write_log();
-        self.note_reuse(taken);
-        log
-    }
-
-    /// Returns a write log to the pool, recording the attempt's write-log
-    /// high-water mark.
-    pub fn put_write_log(&self, log: WriteLog) {
-        TxStats::record_max(&self.stats.write_set_max, log.len() as u64);
-        self.pool.put_write_log(log);
-    }
-
-    /// Takes a cleared [`IndexSet`] from the pool, counting the reuse.
-    pub fn take_index_set(&self) -> IndexSet {
-        let (set, taken) = self.pool.take_index_set();
-        self.note_reuse(taken);
-        set
-    }
-
-    /// Returns an index set to the pool.
-    pub fn put_index_set(&self, set: IndexSet) {
-        self.pool.put_index_set(set);
     }
 
     /// Publishes the start time of an in-flight transaction.
@@ -384,34 +428,38 @@ mod tests {
     }
 
     #[test]
-    fn pool_round_trip_counts_reuses_and_high_water_marks() {
+    fn checkout_reuses_the_resident_descriptor_and_falls_back_cold_when_busy() {
         use crate::addr::Addr;
         let r = ThreadRegistry::new();
         let t = r.register();
-
-        let mut reads = t.take_read_set();
-        let mut log = t.take_write_log();
-        assert_eq!(
-            t.stats.snapshot().log_pool_reuses,
-            0,
-            "first takes are fresh"
-        );
-        for i in 0..10 {
-            reads.record(Addr(i), i);
+        {
+            let mut d = t.checkout();
+            d.reads.record(Addr(1), 1);
+            let mut nested = t.checkout();
+            assert!(nested.reads.is_empty(), "a busy slot yields a cold one");
+            nested.reads.record(Addr(2), 2);
+            drop(nested);
+            assert_eq!(d.reads.len(), 1, "the nested guard left ours alone");
         }
-        log.record(Addr(1), 1, || 0);
-        log.record(Addr(2), 2, || 0);
-        t.put_read_set(reads);
-        t.put_write_log(log);
+        let d = t.checkout();
+        assert_eq!(d.reads.len(), 1, "released and checked out again");
+        assert!(d.reads.contains(Addr(1)));
+    }
 
-        let snap = t.stats.snapshot();
-        assert_eq!(snap.read_set_max, 10);
-        assert_eq!(snap.write_set_max, 2);
-
-        let reads = t.take_read_set();
-        let log = t.take_write_log();
-        assert!(reads.is_empty() && log.is_empty());
-        assert_eq!(t.stats.snapshot().log_pool_reuses, 2);
+    #[test]
+    fn a_checkout_dropped_by_a_panic_leaves_clean_logs() {
+        use crate::addr::Addr;
+        let r = ThreadRegistry::new();
+        let t = r.register();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut d = t.checkout();
+            d.writes.record(Addr(1), 9, || 0);
+            panic!("body panicked mid-attempt");
+        }));
+        assert!(unwound.is_err());
+        let d = t.checkout();
+        assert!(d.cold.is_none(), "the unwound guard released the slot");
+        assert!(d.writes.is_empty(), "no stale redo entry survives");
     }
 
     #[test]

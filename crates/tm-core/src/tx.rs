@@ -10,7 +10,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::access::WriteLog;
 use crate::addr::Addr;
 use crate::ctl::{TxCtl, TxResult};
 use crate::system::TmSystem;
@@ -53,23 +52,18 @@ pub enum TxKind {
     ReadOnly,
 }
 
-/// Per-attempt metadata shared by all runtimes.
-#[derive(Debug)]
+/// Per-attempt metadata shared by all runtimes: plain data the driver
+/// builds for every attempt.  The attempt's logs (including the `Retry`
+/// value log) live in the thread's [`crate::access::Descriptor`], and the
+/// thread and system are borrowed by the attempt, not owned here.
+#[derive(Debug, Clone, Copy)]
 pub struct TxCommon {
-    /// The executing thread.
-    pub thread: Arc<ThreadCtx>,
     /// Execution mode of this attempt.
     pub mode: TxMode,
     /// Update or declared read-only (snapshot-eligible).  Defaults to
     /// [`TxKind::Update`]; the driver sets [`TxKind::ReadOnly`] for
     /// `atomically_read` attempts and clears it again on upgrade.
     pub kind: TxKind,
-    /// Value log for `Retry`: populated on every read when
-    /// `mode == SoftwareRetry` (Algorithm 5, `TxRead`).  A pooled
-    /// [`WriteLog`] in first-value-wins mode, so re-reads deduplicate in
-    /// O(1) and the capacity is recycled across attempts; drain it with
-    /// [`WriteLog::drain_pairs`] when materialising the wait condition.
-    pub waitset: WriteLog,
     /// How many times this transaction has been attempted (for backoff and
     /// the HTM fallback policy).
     pub attempts: u32,
@@ -89,22 +83,11 @@ pub struct TxCommon {
 }
 
 impl TxCommon {
-    /// Creates attempt metadata for `thread` in `mode`.
-    ///
-    /// The `Retry` value log is taken from the thread's
-    /// [`crate::access::LogPool`] only in value-logging mode; other modes
-    /// never touch it, so they carry an allocation-free empty log.
-    pub fn new(thread: Arc<ThreadCtx>, mode: TxMode, attempts: u32) -> Self {
-        let waitset = if mode == TxMode::SoftwareRetry {
-            thread.take_write_log()
-        } else {
-            WriteLog::new()
-        };
+    /// Creates the metadata of attempt number `attempts` in `mode`.
+    pub fn new(mode: TxMode, attempts: u32) -> Self {
         TxCommon {
-            thread,
             mode,
             kind: TxKind::Update,
-            waitset,
             attempts,
             wake_reason: None,
             wait_deadline: None,
@@ -116,28 +99,6 @@ impl TxCommon {
     pub fn with_kind(mut self, kind: TxKind) -> Self {
         self.kind = kind;
         self
-    }
-
-    /// Records a read in the `Retry` value log when in retry-logging mode.
-    ///
-    /// Deduplicates by address in O(1); keeping the *first* observed value
-    /// makes the log reflect the state the transaction actually observed.
-    #[inline]
-    pub fn log_retry_read(&mut self, addr: Addr, val: u64) {
-        if self.mode == TxMode::SoftwareRetry {
-            self.waitset.record_first(addr, val, || 0);
-        }
-    }
-}
-
-impl Drop for TxCommon {
-    fn drop(&mut self) {
-        // Recycle the value log's capacity for the next attempt.  Straight
-        // to the pool: the waitset logs *reads*, so it must not feed the
-        // `write_set_max` high-water mark the way real write logs do.
-        self.thread
-            .pool
-            .put_write_log(std::mem::take(&mut self.waitset));
     }
 }
 
@@ -192,21 +153,18 @@ pub trait Tx {
     /// The system (heap, clocks, registries) this transaction runs against.
     fn system(&self) -> &Arc<TmSystem>;
 
+    /// The executing thread.
+    fn thread(&self) -> &Arc<ThreadCtx>;
+
     /// The current execution mode.
     fn mode(&self) -> TxMode {
         self.common().mode
-    }
-
-    /// The executing thread.
-    fn thread(&self) -> Arc<ThreadCtx> {
-        Arc::clone(&self.common().thread)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TmConfig;
 
     #[test]
     fn mode_software_classification() {
@@ -218,40 +176,9 @@ mod tests {
 
     #[test]
     fn kind_defaults_to_update_and_with_kind_overrides() {
-        let system = TmSystem::new(TmConfig::small());
-        let th = system.register_thread();
-        let c = TxCommon::new(Arc::clone(&th), TxMode::Software, 0);
+        let c = TxCommon::new(TxMode::Software, 0);
         assert_eq!(c.kind, TxKind::Update);
-        let c = TxCommon::new(th, TxMode::Software, 0).with_kind(TxKind::ReadOnly);
+        let c = TxCommon::new(TxMode::Software, 0).with_kind(TxKind::ReadOnly);
         assert_eq!(c.kind, TxKind::ReadOnly);
-    }
-
-    #[test]
-    fn retry_log_only_in_retry_mode_and_deduplicates() {
-        let system = TmSystem::new(TmConfig::small());
-        let th = system.register_thread();
-        let mut c = TxCommon::new(Arc::clone(&th), TxMode::Software, 0);
-        c.log_retry_read(Addr(1), 10);
-        assert!(c.waitset.is_empty(), "not logging outside retry mode");
-
-        let mut c = TxCommon::new(th, TxMode::SoftwareRetry, 0);
-        c.log_retry_read(Addr(1), 10);
-        c.log_retry_read(Addr(2), 20);
-        c.log_retry_read(Addr(1), 99);
-        assert_eq!(c.waitset.pairs(), vec![(Addr(1), 10), (Addr(2), 20)]);
-    }
-
-    #[test]
-    fn dropped_attempts_recycle_the_value_log() {
-        let system = TmSystem::new(TmConfig::small());
-        let th = system.register_thread();
-        {
-            let mut c = TxCommon::new(Arc::clone(&th), TxMode::SoftwareRetry, 0);
-            c.log_retry_read(Addr(1), 10);
-        }
-        // The next retry-mode attempt takes the recycled log back out.
-        let c = TxCommon::new(Arc::clone(&th), TxMode::SoftwareRetry, 1);
-        assert!(c.waitset.is_empty());
-        assert_eq!(th.stats.snapshot().log_pool_reuses, 1);
     }
 }

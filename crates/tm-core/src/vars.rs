@@ -256,12 +256,14 @@ mod tests {
     use super::*;
     use crate::config::TmConfig;
     use crate::ctl::{AbortReason, TxCtl};
+    use crate::thread::ThreadCtx;
     use crate::tx::{TxCommon, TxMode};
 
     /// Minimal pass-through transaction for exercising the typed views.
     struct RawTx {
         common: TxCommon,
         system: Arc<TmSystem>,
+        thread: Arc<ThreadCtx>,
     }
 
     impl Tx for RawTx {
@@ -298,12 +300,16 @@ mod tests {
         fn system(&self) -> &Arc<TmSystem> {
             &self.system
         }
+        fn thread(&self) -> &Arc<ThreadCtx> {
+            &self.thread
+        }
     }
 
     fn raw_tx(system: &Arc<TmSystem>) -> RawTx {
         let th = system.register_thread();
         RawTx {
-            common: TxCommon::new(th, TxMode::Serial, 0),
+            common: TxCommon::new(TxMode::Serial, 0),
+            thread: th,
             system: Arc::clone(system),
         }
     }

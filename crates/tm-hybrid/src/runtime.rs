@@ -8,8 +8,8 @@ use htm_sim::{HtmSim, HtmTx};
 use stm_lazy::{CommitInterlock, LazyTx};
 use tm_core::driver::{self, CommitOutcome, TxEngine};
 use tm_core::{
-    Addr, ThreadCtx, ThreadId, TmRt, TmRuntime, TmSystem, Tx, TxCommon, TxCtl, TxKind, TxMode,
-    TxResult, WaitCondition, WaitSpec, WakeSet,
+    Addr, Descriptor, ThreadCtx, ThreadId, TmRt, TmRuntime, TmSystem, Tx, TxCommon, TxCtl, TxKind,
+    TxMode, TxResult, WaitCondition, WaitSpec,
 };
 
 /// The software-commit interlock this runtime installs into its lazy path:
@@ -77,7 +77,7 @@ impl CommitInterlock for HwInterlock {
 pub struct HybridTm {
     system: Arc<TmSystem>,
     htm: Arc<HtmSim>,
-    interlock: Arc<HwInterlock>,
+    interlock: HwInterlock,
     /// Waiting list for the `Retry-Orig` baseline — supported here, unlike
     /// on the pure HTM configuration, because the software path has real
     /// lock metadata (every `Retry-Orig` sleep runs on the lazy path).
@@ -96,10 +96,10 @@ impl HybridTm {
     /// Creates a hybrid runtime over `system`.
     pub fn new(system: Arc<TmSystem>) -> Arc<Self> {
         let htm = HtmSim::new_coupled(Arc::clone(&system));
-        let interlock = Arc::new(HwInterlock {
+        let interlock = HwInterlock {
             htm: Arc::clone(&htm),
             slots: tm_core::lock::Mutex::new(Vec::new()),
-        });
+        };
         Arc::new(HybridTm {
             system,
             htm,
@@ -129,15 +129,15 @@ impl HybridTm {
 //
 // The variants differ in size, but the attempt lives on the driver loop's
 // stack and is rebuilt on every re-execution — boxing the software variant
-// would put a heap allocation on exactly the path the per-thread `LogPool`
+// would put a heap allocation on exactly the path the per-thread descriptor
 // keeps allocation-free.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
-pub enum HybridTx<'rt> {
+pub enum HybridTx<'a> {
     /// Hardware (speculative) or serial attempt.
-    Hw(HtmTx<'rt>),
+    Hw(HtmTx<'a>),
     /// Instrumented software attempt (plain or value-logging).
-    Sw(LazyTx),
+    Sw(LazyTx<'a>),
 }
 
 macro_rules! delegate {
@@ -189,22 +189,35 @@ impl Tx for HybridTx<'_> {
     fn system(&self) -> &Arc<TmSystem> {
         delegate!(self, tx => tx.system())
     }
+
+    fn thread(&self) -> &Arc<ThreadCtx> {
+        delegate!(self, tx => tx.thread())
+    }
 }
 
 impl TxEngine for HybridTm {
-    type Tx<'eng> = HybridTx<'eng>;
+    type Tx<'a> = HybridTx<'a>;
 
-    fn begin(&self, common: TxCommon) -> HybridTx<'_> {
+    fn begin<'a>(
+        &'a self,
+        thread: &'a Arc<ThreadCtx>,
+        desc: &'a mut Descriptor,
+        common: TxCommon,
+    ) -> HybridTx<'a> {
         match common.mode {
             // Hardware runs speculatively; Serial runs the simulator's
             // serial flavour (system gate + commit-barrier drain).
-            TxMode::Hardware | TxMode::Serial => HybridTx::Hw(HtmTx::begin(&self.htm, common)),
+            TxMode::Hardware | TxMode::Serial => {
+                HybridTx::Hw(HtmTx::begin(&self.htm, thread, desc, common))
+            }
             // The software rungs are real STM attempts with the write-back
             // interlock installed.
             TxMode::Software | TxMode::SoftwareRetry => HybridTx::Sw(LazyTx::begin_with(
                 &self.system,
+                thread,
+                desc,
                 common,
-                Some(Arc::clone(&self.interlock) as Arc<dyn CommitInterlock>),
+                Some(&self.interlock),
             )),
         }
     }
@@ -283,29 +296,16 @@ impl TxEngine for HybridTm {
         }
     }
 
-    fn committed_stripes(&self, outcome: &CommitOutcome) -> WakeSet {
-        if outcome.serial {
-            // Serial commits carry no metadata; scan every shard.
-            WakeSet::All
-        } else {
-            // Software commits report their lock set; hardware commits the
-            // stripe cover of their written lines (a superset).  Both are
-            // complete covers, so targeting cannot lose a wakeup.
-            WakeSet::Stripes(outcome.written_orecs.clone())
-        }
-    }
-
-    fn after_writer_commit(&self, thread: &Arc<ThreadCtx>, outcome: &CommitOutcome) {
-        if !self.orig.is_empty() {
-            if outcome.serial {
-                self.orig.wake_all(thread);
-            } else {
-                // Software commits intersect with their lock set; hardware
-                // commits with their written-line stripe cover, a superset
-                // of the written words' stripes — conservative, never lossy.
-                self.orig.wake_matching(thread, &outcome.written_orecs);
-            }
-        }
+    fn after_writer_commit(
+        &self,
+        thread: &Arc<ThreadCtx>,
+        outcome: &CommitOutcome,
+        cover: &[usize],
+    ) {
+        // Software commits leave their lock set as the cover; hardware
+        // commits the stripe cover of their written lines, a superset of the
+        // written words' stripes — conservative, never lossy.
+        self.orig.wake_after_commit(thread, outcome.serial, cover);
     }
 }
 

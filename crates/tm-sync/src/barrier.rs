@@ -191,11 +191,12 @@ impl TmBarrier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_core::{AbortReason, TmConfig, TxCommon, TxCtl, TxMode};
+    use tm_core::{AbortReason, ThreadCtx, TmConfig, TxCommon, TxCtl, TxMode};
 
     struct DirectTx {
         common: TxCommon,
         system: Arc<TmSystem>,
+        thread: Arc<ThreadCtx>,
     }
 
     impl Tx for DirectTx {
@@ -229,6 +230,9 @@ mod tests {
         fn system(&self) -> &Arc<TmSystem> {
             &self.system
         }
+        fn thread(&self) -> &Arc<ThreadCtx> {
+            &self.thread
+        }
     }
 
     #[test]
@@ -238,7 +242,8 @@ mod tests {
         // With one party every arrival is "last"; exercise the arrival logic
         // directly with a pass-through transaction.
         let mut tx = DirectTx {
-            common: TxCommon::new(system.register_thread(), TxMode::Serial, 0),
+            common: TxCommon::new(TxMode::Serial, 0),
+            thread: system.register_thread(),
             system: Arc::clone(&system),
         };
         let gen = b.generation.get(&mut tx).unwrap();
@@ -254,7 +259,8 @@ mod tests {
         let system = TmSystem::new(TmConfig::small());
         let b = TmBarrier::new(&system, 2);
         let mut tx = DirectTx {
-            common: TxCommon::new(system.register_thread(), TxMode::Serial, 0),
+            common: TxCommon::new(TxMode::Serial, 0),
+            thread: system.register_thread(),
             system: Arc::clone(&system),
         };
         let args = [b.generation.addr().0 as u64, 0];

@@ -377,13 +377,14 @@ impl TmBoundedBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_core::{AbortReason, TmConfig, TxCommon, TxCtl, TxMode};
+    use tm_core::{AbortReason, ThreadCtx, TmConfig, TxCommon, TxCtl, TxMode};
 
     /// A direct, single-threaded transaction for exercising the buffer logic
     /// without a full runtime.
     struct DirectTx {
         common: TxCommon,
         system: Arc<TmSystem>,
+        thread: Arc<ThreadCtx>,
     }
 
     impl Tx for DirectTx {
@@ -417,11 +418,15 @@ mod tests {
         fn system(&self) -> &Arc<TmSystem> {
             &self.system
         }
+        fn thread(&self) -> &Arc<ThreadCtx> {
+            &self.thread
+        }
     }
 
     fn direct_tx(system: &Arc<TmSystem>) -> DirectTx {
         DirectTx {
-            common: TxCommon::new(system.register_thread(), TxMode::Serial, 0),
+            common: TxCommon::new(TxMode::Serial, 0),
+            thread: system.register_thread(),
             system: Arc::clone(system),
         }
     }

@@ -139,11 +139,12 @@ impl TmLatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_core::{AbortReason, TmConfig, TxCommon, TxCtl, TxMode, WaitSpec};
+    use tm_core::{AbortReason, ThreadCtx, TmConfig, TxCommon, TxCtl, TxMode, WaitSpec};
 
     struct DirectTx {
         common: TxCommon,
         system: Arc<TmSystem>,
+        thread: Arc<ThreadCtx>,
     }
 
     impl Tx for DirectTx {
@@ -177,11 +178,15 @@ mod tests {
         fn system(&self) -> &Arc<TmSystem> {
             &self.system
         }
+        fn thread(&self) -> &Arc<ThreadCtx> {
+            &self.thread
+        }
     }
 
     fn direct_tx(system: &Arc<TmSystem>) -> DirectTx {
         DirectTx {
-            common: TxCommon::new(system.register_thread(), TxMode::Serial, 0),
+            common: TxCommon::new(TxMode::Serial, 0),
+            thread: system.register_thread(),
             system: Arc::clone(system),
         }
     }

@@ -283,11 +283,12 @@ impl<K: TmValue, V: TmValue> TmOrderedMap<K, V> {
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
-    use tm_core::{AbortReason, TmConfig, TxCommon, TxCtl, TxMode};
+    use tm_core::{AbortReason, ThreadCtx, TmConfig, TxCommon, TxCtl, TxMode};
 
     struct DirectTx {
         common: TxCommon,
         system: Arc<TmSystem>,
+        thread: Arc<ThreadCtx>,
     }
 
     impl Tx for DirectTx {
@@ -321,13 +322,17 @@ mod tests {
         fn system(&self) -> &Arc<TmSystem> {
             &self.system
         }
+        fn thread(&self) -> &Arc<ThreadCtx> {
+            &self.thread
+        }
     }
 
     fn setup() -> (Arc<TmSystem>, TmOrderedMap, DirectTx) {
         let system = TmSystem::new(TmConfig::small());
         let index = TmOrderedMap::new(&system);
         let tx = DirectTx {
-            common: TxCommon::new(system.register_thread(), TxMode::Serial, 0),
+            common: TxCommon::new(TxMode::Serial, 0),
+            thread: system.register_thread(),
             system: Arc::clone(&system),
         };
         (system, index, tx)

@@ -199,6 +199,52 @@ fn await_on_multiple_addresses_wakes_on_any() {
     }
 }
 
+/// Two threads hand a turn variable back and forth with untimed `await_one`.
+/// Capturing the awaited value must be consistent with the attempt's
+/// snapshot: an eager attempt that checked the orec and *then* loaded the
+/// word could record a value the other side had just committed, find it
+/// "unchanged" in the double-check, and sleep forever.  The main thread
+/// guards the whole exchange with a deadline, so a lost wake-up fails the
+/// test instead of hanging it.  The window cannot be forced from outside
+/// the runtime, so this is a stress test: at this size the unfixed eager
+/// capture deadlocked in about half the runs on a two-core host.
+#[test]
+fn await_ping_pong_never_sleeps_on_a_change_that_already_happened() {
+    const ROUNDS: u64 = 25_000;
+    for kind in RuntimeKind::ALL {
+        let rt = kind.build(TmConfig::small());
+        let system = Arc::clone(rt.system());
+        let turn = TmVar::<u64>::alloc(&system, 0);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for me in 0..2u64 {
+            let (rt, system, turn, done_tx) = (
+                rt.clone(),
+                Arc::clone(&system),
+                turn.clone(),
+                done_tx.clone(),
+            );
+            std::thread::spawn(move || {
+                let th = system.register_thread();
+                for _ in 0..ROUNDS {
+                    rt.atomically(&th, |tx| {
+                        if turn.get(tx)? != me {
+                            return await_one(tx, turn.addr());
+                        }
+                        turn.set(tx, 1 - me)
+                    });
+                }
+                let _ = done_tx.send(me);
+            });
+        }
+        for _ in 0..2 {
+            done_rx
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{kind}: a player is asleep on a turn it was given"));
+        }
+        assert_eq!(turn.load_direct(&system), 0, "{kind}: every turn was taken");
+    }
+}
+
 /// Multiple sleepers with different thresholds: each writer commit may wake a
 /// different subset; everybody must eventually finish (Figure 2.1's protocol
 /// repeated across a population of waiters).

@@ -1,0 +1,111 @@
+//! The per-thread counters have one writer each (`tm_core::TxStats`), so an
+//! update is a plain load and store — and they must stay exact: nothing is
+//! lost under concurrency, a foreign reader only ever sees values the owner
+//! stored, and the high-water marks and `log_pool_reuses` keep their
+//! meaning now that attempts run on a resident descriptor.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+use tm_repro::prelude::*;
+
+const THREADS: u64 = 4;
+const OPS_PER_THREAD: u64 = 100_000;
+/// Every this-many ops a transaction also increments a counter all threads
+/// share, so some attempts conflict and abort.
+const SHARED_EVERY: u64 = 64;
+
+#[test]
+fn four_threads_of_updates_count_every_commit_exactly() {
+    for kind in RuntimeKind::ALL {
+        let rt = kind.build(TmConfig::default());
+        let system = Arc::clone(rt.system());
+        let shared = TmVar::<u64>::alloc(&system, 0);
+        let blocks: Vec<Vec<TmVar<u64>>> = (0..THREADS)
+            .map(|_| (0..4).map(|_| TmVar::alloc(&system, 0)).collect())
+            .collect();
+        let running = AtomicBool::new(true);
+
+        let polls = std::thread::scope(|scope| {
+            let (rt, system, shared) = (&rt, &system, &shared);
+            let workers: Vec<_> = blocks
+                .iter()
+                .map(|block| {
+                    scope.spawn(move || {
+                        let th = system.register_thread();
+                        for op in 0..OPS_PER_THREAD {
+                            rt.atomically(&th, |tx| {
+                                for v in block {
+                                    let x = v.get(tx)?;
+                                    v.set(tx, x + 1)?;
+                                }
+                                if op % SHARED_EVERY == 0 {
+                                    let x = shared.get(tx)?;
+                                    shared.set(tx, x + 1)?;
+                                }
+                                Ok(())
+                            });
+                        }
+                    })
+                })
+                .collect();
+            // A foreign reader: every counter it sees was stored by its
+            // owner, so successive polls can only grow.
+            let poller = scope.spawn(|| {
+                let (mut polls, mut last) = (0u64, system.stats());
+                while running.load(Ordering::Acquire) {
+                    let now = system.stats();
+                    assert!(now.total_commits() >= last.total_commits(), "{kind}");
+                    assert!(now.total_aborts() >= last.total_aborts(), "{kind}");
+                    assert!(now.log_pool_reuses >= last.log_pool_reuses, "{kind}");
+                    assert!(now.update_tx_latency.count() >= last.update_tx_latency.count());
+                    assert!(now.total_commits() <= THREADS * OPS_PER_THREAD, "{kind}");
+                    (polls, last) = (polls + 1, now);
+                }
+                polls
+            });
+            for worker in workers {
+                worker.join().expect("worker finishes");
+            }
+            running.store(false, Ordering::Release);
+            poller.join().expect("poller saw monotone counters")
+        });
+        assert!(polls > 0, "{kind}: the poller ran during the workload");
+
+        let ops = THREADS * OPS_PER_THREAD;
+        let stats = system.stats();
+        assert_eq!(stats.total_commits(), ops, "{kind}: one commit per op");
+        assert_eq!(
+            stats.update_tx_latency.count(),
+            ops,
+            "{kind}: one sample per op"
+        );
+        let shared_ops = THREADS * OPS_PER_THREAD.div_ceil(SHARED_EVERY);
+        assert_eq!(shared.load_direct(&system), shared_ops, "{kind}");
+        for block in &blocks {
+            for v in block {
+                assert_eq!(v.load_direct(&system), OPS_PER_THREAD, "{kind}");
+            }
+        }
+        // `log_pool_reuses` counts attempts that began on containers an
+        // earlier attempt had grown: never a thread's first attempt, and
+        // every attempt after the first that logged an access — at the
+        // latest the thread's first commit.  (A hardware attempt can abort
+        // before its first access, so only the STMs pin the upper bound.)
+        let attempts = stats.total_commits() + stats.total_aborts();
+        assert!(stats.log_pool_reuses >= ops - THREADS, "{kind}");
+        assert!(stats.log_pool_reuses <= attempts - THREADS, "{kind}");
+        let stm = matches!(kind, RuntimeKind::EagerStm | RuntimeKind::LazyStm);
+        if stm {
+            assert_eq!(stats.log_pool_reuses, attempts - THREADS, "{kind}");
+        }
+        // The largest attempt touched the block and the shared counter.
+        assert_eq!(stats.write_set_max, 5, "{kind}");
+        if stm {
+            assert_eq!(stats.read_set_max, 5, "{kind}: distinct addresses read");
+        } else {
+            // Hardware attempts count read *lines*.
+            assert!((1..=5).contains(&stats.read_set_max), "{kind}");
+        }
+    }
+}
