@@ -83,7 +83,7 @@ fn park_sleepers(
     n: usize,
     placement: Placement,
     writer_addr: Addr,
-) -> Vec<(Arc<Waiter>, Vec<usize>)> {
+) -> Vec<Arc<Waiter>> {
     let forbidden = writer_shards(system, writer_addr);
     let mut parked = Vec::with_capacity(n);
     let mut candidate = 64usize;
@@ -108,7 +108,7 @@ fn park_sleepers(
         );
         let stripes = w.condition.stripes(&system.orecs);
         system.waiters.register(Arc::clone(&w), &stripes);
-        parked.push((w, stripes));
+        parked.push(w);
     }
     parked
 }
@@ -133,9 +133,9 @@ fn measure(kind: RuntimeKind, placement: Placement, sleepers: usize, commits: u6
     let elapsed = start.elapsed();
     let after = th.stats.snapshot();
 
-    for (w, stripes) in &parked {
+    for w in &parked {
         assert!(w.is_asleep(), "bench sleepers must never be signalled");
-        system.waiters.deregister(w, stripes);
+        system.waiters.remove(w);
     }
 
     Cell {

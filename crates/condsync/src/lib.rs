@@ -30,8 +30,8 @@
 //! sleeper's wait condition as an ordinary read-only transaction over shared
 //! memory.  Relevance comes from the sharded waiter registry
 //! (`tm_core::waitlist`): waiters are indexed by the ownership-record
-//! stripes their conditions cover, and a committing writer scans only the
-//! shards covering the stripes it wrote.  Correctness never *requires* the
+//! stripes their conditions cover, and a committing writer evaluates only
+//! the waiters registered under the stripes it wrote.  Correctness never *requires* the
 //! write set — [`deschedule::wake_waiters`] is the scan-everything variant
 //! any committer may use — which is what keeps the design compatible with
 //! (simulated) hardware TM, whose serial fallback reports no write set at
@@ -43,7 +43,7 @@
 //! |---|---|---|
 //! | `ReadSetValues` (`Retry`) | value log `(addr, val)` pairs | shard of every logged address's stripe |
 //! | `Addrs` (`Await`) | captured `(addr, val)` pairs | shard of every awaited address's stripe |
-//! | `Pred` (`WaitPred`) | predicate + marshalled args | the *unindexed* shard (no addresses to index; scanned by every writer) |
+//! | `Pred` (`WaitPred`) | predicate + marshalled args | shard of every stripe the predicate *read* when last evaluated — found by evaluating it once before registering, and extended by any later check that sees it read elsewhere (see [`tm_core::PredFn`] for the contract this relies on).  Only a predicate that reads nothing, or more than 16 stripes, or whose footprint will not settle, goes to the *overflow* shard every writer scans |
 //! | `OrigReadLocks` (`Retry-Orig`) | — | not in this registry at all: it uses the separate [`OrigRegistry`] keyed by read-lock indices |
 //!
 //! Both functions are invoked exclusively by the unified driver loop in

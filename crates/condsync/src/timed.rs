@@ -239,6 +239,6 @@ mod tests {
         assert!(cancel_thread(&system, 7));
         assert_eq!(w.wake_reason(), Some(WakeReason::Cancelled));
         assert!(!cancel_thread(&system, 7), "already claimed");
-        system.waiters.deregister(&w, &stripes);
+        system.waiters.remove(&w);
     }
 }

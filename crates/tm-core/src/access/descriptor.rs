@@ -1,7 +1,10 @@
 //! The attempt descriptor: every log one transaction attempt fills.
 
+use std::sync::Arc;
+
 use crate::addr::Addr;
 use crate::stats::TxStats;
+use crate::waitlist::Waiter;
 
 use super::index_set::IndexSet;
 use super::read_set::ReadSet;
@@ -45,6 +48,12 @@ pub struct Descriptor {
     /// commit path and read by the driver's wake path.  Survives
     /// [`Descriptor::reset`].
     pub cover: Vec<usize>,
+    /// Scratch of the post-commit wake path (`driver::wake`), kept here so
+    /// that it is reused across commits like the logs are: the waiters a scan
+    /// gathered.  Taken out while in use and handed back empty, like `cover`.
+    pub wake_candidates: Vec<Arc<Waiter>>,
+    /// Scratch of a predicate wake check: the stripes its evaluation read.
+    pub pred_footprint: Vec<usize>,
     /// True once an attempt has logged an access here, i.e. later attempts
     /// start on grown containers (what `log_pool_reuses` counts).
     grown: bool,

@@ -103,6 +103,16 @@ pub type TxResult<T> = Result<T, TxCtl>;
 /// state, with the arguments the waiter marshalled into its wait record.
 ///
 /// Returning `Ok(true)` means "the waiter should (re)run".
+///
+/// **Contract.**  The result must be a deterministic function of `args` and
+/// of the words the predicate reads *through `tx`* — nothing else: no direct
+/// heap loads, no clocks, no state outside the transactional heap.  A
+/// sleeping predicate is re-evaluated only by commits that wrote a stripe
+/// its last evaluation read (it is registered under exactly those stripes,
+/// and re-registered when they change), so a predicate whose answer can
+/// change without one of those words changing may sleep through the change.
+/// The one exception is a predicate that reads nothing transactionally:
+/// having no footprint to index, it is evaluated after every writer commit.
 pub type PredFn = fn(&mut dyn Tx, &[u64]) -> TxResult<bool>;
 
 /// What a descheduling transaction asks to wait for.
@@ -207,10 +217,10 @@ impl WaitCondition {
         }
     }
 
-    /// The ownership-record stripes covering every address whose change
-    /// could establish this condition, sorted and deduplicated.  Empty for
-    /// predicate conditions, which name no addresses and therefore go to the
-    /// waiter registry's unindexed shard (scanned by every writer).
+    /// The ownership-record stripes covering every address this condition
+    /// names, sorted and deduplicated.  Empty for predicate conditions, which
+    /// name none: their stripes are the ones an evaluation reads, which the
+    /// wait protocol records (`driver::wake`).
     ///
     /// This is the indexing side of the no-lost-wakeups invariant: the
     /// waiter registers under exactly these stripes, and committing writers
@@ -287,6 +297,9 @@ mod tests {
             Ok(true)
         }
         let pred = WaitCondition::Pred { f: p, args: vec![] };
-        assert!(pred.stripes(&orecs).is_empty(), "predicates are unindexed");
+        assert!(
+            pred.stripes(&orecs).is_empty(),
+            "predicates name no address"
+        );
     }
 }

@@ -82,7 +82,9 @@ where
     // The declared kind decides which latency class the transaction reports
     // to; the *current* kind may be upgraded to `Update` mid-flight.
     let declared_ro = kind == TxKind::ReadOnly;
-    let started = Instant::now();
+    // `None` for the wait protocol's own transactions (wake checks, the
+    // deschedule double-check), which are not operations and pay no clock.
+    let started = thread.records_latency().then(Instant::now);
     let mut kind = kind;
     // Abort history for the contention policy, reset when a deschedule ends
     // the contention episode (and by policies when they escalate).
@@ -134,20 +136,23 @@ where
                         // themselves in the engines).
                         TxStats::bump(&thread.stats.ro_fast_commits);
                     }
-                    let hist = if declared_ro {
-                        &thread.stats.ro_tx_latency
-                    } else {
-                        &thread.stats.update_tx_latency
-                    };
-                    let elapsed_nanos = started.elapsed().as_nanos() as u64;
-                    hist.record(elapsed_nanos);
-                    if let Some(class) = thread.op_class() {
-                        // Workload-declared operation class: the same
-                        // whole-operation latency (retries, backoff and
-                        // upgrades included) also lands in the class's own
-                        // histogram, so reports can show tail latency per
-                        // get/put/delete/scan rather than per commit kind.
-                        thread.stats.op_histogram(class).record(elapsed_nanos);
+                    if let Some(started) = started {
+                        let hist = if declared_ro {
+                            &thread.stats.ro_tx_latency
+                        } else {
+                            &thread.stats.update_tx_latency
+                        };
+                        let elapsed_nanos = started.elapsed().as_nanos() as u64;
+                        hist.record(elapsed_nanos);
+                        if let Some(class) = thread.op_class() {
+                            // Workload-declared operation class: the same
+                            // whole-operation latency (retries, backoff and
+                            // upgrades included) also lands in the class's
+                            // own histogram, so reports can show tail latency
+                            // per get/put/delete/scan rather than per commit
+                            // kind.
+                            thread.stats.op_histogram(class).record(elapsed_nanos);
+                        }
                     }
                     if outcome.was_writer {
                         // Post-commit wake-ups: engine-specific extras first

@@ -5,49 +5,68 @@
 //! materialised wait condition.  `deschedule`:
 //!
 //! 1. publishes a [`Waiter`] record (condition + semaphore) in the sharded
-//!    waiter registry, under every ownership-record stripe its condition
-//!    covers (predicate conditions, which name no addresses, go to the
-//!    registry's unindexed shard),
+//!    waiter registry, under every ownership-record stripe of its
+//!    condition's footprint — the addresses a `Retry`/`Await` condition
+//!    names, or the stripes a `WaitPred` predicate read when it was
+//!    evaluated just before,
 //! 2. re-evaluates the condition in a fresh read-only transaction
 //!    (the "double-check" of Algorithm 4 lines 6–13) — publishing *before*
 //!    checking is what removes the need to validate the read set atomically
 //!    with the insertion, and is the key difference from Algorithm 1,
 //! 3. sleeps on the semaphore if the condition still does not hold,
-//! 4. deregisters itself upon wake-up and returns, at which point the driver
+//! 4. removes itself upon wake-up and returns, at which point the driver
 //!    re-executes the original transaction from its checkpoint.
 //!
 //! Writers call [`wake_waiters_matching`] strictly *after* committing, with
-//! the stripes their commit wrote ([`Descriptor::cover`]): only the
-//! shards covering those stripes — plus the unindexed shard — are scanned,
-//! so a commit's wake work scales with the sleepers that could actually be
-//! affected, not with every sleeper in the system.  The decision to wake is
-//! still a computation over (now committed) shared memory, so it never
-//! burdens the in-flight transaction — in particular hardware transactions
-//! that never deschedule pay nothing beyond an empty-registry check (one
-//! atomic load).
+//! the stripes their commit wrote ([`Descriptor::cover`]): only the waiters
+//! registered under those stripes — plus the registry's overflow shard —
+//! are evaluated, so a commit's wake work scales with the sleepers that
+//! could actually be affected, not with every sleeper in the system.  The
+//! decision to wake is still a computation over (now committed) shared
+//! memory, so it never burdens the in-flight transaction — in particular
+//! hardware transactions that never deschedule pay nothing beyond an
+//! empty-registry check (one atomic load).
+//!
+//! A predicate's footprint can depend on the data it reads (it reads `sel`,
+//! then `a` or `b`), so the double-check and the writers' wake checks both
+//! go through one helper (`check`) that keeps *publish, then check* true
+//! for it.  A deterministic predicate can only turn true after some location
+//! its last false evaluation read has changed.  So `check` answers "false"
+//! only from an evaluation whose whole footprint was published before that
+//! evaluation began — the commit that changes one of those locations then
+//! finds the waiter; otherwise it first publishes the new stripes
+//! ([`WaitList::extend`]) and evaluates again.  The writer whose commit
+//! moved the predicate onto a new path is itself running `check`, so it
+//! re-establishes the invariant for that path before it returns.
 //!
 //! This logic lives in `tm-core` because the unified driver loop
 //! ([`super::run`]) is its only legitimate caller on the hot path; the
 //! `condsync` crate re-exports the entry points as part of its public API.
 //!
 //! [`Descriptor::cover`]: crate::access::Descriptor::cover
+//! [`WaitList::extend`]: crate::waitlist::WaitList::extend
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::ctl::WaitCondition;
+use crate::addr::Addr;
+use crate::ctl::{TxCtl, TxResult, WaitCondition};
+use crate::orec::OrecTable;
 use crate::runtime::TmRuntime;
 use crate::sem::Semaphore;
 use crate::stats::TxStats;
+use crate::system::TmSystem;
 use crate::thread::ThreadCtx;
-use crate::waitlist::{Waiter, WakeReason, WakeSet};
+use crate::tx::{Tx, TxCommon};
+use crate::waitlist::{Waiter, WakeReason, WakeSet, UNINDEXED};
 
 /// Outcome of a [`deschedule`] / [`deschedule_until`] call, for the driver
 /// loop, statistics and tests.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum DescheduleOutcome {
-    /// The double-check found the condition already established; the thread
-    /// never slept.
+    /// The condition was found already established (by the double-check, or
+    /// for a predicate by the evaluation that finds its first footprint);
+    /// the thread never slept.
     SkippedSleep,
     /// The thread slept (or its deadline had already passed) and was
     /// re-scheduled for the recorded reason.
@@ -63,6 +82,160 @@ impl DescheduleOutcome {
             DescheduleOutcome::Slept(reason) => reason,
         }
     }
+}
+
+/// The widest footprint (in stripes) a predicate waiter is indexed under; a
+/// predicate that reads more goes to the overflow shard, where every commit
+/// checks it, because registering and filtering it would cost more than
+/// that.  Every `tm-sync` predicate reads one word.
+const PRED_FOOTPRINT_CAP: usize = 16;
+
+/// The stripes to register a predicate waiter under, given the footprint of
+/// an evaluation: the footprint itself, or the overflow shard when it is too
+/// wide to index (an empty one goes there by [`WaitList::register`]'s rule).
+///
+/// [`WaitList::register`]: crate::waitlist::WaitList::register
+fn indexable(footprint: &[usize]) -> &[usize] {
+    if footprint.len() > PRED_FOOTPRINT_CAP {
+        &[UNINDEXED]
+    } else {
+        footprint
+    }
+}
+
+/// How many times one `check` re-registers a predicate whose footprint keeps
+/// moving before it gives the waiter to the overflow shard instead.
+const PRED_REINDEX_ROUNDS: usize = 4;
+
+/// The transaction handle a predicate is evaluated through: forwards every
+/// call to the runtime's attempt and notes the stripe of each read, so one
+/// implementation serves all runtimes and every execution mode.
+struct FootprintTx<'a> {
+    inner: &'a mut dyn Tx,
+    orecs: &'a OrecTable,
+    /// Distinct stripes read so far; stops growing one past
+    /// [`PRED_FOOTPRINT_CAP`], which is all "too wide" needs.
+    stripes: &'a mut Vec<usize>,
+}
+
+impl FootprintTx<'_> {
+    fn note(&mut self, addr: Addr) {
+        let stripe = self.orecs.index_for(addr);
+        if self.stripes.len() <= PRED_FOOTPRINT_CAP && !self.stripes.contains(&stripe) {
+            self.stripes.push(stripe);
+        }
+    }
+}
+
+impl Tx for FootprintTx<'_> {
+    fn read(&mut self, addr: Addr) -> TxResult<u64> {
+        self.note(addr);
+        self.inner.read(addr)
+    }
+    fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
+        self.inner.write(addr, val)
+    }
+    fn read_for_write(&mut self, addr: Addr) -> TxResult<u64> {
+        self.note(addr);
+        self.inner.read_for_write(addr)
+    }
+    fn alloc(&mut self, words: usize) -> TxResult<Addr> {
+        self.inner.alloc(words)
+    }
+    fn free(&mut self, addr: Addr, words: usize) -> TxResult<()> {
+        self.inner.free(addr, words)
+    }
+    fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
+        self.inner.commit_and_reopen(block)
+    }
+    fn explicit_abort(&mut self, code: u8) -> TxCtl {
+        self.inner.explicit_abort(code)
+    }
+    fn common(&self) -> &TxCommon {
+        self.inner.common()
+    }
+    fn common_mut(&mut self) -> &mut TxCommon {
+        self.inner.common_mut()
+    }
+    fn system(&self) -> &Arc<TmSystem> {
+        self.inner.system()
+    }
+    fn thread(&self) -> &Arc<ThreadCtx> {
+        self.inner.thread()
+    }
+}
+
+/// Evaluates `condition` once, in a transaction of its own on `thread`; for
+/// a predicate, `footprint` is left holding the stripes that evaluation read.
+///
+/// This is bookkeeping of the wait protocol, not an operation: the thread's
+/// latency accounting is suspended around it, so neither a declared
+/// operation class nor the commit-kind histograms see it.
+fn evaluate(
+    rt: &dyn TmRuntime,
+    thread: &Arc<ThreadCtx>,
+    condition: &WaitCondition,
+    footprint: &mut Vec<usize>,
+) -> bool {
+    let _pause = thread.pause_latency();
+    let orecs = &rt.system().orecs;
+    match condition {
+        WaitCondition::Pred { f, args } => rt.exec_bool(thread, &mut |tx| {
+            // Per execution, not per call: the driver may run this body
+            // several times before one attempt commits.
+            footprint.clear();
+            let mut tx = FootprintTx {
+                inner: tx,
+                orecs,
+                stripes: footprint,
+            };
+            f(&mut tx, args)
+        }),
+        values => rt.exec_bool(thread, &mut |tx| values.should_wake(tx)),
+    }
+}
+
+/// Should the registered `waiter` be woken?  The deschedule double-check
+/// and the writers' wake checks both ask through here.
+///
+/// "No" is only ever answered from an evaluation whose footprint was already
+/// published when it began (see the module docs); until then the footprint
+/// is published and the condition evaluated again.  A `Retry`/`Await`
+/// condition is registered under all its addresses from the start, so it is
+/// evaluated exactly once.
+fn check(rt: &dyn TmRuntime, thread: &Arc<ThreadCtx>, waiter: &Arc<Waiter>) -> bool {
+    if !matches!(waiter.condition, WaitCondition::Pred { .. }) {
+        return evaluate(rt, thread, &waiter.condition, &mut Vec::new());
+    }
+    let mut footprint = std::mem::take(&mut thread.checkout().pred_footprint);
+    let mut reindexes = 0;
+    let established = loop {
+        let published = waiter.published();
+        if evaluate(rt, thread, &waiter.condition, &mut footprint) {
+            break true;
+        }
+        if !waiter.is_asleep() {
+            // Claimed meanwhile (and possibly gone from the registry):
+            // nobody is waiting for this answer.
+            break false;
+        }
+        if !waiter.covers(&footprint) {
+            let stripes = if reindexes < PRED_REINDEX_ROUNDS {
+                indexable(&footprint)
+            } else {
+                &[UNINDEXED]
+            };
+            rt.system().waiters.extend(waiter, stripes);
+            TxStats::bump(&thread.stats.pred_reindexes);
+            reindexes += 1;
+        } else if waiter.published() == published {
+            break false;
+        }
+        // Else another checker extended the registration while we
+        // evaluated, and we cannot tell whether before or after our reads.
+    };
+    thread.checkout().pred_footprint = footprint;
+    established
 }
 
 /// Publishes `condition` and blocks the calling thread until a committed
@@ -116,16 +289,34 @@ pub fn deschedule_until(
     // A fresh semaphore per sleep avoids consuming permits left over from
     // earlier sleeps (a waiter can be woken spuriously and re-deschedule).
     let sem = Arc::new(Semaphore::new());
-    // The stripes covering every address whose change could establish the
-    // condition; any writer whose commit touches one of them scans the
-    // covering shard, which is the no-lost-wakeups invariant.
-    let stripes = condition.stripes(&system.orecs);
     let waiter = Waiter::with_deadline(thread.id, condition, Arc::clone(&sem), deadline);
 
     // Publish first, then double-check.  Any writer that commits after this
     // point will see us in its wakeWaiters scan; any writer that committed
-    // before it is covered by the double-check below.
-    system.waiters.register(Arc::clone(&waiter), &stripes);
+    // before it is covered by the double-check below.  The stripes are those
+    // of every address whose change could establish the condition: any
+    // writer whose commit touches one of them finds the waiter under it,
+    // which is the no-lost-wakeups invariant.
+    if let WaitCondition::Pred { .. } = waiter.condition {
+        // A predicate names no addresses; one evaluation tells which it
+        // reads (and `check` keeps that current).  If it already holds there
+        // is nothing to publish.
+        let mut footprint = std::mem::take(&mut thread.checkout().pred_footprint);
+        let established = evaluate(rt, thread, &waiter.condition, &mut footprint);
+        if !established {
+            system
+                .waiters
+                .register(Arc::clone(&waiter), indexable(&footprint));
+        }
+        thread.checkout().pred_footprint = footprint;
+        if established {
+            TxStats::bump(&thread.stats.desched_skips);
+            return DescheduleOutcome::SkippedSleep;
+        }
+    } else {
+        let stripes = waiter.condition.stripes(&system.orecs);
+        system.waiters.register(Arc::clone(&waiter), &stripes);
+    }
     // Arm the timer wheel only for deadlines still in the future; an
     // already-expired deadline resolves below without ever arming.
     let armed = match deadline {
@@ -136,22 +327,12 @@ pub fn deschedule_until(
         _ => false,
     };
 
-    // The double-check is transactional bookkeeping of the wait protocol,
-    // not an operation of its own: suspend any workload-declared operation
-    // class so its commit does not add a second entry to the operation's
-    // latency histogram.
-    let op_class = thread.op_class();
-    thread.clear_op_class();
-    let established = rt.exec_bool(thread, &mut |tx| waiter.condition.should_wake(tx));
-    if let Some(class) = op_class {
-        thread.set_op_class(class);
-    }
-    if established {
+    if check(rt, thread, &waiter) {
         // Claim our own wake-up so a concurrent writer does not also signal
         // us; if the writer won the race the permit simply goes unused
         // because the semaphore is private to this sleep.
         waiter.claim(WakeReason::Woken);
-        system.waiters.deregister(&waiter, &stripes);
+        system.waiters.remove(&waiter);
         if armed {
             system.timers.disarm(&waiter);
         }
@@ -174,7 +355,7 @@ pub fn deschedule_until(
         }
     }
     let reason = waiter.wake_reason().unwrap_or(WakeReason::Woken);
-    system.waiters.deregister(&waiter, &stripes);
+    system.waiters.remove(&waiter);
     if armed {
         system.timers.disarm(&waiter);
     }
@@ -213,18 +394,18 @@ pub fn wake_waiters(rt: &dyn TmRuntime, thread: &Arc<ThreadCtx>) {
     wake_waiters_matching(rt, thread, &WakeSet::All);
 }
 
-/// Scans the waiter-registry shards covered by `wake` after a writer commit
-/// and wakes every sleeper whose condition now holds (Algorithm 4,
+/// Gathers the waiters registered under the stripes of `wake` after a writer
+/// commit and wakes every sleeper whose condition now holds (Algorithm 4,
 /// `wakeWaiters`, sharded).
 ///
 /// Each condition is evaluated in its own read-only transaction; on the HTM
 /// runtime these run as (simulated) hardware transactions, which is why the
 /// paper keeps the wake-up computation small and contention-free.
 pub fn wake_waiters_matching(rt: &dyn TmRuntime, thread: &Arc<ThreadCtx>, wake: &WakeSet) {
-    let system = rt.system();
+    let waiters = &rt.system().waiters;
     // Fast path: nobody is waiting (the common case, and the reason in-flight
     // transactions see no overhead from the mechanism).
-    if system.waiters.is_empty() {
+    if waiters.is_empty() {
         return;
     }
     // Someone is waiting, so this commit also lends a hand to the timed
@@ -235,30 +416,32 @@ pub fn wake_waiters_matching(rt: &dyn TmRuntime, thread: &Arc<ThreadCtx>, wake: 
     if let WakeSet::Stripes(_) = wake {
         TxStats::bump(&thread.stats.wake_targeted);
     }
-    // Shallow copy of the relevant shards so the scan happens without
-    // holding any registry lock.
-    let plan = system.waiters.scan(wake);
-    TxStats::add(&thread.stats.wake_shard_scans, plan.shards_scanned as u64);
-    TxStats::add(&thread.stats.wake_shard_skips, plan.shards_skipped as u64);
-    // Wake-check transactions run on the committer's thread but are not
-    // part of the workload operation that committed: suspend any declared
-    // operation class so each operation records exactly one latency entry.
-    let op_class = thread.op_class();
-    thread.clear_op_class();
-    for waiter in plan.waiters {
+    // Second fast path: sleepers exist, but none this commit could affect.
+    // Count loads only; no lock, no buffer.
+    if !waiters.any_covered(wake) {
+        let skipped = waiters.shards_skipped(0);
+        TxStats::add(&thread.stats.wake_shard_skips, skipped as u64);
+        return;
+    }
+    // Shallow copy of the covered waiters, into the thread's reused buffer,
+    // so the checks happen without holding any registry lock.
+    let mut candidates = std::mem::take(&mut thread.checkout().wake_candidates);
+    let scanned = waiters.scan_into(wake, &mut candidates);
+    TxStats::add(&thread.stats.wake_shard_scans, scanned as u64);
+    let skipped = waiters.shards_skipped(scanned);
+    TxStats::add(&thread.stats.wake_shard_skips, skipped as u64);
+    for waiter in &candidates {
         if !waiter.is_asleep() {
             continue;
         }
         TxStats::bump(&thread.stats.wake_checks);
-        let should_wake = rt.exec_bool(thread, &mut |tx| waiter.condition.should_wake(tx));
-        if should_wake && waiter.claim_wake() {
+        if check(rt, thread, waiter) && waiter.claim_wake() {
             waiter.sem.post();
             TxStats::bump(&thread.stats.wakeups);
         }
     }
-    if let Some(class) = op_class {
-        thread.set_op_class(class);
-    }
+    candidates.clear();
+    thread.checkout().wake_candidates = candidates;
 }
 
 #[cfg(test)]
@@ -266,11 +449,8 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    use crate::addr::Addr;
     use crate::config::TmConfig;
-    use crate::ctl::{TxResult, WaitCondition};
-    use crate::system::TmSystem;
-    use crate::tx::{Tx, TxCommon, TxMode};
+    use crate::tx::TxMode;
 
     /// A toy runtime whose "transactions" are direct heap accesses; adequate
     /// for exercising the deschedule/wake protocol in isolation.
@@ -352,11 +532,21 @@ mod tests {
         (system, rt)
     }
 
-    /// Registers a values-changed waiter under its condition's stripes, the
-    /// way `deschedule` does.
-    fn register_manually(system: &Arc<TmSystem>, w: &Arc<Waiter>) -> Vec<usize> {
-        let stripes = w.condition.stripes(&system.orecs);
-        system.waiters.register(Arc::clone(w), &stripes);
+    /// A waiter's first footprint, found the way `deschedule` finds it: a
+    /// values-changed condition's stripes, or the stripes a first (false)
+    /// evaluation of a predicate read.
+    fn first_footprint(rt: &ToyRuntime, w: &Arc<Waiter>) -> Vec<usize> {
+        let mut stripes = w.condition.stripes(&rt.system.orecs);
+        if let WaitCondition::Pred { .. } = w.condition {
+            let th = rt.system.register_thread();
+            assert!(!evaluate(rt, &th, &w.condition, &mut stripes));
+        }
+        stripes
+    }
+
+    fn register_manually(rt: &ToyRuntime, w: &Arc<Waiter>) -> Vec<usize> {
+        let stripes = first_footprint(rt, w);
+        rt.system.waiters.register(Arc::clone(w), &stripes);
         stripes
     }
 
@@ -459,7 +649,7 @@ mod tests {
             WaitCondition::ValuesChanged(vec![(Addr(30), 0)]),
             Arc::clone(&sem),
         );
-        let stripes = register_manually(&system, &w);
+        let stripes = register_manually(&rt, &w);
 
         // Pick a stripe that maps to a different shard than the waiter's.
         let waiter_shard = system.waiters.shard_of(stripes[0]);
@@ -479,7 +669,54 @@ mod tests {
         wake_waiters_matching(&rt, &writer, &WakeSet::Stripes(stripes.clone()));
         assert!(!w.is_asleep());
         assert_eq!(sem.permits(), 1);
-        system.waiters.deregister(&w, &stripes);
+        system.waiters.remove(&w);
+    }
+
+    #[test]
+    fn waiters_on_other_stripes_of_a_scanned_shard_are_not_checked() {
+        let (system, rt) = toy();
+        let writer = system.register_thread();
+        // Two words whose stripes differ but alias one registry shard.
+        let shard = |a: usize| system.waiters.shard_of(system.orecs.index_for(Addr(a)));
+        let first = 100usize;
+        let second = (first + 1..system.heap.len())
+            .find(|&a| {
+                shard(a) == shard(first)
+                    && system.orecs.index_for(Addr(a)) != system.orecs.index_for(Addr(first))
+            })
+            .expect("some other stripe shares the shard");
+        let mut waiters = Vec::new();
+        for addr in [first, second] {
+            system.heap.store(Addr(addr), 0);
+            let w = Waiter::new(
+                addr,
+                WaitCondition::ValuesChanged(vec![(Addr(addr), 0)]),
+                Arc::new(Semaphore::new()),
+            );
+            register_manually(&rt, &w);
+            waiters.push(w);
+        }
+
+        // Both values changed, but the commit wrote only the first stripe.
+        system.heap.store(Addr(first), 1);
+        system.heap.store(Addr(second), 1);
+        let stripe = system.orecs.index_for(Addr(first));
+        wake_waiters_matching(&rt, &writer, &WakeSet::Stripes(vec![stripe]));
+        let stats = writer.stats.snapshot();
+        assert_eq!(
+            stats.wake_checks, 1,
+            "only the waiter on the written stripe"
+        );
+        assert_eq!(stats.wake_shard_scans, 1);
+        assert!(!waiters[0].is_asleep());
+        assert!(waiters[1].is_asleep());
+
+        // A commit with no write-set information still checks everyone.
+        wake_waiters(&rt, &writer);
+        assert!(!waiters[1].is_asleep());
+        for w in &waiters {
+            system.waiters.remove(w);
+        }
     }
 
     #[test]
@@ -494,7 +731,7 @@ mod tests {
             WaitCondition::ValuesChanged(vec![(Addr(30), 9)]),
             Arc::clone(&sem),
         );
-        let stripes = register_manually(&system, &w);
+        register_manually(&rt, &w);
 
         // A "silent store" writes the same value; the waiter must not wake.
         system.heap.store(Addr(30), 9);
@@ -507,7 +744,7 @@ mod tests {
         wake_waiters(&rt, &writer_thread);
         assert!(!w.is_asleep());
         assert_eq!(sem.permits(), 1);
-        system.waiters.deregister(&w, &stripes);
+        system.waiters.remove(&w);
     }
 
     #[test]
@@ -521,7 +758,7 @@ mod tests {
             WaitCondition::ValuesChanged(vec![(Addr(40), 0)]),
             Arc::clone(&sem),
         );
-        register_manually(&system, &w);
+        register_manually(&rt, &w);
         wake_waiters(&rt, &writer);
         wake_waiters(&rt, &writer);
         wake_waiters(&rt, &writer);
@@ -545,19 +782,158 @@ mod tests {
             },
             Arc::clone(&sem),
         );
-        register_manually(&system, &w);
+        let stripes = register_manually(&rt, &w);
+        assert_eq!(stripes, vec![system.orecs.index_for(Addr(50))]);
 
         // Value changes but predicate still false: no wake (this is the
         // false-wake-up immunity WaitPred buys over Retry).
         system.heap.store(Addr(50), 8);
         wake_waiters(&rt, &writer);
         assert!(w.is_asleep());
+        assert_eq!(writer.stats.snapshot().wake_checks, 1);
 
-        // Predicate waiters live in the unindexed shard, so even a targeted
-        // commit that wrote "elsewhere" must evaluate them.
+        // The predicate is indexed by the stripe it read, so a targeted
+        // commit that wrote elsewhere does not evaluate it — even though it
+        // would now hold.
         system.heap.store(Addr(50), 11);
-        wake_waiters_matching(&rt, &writer, &WakeSet::Stripes(vec![0]));
+        let elsewhere = (0..system.orecs.len())
+            .find(|s| !stripes.contains(s))
+            .expect("more than one stripe");
+        wake_waiters_matching(&rt, &writer, &WakeSet::Stripes(vec![elsewhere]));
+        assert!(w.is_asleep());
+        assert_eq!(writer.stats.snapshot().wake_checks, 1);
+
+        // The commit that wrote its stripe does.
+        wake_waiters_matching(&rt, &writer, &WakeSet::Stripes(stripes));
         assert!(!w.is_asleep());
+        assert_eq!(sem.permits(), 1);
+        assert_eq!(writer.stats.snapshot().pred_reindexes, 0);
+        system.waiters.remove(&w);
+    }
+
+    /// `args = [sel, a, b, want]`: compares the word `sel` currently selects.
+    fn selected_equals(tx: &mut dyn Tx, args: &[u64]) -> TxResult<bool> {
+        let pick = if tx.read(Addr(args[0] as usize))? == 0 {
+            args[1]
+        } else {
+            args[2]
+        };
+        Ok(tx.read(Addr(pick as usize))? == args[3])
+    }
+
+    #[test]
+    fn a_check_that_reads_a_new_stripe_publishes_it_before_answering_no() {
+        let (system, rt) = toy();
+        let writer = system.register_thread();
+        let (sel, a, b) = (Addr(70), Addr(700), Addr(1400));
+        let stripe = |addr| system.orecs.index_for(addr);
+        assert!(stripe(a) != stripe(b) && stripe(sel) != stripe(b));
+        let w = Waiter::new(
+            1,
+            WaitCondition::Pred {
+                f: selected_equals,
+                args: vec![sel.0 as u64, a.0 as u64, b.0 as u64, 9],
+            },
+            Arc::new(Semaphore::new()),
+        );
+        let first = register_manually(&rt, &w);
+        assert_eq!(first, vec![stripe(sel), stripe(a)], "in read order");
+        assert!(!w.covers(&[stripe(b)]));
+
+        // A commit flips the selector; the predicate is still false, but it
+        // now depends on `b`, which no commit would have found the waiter
+        // under.  The flipping commit's own check must close that gap.
+        system.heap.store(sel, 1);
+        wake_waiters_matching(&rt, &writer, &WakeSet::Stripes(vec![stripe(sel)]));
+        assert!(w.is_asleep());
+        assert!(w.covers(&[stripe(sel), stripe(b)]));
+        let stats = writer.stats.snapshot();
+        assert_eq!(stats.pred_reindexes, 1);
+        assert_eq!(stats.wake_checks, 1, "re-evaluating is part of one check");
+        assert_eq!(
+            rt.exec_count.load(Ordering::Relaxed),
+            3,
+            "the first footprint, then evaluate, publish, evaluate again"
+        );
+
+        // Satisfied through the newly read word only.
+        system.heap.store(b, 9);
+        wake_waiters_matching(&rt, &writer, &WakeSet::Stripes(vec![stripe(b)]));
+        assert!(!w.is_asleep());
+        assert_eq!(writer.stats.snapshot().pred_reindexes, 1);
+        system.waiters.remove(&w);
+        assert!(system.waiters.scan(&WakeSet::All).waiters.is_empty());
+    }
+
+    #[test]
+    fn predicates_without_a_usable_footprint_go_to_the_overflow_shard() {
+        let (system, rt) = toy();
+        let writer = system.register_thread();
+        fn never(_: &mut dyn Tx, _: &[u64]) -> TxResult<bool> {
+            Ok(false)
+        }
+        /// Reads `args[0]` consecutive words from `args[1]`; true once the
+        /// first is non-zero.
+        fn wide(tx: &mut dyn Tx, args: &[u64]) -> TxResult<bool> {
+            let mut first = 0;
+            for i in (0..args[0]).rev() {
+                first = tx.read(Addr((args[1] + i) as usize))?;
+            }
+            Ok(first != 0)
+        }
+        let reads_nothing = Waiter::new(
+            1,
+            WaitCondition::Pred {
+                f: never,
+                args: vec![],
+            },
+            Arc::new(Semaphore::new()),
+        );
+        let too_wide = Waiter::new(
+            2,
+            WaitCondition::Pred {
+                f: wide,
+                args: vec![4 * PRED_FOOTPRINT_CAP as u64, 2000],
+            },
+            Arc::new(Semaphore::new()),
+        );
+        // What `deschedule_until` does with a first footprint.
+        for w in [&reads_nothing, &too_wide] {
+            let footprint = first_footprint(&rt, w);
+            system
+                .waiters
+                .register(Arc::clone(w), indexable(&footprint));
+            assert!(w.covers(&[12345]), "overflow covers every stripe");
+        }
+        // Every commit checks them, wherever it wrote.
+        wake_waiters_matching(&rt, &writer, &WakeSet::Stripes(vec![3]));
+        assert_eq!(writer.stats.snapshot().wake_checks, 2);
+        system.heap.store(Addr(2000), 1);
+        wake_waiters_matching(&rt, &writer, &WakeSet::Stripes(vec![3]));
+        assert!(!too_wide.is_asleep() && reads_nothing.is_asleep());
+        assert_eq!(writer.stats.snapshot().pred_reindexes, 0);
+
+        // A predicate that widens while registered is moved there by the
+        // check that notices.
+        system.heap.store(Addr(2000), 0);
+        let widens = Waiter::new(
+            3,
+            WaitCondition::Pred {
+                f: wide,
+                args: vec![4 * PRED_FOOTPRINT_CAP as u64, 2000],
+            },
+            Arc::new(Semaphore::new()),
+        );
+        let narrow = [system.orecs.index_for(Addr(2000))];
+        system.waiters.register(Arc::clone(&widens), &narrow);
+        wake_waiters_matching(&rt, &writer, &WakeSet::Stripes(narrow.to_vec()));
+        assert!(widens.is_asleep());
+        assert!(widens.covers(&[12345]));
+        assert_eq!(writer.stats.snapshot().pred_reindexes, 1);
+        for w in [&reads_nothing, &too_wide, &widens] {
+            system.waiters.remove(w);
+        }
+        assert!(system.waiters.is_empty());
     }
 
     #[test]
@@ -704,7 +1080,7 @@ mod tests {
             Arc::clone(&sem),
             Some(std::time::Instant::now() + std::time::Duration::from_millis(10)),
         );
-        let stripes = register_manually(&system, &w);
+        register_manually(&rt, &w);
         system.timers.arm(&w);
 
         // Before the deadline a writer scan leaves the waiter alone (the
@@ -717,7 +1093,7 @@ mod tests {
         assert_eq!(w.wake_reason(), Some(WakeReason::Timeout));
         assert_eq!(sem.permits(), 1, "expired waiter signalled exactly once");
         assert!(writer_thread.stats.snapshot().timer_ticks > 0);
-        system.waiters.deregister(&w, &stripes);
+        system.waiters.remove(&w);
         assert!(system.timers.idle(), "the poll consumed the wheel entry");
     }
 

@@ -311,6 +311,10 @@ stats_fields! {
     /// Writer commits that used a targeted (stripe-filtered) wake scan
     /// instead of the conservative scan-everything path.
     wake_targeted,
+    /// Times a wake check (or deschedule double-check) found a `WaitPred`
+    /// predicate reading a stripe it was not registered under, published it
+    /// and evaluated again.
+    pred_reindexes,
     /// Timed waits that ended because their deadline passed
     /// (`WakeReason::Timeout`), counted by the sleeper.
     wake_timeouts,

@@ -112,6 +112,24 @@ impl Drop for Checkout<'_> {
     }
 }
 
+/// [`ThreadCtx::op_class`] tag meaning "latency accounting suspended"; no
+/// [`OpClass`] has it, so the slot reads as "no class" meanwhile.
+const LATENCY_PAUSED: u8 = u8::MAX;
+
+/// Guard of [`ThreadCtx::pause_latency`]; dropping it restores the thread's
+/// operation-class tag.
+#[derive(Debug)]
+pub struct LatencyPause<'a> {
+    thread: &'a ThreadCtx,
+    resume: u8,
+}
+
+impl Drop for LatencyPause<'_> {
+    fn drop(&mut self) {
+        self.thread.op_class.store(self.resume, Ordering::Relaxed);
+    }
+}
+
 /// Per-thread context shared between the thread itself and other threads
 /// (committers performing quiescence, hardware transactions dooming each
 /// other, writers waking sleepers).
@@ -139,8 +157,9 @@ pub struct ThreadCtx {
     /// seed atomic, which was a shared hot line).
     backoff_rng: CachePadded<AtomicU64>,
     /// Workload-declared [`OpClass`] tag of the operation this thread is
-    /// currently running (0 = none).  Owner-written around each operation
-    /// and owner-read by the driver at commit, but padded so the store/load
+    /// currently running (0 = none; [`LATENCY_PAUSED`] inside a
+    /// [`ThreadCtx::pause_latency`] guard).  Owner-written around each
+    /// operation and owner-read by the driver, but padded so the store/load
     /// traffic never dirties a neighbour's line.
     op_class: CachePadded<AtomicU8>,
 }
@@ -181,6 +200,28 @@ impl ThreadCtx {
     #[inline]
     pub fn op_class(&self) -> Option<OpClass> {
         OpClass::from_tag(self.op_class.load(Ordering::Relaxed))
+    }
+
+    /// Suspends latency accounting on this thread until the guard drops:
+    /// transactions it runs meanwhile record into no histogram — neither an
+    /// operation class's nor the commit-kind ones — and read no clock for
+    /// it.  The wait protocol wraps its own transactions (wake checks, the
+    /// deschedule double-check) in this, so an operation records exactly one
+    /// latency sample however many sleepers its commit had to look at.
+    pub fn pause_latency(&self) -> LatencyPause<'_> {
+        // Owner-only slot: a load and a store, not a locked swap.
+        let resume = self.op_class.load(Ordering::Relaxed);
+        self.op_class.store(LATENCY_PAUSED, Ordering::Relaxed);
+        LatencyPause {
+            thread: self,
+            resume,
+        }
+    }
+
+    /// False inside a [`ThreadCtx::pause_latency`] guard.
+    #[inline]
+    pub fn records_latency(&self) -> bool {
+        self.op_class.load(Ordering::Relaxed) != LATENCY_PAUSED
     }
 
     /// This thread's padded epoch-table slot.

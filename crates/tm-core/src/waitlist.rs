@@ -9,28 +9,35 @@
 //!
 //! The original reproduction kept one global `Mutex<Vec<Arc<Waiter>>>`, so
 //! every writer commit scanned *every* sleeper — O(all sleepers) per commit
-//! under a single lock.  Since `Retry`/`Await` conditions are address sets
-//! and every address already hashes to an ownership-record stripe
-//! ([`crate::orec::OrecTable::index_for`]), the registry is now **sharded by
-//! stripe**: a waiter is registered under every shard covering a stripe of
-//! its wait condition, and a committing writer scans only the shards covering
-//! the stripes it actually wrote (plus the *unindexed* shard, which holds
-//! predicate conditions that name no addresses).  Writers whose write sets
-//! are invisible (the HTM serial fallback) pass [`WakeSet::All`] and scan
-//! every shard, which is exactly the old behaviour.
+//! under a single lock.  Every address hashes to an ownership-record stripe
+//! ([`crate::orec::OrecTable::index_for`]), so the registry is **sharded by
+//! stripe**: a waiter is registered under every stripe of its wait
+//! condition's footprint, and a committing writer looks only at the shards
+//! of the stripes it actually wrote, and within them only at the waiters
+//! registered under exactly those stripes.  `Retry`/`Await` conditions are
+//! address sets, so their footprint is known when they deschedule; a
+//! `WaitPred` predicate's footprint is the set of stripes it read when it
+//! was last evaluated, which `driver::wake` records and keeps published
+//! ([`WaitList::extend`]).  The *overflow* shard ([`UNINDEXED`]) holds the
+//! waiters that have no usable footprint — a predicate that read nothing, or
+//! one whose footprint is too wide or will not settle — and is the only shard
+//! every writer scans.  Writers whose write sets are invisible (the HTM
+//! serial fallback) pass [`WakeSet::All`] and scan every shard.
 //!
 //! Two invariants carry over from the paper and must be preserved by every
 //! caller:
 //!
-//! * **No lost wakeups** — a waiter is registered under every shard whose
-//!   stripes cover an address whose change could establish its condition, and
-//!   writers report (a superset of) the stripes they wrote.  Registration
-//!   before the double-check in `deschedule` closes the publish/commit race
-//!   exactly as Algorithm 4 requires; sharding does not widen the window
-//!   because each shard's mutex orders registration against the scan.
+//! * **No lost wakeups** — a waiter is registered under every stripe covering
+//!   an address whose change could establish its condition, and writers
+//!   report (a superset of) the stripes they wrote.  Registration before the
+//!   double-check in `deschedule` closes the publish/commit race exactly as
+//!   Algorithm 4 requires; sharding does not widen the window because each
+//!   shard's mutex orders registration against the scan.
 //! * **Free fast path** — the common no-waiter case costs committing writers
 //!   a single atomic load of the global count, so in-flight (hardware)
-//!   transactions pay nothing for the mechanism.
+//!   transactions pay nothing for the mechanism.  With waiters registered, a
+//!   commit none of them covers costs one count load per written stripe: no
+//!   lock, no buffer, no allocation.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -81,6 +88,10 @@ impl WakeReason {
 /// value is the `WakeReason` discriminant that claimed it.
 const ASLEEP: u8 = 0;
 
+/// The pseudo-stripe of the overflow shard, which every writer scans: where
+/// a waiter with no usable address footprint is registered.
+pub const UNINDEXED: usize = usize::MAX;
+
 /// A published record of a sleeping (descheduled) transaction.
 #[derive(Debug)]
 pub struct Waiter {
@@ -99,6 +110,15 @@ pub struct Waiter {
     /// The instant after which the wait should resolve as
     /// [`WakeReason::Timeout`]; `None` for unbounded waits.
     pub deadline: Option<Instant>,
+    /// The stripes this waiter is registered under ([`UNINDEXED`] for the
+    /// overflow shard), in publication order; empty while unregistered.
+    /// Written only by [`WaitList`] and grow-only between
+    /// [`WaitList::register`] and [`WaitList::remove`], so the waiter is the
+    /// one owner of where it is registered: nobody else keeps a copy that
+    /// has to mirror it.
+    registered: Mutex<Vec<usize>>,
+    /// `registered.len()`, readable without the lock ([`Waiter::published`]).
+    published: AtomicUsize,
 }
 
 impl Waiter {
@@ -120,6 +140,8 @@ impl Waiter {
             condition,
             sem,
             deadline,
+            registered: Mutex::new(Vec::new()),
+            published: AtomicUsize::new(0),
         })
     }
 
@@ -151,6 +173,21 @@ impl Waiter {
             _ => Some(WakeReason::Woken),
         }
     }
+
+    /// How many stripes this waiter is registered under (0 while
+    /// unregistered).  The list only grows while registered, so an unchanged
+    /// value means an unchanged registration.
+    pub fn published(&self) -> usize {
+        self.published.load(Ordering::Acquire)
+    }
+
+    /// True if a commit that wrote any stripe of `footprint` is certain to
+    /// find this waiter: every such stripe is registered, or the waiter is in
+    /// the overflow shard.
+    pub fn covers(&self, footprint: &[usize]) -> bool {
+        let registered = self.registered.lock();
+        registered.contains(&UNINDEXED) || footprint.iter().all(|s| registered.contains(s))
+    }
 }
 
 /// Which shards a committing writer must scan.
@@ -163,16 +200,16 @@ impl Waiter {
 pub enum WakeSet {
     /// Scan every shard (conservative; always correct).
     All,
-    /// Scan only the shards covering these ownership-record stripes, plus
-    /// the unindexed shard.
+    /// Gather only the waiters registered under these ownership-record
+    /// stripes, plus the overflow shard.
     Stripes(Vec<usize>),
 }
 
-/// What a targeted scan gathered: the waiters to evaluate plus shard-level
+/// What a scan gathered: the waiters to evaluate plus shard-level
 /// accounting for the effectiveness counters in [`crate::stats::TxStats`].
 #[derive(Debug, Default)]
 pub struct ScanPlan {
-    /// Distinct waiters registered under the scanned shards.
+    /// Distinct waiters the wake set covers.
     pub waiters: Vec<Arc<Waiter>>,
     /// Shards whose lists were visited.
     pub shards_scanned: usize,
@@ -180,41 +217,47 @@ pub struct ScanPlan {
     pub shards_skipped: usize,
 }
 
-/// One shard: a mutex-protected list plus a count that lets scans skip empty
-/// shards without taking the lock.
+/// One shard: a mutex-protected list of `(stripe, waiter)` registrations
+/// plus a count that lets scans skip empty shards without taking the lock.
 ///
 /// Shards sit in an array indexed by stripe hash, so neighbours belong to
-/// unrelated stripes; the count word is written on every register/deregister
+/// unrelated stripes; the count word is written on every register/remove
 /// and polled by every committing writer's scan, which without padding would
 /// false-share across up to eight shards per cache line.
 #[derive(Debug, Default)]
 struct Shard {
-    list: Mutex<Vec<Arc<Waiter>>>,
+    list: Mutex<Vec<(usize, Arc<Waiter>)>>,
     count: AtomicUsize,
 }
 
 impl Shard {
-    fn push(&self, w: Arc<Waiter>) {
+    fn push(&self, stripe: usize, w: Arc<Waiter>) {
         let mut list = self.list.lock();
-        list.push(w);
+        list.push((stripe, w));
         self.count.store(list.len(), Ordering::Release);
     }
 
-    /// Removes `w` if present; returns true when something was removed.
-    fn remove(&self, w: &Arc<Waiter>) -> bool {
+    /// Removes every registration of `w`.
+    fn remove(&self, w: &Arc<Waiter>) {
         let mut list = self.list.lock();
-        let before = list.len();
-        list.retain(|x| !Arc::ptr_eq(x, w));
+        list.retain(|(_, x)| !Arc::ptr_eq(x, w));
         self.count.store(list.len(), Ordering::Release);
-        list.len() != before
     }
 
     fn is_empty(&self) -> bool {
         self.count.load(Ordering::Acquire) == 0
     }
 
-    fn collect_into(&self, out: &mut Vec<Arc<Waiter>>) {
-        out.extend(self.list.lock().iter().cloned());
+    /// Appends the waiters registered under `stripe` (every waiter of the
+    /// shard for `None`).  Many stripes alias one shard; a waiter on another
+    /// stripe of it cannot be affected by a commit to this one.
+    fn collect_into(&self, stripe: Option<usize>, out: &mut Vec<Arc<Waiter>>) {
+        let list = self.list.lock();
+        out.extend(
+            list.iter()
+                .filter(|(s, _)| stripe.is_none_or(|only| *s == only))
+                .map(|(_, w)| Arc::clone(w)),
+        );
     }
 }
 
@@ -226,8 +269,7 @@ impl Shard {
 #[derive(Debug)]
 pub struct WaitList {
     shards: Box<[CachePadded<Shard>]>,
-    /// Predicate conditions name no addresses; they live here and are scanned
-    /// by every writer.
+    /// The overflow shard ([`UNINDEXED`]), scanned by every writer.
     unindexed: CachePadded<Shard>,
     mask: usize,
     /// Total registered waiters; the committing writer's fast path is one
@@ -260,7 +302,7 @@ impl WaitList {
         }
     }
 
-    /// Number of indexed shards (excluding the unindexed shard).
+    /// Number of indexed shards (excluding the overflow shard).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -269,6 +311,14 @@ impl WaitList {
     #[inline]
     pub fn shard_of(&self, stripe: usize) -> usize {
         stripe & self.mask
+    }
+
+    fn shard_for(&self, stripe: usize) -> &Shard {
+        if stripe == UNINDEXED {
+            &self.unindexed
+        } else {
+            &self.shards[self.shard_of(stripe)]
+        }
     }
 
     /// Fast check used by committing writers: is anyone possibly waiting?
@@ -287,107 +337,132 @@ impl WaitList {
         self.registrations.load(Ordering::Relaxed)
     }
 
-    /// Adds a waiter under every shard covering `stripes`; an empty stripe
-    /// list means the condition names no addresses (a predicate) and the
-    /// waiter goes to the unindexed shard, scanned by every writer.
+    /// Publishes a waiter under `stripes`, its condition's first footprint;
+    /// an empty list means it has none and the waiter goes to the overflow
+    /// shard, scanned by every writer.
     ///
     /// The caller must double-check its wait condition *after* this returns
     /// (Algorithm 4 lines 6–13): any writer that commits after this point
     /// will observe the waiter in its `wakeWaiters` scan, and any writer that
-    /// committed before it is covered by the double-check.  `deregister` must
-    /// later be called with the same stripe list.
+    /// committed before it is covered by the double-check.
     pub fn register(&self, w: Arc<Waiter>, stripes: &[usize]) {
-        for shard in self.shard_indices(stripes) {
-            match shard {
-                Some(i) => self.shards[i].push(Arc::clone(&w)),
-                None => self.unindexed.push(Arc::clone(&w)),
+        let mut registered = w.registered.lock();
+        let first = registered.is_empty();
+        let stripes = if stripes.is_empty() {
+            &[UNINDEXED]
+        } else {
+            stripes
+        };
+        self.publish(&w, &mut registered, stripes);
+        if first {
+            self.count.fetch_add(1, Ordering::Release);
+            self.registrations.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Also publishes a registered waiter under `stripes` (idempotent); does
+    /// nothing to a waiter that is not, or no longer, registered.  As with
+    /// [`WaitList::register`], a condition evaluated *before* this returned
+    /// says nothing about commits to the new stripes: evaluate again.
+    pub fn extend(&self, w: &Arc<Waiter>, stripes: &[usize]) {
+        let mut registered = w.registered.lock();
+        if !registered.is_empty() {
+            self.publish(w, &mut registered, stripes);
+        }
+    }
+
+    fn publish(&self, w: &Arc<Waiter>, registered: &mut Vec<usize>, stripes: &[usize]) {
+        for &stripe in stripes {
+            if !registered.contains(&stripe) {
+                self.shard_for(stripe).push(stripe, Arc::clone(w));
+                registered.push(stripe);
             }
         }
-        self.count.fetch_add(1, Ordering::Release);
-        self.registrations.fetch_add(1, Ordering::Relaxed);
+        w.published.store(registered.len(), Ordering::Release);
     }
 
-    /// Removes a waiter registered under `stripes` (Algorithm 4 line 16,
-    /// after wake-up).  Must mirror the `register` call.
-    pub fn deregister(&self, w: &Arc<Waiter>, stripes: &[usize]) {
-        let mut removed = false;
-        for shard in self.shard_indices(stripes) {
-            removed |= match shard {
-                Some(i) => self.shards[i].remove(w),
-                None => self.unindexed.remove(w),
-            };
+    /// Removes a waiter from every shard it is registered under
+    /// (Algorithm 4 line 16, after wake-up).  Harmless for a waiter that is
+    /// not registered.
+    pub fn remove(&self, w: &Arc<Waiter>) {
+        let mut registered = w.registered.lock();
+        if registered.is_empty() {
+            return;
         }
-        // Only decrement for waiters that were actually registered, so a
-        // deregister of an unknown waiter stays harmless.
-        if removed {
-            let _ = self
-                .count
-                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |c| {
-                    Some(c.saturating_sub(1))
-                });
+        for stripe in registered.drain(..) {
+            self.shard_for(stripe).remove(w);
         }
+        w.published.store(0, Ordering::Release);
+        self.count.fetch_sub(1, Ordering::AcqRel);
     }
 
-    /// The distinct shard slots covering `stripes` (`None` = unindexed).
-    fn shard_indices(&self, stripes: &[usize]) -> Vec<Option<usize>> {
-        if stripes.is_empty() {
-            return vec![None];
-        }
-        let mut idx: Vec<Option<usize>> = stripes.iter().map(|&s| Some(self.shard_of(s))).collect();
-        idx.sort_unstable();
-        idx.dedup();
-        idx
+    /// [`WaitList::remove`] under the name and shape it had while callers
+    /// kept the stripe list themselves; the slice is ignored.  Only the
+    /// ledger's `waitlist.register_deregister_ns` row still calls it.
+    #[doc(hidden)]
+    pub fn deregister(&self, w: &Arc<Waiter>, _stripes: &[usize]) {
+        self.remove(w);
     }
 
-    /// Gathers the waiters a commit touching `wake` must evaluate: the union
-    /// of the shards covering the written stripes, plus the unindexed shard.
-    /// Shards the wake set does not touch (and touched-but-empty shards) are
-    /// skipped without taking their locks.
-    pub fn scan(&self, wake: &WakeSet) -> ScanPlan {
-        let mut plan = ScanPlan::default();
+    /// True if a commit touching `wake` has anyone to evaluate.  Count loads
+    /// only — no lock is taken — so a commit that no sleeper covers pays one
+    /// load per written stripe.
+    pub fn any_covered(&self, wake: &WakeSet) -> bool {
         match wake {
-            WakeSet::All => {
-                for shard in self.shards.iter().chain(std::iter::once(&self.unindexed)) {
-                    if shard.is_empty() {
-                        plan.shards_skipped += 1;
-                    } else {
-                        plan.shards_scanned += 1;
-                        shard.collect_into(&mut plan.waiters);
-                    }
-                }
-            }
+            WakeSet::All => !self.is_empty(),
             WakeSet::Stripes(stripes) => {
-                let mut targeted = 0usize;
-                for shard_idx in self.shard_indices(stripes) {
-                    let shard = match shard_idx {
-                        Some(i) => &self.shards[i],
-                        None => continue, // unindexed handled below
-                    };
-                    targeted += 1;
-                    if shard.is_empty() {
-                        plan.shards_skipped += 1;
-                    } else {
-                        plan.shards_scanned += 1;
-                        shard.collect_into(&mut plan.waiters);
-                    }
-                }
-                // Shards outside the write set's stripe cover are skipped
-                // without even a count load — the whole point of targeting.
-                plan.shards_skipped += self.shards.len() - targeted;
-                // Every writer scans the unindexed (predicate) shard.
-                if self.unindexed.is_empty() {
-                    plan.shards_skipped += 1;
-                } else {
-                    plan.shards_scanned += 1;
-                    self.unindexed.collect_into(&mut plan.waiters);
+                !self.unindexed.is_empty()
+                    || stripes
+                        .iter()
+                        .any(|&s| !self.shards[self.shard_of(s)].is_empty())
+            }
+        }
+    }
+
+    /// Gathers into `out` (cleared first) the distinct waiters a commit
+    /// touching `wake` must evaluate: those registered under a written
+    /// stripe, plus the overflow shard.  Returns how many shard lists were
+    /// visited; empty shards are passed over without taking their locks.
+    pub fn scan_into(&self, wake: &WakeSet, out: &mut Vec<Arc<Waiter>>) -> usize {
+        out.clear();
+        let mut scanned = 0usize;
+        let mut visit = |shard: &Shard, stripe: Option<usize>| {
+            if !shard.is_empty() {
+                scanned += 1;
+                shard.collect_into(stripe, out);
+            }
+        };
+        match wake {
+            WakeSet::All => self.shards.iter().for_each(|shard| visit(shard, None)),
+            WakeSet::Stripes(stripes) => {
+                for &s in stripes {
+                    visit(&self.shards[self.shard_of(s)], Some(s));
                 }
             }
         }
-        // A waiter spanning several scanned shards appears once per shard;
-        // evaluate it once.
-        plan.waiters.sort_by_key(|w| Arc::as_ptr(w) as usize);
-        plan.waiters.dedup_by(|a, b| Arc::ptr_eq(a, b));
-        plan
+        visit(&self.unindexed, None);
+        // A waiter registered under several scanned stripes appears once per
+        // stripe; evaluate it once.
+        out.sort_unstable_by_key(|w| Arc::as_ptr(w) as usize);
+        out.dedup_by(|a, b| Arc::ptr_eq(a, b));
+        scanned
+    }
+
+    /// [`WaitList::scan_into`] a fresh buffer, with the shard accounting.
+    pub fn scan(&self, wake: &WakeSet) -> ScanPlan {
+        let mut waiters = Vec::new();
+        let shards_scanned = self.scan_into(wake, &mut waiters);
+        ScanPlan {
+            waiters,
+            shards_scanned,
+            shards_skipped: self.shards_skipped(shards_scanned),
+        }
+    }
+
+    /// The shards (overflow included) a scan that visited `scanned` lists
+    /// did not have to look at.
+    pub fn shards_skipped(&self, scanned: usize) -> usize {
+        (self.shards.len() + 1).saturating_sub(scanned)
     }
 
     /// A shallow copy of every registered waiter (`waiting.copy()` in the
@@ -425,18 +500,8 @@ mod tests {
         )
     }
 
-    fn pred_waiter(tid: ThreadId) -> Arc<Waiter> {
-        fn always(_: &mut dyn crate::tx::Tx, _: &[u64]) -> crate::ctl::TxResult<bool> {
-            Ok(true)
-        }
-        Waiter::new(
-            tid,
-            WaitCondition::Pred {
-                f: always,
-                args: vec![],
-            },
-            Arc::new(Semaphore::new()),
-        )
+    fn scanned(r: &WaitList, stripes: &[usize]) -> Vec<Arc<Waiter>> {
+        r.scan(&WakeSet::Stripes(stripes.to_vec())).waiters
     }
 
     #[test]
@@ -445,6 +510,7 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(r.len(), 0);
         assert!(r.snapshot().is_empty());
+        assert!(!r.any_covered(&WakeSet::All));
     }
 
     #[test]
@@ -455,7 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn register_and_deregister_round_trip() {
+    fn register_and_remove_round_trip() {
         let r = WaitList::new(8);
         let w1 = dummy_waiter(0);
         let w2 = dummy_waiter(1);
@@ -464,26 +530,38 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert!(!r.is_empty());
         assert_eq!(r.registrations(), 2);
-        r.deregister(&w1, &[3]);
+        assert_eq!(w1.published(), 1);
+        r.remove(&w1);
         assert_eq!(r.len(), 1);
+        assert_eq!(w1.published(), 0);
         let snap = r.snapshot();
         assert_eq!(snap.len(), 1);
         assert!(Arc::ptr_eq(&snap[0], &w2));
+        // A removed waiter can be published again (the ledger re-registers
+        // one record in a loop, through the old two-argument name).
+        r.register(Arc::clone(&w1), &[5]);
+        assert_eq!(scanned(&r, &[5]).len(), 1);
+        assert!(scanned(&r, &[3]).is_empty(), "the old stripe is gone");
+        r.deregister(&w1, &[5]);
+        assert_eq!(r.len(), 1);
     }
 
     #[test]
-    fn deregister_unknown_waiter_is_harmless() {
+    fn removing_an_unregistered_waiter_is_harmless() {
         let r = WaitList::new(8);
         let w1 = dummy_waiter(0);
         r.register(Arc::clone(&w1), &[1]);
         let unknown = dummy_waiter(9);
-        r.deregister(&unknown, &[1]);
+        r.remove(&unknown);
         assert_eq!(r.len(), 1);
-        // Even with the count decremented spuriously it must not underflow.
-        r.deregister(&unknown, &[2]);
-        r.deregister(&w1, &[1]);
-        r.deregister(&w1, &[1]);
+        r.remove(&w1);
+        r.remove(&w1);
         assert_eq!(r.len(), 0);
+        // ... and so is extending it: a checker that still holds a waiter
+        // whose sleeper already left must not bring it back.
+        r.extend(&w1, &[2]);
+        assert!(r.is_empty() && r.snapshot().is_empty());
+        assert!(!r.any_covered(&WakeSet::Stripes(vec![2])));
     }
 
     #[test]
@@ -496,22 +574,37 @@ mod tests {
         let hit = r.scan(&WakeSet::Stripes(vec![0]));
         assert_eq!(hit.waiters.len(), 1);
         assert!(Arc::ptr_eq(&hit.waiters[0], &a));
-        assert!(hit.shards_scanned >= 1);
+        assert_eq!(hit.shards_scanned, 1);
+        assert_eq!(hit.shards_skipped, 8);
+        assert!(r.any_covered(&WakeSet::Stripes(vec![0])));
         let miss = r.scan(&WakeSet::Stripes(vec![2]));
         assert!(miss.waiters.is_empty());
-        assert!(miss.shards_skipped >= 1);
+        assert_eq!((miss.shards_scanned, miss.shards_skipped), (0, 9));
+        assert!(!r.any_covered(&WakeSet::Stripes(vec![2])));
     }
 
     #[test]
-    fn stripes_aliasing_one_shard_scan_once() {
+    fn stripes_aliasing_one_shard_are_told_apart() {
         let r = WaitList::new(4);
         let w = dummy_waiter(0);
-        // Stripes 1 and 5 both map to shard 1 with 4 shards.
+        let other = dummy_waiter(1);
+        // Stripes 1, 5 and 9 all map to shard 1 with 4 shards.
         r.register(Arc::clone(&w), &[1, 5]);
+        r.register(Arc::clone(&other), &[9]);
         assert_eq!(r.shard_of(1), r.shard_of(5));
-        let plan = r.scan(&WakeSet::Stripes(vec![1, 5]));
-        assert_eq!(plan.waiters.len(), 1, "waiter must be deduplicated");
-        r.deregister(&w, &[1, 5]);
+        assert_eq!(r.shard_of(1), r.shard_of(9));
+        let plan = scanned(&r, &[1, 5]);
+        assert_eq!(plan.len(), 1, "waiter must be deduplicated");
+        assert!(
+            Arc::ptr_eq(&plan[0], &w),
+            "stripe 9's waiter is not a candidate"
+        );
+        // The shard is occupied, so the probe cannot rule stripe 13 out, but
+        // the scan gathers nobody for it.
+        assert!(r.any_covered(&WakeSet::Stripes(vec![13])));
+        assert!(scanned(&r, &[13]).is_empty());
+        r.remove(&w);
+        r.remove(&other);
         assert!(r.snapshot().is_empty());
     }
 
@@ -522,26 +615,52 @@ mod tests {
         r.register(Arc::clone(&w), &[2, 6]);
         assert_eq!(r.len(), 1, "one waiter regardless of stripe fan-out");
         for stripe in [2usize, 6] {
-            let plan = r.scan(&WakeSet::Stripes(vec![stripe]));
-            assert_eq!(plan.waiters.len(), 1);
+            assert_eq!(scanned(&r, &[stripe]).len(), 1);
         }
-        let plan = r.scan(&WakeSet::Stripes(vec![2, 6]));
-        assert_eq!(plan.waiters.len(), 1, "scan across both shards dedups");
-        r.deregister(&w, &[2, 6]);
+        assert_eq!(scanned(&r, &[2, 6]).len(), 1, "scan across both dedups");
+        r.remove(&w);
         assert!(r.is_empty());
-        assert!(r.scan(&WakeSet::Stripes(vec![2])).waiters.is_empty());
+        assert!(scanned(&r, &[2]).is_empty());
     }
 
     #[test]
-    fn predicate_waiters_are_seen_by_every_wake_set() {
+    fn extending_a_registration_publishes_new_stripes_once() {
         let r = WaitList::new(8);
-        let w = pred_waiter(0);
-        r.register(Arc::clone(&w), &[]);
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.scan(&WakeSet::All).waiters.len(), 1);
-        assert_eq!(r.scan(&WakeSet::Stripes(vec![7])).waiters.len(), 1);
-        assert_eq!(r.scan(&WakeSet::Stripes(vec![])).waiters.len(), 1);
-        r.deregister(&w, &[]);
+        let w = dummy_waiter(0);
+        r.register(Arc::clone(&w), &[2]);
+        assert!(w.covers(&[2]) && w.covers(&[]) && !w.covers(&[2, 11]));
+        r.extend(&w, &[11, 2, 11]);
+        assert_eq!(w.published(), 2, "already published stripes are kept");
+        assert_eq!(r.len(), 1, "still one waiter");
+        assert_eq!(r.registrations(), 1);
+        assert!(w.covers(&[11, 2]));
+        assert_eq!(scanned(&r, &[11]).len(), 1);
+        // The overflow shard covers every footprint.
+        r.extend(&w, &[UNINDEXED]);
+        assert!(w.covers(&[77]));
+        assert_eq!(scanned(&r, &[77]).len(), 1);
+        r.remove(&w);
+        assert!(r.is_empty());
+        assert!(r.scan(&WakeSet::All).waiters.is_empty(), "every shard left");
+    }
+
+    #[test]
+    fn only_waiters_without_a_footprint_are_seen_by_every_wake_set() {
+        let r = WaitList::new(8);
+        let indexed = dummy_waiter(0);
+        let overflow = dummy_waiter(1);
+        r.register(Arc::clone(&indexed), &[3]);
+        r.register(Arc::clone(&overflow), &[]);
+        assert_eq!(r.len(), 2);
+        assert_eq!(r.scan(&WakeSet::All).waiters.len(), 2);
+        for stripes in [vec![7], vec![]] {
+            let seen = scanned(&r, &stripes);
+            assert_eq!(seen.len(), 1);
+            assert!(Arc::ptr_eq(&seen[0], &overflow));
+        }
+        assert_eq!(scanned(&r, &[3]).len(), 2);
+        r.remove(&overflow);
+        r.remove(&indexed);
         assert!(r.is_empty());
     }
 
@@ -585,7 +704,7 @@ mod tests {
         // Once claimed, the waiter no longer counts as cancellable.
         assert!(w.claim(WakeReason::Cancelled));
         assert!(r.find_by_thread(7).is_none());
-        r.deregister(&w, &[3]);
+        r.remove(&w);
     }
 
     #[test]

@@ -176,7 +176,8 @@ impl Panel {
 
     /// One line per mechanism summarising targeted-wake effectiveness:
     /// waiters whose conditions were evaluated versus registry shards the
-    /// writer never had to visit, plus the timed-wait counters (deadline
+    /// writer never had to visit and `WaitPred` footprints that had to be
+    /// re-registered, plus the timed-wait counters (deadline
     /// expiries, cancellations, lazy timer-wheel ticks).  Empty when the
     /// panel did no wake work.
     pub fn render_wake_stats(&self) -> String {
@@ -196,13 +197,14 @@ impl Panel {
             }
             let _ = writeln!(
                 out,
-                "# wake-path {:>10}: waiters scanned {:>8}  wakeups {:>8}  shards scanned {:>8}  shards skipped {:>10}  targeted commits {:>8}  timeouts {:>8}  cancels {:>6}  timer ticks {:>8}",
+                "# wake-path {:>10}: waiters scanned {:>8}  wakeups {:>8}  shards scanned {:>8}  shards skipped {:>10}  targeted commits {:>8}  pred reindexes {:>6}  timeouts {:>8}  cancels {:>6}  timer ticks {:>8}",
                 s.mechanism.label(),
                 stats.wake_checks,
                 stats.wakeups,
                 stats.wake_shard_scans,
                 stats.wake_shard_skips,
                 stats.wake_targeted,
+                stats.pred_reindexes,
                 stats.wake_timeouts,
                 stats.wake_cancels,
                 stats.timer_ticks,
@@ -784,6 +786,7 @@ mod tests {
         with_wakes.stats.wake_shard_scans = 5;
         with_wakes.stats.wake_shard_skips = 200;
         with_wakes.stats.wake_targeted = 7;
+        with_wakes.stats.pred_reindexes = 2;
         with_wakes.stats.wake_timeouts = 4;
         with_wakes.stats.wake_cancels = 1;
         with_wakes.stats.timer_ticks = 99;
@@ -793,6 +796,7 @@ mod tests {
         assert!(text.contains("waiters scanned       12"));
         assert!(text.contains("shards skipped        200"));
         assert!(text.contains("targeted commits        7"));
+        assert!(text.contains("pred reindexes      2"));
         assert!(text.contains("timeouts        4"));
         assert!(text.contains("cancels      1"));
         assert!(text.contains("timer ticks       99"));

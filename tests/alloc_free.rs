@@ -4,15 +4,16 @@
 //! (`tm_core::access::Descriptor`), checked out once per transaction and
 //! lent to each attempt, so once the containers have grown a transaction
 //! performs no heap allocation — with nobody waiting at all, and with a
-//! sleeper parked only what the waiter-registry scan itself allocates.  A
-//! counting global allocator checks exactly that, per thread, so the
-//! allocations of other tests in this binary do not count.
+//! sleeper parked that the commit cannot affect (a `wait_pred` sleeper is
+//! registered under the stripes its predicate reads).  A counting global
+//! allocator checks exactly that, per thread, so the allocations of other
+//! tests in this binary do not count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use tm_repro::core::{ThreadCtx, WaitList, WakeSet};
+use tm_repro::core::ThreadCtx;
 use tm_repro::prelude::*;
 
 struct Counting;
@@ -103,25 +104,45 @@ fn nonzero(tx: &mut dyn Tx, args: &[u64]) -> TxResult<bool> {
     Ok(tx.read(Addr(args[0] as usize))? != 0)
 }
 
-/// Allocations of one registry scan for a commit that wrote `stripes`, with
-/// the registry in its current state.
-fn scan_allocations(waiters: &WaitList, stripes: Vec<usize>) -> u64 {
-    let wake = WakeSet::Stripes(stripes);
-    allocations_in(|| drop(waiters.scan(&wake)))
+/// A flag word that no commit of `block` can reach on any runtime (the
+/// ledger's `place_flag(.., disjoint = true)`): at least two cache lines
+/// away, and on a stripe and a wait-list shard outside the cover of the
+/// block's cache lines, which is what hardware commits report.
+fn disjoint_flag(system: &Arc<TmSystem>, block: &[TmVar<u64>]) -> TmVar<u64> {
+    let stripes: Vec<usize> = block
+        .iter()
+        .flat_map(|v| system.orecs.line_indices(v.addr().line()))
+        .collect();
+    let shards: Vec<usize> = stripes
+        .iter()
+        .map(|&s| system.waiters.shard_of(s))
+        .collect();
+    let candidates = TmArray::<u64>::alloc(system, 512, 0);
+    (0..candidates.len())
+        .map(|i| candidates.addr_of(i))
+        .find(|&addr| {
+            let stripe = system.orecs.index_for(addr);
+            block.iter().all(|v| v.addr().0.abs_diff(addr.0) >= 16)
+                && !stripes.contains(&stripe)
+                && !shards.contains(&system.waiters.shard_of(stripe))
+        })
+        .map(TmVar::from_addr)
+        .expect("some heap word is disjoint from the block")
 }
 
 #[test]
-fn with_a_sleeper_parked_a_commit_allocates_only_what_the_registry_scan_does() {
+fn with_a_disjoint_wait_pred_sleeper_parked_a_commit_checks_and_allocates_nothing() {
     for kind in RuntimeKind::ALL {
         let rt = kind.build(TmConfig::default());
         let system = Arc::clone(rt.system());
         let th = system.register_thread();
         let block: Vec<TmVar<u64>> = (0..4).map(|_| TmVar::alloc(&system, 0)).collect();
-        let flag = TmVar::<u64>::alloc(&system, 0);
+        let flag = disjoint_flag(&system, &block);
 
         std::thread::scope(|scope| {
-            // The `tx_bystander` sleeper: a predicate that stays false names
-            // no address, so every commit must run one wake check for it.
+            // The `tx_bystander` sleeper.  Its predicate reads only the
+            // flag, so it is registered under the flag's stripe and a commit
+            // of the block has nobody to check.
             let sleeper = scope.spawn(|| {
                 let th = system.register_thread();
                 rt.atomically(&th, |tx| {
@@ -138,15 +159,70 @@ fn with_a_sleeper_parked_a_commit_allocates_only_what_the_registry_scan_does() {
             for _ in 0..WARM_UP {
                 update(&rt, &th, &block);
             }
-            // What the scan costs for this commit's cover (every runtime's
-            // cover lies within the stripes of the block's cache lines).
-            let mut stripes = Vec::new();
-            for v in &block {
-                stripes.extend(system.orecs.line_indices(v.addr().line()));
-            }
-            let per_scan = scan_allocations(&system.waiters, stripes);
-            assert!(per_scan > 0, "{kind}: the scan copies the shard out");
+            let before = system.stats();
+            let allocations = allocations_in(|| {
+                for _ in 0..MEASURED {
+                    update(&rt, &th, &block);
+                }
+            });
+            let after = system.stats();
+            assert_eq!(
+                after.wake_checks - before.wake_checks,
+                0,
+                "{kind}: no commit of the block covers the sleeper's stripe"
+            );
+            assert_eq!(
+                after.wake_shard_scans - before.wake_shard_scans,
+                0,
+                "{kind}: the scan stops at the shard counts"
+            );
+            assert_eq!(
+                allocations, 0,
+                "{kind}: {MEASURED} commits with a sleeper registered elsewhere"
+            );
 
+            // The commit that does write its stripe checks it, in the
+            // thread's reused buffers once they have grown, and wakes it.
+            rt.atomically(&th, |tx| flag.set(tx, 1));
+            sleeper.join().expect("sleeper wakes and commits");
+            let woken = system.stats();
+            assert_eq!(woken.wake_checks - after.wake_checks, 1, "{kind}");
+            assert_eq!((woken.sleeps, woken.wakeups), (1, 1), "{kind}");
+        });
+    }
+}
+
+fn at_least(tx: &mut dyn Tx, args: &[u64]) -> TxResult<bool> {
+    Ok(tx.read(Addr(args[0] as usize))? >= args[1])
+}
+
+#[test]
+fn with_a_sleeper_on_a_written_word_each_commit_checks_it_in_reused_buffers() {
+    const RELEASE: u64 = u64::MAX / 2;
+    for kind in RuntimeKind::ALL {
+        let rt = kind.build(TmConfig::default());
+        let system = Arc::clone(rt.system());
+        let th = system.register_thread();
+        let block: Vec<TmVar<u64>> = (0..4).map(|_| TmVar::alloc(&system, 0)).collect();
+        let watched = &block[0];
+
+        std::thread::scope(|scope| {
+            let sleeper = scope.spawn(|| {
+                let th = system.register_thread();
+                rt.atomically(&th, |tx| {
+                    if watched.get(tx)? < RELEASE {
+                        return wait_pred(tx, at_least, &[watched.addr().0 as u64, RELEASE]);
+                    }
+                    Ok(())
+                });
+            });
+            while system.stats().sleeps == 0 {
+                std::thread::yield_now();
+            }
+
+            for _ in 0..WARM_UP {
+                update(&rt, &th, &block);
+            }
             let before = system.stats();
             let allocations = allocations_in(|| {
                 for _ in 0..MEASURED {
@@ -160,14 +236,14 @@ fn with_a_sleeper_parked_a_commit_allocates_only_what_the_registry_scan_does() {
                 "{kind}: one nested wake-check transaction per commit"
             );
             assert_eq!(
-                allocations,
-                MEASURED * per_scan,
-                "{kind}: per commit, the scan's {per_scan} allocation(s) and nothing else \
-                 (the cover buffer is moved and handed back, the wake check runs warm)"
+                allocations, 0,
+                "{kind}: the cover and candidate buffers are moved and handed back, \
+                 the footprint is recorded in place, the wake check runs warm"
             );
 
-            rt.atomically(&th, |tx| flag.set(tx, 1));
+            rt.atomically(&th, |tx| watched.set(tx, RELEASE));
             sleeper.join().expect("sleeper wakes and commits");
+            assert_eq!(system.stats().wakeups, 1, "{kind}");
         });
     }
 }

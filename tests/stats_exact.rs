@@ -109,3 +109,54 @@ fn four_threads_of_updates_count_every_commit_exactly() {
         }
     }
 }
+
+fn at_least(tx: &mut dyn Tx, args: &[u64]) -> TxResult<bool> {
+    Ok(tx.read(Addr(args[0] as usize))? >= args[1])
+}
+
+/// Wake checks and the deschedule double-check are transactions of the wait
+/// protocol, not operations: with a sleeper parked on a word every commit
+/// writes, each commit runs one, and none of them may add a sample to the
+/// latency histograms (or an operation would seem to be several).
+#[test]
+fn wake_checks_record_no_latency_samples() {
+    const OPS: u64 = 2_000;
+    for kind in RuntimeKind::ALL {
+        let rt = kind.build(TmConfig::default());
+        let system = Arc::clone(rt.system());
+        let counter = TmVar::<u64>::alloc(&system, 0);
+
+        std::thread::scope(|scope| {
+            let sleeper = scope.spawn(|| {
+                let th = system.register_thread();
+                rt.atomically(&th, |tx| {
+                    if counter.get(tx)? < OPS {
+                        return wait_pred(tx, at_least, &[counter.addr().0 as u64, OPS]);
+                    }
+                    Ok(())
+                });
+            });
+            while system.stats().sleeps == 0 {
+                std::thread::yield_now();
+            }
+            let th = system.register_thread();
+            for _ in 0..OPS {
+                rt.atomically(&th, |tx| {
+                    let x = counter.get(tx)?;
+                    counter.set(tx, x + 1)
+                });
+            }
+            sleeper
+                .join()
+                .expect("the last increment wakes the sleeper");
+        });
+
+        let stats = system.stats();
+        assert_eq!(stats.wake_checks, OPS, "{kind}: one check per commit");
+        assert_eq!((stats.sleeps, stats.wakeups), (1, 1), "{kind}");
+        // The increments and the sleeper's own transaction; not its first
+        // evaluation, its double-check, or the writer's wake checks.
+        assert_eq!(stats.update_tx_latency.count(), OPS + 1, "{kind}");
+        assert_eq!(stats.ro_tx_latency.count(), 0, "{kind}");
+    }
+}

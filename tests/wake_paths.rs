@@ -9,9 +9,9 @@
 //! Two properties are checked:
 //!
 //! * **No lost wakeups** — N sleepers on disjoint and overlapping address
-//!   sets (plus a predicate sleeper in the unindexed shard) are all released
-//!   by concurrent writers; every iteration terminates with every sleeper
-//!   woken exactly once per sleep.
+//!   sets (plus a predicate sleeper, indexed by the stripe it reads) are all
+//!   released by concurrent writers; every iteration terminates with every
+//!   sleeper woken exactly once per sleep.
 //! * **No spurious-wake storms** — a writer whose write set maps to shards
 //!   disjoint from every sleeper's performs *zero* wake-condition
 //!   evaluations, on all three runtimes (the linear scan this PR replaces
@@ -111,7 +111,8 @@ fn stress_iteration(kind: RuntimeKind, rng: &mut XorShift64) {
                 assert_eq!(got, 77, "overlapping sleeper");
             });
         }
-        // A predicate sleeper exercises the unindexed shard.
+        // A predicate sleeper: registered under the stripe its predicate
+        // reads, found by an evaluation before it goes to sleep.
         {
             let rt = rt.clone();
             let system = Arc::clone(&system);
