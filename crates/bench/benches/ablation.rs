@@ -19,9 +19,10 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use condsync::{wake_waiters, Mechanism};
+use condsync::{wake_waiters_matching, Mechanism};
 use tm_core::{
     Addr, HtmConfig, Semaphore, TmConfig, TmSystem, TmVar, Tx, TxResult, WaitCondition, Waiter,
+    WakeSet,
 };
 use tm_workloads::runtime::RuntimeKind;
 use tm_workloads::AnyRuntime;
@@ -44,7 +45,7 @@ fn group_defaults<'a>(
 }
 
 /// Registers `n` fake sleepers whose conditions never fire (their recorded
-/// values match memory), so `wake_waiters` performs a full scan each call.
+/// values match memory), so a `WakeSet::All` scan checks every one each call.
 fn register_sleepers(system: &Arc<TmSystem>, n: usize) -> Vec<Arc<Waiter>> {
     (0..n)
         .map(|i| {
@@ -70,7 +71,7 @@ fn wake_scan(c: &mut Criterion) {
         let _waiters = register_sleepers(&system, sleepers);
         let th = system.register_thread();
         group.bench_with_input(BenchmarkId::from_parameter(sleepers), &sleepers, |b, _| {
-            b.iter(|| wake_waiters(rt.as_dyn(), &th))
+            b.iter(|| wake_waiters_matching(rt.as_dyn(), &th, &WakeSet::All))
         });
     }
     group.finish();

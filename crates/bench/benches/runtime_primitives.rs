@@ -12,8 +12,8 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use condsync::wake_waiters;
-use tm_core::{TmConfig, TmVar};
+use condsync::wake_waiters_matching;
+use tm_core::{TmConfig, TmVar, WakeSet};
 use tm_workloads::runtime::RuntimeKind;
 
 fn read_only(c: &mut Criterion) {
@@ -80,7 +80,9 @@ fn wake_waiters_empty(c: &mut Criterion) {
         let rt = kind.build(TmConfig::default().with_heap_words(1 << 12));
         let system = Arc::clone(rt.system());
         let th = system.register_thread();
-        group.bench_function(kind.label(), |b| b.iter(|| wake_waiters(rt.as_dyn(), &th)));
+        group.bench_function(kind.label(), |b| {
+            b.iter(|| wake_waiters_matching(rt.as_dyn(), &th, &WakeSet::All))
+        });
     }
     group.finish();
 }

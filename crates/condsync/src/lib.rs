@@ -32,8 +32,8 @@
 //! (`tm_core::waitlist`): waiters are indexed by the ownership-record
 //! stripes their conditions cover, and a committing writer evaluates only
 //! the waiters registered under the stripes it wrote.  Correctness never *requires* the
-//! write set — [`deschedule::wake_waiters`] is the scan-everything variant
-//! any committer may use — which is what keeps the design compatible with
+//! write set — any committer may pass [`tm_core::WakeSet::All`] to scan
+//! everything — which is what keeps the design compatible with
 //! (simulated) hardware TM, whose serial fallback reports no write set at
 //! all.
 //!
@@ -59,15 +59,16 @@ pub mod condvar;
 pub mod deschedule;
 pub mod mechanism;
 pub mod orig;
+pub mod software;
 pub mod timed;
 
 pub use condvar::{TmCondVar, WATCHDOG_INTERVAL};
 pub use deschedule::{
-    deschedule, deschedule_until, wake_waiters, wake_waiters_matching, DescheduleOutcome,
-    WakeReason,
+    deschedule, deschedule_until, wake_waiters_matching, DescheduleOutcome, WakeReason,
 };
 pub use mechanism::{await_addrs, await_one, restart, retry, retry_orig, wait_pred, Mechanism};
 pub use orig::{sleep_until_intersection, OrigRegistry, OrigWaiter};
+pub use software::{deschedule_orig, SoftwareStm};
 pub use timed::{
     await_for, await_one_for, cancel, cancel_thread, clear_wake_reason, retry_for, timed_out,
     wait_interrupted, wait_pred_for, wake_reason, was_cancelled,

@@ -158,10 +158,10 @@ impl OrigRegistry {
 /// software runtimes' engine hooks: publish-if-valid, sleep, deregister.
 ///
 /// The caller must have rolled its transaction back already;
-/// `reads_still_valid` runs under the registry lock and decides whether the
-/// read set is still consistent (if not, the thread re-executes immediately
-/// instead of sleeping).
-pub fn sleep_until_intersection<F: FnOnce() -> bool>(
+/// `reads_still_valid` runs under the registry lock on the waiter's own copy
+/// of `read_orecs` and decides whether the read set is still consistent (if
+/// not, the thread re-executes immediately instead of sleeping).
+pub fn sleep_until_intersection<F: FnOnce(&[usize]) -> bool>(
     registry: &OrigRegistry,
     thread: &Arc<ThreadCtx>,
     read_orecs: Vec<usize>,
@@ -170,7 +170,9 @@ pub fn sleep_until_intersection<F: FnOnce() -> bool>(
     TxStats::bump(&thread.stats.descheds);
     let sem = Arc::new(Semaphore::new());
     let waiter = OrigWaiter::new(thread.id, read_orecs, Arc::clone(&sem));
-    if registry.register_if(Arc::clone(&waiter), reads_still_valid) {
+    if registry.register_if(Arc::clone(&waiter), || {
+        reads_still_valid(&waiter.read_orecs)
+    }) {
         TxStats::bump(&thread.stats.sleeps);
         sem.wait();
         registry.deregister(&waiter);

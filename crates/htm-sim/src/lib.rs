@@ -3,11 +3,8 @@
 //! the paper's **HTM** configuration.
 //!
 //! The runtime here ([`HtmSim`]) drives *any* [`tm_core::hwtm::HwTm`]
-//! backend; this crate supplies two of them — the simulator ([`SimPlane`],
-//! the default) and the cfg-gated `rtm` stub (compiled with
-//! `--features rtm`) where a real Intel RTM / Arm TME implementation slots
-//! in — and `tm-core` supplies a third, the deterministic fault-injection
-//! decorator
+//! backend; this crate supplies the simulator ([`SimPlane`], the default)
+//! and `tm-core` the deterministic fault-injection decorator
 //! ([`tm_core::hwtm::FaultPlane`], installed automatically when
 //! [`tm_core::FaultConfig`] enables it).
 //!
@@ -44,8 +41,6 @@
 
 pub mod lines;
 pub mod plane;
-#[cfg(feature = "rtm")]
-pub mod rtm;
 pub mod runtime;
 pub mod tx;
 

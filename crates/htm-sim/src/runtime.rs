@@ -26,7 +26,7 @@ use crate::tx::HtmTx;
 /// By default the backend is the crate's [`SimPlane`] simulator (wrapped in
 /// a [`FaultPlane`] when the system's [`tm_core::FaultConfig`] enables
 /// injection); [`HtmSim::with_plane`] installs any other [`HwTm`]
-/// implementation, e.g. the cfg-gated `rtm` stub (`--features rtm`).
+/// implementation.
 pub struct HtmSim {
     system: Arc<TmSystem>,
     /// The simulator backend, when that is what `plane` is (directly or

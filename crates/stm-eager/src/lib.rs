@@ -2,25 +2,22 @@
 //! paper's Appendix A (Algorithms 8–11), in the style of TinySTM and the GCC
 //! libitm "ml-wt" method the paper evaluates as **Eager STM**.
 //!
+//! What the two STMs share — reads validated against the global version
+//! clock when they happen (giving opacity) and re-validated at commit, the
+//! snapshot read path, deferred frees, quiescence for privatization safety,
+//! the serial mode — is `tm_core::software`.  This crate is the [`Eager`]
+//! protocol over it:
+//!
 //! * Writes acquire the ownership record covering the address at encounter
 //!   time, log the old value in an undo log, and update memory in place.
-//! * Reads are validated against the global version clock at the time they
-//!   happen (giving opacity) and re-validated at commit.
-//! * Commit increments the global clock, validates the read set (with the
-//!   TL2-style fast path when no other writer intervened), releases locks at
-//!   the new version, performs deferred frees and quiesces for privatization
-//!   safety.
-//! * Abort undoes writes in reverse order, releases locks at `version + 1`,
-//!   blindly bumps the clock, and undoes transactional allocations.
+//! * Commit validates the read set (with the TL2-style fast path when no
+//!   other writer intervened) and releases locks at the new version.
+//! * Abort undoes writes in reverse order, releases locks at `version + 1`
+//!   and blindly bumps the clock.
+//! * `Await` captures its value snapshot while the attempt's locks are held.
 //!
-//! Condition synchronization is layered on via the *shared* driver loop in
-//! `tm_core::driver`: [`runtime::EagerStm`] implements the narrow
-//! `TxEngine` interface (begin / commit / rollback / materialise-wait plus
-//! the `Retry-Orig` hooks), and the loop owns re-execution, the deschedule
-//! hand-off to [`condsync::deschedule()`], and the post-commit
-//! [`condsync::wake_waiters`] scan.  `Await` still captures its value
-//! snapshot while this runtime's locks are held (see
-//! [`tx::EagerTx::rollback_for_deschedule`]).
+//! [`EagerStm`] is the shared engine (`condsync::SoftwareStm`) at this
+//! protocol, plugged into the one driver loop in `tm_core::driver`.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -29,4 +26,4 @@ pub mod runtime;
 pub mod tx;
 
 pub use runtime::EagerStm;
-pub use tx::EagerTx;
+pub use tx::{Eager, EagerTx};

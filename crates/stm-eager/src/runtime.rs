@@ -1,145 +1,16 @@
-//! The eager-STM runtime: a thin [`TxEngine`] over [`EagerTx`].
-//!
-//! All driver-loop logic (re-execution, abort dispatch, `Retry` value-log
-//! restarts, deschedule hand-off, post-commit wake-ups, backoff) lives in
-//! [`tm_core::driver::run`]; this file only wires the eager attempt type and
-//! the `Retry-Orig` registry into that loop.
+//! The eager-STM runtime: the shared software-TM engine
+//! ([`condsync::SoftwareStm`]) at the eager protocol.
 
-use std::sync::Arc;
-
-use condsync::OrigRegistry;
-use tm_core::driver::{self, CommitOutcome, TxEngine};
-use tm_core::{
-    Descriptor, ThreadCtx, TmRt, TmRuntime, TmSystem, Tx, TxCommon, TxCtl, TxKind, TxResult,
-    WaitCondition, WaitSpec,
-};
-
-use crate::tx::EagerTx;
+use crate::tx::Eager;
 
 /// The eager (undo-log) software TM runtime.
-#[derive(Debug)]
-pub struct EagerStm {
-    system: Arc<TmSystem>,
-    /// Waiting list for the `Retry-Orig` baseline (Algorithm 1).
-    orig: OrigRegistry,
-}
-
-impl EagerStm {
-    /// Creates a runtime over `system`.
-    pub fn new(system: Arc<TmSystem>) -> Arc<Self> {
-        Arc::new(EagerStm {
-            system,
-            orig: OrigRegistry::new(),
-        })
-    }
-
-    /// The `Retry-Orig` waiting list (exposed for tests).
-    pub fn orig_registry(&self) -> &OrigRegistry {
-        &self.orig
-    }
-}
-
-impl TxEngine for EagerStm {
-    type Tx<'a> = EagerTx<'a>;
-
-    fn begin<'a>(
-        &'a self,
-        thread: &'a Arc<ThreadCtx>,
-        desc: &'a mut Descriptor,
-        common: TxCommon,
-    ) -> EagerTx<'a> {
-        EagerTx::begin(&self.system, thread, desc, common)
-    }
-
-    fn try_commit(&self, tx: &mut EagerTx<'_>) -> Result<CommitOutcome, TxCtl> {
-        // The lock set *is* the write set's stripe cover: every written
-        // address hashed to one of these ownership records when its lock was
-        // acquired, so a targeted scan over the cover the commit leaves in
-        // the descriptor cannot lose a wakeup.
-        tx.try_commit()
-    }
-
-    fn rollback(&self, tx: &mut EagerTx<'_>) {
-        tx.rollback();
-    }
-
-    fn materialise_wait(
-        &self,
-        tx: &mut EagerTx<'_>,
-        spec: WaitSpec,
-    ) -> Result<WaitCondition, TxCtl> {
-        tx.rollback_for_deschedule(spec)
-    }
-
-    fn supports_orig_retry(&self) -> bool {
-        true
-    }
-
-    fn deschedule_orig(&self, thread: &Arc<ThreadCtx>, tx: &mut EagerTx<'_>) {
-        let read_orecs = tx.read_orec_indices();
-        let start = tx.start();
-        tx.rollback();
-        condsync::sleep_until_intersection(&self.orig, thread, read_orecs.clone(), || {
-            tm_core::access::cover_valid_at(&self.system.orecs, &read_orecs, start)
-        });
-    }
-
-    fn after_writer_commit(
-        &self,
-        thread: &Arc<ThreadCtx>,
-        outcome: &CommitOutcome,
-        cover: &[usize],
-    ) {
-        self.orig.wake_after_commit(thread, outcome.serial, cover);
-    }
-}
-
-impl TmRuntime for EagerStm {
-    fn system(&self) -> &Arc<TmSystem> {
-        &self.system
-    }
-
-    fn name(&self) -> &'static str {
-        "eager-stm"
-    }
-
-    fn exec_u64(
-        &self,
-        thread: &Arc<ThreadCtx>,
-        body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<u64>,
-    ) -> u64 {
-        driver::run(self, thread, body)
-    }
-
-    fn exec_bool(
-        &self,
-        thread: &Arc<ThreadCtx>,
-        body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<bool>,
-    ) -> bool {
-        driver::run(self, thread, body)
-    }
-}
-
-impl TmRt for EagerStm {
-    fn atomically<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T
-    where
-        F: FnMut(&mut dyn Tx) -> TxResult<T>,
-    {
-        driver::run(self, thread, body)
-    }
-
-    fn atomically_read<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T
-    where
-        F: FnMut(&mut dyn Tx) -> TxResult<T>,
-    {
-        driver::run_kind(self, thread, TxKind::ReadOnly, body)
-    }
-}
+pub type EagerStm = condsync::SoftwareStm<Eager>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_core::{Addr, TmConfig, TmVar};
+    use std::sync::Arc;
+    use tm_core::{Addr, TmConfig, TmRt, TmSystem, TmVar, Tx, TxResult};
 
     fn runtime() -> (Arc<TmSystem>, Arc<EagerStm>) {
         let system = TmSystem::new(TmConfig::small());

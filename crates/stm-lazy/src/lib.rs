@@ -2,18 +2,19 @@
 //! corresponding to the paper's **Lazy STM** configuration (a
 //! privatization-safe, redo-log variant of the GCC STM).
 //!
+//! What the two STMs share is `tm_core::software`; this crate is the
+//! [`Lazy`] protocol over it:
+//!
 //! * Writes are buffered in a redo log; memory is untouched until commit.
-//! * Reads check the redo log first (read-your-writes) and otherwise
-//!   validate against the global version clock, exactly as in TL2.
-//! * Commit acquires the ownership records covering the write set, increments
+//! * Reads check the redo log first (read-your-writes).
+//! * Commit acquires the ownership records covering the write set, stamps
 //!   the clock, validates the read set, writes the redo log back to memory,
 //!   and releases the locks at the commit timestamp.
-//! * Abort merely discards the logs (nothing was written in place).
+//! * Abort merely discards the logs (nothing was written in place), so
+//!   `Await` captures its value snapshot from current memory.
 //!
-//! Condition synchronization reuses the *same* driver loop as the eager
-//! runtime (`tm_core::driver::run`, via the `TxEngine` trait); the only
-//! difference the mechanisms see is how `Await` captures its value snapshot
-//! (no undo is needed because memory was never modified).
+//! [`LazyStm`] is the shared engine (`condsync::SoftwareStm`) at this
+//! protocol, plugged into the one driver loop in `tm_core::driver`.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -22,4 +23,4 @@ pub mod runtime;
 pub mod tx;
 
 pub use runtime::LazyStm;
-pub use tx::{CommitInterlock, LazyTx};
+pub use tx::{CommitInterlock, Lazy, LazyTx};

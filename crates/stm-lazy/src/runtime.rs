@@ -1,144 +1,16 @@
-//! The lazy-STM runtime: a thin [`TxEngine`] over [`LazyTx`].
-//!
-//! The engine hooks are identical in shape to the eager runtime's; every
-//! behavioural difference between the two STMs lives inside
-//! [`crate::tx::LazyTx`].  The driver loop itself is shared
-//! ([`tm_core::driver::run`]).
+//! The lazy-STM runtime: the shared software-TM engine
+//! ([`condsync::SoftwareStm`]) at the lazy protocol.
 
-use std::sync::Arc;
-
-use condsync::OrigRegistry;
-use tm_core::driver::{self, CommitOutcome, TxEngine};
-use tm_core::{
-    Descriptor, ThreadCtx, TmRt, TmRuntime, TmSystem, Tx, TxCommon, TxCtl, TxKind, TxResult,
-    WaitCondition, WaitSpec,
-};
-
-use crate::tx::LazyTx;
+use crate::tx::Lazy;
 
 /// The lazy (redo-log) software TM runtime.
-#[derive(Debug)]
-pub struct LazyStm {
-    system: Arc<TmSystem>,
-    /// Waiting list for the `Retry-Orig` baseline (Algorithm 1).
-    orig: OrigRegistry,
-}
-
-impl LazyStm {
-    /// Creates a runtime over `system`.
-    pub fn new(system: Arc<TmSystem>) -> Arc<Self> {
-        Arc::new(LazyStm {
-            system,
-            orig: OrigRegistry::new(),
-        })
-    }
-
-    /// The `Retry-Orig` waiting list (exposed for tests).
-    pub fn orig_registry(&self) -> &OrigRegistry {
-        &self.orig
-    }
-}
-
-impl TxEngine for LazyStm {
-    type Tx<'a> = LazyTx<'a>;
-
-    fn begin<'a>(
-        &'a self,
-        thread: &'a Arc<ThreadCtx>,
-        desc: &'a mut Descriptor,
-        common: TxCommon,
-    ) -> LazyTx<'a> {
-        LazyTx::begin(&self.system, thread, desc, common)
-    }
-
-    fn try_commit(&self, tx: &mut LazyTx<'_>) -> Result<CommitOutcome, TxCtl> {
-        // Commit-time lock acquisition covered every redo-log address with
-        // an ownership record, so the cover it leaves in the descriptor is a
-        // complete stripe cover of the write set.
-        tx.try_commit()
-    }
-
-    fn rollback(&self, tx: &mut LazyTx<'_>) {
-        tx.rollback();
-    }
-
-    fn materialise_wait(
-        &self,
-        tx: &mut LazyTx<'_>,
-        spec: WaitSpec,
-    ) -> Result<WaitCondition, TxCtl> {
-        tx.rollback_for_deschedule(spec)
-    }
-
-    fn supports_orig_retry(&self) -> bool {
-        true
-    }
-
-    fn deschedule_orig(&self, thread: &Arc<ThreadCtx>, tx: &mut LazyTx<'_>) {
-        let read_orecs = tx.read_orec_indices();
-        let start = tx.start();
-        tx.rollback();
-        condsync::sleep_until_intersection(&self.orig, thread, read_orecs.clone(), || {
-            tm_core::access::cover_valid_at(&self.system.orecs, &read_orecs, start)
-        });
-    }
-
-    fn after_writer_commit(
-        &self,
-        thread: &Arc<ThreadCtx>,
-        outcome: &CommitOutcome,
-        cover: &[usize],
-    ) {
-        self.orig.wake_after_commit(thread, outcome.serial, cover);
-    }
-}
-
-impl TmRuntime for LazyStm {
-    fn system(&self) -> &Arc<TmSystem> {
-        &self.system
-    }
-
-    fn name(&self) -> &'static str {
-        "lazy-stm"
-    }
-
-    fn exec_u64(
-        &self,
-        thread: &Arc<ThreadCtx>,
-        body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<u64>,
-    ) -> u64 {
-        driver::run(self, thread, body)
-    }
-
-    fn exec_bool(
-        &self,
-        thread: &Arc<ThreadCtx>,
-        body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<bool>,
-    ) -> bool {
-        driver::run(self, thread, body)
-    }
-}
-
-impl TmRt for LazyStm {
-    fn atomically<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T
-    where
-        F: FnMut(&mut dyn Tx) -> TxResult<T>,
-    {
-        driver::run(self, thread, body)
-    }
-
-    fn atomically_read<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T
-    where
-        F: FnMut(&mut dyn Tx) -> TxResult<T>,
-    {
-        driver::run_kind(self, thread, TxKind::ReadOnly, body)
-    }
-}
+pub type LazyStm = condsync::SoftwareStm<Lazy>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_core::{TmConfig, TmVar};
+    use std::sync::Arc;
+    use tm_core::{TmConfig, TmRt, TmSystem, TmVar, Tx, TxResult};
 
     fn runtime() -> (Arc<TmSystem>, Arc<LazyStm>) {
         let system = TmSystem::new(TmConfig::small());

@@ -33,9 +33,6 @@ pub struct Descriptor {
     pub waitset: WriteLog,
     /// Ownership records held by an eager-STM attempt.
     pub locks: IndexSet,
-    /// Distinct stripes read by a snapshot attempt under
-    /// [`crate::config::SnapshotMode::Extend`].
-    pub snap_cover: IndexSet,
     /// Directory slots a hardware attempt registered as read.
     pub read_slots: IndexSet,
     /// Directory slots a hardware attempt registered as written.
@@ -74,7 +71,7 @@ impl Descriptor {
         let writes = self.writes.len();
         TxStats::record_max(&stats.read_set_max, reads as u64);
         TxStats::record_max(&stats.write_set_max, writes as u64);
-        self.grown |= reads + writes + self.locks.len() + self.snap_cover.len() != 0;
+        self.grown |= reads + writes + self.locks.len() != 0;
         self.clear();
     }
 
@@ -83,7 +80,6 @@ impl Descriptor {
         self.reads.clear();
         self.writes.clear();
         self.locks.clear();
-        self.snap_cover.clear();
         self.read_slots.clear();
         self.write_slots.clear();
         self.mallocs.clear();

@@ -9,8 +9,7 @@ use crate::policy::PolicyKind;
 /// A snapshot reader runs against its begin snapshot `rv`: every read checks
 /// only that the covering ownership record is unlocked with
 /// `version <= rv`, keeps **no read set**, and commits for free — no
-/// commit-time validation and no clock traffic.  The modes differ in what
-/// happens when a read observes a version *newer* than `rv`.
+/// commit-time validation and no clock traffic.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum SnapshotMode {
     /// No snapshot path: read-only transactions build a read set and
@@ -22,15 +21,6 @@ pub enum SnapshotMode {
     /// observed yet, so any snapshot is still admissible); afterwards the
     /// attempt aborts and retries with a fresh snapshot.
     On,
-    /// Extendable snapshots.  The attempt additionally accumulates the
-    /// distinct ownership-record stripes it has read (a pooled index set —
-    /// still no values, no read set).  On a too-new version it re-samples
-    /// `rv' = now()` and re-checks that every covered stripe is unlocked and
-    /// no newer than the *old* `rv`; if so, every prior read is also valid
-    /// at `rv'` and the snapshot advances in place.  This is the
-    /// per-stripe-history option: the cover re-check proves exactly what a
-    /// version history would (no covered stripe changed since `rv`).
-    Extend,
 }
 
 impl SnapshotMode {
@@ -39,7 +29,6 @@ impl SnapshotMode {
         match self {
             SnapshotMode::Off => "snap-off",
             SnapshotMode::On => "snap-on",
-            SnapshotMode::Extend => "snap-extend",
         }
     }
 
@@ -480,7 +469,7 @@ mod tests {
             })
             .with_policy(PolicyKind::ADAPTIVE_DEFAULT)
             .with_clock(ClockMode::LazyGv5)
-            .with_snapshot(SnapshotMode::Extend)
+            .with_snapshot(SnapshotMode::Off)
             .with_fault(FaultConfig {
                 seed: 7,
                 spurious_per_64k: 100,
@@ -495,9 +484,9 @@ mod tests {
         assert!(c.fault.enabled());
         assert_eq!(c.fault.seed, 7);
         assert_eq!(c.clock, ClockMode::LazyGv5);
-        assert_eq!(c.snapshot, SnapshotMode::Extend);
+        assert_eq!(c.snapshot, SnapshotMode::Off);
         assert!(!SnapshotMode::Off.is_enabled());
-        assert_eq!(SnapshotMode::Extend.label(), "snap-extend");
+        assert_eq!(SnapshotMode::Off.label(), "snap-off");
         assert_eq!(c.max_threads, 8);
         assert_eq!(c.policy, PolicyKind::ADAPTIVE_DEFAULT);
         assert_eq!(c.heap_words, 100);

@@ -44,6 +44,5 @@ mod wake;
 pub use engine::{CommitOutcome, TxEngine};
 pub use run::{run, run_kind};
 pub use wake::{
-    deschedule, deschedule_until, poll_timers, wake_waiters, wake_waiters_matching,
-    DescheduleOutcome,
+    deschedule, deschedule_until, poll_timers, wake_waiters_matching, DescheduleOutcome,
 };

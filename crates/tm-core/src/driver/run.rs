@@ -17,7 +17,7 @@
 //! ```
 //!
 //! The deschedule hand-off ([`super::deschedule`]) and the post-commit
-//! [`super::wake_waiters`] scan are called from here and *only* here, so a
+//! [`super::wake_waiters_matching`] scan are called from here and *only* here, so a
 //! future runtime (e.g. a hybrid HTM/STM path) picks up the paper's whole
 //! condition-synchronization protocol by implementing the engine trait.
 

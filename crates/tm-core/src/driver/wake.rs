@@ -385,15 +385,6 @@ pub fn poll_timers(rt: &dyn TmRuntime, thread: &Arc<ThreadCtx>) {
     }
 }
 
-/// Conservative `wakeWaiters`: scans every shard of the registry.
-///
-/// Equivalent to [`wake_waiters_matching`] with [`WakeSet::All`]; kept as
-/// the public entry point for callers that commit outside the driver loop
-/// and do not know their write set.
-pub fn wake_waiters(rt: &dyn TmRuntime, thread: &Arc<ThreadCtx>) {
-    wake_waiters_matching(rt, thread, &WakeSet::All);
-}
-
 /// Gathers the waiters registered under the stripes of `wake` after a writer
 /// commit and wakes every sleeper whose condition now holds (Algorithm 4,
 /// `wakeWaiters`, sharded).
@@ -590,7 +581,7 @@ mod tests {
 
         // "Commit" a write that changes the value, then run wakeWaiters.
         system.heap.store(Addr(20), 7);
-        wake_waiters(rt.as_ref(), &writer_thread);
+        wake_waiters_matching(rt.as_ref(), &writer_thread, &WakeSet::All);
 
         assert_eq!(
             sleeper.join().unwrap(),
@@ -712,7 +703,7 @@ mod tests {
         assert!(waiters[1].is_asleep());
 
         // A commit with no write-set information still checks everyone.
-        wake_waiters(&rt, &writer);
+        wake_waiters_matching(&rt, &writer, &WakeSet::All);
         assert!(!waiters[1].is_asleep());
         for w in &waiters {
             system.waiters.remove(w);
@@ -735,13 +726,13 @@ mod tests {
 
         // A "silent store" writes the same value; the waiter must not wake.
         system.heap.store(Addr(30), 9);
-        wake_waiters(&rt, &writer_thread);
+        wake_waiters_matching(&rt, &writer_thread, &WakeSet::All);
         assert!(w.is_asleep());
         assert_eq!(sem.permits(), 0);
 
         // A real change wakes it.
         system.heap.store(Addr(30), 10);
-        wake_waiters(&rt, &writer_thread);
+        wake_waiters_matching(&rt, &writer_thread, &WakeSet::All);
         assert!(!w.is_asleep());
         assert_eq!(sem.permits(), 1);
         system.waiters.remove(&w);
@@ -759,9 +750,9 @@ mod tests {
             Arc::clone(&sem),
         );
         register_manually(&rt, &w);
-        wake_waiters(&rt, &writer);
-        wake_waiters(&rt, &writer);
-        wake_waiters(&rt, &writer);
+        wake_waiters_matching(&rt, &writer, &WakeSet::All);
+        wake_waiters_matching(&rt, &writer, &WakeSet::All);
+        wake_waiters_matching(&rt, &writer, &WakeSet::All);
         assert_eq!(sem.permits(), 1, "exactly one signal per sleep");
     }
 
@@ -788,7 +779,7 @@ mod tests {
         // Value changes but predicate still false: no wake (this is the
         // false-wake-up immunity WaitPred buys over Retry).
         system.heap.store(Addr(50), 8);
-        wake_waiters(&rt, &writer);
+        wake_waiters_matching(&rt, &writer, &WakeSet::All);
         assert!(w.is_asleep());
         assert_eq!(writer.stats.snapshot().wake_checks, 1);
 
@@ -1016,7 +1007,7 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(10));
 
         system.heap.store(Addr(63), 7);
-        wake_waiters(rt.as_ref(), &writer_thread);
+        wake_waiters_matching(rt.as_ref(), &writer_thread, &WakeSet::All);
 
         assert_eq!(
             sleeper.join().unwrap(),
@@ -1085,11 +1076,11 @@ mod tests {
 
         // Before the deadline a writer scan leaves the waiter alone (the
         // value is unchanged, so no condition-based wake either).
-        wake_waiters(&rt, &writer_thread);
+        wake_waiters_matching(&rt, &writer_thread, &WakeSet::All);
         assert!(w.is_asleep());
 
         std::thread::sleep(std::time::Duration::from_millis(15));
-        wake_waiters(&rt, &writer_thread);
+        wake_waiters_matching(&rt, &writer_thread, &WakeSet::All);
         assert_eq!(w.wake_reason(), Some(WakeReason::Timeout));
         assert_eq!(sem.permits(), 1, "expired waiter signalled exactly once");
         assert!(writer_thread.stats.snapshot().timer_ticks > 0);
@@ -1101,7 +1092,7 @@ mod tests {
     fn wake_waiters_with_empty_registry_runs_no_transactions() {
         let (system, rt) = toy();
         let writer = system.register_thread();
-        wake_waiters(&rt, &writer);
+        wake_waiters_matching(&rt, &writer, &WakeSet::All);
         wake_waiters_matching(&rt, &writer, &WakeSet::Stripes(vec![1, 2, 3]));
         assert_eq!(rt.exec_count.load(Ordering::Relaxed), 0);
         let stats = writer.stats.snapshot();

@@ -20,9 +20,6 @@
 //!   Hw→Sw→Serial mode ladder, the serial-gate drain and the orec-coupled
 //!   write-back interlock are drivable on demand instead of by luck.
 //!
-//! A real Intel RTM / Arm TME backend slots in behind the same trait; see the
-//! cfg-gated `htm_sim::rtm` stub module for where.
-//!
 //! [`htm_sim::HtmSim`]: ../../htm_sim/struct.HtmSim.html
 //! [`htm_sim::HtmSim::with_plane`]: ../../htm_sim/struct.HtmSim.html#method.with_plane
 //! [`tm_hybrid::HybridTm`]: ../../tm_hybrid/struct.HybridTm.html
@@ -119,6 +116,12 @@ impl HwAbort {
 /// simulator delivers dooms through the thread registry); the caller only
 /// learns whether *its own* attempt must abort, and why, via [`HwAbort`].
 /// All methods take `&self` so a backend can be shared as `Arc<dyn HwTm>`.
+///
+/// A real Intel RTM / Arm TME backend would plug in here too, but not
+/// call by call: between `_xbegin` and `_xend` the hardware tracks every
+/// access itself, so it would bracket the whole attempt in
+/// [`HwTm::begin_attempt`] … [`HwTm::commit_check`] and translate the abort
+/// status word into [`HwAbortKind`], leaving the per-line calls empty.
 pub trait HwTm: Send + Sync + fmt::Debug {
     /// Called when a speculative attempt begins (fault planes may reseed or
     /// count here).  Default: nothing.

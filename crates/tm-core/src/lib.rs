@@ -9,7 +9,7 @@
 //!   every runtime's transactions ([`driver::run`]) against the narrow
 //!   [`driver::TxEngine`] interface, including the `Deschedule` parking /
 //!   `wakeWaiters` protocol ([`driver::deschedule`],
-//!   [`driver::wake_waiters`]),
+//!   [`driver::wake_waiters_matching`]),
 //! * a word-addressable transactional heap ([`heap::TmHeap`]) with a simple
 //!   allocator, standing in for the raw C memory the paper instruments,
 //! * a table of ownership records ([`orec::OrecTable`]) hashed from addresses,
@@ -26,6 +26,9 @@
 //! * the mode-control plane: the system-wide serial/irrevocable gate and
 //!   shared serial attempt ([`serial`]) plus the pluggable contention-
 //!   management policies that drive backoff and mode escalation ([`policy`]),
+//! * the software-transaction core ([`software`]): the one copy of what the
+//!   eager and the lazy STM do identically, and the [`software::SoftwareTx`]
+//!   attempt type both are an instance of,
 //! * the pluggable hardware plane ([`hwtm`]): the [`hwtm::HwTm`] trait the
 //!   HTM and hybrid runtimes drive their hardware backend through, and the
 //!   deterministic [`hwtm::FaultPlane`] fault-injection decorator,
@@ -66,6 +69,7 @@ pub mod policy;
 pub mod runtime;
 pub mod sem;
 pub mod serial;
+pub mod software;
 pub mod stats;
 pub mod system;
 pub mod thread;
@@ -91,6 +95,7 @@ pub use policy::{CmAction, CmEvent, CmHistory, ContentionManager, PolicyKind};
 pub use runtime::{TmRt, TmRuntime};
 pub use sem::Semaphore;
 pub use serial::{subscribe_begin, SerialAttempt, SerialGate};
+pub use software::{SoftwareProtocol, SoftwareTx, SoftwareTxCore};
 pub use stats::{LatencyHistogram, LatencySnapshot, OpClass, StatsSnapshot, TxStats};
 pub use system::TmSystem;
 pub use thread::{Checkout, ThreadCtx, ThreadId, ThreadRegistry};

@@ -364,8 +364,7 @@ stats_fields! {
     /// (the body wrote, allocated, or descheduled).
     ro_upgrades,
     /// Snapshot reads that survived a too-new version by re-sampling the
-    /// begin snapshot (at the first read, or after an `Extend`-mode cover
-    /// re-check) instead of aborting.
+    /// begin snapshot at the first read instead of aborting.
     snapshot_refreshes,
     /// Transactional allocations served mutex-free from the thread's own
     /// arena bins (no global allocator lock taken).

@@ -260,12 +260,7 @@ impl TxEngine for HybridTm {
         let HybridTx::Sw(lazy) = tx else {
             unreachable!("Retry-Orig deschedules only run on the software path");
         };
-        let read_orecs = lazy.read_orec_indices();
-        let start = lazy.start();
-        lazy.rollback();
-        condsync::sleep_until_intersection(&self.orig, thread, read_orecs.clone(), || {
-            tm_core::access::cover_valid_at(&self.system.orecs, &read_orecs, start)
-        });
+        condsync::deschedule_orig(&self.orig, thread, lazy);
     }
 
     fn mode_after_wake(&self) -> TxMode {

@@ -56,9 +56,9 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`core`] (`tm-core`) | word heap, ownership records, clock, thread registry, shared access-set layer, sharded waiter registry, transaction traits |
-//! | [`eager`] (`stm-eager`) | Appendix A undo-log STM (paper: "Eager STM") |
-//! | [`lazy`] (`stm-lazy`) | TL2-style redo-log STM (paper: "Lazy STM") |
-//! | [`htm`] (`htm-sim`) | best-effort HTM runtime over the pluggable `HwTm` hardware plane — simulator backend, real-RTM stub, fault-injection fuzzer (paper: "HTM") |
+//! | [`eager`] (`stm-eager`) | Appendix A undo-log protocol over the shared software core (paper: "Eager STM") |
+//! | [`lazy`] (`stm-lazy`) | TL2-style redo-log protocol over the shared software core (paper: "Lazy STM") |
+//! | [`htm`] (`htm-sim`) | best-effort HTM runtime over the pluggable `HwTm` hardware plane — simulator backend, fault-injection fuzzer (paper: "HTM") |
 //! | [`hybrid`] (`tm-hybrid`) | hybrid HTM+STM runtime: hardware fast path over the lazy STM (beyond the paper) |
 //! | [`sync`] (`condsync`) | **the contribution**: Deschedule, Retry, Await, WaitPred, plus TMCondVar / Retry-Orig / Restart baselines |
 //! | [`structures`] (`tm-sync`) | bounded buffer (Fig. 2.2), queue, stack, counter, barrier, once-cell, latch, Pthreads baseline buffer, and the KV plane: stripe-aligned hash map + ordered (skip-list) index |

@@ -177,7 +177,7 @@ fn concurrent_kv_traffic_stays_consistent_across_snapshot_modes() {
     // snapshot's.
     use tm_repro::core::SnapshotMode;
     let ops = 200 * stress_iters();
-    for mode in [SnapshotMode::Off, SnapshotMode::On, SnapshotMode::Extend] {
+    for mode in [SnapshotMode::Off, SnapshotMode::On] {
         for kind in [RuntimeKind::EagerStm, RuntimeKind::LazyStm] {
             stress_round(
                 kind,

@@ -383,14 +383,14 @@ fn snapshot_mode_sweep_keeps_golden_results_identical() {
     // The snapshot read path is a performance lever, not a semantic one: the
     // deterministic large transaction, the deschedule scenario, and a
     // declared read-only scan must all produce identical results with
-    // snapshots off, on, and extendable, on every runtime.
+    // snapshots off and on, on every runtime.
     use tm_core::{SnapshotMode, TmArray};
 
     const SLOTS: usize = 64;
     let golden = large_tx_outcome(RuntimeKind::EagerStm, TmConfig::default());
     let expected_sum: u64 = (0..SLOTS as u64).map(|i| i * i).sum();
 
-    for mode in [SnapshotMode::Off, SnapshotMode::On, SnapshotMode::Extend] {
+    for mode in [SnapshotMode::Off, SnapshotMode::On] {
         for kind in RuntimeKind::ALL {
             let outcome = large_tx_outcome(kind, TmConfig::default().with_snapshot(mode));
             assert_eq!(

@@ -21,8 +21,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use tm_repro::core::backoff::XorShift64;
-use tm_repro::core::driver::wake_waiters;
-use tm_repro::core::Waiter;
+use tm_repro::core::driver::wake_waiters_matching;
+use tm_repro::core::{Waiter, WakeSet};
 use tm_repro::prelude::*;
 
 /// Consecutive stress iterations per runtime.
@@ -352,7 +352,7 @@ fn a_predicate_that_reads_nothing_waits_in_the_overflow_shard() {
         let th = system.register_thread();
         let before = th.stats.snapshot().wake_checks;
         rt.atomically(&th, |tx| tx.write(word, 1));
-        wake_waiters(rt.as_dyn(), &th);
+        wake_waiters_matching(rt.as_dyn(), &th, &WakeSet::All);
         assert_eq!(th.stats.snapshot().wake_checks - before, 2, "{kind}");
         assert!(waiter.is_asleep(), "{kind}");
         assert_eq!(system.stats().pred_reindexes, 0, "{kind}");

@@ -245,11 +245,9 @@ fn snapshot_readers_never_observe_torn_invariants() {
     // transactions scan a multi-word invariant (cells that always sum to
     // TOTAL) while writers continuously move value between cells.  A torn
     // snapshot — any mix of pre- and post-transfer cells — breaks the sum.
-    // Swept over both clock planes and both snapshot flavours on every
-    // runtime; iteration counts scale with `TM_STRESS_ITERS` for the
-    // scheduled soak job.
+    // Swept over both clock planes on every runtime; iteration counts scale
+    // with `TM_STRESS_ITERS` for the scheduled soak job.
     use std::sync::atomic::{AtomicBool, Ordering};
-    use tm_core::SnapshotMode;
 
     const CELLS: usize = 6;
     const TOTAL: u64 = 6_000;
@@ -258,85 +256,87 @@ fn snapshot_readers_never_observe_torn_invariants() {
     let transfers: u64 = 150 * tm_repro::workloads::stress_iters();
 
     for mode in [ClockMode::Gv1, ClockMode::LazyGv5] {
-        for snapshot in [SnapshotMode::On, SnapshotMode::Extend] {
-            for kind in RuntimeKind::ALL {
-                let rt = kind.build(TmConfig::small().with_clock(mode).with_snapshot(snapshot));
-                let system = Arc::clone(rt.system());
-                let cells: Arc<Vec<TmVar<u64>>> = Arc::new(
-                    (0..CELLS)
-                        .map(|i| TmVar::alloc(&system, if i == 0 { TOTAL } else { 0 }))
-                        .collect(),
-                );
-                let done = AtomicBool::new(false);
+        for kind in RuntimeKind::ALL {
+            let rt = kind.build(TmConfig::small().with_clock(mode));
+            let system = Arc::clone(rt.system());
+            let cells: Arc<Vec<TmVar<u64>>> = Arc::new(
+                (0..CELLS)
+                    .map(|i| TmVar::alloc(&system, if i == 0 { TOTAL } else { 0 }))
+                    .collect(),
+            );
+            let done = AtomicBool::new(false);
 
-                std::thread::scope(|scope| {
-                    for _ in 0..READERS {
+            std::thread::scope(|scope| {
+                for _ in 0..READERS {
+                    let rt = rt.clone();
+                    let system = Arc::clone(&system);
+                    let cells = Arc::clone(&cells);
+                    let done = &done;
+                    scope.spawn(move || {
+                        let th = system.register_thread();
+                        // Check `done` at the bottom: on a one-core host
+                        // the writers can finish before a reader is ever
+                        // scheduled, and each reader must still scan once.
+                        loop {
+                            let sum: u64 = rt.atomically_read(&th, |tx| {
+                                let mut s = 0u64;
+                                for c in cells.iter() {
+                                    s += c.get(tx)?;
+                                }
+                                Ok(s)
+                            });
+                            assert_eq!(
+                                sum,
+                                TOTAL,
+                                "{kind} under {}: torn read-only snapshot",
+                                mode.label()
+                            );
+                            if done.load(Ordering::Acquire) {
+                                break;
+                            }
+                        }
+                    });
+                }
+                // Inner scope joins the writers, after which the readers
+                // are released; the outer scope then joins the readers.
+                std::thread::scope(|writers| {
+                    for tid in 0..WRITERS {
                         let rt = rt.clone();
                         let system = Arc::clone(&system);
                         let cells = Arc::clone(&cells);
-                        let done = &done;
-                        scope.spawn(move || {
+                        writers.spawn(move || {
                             let th = system.register_thread();
-                            while !done.load(Ordering::Acquire) {
-                                let sum: u64 = rt.atomically_read(&th, |tx| {
-                                    let mut s = 0u64;
-                                    for c in cells.iter() {
-                                        s += c.get(tx)?;
+                            let mut seed = 0x9E37_79B9_u64.wrapping_add(tid as u64);
+                            for _ in 0..transfers {
+                                seed ^= seed << 13;
+                                seed ^= seed >> 7;
+                                seed ^= seed << 17;
+                                let from = (seed % CELLS as u64) as usize;
+                                let to = ((seed >> 8) % CELLS as u64) as usize;
+                                rt.atomically(&th, |tx| {
+                                    let f = cells[from].get(tx)?;
+                                    if f == 0 || from == to {
+                                        return Ok(());
                                     }
-                                    Ok(s)
+                                    let t = cells[to].get(tx)?;
+                                    cells[from].set(tx, f - 1)?;
+                                    cells[to].set(tx, t + 1)
                                 });
-                                assert_eq!(
-                                    sum,
-                                    TOTAL,
-                                    "{kind} under {} / {}: torn read-only snapshot",
-                                    mode.label(),
-                                    snapshot.label()
-                                );
                             }
                         });
                     }
-                    // Inner scope joins the writers, after which the readers
-                    // are released; the outer scope then joins the readers.
-                    std::thread::scope(|writers| {
-                        for tid in 0..WRITERS {
-                            let rt = rt.clone();
-                            let system = Arc::clone(&system);
-                            let cells = Arc::clone(&cells);
-                            writers.spawn(move || {
-                                let th = system.register_thread();
-                                let mut seed = 0x9E37_79B9_u64.wrapping_add(tid as u64);
-                                for _ in 0..transfers {
-                                    seed ^= seed << 13;
-                                    seed ^= seed >> 7;
-                                    seed ^= seed << 17;
-                                    let from = (seed % CELLS as u64) as usize;
-                                    let to = ((seed >> 8) % CELLS as u64) as usize;
-                                    rt.atomically(&th, |tx| {
-                                        let f = cells[from].get(tx)?;
-                                        if f == 0 || from == to {
-                                            return Ok(());
-                                        }
-                                        let t = cells[to].get(tx)?;
-                                        cells[from].set(tx, f - 1)?;
-                                        cells[to].set(tx, t + 1)
-                                    });
-                                }
-                            });
-                        }
-                    });
-                    done.store(true, Ordering::Release);
                 });
+                done.store(true, Ordering::Release);
+            });
 
-                let total: u64 = cells.iter().map(|c| c.load_direct(&system)).sum();
-                assert_eq!(total, TOTAL, "{kind}: writers corrupted the invariant");
-                let stats = system.stats();
-                assert!(
-                    stats.ro_fast_commits > 0,
-                    "{kind} under {} / {}: no read-only fast commits recorded",
-                    mode.label(),
-                    snapshot.label()
-                );
-            }
+            let total: u64 = cells.iter().map(|c| c.load_direct(&system)).sum();
+            assert_eq!(total, TOTAL, "{kind}: writers corrupted the invariant");
+            let stats = system.stats();
+            assert!(
+                stats.ro_fast_commits > 0,
+                "{kind} under {}: no read-only fast commits recorded",
+                mode.label()
+            );
         }
     }
 }
