@@ -1,39 +1,23 @@
 //! `kv_store` — session-store throughput and tail latency on the KV plane.
 //!
-//! The transactional KV plane makes two measurable promises:
-//!
-//! 1. **Snapshot lookups are free.**  `TmHashMap::get` and
-//!    `TmOrderedMap::range` run as declared read-only transactions, so with
-//!    `SnapshotMode::On` they commit through the zero-footprint fast path —
-//!    no read set, no commit-time validation, a single `ro_fast_commits`
-//!    bump.
-//! 2. **Stripe-aligned layout sheds structural contention.**  The striped
-//!    map spreads its occupancy counters across pairwise-distinct orec
-//!    stripes, so concurrent inserts/deletes do not serialize on one
-//!    length word the way the naive layout's single `len` TmVar forces
-//!    them to.
-//!
-//! Part A drives claim 1: two workers run a Zipf-skewed get/scan/put/delete
+//! `TmHashMap::get` and `TmOrderedMap::range` run as declared read-only
+//! transactions, so they commit through the zero-footprint snapshot fast
+//! path — no read set, no commit-time validation, a single
+//! `ro_fast_commits` bump.  Two workers run a Zipf-skewed get/scan/put/delete
 //! session mix (each get loads a `GET_BATCH`-field session record in one
-//! read-only transaction) over a prepopulated store + ordered index, sweeping read
-//! percentage {100, 90} x skew theta {0.6, 0.99} x snapshot {off, on} x all
-//! four runtimes.  Part B drives claim 2: eight workers run a write-heavy
-//! mix over both map layouts and the sweep records orec CAS failures per
-//! commit.  Every operation is tagged with its `OpClass`, so the per-class
-//! latency histograms (get/put/del/scan p50/p99/p999) come out of the same
-//! runs; a rendered per-runtime report is printed after the sweep.
+//! read-only transaction) over a prepopulated store + ordered index, sweeping
+//! read percentage {100, 90} x skew theta {0.6, 0.99} x all four runtimes.
+//! Every operation is tagged with its `OpClass`, so the per-class latency
+//! histograms (get/put/del/scan p50/p99/p999) come out of the same runs; a
+//! rendered per-runtime report is printed after the sweep.
 //!
 //! Headline assertions, run on every invocation (smoke included):
 //!
-//! * every snapshot-enabled cell commits lookups through the fast path
+//! * every cell commits lookups through the fast path
 //!   (`ro_fast_commits > 0`);
-//! * on the 100%-read snapshot-enabled STM cells the read-set pool
-//!   high-water stays at **zero** (`read_set_max == 0`) — the measured loop
-//!   has no mailbox or setup transactions to muddy the claim;
-//! * on the 90%-read theta-0.99 cells, snapshot-on throughput is at least
-//!   snapshot-off throughput on both STMs (slack under `TM_BENCH_SMOKE`);
-//! * at 8 threads the stripe-aligned layout suffers no more orec CAS
-//!   failures per commit than the naive layout on both STMs.
+//! * on the 100%-read STM cells the read-set pool high-water stays at
+//!   **zero** (`read_set_max == 0`) — the measured loop has no mailbox or
+//!   setup transactions to muddy the claim.
 //!
 //! Output: plain-text tables plus per-runtime latency reports on stdout and
 //! a JSON report written to `$TM_BENCH_JSON` (default `BENCH_kv_store.json`).
@@ -52,8 +36,8 @@ use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use condsync::Mechanism;
-use tm_core::{OpClass, SnapshotMode, StatsSnapshot, TmConfig};
-use tm_sync::{MapLayout, TmHashMap, TmOrderedMap};
+use tm_core::{OpClass, StatsSnapshot, TmConfig};
+use tm_sync::{TmHashMap, TmOrderedMap};
 use tm_workloads::json::Value;
 use tm_workloads::runtime::RuntimeKind;
 use tm_workloads::zipf::ZipfGen;
@@ -77,36 +61,22 @@ const SCAN_SPAN: u64 = 8;
 /// recording) dominates its fixed per-transaction cost.
 const GET_BATCH: usize = 16;
 
-/// Part A (snapshot sweep) worker count: concurrent readers and writers
-/// without drowning small CI hosts in scheduler noise (the snapshot
-/// comparison is wall-clock-based, so oversubscription hurts its signal).
-const THREADS_A: usize = 2;
+/// Worker count: concurrent readers and writers without drowning small CI
+/// hosts in scheduler noise.
+const THREADS: usize = 2;
 
-/// Part B (layout sweep) worker count — the contention point of the claim.
-const THREADS_B: usize = 8;
-
-/// Part A read percentages: the pure-lookup cell pins `read_set_max == 0`;
-/// the 90% cell is the paper-shaped read-mostly session mix.
+/// Read percentages: the pure-lookup cell pins `read_set_max == 0`; the 90%
+/// cell is the paper-shaped read-mostly session mix.
 const READ_PCTS: [u32; 2] = [100, 90];
 
-/// Part A Zipf skews: mild and classic-YCSB hot-spot.
+/// Zipf skews: mild and classic-YCSB hot-spot.
 const THETAS: [f64; 2] = [0.6, 0.99];
-
-/// Part B mix: write-heavy (20% reads) so structural churn — the traffic
-/// the layouts disagree on — dominates.
-const B_READ_PCT: u32 = 20;
-const B_THETA: f64 = 0.8;
-
-const SNAPSHOTS: [SnapshotMode; 2] = [SnapshotMode::Off, SnapshotMode::On];
 
 /// Base seed for the per-worker Zipf streams.
 const SEED: u64 = 0x005E_5510_4B50;
 
 struct Cell {
     runtime: RuntimeKind,
-    snapshot: SnapshotMode,
-    layout: MapLayout,
-    threads: usize,
     read_pct: u32,
     theta: f64,
     seconds: f64,
@@ -115,7 +85,6 @@ struct Cell {
     ro_fast_commits: u64,
     snapshot_refreshes: u64,
     read_set_max: u64,
-    orec_cas_failures: u64,
     gets: u64,
     puts: u64,
     dels: u64,
@@ -127,34 +96,13 @@ impl Cell {
     fn throughput(&self) -> f64 {
         self.commits as f64 / self.seconds
     }
-
-    fn cas_per_commit(&self) -> f64 {
-        if self.commits == 0 {
-            0.0
-        } else {
-            self.orec_cas_failures as f64 / self.commits as f64
-        }
-    }
 }
 
 #[allow(clippy::too_many_lines)]
-fn measure(
-    kind: RuntimeKind,
-    snapshot: SnapshotMode,
-    layout: MapLayout,
-    threads: usize,
-    read_pct: u32,
-    theta: f64,
-    iters: u64,
-) -> Cell {
-    let config = TmConfig::default()
-        .with_heap_words(1 << 16)
-        .with_snapshot(snapshot);
-    let rt = kind.build(config);
+fn measure(kind: RuntimeKind, read_pct: u32, theta: f64, iters: u64) -> Cell {
+    let rt = kind.build(TmConfig::default().with_heap_words(1 << 16));
     let system = Arc::clone(rt.system());
-    let store = Arc::new(TmHashMap::<u64, u64>::with_layout(
-        &system, CAPACITY, layout,
-    ));
+    let store = Arc::new(TmHashMap::<u64, u64>::new(&system, CAPACITY));
     let index = Arc::new(TmOrderedMap::<u64, u64>::new(&system));
     // Non-transactional prepopulation: the measured stats are the session
     // operations alone (critical for the `read_set_max == 0` claim).
@@ -163,7 +111,7 @@ fn measure(
         index.insert_direct(&system, k, k.wrapping_mul(2) + 1);
     }
 
-    let barrier = Barrier::new(threads + 1);
+    let barrier = Barrier::new(THREADS + 1);
     let inserts_new = AtomicU64::new(0);
     let delete_hits = AtomicU64::new(0);
     let op_counts = [
@@ -174,7 +122,7 @@ fn measure(
     ];
     let mut start = None;
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
+        let handles: Vec<_> = (0..THREADS)
             .map(|worker| {
                 let rt = rt.clone();
                 let system = Arc::clone(&system);
@@ -263,7 +211,7 @@ fn measure(
                 })
             })
             .collect();
-        // Stopwatch before the barrier release, mirroring `read_mostly`.
+        // Stopwatch before the barrier release.
         start = Some(Instant::now());
         barrier.wait();
         for h in handles {
@@ -277,27 +225,16 @@ fn measure(
     let final_len = store.len_direct(&system);
     let expected =
         KEYSPACE as u64 + inserts_new.load(Ordering::Relaxed) - delete_hits.load(Ordering::Relaxed);
-    assert_eq!(
-        final_len,
-        expected,
-        "{kind} {} {}: store lost structural updates",
-        snapshot.label(),
-        layout.label()
-    );
+    assert_eq!(final_len, expected, "{kind}: store lost structural updates");
     assert_eq!(
         store.dump_direct(&system),
         index.dump_direct(&system),
-        "{kind} {} {}: store and index disagree",
-        snapshot.label(),
-        layout.label()
+        "{kind}: store and index disagree"
     );
 
     let stats = system.stats();
     Cell {
         runtime: kind,
-        snapshot,
-        layout,
-        threads,
         read_pct,
         theta,
         seconds,
@@ -306,7 +243,6 @@ fn measure(
         ro_fast_commits: stats.ro_fast_commits,
         snapshot_refreshes: stats.snapshot_refreshes,
         read_set_max: stats.read_set_max,
-        orec_cas_failures: stats.orec_cas_failures,
         gets: op_counts[0].load(Ordering::Relaxed),
         puts: op_counts[1].load(Ordering::Relaxed),
         dels: op_counts[2].load(Ordering::Relaxed),
@@ -322,9 +258,7 @@ fn env_flag(name: &str) -> bool {
 fn cell_json(c: &Cell) -> Value {
     Value::obj(vec![
         ("runtime", Value::Str(c.runtime.label().to_string())),
-        ("snapshot", Value::Str(c.snapshot.label().to_string())),
-        ("layout", Value::Str(c.layout.label().to_string())),
-        ("threads", Value::Num(c.threads as f64)),
+        ("threads", Value::Num(THREADS as f64)),
         ("read_pct", Value::Num(c.read_pct as f64)),
         ("theta", Value::Num(c.theta)),
         ("seconds", Value::Num(c.seconds)),
@@ -337,8 +271,6 @@ fn cell_json(c: &Cell) -> Value {
             Value::Num(c.snapshot_refreshes as f64),
         ),
         ("read_set_max", Value::Num(c.read_set_max as f64)),
-        ("orec_cas_failures", Value::Num(c.orec_cas_failures as f64)),
-        ("cas_per_commit", Value::Num(c.cas_per_commit())),
         ("gets", Value::Num(c.gets as f64)),
         ("puts", Value::Num(c.puts as f64)),
         ("dels", Value::Num(c.dels as f64)),
@@ -360,12 +292,10 @@ fn main() {
     let json_path =
         std::env::var("TM_BENCH_JSON").unwrap_or_else(|_| "BENCH_kv_store.json".to_string());
 
-    // ---- Part A: snapshot sweep (striped layout, 4 threads) ----
-    let mut snap_cells = Vec::new();
+    let mut cells = Vec::new();
     println!(
-        "{:<10} {:<9} {:>8} {:>6} {:>9} {:>11} {:>9} {:>9} {:>10} {:>9}",
+        "{:<10} {:>8} {:>6} {:>9} {:>11} {:>9} {:>9} {:>10} {:>9}",
         "runtime",
-        "snapshot",
         "read_pct",
         "theta",
         "seconds",
@@ -376,103 +306,43 @@ fn main() {
         "rset_max"
     );
     for kind in RuntimeKind::ALL {
-        for snapshot in SNAPSHOTS {
-            for theta in THETAS {
-                for read_pct in READ_PCTS {
-                    let cell = (0..repeats)
-                        .map(|_| {
-                            measure(
-                                kind,
-                                snapshot,
-                                MapLayout::StripeAligned,
-                                THREADS_A,
-                                read_pct,
-                                theta,
-                                iters,
-                            )
-                        })
-                        .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
-                        .expect("at least one repeat");
-                    println!(
-                        "{:<10} {:<9} {:>8} {:>6} {:>9.4} {:>11.0} {:>9} {:>9} {:>10} {:>9}",
-                        cell.runtime.label(),
-                        cell.snapshot.label(),
-                        cell.read_pct,
-                        cell.theta,
-                        cell.seconds,
-                        cell.throughput(),
-                        cell.aborts,
-                        cell.ro_fast_commits,
-                        cell.snapshot_refreshes,
-                        cell.read_set_max,
-                    );
-                    snap_cells.push(cell);
-                }
+        for theta in THETAS {
+            for read_pct in READ_PCTS {
+                let cell = (0..repeats)
+                    .map(|_| measure(kind, read_pct, theta, iters))
+                    .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
+                    .expect("at least one repeat");
+                println!(
+                    "{:<10} {:>8} {:>6} {:>9.4} {:>11.0} {:>9} {:>9} {:>10} {:>9}",
+                    cell.runtime.label(),
+                    cell.read_pct,
+                    cell.theta,
+                    cell.seconds,
+                    cell.throughput(),
+                    cell.aborts,
+                    cell.ro_fast_commits,
+                    cell.snapshot_refreshes,
+                    cell.read_set_max,
+                );
+                cells.push(cell);
             }
         }
     }
 
-    // ---- Part B: layout sweep (8 threads, write-heavy, snapshot on) ----
-    let mut layout_cells = Vec::new();
-    println!(
-        "\n{:<10} {:<8} {:>8} {:>9} {:>11} {:>9} {:>12} {:>11}",
-        "runtime",
-        "layout",
-        "threads",
-        "seconds",
-        "commits/s",
-        "aborts",
-        "cas_failures",
-        "cas/commit"
-    );
-    let b_iters = (iters / 2).max(1);
-    for kind in RuntimeKind::ALL {
-        for layout in MapLayout::ALL {
-            let cell = (0..repeats)
-                .map(|_| {
-                    measure(
-                        kind,
-                        SnapshotMode::On,
-                        layout,
-                        THREADS_B,
-                        B_READ_PCT,
-                        B_THETA,
-                        b_iters,
-                    )
-                })
-                .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
-                .expect("at least one repeat");
-            println!(
-                "{:<10} {:<8} {:>8} {:>9.4} {:>11.0} {:>9} {:>12} {:>11.4}",
-                cell.runtime.label(),
-                cell.layout.label(),
-                cell.threads,
-                cell.seconds,
-                cell.throughput(),
-                cell.aborts,
-                cell.orec_cas_failures,
-                cell.cas_per_commit(),
-            );
-            layout_cells.push(cell);
-        }
-    }
-
     // ---- Per-runtime latency reports: p50/p99/p999 per operation class ----
-    // The op-class histograms come from the 90%-read theta-0.99 snapshot-on
-    // cell (the session-store shape), rendered through the same report
-    // machinery the figure binaries use.
+    // The op-class histograms come from the 90%-read theta-0.99 cell (the
+    // session-store shape), rendered through the same report machinery the
+    // figure binaries use.
     for kind in RuntimeKind::ALL {
-        let cell = snap_cells
+        let cell = cells
             .iter()
-            .find(|c| {
-                c.runtime == kind && c.snapshot.is_enabled() && c.read_pct == 90 && c.theta == 0.99
-            })
-            .expect("90%-read snapshot-on cell");
+            .find(|c| c.runtime == kind && c.read_pct == 90 && c.theta == 0.99)
+            .expect("90%-read theta-0.99 cell");
         let mut panel = Panel::new(format!("kv_store {}", kind.label()), "threads");
         panel
             .series_mut(Mechanism::Await)
             .push(DataPoint::from_trials(
-                cell.threads as u64,
+                THREADS as u64,
                 &[std::time::Duration::from_secs_f64(cell.seconds)],
                 cell.stats,
             ));
@@ -484,19 +354,17 @@ fn main() {
     }
 
     // ---- Headline claims, checked on every run (smoke included) ----
-    for cell in snap_cells.iter().filter(|c| c.snapshot.is_enabled()) {
+    for cell in &cells {
         assert!(
             cell.ro_fast_commits > 0,
-            "{}/{}%/theta {}: snapshot enabled but no fast read-only commits",
+            "{}/{}%/theta {}: no fast read-only commits",
             cell.runtime.label(),
             cell.read_pct,
             cell.theta
         );
     }
-    for cell in snap_cells.iter().filter(|c| {
-        c.snapshot.is_enabled()
-            && c.read_pct == 100
-            && matches!(c.runtime, RuntimeKind::EagerStm | RuntimeKind::LazyStm)
+    for cell in cells.iter().filter(|c| {
+        c.read_pct == 100 && matches!(c.runtime, RuntimeKind::EagerStm | RuntimeKind::LazyStm)
     }) {
         // Pure-lookup STM cells never populate a read set: there is no
         // mailbox or setup transaction in the measured loop, so the
@@ -510,86 +378,19 @@ fn main() {
             cell.read_set_max
         );
     }
-    // Single-repeat smoke timings on shared CI runners are noisy; the full
-    // bench holds the strict inequality.
-    let slack = if smoke { 0.90 } else { 1.0 };
-    for kind in [RuntimeKind::EagerStm, RuntimeKind::LazyStm] {
-        let pick = |mode: SnapshotMode| {
-            snap_cells
-                .iter()
-                .find(|c| {
-                    c.runtime == kind && c.snapshot == mode && c.read_pct == 90 && c.theta == 0.99
-                })
-                .expect("90%-read theta-0.99 cell")
-        };
-        let off = pick(SnapshotMode::Off);
-        let on = pick(SnapshotMode::On);
-        println!(
-            "  -> {} @ 90% read, theta 0.99: snap-on {:.0} commits/s vs snap-off {:.0} ({:+.1}%)",
-            kind.label(),
-            on.throughput(),
-            off.throughput(),
-            (on.throughput() / off.throughput() - 1.0) * 100.0,
-        );
-        assert!(
-            on.throughput() >= off.throughput() * slack,
-            "{}: 90%-read snapshot-on {:.0} commits/s below snapshot-off {:.0}",
-            kind.label(),
-            on.throughput(),
-            off.throughput()
-        );
-    }
-    // The layout claim: striped counters shed the naive layout's single-
-    // length-word serialization.  CAS-failure counts are far less noisy
-    // than wall-clock, but smoke runs still get a little slack.
-    let cas_slack = if smoke { 1.25 } else { 1.0 };
-    for kind in [RuntimeKind::EagerStm, RuntimeKind::LazyStm] {
-        let pick = |layout: MapLayout| {
-            layout_cells
-                .iter()
-                .find(|c| c.runtime == kind && c.layout == layout)
-                .expect("layout cell")
-        };
-        let naive = pick(MapLayout::Naive);
-        let striped = pick(MapLayout::StripeAligned);
-        println!(
-            "  -> {} @ {} threads: striped {:.4} CAS-failures/commit vs naive {:.4}",
-            kind.label(),
-            THREADS_B,
-            striped.cas_per_commit(),
-            naive.cas_per_commit(),
-        );
-        assert!(
-            striped.cas_per_commit() <= naive.cas_per_commit() * cas_slack + 0.02,
-            "{}: striped layout {:.4} CAS-failures/commit above naive {:.4}",
-            kind.label(),
-            striped.cas_per_commit(),
-            naive.cas_per_commit()
-        );
-    }
 
     let report = Value::obj(vec![
         ("experiment", Value::Str("kv_store".to_string())),
         (
             "description",
-            Value::Str(
-                "session-store mix over the transactional KV plane: snapshot sweep + layout sweep"
-                    .to_string(),
-            ),
+            Value::Str("session-store mix over the transactional KV plane".to_string()),
         ),
         ("iters_per_thread", Value::Num(iters as f64)),
         ("keyspace", Value::Num(KEYSPACE as f64)),
         ("capacity", Value::Num(CAPACITY as f64)),
         ("scan_span", Value::Num(SCAN_SPAN as f64)),
         ("smoke", Value::Bool(smoke)),
-        (
-            "snapshot_cells",
-            Value::Arr(snap_cells.iter().map(cell_json).collect()),
-        ),
-        (
-            "layout_cells",
-            Value::Arr(layout_cells.iter().map(cell_json).collect()),
-        ),
+        ("cells", Value::Arr(cells.iter().map(cell_json).collect())),
     ]);
     std::fs::write(&json_path, report.pretty()).expect("write JSON report");
     println!("wrote {json_path}");

@@ -31,10 +31,8 @@
 //! (see [`tm_core::FaultConfig::from_env`]): setting any of them layers the
 //! deterministic fault-injection plane under the HTM runtimes for every
 //! trial, and the report gains a `fault_injection` note recording the
-//! configuration.  The memory-plane knobs `TM_OREC_SHARDS` and
-//! `TM_HEAP_ARENAS` (see [`tm_core::TmConfig::with_mem_plane_env`]) are
-//! honored the same way, and the report header always records the values
-//! in effect.
+//! configuration.  The report header always records `orec_shards`, which
+//! follows the host's core count.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -43,7 +41,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use condsync::Mechanism;
-use tm_core::{FaultConfig, TmConfig};
+use tm_core::{default_orec_shards, FaultConfig, TmConfig};
 use tm_workloads::loc;
 use tm_workloads::parsec::{KernelParams, ParsecApp, Scale};
 use tm_workloads::pc::{run_pc_configured, PcParams};
@@ -211,21 +209,17 @@ pub fn bounded_buffer_figure(kind: RuntimeKind, opts: &FigureOptions) -> Report 
     if fault.enabled() {
         report.note("fault_injection", format!("{fault:?}"));
     }
-    // Memory-plane knobs: applied to every trial's system and always
-    // recorded, so a report is reproducible without knowing the launch env.
-    let mem_plane = TmConfig::default().with_mem_plane_env();
-    report.note("orec_shards", mem_plane.orec_shards.to_string());
-    report.note("heap_arenas", mem_plane.heap_arenas.to_string());
+    // The orec shard count follows the host's core count: recorded, so a
+    // report can be read without knowing the host.
+    report.note("orec_shards", default_orec_shards().to_string());
 
     for &(p, c) in &opts.pc_panels {
         for mechanism in opts.mechanisms_for(kind) {
             for &size in &opts.buffer_sizes {
                 let params = PcParams::new(p, c, size, opts.items, mechanism);
-                let config = TmConfig {
-                    heap_words: params.heap_words(),
-                    ..mem_plane
-                }
-                .with_fault(fault);
+                let config = TmConfig::default()
+                    .with_heap_words(params.heap_words())
+                    .with_fault(fault);
                 let results: Vec<_> = (0..opts.trials.max(1))
                     .map(|_| run_pc_configured(kind, &params, config))
                     .collect();
@@ -259,11 +253,7 @@ pub fn parsec_figure(kind: RuntimeKind, opts: &FigureOptions) -> Report {
     let mut report = Report::new(experiment, "PARSEC-like kernels", kind.label());
     report.note("scale", format!("{:?}", opts.scale));
     report.note("trials", opts.trials.to_string());
-    // The kernels honor the same memory-plane env overrides as the bounded
-    // buffer figure; record them so reports are reproducible from the header.
-    let mem_plane = TmConfig::default().with_mem_plane_env();
-    report.note("orec_shards", mem_plane.orec_shards.to_string());
-    report.note("heap_arenas", mem_plane.heap_arenas.to_string());
+    report.note("orec_shards", default_orec_shards().to_string());
 
     for app in ParsecApp::ALL {
         for mechanism in opts.mechanisms_for(kind) {

@@ -11,10 +11,10 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use tm_core::access::cover_valid_at;
-use tm_core::driver::{self, CommitOutcome, TxEngine};
+use tm_core::driver::{CommitOutcome, TxEngine};
 use tm_core::{
-    Descriptor, SoftwareProtocol, SoftwareTx, ThreadCtx, TmRt, TmRuntime, TmSystem, Tx, TxCommon,
-    TxCtl, TxKind, TxResult, WaitCondition, WaitSpec,
+    Descriptor, SoftwareProtocol, SoftwareTx, ThreadCtx, TmSystem, TxCommon, TxCtl, WaitCondition,
+    WaitSpec,
 };
 
 use crate::orig::{sleep_until_intersection, OrigRegistry};
@@ -110,44 +110,4 @@ impl<P: SoftwareProtocol> TxEngine for SoftwareStm<P> {
     }
 }
 
-impl<P: SoftwareProtocol> TmRuntime for SoftwareStm<P> {
-    fn system(&self) -> &Arc<TmSystem> {
-        &self.system
-    }
-
-    fn name(&self) -> &'static str {
-        P::NAME
-    }
-
-    fn exec_u64(
-        &self,
-        thread: &Arc<ThreadCtx>,
-        body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<u64>,
-    ) -> u64 {
-        driver::run(self, thread, body)
-    }
-
-    fn exec_bool(
-        &self,
-        thread: &Arc<ThreadCtx>,
-        body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<bool>,
-    ) -> bool {
-        driver::run(self, thread, body)
-    }
-}
-
-impl<P: SoftwareProtocol> TmRt for SoftwareStm<P> {
-    fn atomically<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T
-    where
-        F: FnMut(&mut dyn Tx) -> TxResult<T>,
-    {
-        driver::run(self, thread, body)
-    }
-
-    fn atomically_read<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T
-    where
-        F: FnMut(&mut dyn Tx) -> TxResult<T>,
-    {
-        driver::run_kind(self, thread, TxKind::ReadOnly, body)
-    }
-}
+tm_core::engine_runtime!(P::NAME, SoftwareStm<P>, P: SoftwareProtocol);

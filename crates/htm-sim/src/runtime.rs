@@ -9,12 +9,11 @@
 
 use std::sync::Arc;
 
-use tm_core::driver::{self, CommitOutcome, TxEngine};
+use tm_core::driver::{CommitOutcome, TxEngine};
 use tm_core::hwtm::{FaultPlane, HwTm};
 use tm_core::lock::{Mutex, MutexGuard};
 use tm_core::{
-    Descriptor, ThreadCtx, ThreadId, TmRt, TmRuntime, TmSystem, Tx, TxCommon, TxCtl, TxKind,
-    TxMode, TxResult, WaitCondition, WaitSpec,
+    Descriptor, ThreadCtx, ThreadId, TmSystem, TxCommon, TxCtl, TxMode, WaitCondition, WaitSpec,
 };
 
 use crate::lines::LineTable;
@@ -247,55 +246,16 @@ impl TxEngine for HtmSim {
     }
 }
 
-impl TmRuntime for HtmSim {
-    fn system(&self) -> &Arc<TmSystem> {
-        &self.system
-    }
-
-    fn name(&self) -> &'static str {
-        "htm"
-    }
-
-    fn exec_u64(
-        &self,
-        thread: &Arc<ThreadCtx>,
-        body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<u64>,
-    ) -> u64 {
-        driver::run(self, thread, body)
-    }
-
-    fn exec_bool(
-        &self,
-        thread: &Arc<ThreadCtx>,
-        body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<bool>,
-    ) -> bool {
-        driver::run(self, thread, body)
-    }
-}
-
-impl TmRt for HtmSim {
-    fn atomically<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T
-    where
-        F: FnMut(&mut dyn Tx) -> TxResult<T>,
-    {
-        driver::run(self, thread, body)
-    }
-
-    fn atomically_read<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T
-    where
-        F: FnMut(&mut dyn Tx) -> TxResult<T>,
-    {
-        // No software snapshot rung exists here (the fallback is the serial
-        // lock), but declared-read-only hardware commits still count as
-        // `ro_fast_commits` in the driver.
-        driver::run_kind(self, thread, TxKind::ReadOnly, body)
-    }
-}
+// No software snapshot rung exists here (the fallback is the serial lock),
+// but declared-read-only hardware commits still count as `ro_fast_commits`
+// in the driver.
+tm_core::engine_runtime!("htm", HtmSim);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_core::{Addr, HtmConfig, TmConfig, TmVar};
+    use tm_core::hwtm::HwAbort;
+    use tm_core::{AbortReason, Addr, HtmConfig, LineId, TmConfig, TmRt, TmVar, Tx, TxResult};
 
     fn runtime() -> (Arc<TmSystem>, Arc<HtmSim>) {
         let system = TmSystem::new(TmConfig::small());
@@ -463,6 +423,64 @@ mod tests {
         let th = system.register_thread();
         rt.atomically(&th, |tx| flag.set(tx, 1));
         assert_eq!(spinner.join().unwrap(), 1);
+    }
+
+    /// A backend whose `read_line` plays a conflicting committer that wins
+    /// the race inside the reader's access: it dooms the reader, then
+    /// overwrites the word.
+    #[derive(Debug)]
+    struct DoomingPlane {
+        system: Arc<TmSystem>,
+        victim: Addr,
+    }
+
+    impl HwTm for DoomingPlane {
+        fn slot_for(&self, _line: LineId) -> usize {
+            0
+        }
+        fn read_line(&self, _: LineId, _: usize, tid: ThreadId) -> Result<(), HwAbort> {
+            self.system.threads.get(tid).expect("registered").doom();
+            self.system.heap.store(self.victim, 2);
+            Ok(())
+        }
+        fn write_line(&self, _: LineId, _: usize, _: ThreadId) -> Result<(), HwAbort> {
+            Ok(())
+        }
+        fn check_read_footprint(&self, _: usize) -> Result<(), HwAbort> {
+            Ok(())
+        }
+        fn check_write_footprint(&self, _: usize) -> Result<(), HwAbort> {
+            Ok(())
+        }
+        fn commit_check(&self, _: ThreadId) -> Result<(), HwAbort> {
+            Ok(())
+        }
+        fn clear_read(&self, _: usize, _: ThreadId) {}
+        fn clear_write(&self, _: usize, _: ThreadId) {}
+        fn claim_for_writeback(&self, _: usize, _: ThreadId) {}
+        fn release_writeback(&self, _: usize, _: ThreadId) {}
+        fn line_cover(&self, _: LineId, _: &mut Vec<usize>) {}
+    }
+
+    #[test]
+    fn a_read_doomed_during_the_access_aborts_instead_of_returning_the_new_value() {
+        let system = TmSystem::new(TmConfig::small());
+        let v = TmVar::<u64>::alloc(&system, 1);
+        let plane = Arc::new(DoomingPlane {
+            system: Arc::clone(&system),
+            victim: v.addr(),
+        });
+        let rt = HtmSim::with_plane(Arc::clone(&system), plane, false);
+        let th = system.register_thread();
+        let mut desc = th.checkout();
+        let mut tx = rt.begin(&th, &mut desc, TxCommon::new(TxMode::Hardware, 0));
+        assert!(
+            matches!(
+                tx.read(v.addr()),
+                Err(TxCtl::Abort(AbortReason::HwConflict))
+            ),
+            "a zombie read must abort, not return the post-commit word"
+        );
     }
 
     #[test]

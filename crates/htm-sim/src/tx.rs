@@ -346,9 +346,6 @@ impl Tx for HtmTx<'_> {
             self.retry_log(addr, val);
             return Ok(val);
         }
-        if self.thread.is_doomed() {
-            return Err(TxCtl::Abort(AbortReason::HwConflict));
-        }
         if self.rt.fallback_held() {
             return Err(TxCtl::Abort(AbortReason::HwFallbackLock));
         }
@@ -370,7 +367,15 @@ impl Tx for HtmTx<'_> {
                 return Err(hw_fault(self.thread, f));
             }
         }
-        Ok(self.rt.system().heap.load(addr))
+        let val = self.rt.system().heap.load(addr);
+        // The doom check must follow the load: a conflicting writer dooms
+        // its readers (release) before its first store, so a load that
+        // observes a post-commit word (acquire) also observes the doom, and
+        // the body never sees that word next to pre-commit ones.
+        if self.thread.is_doomed() {
+            return Err(TxCtl::Abort(AbortReason::HwConflict));
+        }
+        Ok(val)
     }
 
     fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {

@@ -3,41 +3,6 @@
 use crate::clock::ClockMode;
 use crate::policy::PolicyKind;
 
-/// How read-only transactions execute (see the snapshot read path in the
-/// software engines).
-///
-/// A snapshot reader runs against its begin snapshot `rv`: every read checks
-/// only that the covering ownership record is unlocked with
-/// `version <= rv`, keeps **no read set**, and commits for free — no
-/// commit-time validation and no clock traffic.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum SnapshotMode {
-    /// No snapshot path: read-only transactions build a read set and
-    /// validate at commit like any other software transaction (the
-    /// pre-snapshot behavior, kept for parity testing and ablation).
-    Off,
-    /// Zero-footprint snapshots.  A too-new version can only be survived by
-    /// re-sampling `rv` *before the first successful read* (nothing has been
-    /// observed yet, so any snapshot is still admissible); afterwards the
-    /// attempt aborts and retries with a fresh snapshot.
-    On,
-}
-
-impl SnapshotMode {
-    /// A short label for reports and benchmark tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            SnapshotMode::Off => "snap-off",
-            SnapshotMode::On => "snap-on",
-        }
-    }
-
-    /// True when the snapshot read path is enabled at all.
-    pub fn is_enabled(self) -> bool {
-        !matches!(self, SnapshotMode::Off)
-    }
-}
-
 /// Configuration of the simulated best-effort HTM (see the `htm-sim` crate).
 ///
 /// The defaults approximate Intel TSX on a Haswell-class part as used in the
@@ -224,8 +189,6 @@ pub struct TmConfig {
     /// Deterministic hardware fault injection (see [`FaultConfig`]); the
     /// all-zero default disables the plane entirely.
     pub fault: FaultConfig,
-    /// Backoff parameters.
-    pub backoff: BackoffConfig,
     /// Timer-wheel parameters for timed waits.
     pub timer: TimerConfig,
     /// Which stock contention-management policy the system installs (see
@@ -238,10 +201,6 @@ pub struct TmConfig {
     /// [`ClockMode::Gv1`] is the deterministic single-counter baseline that
     /// [`TmConfig::small`] selects for unit tests.
     pub clock: ClockMode,
-    /// How read-only transactions execute (see [`SnapshotMode`]).  Enabled
-    /// by default: declared or discovered read-only transactions run
-    /// validation-free against their begin snapshot.
-    pub snapshot: SnapshotMode,
     /// Capacity of the per-thread epoch table — the maximum number of
     /// threads that may register with the system.  Fixed at construction so
     /// epoch slots never move and scans stay lock-free.
@@ -259,11 +218,9 @@ impl Default for TmConfig {
             quiescence: true,
             htm: HtmConfig::default(),
             fault: FaultConfig::default(),
-            backoff: BackoffConfig::default(),
             timer: TimerConfig::default(),
             policy: PolicyKind::Fixed,
             clock: ClockMode::LazyGv5,
-            snapshot: SnapshotMode::On,
             max_threads: 1024,
         }
     }
@@ -284,14 +241,12 @@ impl TmConfig {
             quiescence: true,
             htm: HtmConfig::default(),
             fault: FaultConfig::default(),
-            backoff: BackoffConfig::default(),
             timer: TimerConfig {
                 slots: 64,
                 ..TimerConfig::default()
             },
             policy: PolicyKind::Fixed,
             clock: ClockMode::Gv1,
-            snapshot: SnapshotMode::On,
             max_threads: 64,
         }
     }
@@ -321,24 +276,6 @@ impl TmConfig {
         self
     }
 
-    /// Overrides the waiter-registry shard count.
-    pub fn with_wake_shards(mut self, shards: usize) -> Self {
-        self.wake_shards = shards;
-        self
-    }
-
-    /// Overrides the backoff parameters.
-    pub fn with_backoff(mut self, backoff: BackoffConfig) -> Self {
-        self.backoff = backoff;
-        self
-    }
-
-    /// Overrides the timer-wheel parameters.
-    pub fn with_timer(mut self, timer: TimerConfig) -> Self {
-        self.timer = timer;
-        self
-    }
-
     /// Overrides the contention-management policy.
     pub fn with_policy(mut self, policy: PolicyKind) -> Self {
         self.policy = policy;
@@ -348,12 +285,6 @@ impl TmConfig {
     /// Overrides the clock-advancement scheme.
     pub fn with_clock(mut self, clock: ClockMode) -> Self {
         self.clock = clock;
-        self
-    }
-
-    /// Overrides the read-only snapshot mode.
-    pub fn with_snapshot(mut self, snapshot: SnapshotMode) -> Self {
-        self.snapshot = snapshot;
         self
     }
 
@@ -375,37 +306,10 @@ impl TmConfig {
         self
     }
 
-    /// Applies the memory-plane environment overrides `TM_OREC_SHARDS` and
-    /// `TM_HEAP_ARENAS` (unset or unparsable variables leave the
-    /// configuration untouched), the same shape as [`FaultConfig::from_env`]:
-    /// soak and figure jobs flip the knobs without recompiling.
-    ///
-    /// `TM_HEAP_ARENAS` accepts `1`/`true`/`on` and `0`/`false`/`off`.
-    pub fn with_mem_plane_env(mut self) -> Self {
-        if let Some(shards) = std::env::var("TM_OREC_SHARDS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            self.orec_shards = shards;
-        }
-        if let Some(arenas) = std::env::var("TM_HEAP_ARENAS").ok().and_then(|v| {
-            match v.trim().to_ascii_lowercase().as_str() {
-                "1" | "true" | "on" => Some(true),
-                "0" | "false" | "off" => Some(false),
-                _ => None,
-            }
-        }) {
-            self.heap_arenas = arenas;
-        }
-        self
-    }
-
-    /// Builds the default configuration with every environment override
-    /// applied: the memory-plane knobs plus [`FaultConfig::from_env`].
+    /// Builds the default configuration with the one environment override
+    /// applied: [`FaultConfig::from_env`].
     pub fn from_env() -> Self {
-        TmConfig::default()
-            .with_mem_plane_env()
-            .with_fault(FaultConfig::from_env())
+        TmConfig::default().with_fault(FaultConfig::from_env())
     }
 }
 
@@ -432,12 +336,6 @@ mod tests {
         assert!(c.quiescence);
         assert_eq!(c.htm.max_attempts, 2);
         assert_eq!(c.clock, ClockMode::LazyGv5, "lazy clock is the default");
-        assert_eq!(
-            c.snapshot,
-            SnapshotMode::On,
-            "snapshot reads are on by default"
-        );
-        assert!(c.snapshot.is_enabled());
         assert!(c.max_threads >= 64);
         assert_eq!(
             TmConfig::small().clock,
@@ -451,25 +349,13 @@ mod tests {
         let c = TmConfig::small()
             .without_quiescence()
             .with_heap_words(100)
-            .with_wake_shards(8)
-            .with_backoff(BackoffConfig {
-                min_spins: 1,
-                max_spins: 2,
-                max_exp: 1,
-                yield_after: 1,
-            })
             .with_htm(HtmConfig {
                 max_read_lines: 8,
                 max_write_lines: 4,
                 max_attempts: 1,
             })
-            .with_timer(TimerConfig {
-                slots: 16,
-                tick_micros: 250,
-            })
             .with_policy(PolicyKind::ADAPTIVE_DEFAULT)
             .with_clock(ClockMode::LazyGv5)
-            .with_snapshot(SnapshotMode::Off)
             .with_fault(FaultConfig {
                 seed: 7,
                 spurious_per_64k: 100,
@@ -484,17 +370,10 @@ mod tests {
         assert!(c.fault.enabled());
         assert_eq!(c.fault.seed, 7);
         assert_eq!(c.clock, ClockMode::LazyGv5);
-        assert_eq!(c.snapshot, SnapshotMode::Off);
-        assert!(!SnapshotMode::Off.is_enabled());
-        assert_eq!(SnapshotMode::Off.label(), "snap-off");
         assert_eq!(c.max_threads, 8);
         assert_eq!(c.policy, PolicyKind::ADAPTIVE_DEFAULT);
         assert_eq!(c.heap_words, 100);
-        assert_eq!(c.wake_shards, 8);
-        assert_eq!(c.backoff.max_exp, 1);
         assert_eq!(c.htm.max_write_lines, 4);
-        assert_eq!(c.timer.slots, 16);
-        assert_eq!(c.timer.tick_micros, 250);
     }
 
     #[test]

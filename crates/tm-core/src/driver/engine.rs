@@ -189,3 +189,61 @@ pub trait TxEngine: TmRuntime + Sized {
         let _ = (thread, outcome, cover);
     }
 }
+
+/// Implements [`TmRuntime`] and [`crate::TmRt`] for a [`TxEngine`] whose
+/// system lives in a `system: Arc<TmSystem>` field: every entry point
+/// forwards to the shared driver loop ([`super::run`] / [`super::run_kind`]),
+/// so a runtime crate states only its benchmark name.
+///
+/// `engine_runtime!("htm", HtmSim)`, or with the type's generics last:
+/// `engine_runtime!(P::NAME, SoftwareStm<P>, P: SoftwareProtocol)`.
+#[macro_export]
+macro_rules! engine_runtime {
+    ($name:expr, $ty:ty $(, $($generics:tt)+)?) => {
+        impl$(<$($generics)+>)? $crate::TmRuntime for $ty {
+            fn system(&self) -> &::std::sync::Arc<$crate::TmSystem> {
+                &self.system
+            }
+
+            fn name(&self) -> &'static str {
+                $name
+            }
+
+            fn exec_u64(
+                &self,
+                thread: &::std::sync::Arc<$crate::ThreadCtx>,
+                body: &mut dyn FnMut(&mut dyn $crate::Tx) -> $crate::TxResult<u64>,
+            ) -> u64 {
+                $crate::driver::run(self, thread, body)
+            }
+
+            fn exec_bool(
+                &self,
+                thread: &::std::sync::Arc<$crate::ThreadCtx>,
+                body: &mut dyn FnMut(&mut dyn $crate::Tx) -> $crate::TxResult<bool>,
+            ) -> bool {
+                $crate::driver::run(self, thread, body)
+            }
+        }
+
+        impl$(<$($generics)+>)? $crate::TmRt for $ty {
+            fn atomically<T, F>(&self, thread: &::std::sync::Arc<$crate::ThreadCtx>, body: F) -> T
+            where
+                F: FnMut(&mut dyn $crate::Tx) -> $crate::TxResult<T>,
+            {
+                $crate::driver::run(self, thread, body)
+            }
+
+            fn atomically_read<T, F>(
+                &self,
+                thread: &::std::sync::Arc<$crate::ThreadCtx>,
+                body: F,
+            ) -> T
+            where
+                F: FnMut(&mut dyn $crate::Tx) -> $crate::TxResult<T>,
+            {
+                $crate::driver::run_kind(self, thread, $crate::TxKind::ReadOnly, body)
+            }
+        }
+    };
+}

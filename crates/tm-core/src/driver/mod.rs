@@ -32,10 +32,11 @@
 //! [`crate::tx::TxCommon::wake_reason`], so the re-executed body can observe
 //! a timeout or cancellation.
 //!
-//! Runtime crates implement [`TxEngine`] and forward their public
-//! [`crate::TmRuntime`] / [`crate::TmRt`] entry points to [`run`]; adding a
-//! fourth runtime (e.g. a hybrid HTM/STM path) means implementing the engine
-//! trait, not re-writing the protocol.
+//! Runtime crates implement [`TxEngine`] and get their public
+//! [`crate::TmRuntime`] / [`crate::TmRt`] entry points, which forward to
+//! [`run`], from [`crate::engine_runtime!`]; adding a fourth runtime (e.g. a
+//! hybrid HTM/STM path) means implementing the engine trait, not re-writing
+//! the protocol.
 
 mod engine;
 mod run;

@@ -25,6 +25,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::backoff::Backoff;
+use crate::config::BackoffConfig;
 use crate::ctl::{AbortReason, TxCtl, TxResult, WaitSpec};
 use crate::policy::{CmEvent, CmHistory};
 use crate::stats::TxStats;
@@ -59,10 +60,9 @@ where
 /// [`run`] with an explicit transaction kind.
 ///
 /// A [`TxKind::ReadOnly`] transaction runs software attempts on the snapshot
-/// read path (no read set, validation-free commit — see
-/// [`crate::config::SnapshotMode`]).  If the body writes, the attempt aborts
-/// with [`AbortReason::ReadOnlyWrite`] and is upgraded here to a full
-/// [`TxKind::Update`] transaction — re-executed immediately, with no
+/// read path (no read set, validation-free commit).  If the body writes, the
+/// attempt aborts with [`AbortReason::ReadOnlyWrite`] and is upgraded here to
+/// a full [`TxKind::Update`] transaction — re-executed immediately, with no
 /// contention management or backoff, since the abort carries no conflict
 /// information.  A read-only attempt that deschedules is first re-executed
 /// as a logged ([`TxMode::SoftwareRetry`]) attempt so the value-based and
@@ -77,7 +77,7 @@ where
     // deterministic.  Seeds only need to differ across concurrently running
     // transactions.
     let seed = thread.next_backoff_seed();
-    let mut backoff = Backoff::new(engine.system().config.backoff, seed);
+    let mut backoff = Backoff::new(BackoffConfig::default(), seed);
     let mut mode = engine.initial_mode();
     // The declared kind decides which latency class the transaction reports
     // to; the *current* kind may be upgraded to `Update` mid-flight.
@@ -277,9 +277,7 @@ where
             TxCtl::Deschedule(WaitSpec::OrigReadLocks)
                 if engine.supports_orig_retry()
                     && mode != TxMode::Serial
-                    && !(kind == TxKind::ReadOnly
-                        && mode == TxMode::Software
-                        && engine.system().config.snapshot.is_enabled()) =>
+                    && !(kind == TxKind::ReadOnly && mode == TxMode::Software) =>
             {
                 // Snapshot attempts keep no read-orec cover, so a read-only
                 // transaction must not reach `deschedule_orig` from `Software`

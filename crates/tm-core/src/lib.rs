@@ -82,7 +82,7 @@ pub use access::{Descriptor, IndexSet, LogPool, ReadEntry, ReadSet, WriteEntry, 
 pub use addr::{Addr, LineId, LINE_WORDS};
 pub use clock::{ClockMode, ClockPlane, CommitStamp, GlobalClock};
 pub use config::{
-    default_orec_shards, BackoffConfig, FaultConfig, HtmConfig, SnapshotMode, TimerConfig, TmConfig,
+    default_orec_shards, BackoffConfig, FaultConfig, HtmConfig, TimerConfig, TmConfig,
 };
 pub use ctl::{AbortReason, PredFn, TxCtl, TxResult, WaitCondition, WaitSpec};
 pub use driver::{CommitOutcome, TxEngine};

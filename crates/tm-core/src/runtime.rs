@@ -82,13 +82,12 @@ pub trait TmRt: TmRuntime {
 
     /// Runs `body` as a *declared read-only* transaction.
     ///
-    /// Software attempts take the snapshot read path (see
-    /// [`crate::config::SnapshotMode`]): every read validates against the
-    /// begin snapshot, no read set is kept, and the commit is free — no
-    /// validation, no clock traffic.  If the body writes or allocates after
-    /// all, the driver upgrades the transaction to a full update transaction
-    /// and re-executes it, so declaring read-only is always safe — merely
-    /// fastest when true.
+    /// Software attempts take the snapshot read path: every read validates
+    /// against the begin snapshot, no read set is kept, and the commit is
+    /// free — no validation, no clock traffic.  If the body writes or
+    /// allocates after all, the driver upgrades the transaction to a full
+    /// update transaction and re-executes it, so declaring read-only is
+    /// always safe — merely fastest when true.
     ///
     /// The default implementation falls back to [`TmRt::atomically`];
     /// runtimes built on the unified driver override it to pass

@@ -53,10 +53,9 @@ pub struct SoftwareTxCore<'a> {
     /// empty.
     serial: Option<SerialAttempt<'a>>,
     /// True when this attempt runs on the snapshot read path: a declared
-    /// read-only transaction in plain [`TxMode::Software`] mode with
-    /// [`crate::SnapshotMode::On`].  Reads validate against `start` only, no
-    /// read set is kept, writes abort with [`AbortReason::ReadOnlyWrite`],
-    /// and the commit is free.
+    /// read-only transaction in plain [`TxMode::Software`] mode.  Reads
+    /// validate against `start` only, no read set is kept, writes abort with
+    /// [`AbortReason::ReadOnlyWrite`], and the commit is free.
     snapshot: bool,
     /// Whether the snapshot attempt has completed at least one read (gates
     /// the first-read refresh).
@@ -375,9 +374,7 @@ impl<'a, P: SoftwareProtocol> SoftwareTx<'a, P> {
         state: P::State<'a>,
     ) -> Self {
         let (serial, start) = open(system, thread, common.mode == TxMode::Serial);
-        let snapshot = common.kind == TxKind::ReadOnly
-            && common.mode == TxMode::Software
-            && system.config.snapshot.is_enabled();
+        let snapshot = common.kind == TxKind::ReadOnly && common.mode == TxMode::Software;
         let core = SoftwareTxCore {
             common,
             system,

@@ -46,9 +46,8 @@ pub enum TxKind {
     #[default]
     Update,
     /// A read-only transaction: software attempts read against the begin
-    /// snapshot with no read set and commit without validation (see
-    /// [`crate::config::SnapshotMode`]).  A write upgrades the transaction
-    /// to [`TxKind::Update`] and restarts it.
+    /// snapshot with no read set and commit without validation.  A write
+    /// upgrades the transaction to [`TxKind::Update`] and restarts it.
     ReadOnly,
 }
 

@@ -6,10 +6,10 @@ use std::sync::Arc;
 use condsync::OrigRegistry;
 use htm_sim::{HtmSim, HtmTx};
 use stm_lazy::{CommitInterlock, LazyTx};
-use tm_core::driver::{self, CommitOutcome, TxEngine};
+use tm_core::driver::{CommitOutcome, TxEngine};
 use tm_core::{
-    Addr, Descriptor, ThreadCtx, ThreadId, TmRt, TmRuntime, TmSystem, Tx, TxCommon, TxCtl, TxKind,
-    TxMode, TxResult, WaitCondition, WaitSpec,
+    Addr, Descriptor, ThreadCtx, ThreadId, TmSystem, Tx, TxCommon, TxCtl, TxMode, TxResult,
+    WaitCondition, WaitSpec,
 };
 
 /// The software-commit interlock this runtime installs into its lazy path:
@@ -304,56 +304,16 @@ impl TxEngine for HybridTm {
     }
 }
 
-impl TmRuntime for HybridTm {
-    fn system(&self) -> &Arc<TmSystem> {
-        &self.system
-    }
-
-    fn name(&self) -> &'static str {
-        "hybrid"
-    }
-
-    fn exec_u64(
-        &self,
-        thread: &Arc<ThreadCtx>,
-        body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<u64>,
-    ) -> u64 {
-        driver::run(self, thread, body)
-    }
-
-    fn exec_bool(
-        &self,
-        thread: &Arc<ThreadCtx>,
-        body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<bool>,
-    ) -> bool {
-        driver::run(self, thread, body)
-    }
-}
-
-impl TmRt for HybridTm {
-    fn atomically<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T
-    where
-        F: FnMut(&mut dyn Tx) -> TxResult<T>,
-    {
-        driver::run(self, thread, body)
-    }
-
-    fn atomically_read<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T
-    where
-        F: FnMut(&mut dyn Tx) -> TxResult<T>,
-    {
-        // The hardware fast path is attempted first, as always; if the
-        // attempt falls off speculation, the software rung is a lazy-STM
-        // snapshot attempt (no read set, free commit) instead of a full
-        // instrumented transaction.
-        driver::run_kind(self, thread, TxKind::ReadOnly, body)
-    }
-}
+// A declared read-only transaction tries the hardware fast path first, as
+// always; if the attempt falls off speculation, the software rung is a
+// lazy-STM snapshot attempt (no read set, free commit) instead of a full
+// instrumented transaction.
+tm_core::engine_runtime!("hybrid", HybridTm);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_core::{Addr, HtmConfig, TmConfig, TmVar};
+    use tm_core::{Addr, HtmConfig, TmConfig, TmRt, TmVar};
 
     fn runtime() -> (Arc<TmSystem>, Arc<HybridTm>) {
         let system = TmSystem::new(TmConfig::small());

@@ -42,7 +42,7 @@ pub use buffer::TmBoundedBuffer;
 pub use cell::TmOnceCell;
 pub use counter::TmCounter;
 pub use latch::TmLatch;
-pub use map::{MapLayout, TmHashMap};
+pub use map::TmHashMap;
 pub use ordered::TmOrderedMap;
 pub use pthread::PthreadBuffer;
 pub use queue::TmQueue;

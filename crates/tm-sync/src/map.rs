@@ -11,27 +11,18 @@
 //! because its job is to exercise multi-word transactions, not to be a
 //! general-purpose collection.
 //!
-//! # Layouts
+//! # Layout
 //!
-//! The map ships with two memory layouts ([`MapLayout`]) so the cost of
-//! layout/orec co-design is *measurable* rather than asserted:
-//!
-//! - [`MapLayout::Naive`] is the textbook three-parallel-arrays design
-//!   (state / key / value planes) with one global entry counter.  A lookup
-//!   reads two or three words in *different* heap regions (two or three orec
-//!   validations per probe), and every size-changing write CASes the single
-//!   counter word's orec — a built-in hot stripe at high thread counts.
-//! - [`MapLayout::StripeAligned`] (the default) packs each bucket into one
-//!   contiguous two-word cell `[tag|key, value]`, so probing an absent key
-//!   reads exactly one word (one orec validation) and a hit reads two
-//!   adjacent words whose stripes the Fibonacci address hash of
-//!   [`tm_core::OrecTable::index_for`] scatters independently of
-//!   neighbouring buckets.  The global counter is replaced by a small set of
-//!   occupancy counters whose heap words are *chosen with
-//!   [`tm_core::OrecTable::select_distinct_stripes`]* so no two counters
-//!   share an ownership record: independent writers bump independent
-//!   stripes, and the `orec_cas_failures` gap between the two layouts is the
-//!   bench's acceptance metric.
+//! Each bucket is one contiguous two-word cell `[tag|key, value]`, so probing
+//! an absent key reads exactly one word (one orec validation) and a hit reads
+//! two adjacent words whose stripes the Fibonacci address hash of
+//! [`tm_core::OrecTable::index_for`] scatters independently of neighbouring
+//! buckets.  Keys are limited to 62 bits because the cell tag rides in the
+//! key word.  Instead of one global entry counter (a built-in hot stripe:
+//! every size-changing write would CAS the same orec) the map keeps a small
+//! set of occupancy counters whose heap words are *chosen with
+//! [`tm_core::OrecTable::select_distinct_stripes`]* so no two counters share
+//! an ownership record: independent writers bump independent stripes.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -39,12 +30,10 @@ use std::sync::Arc;
 use condsync::Mechanism;
 use tm_core::{Addr, TmArray, TmSystem, TmValue, TmVar, Tx, TxResult};
 
-/// Slot states for the naive layout, stored alongside each key.
+/// A never-used cell's key word.
 const EMPTY: u64 = 0;
-const OCCUPIED: u64 = 1;
-const TOMBSTONE: u64 = 2;
 
-/// Stripe-aligned layout: tag bits live in the top two bits of the key word.
+/// Tag bits live in the top two bits of the key word.
 const TAG_SHIFT: u32 = 62;
 const TAG_OCCUPIED: u64 = 1 << TAG_SHIFT;
 const TAG_TOMBSTONE: u64 = 2 << TAG_SHIFT;
@@ -60,52 +49,6 @@ const COUNTER_CANDIDATES_PER_SHARD: usize = 8;
 /// 2^64 / golden ratio — Fibonacci hashing constant (same one the orec
 /// table uses for addresses).
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Memory layout of a [`TmHashMap`].
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum MapLayout {
-    /// Three parallel word planes (state / key / value) plus one global
-    /// entry counter.  Kept as the measured baseline: the counter word is a
-    /// deliberate orec hot spot and a lookup validates one orec per plane
-    /// touched.
-    Naive,
-    /// Packed two-word cells plus striped occupancy counters placed on
-    /// pairwise-distinct orec stripes (the default).  Keys are limited to 62
-    /// bits because the cell tag rides in the key word — that is exactly
-    /// what lets an absent-key probe validate a single orec.
-    StripeAligned,
-}
-
-impl MapLayout {
-    /// Both layouts, for sweeps.
-    pub const ALL: [MapLayout; 2] = [MapLayout::Naive, MapLayout::StripeAligned];
-
-    /// Short label used in bench tables and JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            MapLayout::Naive => "naive",
-            MapLayout::StripeAligned => "striped",
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-enum Repr {
-    Naive {
-        state: TmArray<u64>,
-        keys: TmArray<u64>,
-        values: TmArray<u64>,
-        len: TmVar<u64>,
-    },
-    Striped {
-        /// `2 * capacity` words; cell `i` is `[tag|key, value]` at words
-        /// `2i, 2i+1`.
-        cells: TmArray<u64>,
-        /// Occupancy counters on pairwise-distinct orec stripes; a key's
-        /// counter is chosen by hash, so the mapping is deterministic.
-        counters: Vec<TmVar<u64>>,
-    },
-}
 
 /// A fixed-capacity transactional hash map from `K` to `V` (both one-word
 /// [`TmValue`] types; `u64` by default).
@@ -125,30 +68,29 @@ enum Repr {
 /// let old = rt.atomically(&th, |tx| map.insert(tx, 7, 700));
 /// assert_eq!(old, None);
 ///
-/// // Lookups are read-only transactions: under `SnapshotMode::On` they
-/// // commit through the zero-footprint snapshot fast path.
+/// // Lookups are read-only transactions: declared as such they commit
+/// // through the zero-footprint snapshot fast path.
 /// let got = rt.atomically_read(&th, |tx| map.get(tx, 7));
 /// assert_eq!(got, Some(700));
 /// ```
 #[derive(Debug, Clone)]
 pub struct TmHashMap<K: TmValue = u64, V: TmValue = u64> {
-    repr: Repr,
+    /// `2 * capacity` words; cell `i` is `[tag|key, value]` at words
+    /// `2i, 2i+1`.
+    cells: TmArray<u64>,
+    /// Occupancy counters on pairwise-distinct orec stripes; a key's
+    /// counter is chosen by hash, so the mapping is deterministic.
+    counters: Vec<TmVar<u64>>,
     capacity: usize,
     _marker: PhantomData<(K, V)>,
 }
 
-/// `WaitPred` predicate: the map identified by `args = [len_addr, n]` holds
-/// at least `n` entries (naive layout's single counter word).
-pub fn pred_map_len_at_least(tx: &mut dyn Tx, args: &[u64]) -> TxResult<bool> {
-    Ok(tx.read(Addr(args[0] as usize))? >= args[1])
-}
-
 /// `WaitPred` predicate: the counter word identified by `args = [addr, old]`
-/// has changed.  Used by the stripe-aligned layout, whose waiters watch one
-/// occupancy counter: a plain threshold would miss an insert that follows a
-/// remove (the count returns to its old value), but every size-changing
-/// commit *changes* the word at its wake check, so change-detection never
-/// strands a waiter whose key arrived.
+/// has changed.  The map's waiters watch one occupancy counter: a plain
+/// threshold would miss an insert that follows a remove (the count returns
+/// to its old value), but every size-changing commit *changes* the word at
+/// its wake check, so change-detection never strands a waiter whose key
+/// arrived.
 pub fn pred_map_counter_changed(tx: &mut dyn Tx, args: &[u64]) -> TxResult<bool> {
     Ok(tx.read(Addr(args[0] as usize))? != args[1])
 }
@@ -158,58 +100,37 @@ fn fib_high(word: u64) -> usize {
 }
 
 impl<K: TmValue, V: TmValue> TmHashMap<K, V> {
-    /// Allocates a map with room for `capacity` entries in `system`'s heap,
-    /// using the default [`MapLayout::StripeAligned`] layout.
+    /// Allocates a map with room for `capacity` entries in `system`'s heap.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(system: &Arc<TmSystem>, capacity: usize) -> Self {
-        TmHashMap::with_layout(system, capacity, MapLayout::StripeAligned)
-    }
-
-    /// Allocates a map with an explicit [`MapLayout`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_layout(system: &Arc<TmSystem>, capacity: usize, layout: MapLayout) -> Self {
         assert!(capacity > 0, "map capacity must be positive");
         let capacity = capacity.next_power_of_two();
-        let repr = match layout {
-            MapLayout::Naive => Repr::Naive {
-                state: TmArray::alloc(system, capacity, EMPTY),
-                keys: TmArray::alloc(system, capacity, 0),
-                values: TmArray::alloc(system, capacity, 0),
-                len: TmVar::alloc(system, 0),
-            },
-            MapLayout::StripeAligned => {
-                let cells = TmArray::alloc(system, 2 * capacity, 0);
-                // Hunt for counter words on pairwise-distinct orec stripes:
-                // over-allocate candidates and let the orec plane pick.  The
-                // unused candidate words are a tiny, one-time setup cost.
-                let candidates =
-                    TmArray::<u64>::alloc(system, COUNTER_SHARDS * COUNTER_CANDIDATES_PER_SHARD, 0);
-                let addrs = (0..candidates.len()).map(|i| candidates.addr_of(i));
-                let mut picked = system.orecs.select_distinct_stripes(addrs, COUNTER_SHARDS);
-                // A tiny orec table may not have enough stripes; top up with
-                // remaining candidates (correctness never depends on
-                // distinctness, only the contention claim does).
-                for i in 0..candidates.len() {
-                    if picked.len() == COUNTER_SHARDS {
-                        break;
-                    }
-                    let addr = candidates.addr_of(i);
-                    if !picked.contains(&addr) {
-                        picked.push(addr);
-                    }
-                }
-                let counters = picked.into_iter().map(TmVar::from_addr).collect();
-                Repr::Striped { cells, counters }
+        let cells = TmArray::alloc(system, 2 * capacity, 0);
+        // Hunt for counter words on pairwise-distinct orec stripes:
+        // over-allocate candidates and let the orec plane pick.  The
+        // unused candidate words are a tiny, one-time setup cost.
+        let candidates =
+            TmArray::<u64>::alloc(system, COUNTER_SHARDS * COUNTER_CANDIDATES_PER_SHARD, 0);
+        let addrs = (0..candidates.len()).map(|i| candidates.addr_of(i));
+        let mut picked = system.orecs.select_distinct_stripes(addrs, COUNTER_SHARDS);
+        // A tiny orec table may not have enough stripes; top up with
+        // remaining candidates (correctness never depends on
+        // distinctness, only the contention claim does).
+        for i in 0..candidates.len() {
+            if picked.len() == COUNTER_SHARDS {
+                break;
             }
-        };
+            let addr = candidates.addr_of(i);
+            if !picked.contains(&addr) {
+                picked.push(addr);
+            }
+        }
         TmHashMap {
-            repr,
+            cells,
+            counters: picked.into_iter().map(TmVar::from_addr).collect(),
             capacity,
             _marker: PhantomData,
         }
@@ -220,58 +141,24 @@ impl<K: TmValue, V: TmValue> TmHashMap<K, V> {
         self.capacity
     }
 
-    /// The map's memory layout.
-    pub fn layout(&self) -> MapLayout {
-        match self.repr {
-            Repr::Naive { .. } => MapLayout::Naive,
-            Repr::Striped { .. } => MapLayout::StripeAligned,
-        }
-    }
-
-    /// Heap address of the naive layout's entry count (what `Await`-style
-    /// waiters watch).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the stripe-aligned layout, which deliberately has no single
-    /// count word — use [`TmHashMap::wait_addr`] to watch a key's counter.
-    pub fn len_addr(&self) -> Addr {
-        match &self.repr {
-            Repr::Naive { len, .. } => len.addr(),
-            Repr::Striped { .. } => {
-                panic!("stripe-aligned maps have no single length word; use wait_addr(key)")
-            }
-        }
-    }
-
-    /// Heap address a waiter for `key` should watch: the length word on the
-    /// naive layout, the key's striped occupancy counter otherwise.  Every
-    /// insert of `key` bumps the returned word's stripe, so an `Await` on it
-    /// can never miss the insert.
+    /// Heap address a waiter for `key` should watch: the key's striped
+    /// occupancy counter.  Every insert of `key` bumps the returned word's
+    /// stripe, so an `Await` on it can never miss the insert.
     pub fn wait_addr(&self, key: K) -> Addr {
-        match &self.repr {
-            Repr::Naive { len, .. } => len.addr(),
-            Repr::Striped { counters, .. } => self.counter_for(counters, key.into_word()).addr(),
-        }
+        self.counter_for(key.into_word()).addr()
     }
 
-    fn counter_for<'c>(&self, counters: &'c [TmVar<u64>], key_word: u64) -> &'c TmVar<u64> {
-        &counters[fib_high(key_word) & (COUNTER_SHARDS - 1)]
+    fn counter_for(&self, key_word: u64) -> &TmVar<u64> {
+        &self.counters[fib_high(key_word) & (COUNTER_SHARDS - 1)]
     }
 
-    /// Transactional entry count.  One read on the naive layout, one read
-    /// per occupancy-counter shard on the stripe-aligned layout.
+    /// Transactional entry count: one read per occupancy-counter shard.
     pub fn len(&self, tx: &mut dyn Tx) -> TxResult<u64> {
-        match &self.repr {
-            Repr::Naive { len, .. } => len.get(tx),
-            Repr::Striped { counters, .. } => {
-                let mut total = 0;
-                for c in counters {
-                    total += c.get(tx)?;
-                }
-                Ok(total)
-            }
+        let mut total = 0;
+        for c in &self.counters {
+            total += c.get(tx)?;
         }
+        Ok(total)
     }
 
     /// True if the map holds no entries.
@@ -281,10 +168,7 @@ impl<K: TmValue, V: TmValue> TmHashMap<K, V> {
 
     /// Non-transactional entry count (setup / verification only).
     pub fn len_direct(&self, system: &TmSystem) -> u64 {
-        match &self.repr {
-            Repr::Naive { len, .. } => len.load_direct(system),
-            Repr::Striped { counters, .. } => counters.iter().map(|c| c.load_direct(system)).sum(),
-        }
+        self.counters.iter().map(|c| c.load_direct(system)).sum()
     }
 
     fn slot_for(&self, key_word: u64, probe: usize) -> usize {
@@ -296,7 +180,7 @@ impl<K: TmValue, V: TmValue> TmHashMap<K, V> {
     fn tagged(key_word: u64) -> u64 {
         assert!(
             key_word & !KEY_MASK == 0,
-            "stripe-aligned TmHashMap keys must fit in 62 bits (got {key_word:#x})"
+            "TmHashMap keys must fit in 62 bits (got {key_word:#x})"
         );
         TAG_OCCUPIED | key_word
     }
@@ -305,129 +189,60 @@ impl<K: TmValue, V: TmValue> TmHashMap<K, V> {
     ///
     /// # Panics
     ///
-    /// Panics if the table is full and `key` is not already present, or (on
-    /// the stripe-aligned layout) if the key's word encoding exceeds 62 bits.
+    /// Panics if the table is full and `key` is not already present, or if
+    /// the key's word encoding exceeds 62 bits.
     pub fn insert(&self, tx: &mut dyn Tx, key: K, value: V) -> TxResult<Option<V>> {
         let key_word = key.into_word();
-        match &self.repr {
-            Repr::Naive {
-                state,
-                keys,
-                values,
-                len,
-            } => {
-                let mut first_tombstone: Option<usize> = None;
-                for probe in 0..self.capacity {
-                    let slot = self.slot_for(key_word, probe);
-                    match state.get(tx, slot)? {
-                        EMPTY => {
-                            let target = first_tombstone.unwrap_or(slot);
-                            state.set(tx, target, OCCUPIED)?;
-                            keys.set(tx, target, key_word)?;
-                            values.set(tx, target, value.into_word())?;
-                            let n = len.get_for_update(tx)?;
-                            len.set(tx, n + 1)?;
-                            return Ok(None);
-                        }
-                        TOMBSTONE => {
-                            if first_tombstone.is_none() {
-                                first_tombstone = Some(slot);
-                            }
-                        }
-                        _ => {
-                            if keys.get(tx, slot)? == key_word {
-                                let old = values.get(tx, slot)?;
-                                values.set(tx, slot, value.into_word())?;
-                                return Ok(Some(V::from_word(old)));
-                            }
-                        }
-                    }
-                }
-                if let Some(slot) = first_tombstone {
-                    state.set(tx, slot, OCCUPIED)?;
-                    keys.set(tx, slot, key_word)?;
-                    values.set(tx, slot, value.into_word())?;
-                    let n = len.get_for_update(tx)?;
-                    len.set(tx, n + 1)?;
-                    return Ok(None);
-                }
-                panic!("TmHashMap is full (capacity {})", self.capacity);
+        let cells = &self.cells;
+        let tagged = Self::tagged(key_word);
+        let mut first_tombstone: Option<usize> = None;
+        for probe in 0..self.capacity {
+            let slot = self.slot_for(key_word, probe);
+            let word = cells.get(tx, 2 * slot)?;
+            if word == EMPTY {
+                let target = first_tombstone.unwrap_or(slot);
+                cells.set(tx, 2 * target, tagged)?;
+                cells.set(tx, 2 * target + 1, value.into_word())?;
+                self.counter_for(key_word).update(tx, |n| n + 1)?;
+                return Ok(None);
             }
-            Repr::Striped { cells, counters } => {
-                let tagged = Self::tagged(key_word);
-                let mut first_tombstone: Option<usize> = None;
-                for probe in 0..self.capacity {
-                    let slot = self.slot_for(key_word, probe);
-                    let word = cells.get(tx, 2 * slot)?;
-                    if word == EMPTY {
-                        let target = first_tombstone.unwrap_or(slot);
-                        cells.set(tx, 2 * target, tagged)?;
-                        cells.set(tx, 2 * target + 1, value.into_word())?;
-                        self.counter_for(counters, key_word).update(tx, |n| n + 1)?;
-                        return Ok(None);
-                    }
-                    if word == tagged {
-                        let old = cells.get(tx, 2 * slot + 1)?;
-                        cells.set(tx, 2 * slot + 1, value.into_word())?;
-                        return Ok(Some(V::from_word(old)));
-                    }
-                    if word & !KEY_MASK == TAG_TOMBSTONE && first_tombstone.is_none() {
-                        first_tombstone = Some(slot);
-                    }
-                }
-                if let Some(slot) = first_tombstone {
-                    cells.set(tx, 2 * slot, tagged)?;
-                    cells.set(tx, 2 * slot + 1, value.into_word())?;
-                    self.counter_for(counters, key_word).update(tx, |n| n + 1)?;
-                    return Ok(None);
-                }
-                panic!("TmHashMap is full (capacity {})", self.capacity);
+            if word == tagged {
+                let old = cells.get(tx, 2 * slot + 1)?;
+                cells.set(tx, 2 * slot + 1, value.into_word())?;
+                return Ok(Some(V::from_word(old)));
+            }
+            if word & !KEY_MASK == TAG_TOMBSTONE && first_tombstone.is_none() {
+                first_tombstone = Some(slot);
             }
         }
+        if let Some(slot) = first_tombstone {
+            cells.set(tx, 2 * slot, tagged)?;
+            cells.set(tx, 2 * slot + 1, value.into_word())?;
+            self.counter_for(key_word).update(tx, |n| n + 1)?;
+            return Ok(None);
+        }
+        panic!("TmHashMap is full (capacity {})", self.capacity);
     }
 
     /// Looks `key` up.
     ///
-    /// On the stripe-aligned layout an absent key costs one heap read (one
-    /// orec validation) per probe and a hit costs two; run it under a
-    /// declared read-only transaction (`atomically_read`) to take the
-    /// snapshot fast path.
+    /// An absent key costs one heap read (one orec validation) per probe and
+    /// a hit costs two; run it under a declared read-only transaction
+    /// (`atomically_read`) to take the snapshot fast path.
     pub fn get(&self, tx: &mut dyn Tx, key: K) -> TxResult<Option<V>> {
         let key_word = key.into_word();
-        match &self.repr {
-            Repr::Naive {
-                state,
-                keys,
-                values,
-                ..
-            } => {
-                for probe in 0..self.capacity {
-                    let slot = self.slot_for(key_word, probe);
-                    match state.get(tx, slot)? {
-                        EMPTY => return Ok(None),
-                        OCCUPIED if keys.get(tx, slot)? == key_word => {
-                            return Ok(Some(V::from_word(values.get(tx, slot)?)));
-                        }
-                        _ => {}
-                    }
-                }
-                Ok(None)
+        let tagged = Self::tagged(key_word);
+        for probe in 0..self.capacity {
+            let slot = self.slot_for(key_word, probe);
+            let word = self.cells.get(tx, 2 * slot)?;
+            if word == EMPTY {
+                return Ok(None);
             }
-            Repr::Striped { cells, .. } => {
-                let tagged = Self::tagged(key_word);
-                for probe in 0..self.capacity {
-                    let slot = self.slot_for(key_word, probe);
-                    let word = cells.get(tx, 2 * slot)?;
-                    if word == EMPTY {
-                        return Ok(None);
-                    }
-                    if word == tagged {
-                        return Ok(Some(V::from_word(cells.get(tx, 2 * slot + 1)?)));
-                    }
-                }
-                Ok(None)
+            if word == tagged {
+                return Ok(Some(V::from_word(self.cells.get(tx, 2 * slot + 1)?)));
             }
         }
+        Ok(None)
     }
 
     /// True if `key` is present.
@@ -438,47 +253,21 @@ impl<K: TmValue, V: TmValue> TmHashMap<K, V> {
     /// Removes `key`, returning its value if it was present.
     pub fn remove(&self, tx: &mut dyn Tx, key: K) -> TxResult<Option<V>> {
         let key_word = key.into_word();
-        match &self.repr {
-            Repr::Naive {
-                state,
-                keys,
-                values,
-                len,
-            } => {
-                for probe in 0..self.capacity {
-                    let slot = self.slot_for(key_word, probe);
-                    match state.get(tx, slot)? {
-                        EMPTY => return Ok(None),
-                        OCCUPIED if keys.get(tx, slot)? == key_word => {
-                            let old = values.get(tx, slot)?;
-                            state.set(tx, slot, TOMBSTONE)?;
-                            let n = len.get_for_update(tx)?;
-                            len.set(tx, n - 1)?;
-                            return Ok(Some(V::from_word(old)));
-                        }
-                        _ => {}
-                    }
-                }
-                Ok(None)
+        let tagged = Self::tagged(key_word);
+        for probe in 0..self.capacity {
+            let slot = self.slot_for(key_word, probe);
+            let word = self.cells.get(tx, 2 * slot)?;
+            if word == EMPTY {
+                return Ok(None);
             }
-            Repr::Striped { cells, counters } => {
-                let tagged = Self::tagged(key_word);
-                for probe in 0..self.capacity {
-                    let slot = self.slot_for(key_word, probe);
-                    let word = cells.get(tx, 2 * slot)?;
-                    if word == EMPTY {
-                        return Ok(None);
-                    }
-                    if word == tagged {
-                        let old = cells.get(tx, 2 * slot + 1)?;
-                        cells.set(tx, 2 * slot, TAG_TOMBSTONE)?;
-                        self.counter_for(counters, key_word).update(tx, |n| n - 1)?;
-                        return Ok(Some(V::from_word(old)));
-                    }
-                }
-                Ok(None)
+            if word == tagged {
+                let old = self.cells.get(tx, 2 * slot + 1)?;
+                self.cells.set(tx, 2 * slot, TAG_TOMBSTONE)?;
+                self.counter_for(key_word).update(tx, |n| n - 1)?;
+                return Ok(Some(V::from_word(old)));
             }
         }
+        Ok(None)
     }
 
     /// Non-transactional insert for benchmark/test setup **before** worker
@@ -492,81 +281,37 @@ impl<K: TmValue, V: TmValue> TmHashMap<K, V> {
     /// Panics if the table is full and `key` is not already present.
     pub fn insert_direct(&self, system: &TmSystem, key: K, value: V) -> Option<V> {
         let key_word = key.into_word();
-        match &self.repr {
-            Repr::Naive {
-                state,
-                keys,
-                values,
-                len,
-            } => {
-                let mut first_tombstone: Option<usize> = None;
-                for probe in 0..self.capacity {
-                    let slot = self.slot_for(key_word, probe);
-                    match state.load_direct(system, slot) {
-                        EMPTY => {
-                            let target = first_tombstone.unwrap_or(slot);
-                            state.store_direct(system, target, OCCUPIED);
-                            keys.store_direct(system, target, key_word);
-                            values.store_direct(system, target, value.into_word());
-                            len.store_direct(system, len.load_direct(system) + 1);
-                            return None;
-                        }
-                        TOMBSTONE => {
-                            if first_tombstone.is_none() {
-                                first_tombstone = Some(slot);
-                            }
-                        }
-                        _ => {
-                            if keys.load_direct(system, slot) == key_word {
-                                let old = values.load_direct(system, slot);
-                                values.store_direct(system, slot, value.into_word());
-                                return Some(V::from_word(old));
-                            }
-                        }
-                    }
-                }
-                if let Some(slot) = first_tombstone {
-                    state.store_direct(system, slot, OCCUPIED);
-                    keys.store_direct(system, slot, key_word);
-                    values.store_direct(system, slot, value.into_word());
-                    len.store_direct(system, len.load_direct(system) + 1);
-                    return None;
-                }
-                panic!("TmHashMap is full (capacity {})", self.capacity);
+        let cells = &self.cells;
+        let tagged = Self::tagged(key_word);
+        let mut first_tombstone: Option<usize> = None;
+        for probe in 0..self.capacity {
+            let slot = self.slot_for(key_word, probe);
+            let word = cells.load_direct(system, 2 * slot);
+            if word == EMPTY {
+                let target = first_tombstone.unwrap_or(slot);
+                cells.store_direct(system, 2 * target, tagged);
+                cells.store_direct(system, 2 * target + 1, value.into_word());
+                let c = self.counter_for(key_word);
+                c.store_direct(system, c.load_direct(system) + 1);
+                return None;
             }
-            Repr::Striped { cells, counters } => {
-                let tagged = Self::tagged(key_word);
-                let mut first_tombstone: Option<usize> = None;
-                for probe in 0..self.capacity {
-                    let slot = self.slot_for(key_word, probe);
-                    let word = cells.load_direct(system, 2 * slot);
-                    if word == EMPTY {
-                        let target = first_tombstone.unwrap_or(slot);
-                        cells.store_direct(system, 2 * target, tagged);
-                        cells.store_direct(system, 2 * target + 1, value.into_word());
-                        let c = self.counter_for(counters, key_word);
-                        c.store_direct(system, c.load_direct(system) + 1);
-                        return None;
-                    }
-                    if word == tagged {
-                        let old = cells.load_direct(system, 2 * slot + 1);
-                        cells.store_direct(system, 2 * slot + 1, value.into_word());
-                        return Some(V::from_word(old));
-                    }
-                    if word & !KEY_MASK == TAG_TOMBSTONE && first_tombstone.is_none() {
-                        first_tombstone = Some(slot);
-                    }
-                }
-                if let Some(slot) = first_tombstone {
-                    cells.store_direct(system, 2 * slot, tagged);
-                    cells.store_direct(system, 2 * slot + 1, value.into_word());
-                    let c = self.counter_for(counters, key_word);
-                    c.store_direct(system, c.load_direct(system) + 1);
-                    return None;
-                }
-                panic!("TmHashMap is full (capacity {})", self.capacity);
+            if word == tagged {
+                let old = cells.load_direct(system, 2 * slot + 1);
+                cells.store_direct(system, 2 * slot + 1, value.into_word());
+                return Some(V::from_word(old));
+            }
+            if word & !KEY_MASK == TAG_TOMBSTONE && first_tombstone.is_none() {
+                first_tombstone = Some(slot);
             }
         }
+        if let Some(slot) = first_tombstone {
+            cells.store_direct(system, 2 * slot, tagged);
+            cells.store_direct(system, 2 * slot + 1, value.into_word());
+            let c = self.counter_for(key_word);
+            c.store_direct(system, c.load_direct(system) + 1);
+            return None;
+        }
+        panic!("TmHashMap is full (capacity {})", self.capacity);
     }
 
     /// Non-transactional dump of every occupied entry as `(key_word,
@@ -574,29 +319,13 @@ impl<K: TmValue, V: TmValue> TmHashMap<K, V> {
     /// transactions are running).
     pub fn dump_direct(&self, system: &TmSystem) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
-        match &self.repr {
-            Repr::Naive {
-                state,
-                keys,
-                values,
-                ..
-            } => {
-                for slot in 0..self.capacity {
-                    if state.load_direct(system, slot) == OCCUPIED {
-                        out.push((
-                            keys.load_direct(system, slot),
-                            values.load_direct(system, slot),
-                        ));
-                    }
-                }
-            }
-            Repr::Striped { cells, .. } => {
-                for slot in 0..self.capacity {
-                    let word = cells.load_direct(system, 2 * slot);
-                    if word & !KEY_MASK == TAG_OCCUPIED {
-                        out.push((word & KEY_MASK, cells.load_direct(system, 2 * slot + 1)));
-                    }
-                }
+        for slot in 0..self.capacity {
+            let word = self.cells.load_direct(system, 2 * slot);
+            if word & !KEY_MASK == TAG_OCCUPIED {
+                out.push((
+                    word & KEY_MASK,
+                    self.cells.load_direct(system, 2 * slot + 1),
+                ));
             }
         }
         out.sort_unstable();
@@ -605,11 +334,10 @@ impl<K: TmValue, V: TmValue> TmHashMap<K, V> {
 
     /// Looks `key` up, waiting with `mechanism` until some writer inserts it.
     ///
-    /// For `Await` the waiter watches [`TmHashMap::wait_addr`]: the naive
-    /// layout's entry count, or the key's striped occupancy counter — in
-    /// both cases a word every insertion of the key writes, so the wake can
-    /// never be missed (the paper's §2.3 discussion of choosing what to
-    /// track applies directly here).
+    /// For `Await` the waiter watches [`TmHashMap::wait_addr`], the key's
+    /// striped occupancy counter — a word every insertion of the key writes,
+    /// so the wake can never be missed (the paper's §2.3 discussion of
+    /// choosing what to track applies directly here).
     ///
     /// # Panics
     ///
@@ -622,32 +350,18 @@ impl<K: TmValue, V: TmValue> TmHashMap<K, V> {
             Mechanism::Retry => condsync::retry(tx),
             Mechanism::RetryOrig => condsync::retry_orig(tx),
             Mechanism::Await => condsync::await_one(tx, self.wait_addr(key)),
-            Mechanism::WaitPred => match &self.repr {
-                Repr::Naive { len, .. } => {
-                    // Wake when the map has grown past its current size; the
-                    // re-executed lookup then decides whether *our* key
-                    // arrived.
-                    let current = len.get(tx)?;
-                    condsync::wait_pred(
-                        tx,
-                        pred_map_len_at_least,
-                        &[len.addr().0 as u64, current + 1],
-                    )
-                }
-                Repr::Striped { counters, .. } => {
-                    // Wake when the key's occupancy counter *changes* (a
-                    // threshold would strand the waiter after a
-                    // remove-then-insert returned the count to its old
-                    // value).
-                    let counter = self.counter_for(counters, key.into_word());
-                    let current = counter.get(tx)?;
-                    condsync::wait_pred(
-                        tx,
-                        pred_map_counter_changed,
-                        &[counter.addr().0 as u64, current],
-                    )
-                }
-            },
+            Mechanism::WaitPred => {
+                // Wake when the key's occupancy counter *changes* (a
+                // threshold would strand the waiter after a
+                // remove-then-insert returned the count to its old value).
+                let counter = self.counter_for(key.into_word());
+                let current = counter.get(tx)?;
+                condsync::wait_pred(
+                    tx,
+                    pred_map_counter_changed,
+                    &[counter.addr().0 as u64, current],
+                )
+            }
             Mechanism::Restart => condsync::restart(tx),
             Mechanism::Pthreads | Mechanism::TmCondVar => {
                 panic!("lock-based mechanisms wait outside transactions")
@@ -712,142 +426,114 @@ mod tests {
         }
     }
 
-    fn small_map(cap: usize, layout: MapLayout) -> (Arc<TmSystem>, TmHashMap) {
+    fn small_map(cap: usize) -> (Arc<TmSystem>, TmHashMap) {
         let system = TmSystem::new(TmConfig::small());
-        let map = TmHashMap::with_layout(&system, cap, layout);
+        let map = TmHashMap::new(&system, cap);
         (system, map)
     }
 
     #[test]
-    fn insert_get_update_remove_round_trip_in_both_layouts() {
-        for layout in MapLayout::ALL {
-            let (system, map) = small_map(8, layout);
-            let mut tx = direct_tx(&system);
-            assert_eq!(map.insert(&mut tx, 10, 100).unwrap(), None);
-            assert_eq!(map.insert(&mut tx, 20, 200).unwrap(), None);
-            assert_eq!(map.get(&mut tx, 10).unwrap(), Some(100));
-            assert_eq!(map.get(&mut tx, 30).unwrap(), None);
-            assert_eq!(map.insert(&mut tx, 10, 111).unwrap(), Some(100));
-            assert_eq!(map.get(&mut tx, 10).unwrap(), Some(111));
-            assert_eq!(map.remove(&mut tx, 10).unwrap(), Some(111));
-            assert_eq!(map.get(&mut tx, 10).unwrap(), None);
-            assert_eq!(map.remove(&mut tx, 10).unwrap(), None);
-            assert_eq!(map.len_direct(&system), 1, "{layout:?}");
-            assert_eq!(map.dump_direct(&system), vec![(20, 200)]);
-        }
+    fn insert_get_update_remove_round_trip() {
+        let (system, map) = small_map(8);
+        let mut tx = direct_tx(&system);
+        assert_eq!(map.insert(&mut tx, 10, 100).unwrap(), None);
+        assert_eq!(map.insert(&mut tx, 20, 200).unwrap(), None);
+        assert_eq!(map.get(&mut tx, 10).unwrap(), Some(100));
+        assert_eq!(map.get(&mut tx, 30).unwrap(), None);
+        assert_eq!(map.insert(&mut tx, 10, 111).unwrap(), Some(100));
+        assert_eq!(map.get(&mut tx, 10).unwrap(), Some(111));
+        assert_eq!(map.remove(&mut tx, 10).unwrap(), Some(111));
+        assert_eq!(map.get(&mut tx, 10).unwrap(), None);
+        assert_eq!(map.remove(&mut tx, 10).unwrap(), None);
+        assert_eq!(map.len_direct(&system), 1);
+        assert_eq!(map.dump_direct(&system), vec![(20, 200)]);
     }
 
     #[test]
     fn colliding_keys_probe_to_distinct_slots() {
         // Many keys in a tiny table force probing and tombstone reuse.
-        for layout in MapLayout::ALL {
-            let (system, map) = small_map(16, layout);
-            let mut tx = direct_tx(&system);
-            for k in 0..12u64 {
-                assert_eq!(map.insert(&mut tx, k * 16, k).unwrap(), None);
-            }
-            for k in 0..12u64 {
-                assert_eq!(map.get(&mut tx, k * 16).unwrap(), Some(k), "key {k}");
-            }
-            assert_eq!(map.len_direct(&system), 12);
+        let (system, map) = small_map(16);
+        let mut tx = direct_tx(&system);
+        for k in 0..12u64 {
+            assert_eq!(map.insert(&mut tx, k * 16, k).unwrap(), None);
         }
+        for k in 0..12u64 {
+            assert_eq!(map.get(&mut tx, k * 16).unwrap(), Some(k), "key {k}");
+        }
+        assert_eq!(map.len_direct(&system), 12);
     }
 
     #[test]
     fn tombstones_are_reused_and_lookups_skip_them() {
-        for layout in MapLayout::ALL {
-            let (system, map) = small_map(8, layout);
-            let mut tx = direct_tx(&system);
-            map.insert(&mut tx, 1, 10).unwrap();
-            map.insert(&mut tx, 9, 90).unwrap(); // likely probes past key 1's chain
-            map.remove(&mut tx, 1).unwrap();
-            // Key 9 must remain reachable even if key 1's slot is now a
-            // tombstone on its probe path.
-            assert_eq!(map.get(&mut tx, 9).unwrap(), Some(90));
-            // Re-inserting key 1 reuses the tombstone rather than growing.
-            map.insert(&mut tx, 1, 11).unwrap();
-            assert_eq!(map.get(&mut tx, 1).unwrap(), Some(11));
-            assert_eq!(map.len_direct(&system), 2);
-        }
+        let (system, map) = small_map(8);
+        let mut tx = direct_tx(&system);
+        map.insert(&mut tx, 1, 10).unwrap();
+        map.insert(&mut tx, 9, 90).unwrap(); // likely probes past key 1's chain
+        map.remove(&mut tx, 1).unwrap();
+        // Key 9 must remain reachable even if key 1's slot is now a
+        // tombstone on its probe path.
+        assert_eq!(map.get(&mut tx, 9).unwrap(), Some(90));
+        // Re-inserting key 1 reuses the tombstone rather than growing.
+        map.insert(&mut tx, 1, 11).unwrap();
+        assert_eq!(map.get(&mut tx, 1).unwrap(), Some(11));
+        assert_eq!(map.len_direct(&system), 2);
     }
 
     #[test]
     fn matches_std_hashmap_model() {
-        for layout in MapLayout::ALL {
-            let (system, map) = small_map(64, layout);
-            let mut tx = direct_tx(&system);
-            let mut model: HashMap<u64, u64> = HashMap::new();
-            // A deterministic mixed workload.
-            let mut seed = 42u64;
-            for i in 0..300u64 {
-                seed ^= seed << 13;
-                seed ^= seed >> 7;
-                seed ^= seed << 17;
-                let key = seed % 48;
-                match i % 3 {
-                    0 | 1 => {
-                        let expected = model.insert(key, i);
-                        assert_eq!(map.insert(&mut tx, key, i).unwrap(), expected);
-                    }
-                    _ => {
-                        let expected = model.remove(&key);
-                        assert_eq!(map.remove(&mut tx, key).unwrap(), expected);
-                    }
+        let (system, map) = small_map(64);
+        let mut tx = direct_tx(&system);
+        let mut model: HashMap<u64, u64> = HashMap::new();
+        // A deterministic mixed workload.
+        let mut seed = 42u64;
+        for i in 0..300u64 {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            let key = seed % 48;
+            match i % 3 {
+                0 | 1 => {
+                    let expected = model.insert(key, i);
+                    assert_eq!(map.insert(&mut tx, key, i).unwrap(), expected);
                 }
-                assert_eq!(map.len_direct(&system), model.len() as u64);
+                _ => {
+                    let expected = model.remove(&key);
+                    assert_eq!(map.remove(&mut tx, key).unwrap(), expected);
+                }
             }
-            let mut expected: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
-            expected.sort_unstable();
-            assert_eq!(map.dump_direct(&system), expected);
-            for (&k, &v) in &model {
-                assert_eq!(map.get(&mut tx, k).unwrap(), Some(v));
-            }
+            assert_eq!(map.len_direct(&system), model.len() as u64);
+        }
+        let mut expected: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+        expected.sort_unstable();
+        assert_eq!(map.dump_direct(&system), expected);
+        for (&k, &v) in &model {
+            assert_eq!(map.get(&mut tx, k).unwrap(), Some(v));
         }
     }
 
     #[test]
     fn direct_insert_matches_transactional_insert() {
-        for layout in MapLayout::ALL {
-            let (sys_a, map_a) = small_map(32, layout);
-            let (sys_b, map_b) = small_map(32, layout);
-            let mut tx = direct_tx(&sys_a);
-            for k in 0..20u64 {
-                map_a.insert(&mut tx, k * 3, k).unwrap();
-                map_b.insert_direct(&sys_b, k * 3, k);
-            }
-            assert_eq!(map_b.insert_direct(&sys_b, 0, 99), Some(0));
-            map_a.insert(&mut tx, 0, 99).unwrap();
-            assert_eq!(map_a.dump_direct(&sys_a), map_b.dump_direct(&sys_b));
-            assert_eq!(map_a.len_direct(&sys_a), map_b.len_direct(&sys_b));
+        let (sys_a, map_a) = small_map(32);
+        let (sys_b, map_b) = small_map(32);
+        let mut tx = direct_tx(&sys_a);
+        for k in 0..20u64 {
+            map_a.insert(&mut tx, k * 3, k).unwrap();
+            map_b.insert_direct(&sys_b, k * 3, k);
         }
+        assert_eq!(map_b.insert_direct(&sys_b, 0, 99), Some(0));
+        map_a.insert(&mut tx, 0, 99).unwrap();
+        assert_eq!(map_a.dump_direct(&sys_a), map_b.dump_direct(&sys_b));
+        assert_eq!(map_a.len_direct(&sys_a), map_b.len_direct(&sys_b));
     }
 
     #[test]
-    fn get_waiting_requests_the_right_deschedule_naive() {
-        let (system, map) = small_map(8, MapLayout::Naive);
+    fn get_waiting_requests_the_right_deschedule() {
+        let (system, map) = small_map(8);
         let mut tx = direct_tx(&system);
         assert!(matches!(
             map.get_waiting(Mechanism::Retry, &mut tx, 5),
             Err(TxCtl::Deschedule(WaitSpec::ReadSetValues))
         ));
-        match map.get_waiting(Mechanism::Await, &mut tx, 5) {
-            Err(TxCtl::Deschedule(WaitSpec::Addrs(a))) => assert_eq!(a, vec![map.len_addr()]),
-            other => panic!("unexpected {other:?}"),
-        }
-        match map.get_waiting(Mechanism::WaitPred, &mut tx, 5) {
-            Err(TxCtl::Deschedule(WaitSpec::Pred { args, .. })) => {
-                assert_eq!(args, vec![map.len_addr().0 as u64, 1]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        map.insert(&mut tx, 5, 55).unwrap();
-        assert_eq!(map.get_waiting(Mechanism::Retry, &mut tx, 5).unwrap(), 55);
-    }
-
-    #[test]
-    fn get_waiting_requests_the_right_deschedule_striped() {
-        let (system, map) = small_map(8, MapLayout::StripeAligned);
-        let mut tx = direct_tx(&system);
         // Await watches the key's striped counter, not a global length word.
         match map.get_waiting(Mechanism::Await, &mut tx, 5) {
             Err(TxCtl::Deschedule(WaitSpec::Addrs(a))) => assert_eq!(a, vec![map.wait_addr(5)]),
@@ -866,8 +552,8 @@ mod tests {
     }
 
     #[test]
-    fn striped_counters_sit_on_distinct_orec_stripes() {
-        let (system, map) = small_map(64, MapLayout::StripeAligned);
+    fn counters_sit_on_distinct_orec_stripes() {
+        let (system, map) = small_map(64);
         // Every key's wait address must map to its own ownership record, or
         // the layout's whole contention argument is void.
         let stripes: Vec<usize> = (0..1000u64)
@@ -886,7 +572,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "full")]
     fn overfilling_panics() {
-        let (system, map) = small_map(4, MapLayout::StripeAligned);
+        let (system, map) = small_map(4);
         let mut tx = direct_tx(&system);
         for k in 0..5u64 {
             map.insert(&mut tx, k, k).unwrap();
@@ -895,8 +581,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "62 bits")]
-    fn striped_layout_rejects_tagged_range_keys() {
-        let (system, map) = small_map(4, MapLayout::StripeAligned);
+    fn keys_in_the_tag_range_are_rejected() {
+        let (system, map) = small_map(4);
         let mut tx = direct_tx(&system);
         let _ = map.insert(&mut tx, u64::MAX, 1);
     }

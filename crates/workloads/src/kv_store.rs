@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use condsync::Mechanism;
 use tm_core::{OpClass, StatsSnapshot, TmConfig};
-use tm_sync::{MapLayout, TmBoundedBuffer, TmHashMap, TmOrderedMap};
+use tm_sync::{TmBoundedBuffer, TmHashMap, TmOrderedMap};
 
 use crate::runtime::RuntimeKind;
 use crate::zipf::ZipfGen;
@@ -50,8 +50,6 @@ pub struct KvParams {
     pub scan_span: u64,
     /// Hash-map slot capacity (must exceed `keyspace`).
     pub map_capacity: usize,
-    /// Memory layout of the hash map.
-    pub layout: MapLayout,
     /// Entries pre-loaded before the clients start (setup is
     /// non-transactional, so a 100%-read run's stats are pure lookups).
     pub prepopulate: usize,
@@ -78,7 +76,6 @@ impl KvParams {
             delete_pct: 8,
             scan_span: 7,
             map_capacity: 128,
-            layout: MapLayout::StripeAligned,
             prepopulate: 24,
             mailbox_cap: 4,
             grant_batch: 16,
@@ -150,11 +147,7 @@ pub fn run_kv_store_scenario(kind: RuntimeKind, config: TmConfig, params: &KvPar
 
     let rt = kind.build(config);
     let system = Arc::clone(rt.system());
-    let store = Arc::new(TmHashMap::<u64, u64>::with_layout(
-        &system,
-        params.map_capacity,
-        params.layout,
-    ));
+    let store = Arc::new(TmHashMap::<u64, u64>::new(&system, params.map_capacity));
     let index = Arc::new(TmOrderedMap::<u64, u64>::new(&system));
     let mailbox = TmBoundedBuffer::new(&system, params.mailbox_cap.max(2));
 
@@ -370,8 +363,8 @@ mod tests {
 
     #[test]
     fn declared_ro_lookups_take_the_snapshot_fast_path() {
-        // 100% reads on a prepopulated store: with SnapshotMode::On the STM
-        // lookups commit with a zero footprint.
+        // 100% reads on a prepopulated store: the STM lookups commit with a
+        // zero footprint.
         let params = KvParams {
             read_pct: 100,
             scan_pct: 0,
@@ -383,8 +376,8 @@ mod tests {
             assert!(r.conservation_ok);
             // Every lookup commits through the zero-footprint fast path.
             // (`read_set_max` is not zero here only because the mailbox's
-            // flow-control transactions read; the mailbox-free bench pins
-            // that stricter claim.)
+            // flow-control transactions read; `tests/stats_exact.rs` pins
+            // that stricter claim on a mailbox-free loop.)
             assert_eq!(
                 r.stats.ro_fast_commits, r.gets,
                 "{kind}: some lookup missed the snapshot fast path"
@@ -396,25 +389,22 @@ mod tests {
     #[test]
     fn identical_seeds_replay_identical_histories_per_runtime() {
         // Single-session runs are fully deterministic: same seed, same
-        // final state and checksum — on every runtime and layout.
+        // final state and checksum — on every runtime.
         let mut checksums = Vec::new();
         for kind in RuntimeKind::ALL {
-            for layout in MapLayout::ALL {
-                let params = KvParams {
-                    sessions: 1,
-                    layout,
-                    ..KvParams::smoke()
-                };
-                let a = run_kv_store_scenario(kind, TmConfig::small(), &params);
-                let b = run_kv_store_scenario(kind, TmConfig::small(), &params);
-                assert_eq!(a.checksum, b.checksum, "{kind}/{layout:?}: not replayable");
-                assert_eq!(a.final_len, b.final_len);
-                checksums.push(a.checksum);
-            }
+            let params = KvParams {
+                sessions: 1,
+                ..KvParams::smoke()
+            };
+            let a = run_kv_store_scenario(kind, TmConfig::small(), &params);
+            let b = run_kv_store_scenario(kind, TmConfig::small(), &params);
+            assert_eq!(a.checksum, b.checksum, "{kind}: not replayable");
+            assert_eq!(a.final_len, b.final_len);
+            checksums.push(a.checksum);
         }
         assert!(
             checksums.windows(2).all(|w| w[0] == w[1]),
-            "single-session history must be runtime- and layout-independent: {checksums:?}"
+            "single-session history must be runtime-independent: {checksums:?}"
         );
     }
 

@@ -74,9 +74,7 @@ pub fn run(params: &KernelParams) -> KernelResult {
 
 fn run_tm(params: &KernelParams) -> (u64, u64, tm_core::StatsSnapshot) {
     let rt = params.runtime.over(tm_core::TmSystem::new(
-        TmConfig::default()
-            .with_mem_plane_env()
-            .with_heap_words(1 << 14),
+        TmConfig::default().with_heap_words(1 << 14),
     ));
     let system = Arc::clone(rt.system());
     let mechanism = params.mechanism;

@@ -83,7 +83,131 @@ impl Series {
     pub fn at(&self, x: u64) -> Option<&DataPoint> {
         self.points.iter().find(|p| p.x == x)
     }
+
+    /// The statistics of all points merged (counters add, maxima take the
+    /// larger value).
+    fn merged_stats(&self) -> StatsSnapshot {
+        self.points
+            .iter()
+            .fold(StatsSnapshot::default(), |acc, p| acc.merge(&p.stats))
+    }
 }
+
+/// One counter on a `# …` statistics line of a rendered panel.
+struct Col {
+    label: &'static str,
+    width: usize,
+    get: fn(&StatsSnapshot) -> u64,
+    /// A gating column prints its line when non-zero.  The others are
+    /// context (`hw commits` on the mode-ladder line): shown beside the
+    /// counters the line is about, never the reason to print it.
+    gates: bool,
+}
+
+const fn gate(label: &'static str, width: usize, get: fn(&StatsSnapshot) -> u64) -> Col {
+    Col {
+        label,
+        width,
+        get,
+        gates: true,
+    }
+}
+
+const fn show(label: &'static str, width: usize, get: fn(&StatsSnapshot) -> u64) -> Col {
+    Col {
+        label,
+        width,
+        get,
+        gates: false,
+    }
+}
+
+/// The statistics lines of a panel, in print order: one line per group and
+/// series, skipped when every gating counter of the group is zero, so an
+/// ordinary run renders only the planes it touched.
+const GROUPS: &[(&str, &[Col])] = &[
+    // Targeted-wake effectiveness (conditions evaluated against shards never
+    // visited) plus the timed-wait counters.
+    (
+        "wake-path",
+        &[
+            gate("waiters scanned", 8, |s| s.wake_checks),
+            show("wakeups", 8, |s| s.wakeups),
+            gate("shards scanned", 8, |s| s.wake_shard_scans),
+            gate("shards skipped", 10, |s| s.wake_shard_skips),
+            show("targeted commits", 8, |s| s.wake_targeted),
+            show("pred reindexes", 6, |s| s.pred_reindexes),
+            gate("timeouts", 8, |s| s.wake_timeouts),
+            gate("cancels", 6, |s| s.wake_cancels),
+            show("timer ticks", 8, |s| s.timer_ticks),
+        ],
+    ),
+    // High-water marks (max-merged across threads) and attempts that began
+    // on containers an earlier attempt had grown.
+    (
+        "access-set",
+        &[
+            gate("read set max", 8, |s| s.read_set_max),
+            gate("write set max", 8, |s| s.write_set_max),
+            gate("pool reuses", 10, |s| s.log_pool_reuses),
+        ],
+    ),
+    // Commits per rung, ladder and policy movement, and the explicit aborts
+    // the `Restart` baseline is built on.
+    (
+        "mode-ladder",
+        &[
+            show("hw commits", 8, |s| s.hw_commits),
+            show("sw commits", 8, |s| s.sw_commits),
+            gate("serial commits", 8, |s| s.serial_commits),
+            gate("mode switches", 8, |s| s.mode_switches),
+            gate("cm escalations", 8, |s| s.cm_escalations),
+            gate("explicit aborts", 8, |s| s.explicit_aborts),
+        ],
+    ),
+    // Injected faults and TMCondVar watchdog re-deliveries, alongside the
+    // total hardware aborts they hide among.
+    (
+        "hardware-plane",
+        &[
+            gate("faults injected", 8, |s| s.hw_faults_injected),
+            show("hw aborts", 8, |s| s.hw_aborts),
+            gate("watchdog redeliveries", 8, |s| s.watchdog_redeliveries),
+        ],
+    ),
+    // Shared counter writes against lazy stamps that reused the clock (the
+    // ratio the decentralized clock drives toward zero), and epoch slots
+    // scanned while quiescing.
+    (
+        "clock",
+        &[
+            gate("shared-line cas", 8, |s| s.clock_cas),
+            gate("lazy reuses", 8, |s| s.clock_reuse),
+            gate("quiesce scans", 10, |s| s.quiesce_scans),
+        ],
+    ),
+    // Free read-only commits, declared-read-only transactions the driver
+    // had to upgrade, and begin snapshots advanced in place of an abort.
+    (
+        "snapshot",
+        &[
+            gate("ro fast commits", 8, |s| s.ro_fast_commits),
+            gate("ro upgrades", 8, |s| s.ro_upgrades),
+            gate("refreshes", 10, |s| s.snapshot_refreshes),
+        ],
+    ),
+    // Mutex-free arena allocations against global refills, cross-thread
+    // frees, and failed CASes on the sharded orec table.
+    (
+        "memory-plane",
+        &[
+            gate("arena allocs", 8, |s| s.heap_arena_allocs),
+            gate("global refills", 8, |s| s.heap_global_refills),
+            gate("remote frees", 8, |s| s.heap_remote_frees),
+            gate("orec cas failures", 8, |s| s.orec_cas_failures),
+        ],
+    ),
+];
 
 /// One panel of a figure (e.g. `p2-c4` in Figure 2.3, or one PARSEC app in
 /// Figure 2.6): a set of series sharing the same x-axis.
@@ -139,8 +263,8 @@ impl Panel {
 
     /// Renders the panel as a fixed-width text table (x value per row, one
     /// column per mechanism), matching the rows the paper's plots encode,
-    /// followed by the wake-path effectiveness lines when any series did
-    /// wake work.
+    /// followed by one statistics line per counter group a series touched
+    /// and the latency lines.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "## {}", self.label);
@@ -163,227 +287,28 @@ impl Panel {
             }
             let _ = writeln!(out);
         }
-        out.push_str(&self.render_wake_stats());
-        out.push_str(&self.render_access_stats());
-        out.push_str(&self.render_mode_stats());
-        out.push_str(&self.render_hw_plane_stats());
-        out.push_str(&self.render_clock_stats());
-        out.push_str(&self.render_snapshot_stats());
-        out.push_str(&self.render_memory_plane_stats());
+        for (title, cols) in GROUPS {
+            out.push_str(&self.render_group(title, cols));
+        }
         out.push_str(&self.render_latency_stats());
         out
     }
 
-    /// One line per mechanism summarising targeted-wake effectiveness:
-    /// waiters whose conditions were evaluated versus registry shards the
-    /// writer never had to visit and `WaitPred` footprints that had to be
-    /// re-registered, plus the timed-wait counters (deadline
-    /// expiries, cancellations, lazy timer-wheel ticks).  Empty when the
-    /// panel did no wake work.
-    pub fn render_wake_stats(&self) -> String {
+    /// One `# <title> <mechanism>: <label> <count>  …` line per series whose
+    /// gating counters are not all zero.
+    fn render_group(&self, title: &str, cols: &[Col]) -> String {
         let mut out = String::new();
         for s in &self.series {
-            let stats = s
-                .points
-                .iter()
-                .fold(StatsSnapshot::default(), |acc, p| acc.merge(&p.stats));
-            if stats.wake_checks == 0
-                && stats.wake_shard_scans == 0
-                && stats.wake_shard_skips == 0
-                && stats.wake_timeouts == 0
-                && stats.wake_cancels == 0
-            {
+            let stats = s.merged_stats();
+            if cols.iter().all(|c| !c.gates || (c.get)(&stats) == 0) {
                 continue;
             }
-            let _ = writeln!(
-                out,
-                "# wake-path {:>10}: waiters scanned {:>8}  wakeups {:>8}  shards scanned {:>8}  shards skipped {:>10}  targeted commits {:>8}  pred reindexes {:>6}  timeouts {:>8}  cancels {:>6}  timer ticks {:>8}",
-                s.mechanism.label(),
-                stats.wake_checks,
-                stats.wakeups,
-                stats.wake_shard_scans,
-                stats.wake_shard_skips,
-                stats.wake_targeted,
-                stats.pred_reindexes,
-                stats.wake_timeouts,
-                stats.wake_cancels,
-                stats.timer_ticks,
-            );
-        }
-        out
-    }
-
-    /// One line per mechanism summarising the mode ladder and contention
-    /// policy: commits per rung (hardware / software / serial), mode
-    /// switches, policy escalations, and the program-requested explicit
-    /// aborts that the `Restart` baseline is built on (previously invisible
-    /// in reports).  Empty when no series did any of that work.
-    pub fn render_mode_stats(&self) -> String {
-        let mut out = String::new();
-        for s in &self.series {
-            let stats = s
-                .points
-                .iter()
-                .fold(StatsSnapshot::default(), |acc, p| acc.merge(&p.stats));
-            if stats.serial_commits == 0
-                && stats.mode_switches == 0
-                && stats.cm_escalations == 0
-                && stats.explicit_aborts == 0
-            {
-                continue;
+            let _ = write!(out, "# {title} {:>10}:", s.mechanism.label());
+            for (i, c) in cols.iter().enumerate() {
+                let sep = if i == 0 { " " } else { "  " };
+                let _ = write!(out, "{sep}{} {:>w$}", c.label, (c.get)(&stats), w = c.width);
             }
-            let _ = writeln!(
-                out,
-                "# mode-ladder {:>10}: hw commits {:>8}  sw commits {:>8}  serial commits {:>8}  mode switches {:>8}  cm escalations {:>8}  explicit aborts {:>8}",
-                s.mechanism.label(),
-                stats.hw_commits,
-                stats.sw_commits,
-                stats.serial_commits,
-                stats.mode_switches,
-                stats.cm_escalations,
-                stats.explicit_aborts,
-            );
-        }
-        out
-    }
-
-    /// One line per mechanism summarising hardware-plane incidents: aborts
-    /// manufactured by the fault-injection plane and TMCondVar watchdog
-    /// re-deliveries, alongside the total hardware aborts they hide among.
-    /// Empty when neither happened, so ordinary runs (injection off, no
-    /// lost signals) render exactly as before.
-    pub fn render_hw_plane_stats(&self) -> String {
-        let mut out = String::new();
-        for s in &self.series {
-            let stats = s
-                .points
-                .iter()
-                .fold(StatsSnapshot::default(), |acc, p| acc.merge(&p.stats));
-            if stats.hw_faults_injected == 0 && stats.watchdog_redeliveries == 0 {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "# hardware-plane {:>10}: faults injected {:>8}  hw aborts {:>8}  watchdog redeliveries {:>8}",
-                s.mechanism.label(),
-                stats.hw_faults_injected,
-                stats.hw_aborts,
-                stats.watchdog_redeliveries,
-            );
-        }
-        out
-    }
-
-    /// One line per mechanism summarising access-set behaviour: the largest
-    /// read set and write log any attempt built (high-water marks, max-merged
-    /// across threads) and how many pooled log containers were recycled
-    /// instead of allocated.  Empty when no series recorded either.
-    pub fn render_access_stats(&self) -> String {
-        let mut out = String::new();
-        for s in &self.series {
-            let stats = s
-                .points
-                .iter()
-                .fold(StatsSnapshot::default(), |acc, p| acc.merge(&p.stats));
-            if stats.read_set_max == 0 && stats.write_set_max == 0 && stats.log_pool_reuses == 0 {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "# access-set {:>10}: read set max {:>8}  write set max {:>8}  pool reuses {:>10}",
-                s.mechanism.label(),
-                stats.read_set_max,
-                stats.write_set_max,
-                stats.log_pool_reuses,
-            );
-        }
-        out
-    }
-
-    /// One line per mechanism summarising clock-plane contention: shared
-    /// counter writes (`clock_cas` — GV1 ticks plus lazy-GV5 stale-version
-    /// catch-ups), lazy commit stamps that reused the clock without writing
-    /// it (`clock_reuse`), and the per-thread epoch slots each committing
-    /// writer scanned while quiescing (`quiesce_scans`).  The cas/reuse ratio
-    /// is what the decentralized clock is meant to drive toward zero.  Empty
-    /// when no series touched the clock plane.
-    pub fn render_clock_stats(&self) -> String {
-        let mut out = String::new();
-        for s in &self.series {
-            let stats = s
-                .points
-                .iter()
-                .fold(StatsSnapshot::default(), |acc, p| acc.merge(&p.stats));
-            if stats.clock_cas == 0 && stats.clock_reuse == 0 && stats.quiesce_scans == 0 {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "# clock {:>10}: shared-line cas {:>8}  lazy reuses {:>8}  quiesce scans {:>10}",
-                s.mechanism.label(),
-                stats.clock_cas,
-                stats.clock_reuse,
-                stats.quiesce_scans,
-            );
-        }
-        out
-    }
-
-    /// One line per mechanism summarising the snapshot read path: read-only
-    /// fast commits (no read set, no commit validation), declared-read-only
-    /// transactions the driver had to upgrade to update transactions, and
-    /// begin snapshots successfully advanced in place of an abort.  Empty
-    /// when no series touched the snapshot path.
-    pub fn render_snapshot_stats(&self) -> String {
-        let mut out = String::new();
-        for s in &self.series {
-            let stats = s
-                .points
-                .iter()
-                .fold(StatsSnapshot::default(), |acc, p| acc.merge(&p.stats));
-            if stats.ro_fast_commits == 0 && stats.ro_upgrades == 0 && stats.snapshot_refreshes == 0
-            {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "# snapshot {:>10}: ro fast commits {:>8}  ro upgrades {:>8}  refreshes {:>10}",
-                s.mechanism.label(),
-                stats.ro_fast_commits,
-                stats.ro_upgrades,
-                stats.snapshot_refreshes,
-            );
-        }
-        out
-    }
-
-    /// One line per mechanism summarising the core-local memory plane:
-    /// mutex-free arena allocations versus global refills, remote (cross-
-    /// thread) frees, and failed CASes on the sharded ownership-record
-    /// table.  Empty when no series touched the plane.
-    pub fn render_memory_plane_stats(&self) -> String {
-        let mut out = String::new();
-        for s in &self.series {
-            let stats = s
-                .points
-                .iter()
-                .fold(StatsSnapshot::default(), |acc, p| acc.merge(&p.stats));
-            if stats.heap_arena_allocs == 0
-                && stats.heap_global_refills == 0
-                && stats.heap_remote_frees == 0
-                && stats.orec_cas_failures == 0
-            {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "# memory-plane {:>10}: arena allocs {:>8}  global refills {:>8}  remote frees {:>8}  orec cas failures {:>8}",
-                s.mechanism.label(),
-                stats.heap_arena_allocs,
-                stats.heap_global_refills,
-                stats.heap_remote_frees,
-                stats.orec_cas_failures,
-            );
+            let _ = writeln!(out);
         }
         out
     }
@@ -399,10 +324,7 @@ impl Panel {
     pub fn render_latency_stats(&self) -> String {
         let mut out = String::new();
         for s in &self.series {
-            let stats = s
-                .points
-                .iter()
-                .fold(StatsSnapshot::default(), |acc, p| acc.merge(&p.stats));
+            let stats = s.merged_stats();
             let mut classes = vec![
                 ("update", &stats.update_tx_latency),
                 ("ro", &stats.ro_tx_latency),
@@ -771,209 +693,160 @@ mod tests {
         assert_eq!(back.notes["items"], "65536");
     }
 
-    #[test]
-    fn wake_stats_render_only_when_wake_work_happened() {
-        let mut panel = Panel::new("p1-c1", "buffer size");
-        panel.series_mut(Mechanism::Pthreads).push(point(4, 1.0));
-        assert!(
-            panel.render_wake_stats().is_empty(),
-            "no wake work, no wake lines"
-        );
+    /// One row per statistics line: counters that must not print it on their
+    /// own, then the counters of a series that did the work, each with how
+    /// the line prints it.
+    struct GroupCase {
+        title: &'static str,
+        context_only: &'static [(&'static str, u64)],
+        counters: &'static [(&'static str, u64, &'static str)],
+    }
 
-        let mut with_wakes = point(4, 1.0);
-        with_wakes.stats.wake_checks = 12;
-        with_wakes.stats.wakeups = 3;
-        with_wakes.stats.wake_shard_scans = 5;
-        with_wakes.stats.wake_shard_skips = 200;
-        with_wakes.stats.wake_targeted = 7;
-        with_wakes.stats.pred_reindexes = 2;
-        with_wakes.stats.wake_timeouts = 4;
-        with_wakes.stats.wake_cancels = 1;
-        with_wakes.stats.timer_ticks = 99;
-        panel.series_mut(Mechanism::Retry).push(with_wakes);
-        let text = panel.render();
-        assert!(text.contains("wake-path"));
-        assert!(text.contains("waiters scanned       12"));
-        assert!(text.contains("shards skipped        200"));
-        assert!(text.contains("targeted commits        7"));
-        assert!(text.contains("pred reindexes      2"));
-        assert!(text.contains("timeouts        4"));
-        assert!(text.contains("cancels      1"));
-        assert!(text.contains("timer ticks       99"));
-        assert!(
-            !text.contains("Pthreads: waiters"),
-            "series without wake work stay out of the wake block"
-        );
+    const GROUP_CASES: &[GroupCase] = &[
+        GroupCase {
+            title: "wake-path",
+            context_only: &[("wakeups", 3), ("timer_ticks", 99)],
+            counters: &[
+                ("wake_checks", 12, "waiters scanned       12"),
+                ("wakeups", 3, "wakeups        3"),
+                ("wake_shard_scans", 5, "shards scanned        5"),
+                ("wake_shard_skips", 200, "shards skipped        200"),
+                ("wake_targeted", 7, "targeted commits        7"),
+                ("pred_reindexes", 2, "pred reindexes      2"),
+                ("wake_timeouts", 4, "timeouts        4"),
+                ("wake_cancels", 1, "cancels      1"),
+                ("timer_ticks", 99, "timer ticks       99"),
+            ],
+        },
+        // A lossy consumer can time out without any writer ever scanning a
+        // shard; its series must still surface the timeout counters.
+        GroupCase {
+            title: "wake-path",
+            context_only: &[],
+            counters: &[("wake_timeouts", 6, "timeouts        6")],
+        },
+        GroupCase {
+            title: "access-set",
+            context_only: &[],
+            counters: &[
+                ("read_set_max", 16384, "read set max    16384"),
+                ("write_set_max", 512, "write set max      512"),
+                ("log_pool_reuses", 31, "pool reuses         31"),
+            ],
+        },
+        // Plain software commits alone do not make a mode-ladder line; the
+        // Restart baseline's explicit aborts do, with no serial work at all.
+        GroupCase {
+            title: "mode-ladder",
+            context_only: &[("sw_commits", 100)],
+            counters: &[
+                ("sw_commits", 10, "sw commits       10"),
+                ("explicit_aborts", 55, "explicit aborts       55"),
+            ],
+        },
+        GroupCase {
+            title: "mode-ladder",
+            context_only: &[("hw_commits", 50)],
+            counters: &[
+                ("hw_commits", 7, "hw commits        7"),
+                ("sw_commits", 3, "sw commits        3"),
+                ("serial_commits", 2, "serial commits        2"),
+                ("mode_switches", 9, "mode switches        9"),
+                ("cm_escalations", 4, "cm escalations        4"),
+            ],
+        },
+        // Genuine hardware aborts alone do not make a hardware-plane line.
+        GroupCase {
+            title: "hardware-plane",
+            context_only: &[("hw_commits", 50), ("hw_aborts", 5)],
+            counters: &[
+                ("hw_faults_injected", 33, "faults injected       33"),
+                ("hw_aborts", 40, "hw aborts       40"),
+                ("watchdog_redeliveries", 2, "watchdog redeliveries        2"),
+            ],
+        },
+        GroupCase {
+            title: "clock",
+            context_only: &[],
+            counters: &[
+                ("clock_cas", 3, "shared-line cas        3"),
+                ("clock_reuse", 997, "lazy reuses      997"),
+                ("quiesce_scans", 1234, "quiesce scans       1234"),
+            ],
+        },
+        GroupCase {
+            title: "snapshot",
+            context_only: &[],
+            counters: &[
+                ("ro_fast_commits", 420, "ro fast commits      420"),
+                ("ro_upgrades", 7, "ro upgrades        7"),
+                ("snapshot_refreshes", 13, "refreshes         13"),
+            ],
+        },
+        GroupCase {
+            title: "memory-plane",
+            context_only: &[],
+            counters: &[
+                ("heap_arena_allocs", 640, "arena allocs      640"),
+                ("heap_global_refills", 9, "global refills        9"),
+                ("heap_remote_frees", 17, "remote frees       17"),
+                ("orec_cas_failures", 3, "orec cas failures        3"),
+            ],
+        },
+    ];
+
+    fn point_with(x: u64, fields: impl IntoIterator<Item = (&'static str, u64)>) -> DataPoint {
+        let mut p = point(x, 1.0);
+        for (name, value) in fields {
+            assert!(p.stats.set_by_name(name, value), "unknown counter {name}");
+        }
+        p
     }
 
     #[test]
-    fn access_stats_render_only_when_recorded() {
-        let mut panel = Panel::new("p1-c1", "buffer size");
-        panel.series_mut(Mechanism::Pthreads).push(point(4, 1.0));
-        assert!(panel.render_access_stats().is_empty());
+    fn each_stats_line_renders_only_for_series_that_did_its_work() {
+        for case in GROUP_CASES {
+            let title = case.title;
+            let (_, cols) = GROUPS
+                .iter()
+                .find(|(t, _)| *t == title)
+                .expect("a group of that title");
+            let mut panel = Panel::new("p1-c1", "buffer size");
+            panel
+                .series_mut(Mechanism::Pthreads)
+                .push(point_with(4, case.context_only.iter().copied()));
+            assert!(
+                panel.render_group(title, cols).is_empty(),
+                "{title}: context counters alone print no line"
+            );
 
-        let mut with_sets = point(4, 1.0);
-        with_sets.stats.read_set_max = 16384;
-        with_sets.stats.write_set_max = 512;
-        with_sets.stats.log_pool_reuses = 31;
-        panel.series_mut(Mechanism::Retry).push(with_sets);
-        // A second point with smaller maxima must not shrink the rendered
-        // high-water mark (max-merge, not sum).
-        let mut smaller = point(16, 1.0);
-        smaller.stats.read_set_max = 10;
-        panel.series_mut(Mechanism::Retry).push(smaller);
-        let text = panel.render();
-        assert!(text.contains("access-set"));
-        assert!(text.contains("read set max    16384"));
-        assert!(text.contains("write set max      512"));
-        assert!(text.contains("pool reuses         31"));
-        assert!(
-            !text.contains("Pthreads: read set"),
-            "series without access-set work stay out of the block"
-        );
-    }
-
-    #[test]
-    fn mode_stats_render_only_when_the_ladder_was_used() {
-        let mut panel = Panel::new("p1-c1", "buffer size");
-        let mut plain = point(4, 1.0);
-        plain.stats.sw_commits = 100;
-        panel.series_mut(Mechanism::Await).push(plain);
-        assert!(
-            panel.render_mode_stats().is_empty(),
-            "plain software commits alone do not make a mode-ladder line"
-        );
-
-        // The Restart baseline's explicit aborts must surface even with no
-        // serial work at all (they used to be invisible in reports).
-        let mut restarts = point(4, 1.0);
-        restarts.stats.sw_commits = 10;
-        restarts.stats.explicit_aborts = 55;
-        panel.series_mut(Mechanism::Restart).push(restarts);
-
-        let mut laddered = point(4, 1.0);
-        laddered.stats.hw_commits = 7;
-        laddered.stats.sw_commits = 3;
-        laddered.stats.serial_commits = 2;
-        laddered.stats.mode_switches = 9;
-        laddered.stats.cm_escalations = 4;
-        panel.series_mut(Mechanism::Retry).push(laddered);
-
-        let text = panel.render();
-        assert!(text.contains("mode-ladder"));
-        assert!(text.contains("explicit aborts       55"));
-        assert!(text.contains("serial commits        2"));
-        assert!(text.contains("cm escalations        4"));
-        assert!(text.contains("mode switches        9"));
-        assert!(
-            !text.contains("mode-ladder      Await"),
-            "series without ladder work stay out of the block"
-        );
-    }
-
-    #[test]
-    fn hw_plane_stats_render_only_when_faults_or_redeliveries_happened() {
-        let mut panel = Panel::new("p1-c1", "buffer size");
-        let mut plain = point(4, 1.0);
-        plain.stats.hw_commits = 50;
-        plain.stats.hw_aborts = 5;
-        panel.series_mut(Mechanism::Await).push(plain);
-        assert!(
-            panel.render_hw_plane_stats().is_empty(),
-            "genuine hardware aborts alone do not make a hardware-plane line"
-        );
-
-        let mut with_faults = point(4, 1.0);
-        with_faults.stats.hw_aborts = 40;
-        with_faults.stats.hw_faults_injected = 33;
-        with_faults.stats.watchdog_redeliveries = 2;
-        panel.series_mut(Mechanism::Retry).push(with_faults);
-        let text = panel.render();
-        assert!(text.contains("hardware-plane"));
-        assert!(text.contains("faults injected       33"));
-        assert!(text.contains("hw aborts       40"));
-        assert!(text.contains("watchdog redeliveries        2"));
-        assert!(
-            !text.contains("hardware-plane      Await"),
-            "series without incidents stay out of the block"
-        );
-    }
-
-    #[test]
-    fn clock_stats_render_only_when_the_clock_plane_was_touched() {
-        let mut panel = Panel::new("p1-c1", "buffer size");
-        panel.series_mut(Mechanism::Pthreads).push(point(4, 1.0));
-        assert!(
-            panel.render_clock_stats().is_empty(),
-            "no clock work, no clock line"
-        );
-
-        let mut with_clock = point(4, 1.0);
-        with_clock.stats.clock_cas = 3;
-        with_clock.stats.clock_reuse = 997;
-        with_clock.stats.quiesce_scans = 1234;
-        panel.series_mut(Mechanism::Retry).push(with_clock);
-        let text = panel.render();
-        assert!(text.contains("# clock"));
-        assert!(text.contains("shared-line cas        3"));
-        assert!(text.contains("lazy reuses      997"));
-        assert!(text.contains("quiesce scans       1234"));
-        assert!(
-            !text.contains("clock   Pthreads"),
-            "series without clock work stay out of the block"
-        );
-    }
-
-    #[test]
-    fn snapshot_stats_render_only_when_the_snapshot_path_was_used() {
-        let mut panel = Panel::new("p1-c1", "buffer size");
-        panel.series_mut(Mechanism::Pthreads).push(point(4, 1.0));
-        assert!(
-            panel.render_snapshot_stats().is_empty(),
-            "no snapshot work, no snapshot line"
-        );
-
-        let mut with_snap = point(4, 1.0);
-        with_snap.stats.ro_fast_commits = 420;
-        with_snap.stats.ro_upgrades = 7;
-        with_snap.stats.snapshot_refreshes = 13;
-        panel.series_mut(Mechanism::Retry).push(with_snap);
-        let text = panel.render();
-        assert!(text.contains("# snapshot"));
-        assert!(text.contains("ro fast commits      420"));
-        assert!(text.contains("ro upgrades        7"));
-        assert!(text.contains("refreshes         13"));
-        assert!(
-            !text.contains("snapshot   Pthreads"),
-            "series without snapshot work stay out of the block"
-        );
-    }
-
-    #[test]
-    fn memory_plane_stats_render_only_when_the_plane_was_touched() {
-        let mut panel = Panel::new("p1-c1", "buffer size");
-        panel.series_mut(Mechanism::Pthreads).push(point(4, 1.0));
-        assert!(
-            panel.render_memory_plane_stats().is_empty(),
-            "no arena or orec work, no memory-plane line"
-        );
-
-        let mut with_mem = point(4, 1.0);
-        with_mem.stats.heap_arena_allocs = 640;
-        with_mem.stats.heap_global_refills = 9;
-        with_mem.stats.heap_remote_frees = 17;
-        with_mem.stats.orec_cas_failures = 3;
-        panel.series_mut(Mechanism::Retry).push(with_mem);
-        let text = panel.render();
-        assert!(text.contains("# memory-plane"));
-        assert!(text.contains("arena allocs      640"));
-        assert!(text.contains("global refills        9"));
-        assert!(text.contains("remote frees       17"));
-        assert!(text.contains("orec cas failures        3"));
-        assert!(
-            !text.contains("memory-plane   Pthreads"),
-            "series without memory-plane work stay out of the block"
-        );
+            let worked = case.counters.iter().map(|&(name, value, _)| (name, value));
+            panel
+                .series_mut(Mechanism::Retry)
+                .push(point_with(4, worked));
+            // A second point with smaller maxima must not shrink a rendered
+            // high-water mark (max-merge, not sum).
+            panel
+                .series_mut(Mechanism::Retry)
+                .push(point_with(16, [("read_set_max", 10)]));
+            let text = panel.render();
+            let mut lines = text
+                .lines()
+                .filter(|l| l.starts_with(&format!("# {title} ")));
+            let line = lines.next().unwrap_or_else(|| panic!("{title}: no line"));
+            assert!(line.contains("Retry:"), "{line}");
+            for (_, _, printed) in case.counters {
+                assert!(
+                    line.contains(printed),
+                    "{title}: `{printed}` not in `{line}`"
+                );
+            }
+            assert_eq!(
+                lines.next(),
+                None,
+                "{title}: series without that work stay out of the block"
+            );
+        }
     }
 
     #[test]
@@ -1026,18 +899,6 @@ mod tests {
         // The fast-path counters ride on every latency line.
         assert!(text.contains("ro_fast          2"), "{text}");
         assert!(text.contains("refreshes        1"), "{text}");
-    }
-
-    #[test]
-    fn pure_timeout_work_is_enough_to_render_a_wake_line() {
-        // A lossy consumer can time out without any writer ever scanning a
-        // shard; its series must still surface the timeout counters.
-        let mut panel = Panel::new("p1-c1", "buffer size");
-        let mut p = point(4, 1.0);
-        p.stats.wake_timeouts = 6;
-        panel.series_mut(Mechanism::Await).push(p);
-        let text = panel.render_wake_stats();
-        assert!(text.contains("timeouts        6"));
     }
 
     #[test]

@@ -136,12 +136,7 @@ impl AnyRuntime {
 
     /// The shared system (heap, clock, registries) under this runtime.
     pub fn system(&self) -> &Arc<TmSystem> {
-        match self {
-            AnyRuntime::Eager(rt) => TmRuntime::system(rt.as_ref()),
-            AnyRuntime::Lazy(rt) => TmRuntime::system(rt.as_ref()),
-            AnyRuntime::Htm(rt) => TmRuntime::system(rt.as_ref()),
-            AnyRuntime::Hybrid(rt) => TmRuntime::system(rt.as_ref()),
-        }
+        self.as_dyn().system()
     }
 
     /// Runs `body` as a transaction until it commits and returns its result.
@@ -188,12 +183,7 @@ impl TmRuntime for AnyRuntime {
     }
 
     fn name(&self) -> &'static str {
-        match self {
-            AnyRuntime::Eager(rt) => rt.name(),
-            AnyRuntime::Lazy(rt) => rt.name(),
-            AnyRuntime::Htm(rt) => rt.name(),
-            AnyRuntime::Hybrid(rt) => rt.name(),
-        }
+        self.as_dyn().name()
     }
 
     fn exec_u64(
@@ -201,12 +191,7 @@ impl TmRuntime for AnyRuntime {
         thread: &Arc<ThreadCtx>,
         body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<u64>,
     ) -> u64 {
-        match self {
-            AnyRuntime::Eager(rt) => rt.exec_u64(thread, body),
-            AnyRuntime::Lazy(rt) => rt.exec_u64(thread, body),
-            AnyRuntime::Htm(rt) => rt.exec_u64(thread, body),
-            AnyRuntime::Hybrid(rt) => rt.exec_u64(thread, body),
-        }
+        self.as_dyn().exec_u64(thread, body)
     }
 
     fn exec_bool(
@@ -214,12 +199,7 @@ impl TmRuntime for AnyRuntime {
         thread: &Arc<ThreadCtx>,
         body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<bool>,
     ) -> bool {
-        match self {
-            AnyRuntime::Eager(rt) => rt.exec_bool(thread, body),
-            AnyRuntime::Lazy(rt) => rt.exec_bool(thread, body),
-            AnyRuntime::Htm(rt) => rt.exec_bool(thread, body),
-            AnyRuntime::Hybrid(rt) => rt.exec_bool(thread, body),
-        }
+        self.as_dyn().exec_bool(thread, body)
     }
 }
 

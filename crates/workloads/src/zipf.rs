@@ -10,8 +10,7 @@
 //! identical histories and the benches publish reproducible cells.
 //!
 //! Sampling inverts the precomputed CDF with a binary search
-//! (`partition_point`), exactly like the `read_mostly` bench's inline
-//! generator, of which this is the shared, unit-tested extraction.
+//! (`partition_point`).
 
 /// A seeded Zipfian sampler over key indices `0..keys`.
 ///

@@ -104,8 +104,8 @@ pub mod prelude {
         Addr, Semaphore, TmArray, TmConfig, TmRt, TmRuntime, TmSystem, TmVar, Tx, TxCtl, TxResult,
     };
     pub use tm_sync::{
-        BarrierWait, MapLayout, PthreadBuffer, TmBarrier, TmBoundedBuffer, TmCounter, TmHashMap,
-        TmLatch, TmOnceCell, TmOrderedMap, TmQueue, TmStack,
+        BarrierWait, PthreadBuffer, TmBarrier, TmBoundedBuffer, TmCounter, TmHashMap, TmLatch,
+        TmOnceCell, TmOrderedMap, TmQueue, TmStack,
     };
     pub use tm_workloads::runtime::{AnyRuntime, RuntimeKind};
 }

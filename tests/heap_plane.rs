@@ -1,7 +1,7 @@
 //! Heap-plane properties: word conservation under multi-thread churn with
 //! cross-thread frees, carve integrity (no two threads are ever handed
-//! overlapping blocks), exhaustion parity between the bare heap and the
-//! arena front-end, and the memory-plane environment knobs.
+//! overlapping blocks), and exhaustion parity between the bare heap and the
+//! arena front-end.
 
 use std::sync::{mpsc, Arc};
 
@@ -169,28 +169,4 @@ fn exhaustion_is_identical_with_and_without_arenas() {
         "exhaustion behavior diverged between bare heap and arenas"
     );
     assert_eq!(outcomes[0], vec![true, false, false, true]);
-}
-
-#[test]
-fn memory_plane_env_knobs_parse() {
-    // No other test in this binary reads TM_OREC_SHARDS or TM_HEAP_ARENAS
-    // (the churn tests build their configs with explicit builders), so
-    // mutating the process environment here cannot race them.
-    std::env::set_var("TM_OREC_SHARDS", "8");
-    std::env::set_var("TM_HEAP_ARENAS", "0");
-    let c = TmConfig::default().with_mem_plane_env();
-    assert_eq!(c.orec_shards, 8);
-    assert!(!c.heap_arenas);
-    let c = TmConfig::from_env();
-    assert_eq!(c.orec_shards, 8);
-    assert!(!c.heap_arenas);
-
-    // Unset knobs leave the defaults untouched; junk is ignored.
-    std::env::remove_var("TM_OREC_SHARDS");
-    std::env::set_var("TM_HEAP_ARENAS", "banana");
-    let d = TmConfig::default();
-    let c = TmConfig::default().with_mem_plane_env();
-    assert_eq!(c.orec_shards, d.orec_shards);
-    assert_eq!(c.heap_arenas, d.heap_arenas);
-    std::env::remove_var("TM_HEAP_ARENAS");
 }

@@ -1,6 +1,6 @@
 //! Linearizability-style stress for the KV plane: concurrent get/put/
 //! delete/range traffic over a [`TmHashMap`] + [`TmOrderedMap`] pair on
-//! every runtime and both map layouts, checked against per-key models.
+//! every runtime, checked against per-key models.
 //!
 //! Each worker owns a disjoint slice of the key space for writes (keys
 //! congruent to its id) while reads and range scans roam the whole space.
@@ -45,11 +45,11 @@ fn check_value(kind: RuntimeKind, key: u64, value: u64) {
     );
 }
 
-/// One full stress round on `kind` × `layout` under `config`.
-fn stress_round(kind: RuntimeKind, layout: MapLayout, ops_per_worker: u64, config: TmConfig) {
-    let rt = kind.build(config);
+/// One full stress round on `kind`.
+fn stress_round(kind: RuntimeKind, ops_per_worker: u64) {
+    let rt = kind.build(TmConfig::default());
     let system = Arc::clone(rt.system());
-    let store = Arc::new(TmHashMap::<u64, u64>::with_layout(&system, 512, layout));
+    let store = Arc::new(TmHashMap::<u64, u64>::new(&system, 512));
     let index = Arc::new(TmOrderedMap::<u64, u64>::new(&system));
     let barrier = Barrier::new(WORKERS);
 
@@ -145,46 +145,21 @@ fn stress_round(kind: RuntimeKind, layout: MapLayout, ops_per_worker: u64, confi
     let mut dump = store.dump_direct(&system);
     dump.sort_unstable();
     assert_eq!(
-        dump,
-        expected,
-        "{kind} with {} layout: final store diverged from the owner models",
-        layout.label()
+        dump, expected,
+        "{kind}: final store diverged from the owner models"
     );
     let mut index_dump = index.dump_direct(&system);
     index_dump.sort_unstable();
     assert_eq!(
-        index_dump,
-        dump,
-        "{kind} with {} layout: ordered index diverged from the store",
-        layout.label()
+        index_dump, dump,
+        "{kind}: ordered index diverged from the store"
     );
 }
 
 #[test]
-fn concurrent_kv_traffic_stays_consistent_on_every_runtime_and_layout() {
+fn concurrent_kv_traffic_stays_consistent_on_every_runtime() {
     let ops = 400 * stress_iters();
     for kind in RuntimeKind::ALL {
-        for layout in MapLayout::ALL {
-            stress_round(kind, layout, ops, TmConfig::default());
-        }
-    }
-}
-
-#[test]
-fn concurrent_kv_traffic_stays_consistent_across_snapshot_modes() {
-    // The same claims must hold whether lookups run logged or on the
-    // snapshot fast path: the consistency argument is the TM's, not the
-    // snapshot's.
-    use tm_repro::core::SnapshotMode;
-    let ops = 200 * stress_iters();
-    for mode in [SnapshotMode::Off, SnapshotMode::On] {
-        for kind in [RuntimeKind::EagerStm, RuntimeKind::LazyStm] {
-            stress_round(
-                kind,
-                MapLayout::StripeAligned,
-                ops,
-                TmConfig::default().with_snapshot(mode),
-            );
-        }
+        stress_round(kind, ops);
     }
 }

@@ -381,90 +381,64 @@ fn memory_plane_sweep_keeps_golden_results_identical() {
 #[test]
 fn snapshot_mode_sweep_keeps_golden_results_identical() {
     // The snapshot read path is a performance lever, not a semantic one: the
-    // deterministic large transaction, the deschedule scenario, and a
-    // declared read-only scan must all produce identical results with
-    // snapshots off and on, on every runtime.
-    use tm_core::{SnapshotMode, TmArray};
+    // same scan must return the golden sum through `atomically` (tracked
+    // reads, commit-time validation: the reference path) and through
+    // `atomically_read` (the snapshot path), on every runtime.
+    use tm_core::TmArray;
 
     const SLOTS: usize = 64;
-    let golden = large_tx_outcome(RuntimeKind::EagerStm, TmConfig::default());
     let expected_sum: u64 = (0..SLOTS as u64).map(|i| i * i).sum();
 
-    for mode in [SnapshotMode::Off, SnapshotMode::On] {
-        for kind in RuntimeKind::ALL {
-            let outcome = large_tx_outcome(kind, TmConfig::default().with_snapshot(mode));
-            assert_eq!(
-                outcome,
-                golden,
-                "{kind} with {} diverged from the golden outcome",
-                mode.label()
-            );
-
-            let result = run_scenario_configured(kind, TmConfig::small().with_snapshot(mode));
-            assert_eq!(
-                result.final_count,
-                3,
-                "{kind} with {}: wrong final count",
-                mode.label()
-            );
-            assert_eq!(
-                result.observed.len(),
-                3,
-                "{kind} with {}: a waiter was lost",
-                mode.label()
-            );
-
-            // A declared read-only scan sees exactly the committed state.  A
-            // body that writes after declaring read-only is upgraded by the
-            // driver and must still commit normally.
-            let rt = kind.build(TmConfig::small().with_snapshot(mode));
-            let system = Arc::clone(rt.system());
-            let th = system.register_thread();
-            let arr = TmArray::<u64>::alloc(&system, SLOTS, 0);
-            rt.atomically(&th, |tx| {
-                for i in 0..SLOTS {
-                    arr.set(tx, i, (i * i) as u64)?;
-                }
-                Ok(())
-            });
-            let sum = rt.atomically_read(&th, |tx| {
-                let mut s = 0u64;
-                for i in 0..SLOTS {
-                    s += arr.get(tx, i)?;
-                }
-                Ok(s)
-            });
-            assert_eq!(sum, expected_sum, "{kind} with {}", mode.label());
-            let bumped = rt.atomically_read(&th, |tx| {
-                let v = arr.get(tx, 0)?;
-                arr.set(tx, 0, v + 1)?;
-                arr.get(tx, 0)
-            });
-            assert_eq!(
-                bumped,
-                1,
-                "{kind} with {}: upgrade broke the write",
-                mode.label()
-            );
-            assert_eq!(
-                arr.load_direct(&system, 0),
-                1,
-                "{kind} with {}",
-                mode.label()
-            );
-            let stats = system.stats();
-            if mode.is_enabled() && matches!(kind, RuntimeKind::EagerStm | RuntimeKind::LazyStm) {
-                assert!(
-                    stats.ro_fast_commits > 0,
-                    "{kind} with {}: the scan must take the snapshot fast path",
-                    mode.label()
-                );
-                assert!(
-                    stats.ro_upgrades > 0,
-                    "{kind} with {}: the writing read-only body must be upgraded",
-                    mode.label()
-                );
+    for kind in RuntimeKind::ALL {
+        let stm = matches!(kind, RuntimeKind::EagerStm | RuntimeKind::LazyStm);
+        let rt = kind.build(TmConfig::small());
+        let system = Arc::clone(rt.system());
+        let th = system.register_thread();
+        let arr = TmArray::<u64>::alloc(&system, SLOTS, 0);
+        rt.atomically(&th, |tx| {
+            for i in 0..SLOTS {
+                arr.set(tx, i, (i * i) as u64)?;
             }
+            Ok(())
+        });
+        let scan = |tx: &mut dyn Tx| {
+            let mut s = 0u64;
+            for i in 0..SLOTS {
+                s += arr.get(tx, i)?;
+            }
+            Ok(s)
+        };
+        assert_eq!(rt.atomically(&th, scan), expected_sum, "{kind} tracked");
+        let tracked = system.stats();
+        if stm {
+            assert_eq!(tracked.ro_fast_commits, 0, "{kind}: `atomically` tracks");
+            assert_eq!(tracked.read_set_max, SLOTS as u64, "{kind}");
+        }
+        // A declared read-only scan sees exactly the committed state.  A
+        // body that writes after declaring read-only is upgraded by the
+        // driver and must still commit normally.
+        assert_eq!(
+            rt.atomically_read(&th, scan),
+            expected_sum,
+            "{kind} snapshot"
+        );
+        let bumped = rt.atomically_read(&th, |tx| {
+            let v = arr.get(tx, 0)?;
+            arr.set(tx, 0, v + 1)?;
+            arr.get(tx, 0)
+        });
+        assert_eq!(bumped, 1, "{kind}: upgrade broke the write");
+        assert_eq!(arr.load_direct(&system, 0), 1, "{kind}");
+        let stats = system.stats();
+        if stm {
+            assert!(
+                stats.ro_fast_commits > 0,
+                "{kind}: the scan must take the snapshot fast path"
+            );
+            assert!(
+                stats.ro_upgrades > 0,
+                "{kind}: the writing read-only body must be upgraded"
+            );
         }
     }
 }
@@ -511,7 +485,7 @@ fn writer_commits_advance_the_clock_past_their_begin_snapshot() {
 /// dumps.  Lookups and range scans run as declared read-only transactions,
 /// so the history crosses the snapshot fast path wherever the runtime
 /// offers one.
-fn kv_history_outcome(kind: RuntimeKind, layout: MapLayout) -> (u64, Vec<(u64, u64)>) {
+fn kv_history_outcome(kind: RuntimeKind) -> (u64, Vec<(u64, u64)>) {
     use tm_core::backoff::XorShift64;
 
     const KEYSPACE: u64 = 96;
@@ -520,7 +494,7 @@ fn kv_history_outcome(kind: RuntimeKind, layout: MapLayout) -> (u64, Vec<(u64, u
     let rt = kind.build(TmConfig::default());
     let system = Arc::clone(rt.system());
     let th = system.register_thread();
-    let store = TmHashMap::<u64, u64>::with_layout(&system, 256, layout);
+    let store = TmHashMap::<u64, u64>::new(&system, 256);
     let index = TmOrderedMap::<u64, u64>::new(&system);
 
     let mut rng = XorShift64::new(0x6B56_0A11);
@@ -570,31 +544,25 @@ fn kv_history_outcome(kind: RuntimeKind, layout: MapLayout) -> (u64, Vec<(u64, u
     assert_eq!(
         dump,
         index.dump_direct(&system),
-        "{kind} with {} layout: store and index diverged",
-        layout.label()
+        "{kind}: store and index diverged"
     );
     (acc, dump)
 }
 
 #[test]
-fn kv_history_is_identical_across_runtimes_and_layouts() {
+fn kv_history_is_identical_across_runtimes() {
     // The same seeded map/index history must produce one golden checksum
-    // and one golden final image on every runtime and both map layouts:
-    // the stripe-aligned layout is a contention lever, not a semantic one,
-    // and the declared-read-only lookups must observe the same values
-    // whether they run logged, as snapshots, or in hardware.
-    let golden = kv_history_outcome(RuntimeKind::EagerStm, MapLayout::StripeAligned);
+    // and one golden final image on every runtime: the declared-read-only
+    // lookups must observe the same values whether they run logged, as
+    // snapshots, or in hardware.
+    let golden = kv_history_outcome(RuntimeKind::EagerStm);
     assert!(!golden.1.is_empty(), "history must leave residual entries");
     for kind in RuntimeKind::ALL {
-        for layout in MapLayout::ALL {
-            let outcome = kv_history_outcome(kind, layout);
-            assert_eq!(
-                outcome,
-                golden,
-                "{kind} with {} layout diverged from the golden history",
-                layout.label()
-            );
-        }
+        assert_eq!(
+            kv_history_outcome(kind),
+            golden,
+            "{kind} diverged from the golden history"
+        );
     }
 }
 

@@ -15,8 +15,8 @@ use std::sync::Arc;
 use stm_eager::Eager;
 use stm_lazy::Lazy;
 use tm_core::{
-    AbortReason, Addr, ClockMode, Descriptor, SnapshotMode, SoftwareProtocol, SoftwareTx,
-    ThreadCtx, TmConfig, TmSystem, Tx, TxCommon, TxCtl, TxKind, TxMode,
+    AbortReason, Addr, ClockMode, Descriptor, SoftwareProtocol, SoftwareTx, ThreadCtx, TmConfig,
+    TmSystem, Tx, TxCommon, TxCtl, TxKind, TxMode,
 };
 
 fn config(clock: ClockMode) -> TmConfig {
@@ -239,16 +239,12 @@ mod case {
         tx.rollback();
     }
 
-    pub fn snapshot_off_disables_the_fast_path<P: SoftwareProtocol>(clock: ClockMode) {
-        let system = TmSystem::new(config(clock).with_snapshot(SnapshotMode::Off));
+    pub fn an_update_attempt_tracks_its_reads<P: SoftwareProtocol>(clock: ClockMode) {
+        let system = TmSystem::new(config(clock));
         let (th, mut d) = party(&system);
-        let mut tx = SoftwareTx::<P>::begin(&system, &th, &mut d, read_only());
+        let mut tx = SoftwareTx::<P>::begin(&system, &th, &mut d, software());
         assert_eq!(tx.read(Addr(3)).unwrap(), 0);
-        assert_eq!(
-            tx.core.d.reads.len(),
-            1,
-            "falls back to the tracked read path"
-        );
+        assert_eq!(tx.core.d.reads.len(), 1, "the tracked read path");
         tx.try_commit().unwrap();
         assert_eq!(th.stats.snapshot().ro_fast_commits, 0);
     }
@@ -282,5 +278,5 @@ cases![
     snapshot_write_aborts_with_read_only_write,
     snapshot_refreshes_at_first_read_instead_of_aborting,
     snapshot_aborts_on_too_new_after_first_read,
-    snapshot_off_disables_the_fast_path,
+    an_update_attempt_tracks_its_reads,
 ];

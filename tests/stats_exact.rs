@@ -110,6 +110,45 @@ fn four_threads_of_updates_count_every_commit_exactly() {
     }
 }
 
+/// A workload of nothing but declared read-only lookups commits every one of
+/// them through the snapshot fast path and never builds a read set — on the
+/// STMs, which have the software snapshot rung; the hardware runtimes count
+/// their declared-read-only hardware commits the same way.
+#[test]
+fn pure_lookups_commit_free_and_build_no_read_set() {
+    const READERS: u64 = 2;
+    const LOOKUPS: u64 = 5_000;
+    const KEYS: u64 = 64;
+    for kind in RuntimeKind::ALL {
+        let rt = kind.build(TmConfig::default());
+        let system = Arc::clone(rt.system());
+        let map = TmHashMap::<u64, u64>::new(&system, 256);
+        for k in 0..KEYS {
+            map.insert_direct(&system, k, k + 1);
+        }
+        std::thread::scope(|scope| {
+            for r in 0..READERS {
+                let (rt, system, map) = (&rt, &system, &map);
+                scope.spawn(move || {
+                    let th = system.register_thread();
+                    for i in 0..LOOKUPS {
+                        let key = (i * 7 + r) % KEYS;
+                        let got = rt.atomically_read(&th, |tx| map.get(tx, key));
+                        assert_eq!(got, Some(key + 1), "{kind}");
+                    }
+                });
+            }
+        });
+        let stats = system.stats();
+        assert_eq!(stats.ro_tx_latency.count(), READERS * LOOKUPS, "{kind}");
+        assert!(stats.ro_fast_commits > 0, "{kind}: no free commit");
+        if matches!(kind, RuntimeKind::EagerStm | RuntimeKind::LazyStm) {
+            assert_eq!(stats.ro_fast_commits, READERS * LOOKUPS, "{kind}");
+            assert_eq!(stats.read_set_max, 0, "{kind}: a lookup built a read set");
+        }
+    }
+}
+
 fn at_least(tx: &mut dyn Tx, args: &[u64]) -> TxResult<bool> {
     Ok(tx.read(Addr(args[0] as usize))? >= args[1])
 }

@@ -152,7 +152,7 @@ fn ordered_map_range_composes_with_map_updates() {
     for kind in RuntimeKind::ALL {
         let rt = kind.build(TmConfig::default().with_heap_words(1 << 14));
         let system = Arc::clone(rt.system());
-        let store = TmHashMap::<u64, u64>::with_layout(&system, 128, MapLayout::StripeAligned);
+        let store = TmHashMap::<u64, u64>::new(&system, 128);
         let index = TmOrderedMap::<u64, u64>::new(&system);
         let th = system.register_thread();
 
