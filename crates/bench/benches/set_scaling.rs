@@ -20,7 +20,7 @@
 //!
 //! On the HTM simulator the large sizes necessarily exceed the simulated
 //! line capacity and run in the serial fallback (uninstrumented reads); the
-//! STM rows carry the headline claim, `stm-lazy` most directly since its
+//! STM rows carry the headline claim, `lazy-stm` most directly since its
 //! reads consult the redo log.  Note that the HTM rows' `read_set_max`
 //! counts speculative read *lines*, not addresses (see
 //! `tm_core::stats::StatsSnapshot::read_set_max`), so it is not comparable

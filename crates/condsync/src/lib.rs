@@ -20,7 +20,8 @@
 //! plus the baselines the evaluation compares against:
 //!
 //! * [`restart`] — abort and immediately re-execute (no sleeping),
-//! * [`orig`] — the original lock-metadata-based `Retry` (Algorithm 1),
+//! * [`retry_orig`] — the original lock-metadata-based `Retry` (Algorithm 1;
+//!   its waiting list is `tm_core::software::orig`),
 //! * [`condvar::TmCondVar`] — transaction-safe condition variables, which
 //!   commit the in-flight transaction at the wait point (breaking atomicity).
 //!
@@ -44,7 +45,7 @@
 //! | `ReadSetValues` (`Retry`) | value log `(addr, val)` pairs | shard of every logged address's stripe |
 //! | `Addrs` (`Await`) | captured `(addr, val)` pairs | shard of every awaited address's stripe |
 //! | `Pred` (`WaitPred`) | predicate + marshalled args | shard of every stripe the predicate *read* when last evaluated — found by evaluating it once before registering, and extended by any later check that sees it read elsewhere (see [`tm_core::PredFn`] for the contract this relies on).  Only a predicate that reads nothing, or more than 16 stripes, or whose footprint will not settle, goes to the *overflow* shard every writer scans |
-//! | `OrigReadLocks` (`Retry-Orig`) | — | not in this registry at all: it uses the separate [`OrigRegistry`] keyed by read-lock indices |
+//! | `OrigReadLocks` (`Retry-Orig`) | — | not in this registry at all: it uses the separate [`tm_core::software::OrigRegistry`] ([`tm_core::TmSystem::orig`]) keyed by read-lock indices |
 //!
 //! Both functions are invoked exclusively by the unified driver loop in
 //! `tm_core::driver` (where their implementation lives — the dependency
@@ -58,8 +59,6 @@
 pub mod condvar;
 pub mod deschedule;
 pub mod mechanism;
-pub mod orig;
-pub mod software;
 pub mod timed;
 
 pub use condvar::{TmCondVar, WATCHDOG_INTERVAL};
@@ -67,8 +66,6 @@ pub use deschedule::{
     deschedule, deschedule_until, wake_waiters_matching, DescheduleOutcome, WakeReason,
 };
 pub use mechanism::{await_addrs, await_one, restart, retry, retry_orig, wait_pred, Mechanism};
-pub use orig::{sleep_until_intersection, OrigRegistry, OrigWaiter};
-pub use software::{deschedule_orig, SoftwareStm};
 pub use timed::{
     await_for, await_one_for, cancel, cancel_thread, clear_wake_reason, retry_for, timed_out,
     wait_interrupted, wait_pred_for, wake_reason, was_cancelled,

@@ -23,8 +23,11 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::time::Duration;
 
 use tm_core::{Addr, PredFn, Tx, TxCtl, TxResult, WaitSpec};
+
+use crate::timed::{await_one_for, retry_for, wait_pred_for};
 
 /// Explicit-abort code used by the [`restart`] baseline.
 pub const RESTART_ABORT_CODE: u8 = 0xFE;
@@ -52,7 +55,7 @@ pub const RESTART_ABORT_CODE: u8 = 0xFE;
 /// use tm_core::{TmConfig, TmRt, TmSystem, TmVar};
 ///
 /// let system = TmSystem::new(TmConfig::small());
-/// let rt = stm_eager::EagerStm::new(Arc::clone(&system));
+/// let rt = tm_core::software::EagerStm::new(Arc::clone(&system));
 /// let flag = TmVar::<u64>::alloc(&system, 0);
 ///
 /// // A waiter blocks until *something it read* changes value...
@@ -96,7 +99,7 @@ pub fn retry<T>(tx: &mut dyn Tx) -> TxResult<T> {
 /// use tm_core::{TmConfig, TmRt, TmSystem, TmVar};
 ///
 /// let system = TmSystem::new(TmConfig::small());
-/// let rt = stm_eager::EagerStm::new(Arc::clone(&system));
+/// let rt = tm_core::software::EagerStm::new(Arc::clone(&system));
 /// let count = TmVar::<u64>::alloc(&system, 0);
 ///
 /// let (rt2, system2, count2) = (Arc::clone(&rt), Arc::clone(&system), count.clone());
@@ -147,7 +150,7 @@ pub fn await_one<T>(tx: &mut dyn Tx, addr: Addr) -> TxResult<T> {
 /// }
 ///
 /// let system = TmSystem::new(TmConfig::small());
-/// let rt = stm_eager::EagerStm::new(Arc::clone(&system));
+/// let rt = tm_core::software::EagerStm::new(Arc::clone(&system));
 /// let count = TmVar::<u64>::alloc(&system, 0);
 ///
 /// let (rt2, system2, count2) = (Arc::clone(&rt), Arc::clone(&system), count.clone());
@@ -302,6 +305,51 @@ mod construct_tests {
     }
 
     #[test]
+    fn mechanism_wait_dispatches_to_the_matching_construct() {
+        fn p(_: &mut dyn Tx, _: &[u64]) -> TxResult<bool> {
+            Ok(true)
+        }
+        let mut tx = null_tx();
+        let mut wait = |m: Mechanism| m.wait::<()>(&mut tx, Addr(4), p, &[4, 1]).unwrap_err();
+        assert!(matches!(
+            wait(Mechanism::Retry),
+            TxCtl::Deschedule(WaitSpec::ReadSetValues)
+        ));
+        assert!(matches!(
+            wait(Mechanism::RetryOrig),
+            TxCtl::Deschedule(WaitSpec::OrigReadLocks)
+        ));
+        assert!(matches!(
+            wait(Mechanism::Await),
+            TxCtl::Deschedule(WaitSpec::Addrs(a)) if a == [Addr(4)]
+        ));
+        assert!(matches!(
+            wait(Mechanism::WaitPred),
+            TxCtl::Deschedule(WaitSpec::Pred { args, .. }) if args == [4, 1]
+        ));
+        assert!(matches!(
+            wait(Mechanism::Restart),
+            TxCtl::Abort(AbortReason::Explicit(RESTART_ABORT_CODE))
+        ));
+        // The timed form stashes a deadline; the untimed one clears it.
+        let timeout = Duration::from_secs(1);
+        let _ = Mechanism::Await.wait_for::<()>(&mut tx, Addr(4), p, &[], timeout);
+        assert!(tx.common().wait_deadline.is_some());
+        let _ = Mechanism::Await.wait::<()>(&mut tx, Addr(4), p, &[]);
+        assert!(tx.common().wait_deadline.is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "does not support timed waits")]
+    fn timed_wait_rejects_the_untimed_mechanisms() {
+        fn p(_: &mut dyn Tx, _: &[u64]) -> TxResult<bool> {
+            Ok(true)
+        }
+        let timeout = Duration::from_secs(1);
+        let _ = Mechanism::RetryOrig.wait_for::<()>(&mut null_tx(), Addr(4), p, &[], timeout);
+    }
+
+    #[test]
     fn unbounded_constructs_clear_a_stale_deadline() {
         let mut tx = null_tx();
         tx.common_mut().wait_deadline = Some(std::time::Instant::now());
@@ -415,6 +463,57 @@ impl Mechanism {
     /// True if the mechanism can run on the HTM configuration.
     pub fn supports_htm(self) -> bool {
         self != Mechanism::RetryOrig
+    }
+
+    /// The one wait site: from inside a transaction body whose precondition
+    /// does not hold, waits with this mechanism — [`retry`], [`retry_orig`],
+    /// [`await_one`] on `addr`, [`wait_pred`] on `pred(args)`, or
+    /// [`restart`].  The data structures state *what* each mechanism should
+    /// watch; which construct that turns into is decided here.
+    ///
+    /// Like the constructs, never returns `Ok`.
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`Mechanism::Pthreads`] and [`Mechanism::TmCondVar`],
+    /// which wait outside (or around) transactions.
+    pub fn wait<T>(self, tx: &mut dyn Tx, addr: Addr, pred: PredFn, args: &[u64]) -> TxResult<T> {
+        match self {
+            Mechanism::Retry => retry(tx),
+            Mechanism::RetryOrig => retry_orig(tx),
+            Mechanism::Await => await_one(tx, addr),
+            Mechanism::WaitPred => wait_pred(tx, pred, args),
+            Mechanism::Restart => restart(tx),
+            Mechanism::Pthreads | Mechanism::TmCondVar => {
+                panic!("lock-based mechanisms wait outside transactions")
+            }
+        }
+    }
+
+    /// [`Mechanism::wait`] bounded by `timeout` ([`retry_for`],
+    /// [`await_one_for`], [`wait_pred_for`]).  The caller re-checks its
+    /// condition and then [`crate::wait_interrupted`] *before* calling this,
+    /// in that order, so a wait whose condition was established in time
+    /// still succeeds.
+    ///
+    /// # Panics
+    ///
+    /// Panics for mechanisms without timed-wait support (`Pthreads`,
+    /// `TMCondVar`, `Retry-Orig`, `Restart`).
+    pub fn wait_for<T>(
+        self,
+        tx: &mut dyn Tx,
+        addr: Addr,
+        pred: PredFn,
+        args: &[u64],
+        timeout: Duration,
+    ) -> TxResult<T> {
+        match self {
+            Mechanism::Retry => retry_for(tx, timeout),
+            Mechanism::Await => await_one_for(tx, addr, timeout),
+            Mechanism::WaitPred => wait_pred_for(tx, pred, args, timeout),
+            other => panic!("{other} does not support timed waits"),
+        }
     }
 }
 

@@ -72,7 +72,7 @@ use tm_core::{
 /// use tm_core::{TmConfig, TmRt, TmSystem, TmVar};
 ///
 /// let system = TmSystem::new(TmConfig::small());
-/// let rt = stm_eager::EagerStm::new(Arc::clone(&system));
+/// let rt = tm_core::software::EagerStm::new(Arc::clone(&system));
 /// let th = system.register_thread();
 /// let flag = TmVar::<u64>::alloc(&system, 0);
 ///

@@ -177,7 +177,7 @@ impl HtmSim {
     /// Takes the hardware-commit lock: every hardware commit's
     /// doom-check + write-back runs under it, so holding it excludes them.
     /// Public because a hybrid runtime's software write-back must take the
-    /// same barrier (see `stm_lazy::CommitInterlock`).
+    /// same barrier (see `tm_core::software::CommitInterlock`).
     pub fn commit_barrier(&self) -> MutexGuard<'_, ()> {
         self.commit_mutex.lock()
     }

@@ -174,20 +174,6 @@ pub trait TxEngine: TmRuntime + Sized {
         let _ = current;
         TxMode::Serial
     }
-
-    /// Post-commit hook for writer transactions, running before the generic
-    /// `wakeWaiters` scan with the commit's stripe `cover` (meaningless when
-    /// `outcome.serial`).  The software STMs use it to wake `Retry-Orig`
-    /// sleepers whose read locks intersect the commit's write set.  Must not
-    /// start a transaction: the thread's descriptor is still checked out.
-    fn after_writer_commit(
-        &self,
-        thread: &Arc<ThreadCtx>,
-        outcome: &CommitOutcome,
-        cover: &[usize],
-    ) {
-        let _ = (thread, outcome, cover);
-    }
 }
 
 /// Implements [`TmRuntime`] and [`crate::TmRt`] for a [`TxEngine`] whose

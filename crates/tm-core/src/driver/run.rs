@@ -155,18 +155,23 @@ where
                         }
                     }
                     if outcome.was_writer {
-                        // Post-commit wake-ups: engine-specific extras first
-                        // (the Retry-Orig lock-set intersection on the STMs
-                        // only borrows the cover), then the paper's
-                        // value-based mechanism, targeted at the shards
-                        // covering the commit's write-set stripes.  The
-                        // empty-registry check keeps the common no-sleeper
-                        // case at one atomic load.  A waiter registering
-                        // after this check is covered by its own
-                        // double-check, which runs after our (completed)
+                        // Post-commit wake-ups: the Retry-Orig lock-set
+                        // intersection first (it only borrows the cover),
+                        // then the paper's value-based mechanism, targeted
+                        // at the shards covering the commit's write-set
+                        // stripes.  The empty-registry checks keep the
+                        // common no-sleeper case at one atomic load each.
+                        // A waiter registering after its check is covered
+                        // by its own validation (Retry-Orig) or double-check
+                        // (Deschedule), which runs after our (completed)
                         // commit.
-                        engine.after_writer_commit(thread, &outcome, &desc.cover);
-                        if !engine.system().waiters.is_empty() {
+                        let system = engine.system();
+                        if !system.orig.is_empty() {
+                            system
+                                .orig
+                                .wake_after_commit(thread, outcome.serial, &desc.cover);
+                        }
+                        if !system.waiters.is_empty() {
                             // The cover buffer is moved into the wake set,
                             // not copied, and handed back afterwards; the
                             // descriptor is released in between because each

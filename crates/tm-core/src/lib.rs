@@ -1,9 +1,9 @@
 //! Shared substrate for the transactional-memory condition-synchronization
 //! reproduction.
 //!
-//! This crate contains everything the three transaction runtimes
-//! ([`stm-eager`], [`stm-lazy`], [`htm-sim`]) and the condition-synchronization
-//! layer ([`condsync`]) have in common:
+//! This crate contains the software TM ([`software`]: the eager and the lazy
+//! STM) and everything it, the other runtimes ([`htm-sim`], [`tm-hybrid`])
+//! and the condition-synchronization layer ([`condsync`]) have in common:
 //!
 //! * the unified transaction driver ([`driver`]): the single loop that runs
 //!   every runtime's transactions ([`driver::run`]) against the narrow
@@ -26,9 +26,11 @@
 //! * the mode-control plane: the system-wide serial/irrevocable gate and
 //!   shared serial attempt ([`serial`]) plus the pluggable contention-
 //!   management policies that drive backoff and mode escalation ([`policy`]),
-//! * the software-transaction core ([`software`]): the one copy of what the
-//!   eager and the lazy STM do identically, and the [`software::SoftwareTx`]
-//!   attempt type both are an instance of,
+//! * the software TM ([`software`]): the one copy of what the eager and the
+//!   lazy STM do identically, the [`software::Eager`] and [`software::Lazy`]
+//!   protocols over it, the [`software::SoftwareStm`] engine both runtimes
+//!   are an instance of, and the `Retry-Orig` waiting list
+//!   ([`software::orig`]),
 //! * the pluggable hardware plane ([`hwtm`]): the [`hwtm::HwTm`] trait the
 //!   HTM and hybrid runtimes drive their hardware backend through, and the
 //!   deterministic [`hwtm::FaultPlane`] fault-injection decorator,
@@ -42,11 +44,11 @@
 //!
 //! The paper's algorithms are implemented on top of these pieces; see the
 //! `condsync` crate for the contribution (Deschedule / Retry / Await /
-//! WaitPred) and the runtime crates for Appendix A and the TL2/TSX analogues.
+//! WaitPred), [`software`] for Appendix A and its TL2 analogue, and the
+//! `htm-sim` / `tm-hybrid` crates for the TSX analogue and the hybrid.
 //!
-//! [`stm-eager`]: ../stm_eager/index.html
-//! [`stm-lazy`]: ../stm_lazy/index.html
 //! [`htm-sim`]: ../htm_sim/index.html
+//! [`tm-hybrid`]: ../tm_hybrid/index.html
 //! [`condsync`]: ../condsync/index.html
 
 #![deny(missing_docs)]
@@ -100,6 +102,6 @@ pub use stats::{LatencyHistogram, LatencySnapshot, OpClass, StatsSnapshot, TxSta
 pub use system::TmSystem;
 pub use thread::{Checkout, ThreadCtx, ThreadId, ThreadRegistry};
 pub use timer::{TimerPoll, TimerWheel};
-pub use tx::{Tx, TxCommon, TxKind, TxMode};
+pub use tx::{DirectTx, Tx, TxCommon, TxKind, TxMode};
 pub use vars::{TmArray, TmValue, TmVar};
 pub use waitlist::{ScanPlan, WaitList, Waiter, WakeReason, WakeSet};

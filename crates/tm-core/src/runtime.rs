@@ -64,7 +64,7 @@ pub trait TmRt: TmRuntime {
     /// use tm_core::{TmConfig, TmRt, TmSystem, TmVar};
     ///
     /// let system = TmSystem::new(TmConfig::small());
-    /// let rt = stm_eager::EagerStm::new(Arc::clone(&system));
+    /// let rt = tm_core::software::EagerStm::new(Arc::clone(&system));
     /// let th = system.register_thread();
     /// let v = TmVar::<u64>::alloc(&system, 20);
     ///
@@ -100,7 +100,7 @@ pub trait TmRt: TmRuntime {
     /// use tm_core::{TmConfig, TmRt, TmSystem, TmVar};
     ///
     /// let system = TmSystem::new(TmConfig::small());
-    /// let rt = stm_eager::EagerStm::new(Arc::clone(&system));
+    /// let rt = tm_core::software::EagerStm::new(Arc::clone(&system));
     /// let th = system.register_thread();
     /// let a = TmVar::<u64>::alloc(&system, 3);
     /// let b = TmVar::<u64>::alloc(&system, 4);
@@ -128,53 +128,6 @@ mod tests {
         system: Arc<TmSystem>,
     }
 
-    struct DirectTx {
-        common: crate::tx::TxCommon,
-        system: Arc<TmSystem>,
-        thread: Arc<ThreadCtx>,
-    }
-
-    impl Tx for DirectTx {
-        fn read(&mut self, addr: crate::addr::Addr) -> TxResult<u64> {
-            Ok(self.system.heap.load(addr))
-        }
-        fn write(&mut self, addr: crate::addr::Addr, val: u64) -> TxResult<()> {
-            self.system.heap.store(addr, val);
-            Ok(())
-        }
-        fn alloc(&mut self, words: usize) -> TxResult<crate::addr::Addr> {
-            self.system
-                .heap
-                .alloc(words)
-                .ok_or(crate::ctl::TxCtl::Abort(
-                    crate::ctl::AbortReason::OutOfMemory,
-                ))
-        }
-        fn free(&mut self, addr: crate::addr::Addr, words: usize) -> TxResult<()> {
-            self.system.heap.dealloc(addr, words);
-            Ok(())
-        }
-        fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
-            block();
-            Ok(())
-        }
-        fn explicit_abort(&mut self, code: u8) -> crate::ctl::TxCtl {
-            crate::ctl::TxCtl::Abort(crate::ctl::AbortReason::Explicit(code))
-        }
-        fn common(&self) -> &crate::tx::TxCommon {
-            &self.common
-        }
-        fn common_mut(&mut self) -> &mut crate::tx::TxCommon {
-            &mut self.common
-        }
-        fn system(&self) -> &Arc<TmSystem> {
-            &self.system
-        }
-        fn thread(&self) -> &Arc<ThreadCtx> {
-            &self.thread
-        }
-    }
-
     impl TmRuntime for DirectRuntime {
         fn system(&self) -> &Arc<TmSystem> {
             &self.system
@@ -184,14 +137,10 @@ mod tests {
         }
         fn exec_u64(
             &self,
-            thread: &Arc<ThreadCtx>,
+            _thread: &Arc<ThreadCtx>,
             body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<u64>,
         ) -> u64 {
-            let mut tx = DirectTx {
-                common: crate::tx::TxCommon::new(crate::tx::TxMode::Serial, 0),
-                thread: Arc::clone(thread),
-                system: Arc::clone(&self.system),
-            };
+            let mut tx = crate::tx::DirectTx::new(&self.system);
             body(&mut tx).expect("direct runtime cannot abort")
         }
     }

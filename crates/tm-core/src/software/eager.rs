@@ -1,13 +1,22 @@
-//! The eager STM's protocol (Algorithms 8–11 of the paper's Appendix A):
-//! encounter-time locking, in-place writes and an undo log, over the shared
-//! [`tm_core::software`] core.
+//! The eager STM's protocol (Algorithms 8–11 of the paper's Appendix A), in
+//! the style of TinySTM and the GCC libitm "ml-wt" method the paper evaluates
+//! as **Eager STM**: encounter-time locking, in-place writes and an undo
+//! log, over the shared [`super`] core.
+//!
+//! * Writes acquire the ownership record covering the address at encounter
+//!   time, log the old value in an undo log, and update memory in place.
+//! * Commit validates the read set (with the TL2-style fast path when no
+//!   other writer intervened) and releases locks at the new version.
+//! * Abort undoes writes in reverse order, releases locks at `version + 1`
+//!   and blindly bumps the clock.
+//! * `Await` captures its value snapshot while the attempt's locks are held.
 
-use tm_core::software::reads_valid;
-use tm_core::stats::TxStats;
-use tm_core::{
-    AbortReason, Addr, OrecValue, SoftwareProtocol, SoftwareTx, SoftwareTxCore, TxCtl, TxMode,
-    TxResult,
-};
+use super::{reads_valid, SoftwareProtocol, SoftwareStm, SoftwareTx, SoftwareTxCore};
+use crate::addr::Addr;
+use crate::ctl::{AbortReason, TxCtl, TxResult};
+use crate::orec::OrecValue;
+use crate::stats::TxStats;
+use crate::tx::TxMode;
 
 /// The eager protocol: Algorithm 8's `undos` and `locks` are the borrowed
 /// descriptor's `writes` (one entry per address holding the
@@ -17,6 +26,9 @@ pub struct Eager;
 
 /// An in-flight eager-STM transaction attempt.
 pub type EagerTx<'a> = SoftwareTx<'a, Eager>;
+
+/// The eager (undo-log) software TM runtime.
+pub type EagerStm = SoftwareStm<Eager>;
 
 /// Records an `(addr, value)` pair in the Retry value log, substituting
 /// the pre-transaction value for locations this transaction has written
@@ -168,10 +180,8 @@ impl SoftwareProtocol for Eager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Descriptor, ThreadCtx, TmConfig, TmSystem, Tx, TxCommon, WaitCondition, WaitSpec};
     use std::sync::Arc;
-    use tm_core::{
-        Descriptor, ThreadCtx, TmConfig, TmSystem, Tx, TxCommon, WaitCondition, WaitSpec,
-    };
 
     /// A thread context and a private descriptor for one test handle.
     fn party(system: &Arc<TmSystem>) -> (Arc<ThreadCtx>, Descriptor) {

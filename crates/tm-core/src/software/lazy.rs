@@ -1,13 +1,24 @@
-//! The lazy (TL2-style) STM's protocol: a redo log, commit-time locking of
-//! the write set's sorted cover and the hybrid runtime's commit interlock,
-//! over the shared [`tm_core::software`] core.
+//! The lazy STM's protocol, in the style of TL2 — the paper's **Lazy STM**
+//! configuration (a privatization-safe, redo-log variant of the GCC STM): a
+//! redo log, commit-time locking of the write set's sorted cover and the
+//! hybrid runtime's commit interlock, over the shared [`super`] core.
+//!
+//! * Writes are buffered in a redo log; memory is untouched until commit.
+//! * Reads check the redo log first (read-your-writes).
+//! * Commit acquires the ownership records covering the write set, stamps
+//!   the clock, validates the read set, writes the redo log back to memory,
+//!   and releases the locks at the commit timestamp.
+//! * Abort merely discards the logs (nothing was written in place), so
+//!   `Await` captures its value snapshot from current memory.
 
-use tm_core::access::{Descriptor, WriteEntry};
-use tm_core::software::reads_valid;
-use tm_core::{
-    AbortReason, Addr, OrecValue, SoftwareProtocol, SoftwareTx, SoftwareTxCore, ThreadId, TmSystem,
-    TxCtl, TxMode, TxResult,
-};
+use super::{reads_valid, SoftwareProtocol, SoftwareStm, SoftwareTx, SoftwareTxCore};
+use crate::access::{Descriptor, WriteEntry};
+use crate::addr::Addr;
+use crate::ctl::{AbortReason, TxCtl, TxResult};
+use crate::orec::OrecValue;
+use crate::system::TmSystem;
+use crate::thread::ThreadId;
+use crate::tx::TxMode;
 
 /// Hook a hybrid runtime installs around the redo-log write-back so that
 /// software commits and (simulated) hardware commits exclude each other.
@@ -44,6 +55,9 @@ pub struct Lazy;
 /// An in-flight lazy-STM transaction attempt.  [`SoftwareTx::begin_with`]
 /// optionally installs a hybrid-runtime commit interlock.
 pub type LazyTx<'a> = SoftwareTx<'a, Lazy>;
+
+/// The lazy (redo-log) software TM runtime.
+pub type LazyStm = SoftwareStm<Lazy>;
 
 impl SoftwareProtocol for Lazy {
     const NAME: &'static str = "lazy-stm";
@@ -183,8 +197,8 @@ impl SoftwareProtocol for Lazy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ThreadCtx, TmConfig, Tx, TxCommon, WaitCondition, WaitSpec};
     use std::sync::Arc;
-    use tm_core::{ThreadCtx, TmConfig, Tx, TxCommon, WaitCondition, WaitSpec};
 
     /// A thread context and a private descriptor for one test handle.
     fn party(system: &Arc<TmSystem>) -> (Arc<ThreadCtx>, Descriptor) {

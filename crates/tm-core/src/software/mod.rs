@@ -1,5 +1,4 @@
-//! The software-transaction core: the one copy of what the eager and the
-//! lazy STM do identically.
+//! The software TM: the paper's Appendix-A STM, in one place.
 //!
 //! The paper's Appendix A states its STM substrate once per idea; the eager
 //! and the TL2-style runtime differ only in *when* an ownership record is
@@ -12,8 +11,25 @@
 //! * [`SoftwareProtocol`] — what a protocol adds: its tracked read, its
 //!   write, its writer commit, and (eager only) undoing in-place writes;
 //! * [`SoftwareTx`] — the attempt type: a core plus a protocol, implementing
-//!   [`Tx`] once.  `stm_eager::EagerTx` and `stm_lazy::LazyTx` are this type
-//!   at their protocol, by static dispatch.
+//!   [`Tx`] once.  [`EagerTx`] and [`LazyTx`] are this type at their
+//!   protocol, by static dispatch;
+//! * [`eager`] and [`lazy`] — the two protocols (paper: "Eager STM" and
+//!   "Lazy STM");
+//! * [`engine`] — [`SoftwareStm`], the one [`crate::TxEngine`] over
+//!   [`SoftwareTx`]; [`EagerStm`] and [`LazyStm`] are it at their protocol;
+//! * [`orig`] — the `Retry-Orig` baseline's waiting list (Algorithm 1),
+//!   which needs this module's lock metadata and is owned by
+//!   [`TmSystem::orig`].
+
+pub mod eager;
+pub mod engine;
+pub mod lazy;
+pub mod orig;
+
+pub use eager::{Eager, EagerStm, EagerTx};
+pub use engine::{deschedule_orig, SoftwareStm};
+pub use lazy::{CommitInterlock, Lazy, LazyStm, LazyTx};
+pub use orig::OrigRegistry;
 
 use std::fmt;
 use std::sync::Arc;

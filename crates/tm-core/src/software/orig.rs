@@ -13,14 +13,18 @@
 //! add calling transaction to waiting if still valid" step is expressed as
 //! [`OrigRegistry::register_if`], which runs a runtime-supplied validation
 //! closure while holding that lock.
+//!
+//! Like the value-based [`crate::WaitList`], the list has one owner per
+//! system ([`crate::TmSystem::orig`]), so a sleeper is visible to every
+//! committer over that system whichever runtime handle it commits through.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use tm_core::lock::Mutex;
-
-use tm_core::stats::TxStats;
-use tm_core::{Semaphore, ThreadCtx, ThreadId};
+use crate::lock::Mutex;
+use crate::sem::Semaphore;
+use crate::stats::TxStats;
+use crate::thread::{ThreadCtx, ThreadId};
 
 /// A published record of a transaction sleeping under the original Retry.
 #[derive(Debug)]
@@ -141,7 +145,7 @@ impl OrigRegistry {
         woken
     }
 
-    /// The engines' post-commit hook: a serial commit has no lock set to
+    /// The driver's post-commit step: a serial commit has no lock set to
     /// intersect, so any sleeper's reads may have changed and all are woken;
     /// any other writer commit wakes the sleepers whose read locks intersect
     /// its stripe `cover`.
@@ -154,8 +158,8 @@ impl OrigRegistry {
     }
 }
 
-/// The full `Retry-Orig` deschedule path (Algorithm 1), shared by the
-/// software runtimes' engine hooks: publish-if-valid, sleep, deregister.
+/// The full `Retry-Orig` deschedule path (Algorithm 1): publish-if-valid,
+/// sleep, deregister.
 ///
 /// The caller must have rolled its transaction back already;
 /// `reads_still_valid` runs under the registry lock on the waiter's own copy
@@ -185,7 +189,7 @@ pub fn sleep_until_intersection<F: FnOnce(&[usize]) -> bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_core::{TmConfig, TmSystem};
+    use crate::{TmConfig, TmSystem};
 
     fn thread_ctx() -> Arc<ThreadCtx> {
         TmSystem::new(TmConfig::small()).register_thread()

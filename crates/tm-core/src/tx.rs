@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::addr::Addr;
-use crate::ctl::{TxCtl, TxResult};
+use crate::ctl::{AbortReason, TxCtl, TxResult};
 use crate::system::TmSystem;
 use crate::thread::ThreadCtx;
 use crate::waitlist::WakeReason;
@@ -158,6 +158,82 @@ pub trait Tx {
     /// The current execution mode.
     fn mode(&self) -> TxMode {
         self.common().mode
+    }
+}
+
+/// A pass-through [`Tx`]: reads, writes, allocations and frees go straight
+/// to the heap of its system; nothing is logged, nothing is locked and
+/// nothing can conflict.
+///
+/// This is the test double for code written against `&mut dyn Tx` — typed
+/// views, data structures, wait constructs — when the logic under test needs
+/// a heap but no runtime.  It reports [`TxMode::Serial`] because, like a
+/// serial attempt, it is only correct while nothing else touches the heap.
+/// Control requests (`Err(TxCtl::…)`) are returned to the caller as they
+/// are: there is no driver loop behind it to act on them.
+#[derive(Debug)]
+pub struct DirectTx {
+    common: TxCommon,
+    system: Arc<TmSystem>,
+    thread: Arc<ThreadCtx>,
+}
+
+impl DirectTx {
+    /// A handle on `system`, running as a freshly registered thread.
+    pub fn new(system: &Arc<TmSystem>) -> Self {
+        DirectTx {
+            common: TxCommon::new(TxMode::Serial, 0),
+            thread: system.register_thread(),
+            system: Arc::clone(system),
+        }
+    }
+}
+
+impl Tx for DirectTx {
+    fn read(&mut self, addr: Addr) -> TxResult<u64> {
+        Ok(self.system.heap.load(addr))
+    }
+
+    fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
+        self.system.heap.store(addr, val);
+        Ok(())
+    }
+
+    fn alloc(&mut self, words: usize) -> TxResult<Addr> {
+        self.system
+            .heap
+            .alloc(words)
+            .ok_or(TxCtl::Abort(AbortReason::OutOfMemory))
+    }
+
+    fn free(&mut self, addr: Addr, words: usize) -> TxResult<()> {
+        self.system.heap.dealloc(addr, words);
+        Ok(())
+    }
+
+    fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
+        block();
+        Ok(())
+    }
+
+    fn explicit_abort(&mut self, code: u8) -> TxCtl {
+        TxCtl::Abort(AbortReason::Explicit(code))
+    }
+
+    fn common(&self) -> &TxCommon {
+        &self.common
+    }
+
+    fn common_mut(&mut self) -> &mut TxCommon {
+        &mut self.common
+    }
+
+    fn system(&self) -> &Arc<TmSystem> {
+        &self.system
+    }
+
+    fn thread(&self) -> &Arc<ThreadCtx> {
+        &self.thread
     }
 }
 

@@ -255,64 +255,7 @@ impl<T: TmValue> TmArray<T> {
 mod tests {
     use super::*;
     use crate::config::TmConfig;
-    use crate::ctl::{AbortReason, TxCtl};
-    use crate::thread::ThreadCtx;
-    use crate::tx::{TxCommon, TxMode};
-
-    /// Minimal pass-through transaction for exercising the typed views.
-    struct RawTx {
-        common: TxCommon,
-        system: Arc<TmSystem>,
-        thread: Arc<ThreadCtx>,
-    }
-
-    impl Tx for RawTx {
-        fn read(&mut self, addr: Addr) -> TxResult<u64> {
-            Ok(self.system.heap.load(addr))
-        }
-        fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
-            self.system.heap.store(addr, val);
-            Ok(())
-        }
-        fn alloc(&mut self, words: usize) -> TxResult<Addr> {
-            self.system
-                .heap
-                .alloc(words)
-                .ok_or(TxCtl::Abort(AbortReason::OutOfMemory))
-        }
-        fn free(&mut self, addr: Addr, words: usize) -> TxResult<()> {
-            self.system.heap.dealloc(addr, words);
-            Ok(())
-        }
-        fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
-            block();
-            Ok(())
-        }
-        fn explicit_abort(&mut self, code: u8) -> TxCtl {
-            TxCtl::Abort(AbortReason::Explicit(code))
-        }
-        fn common(&self) -> &TxCommon {
-            &self.common
-        }
-        fn common_mut(&mut self) -> &mut TxCommon {
-            &mut self.common
-        }
-        fn system(&self) -> &Arc<TmSystem> {
-            &self.system
-        }
-        fn thread(&self) -> &Arc<ThreadCtx> {
-            &self.thread
-        }
-    }
-
-    fn raw_tx(system: &Arc<TmSystem>) -> RawTx {
-        let th = system.register_thread();
-        RawTx {
-            common: TxCommon::new(TxMode::Serial, 0),
-            thread: th,
-            system: Arc::clone(system),
-        }
-    }
+    use crate::tx::DirectTx;
 
     #[test]
     fn word_encoding_round_trips() {
@@ -330,7 +273,7 @@ mod tests {
     fn tmvar_get_set_update() {
         let system = TmSystem::new(TmConfig::small());
         let v = TmVar::<u64>::alloc(&system, 10);
-        let mut tx = raw_tx(&system);
+        let mut tx = DirectTx::new(&system);
         assert_eq!(v.get(&mut tx).unwrap(), 10);
         v.set(&mut tx, 20).unwrap();
         assert_eq!(v.get(&mut tx).unwrap(), 20);
@@ -354,7 +297,7 @@ mod tests {
         let a = TmArray::<u64>::alloc(&system, 8, 3);
         assert_eq!(a.len(), 8);
         assert!(!a.is_empty());
-        let mut tx = raw_tx(&system);
+        let mut tx = DirectTx::new(&system);
         for i in 0..8 {
             assert_eq!(a.get(&mut tx, i).unwrap(), 3);
         }

@@ -20,7 +20,7 @@
 //!
 //! * **software → hardware**: a software commit's write-back runs inside the
 //!   simulator's commit barrier and claims/dooms the written cache lines in
-//!   the coherence directory first (the [`stm_lazy::CommitInterlock`]
+//!   the coherence directory first (the [`tm_core::software::CommitInterlock`]
 //!   installed by this crate), so no speculative transaction can observe a
 //!   partial write-back or survive having read overwritten lines;
 //! * **hardware → software**: hardware commits run orec-*coupled*

@@ -3,10 +3,9 @@
 
 use std::sync::Arc;
 
-use condsync::OrigRegistry;
 use htm_sim::{HtmSim, HtmTx};
-use stm_lazy::{CommitInterlock, LazyTx};
 use tm_core::driver::{CommitOutcome, TxEngine};
+use tm_core::software::{deschedule_orig, CommitInterlock, LazyTx};
 use tm_core::{
     Addr, Descriptor, ThreadCtx, ThreadId, TmSystem, Tx, TxCommon, TxCtl, TxMode, TxResult,
     WaitCondition, WaitSpec,
@@ -70,7 +69,7 @@ impl CommitInterlock for HwInterlock {
 ///
 /// Attempts begin as (simulated) hardware transactions on an orec-coupled
 /// [`HtmSim`]; software attempts are lazy-STM transactions
-/// ([`stm_lazy::LazyTx`]) with the write-back interlock installed; serial
+/// ([`tm_core::software::LazyTx`]) with the write-back interlock installed; serial
 /// attempts go through the simulator's serial flavour (which drains the
 /// commit barrier on top of the system gate).  All three share one
 /// [`TmSystem`].
@@ -78,10 +77,6 @@ pub struct HybridTm {
     system: Arc<TmSystem>,
     htm: Arc<HtmSim>,
     interlock: HwInterlock,
-    /// Waiting list for the `Retry-Orig` baseline — supported here, unlike
-    /// on the pure HTM configuration, because the software path has real
-    /// lock metadata (every `Retry-Orig` sleep runs on the lazy path).
-    orig: OrigRegistry,
 }
 
 impl std::fmt::Debug for HybridTm {
@@ -104,7 +99,6 @@ impl HybridTm {
             system,
             htm,
             interlock,
-            orig: OrigRegistry::new(),
         })
     }
 
@@ -116,11 +110,6 @@ impl HybridTm {
     /// The hardware fast path's simulator (exposed for tests).
     pub fn htm(&self) -> &Arc<HtmSim> {
         &self.htm
-    }
-
-    /// The `Retry-Orig` waiting list (exposed for tests).
-    pub fn orig_registry(&self) -> &OrigRegistry {
-        &self.orig
     }
 }
 
@@ -250,9 +239,13 @@ impl TxEngine for HybridTm {
     }
 
     fn supports_orig_retry(&self) -> bool {
-        // The software path has lock metadata; the driver routes every
-        // Retry-Orig sleep through it (hardware attempts relog in software
-        // first, exactly like value-based Retry).
+        // Unlike the pure HTM configuration, the software path has real
+        // lock metadata; the driver routes every Retry-Orig sleep through it
+        // (hardware attempts relog in software first, exactly like
+        // value-based Retry).  Writer commits then wake those sleepers by
+        // their cover: the lock set for software commits, for hardware
+        // commits the stripe cover of their written lines, a superset of the
+        // written words' stripes — conservative, never lossy.
         true
     }
 
@@ -260,7 +253,7 @@ impl TxEngine for HybridTm {
         let HybridTx::Sw(lazy) = tx else {
             unreachable!("Retry-Orig deschedules only run on the software path");
         };
-        condsync::deschedule_orig(&self.orig, thread, lazy);
+        deschedule_orig(thread, lazy);
     }
 
     fn mode_after_wake(&self) -> TxMode {
@@ -289,18 +282,6 @@ impl TxEngine for HybridTm {
             TxMode::Hardware => TxMode::Software,
             _ => TxMode::Serial,
         }
-    }
-
-    fn after_writer_commit(
-        &self,
-        thread: &Arc<ThreadCtx>,
-        outcome: &CommitOutcome,
-        cover: &[usize],
-    ) {
-        // Software commits leave their lock set as the cover; hardware
-        // commits the stripe cover of their written lines, a superset of the
-        // written words' stripes — conservative, never lossy.
-        self.orig.wake_after_commit(thread, outcome.serial, cover);
     }
 }
 
@@ -437,7 +418,7 @@ mod tests {
         let th = system.register_thread();
         rt.atomically(&th, |tx| flag.set(tx, 9));
         assert_eq!(waiter.join().unwrap(), 9);
-        assert_eq!(rt.orig_registry().len(), 0);
+        assert_eq!(system.orig.len(), 0);
     }
 
     #[test]

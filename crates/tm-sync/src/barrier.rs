@@ -102,22 +102,20 @@ impl TmBarrier {
             if generation != my_generation {
                 return Ok(());
             }
-            match mechanism {
-                Mechanism::Retry | Mechanism::TmCondVar | Mechanism::Pthreads => {
-                    // TmCondVar/Pthreads callers of this transactional
-                    // barrier fall back to Retry semantics; the lock-based
-                    // kernels use their own barrier.
-                    condsync::retry(tx)
-                }
-                Mechanism::RetryOrig => condsync::retry_orig(tx),
-                Mechanism::Await => condsync::await_one(tx, self.generation.addr()),
-                Mechanism::WaitPred => condsync::wait_pred(
-                    tx,
-                    pred_generation_advanced,
-                    &[self.generation.addr().0 as u64, my_generation],
-                ),
-                Mechanism::Restart => condsync::restart(tx),
-            }
+            // TmCondVar/Pthreads callers of this transactional barrier fall
+            // back to Retry semantics; the lock-based kernels use their own
+            // barrier.
+            let mechanism = match mechanism {
+                Mechanism::TmCondVar | Mechanism::Pthreads => Mechanism::Retry,
+                other => other,
+            };
+            let addr = self.generation.addr();
+            mechanism.wait(
+                tx,
+                addr,
+                pred_generation_advanced,
+                &[addr.0 as u64, my_generation],
+            )
         });
         false
     }
@@ -168,17 +166,14 @@ impl TmBarrier {
                 condsync::clear_wake_reason(tx);
                 return Ok(false);
             }
-            match mechanism {
-                Mechanism::Retry => condsync::retry_for(tx, timeout),
-                Mechanism::Await => condsync::await_one_for(tx, self.generation.addr(), timeout),
-                Mechanism::WaitPred => condsync::wait_pred_for(
-                    tx,
-                    pred_generation_advanced,
-                    &[self.generation.addr().0 as u64, my_generation],
-                    timeout,
-                ),
-                other => panic!("{other} does not support timed waits"),
-            }
+            let addr = self.generation.addr();
+            mechanism.wait_for(
+                tx,
+                addr,
+                pred_generation_advanced,
+                &[addr.0 as u64, my_generation],
+                timeout,
+            )
         });
         if released {
             BarrierWait::Passed
@@ -191,49 +186,7 @@ impl TmBarrier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_core::{AbortReason, ThreadCtx, TmConfig, TxCommon, TxCtl, TxMode};
-
-    struct DirectTx {
-        common: TxCommon,
-        system: Arc<TmSystem>,
-        thread: Arc<ThreadCtx>,
-    }
-
-    impl Tx for DirectTx {
-        fn read(&mut self, addr: Addr) -> TxResult<u64> {
-            Ok(self.system.heap.load(addr))
-        }
-        fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
-            self.system.heap.store(addr, val);
-            Ok(())
-        }
-        fn alloc(&mut self, words: usize) -> TxResult<Addr> {
-            Ok(self.system.heap.alloc(words).unwrap())
-        }
-        fn free(&mut self, addr: Addr, words: usize) -> TxResult<()> {
-            self.system.heap.dealloc(addr, words);
-            Ok(())
-        }
-        fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
-            block();
-            Ok(())
-        }
-        fn explicit_abort(&mut self, code: u8) -> TxCtl {
-            TxCtl::Abort(AbortReason::Explicit(code))
-        }
-        fn common(&self) -> &TxCommon {
-            &self.common
-        }
-        fn common_mut(&mut self) -> &mut TxCommon {
-            &mut self.common
-        }
-        fn system(&self) -> &Arc<TmSystem> {
-            &self.system
-        }
-        fn thread(&self) -> &Arc<ThreadCtx> {
-            &self.thread
-        }
-    }
+    use tm_core::{DirectTx, TmConfig};
 
     #[test]
     fn single_party_barrier_never_blocks() {
@@ -241,11 +194,7 @@ mod tests {
         let b = TmBarrier::new(&system, 1);
         // With one party every arrival is "last"; exercise the arrival logic
         // directly with a pass-through transaction.
-        let mut tx = DirectTx {
-            common: TxCommon::new(TxMode::Serial, 0),
-            thread: system.register_thread(),
-            system: Arc::clone(&system),
-        };
+        let mut tx = DirectTx::new(&system);
         let gen = b.generation.get(&mut tx).unwrap();
         let arrived = b.arrived.get(&mut tx).unwrap() + 1;
         assert_eq!(arrived, 1);
@@ -258,11 +207,7 @@ mod tests {
     fn predicate_detects_generation_change() {
         let system = TmSystem::new(TmConfig::small());
         let b = TmBarrier::new(&system, 2);
-        let mut tx = DirectTx {
-            common: TxCommon::new(TxMode::Serial, 0),
-            thread: system.register_thread(),
-            system: Arc::clone(&system),
-        };
+        let mut tx = DirectTx::new(&system);
         let args = [b.generation.addr().0 as u64, 0];
         assert!(!pred_generation_advanced(&mut tx, &args).unwrap());
         b.generation.set(&mut tx, 1).unwrap();

@@ -24,7 +24,7 @@ use tm_core::{Addr, TmArray, TmSystem, TmVar, Tx, TxResult};
 /// use tm_sync::TmBoundedBuffer;
 ///
 /// let system = TmSystem::new(TmConfig::small());
-/// let rt = stm_eager::EagerStm::new(Arc::clone(&system));
+/// let rt = tm_core::software::EagerStm::new(Arc::clone(&system));
 /// let buf = TmBoundedBuffer::new(&system, 4);
 ///
 /// let (rt2, system2, buf2) = (Arc::clone(&rt), Arc::clone(&system), Arc::clone(&buf));
@@ -171,37 +171,11 @@ impl TmBoundedBuffer {
                 self.notempty.signal_from(tx);
                 Ok(())
             }
-            Mechanism::WaitPred => {
+            _ => {
                 if self.full(tx)? {
-                    return condsync::wait_pred(
-                        tx,
-                        pred_not_full,
-                        &[self.count.addr().0 as u64, self.cap as u64],
-                    );
-                }
-                self.put(tx, x)
-            }
-            Mechanism::Await => {
-                if self.full(tx)? {
-                    return condsync::await_one(tx, self.count.addr());
-                }
-                self.put(tx, x)
-            }
-            Mechanism::Retry => {
-                if self.full(tx)? {
-                    return condsync::retry(tx);
-                }
-                self.put(tx, x)
-            }
-            Mechanism::RetryOrig => {
-                if self.full(tx)? {
-                    return condsync::retry_orig(tx);
-                }
-                self.put(tx, x)
-            }
-            Mechanism::Restart => {
-                if self.full(tx)? {
-                    return condsync::restart(tx);
+                    let count = self.count.addr();
+                    let args = [count.0 as u64, self.cap as u64];
+                    return mechanism.wait(tx, count, pred_not_full, &args);
                 }
                 self.put(tx, x)
             }
@@ -225,33 +199,10 @@ impl TmBoundedBuffer {
                 self.notfull.signal_from(tx);
                 Ok(x)
             }
-            Mechanism::WaitPred => {
+            _ => {
                 if self.empty(tx)? {
-                    return condsync::wait_pred(tx, pred_not_empty, &[self.count.addr().0 as u64]);
-                }
-                self.get(tx)
-            }
-            Mechanism::Await => {
-                if self.empty(tx)? {
-                    return condsync::await_one(tx, self.count.addr());
-                }
-                self.get(tx)
-            }
-            Mechanism::Retry => {
-                if self.empty(tx)? {
-                    return condsync::retry(tx);
-                }
-                self.get(tx)
-            }
-            Mechanism::RetryOrig => {
-                if self.empty(tx)? {
-                    return condsync::retry_orig(tx);
-                }
-                self.get(tx)
-            }
-            Mechanism::Restart => {
-                if self.empty(tx)? {
-                    return condsync::restart(tx);
+                    let count = self.count.addr();
+                    return mechanism.wait(tx, count, pred_not_empty, &[count.0 as u64]);
                 }
                 self.get(tx)
             }
@@ -288,17 +239,9 @@ impl TmBoundedBuffer {
                 condsync::clear_wake_reason(tx);
                 return Ok(false);
             }
-            return match mechanism {
-                Mechanism::Retry => condsync::retry_for(tx, timeout),
-                Mechanism::Await => condsync::await_one_for(tx, self.count_addr(), timeout),
-                Mechanism::WaitPred => condsync::wait_pred_for(
-                    tx,
-                    pred_not_full,
-                    &[self.count.addr().0 as u64, self.cap as u64],
-                    timeout,
-                ),
-                other => panic!("{other} does not support timed waits"),
-            };
+            let count = self.count.addr();
+            let args = [count.0 as u64, self.cap as u64];
+            return mechanism.wait_for(tx, count, pred_not_full, &args, timeout);
         }
         // This wait resolved (possibly despite a recorded timeout): consume
         // the reason so a later wait in the same body starts fresh.
@@ -326,17 +269,8 @@ impl TmBoundedBuffer {
                 condsync::clear_wake_reason(tx);
                 return Ok(None);
             }
-            return match mechanism {
-                Mechanism::Retry => condsync::retry_for(tx, timeout),
-                Mechanism::Await => condsync::await_one_for(tx, self.count_addr(), timeout),
-                Mechanism::WaitPred => condsync::wait_pred_for(
-                    tx,
-                    pred_not_empty,
-                    &[self.count.addr().0 as u64],
-                    timeout,
-                ),
-                other => panic!("{other} does not support timed waits"),
-            };
+            let count = self.count.addr();
+            return mechanism.wait_for(tx, count, pred_not_empty, &[count.0 as u64], timeout);
         }
         condsync::clear_wake_reason(tx);
         Ok(Some(self.get(tx)?))
@@ -377,65 +311,13 @@ impl TmBoundedBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_core::{AbortReason, ThreadCtx, TmConfig, TxCommon, TxCtl, TxMode};
-
-    /// A direct, single-threaded transaction for exercising the buffer logic
-    /// without a full runtime.
-    struct DirectTx {
-        common: TxCommon,
-        system: Arc<TmSystem>,
-        thread: Arc<ThreadCtx>,
-    }
-
-    impl Tx for DirectTx {
-        fn read(&mut self, addr: Addr) -> TxResult<u64> {
-            Ok(self.system.heap.load(addr))
-        }
-        fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
-            self.system.heap.store(addr, val);
-            Ok(())
-        }
-        fn alloc(&mut self, words: usize) -> TxResult<Addr> {
-            Ok(self.system.heap.alloc(words).unwrap())
-        }
-        fn free(&mut self, addr: Addr, words: usize) -> TxResult<()> {
-            self.system.heap.dealloc(addr, words);
-            Ok(())
-        }
-        fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
-            block();
-            Ok(())
-        }
-        fn explicit_abort(&mut self, code: u8) -> TxCtl {
-            TxCtl::Abort(AbortReason::Explicit(code))
-        }
-        fn common(&self) -> &TxCommon {
-            &self.common
-        }
-        fn common_mut(&mut self) -> &mut TxCommon {
-            &mut self.common
-        }
-        fn system(&self) -> &Arc<TmSystem> {
-            &self.system
-        }
-        fn thread(&self) -> &Arc<ThreadCtx> {
-            &self.thread
-        }
-    }
-
-    fn direct_tx(system: &Arc<TmSystem>) -> DirectTx {
-        DirectTx {
-            common: TxCommon::new(TxMode::Serial, 0),
-            thread: system.register_thread(),
-            system: Arc::clone(system),
-        }
-    }
+    use tm_core::{AbortReason, DirectTx, TmConfig, TxCtl};
 
     #[test]
     fn put_get_round_trip_preserves_fifo_order() {
         let system = TmSystem::new(TmConfig::small());
         let buf = TmBoundedBuffer::new(&system, 4);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         for i in 1..=4 {
             buf.put(&mut tx, i).unwrap();
         }
@@ -450,7 +332,7 @@ mod tests {
     fn wraparound_reuses_slots() {
         let system = TmSystem::new(TmConfig::small());
         let buf = TmBoundedBuffer::new(&system, 2);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         for round in 0..10u64 {
             buf.put(&mut tx, round).unwrap();
             assert_eq!(buf.get(&mut tx).unwrap(), round);
@@ -464,7 +346,7 @@ mod tests {
         let buf = TmBoundedBuffer::new(&system, 16);
         buf.prefill(&system, 8);
         assert_eq!(buf.len_direct(&system), 8);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         assert!(!buf.full(&mut tx).unwrap());
         assert!(!buf.empty(&mut tx).unwrap());
         assert_eq!(buf.get(&mut tx).unwrap(), 1);
@@ -474,7 +356,7 @@ mod tests {
     fn retry_mechanism_requests_deschedule_when_empty() {
         let system = TmSystem::new(TmConfig::small());
         let buf = TmBoundedBuffer::new(&system, 4);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         let r = buf.consume(Mechanism::Retry, &mut tx);
         assert!(matches!(
             r,
@@ -486,7 +368,7 @@ mod tests {
     fn await_mechanism_waits_on_count_address() {
         let system = TmSystem::new(TmConfig::small());
         let buf = TmBoundedBuffer::new(&system, 4);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         match buf.consume(Mechanism::Await, &mut tx) {
             Err(TxCtl::Deschedule(tm_core::WaitSpec::Addrs(a))) => {
                 assert_eq!(a, vec![buf.count_addr()]);
@@ -499,7 +381,7 @@ mod tests {
     fn waitpred_produce_requests_not_full_predicate() {
         let system = TmSystem::new(TmConfig::small());
         let buf = TmBoundedBuffer::new(&system, 2);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         buf.put(&mut tx, 1).unwrap();
         buf.put(&mut tx, 2).unwrap();
         match buf.produce(Mechanism::WaitPred, &mut tx, 3) {
@@ -514,7 +396,7 @@ mod tests {
     fn restart_mechanism_aborts_explicitly() {
         let system = TmSystem::new(TmConfig::small());
         let buf = TmBoundedBuffer::new(&system, 4);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         assert!(matches!(
             buf.consume(Mechanism::Restart, &mut tx),
             Err(TxCtl::Abort(AbortReason::Explicit(_)))
@@ -525,7 +407,7 @@ mod tests {
     fn predicates_evaluate_buffer_state() {
         let system = TmSystem::new(TmConfig::small());
         let buf = TmBoundedBuffer::new(&system, 2);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         let args_full = [buf.count_addr().0 as u64, 2];
         let args_empty = [buf.count_addr().0 as u64];
         assert!(pred_not_full(&mut tx, &args_full).unwrap());
@@ -551,7 +433,7 @@ mod tests {
         .into_iter()
         .enumerate()
         {
-            let mut tx = direct_tx(&system);
+            let mut tx = DirectTx::new(&system);
             buf.produce(mech, &mut tx, 100 + i as u64).unwrap();
         }
         assert_eq!(buf.len_direct(&system), 4);
@@ -561,7 +443,7 @@ mod tests {
     fn timed_variants_operate_immediately_when_unblocked() {
         let system = TmSystem::new(TmConfig::small());
         let buf = TmBoundedBuffer::new(&system, 2);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         let t = std::time::Duration::from_millis(5);
         assert!(buf
             .produce_timeout(Mechanism::Retry, &mut tx, 7, t)
@@ -576,7 +458,7 @@ mod tests {
     fn timed_variants_request_deadline_carrying_descedules() {
         let system = TmSystem::new(TmConfig::small());
         let buf = TmBoundedBuffer::new(&system, 2);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         let t = std::time::Duration::from_millis(50);
         // Empty buffer: a timed consume must stash a deadline and request
         // the same deschedule as its unbounded sibling.
@@ -624,7 +506,7 @@ mod tests {
         let system = TmSystem::new(TmConfig::small());
         let a = TmBoundedBuffer::new(&system, 2);
         let b = TmBoundedBuffer::new(&system, 2);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         let t = std::time::Duration::from_millis(50);
 
         // Op A timed out, but succeeds on re-execution (late success wins)…
@@ -658,7 +540,7 @@ mod tests {
     fn timed_variants_reject_non_deschedule_mechanisms() {
         let system = TmSystem::new(TmConfig::small());
         let buf = TmBoundedBuffer::new(&system, 2);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         let _ = buf.consume_timeout(
             Mechanism::Restart,
             &mut tx,
@@ -671,7 +553,7 @@ mod tests {
     fn pthreads_mechanism_is_rejected() {
         let system = TmSystem::new(TmConfig::small());
         let buf = TmBoundedBuffer::new(&system, 4);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         let _ = buf.produce(Mechanism::Pthreads, &mut tx, 1);
     }
 }

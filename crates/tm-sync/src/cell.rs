@@ -82,81 +82,21 @@ impl TmOnceCell {
         if let Some(v) = self.try_get(tx)? {
             return Ok(v);
         }
-        match mechanism {
-            Mechanism::Retry => condsync::retry(tx),
-            Mechanism::RetryOrig => condsync::retry_orig(tx),
-            Mechanism::Await => condsync::await_one(tx, self.flag_addr()),
-            Mechanism::WaitPred => {
-                condsync::wait_pred(tx, pred_cell_set, &[self.flag_addr().0 as u64])
-            }
-            Mechanism::Restart => condsync::restart(tx),
-            Mechanism::Pthreads | Mechanism::TmCondVar => {
-                panic!("lock-based mechanisms wait outside transactions")
-            }
-        }
+        let flag = self.flag_addr();
+        mechanism.wait(tx, flag, pred_cell_set, &[flag.0 as u64])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_core::{AbortReason, ThreadCtx, TmConfig, TxCommon, TxCtl, TxMode, WaitSpec};
-
-    struct DirectTx {
-        common: TxCommon,
-        system: Arc<TmSystem>,
-        thread: Arc<ThreadCtx>,
-    }
-
-    impl Tx for DirectTx {
-        fn read(&mut self, addr: Addr) -> TxResult<u64> {
-            Ok(self.system.heap.load(addr))
-        }
-        fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
-            self.system.heap.store(addr, val);
-            Ok(())
-        }
-        fn alloc(&mut self, words: usize) -> TxResult<Addr> {
-            Ok(self.system.heap.alloc(words).unwrap())
-        }
-        fn free(&mut self, addr: Addr, words: usize) -> TxResult<()> {
-            self.system.heap.dealloc(addr, words);
-            Ok(())
-        }
-        fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
-            block();
-            Ok(())
-        }
-        fn explicit_abort(&mut self, code: u8) -> TxCtl {
-            TxCtl::Abort(AbortReason::Explicit(code))
-        }
-        fn common(&self) -> &TxCommon {
-            &self.common
-        }
-        fn common_mut(&mut self) -> &mut TxCommon {
-            &mut self.common
-        }
-        fn system(&self) -> &Arc<TmSystem> {
-            &self.system
-        }
-        fn thread(&self) -> &Arc<ThreadCtx> {
-            &self.thread
-        }
-    }
-
-    fn direct_tx(system: &Arc<TmSystem>) -> DirectTx {
-        DirectTx {
-            common: TxCommon::new(TxMode::Serial, 0),
-            thread: system.register_thread(),
-            system: Arc::clone(system),
-        }
-    }
+    use tm_core::{DirectTx, TmConfig, TxCtl, WaitSpec};
 
     #[test]
     fn set_once_then_read_back() {
         let system = TmSystem::new(TmConfig::small());
         let cell = TmOnceCell::new(&system);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         assert!(!cell.is_set(&mut tx).unwrap());
         assert_eq!(cell.try_get(&mut tx).unwrap(), None);
         assert!(cell.try_set(&mut tx, 99).unwrap());
@@ -168,7 +108,7 @@ mod tests {
     fn second_set_is_rejected_and_preserves_first_value() {
         let system = TmSystem::new(TmConfig::small());
         let cell = TmOnceCell::new(&system);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         assert!(cell.try_set(&mut tx, 1).unwrap());
         assert!(!cell.try_set(&mut tx, 2).unwrap());
         assert_eq!(cell.try_get(&mut tx).unwrap(), Some(1));
@@ -177,7 +117,7 @@ mod tests {
     #[test]
     fn zero_and_max_are_representable_values() {
         let system = TmSystem::new(TmConfig::small());
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         let zero = TmOnceCell::new(&system);
         assert!(zero.try_set(&mut tx, 0).unwrap());
         assert_eq!(zero.try_get(&mut tx).unwrap(), Some(0));
@@ -190,7 +130,7 @@ mod tests {
     fn get_waiting_returns_immediately_when_set() {
         let system = TmSystem::new(TmConfig::small());
         let cell = TmOnceCell::new(&system);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         cell.try_set(&mut tx, 7).unwrap();
         assert_eq!(cell.get_waiting(Mechanism::Retry, &mut tx).unwrap(), 7);
         assert_eq!(cell.get_waiting(Mechanism::Await, &mut tx).unwrap(), 7);
@@ -200,7 +140,7 @@ mod tests {
     fn get_waiting_requests_the_right_deschedule_when_empty() {
         let system = TmSystem::new(TmConfig::small());
         let cell = TmOnceCell::new(&system);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         assert!(matches!(
             cell.get_waiting(Mechanism::Retry, &mut tx),
             Err(TxCtl::Deschedule(WaitSpec::ReadSetValues))
@@ -221,7 +161,7 @@ mod tests {
     fn predicate_tracks_the_flag() {
         let system = TmSystem::new(TmConfig::small());
         let cell = TmOnceCell::new(&system);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         let args = [cell.flag_addr().0 as u64];
         assert!(!pred_cell_set(&mut tx, &args).unwrap());
         cell.try_set(&mut tx, 3).unwrap();

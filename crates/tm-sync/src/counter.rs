@@ -76,81 +76,21 @@ impl TmCounter {
         if v >= threshold {
             return Ok(v);
         }
-        match mechanism {
-            Mechanism::Retry => condsync::retry(tx),
-            Mechanism::RetryOrig => condsync::retry_orig(tx),
-            Mechanism::Await => condsync::await_one(tx, self.addr()),
-            Mechanism::WaitPred => {
-                condsync::wait_pred(tx, pred_reached, &[self.addr().0 as u64, threshold])
-            }
-            Mechanism::Restart => condsync::restart(tx),
-            Mechanism::Pthreads | Mechanism::TmCondVar => {
-                panic!("lock-based mechanisms wait outside transactions")
-            }
-        }
+        let addr = self.addr();
+        mechanism.wait(tx, addr, pred_reached, &[addr.0 as u64, threshold])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_core::{AbortReason, ThreadCtx, TmConfig, TxCommon, TxCtl, TxMode};
-
-    struct DirectTx {
-        common: TxCommon,
-        system: Arc<TmSystem>,
-        thread: Arc<ThreadCtx>,
-    }
-
-    impl Tx for DirectTx {
-        fn read(&mut self, addr: Addr) -> TxResult<u64> {
-            Ok(self.system.heap.load(addr))
-        }
-        fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
-            self.system.heap.store(addr, val);
-            Ok(())
-        }
-        fn alloc(&mut self, words: usize) -> TxResult<Addr> {
-            Ok(self.system.heap.alloc(words).unwrap())
-        }
-        fn free(&mut self, addr: Addr, words: usize) -> TxResult<()> {
-            self.system.heap.dealloc(addr, words);
-            Ok(())
-        }
-        fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
-            block();
-            Ok(())
-        }
-        fn explicit_abort(&mut self, code: u8) -> TxCtl {
-            TxCtl::Abort(AbortReason::Explicit(code))
-        }
-        fn common(&self) -> &TxCommon {
-            &self.common
-        }
-        fn common_mut(&mut self) -> &mut TxCommon {
-            &mut self.common
-        }
-        fn system(&self) -> &Arc<TmSystem> {
-            &self.system
-        }
-        fn thread(&self) -> &Arc<ThreadCtx> {
-            &self.thread
-        }
-    }
-
-    fn direct_tx(system: &Arc<TmSystem>) -> DirectTx {
-        DirectTx {
-            common: TxCommon::new(TxMode::Serial, 0),
-            thread: system.register_thread(),
-            system: Arc::clone(system),
-        }
-    }
+    use tm_core::{AbortReason, DirectTx, TmConfig, TxCtl};
 
     #[test]
     fn increment_and_add() {
         let system = TmSystem::new(TmConfig::small());
         let c = TmCounter::new(&system, 10);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         assert_eq!(c.increment(&mut tx).unwrap(), 11);
         assert_eq!(c.add(&mut tx, 5).unwrap(), 16);
         assert_eq!(c.load_direct(&system), 16);
@@ -160,7 +100,7 @@ mod tests {
     fn wait_for_at_least_returns_when_satisfied() {
         let system = TmSystem::new(TmConfig::small());
         let c = TmCounter::new(&system, 7);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         assert_eq!(
             c.wait_for_at_least(Mechanism::Retry, &mut tx, 5).unwrap(),
             7
@@ -171,7 +111,7 @@ mod tests {
     fn wait_for_at_least_requests_deschedule_when_below_threshold() {
         let system = TmSystem::new(TmConfig::small());
         let c = TmCounter::new(&system, 1);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         assert!(matches!(
             c.wait_for_at_least(Mechanism::Await, &mut tx, 5),
             Err(TxCtl::Deschedule(tm_core::WaitSpec::Addrs(_)))
@@ -190,7 +130,7 @@ mod tests {
     fn pred_reached_matches_threshold_semantics() {
         let system = TmSystem::new(TmConfig::small());
         let c = TmCounter::new(&system, 3);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         assert!(pred_reached(&mut tx, &[c.addr().0 as u64, 3]).unwrap());
         assert!(!pred_reached(&mut tx, &[c.addr().0 as u64, 4]).unwrap());
     }

@@ -86,18 +86,8 @@ impl TmLatch {
         if self.is_open(tx)? {
             return Ok(());
         }
-        match mechanism {
-            Mechanism::Retry => condsync::retry(tx),
-            Mechanism::RetryOrig => condsync::retry_orig(tx),
-            Mechanism::Await => condsync::await_one(tx, self.addr()),
-            Mechanism::WaitPred => {
-                condsync::wait_pred(tx, pred_latch_open, &[self.addr().0 as u64])
-            }
-            Mechanism::Restart => condsync::restart(tx),
-            Mechanism::Pthreads | Mechanism::TmCondVar => {
-                panic!("lock-based mechanisms wait outside transactions")
-            }
-        }
+        let addr = self.addr();
+        mechanism.wait(tx, addr, pred_latch_open, &[addr.0 as u64])
     }
 
     /// From inside a transaction: wait for the latch to open, giving up
@@ -125,77 +115,21 @@ impl TmLatch {
             condsync::clear_wake_reason(tx);
             return Ok(false);
         }
-        match mechanism {
-            Mechanism::Retry => condsync::retry_for(tx, timeout),
-            Mechanism::Await => condsync::await_one_for(tx, self.addr(), timeout),
-            Mechanism::WaitPred => {
-                condsync::wait_pred_for(tx, pred_latch_open, &[self.addr().0 as u64], timeout)
-            }
-            other => panic!("{other} does not support timed waits"),
-        }
+        let addr = self.addr();
+        mechanism.wait_for(tx, addr, pred_latch_open, &[addr.0 as u64], timeout)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_core::{AbortReason, ThreadCtx, TmConfig, TxCommon, TxCtl, TxMode, WaitSpec};
-
-    struct DirectTx {
-        common: TxCommon,
-        system: Arc<TmSystem>,
-        thread: Arc<ThreadCtx>,
-    }
-
-    impl Tx for DirectTx {
-        fn read(&mut self, addr: Addr) -> TxResult<u64> {
-            Ok(self.system.heap.load(addr))
-        }
-        fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
-            self.system.heap.store(addr, val);
-            Ok(())
-        }
-        fn alloc(&mut self, words: usize) -> TxResult<Addr> {
-            Ok(self.system.heap.alloc(words).unwrap())
-        }
-        fn free(&mut self, addr: Addr, words: usize) -> TxResult<()> {
-            self.system.heap.dealloc(addr, words);
-            Ok(())
-        }
-        fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
-            block();
-            Ok(())
-        }
-        fn explicit_abort(&mut self, code: u8) -> TxCtl {
-            TxCtl::Abort(AbortReason::Explicit(code))
-        }
-        fn common(&self) -> &TxCommon {
-            &self.common
-        }
-        fn common_mut(&mut self) -> &mut TxCommon {
-            &mut self.common
-        }
-        fn system(&self) -> &Arc<TmSystem> {
-            &self.system
-        }
-        fn thread(&self) -> &Arc<ThreadCtx> {
-            &self.thread
-        }
-    }
-
-    fn direct_tx(system: &Arc<TmSystem>) -> DirectTx {
-        DirectTx {
-            common: TxCommon::new(TxMode::Serial, 0),
-            thread: system.register_thread(),
-            system: Arc::clone(system),
-        }
-    }
+    use tm_core::{AbortReason, DirectTx, TmConfig, TxCtl, WaitSpec};
 
     #[test]
     fn count_down_reaches_zero_and_saturates() {
         let system = TmSystem::new(TmConfig::small());
         let latch = TmLatch::new(&system, 3);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         assert!(!latch.is_open(&mut tx).unwrap());
         assert_eq!(latch.count_down(&mut tx).unwrap(), 2);
         assert_eq!(latch.count_down(&mut tx).unwrap(), 1);
@@ -210,7 +144,7 @@ mod tests {
     fn wait_open_passes_through_when_open() {
         let system = TmSystem::new(TmConfig::small());
         let latch = TmLatch::new(&system, 0);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         latch.wait_open(Mechanism::Retry, &mut tx).unwrap();
         latch.wait_open(Mechanism::WaitPred, &mut tx).unwrap();
     }
@@ -219,7 +153,7 @@ mod tests {
     fn wait_open_requests_the_right_deschedule() {
         let system = TmSystem::new(TmConfig::small());
         let latch = TmLatch::new(&system, 2);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         assert!(matches!(
             latch.wait_open(Mechanism::Retry, &mut tx),
             Err(TxCtl::Deschedule(WaitSpec::ReadSetValues))
@@ -244,7 +178,7 @@ mod tests {
     fn wait_for_passes_gives_up_or_requests_timed_wait() {
         let system = TmSystem::new(TmConfig::small());
         let latch = TmLatch::new(&system, 1);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         let t = Duration::from_millis(20);
         // Closed: requests a deadline-carrying deschedule.
         assert!(matches!(
@@ -264,7 +198,7 @@ mod tests {
     fn predicate_reports_open_state() {
         let system = TmSystem::new(TmConfig::small());
         let latch = TmLatch::new(&system, 1);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         let args = [latch.addr().0 as u64];
         assert!(!pred_latch_open(&mut tx, &args).unwrap());
         latch.count_down(&mut tx).unwrap();
@@ -275,7 +209,7 @@ mod tests {
     fn reset_reloads_the_count() {
         let system = TmSystem::new(TmConfig::small());
         let latch = TmLatch::new(&system, 1);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         latch.count_down(&mut tx).unwrap();
         assert!(latch.is_open(&mut tx).unwrap());
         latch.reset_direct(&system, 5);
@@ -288,7 +222,7 @@ mod tests {
     fn lock_based_mechanisms_are_rejected() {
         let system = TmSystem::new(TmConfig::small());
         let latch = TmLatch::new(&system, 1);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         let _ = latch.wait_open(Mechanism::Pthreads, &mut tx);
     }
 }

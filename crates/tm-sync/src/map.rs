@@ -61,7 +61,7 @@ const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 /// use tm_sync::TmHashMap;
 ///
 /// let system = TmSystem::new(TmConfig::small());
-/// let rt = stm_eager::EagerStm::new(Arc::clone(&system));
+/// let rt = tm_core::software::EagerStm::new(Arc::clone(&system));
 /// let map: TmHashMap<u64, u64> = TmHashMap::new(&system, 16);
 ///
 /// let th = system.register_thread();
@@ -346,27 +346,22 @@ impl<K: TmValue, V: TmValue> TmHashMap<K, V> {
         if let Some(v) = self.get(tx, key)? {
             return Ok(v);
         }
-        match mechanism {
-            Mechanism::Retry => condsync::retry(tx),
-            Mechanism::RetryOrig => condsync::retry_orig(tx),
-            Mechanism::Await => condsync::await_one(tx, self.wait_addr(key)),
-            Mechanism::WaitPred => {
-                // Wake when the key's occupancy counter *changes* (a
-                // threshold would strand the waiter after a
-                // remove-then-insert returned the count to its old value).
-                let counter = self.counter_for(key.into_word());
-                let current = counter.get(tx)?;
-                condsync::wait_pred(
-                    tx,
-                    pred_map_counter_changed,
-                    &[counter.addr().0 as u64, current],
-                )
-            }
-            Mechanism::Restart => condsync::restart(tx),
-            Mechanism::Pthreads | Mechanism::TmCondVar => {
-                panic!("lock-based mechanisms wait outside transactions")
-            }
-        }
+        let counter = self.counter_for(key.into_word());
+        // WaitPred wakes when the key's occupancy counter *changes* (a
+        // threshold would strand the waiter after a remove-then-insert
+        // returned the count to its old value), so it alone reads the
+        // counter's current value.
+        let current = match mechanism {
+            Mechanism::WaitPred => counter.get(tx)?,
+            _ => 0,
+        };
+        let addr = counter.addr();
+        mechanism.wait(
+            tx,
+            addr,
+            pred_map_counter_changed,
+            &[addr.0 as u64, current],
+        )
     }
 }
 
@@ -374,57 +369,7 @@ impl<K: TmValue, V: TmValue> TmHashMap<K, V> {
 mod tests {
     use super::*;
     use std::collections::HashMap;
-    use tm_core::{AbortReason, ThreadCtx, TmConfig, TxCommon, TxCtl, TxMode, WaitSpec};
-
-    struct DirectTx {
-        common: TxCommon,
-        system: Arc<TmSystem>,
-        thread: Arc<ThreadCtx>,
-    }
-
-    impl Tx for DirectTx {
-        fn read(&mut self, addr: Addr) -> TxResult<u64> {
-            Ok(self.system.heap.load(addr))
-        }
-        fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
-            self.system.heap.store(addr, val);
-            Ok(())
-        }
-        fn alloc(&mut self, words: usize) -> TxResult<Addr> {
-            Ok(self.system.heap.alloc(words).unwrap())
-        }
-        fn free(&mut self, addr: Addr, words: usize) -> TxResult<()> {
-            self.system.heap.dealloc(addr, words);
-            Ok(())
-        }
-        fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
-            block();
-            Ok(())
-        }
-        fn explicit_abort(&mut self, code: u8) -> TxCtl {
-            TxCtl::Abort(AbortReason::Explicit(code))
-        }
-        fn common(&self) -> &TxCommon {
-            &self.common
-        }
-        fn common_mut(&mut self) -> &mut TxCommon {
-            &mut self.common
-        }
-        fn system(&self) -> &Arc<TmSystem> {
-            &self.system
-        }
-        fn thread(&self) -> &Arc<ThreadCtx> {
-            &self.thread
-        }
-    }
-
-    fn direct_tx(system: &Arc<TmSystem>) -> DirectTx {
-        DirectTx {
-            common: TxCommon::new(TxMode::Serial, 0),
-            thread: system.register_thread(),
-            system: Arc::clone(system),
-        }
-    }
+    use tm_core::{DirectTx, TmConfig, TxCtl, WaitSpec};
 
     fn small_map(cap: usize) -> (Arc<TmSystem>, TmHashMap) {
         let system = TmSystem::new(TmConfig::small());
@@ -435,7 +380,7 @@ mod tests {
     #[test]
     fn insert_get_update_remove_round_trip() {
         let (system, map) = small_map(8);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         assert_eq!(map.insert(&mut tx, 10, 100).unwrap(), None);
         assert_eq!(map.insert(&mut tx, 20, 200).unwrap(), None);
         assert_eq!(map.get(&mut tx, 10).unwrap(), Some(100));
@@ -453,7 +398,7 @@ mod tests {
     fn colliding_keys_probe_to_distinct_slots() {
         // Many keys in a tiny table force probing and tombstone reuse.
         let (system, map) = small_map(16);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         for k in 0..12u64 {
             assert_eq!(map.insert(&mut tx, k * 16, k).unwrap(), None);
         }
@@ -466,7 +411,7 @@ mod tests {
     #[test]
     fn tombstones_are_reused_and_lookups_skip_them() {
         let (system, map) = small_map(8);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         map.insert(&mut tx, 1, 10).unwrap();
         map.insert(&mut tx, 9, 90).unwrap(); // likely probes past key 1's chain
         map.remove(&mut tx, 1).unwrap();
@@ -482,7 +427,7 @@ mod tests {
     #[test]
     fn matches_std_hashmap_model() {
         let (system, map) = small_map(64);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         let mut model: HashMap<u64, u64> = HashMap::new();
         // A deterministic mixed workload.
         let mut seed = 42u64;
@@ -515,7 +460,7 @@ mod tests {
     fn direct_insert_matches_transactional_insert() {
         let (sys_a, map_a) = small_map(32);
         let (sys_b, map_b) = small_map(32);
-        let mut tx = direct_tx(&sys_a);
+        let mut tx = DirectTx::new(&sys_a);
         for k in 0..20u64 {
             map_a.insert(&mut tx, k * 3, k).unwrap();
             map_b.insert_direct(&sys_b, k * 3, k);
@@ -529,7 +474,7 @@ mod tests {
     #[test]
     fn get_waiting_requests_the_right_deschedule() {
         let (system, map) = small_map(8);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         assert!(matches!(
             map.get_waiting(Mechanism::Retry, &mut tx, 5),
             Err(TxCtl::Deschedule(WaitSpec::ReadSetValues))
@@ -573,7 +518,7 @@ mod tests {
     #[should_panic(expected = "full")]
     fn overfilling_panics() {
         let (system, map) = small_map(4);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         for k in 0..5u64 {
             map.insert(&mut tx, k, k).unwrap();
         }
@@ -583,7 +528,7 @@ mod tests {
     #[should_panic(expected = "62 bits")]
     fn keys_in_the_tag_range_are_rejected() {
         let (system, map) = small_map(4);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         let _ = map.insert(&mut tx, u64::MAX, 1);
     }
 }

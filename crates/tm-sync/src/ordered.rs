@@ -283,58 +283,12 @@ impl<K: TmValue, V: TmValue> TmOrderedMap<K, V> {
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
-    use tm_core::{AbortReason, ThreadCtx, TmConfig, TxCommon, TxCtl, TxMode};
-
-    struct DirectTx {
-        common: TxCommon,
-        system: Arc<TmSystem>,
-        thread: Arc<ThreadCtx>,
-    }
-
-    impl Tx for DirectTx {
-        fn read(&mut self, addr: Addr) -> TxResult<u64> {
-            Ok(self.system.heap.load(addr))
-        }
-        fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
-            self.system.heap.store(addr, val);
-            Ok(())
-        }
-        fn alloc(&mut self, words: usize) -> TxResult<Addr> {
-            Ok(self.system.heap.alloc(words).unwrap())
-        }
-        fn free(&mut self, addr: Addr, words: usize) -> TxResult<()> {
-            self.system.heap.dealloc(addr, words);
-            Ok(())
-        }
-        fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
-            block();
-            Ok(())
-        }
-        fn explicit_abort(&mut self, code: u8) -> TxCtl {
-            TxCtl::Abort(AbortReason::Explicit(code))
-        }
-        fn common(&self) -> &TxCommon {
-            &self.common
-        }
-        fn common_mut(&mut self) -> &mut TxCommon {
-            &mut self.common
-        }
-        fn system(&self) -> &Arc<TmSystem> {
-            &self.system
-        }
-        fn thread(&self) -> &Arc<ThreadCtx> {
-            &self.thread
-        }
-    }
+    use tm_core::{DirectTx, TmConfig};
 
     fn setup() -> (Arc<TmSystem>, TmOrderedMap, DirectTx) {
         let system = TmSystem::new(TmConfig::small());
         let index = TmOrderedMap::new(&system);
-        let tx = DirectTx {
-            common: TxCommon::new(TxMode::Serial, 0),
-            thread: system.register_thread(),
-            system: Arc::clone(&system),
-        };
+        let tx = DirectTx::new(&system);
         (system, index, tx)
     }
 

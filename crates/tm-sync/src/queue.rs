@@ -103,18 +103,8 @@ impl TmQueue {
         if let Some(v) = self.try_dequeue(tx)? {
             return Ok(v);
         }
-        match mechanism {
-            Mechanism::Retry => condsync::retry(tx),
-            Mechanism::RetryOrig => condsync::retry_orig(tx),
-            Mechanism::Await => condsync::await_one(tx, self.len_addr()),
-            Mechanism::WaitPred => {
-                condsync::wait_pred(tx, pred_queue_nonempty, &[self.len_addr().0 as u64])
-            }
-            Mechanism::Restart => condsync::restart(tx),
-            Mechanism::Pthreads | Mechanism::TmCondVar => {
-                panic!("lock-based mechanisms wait outside transactions")
-            }
-        }
+        let len = self.len_addr();
+        mechanism.wait(tx, len, pred_queue_nonempty, &[len.0 as u64])
     }
 
     /// Dequeues, waiting at most `timeout` if the queue is empty: returns
@@ -143,80 +133,21 @@ impl TmQueue {
             condsync::clear_wake_reason(tx);
             return Ok(None);
         }
-        match mechanism {
-            Mechanism::Retry => condsync::retry_for(tx, timeout),
-            Mechanism::Await => condsync::await_one_for(tx, self.len_addr(), timeout),
-            Mechanism::WaitPred => condsync::wait_pred_for(
-                tx,
-                pred_queue_nonempty,
-                &[self.len_addr().0 as u64],
-                timeout,
-            ),
-            other => panic!("{other} does not support timed waits"),
-        }
+        let len = self.len_addr();
+        mechanism.wait_for(tx, len, pred_queue_nonempty, &[len.0 as u64], timeout)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_core::{AbortReason, ThreadCtx, TmConfig, TxCommon, TxCtl, TxMode};
-
-    struct DirectTx {
-        common: TxCommon,
-        system: Arc<TmSystem>,
-        thread: Arc<ThreadCtx>,
-    }
-
-    impl Tx for DirectTx {
-        fn read(&mut self, addr: Addr) -> TxResult<u64> {
-            Ok(self.system.heap.load(addr))
-        }
-        fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
-            self.system.heap.store(addr, val);
-            Ok(())
-        }
-        fn alloc(&mut self, words: usize) -> TxResult<Addr> {
-            Ok(self.system.heap.alloc(words).unwrap())
-        }
-        fn free(&mut self, addr: Addr, words: usize) -> TxResult<()> {
-            self.system.heap.dealloc(addr, words);
-            Ok(())
-        }
-        fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
-            block();
-            Ok(())
-        }
-        fn explicit_abort(&mut self, code: u8) -> TxCtl {
-            TxCtl::Abort(AbortReason::Explicit(code))
-        }
-        fn common(&self) -> &TxCommon {
-            &self.common
-        }
-        fn common_mut(&mut self) -> &mut TxCommon {
-            &mut self.common
-        }
-        fn system(&self) -> &Arc<TmSystem> {
-            &self.system
-        }
-        fn thread(&self) -> &Arc<ThreadCtx> {
-            &self.thread
-        }
-    }
-
-    fn direct_tx(system: &Arc<TmSystem>) -> DirectTx {
-        DirectTx {
-            common: TxCommon::new(TxMode::Serial, 0),
-            thread: system.register_thread(),
-            system: Arc::clone(system),
-        }
-    }
+    use tm_core::{DirectTx, TmConfig, TxCtl};
 
     #[test]
     fn fifo_order() {
         let system = TmSystem::new(TmConfig::small());
         let q = TmQueue::new(&system);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         for i in 1..=5 {
             q.enqueue(&mut tx, i).unwrap();
         }
@@ -232,7 +163,7 @@ mod tests {
     fn dequeue_empty_then_refill() {
         let system = TmSystem::new(TmConfig::small());
         let q = TmQueue::new(&system);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         assert_eq!(q.try_dequeue(&mut tx).unwrap(), None);
         q.enqueue(&mut tx, 42).unwrap();
         assert_eq!(q.try_dequeue(&mut tx).unwrap(), Some(42));
@@ -247,7 +178,7 @@ mod tests {
         let system = TmSystem::new(TmConfig::small());
         let q = TmQueue::new(&system);
         let baseline = system.heap.allocated_words();
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         for round in 0..50 {
             q.enqueue(&mut tx, round).unwrap();
             q.try_dequeue(&mut tx).unwrap();
@@ -260,7 +191,7 @@ mod tests {
     fn dequeue_waiting_requests_mechanism_specific_wait() {
         let system = TmSystem::new(TmConfig::small());
         let q = TmQueue::new(&system);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         assert!(matches!(
             q.dequeue_waiting(Mechanism::Retry, &mut tx),
             Err(TxCtl::Deschedule(tm_core::WaitSpec::ReadSetValues))
@@ -279,7 +210,7 @@ mod tests {
     fn pop_timeout_pops_or_requests_timed_wait() {
         let system = TmSystem::new(TmConfig::small());
         let q = TmQueue::new(&system);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         let t = std::time::Duration::from_millis(20);
         q.enqueue(&mut tx, 5).unwrap();
         assert_eq!(
@@ -301,7 +232,7 @@ mod tests {
     fn pred_queue_nonempty_tracks_len() {
         let system = TmSystem::new(TmConfig::small());
         let q = TmQueue::new(&system);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         assert!(!pred_queue_nonempty(&mut tx, &[q.len_addr().0 as u64]).unwrap());
         q.enqueue(&mut tx, 1).unwrap();
         assert!(pred_queue_nonempty(&mut tx, &[q.len_addr().0 as u64]).unwrap());

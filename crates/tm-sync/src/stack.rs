@@ -76,63 +76,13 @@ impl TmStack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_core::{AbortReason, ThreadCtx, TmConfig, TxCommon, TxCtl, TxMode};
-
-    struct DirectTx {
-        common: TxCommon,
-        system: Arc<TmSystem>,
-        thread: Arc<ThreadCtx>,
-    }
-
-    impl Tx for DirectTx {
-        fn read(&mut self, addr: Addr) -> TxResult<u64> {
-            Ok(self.system.heap.load(addr))
-        }
-        fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
-            self.system.heap.store(addr, val);
-            Ok(())
-        }
-        fn alloc(&mut self, words: usize) -> TxResult<Addr> {
-            Ok(self.system.heap.alloc(words).unwrap())
-        }
-        fn free(&mut self, addr: Addr, words: usize) -> TxResult<()> {
-            self.system.heap.dealloc(addr, words);
-            Ok(())
-        }
-        fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
-            block();
-            Ok(())
-        }
-        fn explicit_abort(&mut self, code: u8) -> TxCtl {
-            TxCtl::Abort(AbortReason::Explicit(code))
-        }
-        fn common(&self) -> &TxCommon {
-            &self.common
-        }
-        fn common_mut(&mut self) -> &mut TxCommon {
-            &mut self.common
-        }
-        fn system(&self) -> &Arc<TmSystem> {
-            &self.system
-        }
-        fn thread(&self) -> &Arc<ThreadCtx> {
-            &self.thread
-        }
-    }
-
-    fn direct_tx(system: &Arc<TmSystem>) -> DirectTx {
-        DirectTx {
-            common: TxCommon::new(TxMode::Serial, 0),
-            thread: system.register_thread(),
-            system: Arc::clone(system),
-        }
-    }
+    use tm_core::{DirectTx, TmConfig};
 
     #[test]
     fn lifo_order() {
         let system = TmSystem::new(TmConfig::small());
         let s = TmStack::new(&system);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         for i in 1..=5 {
             s.push(&mut tx, i).unwrap();
         }
@@ -146,7 +96,7 @@ mod tests {
     fn len_tracks_pushes_and_pops() {
         let system = TmSystem::new(TmConfig::small());
         let s = TmStack::new(&system);
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         assert!(s.is_empty(&mut tx).unwrap());
         s.push(&mut tx, 1).unwrap();
         s.push(&mut tx, 2).unwrap();
@@ -160,7 +110,7 @@ mod tests {
         let system = TmSystem::new(TmConfig::small());
         let s = TmStack::new(&system);
         let baseline = system.heap.allocated_words();
-        let mut tx = direct_tx(&system);
+        let mut tx = DirectTx::new(&system);
         for i in 0..50 {
             s.push(&mut tx, i).unwrap();
             s.try_pop(&mut tx).unwrap();

@@ -12,8 +12,7 @@ use std::str::FromStr;
 use std::sync::Arc;
 
 use htm_sim::HtmSim;
-use stm_eager::EagerStm;
-use stm_lazy::LazyStm;
+use tm_core::software::{EagerStm, LazyStm};
 use tm_core::{ThreadCtx, TmConfig, TmRt, TmRuntime, TmSystem, Tx, TxResult};
 use tm_hybrid::HybridTm;
 

@@ -55,9 +55,9 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`core`] (`tm-core`) | word heap, ownership records, clock, thread registry, shared access-set layer, sharded waiter registry, transaction traits |
-//! | [`eager`] (`stm-eager`) | Appendix A undo-log protocol over the shared software core (paper: "Eager STM") |
-//! | [`lazy`] (`stm-lazy`) | TL2-style redo-log protocol over the shared software core (paper: "Lazy STM") |
+//! | [`core`] (`tm-core`) | word heap, ownership records, clock, thread registry, shared access-set layer, sharded waiter registry, transaction traits, the software TM |
+//! | [`eager`] (`tm_core::software::eager`) | Appendix A undo-log protocol over the shared software core (paper: "Eager STM") |
+//! | [`lazy`] (`tm_core::software::lazy`) | TL2-style redo-log protocol over the shared software core (paper: "Lazy STM") |
 //! | [`htm`] (`htm-sim`) | best-effort HTM runtime over the pluggable `HwTm` hardware plane — simulator backend, fault-injection fuzzer (paper: "HTM") |
 //! | [`hybrid`] (`tm-hybrid`) | hybrid HTM+STM runtime: hardware fast path over the lazy STM (beyond the paper) |
 //! | [`sync`] (`condsync`) | **the contribution**: Deschedule, Retry, Await, WaitPred, plus TMCondVar / Retry-Orig / Restart baselines |
@@ -70,11 +70,11 @@
 /// The shared substrate (`tm-core`): heap, metadata, traits.
 pub use tm_core as core;
 
-/// The eager (undo-log) software TM (`stm-eager`).
-pub use stm_eager as eager;
+/// The eager (undo-log) software TM (`tm_core::software::eager`).
+pub use tm_core::software::eager;
 
-/// The lazy (redo-log) software TM (`stm-lazy`).
-pub use stm_lazy as lazy;
+/// The lazy (redo-log) software TM (`tm_core::software::lazy`).
+pub use tm_core::software::lazy;
 
 /// The best-effort HTM runtime and its simulated hardware plane (`htm-sim`).
 pub use htm_sim as htm;

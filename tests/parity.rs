@@ -379,7 +379,7 @@ fn memory_plane_sweep_keeps_golden_results_identical() {
 }
 
 #[test]
-fn snapshot_mode_sweep_keeps_golden_results_identical() {
+fn snapshot_and_tracked_reads_return_identical_golden_results() {
     // The snapshot read path is a performance lever, not a semantic one: the
     // same scan must return the golden sum through `atomically` (tracked
     // reads, commit-time validation: the reference path) and through

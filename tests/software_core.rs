@@ -4,16 +4,13 @@
 //! both clock planes.
 //!
 //! These are the unit tests that used to be written twice, once in each
-//! runtime crate.  They live here rather than in `tm-core` because a test
-//! there cannot name either protocol (the runtime crates depend on
-//! `tm-core`, not the other way round).  Protocol-specific behaviour (undo
-//! in place, redo buffering, prefix release, the `Await` capture) is tested
-//! next to its protocol.
+//! runtime crate.  Protocol-specific behaviour (undo in place, redo
+//! buffering, prefix release, the `Await` capture) is tested next to its
+//! protocol, in `tm_core::software::{eager, lazy}`.
 
 use std::sync::Arc;
 
-use stm_eager::Eager;
-use stm_lazy::Lazy;
+use tm_core::software::{Eager, Lazy};
 use tm_core::{
     AbortReason, Addr, ClockMode, Descriptor, SoftwareProtocol, SoftwareTx, ThreadCtx, TmConfig,
     TmSystem, Tx, TxCommon, TxCtl, TxKind, TxMode,

@@ -332,3 +332,43 @@ fn disjoint_writer_scans_nothing_htm() {
 fn disjoint_writer_scans_nothing_hybrid() {
     disjoint_writer_scans_nothing(RuntimeKind::Hybrid);
 }
+
+/// The `Retry-Orig` waiting list belongs to the system, not to a runtime
+/// handle: a thread parked through one `EagerStm` over a `TmSystem` must be
+/// woken by a commit made through a second `EagerStm` over the same system.
+/// (`sleep_until_intersection` has no deadline, so the join is bounded here:
+/// a sleeper nobody can see fails the test instead of hanging it.)
+#[test]
+fn retry_orig_sleeper_is_woken_through_a_second_handle() {
+    use tm_repro::eager::EagerStm;
+    use tm_repro::sync::retry_orig;
+
+    let system = TmSystem::new(TmConfig::small());
+    let parks = EagerStm::new(Arc::clone(&system));
+    let commits = EagerStm::new(Arc::clone(&system));
+    let flag = TmVar::<u64>::alloc(&system, 0);
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let (system_w, flag_w) = (Arc::clone(&system), flag.clone());
+    std::thread::spawn(move || {
+        let th = system_w.register_thread();
+        let seen = parks.atomically(&th, |tx| match flag_w.get(tx)? {
+            0 => retry_orig(tx),
+            v => Ok(v),
+        });
+        let _ = done_tx.send(seen);
+    });
+
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while system.orig.is_empty() {
+        assert!(Instant::now() < deadline, "the sleeper never registered");
+        std::thread::yield_now();
+    }
+    let th = system.register_thread();
+    commits.atomically(&th, |tx| flag.set(tx, 9));
+    let seen = done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a commit through the second handle must wake the Retry-Orig sleeper");
+    assert_eq!(seen, 9);
+    assert_eq!(system.orig.len(), 0, "a woken sleeper leaves the list");
+}
