@@ -1,52 +1,84 @@
-//! The hybrid engine: dispatches each attempt to the hardware or software
-//! path and wires the two couplings described in the crate docs.
+//! A hybrid HTM+STM runtime: best-effort (simulated) hardware transactions
+//! as the fast path, the lazy software STM as the fallback, one shared
+//! [`tm_core::TmSystem`].
+//!
+//! The paper evaluates three *fixed* configurations; this module adds the
+//! production-shaped fourth: transactions start in hardware and — when
+//! speculation fails, or when they need software facilities like value
+//! logging and descheduling — degrade to an instrumented lazy-STM attempt
+//! instead of collapsing onto the global serial lock, which is all a pure
+//! best-effort HTM can offer.  The serial gate remains the last rung of the
+//! ladder (irrevocability, starvation escalation):
+//!
+//! ```text
+//!        Hw ──(conflict/capacity budget, escape action)──▶ Sw ──(policy)──▶ Serial
+//!        ▲                                                 ▲
+//!        └───────────── fresh transaction ─────────────────┘
+//! ```
+//!
+//! The two paths stay mutually consistent through two couplings:
+//!
+//! * **software → hardware**: a software commit's write-back runs inside the
+//!   serial gate's hardware commit section and claims/dooms the written
+//!   cache lines in the coherence directory first (the
+//!   [`tm_core::software::CommitInterlock`] installed here), so no
+//!   speculative transaction can observe a partial write-back or survive
+//!   having read overwritten lines;
+//! * **hardware → software**: hardware commits run orec-*coupled*
+//!   ([`HtmSim::new_coupled`]): before writing back they abort on —
+//!   and never stomp — locked ownership records covering their written
+//!   lines, and they publish a fresh global-clock version to those records,
+//!   so software read validation observes hardware writes.  Software
+//!   commits in turn always validate their read set (inside the barrier)
+//!   rather than trusting the nothing-committed clock fast path.
+//!
+//! Condition synchronization comes for free: the engine plugs into the one
+//! driver loop in `tm_core::driver`, the software path supplies value
+//! logging and wait-condition materialisation, and — because the software
+//! path has real lock metadata — the hybrid even supports the `Retry-Orig`
+//! baseline the pure HTM configuration must exclude.
 
 use std::sync::Arc;
 
-use htm_sim::{HtmSim, HtmTx};
-use tm_core::driver::{CommitOutcome, TxEngine};
+use tm_core::access::{IndexSet, WriteEntry};
+use tm_core::driver::TxEngine;
 use tm_core::software::{deschedule_orig, CommitInterlock, LazyTx};
-use tm_core::{
-    Addr, Descriptor, ThreadCtx, ThreadId, TmSystem, Tx, TxCommon, TxCtl, TxMode, TxResult,
-    WaitCondition, WaitSpec,
-};
+use tm_core::{Descriptor, ThreadCtx, ThreadId, TmSystem, TxCommon, TxMode};
+
+use crate::runtime::HtmSim;
+use crate::tx::{HtmTx, LadderTx};
 
 /// The software-commit interlock this runtime installs into its lazy path:
-/// write-backs take the simulator's commit barrier and claim/doom the
+/// write-backs enter the gate's hardware commit section and claim/doom the
 /// written lines first, so software and hardware commits serialise and no
 /// speculative reader survives a software write-back it overlapped.
 #[derive(Debug)]
 struct HwInterlock {
     htm: Arc<HtmSim>,
-    /// Scratch slot list reused across commits (only ever touched while the
-    /// commit barrier is held, so the lock is uncontended; it exists purely
-    /// to keep the software commit path allocation-free).
-    slots: tm_core::lock::Mutex<Vec<usize>>,
 }
 
 impl CommitInterlock for HwInterlock {
     fn commit_section(
         &self,
         writer: ThreadId,
-        write_entries: &[tm_core::access::WriteEntry],
+        write_entries: &[WriteEntry],
+        slots: &mut IndexSet,
         validate: &mut dyn FnMut() -> bool,
         writeback: &mut dyn FnMut(),
     ) -> bool {
         // Mutual exclusion with every hardware commit's doom-check +
         // write-back (and with serial-gate acquisition's drain).
-        let _barrier = self.htm.commit_barrier();
-        // Validate first: it only reads orecs, and the barrier already
+        let _section = self.htm.system().serial.hw_commit_section();
+        // Validate first: it only reads orecs, and the section already
         // excludes hardware commits, so a failed validation aborts this
         // commit without dooming a single speculative transaction.
         if !validate() {
             return false;
         }
         let plane = self.htm.plane();
-        let mut slots = self.slots.lock();
-        slots.clear();
-        slots.extend(write_entries.iter().map(|e| plane.slot_for(e.addr.line())));
-        slots.sort_unstable();
-        slots.dedup();
+        for e in write_entries {
+            slots.insert(plane.slot_for(e.addr.line()));
+        }
         // Claim the written lines: the backend dooms every speculative
         // occupant, and any speculative access arriving during the
         // write-back observes a foreign writer and aborts.  This must
@@ -54,11 +86,11 @@ impl CommitInterlock for HwInterlock {
         // mix of old and new words (a reader registering between the claim
         // sweep and its line's store is still caught: it observes the
         // foreign writer and aborts).
-        for &slot in slots.iter() {
+        for slot in slots.iter() {
             plane.claim_for_writeback(slot, writer);
         }
         writeback();
-        for &slot in slots.iter() {
+        for slot in slots.iter() {
             plane.release_writeback(slot, writer);
         }
         true
@@ -69,10 +101,9 @@ impl CommitInterlock for HwInterlock {
 ///
 /// Attempts begin as (simulated) hardware transactions on an orec-coupled
 /// [`HtmSim`]; software attempts are lazy-STM transactions
-/// ([`tm_core::software::LazyTx`]) with the write-back interlock installed; serial
-/// attempts go through the simulator's serial flavour (which drains the
-/// commit barrier on top of the system gate).  All three share one
-/// [`TmSystem`].
+/// ([`tm_core::software::LazyTx`]) with the write-back interlock installed,
+/// serial attempts the same type begun in [`TxMode::Serial`].  All three
+/// share one [`TmSystem`].
 pub struct HybridTm {
     system: Arc<TmSystem>,
     htm: Arc<HtmSim>,
@@ -91,14 +122,12 @@ impl HybridTm {
     /// Creates a hybrid runtime over `system`.
     pub fn new(system: Arc<TmSystem>) -> Arc<Self> {
         let htm = HtmSim::new_coupled(Arc::clone(&system));
-        let interlock = HwInterlock {
-            htm: Arc::clone(&htm),
-            slots: tm_core::lock::Mutex::new(Vec::new()),
-        };
         Arc::new(HybridTm {
             system,
+            interlock: HwInterlock {
+                htm: Arc::clone(&htm),
+            },
             htm,
-            interlock,
         })
     }
 
@@ -113,95 +142,20 @@ impl HybridTm {
     }
 }
 
-/// One in-flight hybrid attempt: either a speculative/serial attempt on the
-/// simulator or an instrumented lazy-STM attempt.
-//
-// The variants differ in size, but the attempt lives on the driver loop's
-// stack and is rebuilt on every re-execution — boxing the software variant
-// would put a heap allocation on exactly the path the per-thread descriptor
-// keeps allocation-free.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum HybridTx<'a> {
-    /// Hardware (speculative) or serial attempt.
-    Hw(HtmTx<'a>),
-    /// Instrumented software attempt (plain or value-logging).
-    Sw(LazyTx<'a>),
-}
-
-macro_rules! delegate {
-    ($self:ident, $tx:ident => $body:expr) => {
-        match $self {
-            HybridTx::Hw($tx) => $body,
-            HybridTx::Sw($tx) => $body,
-        }
-    };
-}
-
-impl Tx for HybridTx<'_> {
-    fn read(&mut self, addr: Addr) -> TxResult<u64> {
-        delegate!(self, tx => tx.read(addr))
-    }
-
-    fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
-        delegate!(self, tx => tx.write(addr, val))
-    }
-
-    fn read_for_write(&mut self, addr: Addr) -> TxResult<u64> {
-        delegate!(self, tx => tx.read_for_write(addr))
-    }
-
-    fn alloc(&mut self, words: usize) -> TxResult<Addr> {
-        delegate!(self, tx => tx.alloc(words))
-    }
-
-    fn free(&mut self, addr: Addr, words: usize) -> TxResult<()> {
-        delegate!(self, tx => tx.free(addr, words))
-    }
-
-    fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
-        delegate!(self, tx => tx.commit_and_reopen(block))
-    }
-
-    fn explicit_abort(&mut self, code: u8) -> TxCtl {
-        delegate!(self, tx => tx.explicit_abort(code))
-    }
-
-    fn common(&self) -> &TxCommon {
-        delegate!(self, tx => tx.common())
-    }
-
-    fn common_mut(&mut self) -> &mut TxCommon {
-        delegate!(self, tx => tx.common_mut())
-    }
-
-    fn system(&self) -> &Arc<TmSystem> {
-        delegate!(self, tx => tx.system())
-    }
-
-    fn thread(&self) -> &Arc<ThreadCtx> {
-        delegate!(self, tx => tx.thread())
-    }
-}
-
 impl TxEngine for HybridTm {
-    type Tx<'a> = HybridTx<'a>;
+    type Tx<'a> = LadderTx<'a>;
 
     fn begin<'a>(
         &'a self,
         thread: &'a Arc<ThreadCtx>,
         desc: &'a mut Descriptor,
         common: TxCommon,
-    ) -> HybridTx<'a> {
+    ) -> LadderTx<'a> {
         match common.mode {
-            // Hardware runs speculatively; Serial runs the simulator's
-            // serial flavour (system gate + commit-barrier drain).
-            TxMode::Hardware | TxMode::Serial => {
-                HybridTx::Hw(HtmTx::begin(&self.htm, thread, desc, common))
-            }
+            TxMode::Hardware => LadderTx::Hw(HtmTx::begin(&self.htm, thread, desc, common)),
             // The software rungs are real STM attempts with the write-back
-            // interlock installed.
-            TxMode::Software | TxMode::SoftwareRetry => HybridTx::Sw(LazyTx::begin_with(
+            // interlock installed; `Serial` is the same type behind the gate.
+            _ => LadderTx::Sw(LazyTx::begin_with(
                 &self.system,
                 thread,
                 desc,
@@ -211,31 +165,8 @@ impl TxEngine for HybridTm {
         }
     }
 
-    fn try_commit(&self, tx: &mut HybridTx<'_>) -> Result<CommitOutcome, TxCtl> {
-        delegate!(tx, tx => tx.try_commit())
-    }
-
-    fn rollback(&self, tx: &mut HybridTx<'_>) {
-        delegate!(tx, tx => tx.rollback());
-    }
-
-    fn materialise_wait(
-        &self,
-        tx: &mut HybridTx<'_>,
-        spec: WaitSpec,
-    ) -> Result<WaitCondition, TxCtl> {
-        delegate!(tx, tx => tx.rollback_for_deschedule(spec))
-    }
-
     fn initial_mode(&self) -> TxMode {
         TxMode::Hardware
-    }
-
-    fn attempt_is_hardware(&self, tx: &HybridTx<'_>) -> bool {
-        match tx {
-            HybridTx::Hw(tx) => tx.is_hardware(),
-            HybridTx::Sw(_) => false,
-        }
     }
 
     fn supports_orig_retry(&self) -> bool {
@@ -249,8 +180,8 @@ impl TxEngine for HybridTm {
         true
     }
 
-    fn deschedule_orig(&self, thread: &Arc<ThreadCtx>, tx: &mut HybridTx<'_>) {
-        let HybridTx::Sw(lazy) = tx else {
+    fn deschedule_orig(&self, thread: &Arc<ThreadCtx>, tx: &mut LadderTx<'_>) {
+        let LadderTx::Sw(lazy) = tx else {
             unreachable!("Retry-Orig deschedules only run on the software path");
         };
         deschedule_orig(thread, lazy);
@@ -294,7 +225,7 @@ tm_core::engine_runtime!("hybrid", HybridTm);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_core::{Addr, HtmConfig, TmConfig, TmRt, TmVar};
+    use tm_core::{Addr, HtmConfig, TmConfig, TmRt, TmVar, TxCtl};
 
     fn runtime() -> (Arc<TmSystem>, Arc<HybridTm>) {
         let system = TmSystem::new(TmConfig::small());

@@ -6,7 +6,9 @@
 //! backend; this crate supplies the simulator ([`SimPlane`], the default)
 //! and `tm-core` the deterministic fault-injection decorator
 //! ([`tm_core::hwtm::FaultPlane`], installed automatically when
-//! [`tm_core::FaultConfig`] enables it).
+//! [`tm_core::FaultConfig`] enables it).  The hybrid HTM+STM runtime
+//! ([`hybrid`]) lives here too: both hardware engines run the same attempt
+//! type ([`LadderTx`]) and differ only in their mode-ladder hooks.
 //!
 //! Why the default backend is a simulator: issuing real `xbegin`/`xend`
 //! requires inline assembly and TSX-enabled silicon, neither of which this
@@ -39,12 +41,14 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod hybrid;
 pub mod lines;
 pub mod plane;
 pub mod runtime;
 pub mod tx;
 
+pub use hybrid::HybridTm;
 pub use lines::LineTable;
 pub use plane::SimPlane;
 pub use runtime::HtmSim;
-pub use tx::HtmTx;
+pub use tx::{HtmTx, LadderTx};

@@ -1,24 +1,22 @@
-//! The HTM simulator's runtime: a thin [`TxEngine`] over [`HtmTx`], plus the
-//! GCC-style serial fallback lock.
+//! The HTM simulator's runtime: a thin [`TxEngine`] over [`LadderTx`].
 //!
 //! The speculative/serial mode ladder — bounded hardware attempts, the
-//! serial fallback after repeated failures, and the software re-execution
-//! that descheduling hardware transactions require — is expressed through
-//! the engine's mode-policy hooks; the loop that drives it is the shared
+//! serial fallback after repeated failures (GCC-style, behind the system's
+//! [`tm_core::SerialGate`]), and the software re-execution that
+//! descheduling hardware transactions require — is expressed through the
+//! engine's mode-policy hooks; the loop that drives it is the shared
 //! [`tm_core::driver::run`].
 
 use std::sync::Arc;
 
-use tm_core::driver::{CommitOutcome, TxEngine};
+use tm_core::driver::TxEngine;
 use tm_core::hwtm::{FaultPlane, HwTm};
-use tm_core::lock::{Mutex, MutexGuard};
-use tm_core::{
-    Descriptor, ThreadCtx, ThreadId, TmSystem, TxCommon, TxCtl, TxMode, WaitCondition, WaitSpec,
-};
+use tm_core::software::LazyTx;
+use tm_core::{Descriptor, ThreadCtx, TmSystem, TxCommon, TxMode};
 
 use crate::lines::LineTable;
 use crate::plane::SimPlane;
-use crate::tx::HtmTx;
+use crate::tx::{HtmTx, LadderTx};
 
 /// The best-effort hardware TM runtime, generic over its hardware backend.
 ///
@@ -34,21 +32,6 @@ pub struct HtmSim {
     sim: Option<Arc<SimPlane>>,
     /// The hardware backend every speculative access goes through.
     plane: Arc<dyn HwTm>,
-    /// Serialises hardware commits (doom-check + redo write-back + directory
-    /// clear) against each other, against serial-lock acquisition, and —
-    /// through [`HtmSim::commit_barrier`] — against a hybrid runtime's
-    /// software write-backs.
-    ///
-    /// On real hardware a transactional commit is atomic at the coherence
-    /// layer; without this lock the simulator had a window between a
-    /// transaction's final doom check and its write-back in which a
-    /// conflicting commit (or the serial fallback's direct stores) could
-    /// interleave, producing lost updates.
-    ///
-    /// The serial fallback *flag* itself is no longer here: it is the
-    /// system-wide [`tm_core::SerialGate`] on [`TmSystem`], which every
-    /// engine honors.
-    commit_mutex: Mutex<()>,
     /// True when this simulator shares its [`TmSystem`] with a software STM
     /// (the hybrid runtime): hardware commits then publish themselves to the
     /// ownership records of their written lines so software validation can
@@ -59,7 +42,7 @@ pub struct HtmSim {
 impl std::fmt::Debug for HtmSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HtmSim")
-            .field("fallback_held", &self.fallback_held())
+            .field("serial_held", &self.system.serial.held())
             .finish_non_exhaustive()
     }
 }
@@ -96,7 +79,6 @@ impl HtmSim {
             system,
             sim: Some(sim),
             plane,
-            commit_mutex: Mutex::new(()),
             orec_coupled,
         })
     }
@@ -113,7 +95,6 @@ impl HtmSim {
             system,
             sim: None,
             plane,
-            commit_mutex: Mutex::new(()),
             orec_coupled,
         })
     }
@@ -146,91 +127,27 @@ impl HtmSim {
     pub fn orec_coupled(&self) -> bool {
         self.orec_coupled
     }
-
-    /// True while some transaction holds the serial fallback lock (the
-    /// system-wide [`tm_core::SerialGate`]).
-    #[inline]
-    pub fn fallback_held(&self) -> bool {
-        self.system.serial.held()
-    }
-
-    /// Spins until the fallback lock is free (hardware transactions subscribe
-    /// to the lock before starting, as in lock elision).
-    pub fn wait_fallback_clear(&self) {
-        self.system.serial.wait_clear();
-    }
-
-    /// Acquires the system's serial gate — which dooms every in-flight
-    /// hardware transaction and quiesces in-flight software transactions —
-    /// and then drains the hardware commit barrier.
-    pub fn acquire_serial(&self, thread: &Arc<ThreadCtx>) {
-        self.system.serial.acquire(&self.system, thread);
-        // Wait out any hardware commit that passed its doom check before the
-        // gate's dooms landed: once the commit mutex has been acquired and
-        // released, every in-flight write-back has finished and every later
-        // hardware commit will observe its doom flag and abort.  Without
-        // this barrier the serial section's direct stores could interleave
-        // with a lagging speculative write-back.
-        drop(self.commit_mutex.lock());
-    }
-
-    /// Takes the hardware-commit lock: every hardware commit's
-    /// doom-check + write-back runs under it, so holding it excludes them.
-    /// Public because a hybrid runtime's software write-back must take the
-    /// same barrier (see `tm_core::software::CommitInterlock`).
-    pub fn commit_barrier(&self) -> MutexGuard<'_, ()> {
-        self.commit_mutex.lock()
-    }
-
-    /// Releases the serial lock (the system gate).
-    pub fn release_serial(&self) {
-        self.system.serial.release(&self.system.clock);
-    }
-
-    /// Delivers a conflict abort to another thread's in-flight hardware
-    /// transaction.
-    pub fn doom_thread(&self, tid: ThreadId) {
-        if let Some(t) = self.system.threads.get(tid) {
-            t.doom();
-        }
-    }
 }
 
 impl TxEngine for HtmSim {
-    type Tx<'a> = HtmTx<'a>;
+    type Tx<'a> = LadderTx<'a>;
 
     fn begin<'a>(
         &'a self,
         thread: &'a Arc<ThreadCtx>,
         desc: &'a mut Descriptor,
         common: TxCommon,
-    ) -> HtmTx<'a> {
-        HtmTx::begin(self, thread, desc, common)
-    }
-
-    fn try_commit(&self, tx: &mut HtmTx<'_>) -> Result<CommitOutcome, TxCtl> {
-        // A hardware commit maps its written cache lines to stripes (a
-        // superset of the written words' stripes) and leaves them in the
-        // descriptor, so the wake scan can be targeted even though orecs
-        // were never touched; serial-fallback commits write directly with no
-        // metadata at all and report `serial`, which wakes every shard.
-        tx.try_commit()
-    }
-
-    fn rollback(&self, tx: &mut HtmTx<'_>) {
-        tx.rollback();
-    }
-
-    fn materialise_wait(&self, tx: &mut HtmTx<'_>, spec: WaitSpec) -> Result<WaitCondition, TxCtl> {
-        tx.rollback_for_deschedule(spec)
+    ) -> LadderTx<'a> {
+        match common.mode {
+            TxMode::Hardware => LadderTx::Hw(HtmTx::begin(self, thread, desc, common)),
+            // No instrumented rung exists here: every software mode runs
+            // behind the serial gate, value-logging under `SoftwareRetry`.
+            _ => LadderTx::Sw(LazyTx::begin_serial(&self.system, thread, desc, common)),
+        }
     }
 
     fn initial_mode(&self) -> TxMode {
         TxMode::Hardware
-    }
-
-    fn attempt_is_hardware(&self, tx: &HtmTx<'_>) -> bool {
-        tx.is_hardware()
     }
 
     fn mode_after_wake(&self) -> TxMode {
@@ -255,7 +172,9 @@ tm_core::engine_runtime!("htm", HtmSim);
 mod tests {
     use super::*;
     use tm_core::hwtm::HwAbort;
-    use tm_core::{AbortReason, Addr, HtmConfig, LineId, TmConfig, TmRt, TmVar, Tx, TxResult};
+    use tm_core::{
+        AbortReason, Addr, HtmConfig, LineId, ThreadId, TmConfig, TmRt, TmVar, Tx, TxCtl, TxResult,
+    };
 
     fn runtime() -> (Arc<TmSystem>, Arc<HtmSim>) {
         let system = TmSystem::new(TmConfig::small());
@@ -304,7 +223,7 @@ mod tests {
         assert!(stats.hw_aborts >= 2, "should abort speculatively first");
         assert_eq!(stats.sw_commits, 1, "must finish in serial mode");
         assert!(stats.serial_acquires >= 1);
-        assert!(!rt.fallback_held(), "serial lock must be released");
+        assert!(!system.serial.held(), "serial lock must be released");
     }
 
     #[test]
@@ -332,7 +251,7 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(counter.load_direct(&system), threads * per_thread);
-        assert!(!rt.fallback_held());
+        assert!(!system.serial.held());
     }
 
     #[test]
@@ -356,7 +275,7 @@ mod tests {
         let th = system.register_thread();
         rt.atomically(&th, |tx| flag.set(tx, 3));
         assert_eq!(waiter.join().unwrap(), 3);
-        assert!(!rt.fallback_held());
+        assert!(!system.serial.held());
     }
 
     #[test]
@@ -481,16 +400,5 @@ mod tests {
             ),
             "a zombie read must abort, not return the post-commit word"
         );
-    }
-
-    #[test]
-    fn serial_lock_round_trip() {
-        let (system, rt) = runtime();
-        let th = system.register_thread();
-        assert!(!rt.fallback_held());
-        rt.acquire_serial(&th);
-        assert!(rt.fallback_held());
-        rt.release_serial();
-        assert!(!rt.fallback_held());
     }
 }

@@ -1,23 +1,24 @@
-//! The per-attempt transaction descriptor for the HTM simulator.
+//! The attempt types of the two hardware engines.
 //!
-//! A transaction attempt is either **hardware** (speculative: redo-buffered
-//! writes, line-granularity conflict detection, capacity limits, no escape
-//! actions) or **serial** (runs while holding the global fallback lock:
-//! direct writes with an undo log so that condition synchronization can still
-//! roll it back).  The serial flavour doubles as the "software mode with
-//! escape actions" that descheduling hardware transactions must fall back to
-//! (§2.2.2), and as GCC-style serial-irrevocable execution after repeated
-//! aborts.
+//! [`HtmTx`] is a **hardware** attempt: speculative, redo-buffered writes,
+//! line-granularity conflict detection, capacity limits, no escape actions.
+//! Everything a hardware attempt cannot do — value logging, descheduling,
+//! irrevocability, finishing after repeated aborts — runs on a software
+//! rung, which is a [`tm_core::software::LazyTx`]: instrumented on the
+//! hybrid, behind the serial gate (`tm_core::serial::SerialAttempt`, the
+//! "software mode with escape actions" of §2.2.2 and GCC-style
+//! serial-irrevocable execution) on both.  [`LadderTx`] is the one attempt
+//! type of both engines: whichever rung the attempt is on.
 
 use std::sync::Arc;
 
 use tm_core::access::{Descriptor, WriteLog};
-use tm_core::driver::CommitOutcome;
+use tm_core::driver::{Attempt, CommitOutcome};
 use tm_core::hwtm::{HwAbort, HwTm};
-use tm_core::lock::MutexGuard;
+use tm_core::software::LazyTx;
 use tm_core::stats::TxStats;
 use tm_core::{
-    AbortReason, Addr, OrecValue, ThreadCtx, TmSystem, Tx, TxCommon, TxCtl, TxMode, TxResult,
+    AbortReason, Addr, OrecValue, ThreadCtx, TmSystem, Tx, TxCommon, TxCtl, TxResult,
     WaitCondition, WaitSpec,
 };
 
@@ -50,34 +51,27 @@ fn written_cover(plane: &dyn HwTm, redo: &WriteLog, cover: &mut Vec<usize>) {
     cover.dedup();
 }
 
-/// An in-flight attempt on the HTM simulator.
+/// An in-flight speculative attempt on the HTM simulator.
 ///
 /// It owns no log: the borrowed thread [`Descriptor`] holds them
 /// (`tm_core::access`, so slot membership and read-after-write lookups are
-/// O(1) and a re-executed attempt starts on grown capacity).  A hardware
-/// attempt uses `read_slots` / `write_slots` (directory slots registered as
-/// read / written) and `writes` as its redo buffer (one entry per address,
-/// last value wins); a serial attempt uses `writes` as its undo log (old
-/// values, first write wins).
+/// O(1) and a re-executed attempt starts on grown capacity): `read_slots` /
+/// `write_slots` (directory slots registered as read / written) and `writes`
+/// as its redo buffer (one entry per address, last value wins).
 #[derive(Debug)]
 pub struct HtmTx<'a> {
     rt: &'a HtmSim,
     thread: &'a Arc<ThreadCtx>,
     d: &'a mut Descriptor,
     common: TxCommon,
-    /// True for a speculative attempt, false for a serial one.
-    hardware: bool,
     /// True from begin until the attempt commits or rolls back (and again
-    /// once `commit_and_reopen` begins its continuation); a live serial
-    /// attempt holds the global serial lock.
+    /// once `commit_and_reopen` begins its continuation).
     live: bool,
 }
 
 impl<'a> HtmTx<'a> {
-    /// Begins a new attempt of `thread` on the empty logs of `d`.  Hardware
-    /// attempts wait for the fallback lock to be free before starting
-    /// (lock-elision subscription); serial attempts acquire the lock and
-    /// doom all in-flight hardware transactions.
+    /// Begins a new speculative attempt of `thread` on the empty logs of
+    /// `d`, once the serial gate is free (lock-elision subscription).
     pub fn begin(
         rt: &'a HtmSim,
         thread: &'a Arc<ThreadCtx>,
@@ -89,47 +83,22 @@ impl<'a> HtmTx<'a> {
             thread,
             d,
             common,
-            hardware: common.mode == TxMode::Hardware,
             live: false,
         };
         tx.enter();
         tx
     }
 
-    /// Starts (or, after `commit_and_reopen`, restarts) the attempt in its
-    /// flavour.
+    /// Starts (or, after `commit_and_reopen`, restarts) the attempt.
     fn enter(&mut self) {
-        if self.hardware {
-            self.rt.wait_fallback_clear();
-            // A stale doom flag from a previous attempt must not kill this one.
-            self.thread.take_doomed();
-            self.rt.plane().begin_attempt(self.thread.id);
-        } else {
-            self.rt.acquire_serial(self.thread);
-        }
+        self.rt.system().serial.wait_clear();
+        // A stale doom flag from a previous attempt must not kill this one.
+        self.thread.take_doomed();
+        self.rt.plane().begin_attempt(self.thread.id);
         self.live = true;
     }
 
-    /// True if this attempt is speculative (hardware).
-    pub fn is_hardware(&self) -> bool {
-        self.hardware
-    }
-
-    fn retry_log(&mut self, addr: Addr, observed: u64) {
-        if self.common.mode != TxMode::SoftwareRetry {
-            return;
-        }
-        // Substitute the pre-transaction value for locations this (serial)
-        // attempt has already written, as Algorithm 5 does with the undo log.
-        let logged = if self.hardware {
-            observed
-        } else {
-            self.d.writes.lookup(addr).unwrap_or(observed)
-        };
-        self.d.waitset.record_first(addr, logged, || 0);
-    }
-
-    /// Clears this attempt's directory registrations (hardware attempts).
+    /// Clears this attempt's directory registrations.
     fn clear_slots(&self) {
         let (plane, me) = (self.rt.plane(), self.thread.id);
         for slot in self.d.write_slots.iter() {
@@ -140,22 +109,14 @@ impl<'a> HtmTx<'a> {
         }
     }
 
-    /// Rolls the attempt back.  Safe to call more than once.  Serial attempts
-    /// release the fallback lock.
+    /// Rolls the attempt back.  Safe to call more than once.
     pub fn rollback(&mut self) {
         if !self.live {
             return;
         }
         self.live = false;
-        if self.hardware {
-            self.clear_slots();
-            self.thread.take_doomed();
-        } else {
-            for e in self.d.writes.iter().rev() {
-                self.rt.system().heap.store(e.addr, e.val);
-            }
-            self.rt.release_serial();
-        }
+        self.clear_slots();
+        self.thread.take_doomed();
         for &(addr, words) in &self.d.mallocs {
             self.rt.system().heap.dealloc_for(self.thread, addr, words);
         }
@@ -166,43 +127,30 @@ impl<'a> HtmTx<'a> {
     /// [`HtmTx::rollback`].
     pub fn try_commit(&mut self) -> Result<CommitOutcome, TxCtl> {
         let was_writer = !self.d.writes.is_empty();
-        // A hardware commit finishes under the commit barrier; a serial one
-        // under the serial lock.
-        let barrier = if self.hardware {
-            Some(self.commit_hardware(was_writer)?)
-        } else {
-            None
-        };
+        self.commit_hardware(was_writer)?;
         for &(addr, words) in &self.d.frees {
             self.rt.system().heap.dealloc_for(self.thread, addr, words);
         }
         self.d.reset(&self.thread.stats);
         self.live = false;
-        Ok(if self.hardware {
-            drop(barrier);
-            CommitOutcome::hardware(was_writer)
-        } else {
-            self.rt.release_serial();
-            CommitOutcome::serial(was_writer)
-        })
+        Ok(CommitOutcome::hardware(was_writer))
     }
 
     /// The hardware commit window: doom check, orec coupling, write-back,
-    /// directory clear, and the stripe cover for the wake path.  Returns the
-    /// commit barrier it took.
-    fn commit_hardware(&mut self, was_writer: bool) -> Result<MutexGuard<'a, ()>, TxCtl> {
+    /// directory clear, and the stripe cover for the wake path, all inside
+    /// the gate's hardware commit section.
+    fn commit_hardware(&mut self, was_writer: bool) -> Result<(), TxCtl> {
         let rt = self.rt;
         let system: &TmSystem = rt.system();
         // The doom check and the write-back must be one atomic step
-        // with respect to other commits and to serial-lock
+        // with respect to other commits and to serial-gate
         // acquisition (on real hardware the coherence protocol
         // guarantees this); otherwise two mutually conflicting
         // transactions can both pass their doom checks and interleave
         // write-backs, losing updates.  A hybrid runtime's software
-        // write-backs take the same barrier (`commit_barrier`).
-        let commit_guard = rt.commit_barrier();
+        // write-backs enter the same section.
+        let _section = system.serial.hw_commit_section();
         if self.thread.is_doomed() {
-            drop(commit_guard);
             return Err(TxCtl::Abort(AbortReason::HwConflict));
         }
         // The backend's commit-window check: past the doom check,
@@ -211,7 +159,6 @@ impl<'a> HtmTx<'a> {
         let plane = rt.plane().as_ref();
         let me = self.thread.id;
         if let Err(f) = plane.commit_check(me) {
-            drop(commit_guard);
             return Err(hw_fault(self.thread, f));
         }
         let Descriptor {
@@ -285,51 +232,13 @@ impl<'a> HtmTx<'a> {
             cover.clear();
         }
         self.clear_slots();
-        Ok(commit_guard)
-    }
-
-    /// Rolls back and materialises the wait condition for a deschedule
-    /// request.  Only meaningful for serial attempts (hardware attempts are
-    /// switched to the serial mode by the driver before descheduling).
-    pub fn rollback_for_deschedule(&mut self, spec: WaitSpec) -> Result<WaitCondition, TxCtl> {
-        match spec {
-            WaitSpec::ReadSetValues | WaitSpec::OrigReadLocks => {
-                let pairs = self.d.waitset.drain_pairs();
-                self.rollback();
-                Ok(WaitCondition::ValuesChanged(pairs))
-            }
-            WaitSpec::Addrs(addrs) => {
-                // Record the write-set high-water mark now: the undo log is
-                // drained below, before `rollback` can observe its size.
-                TxStats::record_max(&self.thread.stats.write_set_max, self.d.writes.len() as u64);
-                // Undo our writes first so the captured snapshot reflects the
-                // pre-transaction state; as the serial-lock holder we are the
-                // only transaction running, so plain loads are consistent.
-                if !self.hardware {
-                    for e in self.d.writes.iter().rev() {
-                        self.rt.system().heap.store(e.addr, e.val);
-                    }
-                    self.d.writes.clear();
-                }
-                let pairs = addrs
-                    .iter()
-                    .map(|&a| (a, self.rt.system().heap.load(a)))
-                    .collect();
-                self.rollback();
-                Ok(WaitCondition::ValuesChanged(pairs))
-            }
-            WaitSpec::Pred { f, args } => {
-                self.rollback();
-                Ok(WaitCondition::Pred { f, args })
-            }
-        }
+        Ok(())
     }
 }
 
 impl Drop for HtmTx<'_> {
     fn drop(&mut self) {
-        // Defensive: never leak the serial lock or stale line registrations
-        // if a body panics.
+        // Defensive: never leak stale line registrations if a body panics.
         self.rollback();
     }
 }
@@ -341,12 +250,7 @@ impl Tx for HtmTx<'_> {
             // into an abort instead of a panic.
             return Err(TxCtl::Abort(AbortReason::HwConflict));
         }
-        if !self.hardware {
-            let val = self.rt.system().heap.load(addr);
-            self.retry_log(addr, val);
-            return Ok(val);
-        }
-        if self.rt.fallback_held() {
+        if self.rt.system().serial.held() {
             return Err(TxCtl::Abort(AbortReason::HwFallbackLock));
         }
         // Read-your-writes from the buffered store, O(1) by hash index.
@@ -382,17 +286,10 @@ impl Tx for HtmTx<'_> {
         if addr.index() >= self.rt.system().heap.len() {
             return Err(TxCtl::Abort(AbortReason::HwConflict));
         }
-        if !self.hardware {
-            let old = self.rt.system().heap.load(addr);
-            // First write per address keeps the pre-transaction value.
-            self.d.writes.record_first(addr, old, || 0);
-            self.rt.system().heap.store(addr, val);
-            return Ok(());
-        }
         if self.thread.is_doomed() {
             return Err(TxCtl::Abort(AbortReason::HwConflict));
         }
-        if self.rt.fallback_held() {
+        if self.rt.system().serial.held() {
             return Err(TxCtl::Abort(AbortReason::HwFallbackLock));
         }
         let plane = self.rt.plane();
@@ -433,18 +330,10 @@ impl Tx for HtmTx<'_> {
     }
 
     fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
-        let info = self.try_commit()?;
-        let stats = &self.thread.stats;
-        if info.hardware {
-            TxStats::bump(&stats.hw_commits);
-        } else {
-            TxStats::bump(&stats.sw_commits);
-        }
-        if info.serial {
-            TxStats::bump(&stats.serial_commits);
-        }
+        self.try_commit()?;
+        TxStats::bump(&self.thread.stats.hw_commits);
         block();
-        // Begin the continuation transaction in the same flavour, on the
+        // Begin the continuation transaction, speculative again, on the
         // committed attempt's (emptied) logs.
         self.enter();
         Ok(())
@@ -468,5 +357,100 @@ impl Tx for HtmTx<'_> {
 
     fn thread(&self) -> &Arc<ThreadCtx> {
         self.thread
+    }
+}
+
+/// One in-flight attempt of a hardware engine ([`HtmSim`],
+/// [`crate::hybrid::HybridTm`]): speculative, or on a software rung.
+//
+// The variants differ in size, but the attempt lives on the driver loop's
+// stack and is rebuilt on every re-execution — boxing the software variant
+// would put a heap allocation on exactly the path the per-thread descriptor
+// keeps allocation-free.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub enum LadderTx<'a> {
+    /// Hardware (speculative) attempt.
+    Hw(HtmTx<'a>),
+    /// Software attempt: instrumented (plain or value-logging) or serial.
+    Sw(LazyTx<'a>),
+}
+
+macro_rules! delegate {
+    ($self:ident, $tx:ident => $body:expr) => {
+        match $self {
+            LadderTx::Hw($tx) => $body,
+            LadderTx::Sw($tx) => $body,
+        }
+    };
+}
+
+impl Attempt for LadderTx<'_> {
+    // A hardware commit maps its written cache lines to stripes (a superset
+    // of the written words' stripes) and leaves them in the descriptor, so
+    // the wake scan can be targeted even though orecs were never touched; a
+    // serial commit has no metadata at all and reports `serial`, which wakes
+    // every shard.
+    fn try_commit(&mut self) -> Result<CommitOutcome, TxCtl> {
+        delegate!(self, tx => tx.try_commit())
+    }
+
+    fn rollback(&mut self) {
+        delegate!(self, tx => tx.rollback())
+    }
+
+    /// Only a software attempt can serve a deschedule request: the driver
+    /// re-executes a descheduling hardware attempt in software first.
+    fn rollback_for_deschedule(&mut self, spec: WaitSpec) -> Result<WaitCondition, TxCtl> {
+        match self {
+            LadderTx::Hw(_) => unreachable!("hardware attempts have no escape actions"),
+            LadderTx::Sw(tx) => tx.rollback_for_deschedule(spec),
+        }
+    }
+}
+
+impl Tx for LadderTx<'_> {
+    fn read(&mut self, addr: Addr) -> TxResult<u64> {
+        delegate!(self, tx => tx.read(addr))
+    }
+
+    fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
+        delegate!(self, tx => tx.write(addr, val))
+    }
+
+    fn read_for_write(&mut self, addr: Addr) -> TxResult<u64> {
+        delegate!(self, tx => tx.read_for_write(addr))
+    }
+
+    fn alloc(&mut self, words: usize) -> TxResult<Addr> {
+        delegate!(self, tx => tx.alloc(words))
+    }
+
+    fn free(&mut self, addr: Addr, words: usize) -> TxResult<()> {
+        delegate!(self, tx => tx.free(addr, words))
+    }
+
+    fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
+        delegate!(self, tx => tx.commit_and_reopen(block))
+    }
+
+    fn explicit_abort(&mut self, code: u8) -> TxCtl {
+        delegate!(self, tx => tx.explicit_abort(code))
+    }
+
+    fn common(&self) -> &TxCommon {
+        delegate!(self, tx => tx.common())
+    }
+
+    fn common_mut(&mut self) -> &mut TxCommon {
+        delegate!(self, tx => tx.common_mut())
+    }
+
+    fn system(&self) -> &Arc<TmSystem> {
+        delegate!(self, tx => tx.system())
+    }
+
+    fn thread(&self) -> &Arc<ThreadCtx> {
+        delegate!(self, tx => tx.thread())
     }
 }

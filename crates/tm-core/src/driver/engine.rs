@@ -1,12 +1,12 @@
 //! The [`TxEngine`] trait: the narrow interface a transaction runtime must
 //! implement to plug into the shared driver loop ([`super::run`]).
 //!
-//! A runtime supplies begin/commit/rollback plus the one
-//! condition-synchronization hook that genuinely differs between designs —
-//! how a wait condition is materialised during rollback — and inherits the
-//! whole retry/abort/deschedule state machine.  The hooks with defaults
-//! encode the software-STM behaviour; the HTM simulator overrides them to
-//! express its speculative/serial mode ladder.
+//! A runtime supplies `begin`; its attempt type ([`Attempt`]) supplies
+//! commit/rollback plus the one condition-synchronization hook that genuinely
+//! differs between designs — how a wait condition is materialised during
+//! rollback — and the runtime inherits the whole retry/abort/deschedule state
+//! machine.  The hooks with defaults encode the software-STM behaviour; the
+//! HTM simulator overrides them to express its speculative/serial mode ladder.
 
 use std::sync::Arc;
 
@@ -75,18 +75,38 @@ impl CommitOutcome {
     }
 }
 
+/// What the driver loop asks of an in-flight attempt once the body is done
+/// with its [`Tx`] accesses: the per-design commit/rollback/materialise
+/// primitives.
+pub trait Attempt: Tx {
+    /// Attempts to commit.  On `Err` the driver rolls the attempt back and
+    /// dispatches on the control request.  A non-serial writer commit leaves
+    /// the stripe cover of its write set in [`Descriptor::cover`]; the cover
+    /// must never under-report, or the targeted wake scan loses wakeups.
+    fn try_commit(&mut self) -> Result<CommitOutcome, TxCtl>;
+
+    /// Rolls the attempt back completely.  Safe to call more than once.
+    fn rollback(&mut self);
+
+    /// Rolls the attempt back *and* captures the condition the thread wants
+    /// to sleep on, consistently with the aborted attempt's view of memory.
+    ///
+    /// `Err` means the condition could not be captured consistently; the
+    /// attempt is already rolled back and the driver simply re-executes.
+    fn rollback_for_deschedule(&mut self, spec: WaitSpec) -> Result<WaitCondition, TxCtl>;
+}
+
 /// The engine interface between a transaction runtime and the shared driver
 /// loop.
 ///
-/// Implementations are thin: they construct attempts and expose the
-/// per-design commit/rollback/materialise primitives.  Everything that used
+/// Implementations are thin: they construct attempts.  Everything that used
 /// to be copied between the three runtime crates — re-execution, abort-reason
 /// dispatch, `Retry` value-log restarts, the deschedule hand-off and
 /// post-commit `wakeWaiters` — lives in [`super::run`] instead.
 pub trait TxEngine: TmRuntime + Sized {
     /// One attempt.  It owns nothing: the engine, the thread and the
     /// thread's [`Descriptor`] are all borrowed for `'a`.
-    type Tx<'a>: Tx
+    type Tx<'a>: Attempt
     where
         Self: 'a;
 
@@ -99,35 +119,9 @@ pub trait TxEngine: TmRuntime + Sized {
         common: TxCommon,
     ) -> Self::Tx<'a>;
 
-    /// Attempts to commit.  On `Err` the driver rolls the attempt back and
-    /// dispatches on the control request.  A non-serial writer commit leaves
-    /// the stripe cover of its write set in [`Descriptor::cover`]; the cover
-    /// must never under-report, or the targeted wake scan loses wakeups.
-    fn try_commit(&self, tx: &mut Self::Tx<'_>) -> Result<CommitOutcome, TxCtl>;
-
-    /// Rolls the attempt back completely.
-    fn rollback(&self, tx: &mut Self::Tx<'_>);
-
-    /// Rolls the attempt back *and* captures the condition the thread wants
-    /// to sleep on, consistently with the aborted attempt's view of memory.
-    ///
-    /// `Err` means the condition could not be captured consistently; the
-    /// attempt is already rolled back and the driver simply re-executes.
-    fn materialise_wait(
-        &self,
-        tx: &mut Self::Tx<'_>,
-        spec: WaitSpec,
-    ) -> Result<WaitCondition, TxCtl>;
-
     /// The execution mode of the first attempt.
     fn initial_mode(&self) -> TxMode {
         TxMode::Software
-    }
-
-    /// True while `tx` is a speculative (hardware) attempt.
-    fn attempt_is_hardware(&self, tx: &Self::Tx<'_>) -> bool {
-        let _ = tx;
-        false
     }
 
     /// Whether this engine supports the lock-metadata `Retry-Orig` baseline

@@ -15,10 +15,11 @@
 //!
 //! This module owns that orchestration:
 //!
-//! * [`TxEngine`] — the narrow per-runtime interface (begin / commit /
-//!   rollback / materialise_wait plus a few mode-policy hooks; a writer
-//!   commit leaves its stripe cover in the descriptor, which tells the wake
-//!   path which waiter-registry shards to scan),
+//! * [`TxEngine`] — the narrow per-runtime interface (begin plus a few
+//!   mode-policy hooks) and [`Attempt`], what its attempt type supplies
+//!   (commit / rollback / rollback_for_deschedule; a writer commit leaves
+//!   its stripe cover in the descriptor, which tells the wake path which
+//!   waiter-registry shards to scan),
 //! * [`run`] — the single generic driver loop,
 //! * [`deschedule`] / [`deschedule_until`] / [`wake_waiters_matching`] — the
 //!   paper's parking and waking protocol (unbounded and deadline-bounded),
@@ -42,7 +43,7 @@ mod engine;
 mod run;
 mod wake;
 
-pub use engine::{CommitOutcome, TxEngine};
+pub use engine::{Attempt, CommitOutcome, TxEngine};
 pub use run::{run, run_kind};
 pub use wake::{
     deschedule, deschedule_until, poll_timers, wake_waiters_matching, DescheduleOutcome,

@@ -33,7 +33,7 @@ use crate::thread::ThreadCtx;
 use crate::tx::{Tx, TxCommon, TxKind, TxMode};
 use crate::waitlist::{WakeReason, WakeSet};
 
-use super::engine::TxEngine;
+use super::engine::{Attempt, TxEngine};
 use super::wake;
 
 /// Moves the transaction to `next` mode, counting the change (the
@@ -116,7 +116,7 @@ where
         common.wake_reason = pending_wake;
         let mut tx = engine.begin(thread, logs, common);
         let ctl = match body(&mut tx) {
-            Ok(value) => match engine.try_commit(&mut tx) {
+            Ok(value) => match tx.try_commit() {
                 Ok(outcome) => {
                     // Release attempt-held resources (e.g. the HTM serial
                     // lock's bookkeeping) before running wake-up transactions.
@@ -196,10 +196,12 @@ where
         };
 
         attempts += 1;
-        let hardware_attempt = engine.attempt_is_hardware(&tx);
+        // Speculative attempts are exactly the `Hardware`-mode ones: every
+        // other mode runs on a software rung.
+        let hardware_attempt = !mode.is_software();
         match ctl {
             TxCtl::Abort(reason) => {
-                engine.rollback(&mut tx);
+                tx.rollback();
                 drop(tx);
                 if hardware_attempt {
                     TxStats::bump(&thread.stats.hw_aborts);
@@ -257,7 +259,7 @@ where
                 // (§2.2.3).  Which software mode exists is the engine's
                 // call: the pure HTM simulator only has the serial
                 // fallback, the hybrid runtime has a real STM path.
-                engine.rollback(&mut tx);
+                tx.rollback();
                 drop(tx);
                 TxStats::bump(&thread.stats.hw_aborts);
                 let next = match spec {
@@ -274,7 +276,7 @@ where
                 // value-logging mode (Algorithm 5, lines 2–5).  This also
                 // covers the first attempt after waking up, and serial
                 // attempts (whose direct reads are never value-logged).
-                engine.rollback(&mut tx);
+                tx.rollback();
                 drop(tx);
                 TxStats::bump(&thread.stats.retry_relogs);
                 switch_mode(&mut mode, TxMode::SoftwareRetry, thread);
@@ -301,7 +303,7 @@ where
                 // which hold no read locks to publish — approximate
                 // Retry-Orig with the value-based mechanism: relog, then
                 // deschedule below.
-                engine.rollback(&mut tx);
+                tx.rollback();
                 drop(tx);
                 TxStats::bump(&thread.stats.retry_relogs);
                 switch_mode(&mut mode, TxMode::SoftwareRetry, thread);
@@ -311,7 +313,7 @@ where
                 // by the timed construct (`retry_for` & friends); read it
                 // before the attempt is dropped.
                 let deadline = tx.common().wait_deadline;
-                match engine.materialise_wait(&mut tx, spec) {
+                match tx.rollback_for_deschedule(spec) {
                     Ok(cond) => {
                         drop(tx);
                         // The double-check is a transaction of its own.
@@ -338,7 +340,7 @@ where
                 backoff.reset();
             }
             TxCtl::SwitchToSoftware => {
-                engine.rollback(&mut tx);
+                tx.rollback();
                 drop(tx);
                 let next = engine.mode_for_software_switch(mode);
                 switch_mode(&mut mode, next, thread);
@@ -347,7 +349,7 @@ where
                 // Irrevocability on request: every engine honors the
                 // system-wide serial gate, so this works identically on the
                 // STMs, the HTM simulator and the hybrid runtime.
-                engine.rollback(&mut tx);
+                tx.rollback();
                 drop(tx);
                 switch_mode(&mut mode, TxMode::Serial, thread);
             }

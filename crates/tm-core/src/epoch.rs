@@ -6,7 +6,7 @@
 //! * the **published start time** of the thread's in-flight software
 //!   transaction (or [`NOT_IN_TX`]) — what privatization quiescence
 //!   ([`crate::system::TmSystem::quiesce`]) and the serial gate's Dekker
-//!   handshake ([`crate::serial::SerialGate::acquire`]) wait on, and
+//!   handshake ([`crate::serial::SerialAttempt::begin`]) wait on, and
 //! * the **commit epoch**: the timestamp of the thread's last writer commit,
 //!   published *after* the commit is fully visible (write-back done, locks
 //!   released).  In the lazy clock mode ([`crate::clock::ClockMode::LazyGv5`])

@@ -10,7 +10,7 @@
 //! * the **HTM runtime** (`htm_sim::HtmSim`) drives its speculative attempts
 //!   through a plane — by default the simulator's line-table backend, but any
 //!   [`HwTm`] can be installed ([`htm_sim::HtmSim::with_plane`]);
-//! * the **hybrid runtime** (`tm_hybrid::HybridTm`) routes its software
+//! * the **hybrid runtime** (`htm_sim::HybridTm`) routes its software
 //!   write-back interlock through the same plane, so software commits doom
 //!   overlapping speculative transactions whatever the backend is;
 //! * the [`FaultPlane`] is a decorator backend: it delegates to an inner
@@ -22,7 +22,6 @@
 //!
 //! [`htm_sim::HtmSim`]: ../../htm_sim/struct.HtmSim.html
 //! [`htm_sim::HtmSim::with_plane`]: ../../htm_sim/struct.HtmSim.html#method.with_plane
-//! [`tm_hybrid::HybridTm`]: ../../tm_hybrid/struct.HybridTm.html
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

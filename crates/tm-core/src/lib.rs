@@ -2,8 +2,9 @@
 //! reproduction.
 //!
 //! This crate contains the software TM ([`software`]: the eager and the lazy
-//! STM) and everything it, the other runtimes ([`htm-sim`], [`tm-hybrid`])
-//! and the condition-synchronization layer ([`condsync`]) have in common:
+//! STM) and everything it, the hardware runtimes ([`htm-sim`]: the HTM and
+//! the hybrid) and the condition-synchronization layer ([`condsync`]) have
+//! in common:
 //!
 //! * the unified transaction driver ([`driver`]): the single loop that runs
 //!   every runtime's transactions ([`driver::run`]) against the narrow
@@ -23,8 +24,9 @@
 //! * the shared access-set layer ([`access`]): hash-indexed read sets,
 //!   write logs and index sets, bundled into the per-thread attempt
 //!   [`access::Descriptor`] that backs every runtime's transaction logs,
-//! * the mode-control plane: the system-wide serial/irrevocable gate and
-//!   shared serial attempt ([`serial`]) plus the pluggable contention-
+//! * the mode-control plane: the system-wide serial/irrevocable gate (which
+//!   owns the hardware commit barrier) and the one serial attempt all four
+//!   runtimes run ([`serial`]) plus the pluggable contention-
 //!   management policies that drive backoff and mode escalation ([`policy`]),
 //! * the software TM ([`software`]): the one copy of what the eager and the
 //!   lazy STM do identically, the [`software::Eager`] and [`software::Lazy`]
@@ -45,10 +47,9 @@
 //! The paper's algorithms are implemented on top of these pieces; see the
 //! `condsync` crate for the contribution (Deschedule / Retry / Await /
 //! WaitPred), [`software`] for Appendix A and its TL2 analogue, and the
-//! `htm-sim` / `tm-hybrid` crates for the TSX analogue and the hybrid.
+//! `htm-sim` crate for the TSX analogue and the hybrid.
 //!
 //! [`htm-sim`]: ../htm_sim/index.html
-//! [`tm-hybrid`]: ../tm_hybrid/index.html
 //! [`condsync`]: ../condsync/index.html
 
 #![deny(missing_docs)]
@@ -87,7 +88,7 @@ pub use config::{
     default_orec_shards, BackoffConfig, FaultConfig, HtmConfig, TimerConfig, TmConfig,
 };
 pub use ctl::{AbortReason, PredFn, TxCtl, TxResult, WaitCondition, WaitSpec};
-pub use driver::{CommitOutcome, TxEngine};
+pub use driver::{Attempt, CommitOutcome, TxEngine};
 pub use epoch::{EpochSlot, EpochTable};
 pub use heap::TmHeap;
 pub use hwtm::{FaultPlane, HwAbort, HwAbortKind, HwTm};

@@ -1,20 +1,18 @@
 //! The system-wide serial/irrevocable gate and the shared serial attempt.
 //!
-//! Serial (irrevocable) execution used to be an HTM-simulator private: its
-//! GCC-style fallback lock lived inside `htm-sim`, and the software STMs had
-//! no serial mode at all — `TxCtl::BecomeSerial` was dead weight on them.
-//! This module lifts the whole facility into `tm-core`:
-//!
 //! * [`SerialGate`] — one flag per [`crate::system::TmSystem`] that every
-//!   engine honors.  Hardware transactions subscribe to it exactly as they
-//!   subscribed to the old fallback lock (refuse to start / abort while it is
-//!   held); software transactions re-check it after publishing their start
-//!   time, and the acquirer quiesces every in-flight software attempt before
-//!   entering its serial section, so the holder runs truly alone.
-//! * [`SerialAttempt`] — the one serial attempt shape shared by the software
-//!   engines: direct heap access (no ownership records, no read set) with an
-//!   undo log kept only so condition synchronization can still roll the
-//!   attempt back and capture a wait condition.
+//!   engine honors, plus the hardware commit barrier.  Hardware transactions
+//!   subscribe to the flag as lock-elided transactions subscribe to a
+//!   fallback lock (refuse to start / abort while it is held) and commit inside
+//!   [`SerialGate::hw_commit_section`]; software transactions re-check the
+//!   flag after publishing their start time.  The acquirer dooms every
+//!   in-flight hardware attempt, quiesces every in-flight software attempt
+//!   and drains the commit barrier before entering its serial section, so
+//!   the holder runs truly alone whichever engine it came from.
+//! * [`SerialAttempt`] — the one serial attempt shape of all four runtimes:
+//!   direct heap access (no ownership records, no read set) with an undo log
+//!   kept only so condition synchronization can still roll the attempt back
+//!   and capture a wait condition.
 //!
 //! The acquisition protocol is a Dekker-style store/load handshake with the
 //! per-thread published start times (see [`crate::thread::ThreadCtx`]):
@@ -31,26 +29,28 @@
 //! Either the attempt sees the flag (and backs out), or the acquirer sees the
 //! published start (and waits it out); both running concurrently is
 //! impossible.  Hardware attempts never publish a start time — for them the
-//! gate's doom sweep plus the simulator's commit barrier play the same role.
+//! gate's doom sweep plus its drain of the commit barrier play the same role.
 //!
 //! Releasing the gate ticks the global clock (a "clock fence"): transactions
 //! that begin after a serial section observe a commit event, so no
 //! version-based fast path can conclude that nothing happened while they
 //! were excluded.
 
+use std::mem::take;
 use std::sync::atomic::{fence, AtomicBool, Ordering};
 
-use crate::access::WriteLog;
+use crate::access::{Descriptor, WriteLog};
 use crate::addr::Addr;
 use crate::backoff::SpinWait;
-use crate::clock::GlobalClock;
 use crate::ctl::{TxCtl, WaitCondition, WaitSpec};
 use crate::driver::CommitOutcome;
+use crate::lock::{Mutex, MutexGuard};
 use crate::stats::TxStats;
 use crate::system::TmSystem;
 use crate::thread::{ThreadCtx, NOT_IN_TX};
 
-/// The system-wide serial/irrevocable flag, honored by every engine.
+/// The system-wide serial/irrevocable flag, honored by every engine, and the
+/// hardware commit barrier its acquisition drains.
 ///
 /// Doubles as the HTM fallback lock's subscription word: hardware
 /// transactions check [`SerialGate::held`] before starting and on every
@@ -59,6 +59,14 @@ use crate::thread::{ThreadCtx, NOT_IN_TX};
 #[derive(Debug, Default)]
 pub struct SerialGate {
     flag: AtomicBool,
+    /// Serialises hardware commits (doom check + redo write-back + directory
+    /// clear) against each other, against a hybrid runtime's software
+    /// write-backs and against gate acquisition.  On real hardware a
+    /// transactional commit is atomic at the coherence layer; without this
+    /// lock a conflicting commit (or a serial section's direct stores) could
+    /// interleave between a transaction's final doom check and its
+    /// write-back, losing updates.
+    hw_commit: Mutex<()>,
 }
 
 impl SerialGate {
@@ -82,6 +90,14 @@ impl SerialGate {
         }
     }
 
+    /// Enters the hardware commit section: every hardware commit's doom
+    /// check + write-back, and every software write-back of a runtime that
+    /// shares the system with hardware attempts
+    /// ([`crate::software::CommitInterlock`]), runs under this guard.
+    pub fn hw_commit_section(&self) -> MutexGuard<'_, ()> {
+        self.hw_commit.lock()
+    }
+
     /// Acquires the gate for `thread` and excludes every other transaction:
     ///
     /// 1. spins until the flag CAS succeeds (one serial holder at a time),
@@ -89,11 +105,9 @@ impl SerialGate {
     ///    coherence-triggered abort acquiring the fallback lock causes on
     ///    real hardware; harmless for software threads),
     /// 3. quiesces every other thread's in-flight *software* transaction by
-    ///    waiting for its published start time to clear.
-    ///
-    /// Engines with additional commit machinery (the HTM simulator's commit
-    /// barrier) layer their own drain on top after this returns.
-    pub fn acquire(&self, system: &TmSystem, thread: &ThreadCtx) {
+    ///    waiting for its published start time to clear,
+    /// 4. drains the hardware commit section.
+    fn acquire(&self, system: &TmSystem, thread: &ThreadCtx) {
         let mut spin = SpinWait::new();
         while self
             .flag
@@ -122,12 +136,19 @@ impl SerialGate {
                 spin.pause();
             }
         }
+        // Wait out any hardware commit that passed its doom check before the
+        // dooms above landed: once the section has been entered and left,
+        // every in-flight write-back has finished and every later hardware
+        // commit observes its doom flag and aborts.  Without this the serial
+        // section's direct stores could interleave with a lagging
+        // speculative write-back.
+        drop(self.hw_commit_section());
     }
 
     /// Releases the gate, ticking the global clock so later transactions see
     /// a commit event for the serial section (the "clock fence").
-    pub fn release(&self, clock: &GlobalClock) {
-        clock.tick();
+    fn release(&self, system: &TmSystem) {
+        system.clock.tick();
         self.flag.store(false, Ordering::SeqCst);
     }
 
@@ -147,7 +168,7 @@ impl SerialGate {
 /// Publishes a software attempt's start time while honoring the serial
 /// gate: waits for the gate to clear, samples the clock, publishes via
 /// [`ThreadCtx::enter_tx`], then re-checks the gate (the attempt's half of
-/// the Dekker handshake with [`SerialGate::acquire`]).  Returns the sampled
+/// the Dekker handshake with [`SerialAttempt::begin`]).  Returns the sampled
 /// start time; on return the attempt may run — any gate acquirer from here
 /// on will quiesce on the published start.
 pub fn subscribe_begin(system: &TmSystem, thread: &ThreadCtx) -> u64 {
@@ -162,18 +183,20 @@ pub fn subscribe_begin(system: &TmSystem, thread: &ThreadCtx) -> u64 {
     }
 }
 
-/// One serial (irrevocable) software attempt: direct heap access while
-/// holding the [`SerialGate`].
+/// One serial (irrevocable) attempt: direct heap access while holding the
+/// [`SerialGate`].
 ///
 /// No ownership records are read or written and no read set is kept — the
-/// gate's quiescence guarantees the holder runs alone, which is what makes
+/// gate's acquisition guarantees the holder runs alone, which is what makes
 /// serial mode a guaranteed-progress path for transactions that keep losing
-/// (or that requested irrevocability via `TxCtl::BecomeSerial`).  The undo
-/// log exists only so the attempt can still be rolled back when the body
-/// requests a deschedule or an explicit abort.  It is the attempt's own —
-/// not the thread descriptor's — so that dropping the attempt can always
-/// undo and release; serial attempts are the rare last rung, and acquiring
-/// the gate dwarfs the log's allocation.
+/// (or that requested irrevocability via `TxCtl::BecomeSerial`), and the
+/// "software mode with escape actions" a descheduling hardware transaction
+/// re-executes in (§2.2.2).  The undo log exists only so the attempt can
+/// still be rolled back when the body requests a deschedule or an explicit
+/// abort.  Its three logs are the thread descriptor's `writes`, `mallocs`
+/// and `frees`, taken at begin and handed back when the attempt ends — so a
+/// warm serial attempt allocates nothing, and dropping one that never ended
+/// (a panicking body) can still undo and release without the descriptor.
 #[derive(Debug)]
 pub struct SerialAttempt<'a> {
     system: &'a TmSystem,
@@ -181,22 +204,24 @@ pub struct SerialAttempt<'a> {
     /// Old values of written locations, one entry per address (first write
     /// wins, as in the eager STM's undo log).
     undo: WriteLog,
+    /// True from begin until the attempt commits or rolls back.
     holding: bool,
     mallocs: Vec<(Addr, usize)>,
     frees: Vec<(Addr, usize)>,
 }
 
 impl<'a> SerialAttempt<'a> {
-    /// Acquires the gate and begins a serial attempt for `thread`.
-    pub fn begin(system: &'a TmSystem, thread: &'a ThreadCtx) -> Self {
+    /// Acquires the gate and begins a serial attempt for `thread` on the
+    /// (empty) logs of `d`.
+    pub fn begin(system: &'a TmSystem, thread: &'a ThreadCtx, d: &mut Descriptor) -> Self {
         system.serial.acquire(system, thread);
         SerialAttempt {
             system,
             thread,
-            undo: WriteLog::new(),
+            undo: take(&mut d.writes),
             holding: true,
-            mallocs: Vec::new(),
-            frees: Vec::new(),
+            mallocs: take(&mut d.mallocs),
+            frees: take(&mut d.frees),
         }
     }
 
@@ -207,7 +232,8 @@ impl<'a> SerialAttempt<'a> {
     }
 
     /// The pre-transaction value of `addr` if this attempt has written it
-    /// (used to substitute undo values into the `Retry` value log).
+    /// (substituted into the `Retry` value log, as Algorithm 5 does with the
+    /// undo log).
     #[inline]
     pub fn undo_lookup(&self, addr: Addr) -> Option<u64> {
         self.undo.lookup(addr)
@@ -233,91 +259,91 @@ impl<'a> SerialAttempt<'a> {
         self.frees.push((addr, words));
     }
 
-    fn note_sizes(&self) {
-        TxStats::record_max(&self.thread.stats.write_set_max, self.undo.len() as u64);
+    /// Restores the pre-transaction values, newest write first.
+    fn undo_writes(&self) {
+        for e in self.undo.iter().rev() {
+            self.system.heap.store(e.addr, e.val);
+        }
     }
 
-    fn release_if_holding(&mut self) {
-        if self.holding {
-            self.system.serial.release(&self.system.clock);
-            self.holding = false;
+    fn dealloc_all(&self, blocks: &[(Addr, usize)]) {
+        for &(addr, words) in blocks {
+            self.system.heap.dealloc_for(self.thread, addr, words);
         }
+    }
+
+    /// Ends the attempt: hands the logs back to `d` — whose reset records
+    /// the write-set high-water mark and empties them — and releases the
+    /// gate.
+    fn end(&mut self, d: &mut Descriptor) {
+        d.writes = take(&mut self.undo);
+        d.mallocs = take(&mut self.mallocs);
+        d.frees = take(&mut self.frees);
+        d.reset(&self.thread.stats);
+        self.holding = false;
+        self.system.serial.release(self.system);
     }
 
     /// Rolls the attempt back: undoes writes in reverse order, undoes
     /// allocations, releases the gate.  Safe to call more than once.
-    pub fn rollback(&mut self) {
-        self.note_sizes();
-        for e in self.undo.iter().rev() {
-            self.system.heap.store(e.addr, e.val);
+    pub fn rollback(&mut self, d: &mut Descriptor) {
+        if self.holding {
+            self.undo_writes();
+            self.dealloc_all(&self.mallocs);
+            self.end(d);
         }
-        self.undo.clear();
-        for &(addr, words) in &self.mallocs {
-            self.system.heap.dealloc_for(self.thread, addr, words);
-        }
-        self.mallocs.clear();
-        self.frees.clear();
-        self.release_if_holding();
     }
 
     /// Commits the attempt: finalizes deferred frees and releases the gate.
     /// Serial commits carry no metadata, so the outcome tells the wake path
     /// to scan conservatively.
-    pub fn commit(&mut self) -> CommitOutcome {
-        self.note_sizes();
+    pub fn commit(&mut self, d: &mut Descriptor) -> CommitOutcome {
         let was_writer = !self.undo.is_empty();
-        self.undo.clear();
-        for &(addr, words) in &self.frees {
-            self.system.heap.dealloc_for(self.thread, addr, words);
-        }
-        self.mallocs.clear();
-        self.frees.clear();
-        self.release_if_holding();
+        self.dealloc_all(&self.frees);
+        self.end(d);
         CommitOutcome::serial(was_writer)
     }
 
     /// Rolls back and materialises the wait condition for a deschedule
     /// request, mirroring the instrumented engines' rollback paths
-    /// (`waitset` is the attempt's `Retry` value log).  As the gate holder
-    /// runs alone, plain loads are a consistent snapshot.
+    /// (`d.waitset` is the attempt's `Retry` value log).  The writes are
+    /// undone first, so an `Addrs` capture reflects the pre-transaction
+    /// state; as the gate holder runs alone, plain loads are a consistent
+    /// snapshot.
     pub fn rollback_for_deschedule(
         &mut self,
         spec: WaitSpec,
-        waitset: &mut WriteLog,
+        d: &mut Descriptor,
     ) -> Result<WaitCondition, TxCtl> {
-        match spec {
+        debug_assert!(self.holding, "deschedule of an ended serial attempt");
+        self.undo_writes();
+        let cond = match spec {
             WaitSpec::ReadSetValues | WaitSpec::OrigReadLocks => {
-                let pairs = waitset.drain_pairs();
-                self.rollback();
-                Ok(WaitCondition::ValuesChanged(pairs))
+                WaitCondition::ValuesChanged(d.waitset.drain_pairs())
             }
-            WaitSpec::Addrs(addrs) => {
-                // Undo writes first so the captured snapshot reflects the
-                // pre-transaction state.
-                self.note_sizes();
-                for e in self.undo.iter().rev() {
-                    self.system.heap.store(e.addr, e.val);
-                }
-                self.undo.clear();
-                let pairs = addrs
+            WaitSpec::Addrs(addrs) => WaitCondition::ValuesChanged(
+                addrs
                     .iter()
                     .map(|&a| (a, self.system.heap.load(a)))
-                    .collect();
-                self.rollback();
-                Ok(WaitCondition::ValuesChanged(pairs))
-            }
-            WaitSpec::Pred { f, args } => {
-                self.rollback();
-                Ok(WaitCondition::Pred { f, args })
-            }
-        }
+                    .collect(),
+            ),
+            WaitSpec::Pred { f, args } => WaitCondition::Pred { f, args },
+        };
+        self.dealloc_all(&self.mallocs);
+        self.end(d);
+        Ok(cond)
     }
 }
 
 impl Drop for SerialAttempt<'_> {
     fn drop(&mut self) {
-        // Defensive: never leak the gate if a body panics mid-attempt.
-        self.rollback();
+        // Defensive: never leak the gate (or half a transaction's writes) if
+        // a body panics mid-attempt.
+        if self.holding {
+            self.undo_writes();
+            self.dealloc_all(&self.mallocs);
+            self.system.serial.release(self.system);
+        }
     }
 }
 
@@ -331,11 +357,12 @@ mod tests {
     fn gate_round_trip() {
         let system = TmSystem::new(TmConfig::small());
         let th = system.register_thread();
+        let mut d = Descriptor::default();
         assert!(!system.serial.held());
-        system.serial.acquire(&system, &th);
+        let mut s = SerialAttempt::begin(&system, &th, &mut d);
         assert!(system.serial.held());
         let before = system.clock.now();
-        system.serial.release(&system.clock);
+        s.commit(&mut d);
         assert!(!system.serial.held());
         assert!(system.clock.now() > before, "release must fence the clock");
         assert_eq!(th.stats.snapshot().serial_acquires, 1);
@@ -351,17 +378,18 @@ mod tests {
         let system2 = Arc::clone(&system);
         let h = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(20));
-            other2.exit_tx();
             system2.heap.store(Addr(1), 1);
+            other2.exit_tx();
         });
-        system.serial.acquire(&system, &me);
+        let mut d = Descriptor::default();
+        let mut s = SerialAttempt::begin(&system, &me, &mut d);
         assert_eq!(
-            system.heap.load(Addr(1)),
+            s.read(Addr(1)),
             1,
             "acquire returned before the in-flight transaction exited"
         );
         assert!(other.is_doomed(), "acquire dooms in-flight hardware work");
-        system.serial.release(&system.clock);
+        s.commit(&mut d);
         h.join().unwrap();
     }
 
@@ -369,17 +397,22 @@ mod tests {
     fn serial_attempt_commits_writes_in_place() {
         let system = TmSystem::new(TmConfig::small());
         let th = system.register_thread();
-        let mut s = SerialAttempt::begin(&system, &th);
+        let mut d = Descriptor::default();
+        let mut s = SerialAttempt::begin(&system, &th, &mut d);
         assert!(system.serial.held());
         s.write(Addr(5), 42);
         assert_eq!(s.read(Addr(5)), 42);
         assert_eq!(system.heap.load(Addr(5)), 42, "serial writes are direct");
-        let outcome = s.commit();
+        let outcome = s.commit(&mut d);
         assert!(outcome.was_writer);
         assert!(outcome.serial);
         assert!(!outcome.hardware);
         assert!(!system.serial.held(), "commit releases the gate");
         assert_eq!(th.stats.snapshot().write_set_max, 1);
+        assert!(
+            d.writes.is_empty() && d.writes.capacity() > 0,
+            "the lent log comes back emptied, capacity kept"
+        );
     }
 
     #[test]
@@ -387,17 +420,22 @@ mod tests {
         let system = TmSystem::new(TmConfig::small());
         system.heap.store(Addr(7), 9);
         let th = system.register_thread();
-        let mut s = SerialAttempt::begin(&system, &th);
+        let mut d = Descriptor::default();
+        let mut s = SerialAttempt::begin(&system, &th, &mut d);
         s.write(Addr(7), 100);
         s.write(Addr(7), 200);
         let a = s.alloc(4).unwrap();
         assert!(!a.is_null());
-        s.rollback();
+        s.rollback(&mut d);
         assert_eq!(system.heap.load(Addr(7)), 9, "first-write-wins undo");
         assert!(!system.serial.held());
         // Idempotent.
-        s.rollback();
+        s.rollback(&mut d);
         assert_eq!(system.heap.load(Addr(7)), 9);
+        assert!(
+            d.writes.capacity() > 0,
+            "a second rollback hands nothing back"
+        );
     }
 
     #[test]
@@ -405,7 +443,7 @@ mod tests {
         let system = TmSystem::new(TmConfig::small());
         let th = system.register_thread();
         {
-            let mut s = SerialAttempt::begin(&system, &th);
+            let mut s = SerialAttempt::begin(&system, &th, &mut Descriptor::default());
             s.write(Addr(3), 1);
             // Dropped without commit or rollback (panic path).
         }
@@ -418,10 +456,11 @@ mod tests {
         let system = TmSystem::new(TmConfig::small());
         system.heap.store(Addr(20), 5);
         let th = system.register_thread();
-        let mut s = SerialAttempt::begin(&system, &th);
+        let mut d = Descriptor::default();
+        let mut s = SerialAttempt::begin(&system, &th, &mut d);
         s.write(Addr(20), 6);
         let cond = s
-            .rollback_for_deschedule(WaitSpec::Addrs(vec![Addr(20)]), &mut WriteLog::new())
+            .rollback_for_deschedule(WaitSpec::Addrs(vec![Addr(20)]), &mut d)
             .unwrap();
         match cond {
             WaitCondition::ValuesChanged(pairs) => assert_eq!(pairs, vec![(Addr(20), 5)]),

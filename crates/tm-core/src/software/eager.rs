@@ -180,7 +180,9 @@ impl SoftwareProtocol for Eager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Descriptor, ThreadCtx, TmConfig, TmSystem, Tx, TxCommon, WaitCondition, WaitSpec};
+    use crate::{
+        Attempt, Descriptor, ThreadCtx, TmConfig, TmSystem, Tx, TxCommon, WaitCondition, WaitSpec,
+    };
     use std::sync::Arc;
 
     /// A thread context and a private descriptor for one test handle.

@@ -12,8 +12,7 @@ use std::sync::Arc;
 use super::orig::sleep_until_intersection;
 use super::{SoftwareProtocol, SoftwareTx};
 use crate::access::{cover_valid_at, Descriptor};
-use crate::ctl::{TxCtl, WaitCondition, WaitSpec};
-use crate::driver::{CommitOutcome, TxEngine};
+use crate::driver::{Attempt, TxEngine};
 use crate::system::TmSystem;
 use crate::thread::ThreadCtx;
 use crate::tx::TxCommon;
@@ -61,22 +60,6 @@ impl<P: SoftwareProtocol> TxEngine for SoftwareStm<P> {
         common: TxCommon,
     ) -> SoftwareTx<'a, P> {
         SoftwareTx::begin(&self.system, thread, desc, common)
-    }
-
-    fn try_commit(&self, tx: &mut SoftwareTx<'_, P>) -> Result<CommitOutcome, TxCtl> {
-        tx.try_commit()
-    }
-
-    fn rollback(&self, tx: &mut SoftwareTx<'_, P>) {
-        tx.rollback();
-    }
-
-    fn materialise_wait(
-        &self,
-        tx: &mut SoftwareTx<'_, P>,
-        spec: WaitSpec,
-    ) -> Result<WaitCondition, TxCtl> {
-        tx.rollback_for_deschedule(spec)
     }
 
     fn supports_orig_retry(&self) -> bool {

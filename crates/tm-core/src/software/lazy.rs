@@ -12,7 +12,7 @@
 //!   `Await` captures its value snapshot from current memory.
 
 use super::{reads_valid, SoftwareProtocol, SoftwareStm, SoftwareTx, SoftwareTxCore};
-use crate::access::{Descriptor, WriteEntry};
+use crate::access::{Descriptor, IndexSet, WriteEntry};
 use crate::addr::Addr;
 use crate::ctl::{AbortReason, TxCtl, TxResult};
 use crate::orec::OrecValue;
@@ -35,13 +35,16 @@ pub trait CommitInterlock: Send + Sync + std::fmt::Debug {
     /// Runs a commit's validate and write-back + unlock phases under mutual
     /// exclusion with hardware commits.  `writer` is the committing thread,
     /// `write_entries` the redo-log entries about to be written back
-    /// (borrowed straight from the log — the commit path allocates
-    /// nothing); returns `validate`'s verdict (false = validation failed,
-    /// nothing written, no hardware transaction disturbed).
+    /// (borrowed straight from the log), `slots` the committing attempt's
+    /// own idle [`Descriptor::write_slots`], lent empty as scratch for the
+    /// hardware slots being claimed — the commit path allocates and locks
+    /// nothing of its own; returns `validate`'s verdict (false = validation
+    /// failed, nothing written, no hardware transaction disturbed).
     fn commit_section(
         &self,
         writer: ThreadId,
         write_entries: &[WriteEntry],
+        slots: &mut IndexSet,
         validate: &mut dyn FnMut() -> bool,
         writeback: &mut dyn FnMut(),
     ) -> bool;
@@ -108,6 +111,7 @@ impl SoftwareProtocol for Lazy {
         let Descriptor {
             reads,
             writes,
+            write_slots,
             cover,
             ..
         } = &mut *tx.core.d;
@@ -164,7 +168,9 @@ impl SoftwareProtocol for Lazy {
             }
         };
         let committed = match interlock {
-            Some(interlock) => interlock.commit_section(me, entries, &mut validate, &mut writeback),
+            Some(interlock) => {
+                interlock.commit_section(me, entries, write_slots, &mut validate, &mut writeback)
+            }
             None => {
                 let ok = validate();
                 if ok {
@@ -197,7 +203,7 @@ impl SoftwareProtocol for Lazy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ThreadCtx, TmConfig, Tx, TxCommon, WaitCondition, WaitSpec};
+    use crate::{Attempt, ThreadCtx, TmConfig, Tx, TxCommon, WaitCondition, WaitSpec};
     use std::sync::Arc;
 
     /// A thread context and a private descriptor for one test handle.

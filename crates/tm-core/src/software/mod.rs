@@ -37,7 +37,7 @@ use std::sync::Arc;
 use crate::access::{Descriptor, ReadSet};
 use crate::addr::Addr;
 use crate::ctl::{AbortReason, TxCtl, TxResult, WaitCondition, WaitSpec};
-use crate::driver::CommitOutcome;
+use crate::driver::{Attempt, CommitOutcome};
 use crate::serial::{subscribe_begin, SerialAttempt};
 use crate::stats::TxStats;
 use crate::system::TmSystem;
@@ -64,9 +64,10 @@ pub struct SoftwareTxCore<'a> {
     /// Global-clock value sampled at begin (Algorithm 9, `start`).
     start: u64,
     /// `Some` when this attempt runs serially behind the system's
-    /// [`crate::SerialGate`] ([`TxMode::Serial`]): all accesses go
-    /// straight to the shared serial attempt, the instrumented logs stay
-    /// empty.
+    /// [`crate::SerialGate`] ([`TxMode::Serial`], or any mode of an attempt
+    /// begun with [`SoftwareTx::begin_serial`]): all accesses go straight to
+    /// the shared serial attempt, which borrows the descriptor's write and
+    /// allocation logs; the instrumented logs stay empty.
     serial: Option<SerialAttempt<'a>>,
     /// True when this attempt runs on the snapshot read path: a declared
     /// read-only transaction in plain [`TxMode::Software`] mode.  Reads
@@ -78,17 +79,18 @@ pub struct SoftwareTxCore<'a> {
     snap_observed: bool,
 }
 
-/// Opens an attempt: acquires the serial gate for a `serial`
-/// ([`TxMode::Serial`]) one, otherwise samples the clock and publishes the
-/// start time for quiescence through the gate's subscription protocol.
+/// Opens an attempt: acquires the serial gate for a `serial` one, otherwise
+/// samples the clock and publishes the start time for quiescence through the
+/// gate's subscription protocol.
 fn open<'a>(
     system: &'a Arc<TmSystem>,
     thread: &'a Arc<ThreadCtx>,
+    d: &mut Descriptor,
     serial: bool,
 ) -> (Option<SerialAttempt<'a>>, u64) {
     if serial {
         (
-            Some(SerialAttempt::begin(system, thread)),
+            Some(SerialAttempt::begin(system, thread, d)),
             system.clock.now(),
         )
     } else {
@@ -389,7 +391,33 @@ impl<'a, P: SoftwareProtocol> SoftwareTx<'a, P> {
         common: TxCommon,
         state: P::State<'a>,
     ) -> Self {
-        let (serial, start) = open(system, thread, common.mode == TxMode::Serial);
+        let serial = common.mode == TxMode::Serial;
+        Self::begin_as(system, thread, d, common, state, serial)
+    }
+
+    /// Begins an attempt that runs behind the serial gate whatever
+    /// `common.mode` says: the only software mode of an engine with no
+    /// instrumented rung (the pure HTM, whose descheduling transactions
+    /// re-execute "in a software mode with escape actions", §2.2.2).  Under
+    /// [`TxMode::SoftwareRetry`] its reads are value-logged.
+    pub fn begin_serial(
+        system: &'a Arc<TmSystem>,
+        thread: &'a Arc<ThreadCtx>,
+        d: &'a mut Descriptor,
+        common: TxCommon,
+    ) -> Self {
+        Self::begin_as(system, thread, d, common, Default::default(), true)
+    }
+
+    fn begin_as(
+        system: &'a Arc<TmSystem>,
+        thread: &'a Arc<ThreadCtx>,
+        d: &'a mut Descriptor,
+        common: TxCommon,
+        state: P::State<'a>,
+        serial: bool,
+    ) -> Self {
+        let (serial, start) = open(system, thread, d, serial);
         let snapshot = common.kind == TxKind::ReadOnly && common.mode == TxMode::Software;
         let core = SoftwareTxCore {
             common,
@@ -403,12 +431,14 @@ impl<'a, P: SoftwareProtocol> SoftwareTx<'a, P> {
         };
         SoftwareTx { core, state }
     }
+}
 
+impl<P: SoftwareProtocol> Attempt for SoftwareTx<'_, P> {
     /// Attempts to commit (Algorithm 9, `TxCommit`).  On failure the caller
-    /// must invoke [`SoftwareTx::rollback`].
-    pub fn try_commit(&mut self) -> Result<CommitOutcome, TxCtl> {
+    /// must invoke [`Attempt::rollback`].
+    fn try_commit(&mut self) -> Result<CommitOutcome, TxCtl> {
         if let Some(serial) = &mut self.core.serial {
-            return Ok(serial.commit());
+            return Ok(serial.commit(self.core.d));
         }
         // A writer holds a lock (eager) or has logged a write (lazy).
         if self.core.d.locks.is_empty() && self.core.d.writes.is_empty() {
@@ -422,9 +452,9 @@ impl<'a, P: SoftwareProtocol> SoftwareTx<'a, P> {
     /// and releases its locks, then allocations are undone and all logs
     /// cleared.  Serial attempts undo their direct writes and release the
     /// gate.  Safe to call more than once.
-    pub fn rollback(&mut self) {
+    fn rollback(&mut self) {
         if let Some(serial) = &mut self.core.serial {
-            serial.rollback();
+            serial.rollback(self.core.d);
             return;
         }
         P::release(&mut self.core);
@@ -435,9 +465,9 @@ impl<'a, P: SoftwareProtocol> SoftwareTx<'a, P> {
     /// request.  Returns `Err` (with the transaction already rolled back) if
     /// the condition could not be captured consistently, in which case the
     /// driver simply re-executes the transaction.
-    pub fn rollback_for_deschedule(&mut self, spec: WaitSpec) -> Result<WaitCondition, TxCtl> {
+    fn rollback_for_deschedule(&mut self, spec: WaitSpec) -> Result<WaitCondition, TxCtl> {
         if let Some(serial) = &mut self.core.serial {
-            return serial.rollback_for_deschedule(spec, &mut self.core.d.waitset);
+            return serial.rollback_for_deschedule(spec, self.core.d);
         }
         let cond = match spec {
             WaitSpec::ReadSetValues => Some(WaitCondition::ValuesChanged(
@@ -458,11 +488,20 @@ impl<'a, P: SoftwareProtocol> SoftwareTx<'a, P> {
 
 impl<P: SoftwareProtocol> Tx for SoftwareTx<'_, P> {
     fn read(&mut self, addr: Addr) -> TxResult<u64> {
-        // Serial attempts read directly: the gate holder runs alone.  Their
-        // reads are never value-logged — a serial `Retry` relogs in
-        // SoftwareRetry mode (see the driver's ReadSetValues dispatch).
+        // Serial attempts read directly: the gate holder runs alone.  A
+        // `TxMode::Serial` attempt's reads are not value-logged — its `Retry`
+        // relogs in SoftwareRetry mode (see the driver's ReadSetValues
+        // dispatch), which is serial only under `begin_serial`.
         if let Some(serial) = &self.core.serial {
-            return Ok(serial.read(addr));
+            let val = serial.read(addr);
+            if self.core.common.mode == TxMode::SoftwareRetry {
+                // The value log must hold what memory will hold once this
+                // attempt is undone: the pre-transaction value of a location
+                // it has already written (Algorithm 5).
+                let logged = serial.undo_lookup(addr).unwrap_or(val);
+                self.core.d.waitset.record_first(addr, logged, || 0);
+            }
+            return Ok(val);
         }
         if self.core.snapshot {
             return self.core.snapshot_read(addr);
@@ -510,7 +549,7 @@ impl<P: SoftwareProtocol> Tx for SoftwareTx<'_, P> {
             }
         }
         block();
-        let (reopened, start) = open(self.core.system, self.core.thread, serial);
+        let (reopened, start) = open(self.core.system, self.core.thread, self.core.d, serial);
         self.core.serial = reopened;
         self.core.start = start;
         Ok(())

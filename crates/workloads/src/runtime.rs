@@ -11,10 +11,9 @@ use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
 
-use htm_sim::HtmSim;
+use htm_sim::{HtmSim, HybridTm};
 use tm_core::software::{EagerStm, LazyStm};
 use tm_core::{ThreadCtx, TmConfig, TmRt, TmRuntime, TmSystem, Tx, TxResult};
-use tm_hybrid::HybridTm;
 
 /// Which transactional-memory implementation provides the transactions.
 ///
@@ -30,7 +29,7 @@ pub enum RuntimeKind {
     /// Best-effort hardware TM simulator (paper "HTM").
     Htm,
     /// Hybrid HTM+STM: hardware fast path, lazy-STM software fallback,
-    /// serial gate as the last rung (beyond the paper; `tm-hybrid`).
+    /// serial gate as the last rung (beyond the paper; `htm_sim::hybrid`).
     Hybrid,
 }
 

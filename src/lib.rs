@@ -59,7 +59,7 @@
 //! | [`eager`] (`tm_core::software::eager`) | Appendix A undo-log protocol over the shared software core (paper: "Eager STM") |
 //! | [`lazy`] (`tm_core::software::lazy`) | TL2-style redo-log protocol over the shared software core (paper: "Lazy STM") |
 //! | [`htm`] (`htm-sim`) | best-effort HTM runtime over the pluggable `HwTm` hardware plane — simulator backend, fault-injection fuzzer (paper: "HTM") |
-//! | [`hybrid`] (`tm-hybrid`) | hybrid HTM+STM runtime: hardware fast path over the lazy STM (beyond the paper) |
+//! | [`hybrid`] (`htm_sim::hybrid`) | hybrid HTM+STM runtime: hardware fast path over the lazy STM, sharing the HTM runtime's attempt type (beyond the paper) |
 //! | [`sync`] (`condsync`) | **the contribution**: Deschedule, Retry, Await, WaitPred, plus TMCondVar / Retry-Orig / Restart baselines |
 //! | [`structures`] (`tm-sync`) | bounded buffer (Fig. 2.2), queue, stack, counter, barrier, once-cell, latch, Pthreads baseline buffer, and the KV plane: stripe-aligned hash map + ordered (skip-list) index |
 //! | [`workloads`] (`tm-workloads`) | producer/consumer micro-benchmark, PARSEC-like kernels, Zipfian session-store scenario, Table 2.1 accounting |
@@ -79,9 +79,9 @@ pub use tm_core::software::lazy;
 /// The best-effort HTM runtime and its simulated hardware plane (`htm-sim`).
 pub use htm_sim as htm;
 
-/// The hybrid HTM+STM runtime (`tm-hybrid`): hardware fast path, lazy-STM
-/// software fallback, serial gate as the last rung.
-pub use tm_hybrid as hybrid;
+/// The hybrid HTM+STM runtime (`htm_sim::hybrid`): hardware fast path,
+/// lazy-STM software fallback, serial gate as the last rung.
+pub use htm_sim::hybrid;
 
 /// The condition-synchronization mechanisms (`condsync`) — the paper's
 /// contribution.

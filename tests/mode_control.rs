@@ -133,6 +133,53 @@ fn serial_sections_are_opaque_to_concurrent_readers() {
     }
 }
 
+/// The hardware commit section is the serial gate's, so a serial attempt
+/// begun through *any* runtime handle over the system — here a software one,
+/// which has no hardware engine to drain anything for it — starts only once
+/// the section is free: "the holder runs alone" holds by construction.
+#[test]
+fn a_software_serial_attempt_waits_out_the_hardware_commit_section() {
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+    use tm_repro::eager::EagerStm;
+
+    let system = TmSystem::new(TmConfig::small());
+    let rt = EagerStm::new(Arc::clone(&system));
+    let v = TmVar::<u64>::alloc(&system, 0);
+
+    let section = system.serial.hw_commit_section();
+    let (started_tx, started_rx) = mpsc::channel();
+    let (system_w, v_w) = (Arc::clone(&system), v.clone());
+    let worker = std::thread::spawn(move || {
+        let th = system_w.register_thread();
+        rt.atomically(&th, |tx| {
+            if tx.mode() != TxMode::Serial {
+                return Err(TxCtl::BecomeSerial);
+            }
+            let _ = started_tx.send(());
+            v_w.set(tx, 1)
+        });
+    });
+
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !system.serial.held() {
+        assert!(Instant::now() < deadline, "the gate was never requested");
+        std::thread::yield_now();
+    }
+    assert!(
+        started_rx.recv_timeout(Duration::from_millis(200)).is_err(),
+        "the serial body ran inside a hardware commit section"
+    );
+    assert_eq!(v.load_direct(&system), 0);
+    drop(section);
+    started_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the serial body runs once the section is released");
+    worker.join().expect("serial transaction commits");
+    assert_eq!(v.load_direct(&system), 1);
+    assert!(!system.serial.held());
+}
+
 #[test]
 fn adaptive_policy_escalates_a_starving_transaction() {
     // Deterministic starvation: the body reports contention aborts until the

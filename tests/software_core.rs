@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use tm_core::software::{Eager, Lazy};
 use tm_core::{
-    AbortReason, Addr, ClockMode, Descriptor, SoftwareProtocol, SoftwareTx, ThreadCtx, TmConfig,
-    TmSystem, Tx, TxCommon, TxCtl, TxKind, TxMode,
+    AbortReason, Addr, Attempt, ClockMode, Descriptor, SoftwareProtocol, SoftwareTx, ThreadCtx,
+    TmConfig, TmSystem, Tx, TxCommon, TxCtl, TxKind, TxMode,
 };
 
 fn config(clock: ClockMode) -> TmConfig {

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use tm_repro::core::backoff::XorShift64;
 use tm_repro::core::Addr;
 use tm_repro::prelude::*;
-use tm_repro::sync::{await_one, retry, wait_pred};
+use tm_repro::sync::{await_one, retry, wait_pred, wake_reason};
 use tm_repro::workloads::runtime::RuntimeKind;
 
 /// Consecutive iterations per runtime (the acceptance bar for this PR).
@@ -371,4 +371,68 @@ fn retry_orig_sleeper_is_woken_through_a_second_handle() {
         .expect("a commit through the second handle must wake the Retry-Orig sleeper");
     assert_eq!(seen, 9);
     assert_eq!(system.orig.len(), 0, "a woken sleeper leaves the list");
+}
+
+/// A body that writes a word, reads it back and then `retry`s must park: its
+/// value log has to hold what memory holds once the attempt is undone — the
+/// pre-transaction value, not the pending write — or the deschedule
+/// double-check sees a "changed" word and spins instead of sleeping.  (On
+/// `htm` the re-execution is a serial attempt writing in place, so this pins
+/// the undo-log substitution in `SoftwareTx::read`'s serial arm.)
+#[test]
+fn retry_after_writing_the_awaited_word_logs_the_old_value_and_parks() {
+    for kind in RuntimeKind::ALL {
+        let rt = kind.build(TmConfig::small());
+        let system = Arc::clone(rt.system());
+        let word = TmVar::<u64>::alloc(&system, 0);
+
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let (rt_s, system_s, word_s) = (rt.clone(), Arc::clone(&system), word.clone());
+        let sleeper = std::thread::spawn(move || {
+            let th = system_s.register_thread();
+            let seen = rt_s.atomically(&th, |tx| {
+                if wake_reason(tx).is_some() {
+                    return word_s.get(tx);
+                }
+                word_s.set(tx, 7)?;
+                assert_eq!(word_s.get(tx)?, 7, "{kind}: read-your-writes");
+                retry(tx)
+            });
+            let _ = done_tx.send(seen);
+        });
+
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while system.stats().sleeps == 0 {
+            assert_eq!(
+                system.stats().desched_skips,
+                0,
+                "{kind}: the value log recorded the pending write, so the sleep was skipped"
+            );
+            assert!(
+                Instant::now() < deadline,
+                "{kind}: the sleeper never parked"
+            );
+            std::thread::yield_now();
+        }
+        assert_eq!(word.load_direct(&system), 0, "{kind}: the write was undone");
+
+        let th = system.register_thread();
+        rt.atomically(&th, |tx| word.set(tx, 9));
+        let seen = done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("{kind}: a commit of the word must wake the sleeper"));
+        assert_eq!(seen, 9, "{kind}");
+        sleeper.join().expect("sleeper thread exits cleanly");
+        let stats = system.stats();
+        assert_eq!(
+            (
+                stats.descheds,
+                stats.sleeps,
+                stats.desched_skips,
+                stats.wakeups
+            ),
+            (1, 1, 0, 1),
+            "{kind}: one deschedule that slept, woken exactly once"
+        );
+    }
 }
