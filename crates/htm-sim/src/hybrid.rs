@@ -27,7 +27,7 @@
 //! * **hardware → software**: hardware commits run orec-*coupled*
 //!   ([`HtmSim::new_coupled`]): before writing back they abort on —
 //!   and never stomp — locked ownership records covering their written
-//!   lines, and they publish a fresh global-clock version to those records,
+//!   words, and they publish a fresh global-clock version to those records,
 //!   so software read validation observes hardware writes.  Software
 //!   commits in turn always validate their read set (inside the barrier)
 //!   rather than trusting the nothing-committed clock fast path.
@@ -174,9 +174,9 @@ impl TxEngine for HybridTm {
         // lock metadata; the driver routes every Retry-Orig sleep through it
         // (hardware attempts relog in software first, exactly like
         // value-based Retry).  Writer commits then wake those sleepers by
-        // their cover: the lock set for software commits, for hardware
-        // commits the stripe cover of their written lines, a superset of the
-        // written words' stripes — conservative, never lossy.
+        // their cover: the lock set for software commits, for (coupled)
+        // hardware commits the stripes of their written words, which is the
+        // lock set a software commit of the same writes would hold.
         true
     }
 

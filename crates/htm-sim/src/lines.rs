@@ -9,33 +9,18 @@
 //! finds a foreign writer aborts.
 //!
 //! Transactions track *which* slots they registered in per-attempt
-//! [`tm_core::access::IndexSet`]s (see [`crate::tx`]), so the per-access
-//! "have I already registered this line" test is O(1) and the slot sets are
-//! recycled across attempts; this table only holds the global slot states.
+//! [`tm_core::access::IndexSet`]s (see [`crate::tx`]) and ask those first:
+//! only the first touch of a line in an attempt reaches this table, and the
+//! registration it leaves stands until the attempt ends, so a later
+//! conflicting party always finds it.  This table only holds the global slot
+//! states.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use tm_core::{LineId, OrecTable, ThreadId};
+use tm_core::{LineId, ThreadId};
 
 /// Maximum number of threads the reader bitmask can represent.
 pub const MAX_HW_THREADS: usize = 64;
-
-/// Maps a committed cache line back to the ownership-record stripes of its
-/// words, appending them to `out`.
-///
-/// Hardware transactions never touch ownership records — that is the crux of
-/// the paper's compatibility argument — but the targeted `wakeWaiters` scan
-/// is indexed by orec stripe, and a hardware commit's effects are visible at
-/// line granularity.  Covering every word of each written line yields a
-/// superset of the written words' stripes, so targeting from hardware
-/// commits can narrow the scan without ever losing a wakeup.  The caller
-/// sorts/dedups (stripes from different lines may collide).
-///
-/// The mapping itself lives in [`OrecTable::line_indices`], shared with the
-/// wake-path tests and benches.
-pub fn line_stripes(orecs: &OrecTable, line: LineId, out: &mut Vec<usize>) {
-    out.extend(orecs.line_indices(line));
-}
 
 /// One directory slot.
 #[derive(Debug, Default)]
@@ -49,13 +34,11 @@ pub struct LineState {
 /// Outcome of attempting to register a speculative writer.
 #[derive(Debug, PartialEq, Eq)]
 pub enum WriteRegistration {
-    /// Registration succeeded; the listed foreign readers (and possibly a
-    /// previous writer) must be doomed by the caller.
+    /// Registration succeeded; the caller must doom the foreign readers.
     Acquired {
-        /// Foreign threads that had the line in their speculative read set.
-        doomed_readers: Vec<ThreadId>,
-        /// A foreign thread that had the line in its speculative write set.
-        doomed_writer: Option<ThreadId>,
+        /// Bitmask (bit = thread id) of the foreign threads that had the line
+        /// in their speculative read set.
+        doomed_readers: u64,
     },
     /// The line already had a foreign writer that could not be displaced;
     /// the caller must abort (the foreign writer is doomed as well).
@@ -121,46 +104,34 @@ impl LineTable {
         debug_assert!(tid < MAX_HW_THREADS);
         let s = &self.slots[slot];
         let me = tid as u64 + 1;
-        let mut doomed_writer = None;
-        loop {
-            let cur = s.writer.load(Ordering::SeqCst);
-            if cur == me {
-                break;
-            }
-            if cur == 0 {
-                if s.writer
-                    .compare_exchange(0, me, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    break;
-                }
-                continue;
-            }
+        match s
+            .writer
+            .compare_exchange(0, me, Ordering::SeqCst, Ordering::SeqCst)
+        {
+            Ok(_) => {}
+            Err(cur) if cur == me => {}
             // A foreign speculative writer holds the line.  Requester-wins:
             // our store request would invalidate its line, dooming it; but we
             // also abort ourselves rather than taking over mid-flight, which
             // keeps the protocol simple and still guarantees progress via the
             // serial fallback.
-            doomed_writer = Some((cur - 1) as ThreadId);
-            return WriteRegistration::Conflict {
-                other: doomed_writer.unwrap(),
-            };
+            Err(cur) => {
+                return WriteRegistration::Conflict {
+                    other: (cur - 1) as ThreadId,
+                }
+            }
         }
         // Doom all foreign readers of the line.
-        let readers = s.readers.load(Ordering::SeqCst);
-        let doomed_readers = (0..MAX_HW_THREADS)
-            .filter(|&t| t != tid && readers & (1 << t) != 0)
-            .collect();
         WriteRegistration::Acquired {
-            doomed_readers,
-            doomed_writer,
+            doomed_readers: s.readers.load(Ordering::SeqCst) & !(1 << tid),
         }
     }
 
     /// Forcibly claims `slot` for a *software* transaction's commit
     /// write-back (the hybrid runtime's interlock): installs `tid` as the
-    /// slot's writer unconditionally and returns every other thread
-    /// currently registered on the slot, which the caller must doom.
+    /// slot's writer unconditionally and returns the bitmask (bit = thread
+    /// id) of every other thread currently registered on the slot, reader
+    /// or writer, which the caller must doom.
     ///
     /// Unlike [`LineTable::register_writer`] this never fails — a software
     /// commit has already validated and *will* write this line; any
@@ -170,18 +141,15 @@ impl LineTable {
     /// caller releases the claim with [`LineTable::clear_writer`] after the
     /// write-back; while it is held, speculative readers and writers of the
     /// slot observe a foreign writer and abort.
-    pub fn claim_for_writeback(&self, slot: usize, tid: ThreadId) -> Vec<ThreadId> {
+    pub fn claim_for_writeback(&self, slot: usize, tid: ThreadId) -> u64 {
         debug_assert!(tid < MAX_HW_THREADS);
         let s = &self.slots[slot];
         let prev = s.writer.swap(tid as u64 + 1, Ordering::SeqCst);
-        let readers = s.readers.load(Ordering::SeqCst);
-        let mut doomed: Vec<ThreadId> = (0..MAX_HW_THREADS)
-            .filter(|&t| t != tid && readers & (1 << t) != 0)
-            .collect();
-        if prev != 0 && prev != tid as u64 + 1 {
-            doomed.push((prev - 1) as ThreadId);
+        let mut doomed = s.readers.load(Ordering::SeqCst);
+        if prev != 0 {
+            doomed |= 1 << (prev - 1);
         }
-        doomed
+        doomed & !(1 << tid)
     }
 
     /// Removes `tid`'s reader registration from the slot.
@@ -252,21 +220,13 @@ mod tests {
         t.register_reader(slot, 0);
         t.register_reader(slot, 3);
         t.register_reader(slot, 5);
-        match t.register_writer(slot, 3) {
+        assert_eq!(
+            t.register_writer(slot, 3),
             WriteRegistration::Acquired {
-                mut doomed_readers,
-                doomed_writer,
-            } => {
-                doomed_readers.sort_unstable();
-                assert_eq!(
-                    doomed_readers,
-                    vec![0, 5],
-                    "own read registration is not doomed"
-                );
-                assert_eq!(doomed_writer, None);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+                doomed_readers: 1 << 0 | 1 << 5
+            },
+            "own read registration is not doomed"
+        );
     }
 
     #[test]
@@ -300,23 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn line_stripes_cover_every_word_of_the_line() {
-        use tm_core::LINE_WORDS;
-        let orecs = OrecTable::new(256);
-        let line = LineId(5);
-        let mut stripes = Vec::new();
-        line_stripes(&orecs, line, &mut stripes);
-        assert_eq!(stripes.len(), LINE_WORDS);
-        for i in 0..LINE_WORDS {
-            let addr = line.first_word().offset(i);
-            assert!(
-                stripes.contains(&orecs.index_for(addr)),
-                "word {i} of the line must be covered"
-            );
-        }
-    }
-
-    #[test]
     fn claim_for_writeback_displaces_and_dooms_occupants() {
         let t = LineTable::new(16);
         let slot = t.slot_for(LineId(11));
@@ -326,9 +269,7 @@ mod tests {
             t.register_writer(slot, 4),
             WriteRegistration::Acquired { .. }
         ));
-        let mut doomed = t.claim_for_writeback(slot, 7);
-        doomed.sort_unstable();
-        assert_eq!(doomed, vec![0, 2, 4]);
+        assert_eq!(t.claim_for_writeback(slot, 7), 1 << 0 | 1 << 2 | 1 << 4);
         assert_eq!(t.writer_of(slot), Some(7), "claimant owns the slot");
         // The displaced hardware writer's own clear misses harmlessly.
         t.clear_writer(slot, 4);

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use tm_core::hwtm::{HwAbort, HwAbortKind, HwTm};
 use tm_core::{LineId, ThreadId, TmSystem};
 
-use crate::lines::{line_stripes, LineTable, WriteRegistration};
+use crate::lines::{LineTable, WriteRegistration};
 
 /// The simulated coherence directory as a hardware-plane backend.
 pub struct SimPlane {
@@ -50,6 +50,15 @@ impl SimPlane {
             t.doom();
         }
     }
+
+    /// Dooms every thread whose bit is set in `mask` (bit = thread id) —
+    /// nothing at all in the common case of no foreign occupant.
+    fn doom_all(&self, mut mask: u64) {
+        while mask != 0 {
+            self.doom(mask.trailing_zeros() as ThreadId);
+            mask &= mask - 1;
+        }
+    }
 }
 
 impl HwTm for SimPlane {
@@ -70,16 +79,8 @@ impl HwTm for SimPlane {
 
     fn write_line(&self, _line: LineId, slot: usize, tid: ThreadId) -> Result<(), HwAbort> {
         match self.lines.register_writer(slot, tid) {
-            WriteRegistration::Acquired {
-                doomed_readers,
-                doomed_writer,
-            } => {
-                for t in doomed_readers {
-                    self.doom(t);
-                }
-                if let Some(t) = doomed_writer {
-                    self.doom(t);
-                }
+            WriteRegistration::Acquired { doomed_readers } => {
+                self.doom_all(doomed_readers);
                 Ok(())
             }
             WriteRegistration::Conflict { other } => {
@@ -119,9 +120,7 @@ impl HwTm for SimPlane {
     }
 
     fn claim_for_writeback(&self, slot: usize, tid: ThreadId) {
-        for t in self.lines.claim_for_writeback(slot, tid) {
-            self.doom(t);
-        }
+        self.doom_all(self.lines.claim_for_writeback(slot, tid));
     }
 
     fn release_writeback(&self, slot: usize, tid: ThreadId) {
@@ -129,14 +128,14 @@ impl HwTm for SimPlane {
     }
 
     fn line_cover(&self, line: LineId, out: &mut Vec<usize>) {
-        line_stripes(&self.system.orecs, line, out);
+        out.extend(self.system.orecs.line_indices(line));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_core::{Addr, TmConfig};
+    use tm_core::{Addr, TmConfig, LINE_WORDS};
 
     #[test]
     fn plane_registers_and_clears_through_the_directory() {
@@ -207,15 +206,19 @@ mod tests {
     }
 
     #[test]
-    fn line_cover_matches_the_orec_mapping() {
+    fn line_cover_covers_every_word_of_the_line() {
         let system = TmSystem::new(TmConfig::small());
         let plane = SimPlane::new(Arc::clone(&system));
         let line = Addr(256).line();
-        let mut via_plane = Vec::new();
-        plane.line_cover(line, &mut via_plane);
-        let mut direct = Vec::new();
-        line_stripes(&system.orecs, line, &mut direct);
-        assert_eq!(via_plane, direct);
-        assert!(!via_plane.is_empty());
+        let mut stripes = Vec::new();
+        plane.line_cover(line, &mut stripes);
+        assert_eq!(stripes.len(), LINE_WORDS);
+        for i in 0..LINE_WORDS {
+            let addr = line.first_word().offset(i);
+            assert!(
+                stripes.contains(&system.orecs.index_for(addr)),
+                "word {i} of the line must be covered"
+            );
+        }
     }
 }

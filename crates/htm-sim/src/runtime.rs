@@ -34,7 +34,7 @@ pub struct HtmSim {
     plane: Arc<dyn HwTm>,
     /// True when this simulator shares its [`TmSystem`] with a software STM
     /// (the hybrid runtime): hardware commits then publish themselves to the
-    /// ownership records of their written lines so software validation can
+    /// ownership records of their written words so software validation can
     /// observe them, and abort instead of stomping locked orecs.
     orec_coupled: bool,
 }
@@ -57,7 +57,8 @@ impl HtmSim {
     /// system's ownership records, for use as the fast path of a hybrid
     /// HTM+STM runtime sharing `system` with a software STM: commits
     /// validate against (and abort on) locked orecs covering their written
-    /// lines, and publish a fresh version to those orecs so software read
+    /// words — the cover a software commit of the same writes would lock —
+    /// and publish a fresh version to those orecs so software read
     /// validation observes hardware writes.
     pub fn new_coupled(system: Arc<TmSystem>) -> Arc<Self> {
         Self::build(system, true)

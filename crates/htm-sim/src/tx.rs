@@ -18,7 +18,7 @@ use tm_core::hwtm::{HwAbort, HwTm};
 use tm_core::software::LazyTx;
 use tm_core::stats::TxStats;
 use tm_core::{
-    AbortReason, Addr, OrecValue, ThreadCtx, TmSystem, Tx, TxCommon, TxCtl, TxResult,
+    AbortReason, Addr, OrecTable, OrecValue, ThreadCtx, TmSystem, Tx, TxCommon, TxCtl, TxResult,
     WaitCondition, WaitSpec,
 };
 
@@ -33,8 +33,19 @@ fn hw_fault(thread: &ThreadCtx, fault: HwAbort) -> TxCtl {
     TxCtl::Abort(fault.kind.reason())
 }
 
+/// Writes the stripes of the words `redo` wrote into `cover`, sorted and
+/// distinct: the cover a software committer locks for the same write set.
+fn word_cover(orecs: &OrecTable, redo: &WriteLog, cover: &mut Vec<usize>) {
+    cover.clear();
+    cover.extend(redo.iter().map(|e| orecs.index_for(e.addr)));
+    cover.sort_unstable();
+    cover.dedup();
+}
+
 /// Writes the stripe cover of the cache lines `redo` wrote (a superset of
-/// the written words' stripes) into `cover`, sorted and distinct.
+/// the written words' stripes) into `cover`, sorted and distinct — all an
+/// uncoupled HTM, whose word-level write set is architecturally invisible,
+/// can report to the wake scan.
 fn written_cover(plane: &dyn HwTm, redo: &WriteLog, cover: &mut Vec<usize>) {
     cover.clear();
     let mut last = None;
@@ -168,7 +179,9 @@ impl<'a> HtmTx<'a> {
         } = &mut *self.d;
         // Hybrid coupling: publish this commit through the software
         // STM's metadata, with the *same* protocol a software
-        // committer uses.  Every stripe covering a written line is
+        // committer uses, over the same cover: the stripes of the
+        // written words (word-disjoint writers of one line are the
+        // directory's business, not the orecs').  Every such stripe is
         // CAS-acquired (abort on any stripe a software commit
         // already holds — overlapping data is mid-commit), held
         // across the write-back, and released at a freshly ticked
@@ -181,7 +194,7 @@ impl<'a> HtmTx<'a> {
         // original versions and aborts before memory is touched.
         let coupled = was_writer && rt.orec_coupled();
         if coupled {
-            written_cover(plane, redo, cover);
+            word_cover(&system.orecs, redo, cover);
             for (k, &idx) in cover.iter().enumerate() {
                 let cur = system.orecs.load(idx);
                 let ok = !cur.is_locked()
@@ -260,13 +273,18 @@ impl Tx for HtmTx<'_> {
         let plane = self.rt.plane();
         let line = addr.line();
         let slot = plane.slot_for(line);
-        if let Err(f) = plane.read_line(line, slot, self.thread.id) {
-            // A conflicting speculative writer has been doomed by the backend
-            // (our coherence request invalidates its line); we abort as well
-            // rather than consuming a possibly torn value.
-            return Err(hw_fault(self.thread, f));
-        }
-        if self.d.read_slots.insert(slot) {
+        // Only the first touch of a line goes to the directory; a line this
+        // attempt already registered (as writer, which subsumes reader) is a
+        // cache hit.  The registration stands until `clear_slots`, so any
+        // conflicting party that arrives later finds it and dooms us, which
+        // the check after the load observes.
+        if !self.d.write_slots.contains(slot) && self.d.read_slots.insert(slot) {
+            if let Err(f) = plane.read_line(line, slot, self.thread.id) {
+                // A conflicting speculative writer has been doomed by the
+                // backend (our coherence request invalidates its line); we
+                // abort as well rather than consuming a possibly torn value.
+                return Err(hw_fault(self.thread, f));
+            }
             if let Err(f) = plane.check_read_footprint(self.d.read_slots.len()) {
                 return Err(hw_fault(self.thread, f));
             }
@@ -295,21 +313,23 @@ impl Tx for HtmTx<'_> {
         let plane = self.rt.plane();
         let line = addr.line();
         let slot = plane.slot_for(line);
-        // The backend registers us as the line's writer, dooming
-        // every conflicting speculative occupant; a conflict abort
-        // means a foreign writer could not be displaced.
-        if let Err(f) = plane.write_line(line, slot, self.thread.id) {
-            return Err(hw_fault(self.thread, f));
-        }
+        // First write to the line: the backend registers us as its
+        // writer, dooming every conflicting speculative occupant; a
+        // conflict abort means a foreign writer could not be displaced.
+        // Later writes hit the resident line: whoever displaces the
+        // registration dooms us, which the commit section checks.
         if self.d.write_slots.insert(slot) {
+            if let Err(f) = plane.write_line(line, slot, self.thread.id) {
+                return Err(hw_fault(self.thread, f));
+            }
             if let Err(f) = plane.check_write_footprint(self.d.write_slots.len()) {
                 return Err(hw_fault(self.thread, f));
             }
         }
-        // Buffer the store.  The HTM never consults ownership
-        // records and nothing reads this log's cover (commit maps
-        // written *lines* to stripes), so the cached index is left
-        // degenerate rather than maintained for nobody.
+        // Buffer the store.  Nothing reads this log's cover (commit
+        // derives its stripes from the entries: their words when
+        // orec-coupled, their lines otherwise), so the cached index is
+        // left degenerate rather than maintained for nobody.
         self.d.writes.record(addr, val, || 0);
         Ok(())
     }
@@ -386,11 +406,11 @@ macro_rules! delegate {
 }
 
 impl Attempt for LadderTx<'_> {
-    // A hardware commit maps its written cache lines to stripes (a superset
-    // of the written words' stripes) and leaves them in the descriptor, so
-    // the wake scan can be targeted even though orecs were never touched; a
-    // serial commit has no metadata at all and reports `serial`, which wakes
-    // every shard.
+    // A hardware commit leaves a stripe cover of its writes in the
+    // descriptor — the written words' stripes when orec-coupled, else those
+    // of the written cache lines (a superset) — so the wake scan can be
+    // targeted even where orecs were never touched; a serial commit has no
+    // metadata at all and reports `serial`, which wakes every shard.
     fn try_commit(&mut self) -> Result<CommitOutcome, TxCtl> {
         delegate!(self, tx => tx.try_commit())
     }

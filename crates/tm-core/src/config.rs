@@ -37,15 +37,20 @@ impl Default for HtmConfig {
 /// runtimes install the plane only when [`FaultConfig::enabled`] is true, so
 /// production paths pay nothing.  Rates are expressed per 65536 draws of a
 /// seeded per-thread `xorshift64*` stream, so a run is exactly reproducible
-/// from `(seed, thread id)`.
+/// from `(seed, thread id)`.  The access-time knobs draw once per *line
+/// registration* — an attempt's first read and first write of a cache line
+/// — not per access: later accesses to a resident line never reach the
+/// plane.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub struct FaultConfig {
     /// Seed for the per-thread random streams.
     pub seed: u64,
-    /// Conflict-abort probability per speculative access, in 65536ths.
+    /// Conflict-abort probability per speculative line registration, in
+    /// 65536ths.
     pub conflict_per_64k: u16,
-    /// Force a conflict abort on every access to a cache line whose index is
-    /// a multiple of this value (`0` disables; `1` dooms every line).
+    /// Force a conflict abort on every registration of a cache line whose
+    /// index is a multiple of this value (`0` disables; `1` dooms every
+    /// line).
     pub conflict_line_mod: u64,
     /// Inject a capacity abort when a hardware transaction's *read* footprint
     /// exceeds this many distinct lines (`0` leaves the backend's own
@@ -54,7 +59,8 @@ pub struct FaultConfig {
     /// Inject a capacity abort when the *write* footprint exceeds this many
     /// distinct lines (`0` disables).
     pub capacity_write_lines: usize,
-    /// Spurious-abort probability per speculative access, in 65536ths.
+    /// Spurious-abort probability per speculative line registration, in
+    /// 65536ths.
     pub spurious_per_64k: u16,
     /// Conflict-abort probability *inside the commit window* (after the doom
     /// check, before write-back), in 65536ths per commit attempt.

@@ -108,8 +108,7 @@ impl HwAbort {
 /// policing, the commit-window check, cleanup — plus the two couplings the
 /// hybrid runtime needs: the non-speculative write-back claim a software
 /// commit uses to doom overlapping speculation, and line-cover reporting
-/// (committed line → ownership-record stripes) for orec coupling and
-/// targeted wake scans.
+/// (committed line → ownership-record stripes) for targeted wake scans.
 ///
 /// Conflicting *other* transactions are doomed inside the backend (the
 /// simulator delivers dooms through the thread registry); the caller only
@@ -133,14 +132,18 @@ pub trait HwTm: Send + Sync + fmt::Debug {
     /// clear and claim methods.
     fn slot_for(&self, line: LineId) -> usize;
 
-    /// Registers `tid` as a speculative reader of `line` (token `slot`).
-    /// `Err` means the attempt must abort; any conflicting speculative
-    /// writer has already been doomed and the registration undone.
+    /// Registers `tid` as a speculative reader of `line` (token `slot`),
+    /// until [`HwTm::clear_read`]: the runtimes call this on an attempt's
+    /// first read of a line it has not written, and treat every later
+    /// access to the line as a hit.  `Err` means the attempt must abort; any
+    /// conflicting speculative writer has already been doomed and the
+    /// registration undone.
     fn read_line(&self, line: LineId, slot: usize, tid: ThreadId) -> Result<(), HwAbort>;
 
-    /// Registers `tid` as the speculative writer of `line` (token `slot`).
-    /// On success every conflicting speculative reader/writer has been
-    /// doomed; `Err` means the attempt must abort.
+    /// Registers `tid` as the speculative writer of `line` (token `slot`),
+    /// until [`HwTm::clear_write`]: called on an attempt's first write of
+    /// the line only.  On success every conflicting speculative reader has
+    /// been doomed; `Err` means the attempt must abort.
     fn write_line(&self, line: LineId, slot: usize, tid: ThreadId) -> Result<(), HwAbort>;
 
     /// Polices the read footprint after it grew to `distinct_lines` distinct
@@ -172,10 +175,11 @@ pub trait HwTm: Send + Sync + fmt::Debug {
     fn release_writeback(&self, slot: usize, tid: ThreadId);
 
     /// Appends the ownership-record stripes covering every word of `line` to
-    /// `out` (the caller sorts/dedups).  A hardware commit's effects are
-    /// visible only at line granularity; this cover is a superset of the
-    /// written words' stripes, so orec coupling and targeted wake scans
-    /// built on it can never lose an update or a wakeup.
+    /// `out` (the caller sorts/dedups).  An uncoupled hardware commit's
+    /// effects are visible only at line granularity; this cover is a
+    /// superset of the written words' stripes, so targeted wake scans built
+    /// on it can never lose a wakeup.  (An orec-coupled commit locks and
+    /// publishes the written words' own stripes, like a software commit.)
     fn line_cover(&self, line: LineId, out: &mut Vec<usize>);
 }
 
@@ -202,8 +206,11 @@ fn splitmix64(mut x: u64) -> u64 {
 ///
 /// * [`HwTm::read_line`] / [`HwTm::write_line`] — conflict aborts on chosen
 ///   lines (`conflict_line_mod`) or at a seeded rate (`conflict_per_64k`),
-///   and spurious aborts at a seeded rate (`spurious_per_64k`).  Injection
-///   is decided *before* delegating, so no registration is left behind.
+///   and spurious aborts at a seeded rate (`spurious_per_64k`).  The
+///   runtimes call these once per *first touch of a line in an attempt*
+///   (first read, first write), not per access, so that is what the rates
+///   count.  Injection is decided *before* delegating, so no registration
+///   is left behind.
 /// * [`HwTm::check_read_footprint`] / [`HwTm::check_write_footprint`] —
 ///   capacity aborts at a chosen footprint (`capacity_read_lines` /
 ///   `capacity_write_lines`), tighter than the real capacity.

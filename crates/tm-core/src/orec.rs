@@ -228,8 +228,8 @@ impl OrecTable {
     /// truth for that mapping — the HTM simulator, the wake-path tests and
     /// the `wake_scaling` bench all derive from it.
     ///
-    /// Returned as an iterator: this sits on the HTM simulator's per-access
-    /// hot path, which used to pay a fresh `Vec` allocation per call.
+    /// Returned as an iterator: this sits on the HTM simulator's commit
+    /// path, which used to pay a fresh `Vec` allocation per call.
     pub fn line_indices(&self, line: LineId) -> impl Iterator<Item = usize> + '_ {
         let base = line.first_word();
         (0..LINE_WORDS).map(move |i| self.index_for(base.offset(i)))
