@@ -28,7 +28,7 @@ use crate::backoff::Backoff;
 use crate::config::BackoffConfig;
 use crate::ctl::{AbortReason, TxCtl, TxResult, WaitSpec};
 use crate::policy::{CmEvent, CmHistory};
-use crate::stats::TxStats;
+use crate::stats::{latency_sampled, LatencyHistogram, TxStats};
 use crate::thread::ThreadCtx;
 use crate::tx::{Tx, TxCommon, TxKind, TxMode};
 use crate::waitlist::{WakeReason, WakeSet};
@@ -83,8 +83,12 @@ where
     // to; the *current* kind may be upgraded to `Update` mid-flight.
     let declared_ro = kind == TxKind::ReadOnly;
     // `None` for the wait protocol's own transactions (wake checks, the
-    // deschedule double-check), which are not operations and pay no clock.
-    let started = thread.records_latency().then(Instant::now);
+    // deschedule double-check), which are not operations: neither counted
+    // nor timed.
+    let latency_class = thread.latency_class();
+    // One operation in `LATENCY_SAMPLE_PERIOD` pays the clock-read pair,
+    // picked by the draw above; the rest are counted at commit.
+    let started = (latency_class.is_some() && latency_sampled(seed)).then(Instant::now);
     let mut kind = kind;
     // Abort history for the contention policy, reset when a deschedule ends
     // the contention episode (and by policies when they escalate).
@@ -136,22 +140,26 @@ where
                         // themselves in the engines).
                         TxStats::bump(&thread.stats.ro_fast_commits);
                     }
-                    if let Some(started) = started {
-                        let hist = if declared_ro {
+                    if let Some(class) = latency_class {
+                        let elapsed_nanos =
+                            started.map(|started| started.elapsed().as_nanos() as u64);
+                        let note = |hist: &LatencyHistogram| match elapsed_nanos {
+                            Some(nanos) => hist.record(nanos),
+                            None => hist.record_untimed(),
+                        };
+                        note(if declared_ro {
                             &thread.stats.ro_tx_latency
                         } else {
                             &thread.stats.update_tx_latency
-                        };
-                        let elapsed_nanos = started.elapsed().as_nanos() as u64;
-                        hist.record(elapsed_nanos);
-                        if let Some(class) = thread.op_class() {
+                        });
+                        if let Some(class) = class {
                             // Workload-declared operation class: the same
                             // whole-operation latency (retries, backoff and
                             // upgrades included) also lands in the class's
                             // own histogram, so reports can show tail latency
                             // per get/put/delete/scan rather than per commit
                             // kind.
-                            thread.stats.op_histogram(class).record(elapsed_nanos);
+                            note(thread.stats.op_histogram(class));
                         }
                     }
                     if outcome.was_writer {

@@ -17,8 +17,10 @@ use crate::pad::CachePadded;
 /// ([`crate::thread::ThreadCtx::set_op_class`]); the driver then records the
 /// whole transaction's wall-clock latency — retries, backoff and upgrades
 /// included — into the matching histogram at commit, alongside the
-/// update/read-only commit-class histograms.  Reports can therefore show
-/// p50/p99/p999 *per operation*, not just per commit class.
+/// update/read-only commit-class histograms (for the one transaction in
+/// [`LATENCY_SAMPLE_PERIOD`] it times; the rest are only counted).  Reports
+/// can therefore show p50/p99/p999 *per operation*, not just per commit
+/// class.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum OpClass {
     /// Point lookup (typically a declared read-only transaction).
@@ -72,8 +74,27 @@ impl OpClass {
 /// tops out around 2 seconds before the last bucket absorbs the overflow.
 pub const LATENCY_BUCKETS: usize = 32;
 
+/// The driver times one transaction in this many and only counts the rest:
+/// a clock-read pair costs about as much as an empty transaction's whole
+/// protocol, and a pseudo-random one-in-eight sample has the population's
+/// quantiles.
+/// A power of two, so the decision is a shift of a value the driver already
+/// drew.
+pub const LATENCY_SAMPLE_PERIOD: u64 = 8;
+
+/// Whether the transaction that drew `draw` from its thread's xorshift
+/// stream is one of the timed ones: the top `log2(LATENCY_SAMPLE_PERIOD)`
+/// bits are zero.  Pseudo-random rather than every eighth, because workloads
+/// alternate operation kinds with small periods (`pc_*` has period two) and
+/// a stride would hand one kind every sample.
+#[inline]
+pub(crate) fn latency_sampled(draw: u64) -> bool {
+    draw >> (u64::BITS - LATENCY_SAMPLE_PERIOD.trailing_zeros()) == 0
+}
+
 /// A cheap fixed-bucket latency histogram: 32 log2 buckets of plain
-/// relaxed counters.
+/// relaxed counters holding the timed operations, plus one counter for the
+/// operations that were counted without being timed.
 ///
 /// Recording is one `leading_zeros` plus an owner-only load and store (the
 /// one-writer rule of [`TxStats`]) — cheap enough for the driver's
@@ -84,12 +105,14 @@ pub const LATENCY_BUCKETS: usize = 32;
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; LATENCY_BUCKETS],
+    untimed: AtomicU64,
 }
 
 impl Default for LatencyHistogram {
     fn default() -> Self {
         LatencyHistogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            untimed: AtomicU64::new(0),
         }
     }
 }
@@ -108,18 +131,26 @@ impl LatencyHistogram {
         TxStats::bump(&self.buckets[bucket_for(nanos)]);
     }
 
-    /// A point-in-time copy of the bucket counts.
+    /// Counts one operation that was not timed (owner thread only).
+    #[inline]
+    pub fn record_untimed(&self) {
+        TxStats::bump(&self.untimed);
+    }
+
+    /// A point-in-time copy of the bucket counts and the untimed count.
     pub fn snapshot(&self) -> LatencySnapshot {
         LatencySnapshot {
             buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+            untimed: self.untimed.load(Ordering::Relaxed),
         }
     }
 
-    /// Zeroes every bucket.
+    /// Zeroes every bucket and the untimed count.
     pub fn reset(&self) {
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
         }
+        self.untimed.store(0, Ordering::Relaxed);
     }
 }
 
@@ -127,26 +158,34 @@ impl LatencyHistogram {
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LatencySnapshot {
     buckets: [u64; LATENCY_BUCKETS],
+    untimed: u64,
 }
 
 impl LatencySnapshot {
-    /// Bucket-wise sum of two snapshots.
+    /// Bucket-wise sum of two snapshots; the untimed counts add too.
     pub fn merge(&self, other: &LatencySnapshot) -> LatencySnapshot {
         LatencySnapshot {
             buckets: std::array::from_fn(|i| self.buckets[i] + other.buckets[i]),
+            untimed: self.untimed + other.untimed,
         }
     }
 
-    /// Total number of recorded samples.
+    /// Exact number of operations the histogram saw, timed or not.
     pub fn count(&self) -> u64 {
+        self.samples() + self.untimed
+    }
+
+    /// Number of timed operations: the samples the quantiles rank over.
+    pub fn samples(&self) -> u64 {
         self.buckets.iter().sum()
     }
 
-    /// An upper bound (in nanoseconds) on the `q`-quantile sample,
+    /// An upper bound (in nanoseconds) on the `q`-quantile timed sample,
     /// `0.0 < q <= 1.0`: the inclusive upper edge of the log2 bucket the
-    /// quantile falls in.  Returns 0 when the histogram is empty.
+    /// quantile falls in.  Returns 0 when nothing was timed — check
+    /// [`samples`](Self::samples) before reading that as a measurement.
     pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        let total = self.count();
+        let total = self.samples();
         if total == 0 {
             return 0;
         }
@@ -393,11 +432,15 @@ stats_fields! {
     write_set_max,
     }
     histograms {
-    /// Wall-clock latency of committed update transactions (begin of the
-    /// first attempt to commit, including aborted attempts and backoff).
+    /// Committed update transactions: whole-operation wall-clock latency
+    /// (begin of the first attempt to commit, including aborted attempts and
+    /// backoff) of a one-in-eight pseudo-random sample, exact operation
+    /// count.
     update_tx_latency,
-    /// Wall-clock latency of committed declared-read-only transactions
-    /// (including any upgrade and re-execution as an update transaction).
+    /// Committed declared-read-only transactions: whole-operation
+    /// wall-clock latency (including any upgrade and re-execution as an
+    /// update transaction) of a one-in-eight pseudo-random sample, exact
+    /// operation count.
     ro_tx_latency,
     /// Wall-clock latency of transactions tagged [`OpClass::Get`] by the
     /// workload (point lookups), retries and backoff included.
@@ -695,6 +738,45 @@ mod tests {
         a.update_tx_latency.record(1);
         a.reset();
         assert_eq!(a.snapshot(), StatsSnapshot::default());
+    }
+
+    #[test]
+    fn untimed_operations_count_but_do_not_rank() {
+        let s = TxStats::default();
+        for _ in 0..10 {
+            s.update_tx_latency.record(100);
+        }
+        for _ in 0..90 {
+            s.update_tx_latency.record_untimed();
+        }
+        let snap = s.snapshot().update_tx_latency;
+        assert_eq!((snap.count(), snap.samples()), (100, 10));
+        // The median ranks over the ten timed samples, all in the 100ns
+        // bucket; ranked over `count()` it would run off the end.
+        let p50 = snap.quantile_upper_bound(0.50);
+        assert!((100..128).contains(&p50), "p50 bound {p50}");
+        assert_eq!(snap.quantile_upper_bound(1.0), p50);
+
+        let other = LatencyHistogram::default();
+        other.record(100);
+        other.record_untimed();
+        let merged = snap.merge(&other.snapshot());
+        assert_eq!((merged.count(), merged.samples()), (102, 11));
+
+        s.reset();
+        assert_eq!(s.snapshot(), StatsSnapshot::default());
+    }
+
+    #[test]
+    fn one_draw_in_eight_is_sampled() {
+        assert!(latency_sampled(0));
+        assert!(latency_sampled(u64::MAX >> 3));
+        assert!(!latency_sampled(1 << 61));
+        assert!(!latency_sampled(u64::MAX));
+        let sampled = (0..LATENCY_SAMPLE_PERIOD)
+            .filter(|top| latency_sampled(top << 61))
+            .count();
+        assert_eq!(sampled, 1);
     }
 
     #[test]

@@ -196,12 +196,6 @@ impl ThreadCtx {
         self.op_class.store(0, Ordering::Relaxed);
     }
 
-    /// The operation class currently declared on this thread, if any.
-    #[inline]
-    pub fn op_class(&self) -> Option<OpClass> {
-        OpClass::from_tag(self.op_class.load(Ordering::Relaxed))
-    }
-
     /// Suspends latency accounting on this thread until the guard drops:
     /// transactions it runs meanwhile record into no histogram — neither an
     /// operation class's nor the commit-kind ones — and read no clock for
@@ -218,10 +212,14 @@ impl ThreadCtx {
         }
     }
 
-    /// False inside a [`ThreadCtx::pause_latency`] guard.
+    /// Where a transaction starting now reports its latency, from one load
+    /// of the tag: `None` inside a [`ThreadCtx::pause_latency`] guard
+    /// (nowhere), otherwise the declared operation class, if any, beside the
+    /// commit-kind histogram.
     #[inline]
-    pub fn records_latency(&self) -> bool {
-        self.op_class.load(Ordering::Relaxed) != LATENCY_PAUSED
+    pub(crate) fn latency_class(&self) -> Option<Option<OpClass>> {
+        let tag = self.op_class.load(Ordering::Relaxed);
+        (tag != LATENCY_PAUSED).then(|| OpClass::from_tag(tag))
     }
 
     /// This thread's padded epoch-table slot.

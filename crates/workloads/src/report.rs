@@ -316,11 +316,14 @@ impl Panel {
     /// One line per mechanism and operation class giving whole-transaction
     /// latency quantile upper bounds from the log2 histograms: p50, p99 and
     /// p999, each the inclusive upper edge of the bucket the quantile falls
-    /// in.  The commit classes (update / read-only) come first, then the
-    /// workload-declared [`OpClass`] classes (get/put/del/scan); classes
-    /// never recorded are skipped.  Each line also carries the series'
-    /// `ro_fast_commits` / `snapshot_refreshes` counters, so the snapshot
-    /// fast-path claim is visible wherever a latency is quoted.
+    /// in.  `n` is the exact operation count and `timed` the one-in-eight
+    /// sample of them the quantiles rank over; a class that ran but was
+    /// never timed shows `-`, not a zero bound.  The commit classes (update /
+    /// read-only) come first, then the workload-declared [`OpClass`] classes
+    /// (get/put/del/scan); classes that never ran are skipped.  Each line
+    /// also carries the series' `ro_fast_commits` / `snapshot_refreshes`
+    /// counters, so the snapshot fast-path claim is visible wherever a
+    /// latency is quoted.
     pub fn render_latency_stats(&self) -> String {
         let mut out = String::new();
         for s in &self.series {
@@ -336,15 +339,20 @@ impl Panel {
                 if hist.count() == 0 {
                     continue;
                 }
+                let bound = |q: f64| match hist.samples() {
+                    0 => "-".to_string(),
+                    _ => format!("{}ns", hist.quantile_upper_bound(q)),
+                };
                 let _ = writeln!(
                     out,
-                    "# latency {:>10} {:>6}: n {:>10}  p50 <= {:>12}ns  p99 <= {:>12}ns  p999 <= {:>12}ns  ro_fast {:>10}  refreshes {:>8}",
+                    "# latency {:>10} {:>6}: n {:>10}  timed {:>10}  p50 <= {:>14}  p99 <= {:>14}  p999 <= {:>14}  ro_fast {:>10}  refreshes {:>8}",
                     s.mechanism.label(),
                     class,
                     hist.count(),
-                    hist.quantile_upper_bound(0.50),
-                    hist.quantile_upper_bound(0.99),
-                    hist.quantile_upper_bound(0.999),
+                    hist.samples(),
+                    bound(0.50),
+                    bound(0.99),
+                    bound(0.999),
                     stats.ro_fast_commits,
                     stats.snapshot_refreshes,
                 );
@@ -873,6 +881,41 @@ mod tests {
         assert!(text.contains("p50 <=         1023ns"));
         assert!(text.contains("p999 <=      1048575ns"));
         assert!(!text.contains("    ro:"), "the empty ro class is skipped");
+    }
+
+    #[test]
+    fn latency_stats_show_counted_and_timed_and_never_a_bound_nobody_measured() {
+        let mut panel = Panel::new("p1-c1", "buffer size");
+        let mut p = point(4, 1.0);
+        // A ten-op run whose draws all missed the sample: counted, not timed.
+        let short = tm_core::LatencyHistogram::default();
+        for _ in 0..10 {
+            short.record_untimed();
+        }
+        p.stats.ro_tx_latency = short.snapshot();
+        let sampled = tm_core::LatencyHistogram::default();
+        for _ in 0..7 {
+            sampled.record_untimed();
+        }
+        sampled.record(700);
+        p.stats.update_tx_latency = sampled.snapshot();
+        panel.series_mut(Mechanism::Retry).push(p);
+        let text = panel.render_latency_stats();
+        let line = |class: &str| {
+            text.lines()
+                .find(|l| l.contains(class))
+                .unwrap_or_else(|| panic!("no {class} line in {text}"))
+        };
+        let ro = line("    ro:");
+        assert!(ro.contains("n         10  timed          0"), "{ro}");
+        assert!(ro.contains("p50 <=              -  "), "{ro}");
+        assert!(!ro.contains("ns"), "an unmeasured bound printed: {ro}");
+        let update = line("update:");
+        assert!(
+            update.contains("n          8  timed          1"),
+            "{update}"
+        );
+        assert!(update.contains("p50 <=         1023ns"), "{update}");
     }
 
     #[test]

@@ -197,5 +197,76 @@ fn wake_checks_record_no_latency_samples() {
         // evaluation, its double-check, or the writer's wake checks.
         assert_eq!(stats.update_tx_latency.count(), OPS + 1, "{kind}");
         assert_eq!(stats.ro_tx_latency.count(), 0, "{kind}");
+        assert_eq!(stats.ro_tx_latency.samples(), 0, "{kind}");
+        assert!(stats.update_tx_latency.samples() <= OPS + 1, "{kind}");
+    }
+}
+
+/// Operations per sampling test: one in eight is timed, so 1,000 expected
+/// with σ ≈ 30 — [`SAMPLED`] is more than ten σ either side.
+const SAMPLING_OPS: u64 = 8_000;
+const SAMPLED: std::ops::RangeInclusive<u64> = 600..=1_400;
+
+/// One thread running `SAMPLING_OPS` iterations of `op` on a fresh system.
+fn single_thread_stats(
+    kind: RuntimeKind,
+    op: impl Fn(&AnyRuntime, &Arc<tm_repro::core::ThreadCtx>, &TmVar<u64>),
+) -> tm_repro::core::StatsSnapshot {
+    let rt = kind.build(TmConfig::default());
+    let system = Arc::clone(rt.system());
+    let var = TmVar::<u64>::alloc(&system, 0);
+    let th = system.register_thread();
+    for _ in 0..SAMPLING_OPS {
+        op(&rt, &th, &var);
+    }
+    system.stats()
+}
+
+fn increment(rt: &AnyRuntime, th: &Arc<tm_repro::core::ThreadCtx>, var: &TmVar<u64>) {
+    rt.atomically(th, |tx| {
+        let x = var.get(tx)?;
+        var.set(tx, x + 1)
+    });
+}
+
+/// The driver times one transaction in eight and counts all of them; which
+/// ones it times follows the thread's own seeded stream, so a rerun picks
+/// the same ones.
+#[test]
+fn one_transaction_in_eight_is_timed_and_every_one_counted() {
+    for kind in RuntimeKind::ALL {
+        let first = single_thread_stats(kind, increment).update_tx_latency;
+        assert_eq!(first.count(), SAMPLING_OPS, "{kind}");
+        assert!(
+            SAMPLED.contains(&first.samples()),
+            "{kind}: {}",
+            first.samples()
+        );
+        let again = single_thread_stats(kind, increment).update_tx_latency;
+        assert_eq!(again.samples(), first.samples(), "{kind}: not repeatable");
+    }
+}
+
+/// A workload alternating two kinds of operation (as `pc_*` alternates
+/// blocking and non-blocking ones) still gets each kind timed at the same
+/// rate: a timed-every-eighth counter would hand one of them every sample.
+#[test]
+fn alternating_operation_kinds_are_both_sampled() {
+    for kind in RuntimeKind::ALL {
+        let stats = single_thread_stats(kind, |rt, th, var| {
+            increment(rt, th, var);
+            rt.atomically_read(th, |tx| var.get(tx));
+        });
+        for (class, hist) in [
+            ("update", stats.update_tx_latency),
+            ("ro", stats.ro_tx_latency),
+        ] {
+            assert_eq!(hist.count(), SAMPLING_OPS, "{kind} {class}");
+            assert!(
+                SAMPLED.contains(&hist.samples()),
+                "{kind} {class}: {}",
+                hist.samples()
+            );
+        }
     }
 }
