@@ -131,7 +131,7 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    use tm_core::{Addr, ThreadCtx, TmConfig, TmSystem, TxCommon, TxCtl, TxMode};
+    use tm_core::{Addr, ThreadCtx, TmConfig, TmSystem, TxCommon, TxMode};
 
     /// A tx whose commit_and_reopen just runs the block, for driving the
     /// condvar protocol without a full STM.
@@ -161,9 +161,6 @@ mod tests {
             self.reopened += 1;
             block();
             Ok(())
-        }
-        fn explicit_abort(&mut self, code: u8) -> TxCtl {
-            TxCtl::Abort(tm_core::AbortReason::Explicit(code))
         }
         fn common(&self) -> &TxCommon {
             &self.common

@@ -25,7 +25,7 @@ use std::fmt;
 use std::str::FromStr;
 use std::time::Duration;
 
-use tm_core::{Addr, PredFn, Tx, TxCtl, TxResult, WaitSpec};
+use tm_core::{AbortReason, Addr, PredFn, Tx, TxCtl, TxResult, WaitSpec};
 
 use crate::timed::{await_one_for, retry_for, wait_pred_for};
 
@@ -193,15 +193,15 @@ pub fn retry_orig<T>(tx: &mut dyn Tx) -> TxResult<T> {
 
 /// The `Restart` baseline: abort and immediately re-execute the transaction
 /// without sleeping.  Equivalent to a Conditional-Critical-Region retry loop.
-pub fn restart<T>(tx: &mut dyn Tx) -> TxResult<T> {
-    Err(tx.explicit_abort(RESTART_ABORT_CODE))
+pub fn restart<T>(_tx: &mut dyn Tx) -> TxResult<T> {
+    Err(TxCtl::Abort(AbortReason::Explicit(RESTART_ABORT_CODE)))
 }
 
 #[cfg(test)]
 mod construct_tests {
     use super::*;
     use std::sync::Arc;
-    use tm_core::{AbortReason, ThreadCtx, TmConfig, TmSystem, TxCommon, TxMode};
+    use tm_core::{ThreadCtx, TmConfig, TmSystem, TxCommon, TxMode};
 
     struct NullTx {
         common: TxCommon,
@@ -224,9 +224,6 @@ mod construct_tests {
         }
         fn commit_and_reopen(&mut self, _block: &mut dyn FnMut()) -> TxResult<()> {
             Ok(())
-        }
-        fn explicit_abort(&mut self, code: u8) -> TxCtl {
-            TxCtl::Abort(AbortReason::Explicit(code))
         }
         fn common(&self) -> &TxCommon {
             &self.common

@@ -30,17 +30,17 @@ impl Default for HtmConfig {
     }
 }
 
-/// Configuration of the deterministic hardware fault-injection plane (see
-/// [`crate::hwtm::FaultPlane`]).
+/// Configuration of the deterministic hardware fault injector that a
+/// hardware runtime's [`crate::hardware::Directory`] consults.
 ///
-/// The default is all-zero, which disables injection entirely: the HTM
-/// runtimes install the plane only when [`FaultConfig::enabled`] is true, so
-/// production paths pay nothing.  Rates are expressed per 65536 draws of a
+/// The default is all-zero, which disables injection entirely: a hardware
+/// runtime's directory holds an injector only when [`FaultConfig::enabled`]
+/// is true, so production paths pay one `None` test per injection point.  Rates are expressed per 65536 draws of a
 /// seeded per-thread `xorshift64*` stream, so a run is exactly reproducible
 /// from `(seed, thread id)`.  The access-time knobs draw once per *line
 /// registration* — an attempt's first read and first write of a cache line
 /// — not per access: later accesses to a resident line never reach the
-/// plane.
+/// directory.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub struct FaultConfig {
     /// Seed for the per-thread random streams.
@@ -53,8 +53,8 @@ pub struct FaultConfig {
     /// line).
     pub conflict_line_mod: u64,
     /// Inject a capacity abort when a hardware transaction's *read* footprint
-    /// exceeds this many distinct lines (`0` leaves the backend's own
-    /// capacity in charge).
+    /// exceeds this many distinct lines (`0` leaves the configured
+    /// [`HtmConfig`] capacity in charge).
     pub capacity_read_lines: usize,
     /// Inject a capacity abort when the *write* footprint exceeds this many
     /// distinct lines (`0` disables).
@@ -68,8 +68,8 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// True when any injection knob is set, i.e. the runtimes should wrap
-    /// their hardware backend in a [`crate::hwtm::FaultPlane`].
+    /// True when any injection knob is set, i.e. a hardware runtime's
+    /// directory consults a fault injector.
     pub fn enabled(self) -> bool {
         self.conflict_per_64k != 0
             || self.conflict_line_mod != 0

@@ -50,7 +50,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::addr::Addr;
-use crate::ctl::{TxCtl, TxResult, WaitCondition};
+use crate::ctl::{TxResult, WaitCondition};
 use crate::orec::OrecTable;
 use crate::runtime::TmRuntime;
 use crate::sem::Semaphore;
@@ -147,9 +147,6 @@ impl Tx for FootprintTx<'_> {
     }
     fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
         self.inner.commit_and_reopen(block)
-    }
-    fn explicit_abort(&mut self, code: u8) -> TxCtl {
-        self.inner.explicit_abort(code)
     }
     fn common(&self) -> &TxCommon {
         self.inner.common()
@@ -474,9 +471,6 @@ mod tests {
         fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
             block();
             Ok(())
-        }
-        fn explicit_abort(&mut self, code: u8) -> crate::ctl::TxCtl {
-            crate::ctl::TxCtl::Abort(crate::ctl::AbortReason::Explicit(code))
         }
         fn common(&self) -> &TxCommon {
             &self.common

@@ -1,6 +1,6 @@
 //! A hybrid HTM+STM runtime: best-effort (simulated) hardware transactions
 //! as the fast path, the lazy software STM as the fallback, one shared
-//! [`tm_core::TmSystem`].
+//! [`crate::TmSystem`].
 //!
 //! The paper evaluates three *fixed* configurations; this module adds the
 //! production-shaped fourth: transactions start in hardware and — when
@@ -20,12 +20,12 @@
 //!
 //! * **software → hardware**: a software commit's write-back runs inside the
 //!   serial gate's hardware commit section and claims/dooms the written
-//!   cache lines in the coherence directory first (the
-//!   [`tm_core::software::CommitInterlock`] installed here), so no
-//!   speculative transaction can observe a partial write-back or survive
-//!   having read overwritten lines;
+//!   cache lines in the coherence directory first (the lazy commit is begun
+//!   with the hardware runtime's [`super::Directory`]), so no speculative
+//!   transaction can observe a partial write-back or survive having read
+//!   overwritten lines;
 //! * **hardware → software**: hardware commits run orec-*coupled*
-//!   ([`HtmSim::new_coupled`]): before writing back they abort on —
+//!   ([`HtmSim::orec_coupled`]): before writing back they abort on —
 //!   and never stomp — locked ownership records covering their written
 //!   words, and they publish a fresh global-clock version to those records,
 //!   so software read validation observes hardware writes.  Software
@@ -33,81 +33,32 @@
 //!   rather than trusting the nothing-committed clock fast path.
 //!
 //! Condition synchronization comes for free: the engine plugs into the one
-//! driver loop in `tm_core::driver`, the software path supplies value
+//! driver loop in [`crate::driver`], the software path supplies value
 //! logging and wait-condition materialisation, and — because the software
 //! path has real lock metadata — the hybrid even supports the `Retry-Orig`
 //! baseline the pure HTM configuration must exclude.
 
 use std::sync::Arc;
 
-use tm_core::access::{IndexSet, WriteEntry};
-use tm_core::driver::TxEngine;
-use tm_core::software::{deschedule_orig, CommitInterlock, LazyTx};
-use tm_core::{Descriptor, ThreadCtx, ThreadId, TmSystem, TxCommon, TxMode};
-
-use crate::runtime::HtmSim;
-use crate::tx::{HtmTx, LadderTx};
-
-/// The software-commit interlock this runtime installs into its lazy path:
-/// write-backs enter the gate's hardware commit section and claim/doom the
-/// written lines first, so software and hardware commits serialise and no
-/// speculative reader survives a software write-back it overlapped.
-#[derive(Debug)]
-struct HwInterlock {
-    htm: Arc<HtmSim>,
-}
-
-impl CommitInterlock for HwInterlock {
-    fn commit_section(
-        &self,
-        writer: ThreadId,
-        write_entries: &[WriteEntry],
-        slots: &mut IndexSet,
-        validate: &mut dyn FnMut() -> bool,
-        writeback: &mut dyn FnMut(),
-    ) -> bool {
-        // Mutual exclusion with every hardware commit's doom-check +
-        // write-back (and with serial-gate acquisition's drain).
-        let _section = self.htm.system().serial.hw_commit_section();
-        // Validate first: it only reads orecs, and the section already
-        // excludes hardware commits, so a failed validation aborts this
-        // commit without dooming a single speculative transaction.
-        if !validate() {
-            return false;
-        }
-        let plane = self.htm.plane();
-        for e in write_entries {
-            slots.insert(plane.slot_for(e.addr.line()));
-        }
-        // Claim the written lines: the backend dooms every speculative
-        // occupant, and any speculative access arriving during the
-        // write-back observes a foreign writer and aborts.  This must
-        // precede the write-back so no hardware transaction can read a torn
-        // mix of old and new words (a reader registering between the claim
-        // sweep and its line's store is still caught: it observes the
-        // foreign writer and aborts).
-        for slot in slots.iter() {
-            plane.claim_for_writeback(slot, writer);
-        }
-        writeback();
-        for slot in slots.iter() {
-            plane.release_writeback(slot, writer);
-        }
-        true
-    }
-}
+use super::runtime::HtmSim;
+use super::tx::{HtmTx, LadderTx};
+use crate::access::Descriptor;
+use crate::driver::TxEngine;
+use crate::software::{deschedule_orig, LazyTx};
+use crate::system::TmSystem;
+use crate::thread::ThreadCtx;
+use crate::tx::{TxCommon, TxMode};
 
 /// The hybrid HTM+STM runtime.
 ///
 /// Attempts begin as (simulated) hardware transactions on an orec-coupled
 /// [`HtmSim`]; software attempts are lazy-STM transactions
-/// ([`tm_core::software::LazyTx`]) with the write-back interlock installed,
-/// serial attempts the same type begun in [`TxMode::Serial`].  All three
-/// share one [`TmSystem`].
+/// ([`crate::software::LazyTx`]) begun with that runtime's coherence
+/// directory, serial attempts the same type begun in [`TxMode::Serial`].
+/// All three share one [`TmSystem`].
 pub struct HybridTm {
     system: Arc<TmSystem>,
-    htm: Arc<HtmSim>,
-    interlock: HwInterlock,
+    htm: HtmSim,
 }
 
 impl std::fmt::Debug for HybridTm {
@@ -121,23 +72,14 @@ impl std::fmt::Debug for HybridTm {
 impl HybridTm {
     /// Creates a hybrid runtime over `system`.
     pub fn new(system: Arc<TmSystem>) -> Arc<Self> {
-        let htm = HtmSim::new_coupled(Arc::clone(&system));
         Arc::new(HybridTm {
+            htm: HtmSim::coupled(Arc::clone(&system)),
             system,
-            interlock: HwInterlock {
-                htm: Arc::clone(&htm),
-            },
-            htm,
         })
     }
 
-    /// The shared system.
-    pub fn system(&self) -> &Arc<TmSystem> {
-        &self.system
-    }
-
     /// The hardware fast path's simulator (exposed for tests).
-    pub fn htm(&self) -> &Arc<HtmSim> {
+    pub fn htm(&self) -> &HtmSim {
         &self.htm
     }
 }
@@ -153,14 +95,15 @@ impl TxEngine for HybridTm {
     ) -> LadderTx<'a> {
         match common.mode {
             TxMode::Hardware => LadderTx::Hw(HtmTx::begin(&self.htm, thread, desc, common)),
-            // The software rungs are real STM attempts with the write-back
-            // interlock installed; `Serial` is the same type behind the gate.
+            // The software rungs are real STM attempts whose commits claim
+            // their written lines in the directory; `Serial` is the same type
+            // behind the gate.
             _ => LadderTx::Sw(LazyTx::begin_with(
                 &self.system,
                 thread,
                 desc,
                 common,
-                Some(&self.interlock),
+                Some(self.htm.directory()),
             )),
         }
     }
@@ -220,12 +163,12 @@ impl TxEngine for HybridTm {
 // always; if the attempt falls off speculation, the software rung is a
 // lazy-STM snapshot attempt (no read set, free commit) instead of a full
 // instrumented transaction.
-tm_core::engine_runtime!("hybrid", HybridTm);
+crate::engine_runtime!("hybrid", HybridTm);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_core::{Addr, HtmConfig, TmConfig, TmRt, TmVar, TxCtl};
+    use crate::{Addr, HtmConfig, TmConfig, TmRt, TmVar, TxCtl};
 
     fn runtime() -> (Arc<TmSystem>, Arc<HybridTm>) {
         let system = TmSystem::new(TmConfig::small());
@@ -259,7 +202,7 @@ mod tests {
         }));
         let rt = HybridTm::new(Arc::clone(&system));
         let th = system.register_thread();
-        let arr = tm_core::TmArray::<u64>::alloc(&system, 256, 0);
+        let arr = crate::TmArray::<u64>::alloc(&system, 256, 0);
         rt.atomically(&th, |tx| {
             for i in 0..64 {
                 arr.set(tx, i, i as u64)?;
@@ -292,64 +235,6 @@ mod tests {
             "a coupled hardware commit must bump the written stripes \
              ({before} -> {after}) so software validation can see it"
         );
-    }
-
-    #[test]
-    fn retry_deschedules_via_the_software_path_and_wakes() {
-        let (system, rt) = runtime();
-        let flag = TmVar::<u64>::alloc(&system, 0);
-        let flag2 = flag.clone();
-        let rt2 = Arc::clone(&rt);
-        let system2 = Arc::clone(&system);
-        let waiter = std::thread::spawn(move || {
-            let th = system2.register_thread();
-            rt2.atomically(&th, |tx| {
-                let v = flag2.get(tx)?;
-                if v == 0 {
-                    return condsync::retry(tx);
-                }
-                Ok(v)
-            })
-        });
-        while system.waiters.is_empty() {
-            std::thread::yield_now();
-        }
-        let th = system.register_thread();
-        rt.atomically(&th, |tx| flag.set(tx, 3));
-        assert_eq!(waiter.join().unwrap(), 3);
-        assert!(
-            !system.serial.held(),
-            "descheduling must not fall back to the serial gate"
-        );
-        assert_eq!(
-            system.stats().serial_acquires,
-            0,
-            "the whole retry round-trip stays off the serial rung"
-        );
-    }
-
-    #[test]
-    fn retry_orig_is_supported_on_the_hybrid() {
-        let (system, rt) = runtime();
-        let flag = TmVar::<u64>::alloc(&system, 0);
-        let flag2 = flag.clone();
-        let rt2 = Arc::clone(&rt);
-        let system2 = Arc::clone(&system);
-        let waiter = std::thread::spawn(move || {
-            let th = system2.register_thread();
-            rt2.atomically(&th, |tx| {
-                let v = flag2.get(tx)?;
-                if v == 0 {
-                    return condsync::retry_orig(tx);
-                }
-                Ok(v)
-            })
-        });
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        let th = system.register_thread();
-        rt.atomically(&th, |tx| flag.set(tx, 9));
-        assert_eq!(waiter.join().unwrap(), 9);
-        assert_eq!(system.orig.len(), 0);
     }
 
     #[test]
@@ -413,15 +298,16 @@ mod tests {
 
     #[test]
     fn software_commit_dooms_overlapping_hardware_readers() {
-        // Deterministic check of the interlock at the directory level: a
-        // software commit's write-back claims the written line and dooms
-        // registered speculative readers.
+        // Deterministic check of the write-back claim at the directory
+        // level: a software commit's write-back claims the written line and
+        // dooms registered speculative readers.
         let (system, rt) = runtime();
         let th = system.register_thread();
         let victim = system.register_thread();
         let addr = Addr(64);
-        let slot = rt.htm().lines().slot_for(addr.line());
-        assert_eq!(rt.htm().lines().register_reader(slot, victim.id), None);
+        let lines = rt.htm().directory().lines();
+        let slot = lines.slot_for(addr.line());
+        assert_eq!(lines.register_reader(slot, victim.id), None);
 
         let v = TmVar::<u64>::from_addr(addr);
         rt.atomically(&th, |tx| {
@@ -434,6 +320,6 @@ mod tests {
             victim.is_doomed(),
             "the software write-back must doom the speculative reader"
         );
-        rt.htm().lines().clear_reader(slot, victim.id);
+        lines.clear_reader(slot, victim.id);
     }
 }

@@ -1,5 +1,6 @@
-//! The simulated cache-coherence directory: per-line reader/writer
-//! registrations used for eager conflict detection.
+//! The slot table of the simulated coherence directory
+//! ([`super::Directory`]): per-line reader/writer registrations used for
+//! eager conflict detection.
 //!
 //! Each simulated cache line hashes to a slot holding a bitmask of threads
 //! that currently read the line speculatively and the (single) thread that
@@ -9,7 +10,7 @@
 //! finds a foreign writer aborts.
 //!
 //! Transactions track *which* slots they registered in per-attempt
-//! [`tm_core::access::IndexSet`]s (see [`crate::tx`]) and ask those first:
+//! [`crate::access::IndexSet`]s (see [`super::tx`]) and ask those first:
 //! only the first touch of a line in an attempt reaches this table, and the
 //! registration it leaves stands until the attempt ends, so a later
 //! conflicting party always finds it.  This table only holds the global slot
@@ -17,10 +18,23 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use tm_core::{LineId, ThreadId};
+use crate::addr::LineId;
+use crate::thread::ThreadId;
 
-/// Maximum number of threads the reader bitmask can represent.
+/// Maximum number of threads the reader bitmask can represent.  A thread
+/// with a larger id never speculates (see [`super::Directory::read_line`]).
 pub const MAX_HW_THREADS: usize = 64;
+
+/// `tid`'s bit in a reader or doom mask; no bit at all for a thread the mask
+/// cannot represent (a plain `1 << tid` would wrap onto another thread's).
+#[inline]
+fn bit(tid: ThreadId) -> u64 {
+    if tid < MAX_HW_THREADS {
+        1 << tid
+    } else {
+        0
+    }
+}
 
 /// One directory slot.
 #[derive(Debug, Default)]
@@ -29,23 +43,6 @@ pub struct LineState {
     readers: AtomicU64,
     /// Thread id + 1 of the current speculative writer, or 0.
     writer: AtomicU64,
-}
-
-/// Outcome of attempting to register a speculative writer.
-#[derive(Debug, PartialEq, Eq)]
-pub enum WriteRegistration {
-    /// Registration succeeded; the caller must doom the foreign readers.
-    Acquired {
-        /// Bitmask (bit = thread id) of the foreign threads that had the line
-        /// in their speculative read set.
-        doomed_readers: u64,
-    },
-    /// The line already had a foreign writer that could not be displaced;
-    /// the caller must abort (the foreign writer is doomed as well).
-    Conflict {
-        /// The conflicting writer.
-        other: ThreadId,
-    },
 }
 
 /// The global table of line states, hashed by [`LineId`].
@@ -66,16 +63,6 @@ impl LineTable {
         }
     }
 
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True if the table has no slots (never in practice).
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Maps a line to its slot index.
     #[inline]
     pub fn slot_for(&self, line: LineId) -> usize {
@@ -90,7 +77,7 @@ impl LineTable {
     pub fn register_reader(&self, slot: usize, tid: ThreadId) -> Option<ThreadId> {
         debug_assert!(tid < MAX_HW_THREADS);
         let s = &self.slots[slot];
-        s.readers.fetch_or(1 << tid, Ordering::SeqCst);
+        s.readers.fetch_or(bit(tid), Ordering::SeqCst);
         let w = s.writer.load(Ordering::SeqCst);
         if w != 0 && w != tid as u64 + 1 {
             Some((w - 1) as ThreadId)
@@ -99,8 +86,12 @@ impl LineTable {
         }
     }
 
-    /// Registers `tid` as the speculative writer of the slot.
-    pub fn register_writer(&self, slot: usize, tid: ThreadId) -> WriteRegistration {
+    /// Registers `tid` as the speculative writer of the slot.  `Ok` carries
+    /// the bitmask (bit = thread id) of the foreign threads that had the
+    /// line in their speculative read set, which the caller must doom; `Err`
+    /// the foreign writer that could not be displaced (the caller must
+    /// abort, and doom that writer as well).
+    pub fn register_writer(&self, slot: usize, tid: ThreadId) -> Result<u64, ThreadId> {
         debug_assert!(tid < MAX_HW_THREADS);
         let s = &self.slots[slot];
         let me = tid as u64 + 1;
@@ -115,16 +106,10 @@ impl LineTable {
             // also abort ourselves rather than taking over mid-flight, which
             // keeps the protocol simple and still guarantees progress via the
             // serial fallback.
-            Err(cur) => {
-                return WriteRegistration::Conflict {
-                    other: (cur - 1) as ThreadId,
-                }
-            }
+            Err(cur) => return Err((cur - 1) as ThreadId),
         }
         // Doom all foreign readers of the line.
-        WriteRegistration::Acquired {
-            doomed_readers: s.readers.load(Ordering::SeqCst) & !(1 << tid),
-        }
+        Ok(s.readers.load(Ordering::SeqCst) & !bit(tid))
     }
 
     /// Forcibly claims `slot` for a *software* transaction's commit
@@ -140,23 +125,23 @@ impl LineTable {
     /// hardware writer's own `clear_writer` CAS will simply miss.  The
     /// caller releases the claim with [`LineTable::clear_writer`] after the
     /// write-back; while it is held, speculative readers and writers of the
-    /// slot observe a foreign writer and abort.
+    /// slot observe a foreign writer and abort.  Any thread may claim,
+    /// including one the reader mask cannot represent.
     pub fn claim_for_writeback(&self, slot: usize, tid: ThreadId) -> u64 {
-        debug_assert!(tid < MAX_HW_THREADS);
         let s = &self.slots[slot];
         let prev = s.writer.swap(tid as u64 + 1, Ordering::SeqCst);
         let mut doomed = s.readers.load(Ordering::SeqCst);
         if prev != 0 {
-            doomed |= 1 << (prev - 1);
+            doomed |= bit(prev as usize - 1);
         }
-        doomed & !(1 << tid)
+        doomed & !bit(tid)
     }
 
     /// Removes `tid`'s reader registration from the slot.
     pub fn clear_reader(&self, slot: usize, tid: ThreadId) {
         self.slots[slot]
             .readers
-            .fetch_and(!(1u64 << tid), Ordering::SeqCst);
+            .fetch_and(!bit(tid), Ordering::SeqCst);
     }
 
     /// Removes `tid`'s writer registration from the slot (if it still owns
@@ -182,7 +167,7 @@ impl LineTable {
 
     /// True if `tid` is registered as a reader of the slot (for tests).
     pub fn is_reader(&self, slot: usize, tid: ThreadId) -> bool {
-        self.slots[slot].readers.load(Ordering::SeqCst) & (1 << tid) != 0
+        self.slots[slot].readers.load(Ordering::SeqCst) & bit(tid) != 0
     }
 }
 
@@ -204,10 +189,7 @@ mod tests {
     fn reader_sees_foreign_writer() {
         let t = LineTable::new(16);
         let slot = t.slot_for(LineId(5));
-        match t.register_writer(slot, 1) {
-            WriteRegistration::Acquired { .. } => {}
-            other => panic!("unexpected {other:?}"),
-        }
+        assert!(t.register_writer(slot, 1).is_ok());
         assert_eq!(t.register_reader(slot, 2), Some(1));
         // The writer itself can keep reading its own line.
         assert_eq!(t.register_reader(slot, 1), None);
@@ -222,9 +204,7 @@ mod tests {
         t.register_reader(slot, 5);
         assert_eq!(
             t.register_writer(slot, 3),
-            WriteRegistration::Acquired {
-                doomed_readers: 1 << 0 | 1 << 5
-            },
+            Ok(1 << 0 | 1 << 5),
             "own read registration is not doomed"
         );
     }
@@ -233,26 +213,17 @@ mod tests {
     fn second_writer_conflicts() {
         let t = LineTable::new(16);
         let slot = t.slot_for(LineId(9));
-        assert!(matches!(
-            t.register_writer(slot, 1),
-            WriteRegistration::Acquired { .. }
-        ));
-        assert_eq!(
-            t.register_writer(slot, 2),
-            WriteRegistration::Conflict { other: 1 }
-        );
+        assert!(t.register_writer(slot, 1).is_ok());
+        assert_eq!(t.register_writer(slot, 2), Err(1));
         // Re-registration by the same writer is idempotent.
-        assert!(matches!(
-            t.register_writer(slot, 1),
-            WriteRegistration::Acquired { .. }
-        ));
+        assert!(t.register_writer(slot, 1).is_ok());
     }
 
     #[test]
     fn clear_writer_only_clears_owner() {
         let t = LineTable::new(16);
         let slot = t.slot_for(LineId(2));
-        t.register_writer(slot, 4);
+        assert!(t.register_writer(slot, 4).is_ok());
         t.clear_writer(slot, 5);
         assert_eq!(t.writer_of(slot), Some(4));
         t.clear_writer(slot, 4);
@@ -265,10 +236,7 @@ mod tests {
         let slot = t.slot_for(LineId(11));
         t.register_reader(slot, 0);
         t.register_reader(slot, 2);
-        assert!(matches!(
-            t.register_writer(slot, 4),
-            WriteRegistration::Acquired { .. }
-        ));
+        assert!(t.register_writer(slot, 4).is_ok());
         assert_eq!(t.claim_for_writeback(slot, 7), 1 << 0 | 1 << 2 | 1 << 4);
         assert_eq!(t.writer_of(slot), Some(7), "claimant owns the slot");
         // The displaced hardware writer's own clear misses harmlessly.

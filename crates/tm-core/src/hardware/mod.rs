@@ -1,20 +1,22 @@
-//! A best-effort hardware transactional memory **simulator**, the default
-//! backend of the pluggable hardware plane ([`tm_core::hwtm::HwTm`]) used by
-//! the paper's **HTM** configuration.
+//! The hardware TM: a best-effort hardware transactional memory
+//! **simulator** — the paper's **HTM** configuration — and the hybrid
+//! HTM+STM runtime over it.
 //!
-//! The runtime here ([`HtmSim`]) drives *any* [`tm_core::hwtm::HwTm`]
-//! backend; this crate supplies the simulator ([`SimPlane`], the default)
-//! and `tm-core` the deterministic fault-injection decorator
-//! ([`tm_core::hwtm::FaultPlane`], installed automatically when
-//! [`tm_core::FaultConfig`] enables it).  The hybrid HTM+STM runtime
-//! ([`hybrid`]) lives here too: both hardware engines run the same attempt
-//! type ([`LadderTx`]) and differ only in their mode-ladder hooks.
+//! * [`Directory`] — the simulated coherence directory every speculative
+//!   access registers with: the [`LineTable`] of per-line reader/writer
+//!   registrations, conflict delivery through the system's thread registry,
+//!   the capacity limits, and (when [`crate::FaultConfig`] enables it) the
+//!   seeded fault injector;
+//! * [`HtmTx`] — a speculative attempt over it, and [`LadderTx`] — the one
+//!   attempt type of both hardware engines, whichever rung it is on;
+//! * [`HtmSim`] — the HTM runtime (serial fallback rung), and
+//!   [`hybrid::HybridTm`] — the hybrid (lazy-STM fallback rung).
 //!
-//! Why the default backend is a simulator: issuing real `xbegin`/`xend`
-//! requires inline assembly and TSX-enabled silicon, neither of which this
-//! reproduction can rely on.  What the paper's mechanisms actually depend on
-//! are the *architectural properties* of best-effort HTM, and those are what
-//! the simulator provides:
+//! Why a simulator: issuing real `xbegin`/`xend` requires inline assembly
+//! and TSX-enabled silicon, neither of which this reproduction can rely on.
+//! What the paper's mechanisms actually depend on are the *architectural
+//! properties* of best-effort HTM, and those are what the simulator
+//! provides:
 //!
 //! * **Invisible write sets** — a committed hardware transaction leaves no
 //!   record of what it wrote, so wake-up decisions must be computable from
@@ -38,17 +40,15 @@
 //! checked word heap this is benign, and it does not change which
 //! transactions commit.
 
-#![deny(missing_docs)]
-#![warn(rust_2018_idioms)]
-
+pub mod directory;
+mod fault;
 pub mod hybrid;
 pub mod lines;
-pub mod plane;
 pub mod runtime;
 pub mod tx;
 
+pub use directory::{Directory, HwAbort, HwAbortKind};
 pub use hybrid::HybridTm;
 pub use lines::LineTable;
-pub use plane::SimPlane;
 pub use runtime::HtmSim;
 pub use tx::{HtmTx, LadderTx};

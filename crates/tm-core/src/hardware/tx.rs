@@ -4,27 +4,29 @@
 //! line-granularity conflict detection, capacity limits, no escape actions.
 //! Everything a hardware attempt cannot do — value logging, descheduling,
 //! irrevocability, finishing after repeated aborts — runs on a software
-//! rung, which is a [`tm_core::software::LazyTx`]: instrumented on the
-//! hybrid, behind the serial gate (`tm_core::serial::SerialAttempt`, the
+//! rung, which is a [`crate::software::LazyTx`]: instrumented on the
+//! hybrid, behind the serial gate ([`crate::serial::SerialAttempt`], the
 //! "software mode with escape actions" of §2.2.2 and GCC-style
 //! serial-irrevocable execution) on both.  [`LadderTx`] is the one attempt
 //! type of both engines: whichever rung the attempt is on.
 
 use std::sync::Arc;
 
-use tm_core::access::{Descriptor, WriteLog};
-use tm_core::driver::{Attempt, CommitOutcome};
-use tm_core::hwtm::{HwAbort, HwTm};
-use tm_core::software::LazyTx;
-use tm_core::stats::TxStats;
-use tm_core::{
-    AbortReason, Addr, OrecTable, OrecValue, ThreadCtx, TmSystem, Tx, TxCommon, TxCtl, TxResult,
-    WaitCondition, WaitSpec,
-};
+use super::directory::{Directory, HwAbort};
+use super::runtime::HtmSim;
+use crate::access::{Descriptor, WriteLog};
+use crate::addr::Addr;
+use crate::ctl::{AbortReason, TxCtl, TxResult, WaitCondition, WaitSpec};
+use crate::driver::{Attempt, CommitOutcome};
+use crate::orec::{OrecTable, OrecValue};
+use crate::runtime::TmRuntime;
+use crate::software::LazyTx;
+use crate::stats::TxStats;
+use crate::system::TmSystem;
+use crate::thread::ThreadCtx;
+use crate::tx::{Tx, TxCommon};
 
-use crate::runtime::HtmSim;
-
-/// Converts a hardware-plane abort into the driver-level control request,
+/// Converts a directory abort into the driver-level control request,
 /// counting injected faults as they surface.
 fn hw_fault(thread: &ThreadCtx, fault: HwAbort) -> TxCtl {
     if fault.injected {
@@ -46,7 +48,7 @@ fn word_cover(orecs: &OrecTable, redo: &WriteLog, cover: &mut Vec<usize>) {
 /// the written words' stripes) into `cover`, sorted and distinct — all an
 /// uncoupled HTM, whose word-level write set is architecturally invisible,
 /// can report to the wake scan.
-fn written_cover(plane: &dyn HwTm, redo: &WriteLog, cover: &mut Vec<usize>) {
+fn written_cover(dir: &Directory, redo: &WriteLog, cover: &mut Vec<usize>) {
     cover.clear();
     let mut last = None;
     for e in redo.iter() {
@@ -54,7 +56,7 @@ fn written_cover(plane: &dyn HwTm, redo: &WriteLog, cover: &mut Vec<usize>) {
         // Runs of writes to one line are the common case; the final dedup
         // absorbs the rest.
         if last != Some(line) {
-            plane.line_cover(line, cover);
+            dir.line_cover(line, cover);
             last = Some(line);
         }
     }
@@ -65,7 +67,7 @@ fn written_cover(plane: &dyn HwTm, redo: &WriteLog, cover: &mut Vec<usize>) {
 /// An in-flight speculative attempt on the HTM simulator.
 ///
 /// It owns no log: the borrowed thread [`Descriptor`] holds them
-/// (`tm_core::access`, so slot membership and read-after-write lookups are
+/// (`crate::access`, so slot membership and read-after-write lookups are
 /// O(1) and a re-executed attempt starts on grown capacity): `read_slots` /
 /// `write_slots` (directory slots registered as read / written) and `writes`
 /// as its redo buffer (one entry per address, last value wins).
@@ -105,18 +107,17 @@ impl<'a> HtmTx<'a> {
         self.rt.system().serial.wait_clear();
         // A stale doom flag from a previous attempt must not kill this one.
         self.thread.take_doomed();
-        self.rt.plane().begin_attempt(self.thread.id);
         self.live = true;
     }
 
     /// Clears this attempt's directory registrations.
     fn clear_slots(&self) {
-        let (plane, me) = (self.rt.plane(), self.thread.id);
+        let (dir, me) = (self.rt.directory(), self.thread.id);
         for slot in self.d.write_slots.iter() {
-            plane.clear_write(slot, me);
+            dir.clear_write(slot, me);
         }
         for slot in self.d.read_slots.iter() {
-            plane.clear_read(slot, me);
+            dir.clear_read(slot, me);
         }
     }
 
@@ -164,12 +165,12 @@ impl<'a> HtmTx<'a> {
         if self.thread.is_doomed() {
             return Err(TxCtl::Abort(AbortReason::HwConflict));
         }
-        // The backend's commit-window check: past the doom check,
+        // The directory's commit-window check: past the doom check,
         // before anything is written, so an abort here (a fault
-        // plane's injection point) can never lose an update.
-        let plane = rt.plane().as_ref();
+        // injection point) can never lose an update.
+        let dir = rt.directory();
         let me = self.thread.id;
-        if let Err(f) = plane.commit_check(me) {
+        if let Err(f) = dir.commit_check(me) {
             return Err(hw_fault(self.thread, f));
         }
         let Descriptor {
@@ -240,7 +241,7 @@ impl<'a> HtmTx<'a> {
             // condition after registering, and the write-back above is
             // already complete, so no wakeup is lost.  (The coupled path
             // already left the cover in place.)
-            written_cover(plane, redo, cover);
+            written_cover(dir, redo, cover);
         } else {
             cover.clear();
         }
@@ -270,22 +271,22 @@ impl Tx for HtmTx<'_> {
         if let Some(v) = self.d.writes.lookup(addr) {
             return Ok(v);
         }
-        let plane = self.rt.plane();
+        let dir = self.rt.directory();
         let line = addr.line();
-        let slot = plane.slot_for(line);
+        let slot = dir.slot_for(line);
         // Only the first touch of a line goes to the directory; a line this
         // attempt already registered (as writer, which subsumes reader) is a
         // cache hit.  The registration stands until `clear_slots`, so any
         // conflicting party that arrives later finds it and dooms us, which
         // the check after the load observes.
         if !self.d.write_slots.contains(slot) && self.d.read_slots.insert(slot) {
-            if let Err(f) = plane.read_line(line, slot, self.thread.id) {
+            if let Err(f) = dir.read_line(line, slot, self.thread.id) {
                 // A conflicting speculative writer has been doomed by the
-                // backend (our coherence request invalidates its line); we
+                // directory (our coherence request invalidates its line); we
                 // abort as well rather than consuming a possibly torn value.
                 return Err(hw_fault(self.thread, f));
             }
-            if let Err(f) = plane.check_read_footprint(self.d.read_slots.len()) {
+            if let Err(f) = dir.check_footprint(false, self.d.read_slots.len()) {
                 return Err(hw_fault(self.thread, f));
             }
         }
@@ -310,19 +311,19 @@ impl Tx for HtmTx<'_> {
         if self.rt.system().serial.held() {
             return Err(TxCtl::Abort(AbortReason::HwFallbackLock));
         }
-        let plane = self.rt.plane();
+        let dir = self.rt.directory();
         let line = addr.line();
-        let slot = plane.slot_for(line);
-        // First write to the line: the backend registers us as its
+        let slot = dir.slot_for(line);
+        // First write to the line: the directory registers us as its
         // writer, dooming every conflicting speculative occupant; a
         // conflict abort means a foreign writer could not be displaced.
         // Later writes hit the resident line: whoever displaces the
         // registration dooms us, which the commit section checks.
         if self.d.write_slots.insert(slot) {
-            if let Err(f) = plane.write_line(line, slot, self.thread.id) {
+            if let Err(f) = dir.write_line(line, slot, self.thread.id) {
                 return Err(hw_fault(self.thread, f));
             }
-            if let Err(f) = plane.check_write_footprint(self.d.write_slots.len()) {
+            if let Err(f) = dir.check_footprint(true, self.d.write_slots.len()) {
                 return Err(hw_fault(self.thread, f));
             }
         }
@@ -359,10 +360,6 @@ impl Tx for HtmTx<'_> {
         Ok(())
     }
 
-    fn explicit_abort(&mut self, code: u8) -> TxCtl {
-        TxCtl::Abort(AbortReason::Explicit(code))
-    }
-
     fn common(&self) -> &TxCommon {
         &self.common
     }
@@ -381,7 +378,7 @@ impl Tx for HtmTx<'_> {
 }
 
 /// One in-flight attempt of a hardware engine ([`HtmSim`],
-/// [`crate::hybrid::HybridTm`]): speculative, or on a software rung.
+/// [`super::HybridTm`]): speculative, or on a software rung.
 //
 // The variants differ in size, but the attempt lives on the driver loop's
 // stack and is rebuilt on every re-execution — boxing the software variant
@@ -452,10 +449,6 @@ impl Tx for LadderTx<'_> {
 
     fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
         delegate!(self, tx => tx.commit_and_reopen(block))
-    }
-
-    fn explicit_abort(&mut self, code: u8) -> TxCtl {
-        delegate!(self, tx => tx.explicit_abort(code))
     }
 
     fn common(&self) -> &TxCommon {

@@ -1,10 +1,10 @@
 //! Shared substrate for the transactional-memory condition-synchronization
 //! reproduction.
 //!
-//! This crate contains the software TM ([`software`]: the eager and the lazy
-//! STM) and everything it, the hardware runtimes ([`htm-sim`]: the HTM and
-//! the hybrid) and the condition-synchronization layer ([`condsync`]) have
-//! in common:
+//! This crate contains both TMs — the software TM ([`software`]: the eager
+//! and the lazy STM) and the hardware TM ([`hardware`]: the HTM and the
+//! hybrid) — and everything they and the condition-synchronization layer
+//! ([`condsync`]) have in common:
 //!
 //! * the unified transaction driver ([`driver`]): the single loop that runs
 //!   every runtime's transactions ([`driver::run`]) against the narrow
@@ -33,9 +33,10 @@
 //!   protocols over it, the [`software::SoftwareStm`] engine both runtimes
 //!   are an instance of, and the `Retry-Orig` waiting list
 //!   ([`software::orig`]),
-//! * the pluggable hardware plane ([`hwtm`]): the [`hwtm::HwTm`] trait the
-//!   HTM and hybrid runtimes drive their hardware backend through, and the
-//!   deterministic [`hwtm::FaultPlane`] fault-injection decorator,
+//! * the hardware TM ([`hardware`]): the simulated coherence directory
+//!   ([`hardware::Directory`], with its seeded fault injector), the
+//!   speculative attempt over it, and the
+//!   [`hardware::HtmSim`] and [`hardware::HybridTm`] engines,
 //! * control-flow types for aborts and descheduling ([`ctl`]),
 //! * the thread registry, statistics and quiescence support ([`thread`],
 //!   [`stats`]),
@@ -46,10 +47,9 @@
 //!
 //! The paper's algorithms are implemented on top of these pieces; see the
 //! `condsync` crate for the contribution (Deschedule / Retry / Await /
-//! WaitPred), [`software`] for Appendix A and its TL2 analogue, and the
-//! `htm-sim` crate for the TSX analogue and the hybrid.
+//! WaitPred), [`software`] for Appendix A and its TL2 analogue, and
+//! [`hardware`] for the TSX analogue and the hybrid.
 //!
-//! [`htm-sim`]: ../htm_sim/index.html
 //! [`condsync`]: ../condsync/index.html
 
 #![deny(missing_docs)]
@@ -63,8 +63,8 @@ pub mod config;
 pub mod ctl;
 pub mod driver;
 pub mod epoch;
+pub mod hardware;
 pub mod heap;
-pub mod hwtm;
 pub mod lock;
 pub mod orec;
 pub mod pad;
@@ -91,7 +91,6 @@ pub use ctl::{AbortReason, PredFn, TxCtl, TxResult, WaitCondition, WaitSpec};
 pub use driver::{Attempt, CommitOutcome, TxEngine};
 pub use epoch::{EpochSlot, EpochTable};
 pub use heap::TmHeap;
-pub use hwtm::{FaultPlane, HwAbort, HwAbortKind, HwTm};
 pub use orec::{OrecTable, OrecValue};
 pub use pad::{CachePadded, CACHE_LINE_BYTES};
 pub use policy::{CmAction, CmEvent, CmHistory, ContentionManager, PolicyKind};

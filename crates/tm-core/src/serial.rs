@@ -92,8 +92,8 @@ impl SerialGate {
 
     /// Enters the hardware commit section: every hardware commit's doom
     /// check + write-back, and every software write-back of a runtime that
-    /// shares the system with hardware attempts
-    /// ([`crate::software::CommitInterlock`]), runs under this guard.
+    /// shares the system with hardware attempts (the hybrid's lazy commit),
+    /// runs under this guard.
     pub fn hw_commit_section(&self) -> MutexGuard<'_, ()> {
         self.hw_commit.lock()
     }

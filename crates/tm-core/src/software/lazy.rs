@@ -1,7 +1,8 @@
 //! The lazy STM's protocol, in the style of TL2 — the paper's **Lazy STM**
 //! configuration (a privatization-safe, redo-log variant of the GCC STM): a
-//! redo log, commit-time locking of the write set's sorted cover and the
-//! hybrid runtime's commit interlock, over the shared [`super`] core.
+//! redo log, commit-time locking of the write set's sorted cover and, on
+//! the hybrid, claiming the written lines in the hardware directory, over
+//! the shared [`super`] core.
 //!
 //! * Writes are buffered in a redo log; memory is untouched until commit.
 //! * Reads check the redo log first (read-your-writes).
@@ -12,43 +13,13 @@
 //!   `Await` captures its value snapshot from current memory.
 
 use super::{reads_valid, SoftwareProtocol, SoftwareStm, SoftwareTx, SoftwareTxCore};
-use crate::access::{Descriptor, IndexSet, WriteEntry};
+use crate::access::Descriptor;
 use crate::addr::Addr;
 use crate::ctl::{AbortReason, TxCtl, TxResult};
+use crate::hardware::Directory;
 use crate::orec::OrecValue;
 use crate::system::TmSystem;
-use crate::thread::ThreadId;
 use crate::tx::TxMode;
-
-/// Hook a hybrid runtime installs around the redo-log write-back so that
-/// software commits and (simulated) hardware commits exclude each other.
-///
-/// [`CommitInterlock::commit_section`] must (1) take whatever barrier also
-/// serialises hardware commits, (2) run `validate` (the read-set check —
-/// before any hardware state is disturbed, so a doomed validation costs
-/// nobody else anything), and if it passes (3) claim/doom the hardware
-/// state covering `write_entries` so no speculative reader can observe a
-/// partial write-back, (4) run `writeback` (the write-back and lock
-/// release), and (5) release its claims.  The plain lazy runtime installs
-/// no interlock and runs the two phases back to back.
-pub trait CommitInterlock: Send + Sync + std::fmt::Debug {
-    /// Runs a commit's validate and write-back + unlock phases under mutual
-    /// exclusion with hardware commits.  `writer` is the committing thread,
-    /// `write_entries` the redo-log entries about to be written back
-    /// (borrowed straight from the log), `slots` the committing attempt's
-    /// own idle [`Descriptor::write_slots`], lent empty as scratch for the
-    /// hardware slots being claimed — the commit path allocates and locks
-    /// nothing of its own; returns `validate`'s verdict (false = validation
-    /// failed, nothing written, no hardware transaction disturbed).
-    fn commit_section(
-        &self,
-        writer: ThreadId,
-        write_entries: &[WriteEntry],
-        slots: &mut IndexSet,
-        validate: &mut dyn FnMut() -> bool,
-        writeback: &mut dyn FnMut(),
-    ) -> bool;
-}
 
 /// The lazy protocol: the redo log is the borrowed descriptor's `writes`,
 /// whose orec cover is sorted once for commit-time lock acquisition.
@@ -56,7 +27,7 @@ pub trait CommitInterlock: Send + Sync + std::fmt::Debug {
 pub struct Lazy;
 
 /// An in-flight lazy-STM transaction attempt.  [`SoftwareTx::begin_with`]
-/// optionally installs a hybrid-runtime commit interlock.
+/// optionally hands it the hybrid's hardware [`Directory`].
 pub type LazyTx<'a> = SoftwareTx<'a, Lazy>;
 
 /// The lazy (redo-log) software TM runtime.
@@ -65,9 +36,9 @@ pub type LazyStm = SoftwareStm<Lazy>;
 impl SoftwareProtocol for Lazy {
     const NAME: &'static str = "lazy-stm";
 
-    /// Hybrid-runtime hook serialising the commit write-back against
-    /// hardware commits; `None` for the plain lazy runtime.
-    type State<'a> = Option<&'a dyn CommitInterlock>;
+    /// The hybrid's hardware directory, whose speculative occupants of the
+    /// written lines a commit must doom; `None` for the plain lazy runtime.
+    type State<'a> = Option<&'a Directory>;
 
     fn read(core: &mut SoftwareTxCore<'_>, addr: Addr) -> TxResult<u64> {
         // Read-your-writes: the redo log takes precedence (O(1) hash-index
@@ -107,7 +78,7 @@ impl SoftwareProtocol for Lazy {
         let start = tx.core.start();
         let system: &TmSystem = tx.core.system;
         let thread = tx.core.thread;
-        let interlock = tx.state;
+        let directory = tx.state;
         let Descriptor {
             reads,
             writes,
@@ -147,42 +118,42 @@ impl SoftwareProtocol for Lazy {
         let end = stamp.ts;
         // The nothing-committed-since-start fast path needs a *unique*
         // stamp (GV1): a lazy stamp may be shared with a concurrent
-        // committer.  With a hybrid interlock installed, hardware commits
-        // publish to the orecs under their own clock ticks, so the fast
-        // path is no longer a proof of validity either: validate always.
-        // Validation and write-back then run inside the interlock's
-        // `commit_section`, mutually exclusive with hardware commits — a
-        // hardware commit serialises entirely before (its orec releases fail
-        // our validation) or entirely after (it observes our locked orecs /
-        // doomed lines) this section.
-        let must_validate = !stamp.unique || end != start + 1 || interlock.is_some();
-        let mut validate = || !must_validate || reads_valid(reads, system, thread, start);
-        // Write back the redo log (one entry per address already holding
-        // the latest value) and release locks at the commit timestamp.
-        let mut writeback = || {
-            for e in entries {
-                system.heap.store(e.addr, e.val);
-            }
-            for &idx in write_orecs {
-                system.orecs.store(idx, OrecValue::unlocked(end));
-            }
-        };
-        let committed = match interlock {
-            Some(interlock) => {
-                interlock.commit_section(me, entries, write_slots, &mut validate, &mut writeback)
-            }
-            None => {
-                let ok = validate();
-                if ok {
-                    writeback();
-                }
-                ok
-            }
-        };
-        if !committed {
+        // committer.  With a hardware directory, hardware commits publish to
+        // the orecs under their own clock ticks, so the fast path is no
+        // longer a proof of validity either: validate always.  Validation
+        // and write-back then run inside the gate's hardware commit section,
+        // mutually exclusive with hardware commits — a hardware commit
+        // serialises entirely before (its orec releases fail our validation)
+        // or entirely after (it observes our locked orecs / doomed lines)
+        // this section.
+        let must_validate = !stamp.unique || end != start + 1 || directory.is_some();
+        let section = directory.map(|dir| (dir, system.serial.hw_commit_section()));
+        // Validate first: it only reads orecs, so a failed validation aborts
+        // without dooming a single speculative transaction.
+        if must_validate && !reads_valid(reads, system, thread, start) {
+            drop(section);
             release_prefix(write_orecs.len());
             return Err(TxCtl::Abort(AbortReason::CommitValidation));
         }
+        // Claim the written lines before the first store, so no speculative
+        // reader can see a torn mix of old and new words (one registering
+        // mid-write-back observes the foreign writer and aborts).  The
+        // attempt's idle write-slot set holds the claimed slots.
+        if let Some((dir, _)) = &section {
+            dir.claim_for_writeback(entries, write_slots, me);
+        }
+        // Write back the redo log (one entry per address already holding
+        // the latest value) and release locks at the commit timestamp.
+        for e in entries {
+            system.heap.store(e.addr, e.val);
+        }
+        for &idx in write_orecs {
+            system.orecs.store(idx, OrecValue::unlocked(end));
+        }
+        if let Some((dir, _)) = &section {
+            dir.release_writeback(write_slots, me);
+        }
+        drop(section);
         // Success path only: leave the cover for the driver's wake path.
         // Commit-time lock acquisition covered every redo-log address with
         // an ownership record, so it is a complete stripe cover of the write

@@ -28,7 +28,7 @@ pub mod orig;
 
 pub use eager::{Eager, EagerStm, EagerTx};
 pub use engine::{deschedule_orig, SoftwareStm};
-pub use lazy::{CommitInterlock, Lazy, LazyStm, LazyTx};
+pub use lazy::{Lazy, LazyStm, LazyTx};
 pub use orig::OrigRegistry;
 
 use std::fmt;
@@ -553,10 +553,6 @@ impl<P: SoftwareProtocol> Tx for SoftwareTx<'_, P> {
         self.core.serial = reopened;
         self.core.start = start;
         Ok(())
-    }
-
-    fn explicit_abort(&mut self, code: u8) -> TxCtl {
-        TxCtl::Abort(AbortReason::Explicit(code))
     }
 
     fn common(&self) -> &TxCommon {

@@ -370,8 +370,8 @@ stats_fields! {
     condvar_waits,
     /// Condition-variable signals/broadcasts issued.
     condvar_signals,
-    /// Hardware aborts manufactured by the fault-injection plane
-    /// (`FaultPlane`); zero whenever injection is disabled.
+    /// Hardware aborts manufactured by the fault injector
+    /// (`FaultInjector`); zero whenever injection is disabled.
     hw_faults_injected,
     /// TMCondVar watchdog timeouts delivered as spurious wake-ups: the
     /// bounded re-delivery that closes the signal-before-commit window.

@@ -17,8 +17,6 @@ use crate::access::Descriptor;
 use crate::epoch::{EpochSlot, EpochTable};
 use crate::lock::RwLock;
 use crate::pad::CachePadded;
-
-use crate::sem::Semaphore;
 use crate::stats::{OpClass, TxStats};
 
 /// Identifier of a registered thread (dense, starting from 0).
@@ -148,8 +146,6 @@ pub struct ThreadCtx {
     /// remote-written on conflicts and owner-polled on the hardware hot
     /// path, so it must not share a line with the rest of the context.
     pub doomed: CachePadded<AtomicBool>,
-    /// Parking semaphore used when the thread is descheduled.
-    pub sem: Semaphore,
     /// The resident attempt descriptor (see [`ThreadCtx::checkout`]).
     descriptor: DescriptorSlot,
     /// xorshift64 state for the thread's backoff jitter, seeded from the
@@ -171,7 +167,6 @@ impl ThreadCtx {
             stats: TxStats::default(),
             epochs,
             doomed: CachePadded::new(AtomicBool::new(false)),
-            sem: Semaphore::new(),
             descriptor: DescriptorSlot::default(),
             // splitmix64 never maps distinct inputs to the same output and
             // maps nothing to 0 except one input; or-in a bit so xorshift

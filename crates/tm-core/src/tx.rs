@@ -140,9 +140,6 @@ pub trait Tx {
     /// paper's own mechanisms never need it.
     fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()>;
 
-    /// Requests an explicit abort with an 8-bit code (Intel `xabort` style).
-    fn explicit_abort(&mut self, code: u8) -> TxCtl;
-
     /// Access to the attempt metadata.
     fn common(&self) -> &TxCommon;
 
@@ -214,10 +211,6 @@ impl Tx for DirectTx {
     fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
         block();
         Ok(())
-    }
-
-    fn explicit_abort(&mut self, code: u8) -> TxCtl {
-        TxCtl::Abort(AbortReason::Explicit(code))
     }
 
     fn common(&self) -> &TxCommon {

@@ -11,7 +11,7 @@ use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
 
-use htm_sim::{HtmSim, HybridTm};
+use tm_core::hardware::{HtmSim, HybridTm};
 use tm_core::software::{EagerStm, LazyStm};
 use tm_core::{ThreadCtx, TmConfig, TmRt, TmRuntime, TmSystem, Tx, TxResult};
 
@@ -29,7 +29,7 @@ pub enum RuntimeKind {
     /// Best-effort hardware TM simulator (paper "HTM").
     Htm,
     /// Hybrid HTM+STM: hardware fast path, lazy-STM software fallback,
-    /// serial gate as the last rung (beyond the paper; `htm_sim::hybrid`).
+    /// serial gate as the last rung (beyond the paper; `tm_core::hardware::hybrid`).
     Hybrid,
 }
 

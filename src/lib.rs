@@ -55,11 +55,11 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`core`] (`tm-core`) | word heap, ownership records, clock, thread registry, shared access-set layer, sharded waiter registry, transaction traits, the software TM |
+//! | [`core`] (`tm-core`) | word heap, ownership records, clock, thread registry, shared access-set layer, sharded waiter registry, transaction traits, the software and the hardware TM |
 //! | [`eager`] (`tm_core::software::eager`) | Appendix A undo-log protocol over the shared software core (paper: "Eager STM") |
 //! | [`lazy`] (`tm_core::software::lazy`) | TL2-style redo-log protocol over the shared software core (paper: "Lazy STM") |
-//! | [`htm`] (`htm-sim`) | best-effort HTM runtime over the pluggable `HwTm` hardware plane — simulator backend, fault-injection fuzzer (paper: "HTM") |
-//! | [`hybrid`] (`htm_sim::hybrid`) | hybrid HTM+STM runtime: hardware fast path over the lazy STM, sharing the HTM runtime's attempt type (beyond the paper) |
+//! | [`htm`] (`tm_core::hardware`) | best-effort HTM runtime over a simulated coherence directory with a seeded fault injector (paper: "HTM") |
+//! | [`hybrid`] (`tm_core::hardware::hybrid`) | hybrid HTM+STM runtime: hardware fast path over the lazy STM, sharing the HTM runtime's attempt type (beyond the paper) |
 //! | [`sync`] (`condsync`) | **the contribution**: Deschedule, Retry, Await, WaitPred, plus TMCondVar / Retry-Orig / Restart baselines |
 //! | [`structures`] (`tm-sync`) | bounded buffer (Fig. 2.2), queue, stack, counter, barrier, once-cell, latch, Pthreads baseline buffer, and the KV plane: stripe-aligned hash map + ordered (skip-list) index |
 //! | [`workloads`] (`tm-workloads`) | producer/consumer micro-benchmark, PARSEC-like kernels, Zipfian session-store scenario, Table 2.1 accounting |
@@ -76,12 +76,13 @@ pub use tm_core::software::eager;
 /// The lazy (redo-log) software TM (`tm_core::software::lazy`).
 pub use tm_core::software::lazy;
 
-/// The best-effort HTM runtime and its simulated hardware plane (`htm-sim`).
-pub use htm_sim as htm;
+/// The best-effort HTM runtime and its simulated coherence directory
+/// (`tm_core::hardware`).
+pub use tm_core::hardware as htm;
 
-/// The hybrid HTM+STM runtime (`htm_sim::hybrid`): hardware fast path,
-/// lazy-STM software fallback, serial gate as the last rung.
-pub use htm_sim::hybrid;
+/// The hybrid HTM+STM runtime (`tm_core::hardware::hybrid`): hardware fast
+/// path, lazy-STM software fallback, serial gate as the last rung.
+pub use tm_core::hardware::hybrid;
 
 /// The condition-synchronization mechanisms (`condsync`) — the paper's
 /// contribution.

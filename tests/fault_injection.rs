@@ -1,4 +1,4 @@
-//! Deterministic hardware fault injection: the seeded [`FaultPlane`] matrix.
+//! Deterministic hardware fault injection: the seeded fault-injector matrix.
 //!
 //! Every test here runs with an explicit [`FaultConfig`] — a fixed seed plus
 //! one or more injection knobs — layered between the HTM runtimes and the
@@ -16,7 +16,6 @@
 //! The software runtimes have no hardware plane, so a fault configuration is
 //! inert on them — which is exactly what the golden-parity test checks.
 //!
-//! [`FaultPlane`]: tm_repro::core::FaultPlane
 //! [`FaultConfig`]: tm_repro::core::FaultConfig
 
 use std::sync::Arc;

@@ -1,7 +1,8 @@
 //! HTM-specific integration tests: the architectural properties the paper's
 //! design depends on (capacity limits, serial fallback, software-mode
 //! descheduling) must be visible in the simulator's behaviour, and condition
-//! synchronization must keep working across all of them.
+//! synchronization must keep working across all of them, on the HTM and on
+//! the hybrid.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -11,6 +12,7 @@ use tm_repro::prelude::*;
 use tm_repro::workloads::runtime::RuntimeKind;
 
 use tm_repro::core::HtmConfig;
+use tm_repro::htm::{HtmSim, HybridTm};
 
 fn htm(config: TmConfig) -> (AnyRuntime, Arc<TmSystem>) {
     let rt = RuntimeKind::Htm.build(config);
@@ -165,4 +167,86 @@ fn serial_fallback_threshold_is_respected() {
         }
     });
     assert_eq!(counter.load_direct(&system), THREADS as u64 * PER_THREAD);
+}
+
+// --- Waiting through `condsync` on the hardware engines, driven directly. --
+
+/// Runs a transaction on `rt` that calls `wait` (given a flag's address)
+/// until the flag is non-zero, sets the flag to 3 from this thread once the
+/// waiter has descheduled or restarted, and returns what the waiter saw.
+fn flag_waiter<R: TmRt + Send + Sync + 'static>(
+    rt: Arc<R>,
+    system: &Arc<TmSystem>,
+    wait: fn(&mut dyn Tx, Addr) -> TxResult<u64>,
+) -> u64 {
+    let waits = || system.stats().descheds + system.stats().explicit_aborts;
+    let before = waits();
+    let flag = TmVar::<u64>::alloc(system, 0);
+    let (rt2, system2, addr) = (Arc::clone(&rt), Arc::clone(system), flag.addr());
+    let waiter = std::thread::spawn(move || {
+        let th = system2.register_thread();
+        rt2.atomically(&th, |tx| match tx.read(addr)? {
+            0 => wait(tx, addr),
+            v => Ok(v),
+        })
+    });
+    while waits() == before {
+        std::thread::yield_now();
+    }
+    let th = system.register_thread();
+    rt.atomically(&th, |tx| flag.set(tx, 3));
+    waiter.join().unwrap()
+}
+
+fn htm_rt() -> (Arc<TmSystem>, Arc<HtmSim>) {
+    let system = TmSystem::new(TmConfig::small());
+    (Arc::clone(&system), HtmSim::new(system))
+}
+
+fn hybrid_rt() -> (Arc<TmSystem>, Arc<HybridTm>) {
+    let system = TmSystem::new(TmConfig::small());
+    (Arc::clone(&system), HybridTm::new(system))
+}
+
+#[test]
+fn retry_switches_to_software_and_wakes() {
+    let (system, rt) = htm_rt();
+    assert_eq!(flag_waiter(rt, &system, |tx, _| retry(tx)), 3);
+    assert!(!system.serial.held());
+}
+
+#[test]
+fn await_and_waitpred_work_on_htm() {
+    fn nonzero(tx: &mut dyn Tx, args: &[u64]) -> TxResult<bool> {
+        Ok(tx.read(Addr(args[0] as usize))? != 0)
+    }
+    let (system, rt) = htm_rt();
+    let awaited = flag_waiter(Arc::clone(&rt), &system, |tx, a| await_one(tx, a));
+    assert_eq!(awaited, 3);
+    let waited = flag_waiter(rt, &system, |tx, a| wait_pred(tx, nonzero, &[a.0 as u64]));
+    assert_eq!(waited, 3);
+}
+
+#[test]
+fn explicit_restart_works_on_htm() {
+    let (system, rt) = htm_rt();
+    assert_eq!(flag_waiter(rt, &system, |tx, _| restart(tx)), 3);
+}
+
+#[test]
+fn retry_deschedules_via_the_software_path_and_wakes() {
+    let (system, rt) = hybrid_rt();
+    assert_eq!(flag_waiter(rt, &system, |tx, _| retry(tx)), 3);
+    assert_eq!(
+        system.stats().serial_acquires,
+        0,
+        "the whole retry round-trip stays off the serial rung"
+    );
+}
+
+#[test]
+fn retry_orig_is_supported_on_the_hybrid() {
+    let (system, rt) = hybrid_rt();
+    assert_eq!(flag_waiter(rt, &system, |tx, _| retry_orig(tx)), 3);
+    assert_eq!(system.orig.len(), 0);
 }

@@ -1,146 +1,26 @@
 //! The hardware rung's residency rule: only the first speculative touch of a
 //! line in an attempt goes to the coherence directory, every later access to
 //! the line is a hit — and the hit path keeps the conflict semantics of a
-//! per-access registration.
+//! per-access registration.  (The directory-call counts themselves are
+//! pinned by the `tm_core::hardware` unit tests, which can see the
+//! directory's test-only counters.)
 //!
-//! The count tests drive a counting [`HwTm`] decorator over the simulator's
-//! [`SimPlane`].  The conflict tests are deterministic: two registered
-//! threads are driven from one OS thread, so the conflicting party arrives
-//! exactly between the victim's first and second access to the line.
+//! The tests are deterministic: registered threads are driven from one OS
+//! thread, so the conflicting party arrives exactly between the victim's
+//! first and second access to the line.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use tm_repro::core::driver::{Attempt, TxEngine};
-use tm_repro::core::hwtm::{HwAbort, HwTm};
+use tm_repro::core::hardware::lines::MAX_HW_THREADS;
 use tm_repro::core::{
-    AbortReason, Addr, LineId, ThreadId, TmConfig, TmRt, TmSystem, TmVar, Tx, TxCommon, TxCtl,
-    TxMode, LINE_WORDS,
+    AbortReason, Addr, StatsSnapshot, TmConfig, TmRt, TmSystem, TmVar, Tx, TxCommon, TxCtl, TxMode,
+    LINE_WORDS,
 };
-use tm_repro::htm::{HtmSim, HybridTm, SimPlane};
+use tm_repro::htm::{Directory, HtmSim, HybridTm};
 
 /// First word of the cache line the single-line tests work on.
 const BASE: Addr = Addr(64);
-
-/// Counts the directory calls a runtime makes, delegating to the simulator.
-#[derive(Debug)]
-struct CountingPlane {
-    inner: Arc<SimPlane>,
-    read_line: AtomicUsize,
-    write_line: AtomicUsize,
-    clear_read: AtomicUsize,
-    clear_write: AtomicUsize,
-}
-
-impl CountingPlane {
-    /// `[read_line, write_line, clear_read, clear_write]` calls so far.
-    fn counts(&self) -> [usize; 4] {
-        [
-            &self.read_line,
-            &self.write_line,
-            &self.clear_read,
-            &self.clear_write,
-        ]
-        .map(|c| c.load(Ordering::Relaxed))
-    }
-}
-
-impl HwTm for CountingPlane {
-    fn slot_for(&self, line: LineId) -> usize {
-        self.inner.slot_for(line)
-    }
-    fn read_line(&self, line: LineId, slot: usize, tid: ThreadId) -> Result<(), HwAbort> {
-        self.read_line.fetch_add(1, Ordering::Relaxed);
-        self.inner.read_line(line, slot, tid)
-    }
-    fn write_line(&self, line: LineId, slot: usize, tid: ThreadId) -> Result<(), HwAbort> {
-        self.write_line.fetch_add(1, Ordering::Relaxed);
-        self.inner.write_line(line, slot, tid)
-    }
-    fn check_read_footprint(&self, distinct_lines: usize) -> Result<(), HwAbort> {
-        self.inner.check_read_footprint(distinct_lines)
-    }
-    fn check_write_footprint(&self, distinct_lines: usize) -> Result<(), HwAbort> {
-        self.inner.check_write_footprint(distinct_lines)
-    }
-    fn commit_check(&self, tid: ThreadId) -> Result<(), HwAbort> {
-        self.inner.commit_check(tid)
-    }
-    fn clear_read(&self, slot: usize, tid: ThreadId) {
-        self.clear_read.fetch_add(1, Ordering::Relaxed);
-        self.inner.clear_read(slot, tid);
-    }
-    fn clear_write(&self, slot: usize, tid: ThreadId) {
-        self.clear_write.fetch_add(1, Ordering::Relaxed);
-        self.inner.clear_write(slot, tid);
-    }
-    fn claim_for_writeback(&self, slot: usize, tid: ThreadId) {
-        self.inner.claim_for_writeback(slot, tid);
-    }
-    fn release_writeback(&self, slot: usize, tid: ThreadId) {
-        self.inner.release_writeback(slot, tid);
-    }
-    fn line_cover(&self, line: LineId, out: &mut Vec<usize>) {
-        self.inner.line_cover(line, out);
-    }
-}
-
-/// Commits `TXS` read-modify-write transactions over `vars` on an HTM
-/// runtime behind a [`CountingPlane`] and returns the directory calls per
-/// committed attempt.
-fn calls_per_commit(vars: &[TmVar<u64>]) -> [usize; 4] {
-    const TXS: usize = 10;
-    let system = TmSystem::new(TmConfig::small());
-    let plane = Arc::new(CountingPlane {
-        inner: SimPlane::new(Arc::clone(&system)),
-        read_line: AtomicUsize::new(0),
-        write_line: AtomicUsize::new(0),
-        clear_read: AtomicUsize::new(0),
-        clear_write: AtomicUsize::new(0),
-    });
-    let rt = HtmSim::with_plane(Arc::clone(&system), Arc::clone(&plane) as _, false);
-    let th = system.register_thread();
-    for _ in 0..TXS {
-        rt.atomically(&th, |tx| {
-            for v in vars {
-                let x = v.get(tx)?;
-                v.set(tx, x + 1)?;
-            }
-            Ok(())
-        });
-    }
-    let stats = th.stats.snapshot();
-    assert_eq!(stats.hw_commits, TXS as u64, "every attempt commits");
-    assert_eq!(stats.hw_aborts, 0);
-    for v in vars {
-        assert_eq!(v.load_direct(&system), TXS as u64);
-    }
-    plane.counts().map(|c| {
-        assert_eq!(c % TXS, 0, "the same calls on every attempt");
-        c / TXS
-    })
-}
-
-#[test]
-fn four_variables_on_one_line_register_the_line_once() {
-    let vars: Vec<_> = (0..4).map(|i| TmVar::from_addr(BASE.offset(i))).collect();
-    assert!(vars.iter().all(|v| v.addr().line() == BASE.line()));
-    assert_eq!(
-        calls_per_commit(&vars),
-        [1, 1, 1, 1],
-        "[read_line, write_line, clear_read, clear_write] per committed attempt"
-    );
-}
-
-#[test]
-fn k_distinct_lines_register_k_times() {
-    for k in 1..=4 {
-        let vars: Vec<_> = (0..k)
-            .map(|i| TmVar::from_addr(BASE.offset(i * LINE_WORDS)))
-            .collect();
-        assert_eq!(calls_per_commit(&vars), [k; 4], "{k} lines");
-    }
-}
 
 #[test]
 fn a_written_line_is_resident_for_reads_too() {
@@ -151,13 +31,14 @@ fn a_written_line_is_resident_for_reads_too() {
     let th = system.register_thread();
     let mut desc = th.checkout();
     let mut tx = rt.begin(&th, &mut desc, TxCommon::new(TxMode::Hardware, 0));
-    let slot = rt.lines().slot_for(BASE.line());
+    let lines = rt.directory().lines();
+    let slot = lines.slot_for(BASE.line());
     tx.write(BASE, 1).unwrap();
     assert_eq!(tx.read(BASE.offset(1)).unwrap(), 0);
-    assert_eq!(rt.lines().writer_of(slot), Some(th.id));
-    assert!(!rt.lines().is_reader(slot, th.id));
+    assert_eq!(lines.writer_of(slot), Some(th.id));
+    assert!(!lines.is_reader(slot, th.id));
     tx.try_commit().unwrap();
-    assert_eq!(rt.lines().writer_of(slot), None);
+    assert_eq!(lines.writer_of(slot), None);
 }
 
 // --- The conflict semantics the hit path must keep. -----------------------
@@ -172,9 +53,9 @@ fn a_read_hit_on_a_line_a_foreign_writer_took_aborts() {
     assert_eq!(tx.read(BASE).unwrap(), 0);
 
     // T1's store request finds T0's standing registration and dooms it.
-    let (line, plane) = (BASE.line(), rt.plane());
-    let slot = plane.slot_for(line);
-    plane.write_line(line, slot, t1.id).unwrap();
+    let (line, dir) = (BASE.line(), rt.directory());
+    let slot = dir.slot_for(line);
+    dir.write_line(line, slot, t1.id).unwrap();
 
     assert!(
         matches!(
@@ -184,7 +65,7 @@ fn a_read_hit_on_a_line_a_foreign_writer_took_aborts() {
         "the second read never asks the directory, yet must see the conflict"
     );
     tx.rollback();
-    plane.clear_write(slot, t1.id);
+    dir.clear_write(slot, t1.id);
 }
 
 #[test]
@@ -269,4 +150,85 @@ fn a_coupled_hardware_commit_publishes_to_the_written_words_orecs_only() {
         .try_commit()
         .expect("a reader of the unwritten neighbour is not disturbed");
     assert_eq!(system.heap.load(elsewhere), 2);
+}
+
+// --- Thread ids the directory's reader mask cannot represent. -------------
+
+/// Thread 64 — the first id past the directory's 64-bit reader mask — runs
+/// beside thread 0, which holds a speculative read registration on `BASE`'s
+/// line.  Returns thread 64's statistics and whether thread 0 ended up
+/// doomed.
+fn past_the_reader_mask<R: TxEngine + TmRt>(
+    rt: &R,
+    dir: &Directory,
+    system: &Arc<TmSystem>,
+) -> (StatsSnapshot, bool) {
+    let threads: Vec<_> = (0..=MAX_HW_THREADS)
+        .map(|_| system.register_thread())
+        .collect();
+    let (t0, t64) = (&threads[0], &threads[MAX_HW_THREADS]);
+    let slot = dir.slot_for(BASE.line());
+    let t0_registered = || dir.lines().is_reader(slot, t0.id);
+    let mut d0 = t0.checkout();
+    let mut reader = rt.begin(t0, &mut d0, TxCommon::new(TxMode::Hardware, 0));
+    assert_eq!(reader.read(BASE).unwrap(), 0);
+    assert!(t0_registered());
+
+    // Speculation is refused at thread 64's first registration, as a
+    // capacity abort, and its cleanup clears nothing of thread 0's.
+    {
+        let mut d64 = t64.checkout();
+        let mut tx = rt.begin(t64, &mut d64, TxCommon::new(TxMode::Hardware, 0));
+        let refused = tx.read(BASE);
+        assert!(matches!(
+            refused,
+            Err(TxCtl::Abort(AbortReason::HwCapacity))
+        ));
+        tx.rollback();
+    }
+    assert!(t0_registered() && !t0.is_doomed());
+
+    // The mode ladder finishes thread 64's transaction off speculation, and
+    // leaves no registration or claim of its own behind.
+    let out = TmVar::<u64>::from_addr(BASE.offset(4 * LINE_WORDS));
+    rt.atomically(t64, |tx| {
+        let x = tx.read(BASE)?;
+        out.set(tx, x + 7)
+    });
+    assert_eq!(out.load_direct(system), 7);
+    assert!(t0_registered());
+    assert_eq!(dir.lines().writer_of(dir.slot_for(out.addr().line())), None);
+    let doomed = t0.is_doomed();
+    reader.rollback();
+    assert!(!t0_registered());
+    (t64.stats.snapshot(), doomed)
+}
+
+#[test]
+fn a_thread_past_the_reader_mask_commits_off_speculation_and_disturbs_no_other() {
+    let config = TmConfig::small().with_max_threads(MAX_HW_THREADS + 1);
+
+    let system = TmSystem::new(config);
+    let rt = HtmSim::new(Arc::clone(&system));
+    let (stats, doomed) = past_the_reader_mask(&*rt, rt.directory(), &system);
+    assert_eq!(stats.hw_commits, 0);
+    assert_eq!(stats.serial_commits, 1, "htm: the serial rung commits it");
+    assert!(stats.hw_aborts >= 1);
+    // Taking the serial gate aborts every in-flight hardware attempt (the
+    // fallback-lock subscription), so here thread 0 is doomed by the gate.
+    assert!(doomed);
+
+    let system = TmSystem::new(config);
+    let rt = HybridTm::new(Arc::clone(&system));
+    let (stats, doomed) = past_the_reader_mask(&*rt, rt.htm().directory(), &system);
+    assert_eq!(stats.hw_commits, 0);
+    assert_eq!(
+        (stats.sw_commits, stats.serial_commits),
+        (1, 0),
+        "hybrid: the software rung commits it"
+    );
+    assert!(
+        !doomed,
+        "a software commit to another line dooms no speculative reader"
+    );
 }
