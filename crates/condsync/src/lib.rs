@@ -21,7 +21,8 @@
 //!
 //! * [`restart`] — abort and immediately re-execute (no sleeping),
 //! * [`retry_orig`] — the original lock-metadata-based `Retry` (Algorithm 1;
-//!   its waiting list is `tm_core::software::orig`),
+//!   one more wait condition, `tm_core::WaitCondition::LocksMoved`, on the
+//!   same registry),
 //! * [`condvar::TmCondVar`] — transaction-safe condition variables, which
 //!   commit the in-flight transaction at the wait point (breaking atomicity).
 //!
@@ -45,7 +46,7 @@
 //! | `ReadSetValues` (`Retry`) | value log `(addr, val)` pairs | shard of every logged address's stripe |
 //! | `Addrs` (`Await`) | captured `(addr, val)` pairs | shard of every awaited address's stripe |
 //! | `Pred` (`WaitPred`) | predicate + marshalled args | shard of every stripe the predicate *read* when last evaluated — found by evaluating it once before registering, and extended by any later check that sees it read elsewhere (see [`tm_core::PredFn`] for the contract this relies on).  Only a predicate that reads nothing, or more than 16 stripes, or whose footprint will not settle, goes to the *overflow* shard every writer scans |
-//! | `OrigReadLocks` (`Retry-Orig`) | — | not in this registry at all: it uses the separate [`tm_core::software::OrigRegistry`] ([`tm_core::TmSystem::orig`]) keyed by read-lock indices |
+//! | `OrigReadLocks` (`Retry-Orig`) | `LocksMoved`: the read set's orec stripes, the start time and the serial gate's writer-commit count (a serial attempt logs values instead) | shard of every read-orec stripe — so the targeted scan *is* Algorithm 1's lock-set intersection, checked on the orecs without a transaction |
 //!
 //! Both functions are invoked exclusively by the unified driver loop in
 //! `tm_core::driver` (where their implementation lives — the dependency

@@ -184,8 +184,9 @@ pub fn wait_pred<T>(tx: &mut dyn Tx, pred: PredFn, args: &[u64]) -> TxResult<T> 
 }
 
 /// The original lock-metadata `Retry` (Algorithm 1), kept as the `Retry-Orig`
-/// baseline.  Supported by the software runtimes only; has no timed variant
-/// (the separate Retry-Orig registry carries no deadlines).
+/// baseline.  Needs STM lock metadata.  Its sleepers are ordinary waiters, so
+/// [`crate::cancel_thread`] reaches them; it has no timed variant only
+/// because none was asked for.
 pub fn retry_orig<T>(tx: &mut dyn Tx) -> TxResult<T> {
     tx.common_mut().wait_deadline = None;
     Err(TxCtl::Deschedule(WaitSpec::OrigReadLocks))

@@ -47,8 +47,9 @@
 //! fresh full timeout; callers needing an absolute overall deadline can
 //! compute the remaining budget themselves.
 //!
-//! `Retry-Orig` (the lock-metadata baseline) and the non-sleeping baselines
-//! (`Restart`, the lock-based mechanisms) have no timed variants.
+//! `Retry-Orig` (the lock-metadata baseline, whose sleepers are cancellable
+//! like any other) and the non-sleeping baselines (`Restart`, the lock-based
+//! mechanisms) have no timed variants.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -42,9 +42,9 @@ use crate::orec::OrecTable;
 
 /// True if every stripe in `cover` is unlocked and no newer than `start`.
 ///
-/// The shared validity check behind `Retry-Orig` registration and
-/// [`ReadSet::valid_at`]; the runtimes previously each carried their own
-/// copy (`reads_valid_at`).
+/// The shared validity check behind `Retry-Orig`'s wait condition
+/// ([`crate::WaitCondition::LocksMoved`]) and [`ReadSet::valid_at`]; the
+/// runtimes previously each carried their own copy (`reads_valid_at`).
 pub fn cover_valid_at(orecs: &OrecTable, cover: &[usize], start: u64) -> bool {
     cover.iter().all(|&idx| {
         let o = orecs.load(idx);

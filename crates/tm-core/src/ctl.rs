@@ -12,8 +12,10 @@
 //! `f(p)` is a predicate over shared state that decides whether the thread
 //! should wake.
 
+use crate::access::cover_valid_at;
 use crate::addr::Addr;
 use crate::orec::OrecTable;
+use crate::system::TmSystem;
 use crate::tx::Tx;
 
 /// Why a transaction attempt failed and must be re-executed.
@@ -144,11 +146,11 @@ pub enum WaitSpec {
         args: Vec<u64>,
     },
     /// Wait according to the *original* Retry mechanism (Algorithm 1): the
-    /// waiter publishes the ownership records covering its read set and is
-    /// woken by any committing writer whose lock set intersects it.
+    /// waiter is woken by any committing writer whose lock set intersects
+    /// the ownership records covering its read set — materialised as
+    /// [`WaitCondition::LocksMoved`] (a serial attempt logs values instead).
     ///
-    /// Only the software runtimes support this; it exists as the
-    /// `Retry-Orig` baseline the paper compares against.
+    /// It exists as the `Retry-Orig` baseline the paper compares against.
     OrigReadLocks,
 }
 
@@ -182,6 +184,19 @@ pub enum WaitCondition {
         /// Arguments captured at deschedule time.
         args: Vec<u64>,
     },
+    /// Wake when a stripe of `cover` is locked or newer than `start`, or a
+    /// serial section has committed a write since (`Retry-Orig`, Algorithm
+    /// 1).  Checked on the metadata, not in a transaction; like Algorithm 1
+    /// and unlike `ValuesChanged`, woken by silent stores.
+    LocksMoved {
+        /// The attempt's read-set orec stripes, sorted.
+        cover: Vec<usize>,
+        /// The attempt's start time.
+        start: u64,
+        /// The serial gate's count of writer commits while the attempt ran:
+        /// serial writes bypass the orecs, so this is how they are seen.
+        serial: u64,
+    },
 }
 
 impl WaitCondition {
@@ -198,7 +213,16 @@ impl WaitCondition {
                 Ok(false)
             }
             WaitCondition::Pred { f, args } => f(tx, args),
+            WaitCondition::LocksMoved { .. } => Ok(self.locks_moved(tx.system())),
         }
+    }
+
+    /// True if this is a [`WaitCondition::LocksMoved`] that holds in
+    /// `system`; false for every other condition.
+    pub(crate) fn locks_moved(&self, system: &TmSystem) -> bool {
+        matches!(self, WaitCondition::LocksMoved { cover, start, serial }
+            if !cover_valid_at(&system.orecs, cover, *start)
+                || system.serial.writer_commits() != *serial)
     }
 
     /// A short human-readable label for statistics and tracing.
@@ -206,21 +230,23 @@ impl WaitCondition {
         match self {
             WaitCondition::ValuesChanged(_) => "values",
             WaitCondition::Pred { .. } => "pred",
+            WaitCondition::LocksMoved { .. } => "locks",
         }
     }
 
-    /// Number of locations / arguments tracked (used by the ablation bench).
+    /// Number of locations / arguments / stripes tracked (ablation bench).
     pub fn tracked(&self) -> usize {
         match self {
             WaitCondition::ValuesChanged(pairs) => pairs.len(),
             WaitCondition::Pred { args, .. } => args.len(),
+            WaitCondition::LocksMoved { cover, .. } => cover.len(),
         }
     }
 
     /// The ownership-record stripes covering every address this condition
-    /// names, sorted and deduplicated.  Empty for predicate conditions, which
-    /// name none: their stripes are the ones an evaluation reads, which the
-    /// wait protocol records (`driver::wake`).
+    /// names, sorted and deduplicated — for `LocksMoved`, its cover.  Empty
+    /// for predicate conditions, which name none: their stripes are the ones
+    /// an evaluation reads, which the wait protocol records (`driver::wake`).
     ///
     /// This is the indexing side of the no-lost-wakeups invariant: the
     /// waiter registers under exactly these stripes, and committing writers
@@ -237,6 +263,7 @@ impl WaitCondition {
                 stripes
             }
             WaitCondition::Pred { .. } => Vec::new(),
+            WaitCondition::LocksMoved { cover, .. } => cover.clone(),
         }
     }
 }

@@ -124,22 +124,6 @@ pub trait TxEngine: TmRuntime + Sized {
         TxMode::Software
     }
 
-    /// Whether this engine supports the lock-metadata `Retry-Orig` baseline
-    /// (requires STM ownership records; the HTM simulator does not).
-    fn supports_orig_retry(&self) -> bool {
-        false
-    }
-
-    /// The full `Retry-Orig` deschedule path (Algorithm 1): roll `tx` back,
-    /// then atomically validate the read set against the waiting list and
-    /// sleep if registration succeeded.
-    ///
-    /// Only called when [`TxEngine::supports_orig_retry`] returns true.
-    fn deschedule_orig(&self, thread: &Arc<ThreadCtx>, tx: &mut Self::Tx<'_>) {
-        let _ = (thread, tx);
-        unreachable!("deschedule_orig called on an engine without Retry-Orig support");
-    }
-
     /// The mode to re-execute in after returning from a deschedule (whether
     /// the thread slept or skipped the sleep).  Hardware engines restart
     /// speculatively; software engines drop back to plain instrumentation.

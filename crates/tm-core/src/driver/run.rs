@@ -12,7 +12,7 @@
 //!   backoff ◀─ Abort            Deschedule(spec)            SwitchToSoftware
 //!                │                      │                         │
 //!                │     hardware attempt │ software attempt        ▼
-//!                │      relog / serial  │ relog → orig → sleep   mode ladder
+//!                │      relog / serial  │ relog? → deschedule    mode ladder
 //!                └──────────────────────┴─────────────────────────┘
 //! ```
 //!
@@ -43,6 +43,23 @@ fn switch_mode(mode: &mut TxMode, next: TxMode, thread: &ThreadCtx) {
     if *mode != next {
         TxStats::bump(&thread.stats.mode_switches);
         *mode = next;
+    }
+}
+
+/// Whether a software attempt in `mode` that requests `spec` must first be
+/// re-executed in value-logging mode ([`TxMode::SoftwareRetry`]).
+fn relogs_first(spec: &WaitSpec, mode: TxMode, kind: TxKind) -> bool {
+    match spec {
+        // Retry was called before the value log existed (Algorithm 5, lines
+        // 2–5).  This also covers the first attempt after waking up, and
+        // serial attempts (whose direct reads are never value-logged).
+        WaitSpec::ReadSetValues => mode != TxMode::SoftwareRetry,
+        // Retry-Orig from an attempt that keeps no read-orec cover (snapshot
+        // or serial) would sleep on an empty one.
+        WaitSpec::OrigReadLocks => {
+            mode == TxMode::Serial || (kind == TxKind::ReadOnly && mode == TxMode::Software)
+        }
+        _ => false,
     }
 }
 
@@ -163,23 +180,14 @@ where
                         }
                     }
                     if outcome.was_writer {
-                        // Post-commit wake-ups: the Retry-Orig lock-set
-                        // intersection first (it only borrows the cover),
-                        // then the paper's value-based mechanism, targeted
-                        // at the shards covering the commit's write-set
-                        // stripes.  The empty-registry checks keep the
-                        // common no-sleeper case at one atomic load each.
-                        // A waiter registering after its check is covered
-                        // by its own validation (Retry-Orig) or double-check
-                        // (Deschedule), which runs after our (completed)
-                        // commit.
-                        let system = engine.system();
-                        if !system.orig.is_empty() {
-                            system
-                                .orig
-                                .wake_after_commit(thread, outcome.serial, &desc.cover);
-                        }
-                        if !system.waiters.is_empty() {
+                        // Post-commit wake-ups (every mechanism's, Retry-Orig
+                        // included), targeted at the shards covering the
+                        // commit's write-set stripes.  The empty-registry
+                        // check keeps the common no-sleeper case at one
+                        // atomic load.  A waiter registering after it is
+                        // covered by its own double-check, which runs after
+                        // our (completed) commit.
+                        if !engine.system().waiters.is_empty() {
                             // The cover buffer is moved into the wake set,
                             // not copied, and handed back afterwards; the
                             // descriptor is released in between because each
@@ -279,38 +287,7 @@ where
                 };
                 switch_mode(&mut mode, next, thread);
             }
-            TxCtl::Deschedule(WaitSpec::ReadSetValues) if mode != TxMode::SoftwareRetry => {
-                // Retry was called before the value log existed: restart in
-                // value-logging mode (Algorithm 5, lines 2–5).  This also
-                // covers the first attempt after waking up, and serial
-                // attempts (whose direct reads are never value-logged).
-                tx.rollback();
-                drop(tx);
-                TxStats::bump(&thread.stats.retry_relogs);
-                switch_mode(&mut mode, TxMode::SoftwareRetry, thread);
-            }
-            TxCtl::Deschedule(WaitSpec::OrigReadLocks)
-                if engine.supports_orig_retry()
-                    && mode != TxMode::Serial
-                    && !(kind == TxKind::ReadOnly && mode == TxMode::Software) =>
-            {
-                // Snapshot attempts keep no read-orec cover, so a read-only
-                // transaction must not reach `deschedule_orig` from `Software`
-                // mode (it would publish an empty cover and sleep forever);
-                // the guard above routes it through the relog arm below and
-                // the logged re-execution lands here with a real cover.
-                engine.deschedule_orig(thread, &mut tx);
-                drop(tx);
-                // The Retry-Orig baseline has no deadline support; its
-                // sleeps always end as plain wake-ups.
-                pending_wake = Some(WakeReason::Woken);
-                switch_mode(&mut mode, TxMode::Software, thread);
-            }
-            TxCtl::Deschedule(WaitSpec::OrigReadLocks) if mode != TxMode::SoftwareRetry => {
-                // Engines without lock metadata — and serial attempts,
-                // which hold no read locks to publish — approximate
-                // Retry-Orig with the value-based mechanism: relog, then
-                // deschedule below.
+            TxCtl::Deschedule(spec) if relogs_first(&spec, mode, kind) => {
                 tx.rollback();
                 drop(tx);
                 TxStats::bump(&thread.stats.retry_relogs);

@@ -162,8 +162,9 @@ impl Tx for FootprintTx<'_> {
     }
 }
 
-/// Evaluates `condition` once, in a transaction of its own on `thread`; for
-/// a predicate, `footprint` is left holding the stripes that evaluation read.
+/// Evaluates `condition` once, in a transaction of its own on `thread`
+/// (`LocksMoved` on the orecs directly); for a predicate, `footprint` is
+/// left holding the stripes that evaluation read.
 ///
 /// This is bookkeeping of the wait protocol, not an operation: the thread's
 /// latency accounting is suspended around it, so neither a declared
@@ -188,6 +189,8 @@ fn evaluate(
             };
             f(&mut tx, args)
         }),
+        // Lock metadata needs no transaction to read.
+        WaitCondition::LocksMoved { .. } => condition.locks_moved(rt.system()),
         values => rt.exec_bool(thread, &mut |tx| values.should_wake(tx)),
     }
 }
@@ -438,6 +441,7 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     use crate::config::TmConfig;
+    use crate::orec::OrecValue;
     use crate::tx::TxMode;
 
     /// A toy runtime whose "transactions" are direct heap accesses; adequate
@@ -730,6 +734,67 @@ mod tests {
         assert!(!w.is_asleep());
         assert_eq!(sem.permits(), 1);
         system.waiters.remove(&w);
+    }
+
+    /// A `Retry-Orig` condition over `cover`, captured as a software attempt
+    /// captures it while its start is still published.
+    fn locks(system: &TmSystem, cover: &[usize]) -> WaitCondition {
+        WaitCondition::LocksMoved {
+            cover: cover.to_vec(),
+            start: system.clock.now(),
+            serial: system.serial.writer_commits(),
+        }
+    }
+
+    /// Algorithm 1's rules, kept by a `LocksMoved` waiter: it sleeps only
+    /// while its cover is unmoved, and is woken by a commit to a covered
+    /// stripe and by no other, checked without opening a transaction.
+    #[test]
+    fn retry_orig_sleepers_wake_on_an_intersecting_commit_only() {
+        let (system, rt) = toy();
+        let th = system.register_thread();
+        // What a writer commit leaves in a stripe's orec: a newer version.
+        let committed = OrecValue::unlocked(system.clock.now() + 1);
+        let stale = locks(&system, &[1]);
+        system.orecs.store(1, committed);
+        assert_eq!(deschedule(&rt, &th, stale), DescheduleOutcome::SkippedSleep);
+
+        let waiters = [vec![5], vec![5, 6], vec![7]]
+            .map(|cover| Waiter::new(0, locks(&system, &cover), Arc::new(Semaphore::new())));
+        for w in &waiters {
+            register_manually(&rt, w);
+        }
+        system.orecs.store(3, committed);
+        wake_waiters_matching(&rt, &th, &WakeSet::Stripes(vec![3]));
+        system.orecs.store(5, committed);
+        wake_waiters_matching(&rt, &th, &WakeSet::All);
+        assert_eq!(waiters.each_ref().map(|w| w.sem.permits()), [1, 1, 0]);
+        let stats = th.stats.snapshot();
+        assert_eq!((stats.wake_checks, stats.wakeups), (3, 2), "stripe 3: none");
+        assert_eq!(rt.exec_count.load(Ordering::Relaxed), 0, "no transaction");
+
+        for w in [&waiters[0], &waiters[0], &waiters[1]] {
+            system.waiters.remove(w);
+        }
+        let left = system.waiters.snapshot();
+        assert!(left.len() == 1 && Arc::ptr_eq(&left[0], &waiters[2]));
+    }
+
+    /// Serial sections write in place and never touch an orec, so a
+    /// `Retry-Orig` condition sees them through the gate's writer-commit
+    /// count: a serial commit that lands between the attempt's rollback and
+    /// its registration (when no scan can find it) must skip the sleep.
+    #[test]
+    fn a_serial_commit_before_registration_skips_the_retry_orig_sleep() {
+        let (system, rt) = toy();
+        let th = system.register_thread();
+        let captured = locks(&system, &[system.orecs.index_for(Addr(80))]);
+        let mut d = crate::access::Descriptor::default();
+        let mut serial = crate::serial::SerialAttempt::begin(&system, &th, &mut d);
+        serial.write(Addr(80), 1);
+        serial.commit(&mut d);
+        let outcome = deschedule(&rt, &th, captured);
+        assert_eq!(outcome, DescheduleOutcome::SkippedSleep);
     }
 
     #[test]

@@ -36,7 +36,8 @@
 //! driver loop in [`crate::driver`], the software path supplies value
 //! logging and wait-condition materialisation, and — because the software
 //! path has real lock metadata — the hybrid even supports the `Retry-Orig`
-//! baseline the pure HTM configuration must exclude.
+//! baseline the pure HTM configuration must exclude: a coupled hardware
+//! commit's cover is the lock set a software commit would hold.
 
 use std::sync::Arc;
 
@@ -44,7 +45,7 @@ use super::runtime::HtmSim;
 use super::tx::{HtmTx, LadderTx};
 use crate::access::Descriptor;
 use crate::driver::TxEngine;
-use crate::software::{deschedule_orig, LazyTx};
+use crate::software::LazyTx;
 use crate::system::TmSystem;
 use crate::thread::ThreadCtx;
 use crate::tx::{TxCommon, TxMode};
@@ -110,24 +111,6 @@ impl TxEngine for HybridTm {
 
     fn initial_mode(&self) -> TxMode {
         TxMode::Hardware
-    }
-
-    fn supports_orig_retry(&self) -> bool {
-        // Unlike the pure HTM configuration, the software path has real
-        // lock metadata; the driver routes every Retry-Orig sleep through it
-        // (hardware attempts relog in software first, exactly like
-        // value-based Retry).  Writer commits then wake those sleepers by
-        // their cover: the lock set for software commits, for (coupled)
-        // hardware commits the stripes of their written words, which is the
-        // lock set a software commit of the same writes would hold.
-        true
-    }
-
-    fn deschedule_orig(&self, thread: &Arc<ThreadCtx>, tx: &mut LadderTx<'_>) {
-        let LadderTx::Sw(lazy) = tx else {
-            unreachable!("Retry-Orig deschedules only run on the software path");
-        };
-        deschedule_orig(thread, lazy);
     }
 
     fn mode_after_wake(&self) -> TxMode {

@@ -30,9 +30,8 @@
 //!   management policies that drive backoff and mode escalation ([`policy`]),
 //! * the software TM ([`software`]): the one copy of what the eager and the
 //!   lazy STM do identically, the [`software::Eager`] and [`software::Lazy`]
-//!   protocols over it, the [`software::SoftwareStm`] engine both runtimes
-//!   are an instance of, and the `Retry-Orig` waiting list
-//!   ([`software::orig`]),
+//!   protocols over it, and the [`software::SoftwareStm`] engine both
+//!   runtimes are an instance of,
 //! * the hardware TM ([`hardware`]): the simulated coherence directory
 //!   ([`hardware::Directory`], with its seeded fault injector), the
 //!   speculative attempt over it, and the
@@ -41,7 +40,8 @@
 //! * the thread registry, statistics and quiescence support ([`thread`],
 //!   [`stats`]),
 //! * the sharded, address-indexed waiter registry and semaphore used by the
-//!   `Deschedule` mechanism ([`waitlist`], [`sem`]), plus the lazily driven
+//!   `Deschedule` mechanism and the `Retry-Orig` baseline alike
+//!   ([`waitlist`], [`sem`]), plus the lazily driven
 //!   timer wheel behind its timed (`deschedule_until`) variant ([`timer`]),
 //! * typed views over heap words ([`vars::TmVar`], [`vars::TmArray`]).
 //!

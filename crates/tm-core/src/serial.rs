@@ -37,7 +37,7 @@
 //! were excluded.
 
 use std::mem::take;
-use std::sync::atomic::{fence, AtomicBool, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 
 use crate::access::{Descriptor, WriteLog};
 use crate::addr::Addr;
@@ -67,6 +67,9 @@ pub struct SerialGate {
     /// interleave between a transaction's final doom check and its
     /// write-back, losing updates.
     hw_commit: Mutex<()>,
+    /// Serial sections that committed a write, bumped before release: how a
+    /// `Retry-Orig` sleeper ([`crate::WaitCondition::LocksMoved`]) sees them.
+    writer_commits: AtomicU64,
 }
 
 impl SerialGate {
@@ -79,6 +82,12 @@ impl SerialGate {
     #[inline]
     pub fn held(&self) -> bool {
         self.flag.load(Ordering::SeqCst)
+    }
+
+    /// How many serial sections have committed a write; while an attempt's
+    /// start is published no serial section runs, so it reads its begin's.
+    pub(crate) fn writer_commits(&self) -> u64 {
+        self.writer_commits.load(Ordering::SeqCst)
     }
 
     /// Spins until the gate is free (the hardware-transaction subscription,
@@ -299,6 +308,10 @@ impl<'a> SerialAttempt<'a> {
     /// to scan conservatively.
     pub fn commit(&mut self, d: &mut Descriptor) -> CommitOutcome {
         let was_writer = !self.undo.is_empty();
+        if was_writer {
+            let commits = &self.system.serial.writer_commits;
+            commits.fetch_add(1, Ordering::SeqCst);
+        }
         self.dealloc_all(&self.frees);
         self.end(d);
         CommitOutcome::serial(was_writer)

@@ -3,16 +3,15 @@
 //!
 //! All driver-loop logic (re-execution, abort dispatch, `Retry` value-log
 //! restarts, deschedule hand-off, post-commit wake-ups, backoff) lives in
-//! [`crate::driver::run`]; this file only wires the attempt type and the
-//! `Retry-Orig` deschedule into that loop.
+//! [`crate::driver::run`]; this file only wires the attempt type into that
+//! loop.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use super::orig::sleep_until_intersection;
 use super::{SoftwareProtocol, SoftwareTx};
-use crate::access::{cover_valid_at, Descriptor};
-use crate::driver::{Attempt, TxEngine};
+use crate::access::Descriptor;
+use crate::driver::TxEngine;
 use crate::system::TmSystem;
 use crate::thread::ThreadCtx;
 use crate::tx::TxCommon;
@@ -35,21 +34,6 @@ impl<P: SoftwareProtocol> SoftwareStm<P> {
     }
 }
 
-/// The `Retry-Orig` deschedule of a software attempt (Algorithm 1): copies
-/// the read set's orec cover into the waiter record, rolls `tx` back, then
-/// registers with the system's waiting list and sleeps unless a covered
-/// stripe already moved past the attempt's start.
-pub fn deschedule_orig<P: SoftwareProtocol>(thread: &Arc<ThreadCtx>, tx: &mut SoftwareTx<'_, P>) {
-    // The read set's own sorted stripe cover, not recomputed from the
-    // address list.
-    let read_orecs = tx.core.d.reads.orec_cover().to_vec();
-    let (system, start) = (tx.core.system, tx.core.start());
-    tx.rollback();
-    sleep_until_intersection(&system.orig, thread, read_orecs, |cover| {
-        cover_valid_at(&system.orecs, cover, start)
-    });
-}
-
 impl<P: SoftwareProtocol> TxEngine for SoftwareStm<P> {
     type Tx<'a> = SoftwareTx<'a, P>;
 
@@ -60,14 +44,6 @@ impl<P: SoftwareProtocol> TxEngine for SoftwareStm<P> {
         common: TxCommon,
     ) -> SoftwareTx<'a, P> {
         SoftwareTx::begin(&self.system, thread, desc, common)
-    }
-
-    fn supports_orig_retry(&self) -> bool {
-        true
-    }
-
-    fn deschedule_orig(&self, thread: &Arc<ThreadCtx>, tx: &mut SoftwareTx<'_, P>) {
-        deschedule_orig(thread, tx);
     }
 }
 

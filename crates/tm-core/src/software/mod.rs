@@ -16,20 +16,18 @@
 //! * [`eager`] and [`lazy`] — the two protocols (paper: "Eager STM" and
 //!   "Lazy STM");
 //! * [`engine`] — [`SoftwareStm`], the one [`crate::TxEngine`] over
-//!   [`SoftwareTx`]; [`EagerStm`] and [`LazyStm`] are it at their protocol;
-//! * [`orig`] — the `Retry-Orig` baseline's waiting list (Algorithm 1),
-//!   which needs this module's lock metadata and is owned by
-//!   [`TmSystem::orig`].
+//!   [`SoftwareTx`]; [`EagerStm`] and [`LazyStm`] are it at their protocol.
+//!
+//! `Retry-Orig` (Algorithm 1) needs only this module's lock metadata: it is
+//! a [`WaitCondition::LocksMoved`] on [`TmSystem::waiters`].
 
 pub mod eager;
 pub mod engine;
 pub mod lazy;
-pub mod orig;
 
 pub use eager::{Eager, EagerStm, EagerTx};
-pub use engine::{deschedule_orig, SoftwareStm};
+pub use engine::SoftwareStm;
 pub use lazy::{Lazy, LazyStm, LazyTx};
-pub use orig::OrigRegistry;
 
 use std::fmt;
 use std::sync::Arc;
@@ -477,9 +475,13 @@ impl<P: SoftwareProtocol> Attempt for SoftwareTx<'_, P> {
                 P::capture(&mut self.core, addrs).map(WaitCondition::ValuesChanged)
             }
             WaitSpec::Pred { f, args } => Some(WaitCondition::Pred { f, args }),
-            // Handled by the driver (it needs the read-orec list *and* the
-            // registry); reaching this point is a logic error.
-            WaitSpec::OrigReadLocks => None,
+            // Captured while the start is still published, so the serial
+            // count is the one from begin.
+            WaitSpec::OrigReadLocks => Some(WaitCondition::LocksMoved {
+                cover: self.core.d.reads.orec_cover().to_vec(),
+                start: self.core.start,
+                serial: self.core.system.serial.writer_commits(),
+            }),
         };
         self.rollback();
         cond.ok_or(TxCtl::Abort(AbortReason::ReadConflict))

@@ -2,7 +2,7 @@
 //!
 //! A [`TmSystem`] bundles everything the runtimes share: the heap, the
 //! ownership-record table, the global clock, the thread registry, and the
-//! two waiter registries (`Deschedule`'s and the `Retry-Orig` baseline's).  All three runtimes (eager STM,
+//! one waiter registry every sleeper waits on.  All three runtimes (eager STM,
 //! lazy STM, HTM simulator) can be layered over the *same* system instance,
 //! which is how Hybrid-TM-style mixing would work; the evaluation uses one
 //! runtime per experiment, as the paper does.
@@ -17,7 +17,6 @@ use crate::heap::TmHeap;
 use crate::orec::OrecTable;
 use crate::policy::ContentionManager;
 use crate::serial::SerialGate;
-use crate::software::OrigRegistry;
 use crate::stats::TxStats;
 use crate::thread::{ThreadCtx, ThreadRegistry, NOT_IN_TX};
 use crate::timer::TimerWheel;
@@ -44,12 +43,10 @@ pub struct TmSystem {
     /// Registry of worker threads.
     pub threads: ThreadRegistry,
     /// Sharded, address-indexed registry of descheduled (sleeping)
-    /// transactions, keyed by ownership-record stripe.
+    /// transactions, keyed by ownership-record stripe — every mechanism's,
+    /// the `Retry-Orig` baseline's included.  Owned here so every committer
+    /// over this system sees every sleeper.
     pub waiters: WaitList,
-    /// The `Retry-Orig` baseline's waiting list (Algorithm 1), keyed by
-    /// read-lock indices.  Owned here, like [`TmSystem::waiters`], so every
-    /// committer over this system sees every sleeper.
-    pub orig: OrigRegistry,
     /// Hashed timer wheel delivering deadlines to timed waits; driven lazily
     /// by committing and spinning threads (no background ticker).
     pub timers: TimerWheel,
@@ -83,7 +80,6 @@ impl TmSystem {
             clock: GlobalClock::for_system(config.clock, Arc::clone(&epochs)),
             threads: ThreadRegistry::with_epochs(Arc::clone(&epochs)),
             waiters: WaitList::new(config.wake_shards),
-            orig: OrigRegistry::new(),
             timers: TimerWheel::new(config.timer),
             serial: SerialGate::new(),
             policy,
@@ -170,7 +166,6 @@ mod tests {
         assert!(s.orecs.len() >= TmConfig::small().orec_count);
         assert_eq!(s.clock.now(), 0);
         assert!(s.waiters.is_empty());
-        assert!(s.orig.is_empty());
         assert!(s.timers.idle());
         assert_eq!(s.timers.slot_count(), TmConfig::small().timer.slots);
         assert!(!s.serial.held());

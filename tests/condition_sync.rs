@@ -167,6 +167,41 @@ fn silent_stores_do_not_wake_retry_waiters() {
     assert_eq!(waiter.join().unwrap(), 42);
 }
 
+/// Algorithm 1 wakes on lock metadata, so a silent store — which moves the
+/// orec version but not the value — wakes a `Retry-Orig` sleeper, while the
+/// value-based `Retry` sleeps through it.  The paper's wake-ups-per-item
+/// contrast between the two mechanisms rests on this.
+#[test]
+fn silent_stores_wake_retry_orig_but_not_retry_sleepers() {
+    for kind in RuntimeKind::ALL
+        .into_iter()
+        .filter(|k| k.supports_retry_orig())
+    {
+        for orig in [true, false] {
+            let rt = kind.build(TmConfig::small());
+            let flag = TmVar::<u64>::alloc(rt.system(), 0);
+            let (rt_w, flag_w) = (rt.clone(), flag.clone());
+            let waiter = std::thread::spawn(move || {
+                let th = rt_w.system().register_thread();
+                rt_w.atomically(&th, |tx| match flag_w.get(tx)? {
+                    0 if orig => retry_orig(tx),
+                    0 => retry(tx),
+                    v => Ok(v),
+                })
+            });
+            while rt.system().stats().sleeps == 0 {
+                std::thread::yield_now();
+            }
+            let th = rt.system().register_thread();
+            rt.atomically(&th, |tx| flag.set(tx, 0));
+            let wakeups = th.stats.snapshot().wakeups;
+            assert_eq!(wakeups, u64::from(orig), "{kind}, Retry-Orig: {orig}");
+            rt.atomically(&th, |tx| flag.set(tx, 42));
+            assert_eq!(waiter.join().unwrap(), 42);
+        }
+    }
+}
+
 /// Await with several addresses wakes when any one of them changes.
 #[test]
 fn await_on_multiple_addresses_wakes_on_any() {

@@ -248,5 +248,5 @@ fn retry_deschedules_via_the_software_path_and_wakes() {
 fn retry_orig_is_supported_on_the_hybrid() {
     let (system, rt) = hybrid_rt();
     assert_eq!(flag_waiter(rt, &system, |tx, _| retry_orig(tx)), 3);
-    assert_eq!(system.orig.len(), 0);
+    assert_eq!(system.waiters.len(), 0);
 }

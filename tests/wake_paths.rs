@@ -18,10 +18,11 @@
 //!   evaluated every sleeper on every commit).
 
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use tm_repro::core::backoff::XorShift64;
-use tm_repro::core::Addr;
+use tm_repro::core::{Addr, TxMode};
 use tm_repro::prelude::*;
 use tm_repro::sync::{await_one, retry, wait_pred, wake_reason};
 use tm_repro::workloads::runtime::RuntimeKind;
@@ -248,7 +249,7 @@ fn writer_shards(system: &TmSystem, addr: Addr) -> Vec<usize> {
 /// A writer hammering stripes disjoint from every sleeper's must not
 /// evaluate a single wait condition — the storm the sharded registry exists
 /// to prevent — and the zero-waiter fast path must do no shard work at all.
-fn disjoint_writer_scans_nothing(kind: RuntimeKind) {
+fn disjoint_writer_scans_nothing(kind: RuntimeKind, wait: fn(&mut dyn Tx, Addr) -> TxResult<u64>) {
     let rt = kind.build(TmConfig::small());
     let system = Arc::clone(rt.system());
     let writer = system.register_thread();
@@ -273,7 +274,7 @@ fn disjoint_writer_scans_nothing(kind: RuntimeKind) {
                 let got = rt.atomically(&th, |tx| {
                     let v = tx.read(addr)?;
                     if v == 0 {
-                        return await_one(tx, addr);
+                        return wait(tx, addr);
                     }
                     Ok(v)
                 });
@@ -315,28 +316,94 @@ fn disjoint_writer_scans_nothing(kind: RuntimeKind) {
 
 #[test]
 fn disjoint_writer_scans_nothing_eager() {
-    disjoint_writer_scans_nothing(RuntimeKind::EagerStm);
+    disjoint_writer_scans_nothing(RuntimeKind::EagerStm, await_one);
 }
 
 #[test]
 fn disjoint_writer_scans_nothing_lazy() {
-    disjoint_writer_scans_nothing(RuntimeKind::LazyStm);
+    disjoint_writer_scans_nothing(RuntimeKind::LazyStm, await_one);
 }
 
 #[test]
 fn disjoint_writer_scans_nothing_htm() {
-    disjoint_writer_scans_nothing(RuntimeKind::Htm);
+    disjoint_writer_scans_nothing(RuntimeKind::Htm, await_one);
 }
 
 #[test]
 fn disjoint_writer_scans_nothing_hybrid() {
-    disjoint_writer_scans_nothing(RuntimeKind::Hybrid);
+    disjoint_writer_scans_nothing(RuntimeKind::Hybrid, await_one);
+}
+
+/// `Retry-Orig` sleepers are indexed by their read orecs' stripes like any
+/// other waiter, so a disjoint commit does not look at them either.
+#[test]
+fn disjoint_writer_scans_nothing_retry_orig() {
+    for kind in orig_kinds() {
+        disjoint_writer_scans_nothing(kind, |tx, _| retry_orig(tx));
+    }
+}
+
+/// The runtimes with lock metadata for `Retry-Orig` to wait on.
+fn orig_kinds() -> impl Iterator<Item = RuntimeKind> {
+    RuntimeKind::ALL
+        .into_iter()
+        .filter(|k| k.supports_retry_orig())
+}
+
+/// A `retry_orig` sleeper on `flag`, returned once it is parked; it yields
+/// the flag and the wake reason its re-execution saw.
+fn park_retry_orig(rt: &AnyRuntime, flag: &TmVar<u64>) -> JoinHandle<(u64, Option<WakeReason>)> {
+    let sleeps = rt.system().stats().sleeps;
+    let (rt_w, flag) = (rt.clone(), flag.clone());
+    let sleeper = std::thread::spawn(move || {
+        let th = rt_w.system().register_thread();
+        rt_w.atomically(&th, |tx| match (flag.get(tx)?, wake_reason(tx)) {
+            (0, None) => retry_orig(tx),
+            seen => Ok(seen),
+        })
+    });
+    while rt.system().stats().sleeps == sleeps {
+        std::thread::yield_now();
+    }
+    sleeper
+}
+
+/// A parked `retry_orig` sleeper is an ordinary waiter.  A serial writer
+/// touches no orec, yet its commit wakes it (through the serial gate's
+/// writer-commit count); `cancel_thread` finds it, once, and the
+/// re-execution observes the cancellation.
+#[test]
+fn retry_orig_sleepers_wake_for_serial_writers_and_cancellation() {
+    for kind in orig_kinds() {
+        let rt = kind.build(TmConfig::small());
+        let system = rt.system();
+        let flag = TmVar::<u64>::alloc(system, 0);
+        let sleeper = park_retry_orig(&rt, &flag);
+        let th = system.register_thread();
+        rt.atomically(&th, |tx| match tx.mode() {
+            TxMode::Serial => flag.set(tx, 4),
+            _ => Err(TxCtl::BecomeSerial),
+        });
+        assert_eq!(th.stats.snapshot().serial_commits, 1, "{kind}");
+        let seen = sleeper.join().unwrap();
+        assert_eq!(seen, (4, Some(WakeReason::Woken)), "{kind}");
+
+        rt.atomically(&th, |tx| flag.set(tx, 0));
+        let sleeper = park_retry_orig(&rt, &flag);
+        let tid = system.waiters.snapshot()[0].thread;
+        assert!(cancel_thread(system, tid), "{kind}");
+        assert!(!cancel_thread(system, tid), "{kind}: only once");
+        let seen = sleeper.join().unwrap();
+        assert_eq!(seen, (0, Some(WakeReason::Cancelled)), "{kind}");
+        let stats = system.stats();
+        assert_eq!((stats.wake_cancels, stats.wakeups), (1, 1), "{kind}");
+    }
 }
 
 /// The `Retry-Orig` waiting list belongs to the system, not to a runtime
 /// handle: a thread parked through one `EagerStm` over a `TmSystem` must be
 /// woken by a commit made through a second `EagerStm` over the same system.
-/// (`sleep_until_intersection` has no deadline, so the join is bounded here:
+/// (`retry_orig` has no deadline, so the join is bounded here:
 /// a sleeper nobody can see fails the test instead of hanging it.)
 #[test]
 fn retry_orig_sleeper_is_woken_through_a_second_handle() {
@@ -360,7 +427,7 @@ fn retry_orig_sleeper_is_woken_through_a_second_handle() {
     });
 
     let deadline = Instant::now() + Duration::from_secs(30);
-    while system.orig.is_empty() {
+    while system.waiters.is_empty() {
         assert!(Instant::now() < deadline, "the sleeper never registered");
         std::thread::yield_now();
     }
@@ -370,7 +437,7 @@ fn retry_orig_sleeper_is_woken_through_a_second_handle() {
         .recv_timeout(Duration::from_secs(30))
         .expect("a commit through the second handle must wake the Retry-Orig sleeper");
     assert_eq!(seen, 9);
-    assert_eq!(system.orig.len(), 0, "a woken sleeper leaves the list");
+    assert_eq!(system.waiters.len(), 0, "a woken sleeper leaves the list");
 }
 
 /// A body that writes a word, reads it back and then `retry`s must park: its
