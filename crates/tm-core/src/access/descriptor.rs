@@ -24,8 +24,8 @@ pub struct Descriptor {
     /// Validated reads with their orec stripes (software attempts).
     pub reads: ReadSet,
     /// The write log: redo entries on the lazy STM and on HTM hardware
-    /// attempts, undo entries on the eager STM; lent to a serial attempt
-    /// ([`crate::serial::SerialAttempt`], any runtime) as its undo log.
+    /// attempts, undo entries on the eager STM and on the serial rung of
+    /// every runtime ([`crate::serial::SerialAttempt`]).
     pub writes: WriteLog,
     /// The `Retry` value log (first observed value per address), filled
     /// only in [`crate::tx::TxMode::SoftwareRetry`].  Not touched by

@@ -98,6 +98,12 @@ pub enum TxCtl {
     BecomeSerial,
 }
 
+impl From<AbortReason> for TxCtl {
+    fn from(reason: AbortReason) -> Self {
+        TxCtl::Abort(reason)
+    }
+}
+
 /// Result type used by transaction bodies and instrumentation.
 pub type TxResult<T> = Result<T, TxCtl>;
 

@@ -2,16 +2,17 @@
 //! implement to plug into the shared driver loop ([`super::run`]).
 //!
 //! A runtime supplies `begin`; its attempt type ([`Attempt`]) supplies
-//! commit/rollback plus the one condition-synchronization hook that genuinely
-//! differs between designs — how a wait condition is materialised during
-//! rollback — and the runtime inherits the whole retry/abort/deschedule state
-//! machine.  The hooks with defaults encode the software-STM behaviour; the
-//! HTM simulator overrides them to express its speculative/serial mode ladder.
+//! commit, a rollback-on-drop and the one condition-synchronization hook
+//! that genuinely differs between designs — how a wait condition is
+//! materialised during rollback — and the runtime inherits the whole
+//! retry/abort/deschedule state machine.  The hooks with defaults encode the
+//! software-STM behaviour; the HTM simulator overrides them to express its
+//! speculative/serial mode ladder.
 
 use std::sync::Arc;
 
 use crate::access::Descriptor;
-use crate::ctl::{TxCtl, WaitCondition, WaitSpec};
+use crate::ctl::{AbortReason, WaitCondition, WaitSpec};
 use crate::runtime::TmRuntime;
 use crate::thread::ThreadCtx;
 use crate::tx::{Tx, TxCommon, TxMode};
@@ -76,24 +77,41 @@ impl CommitOutcome {
 }
 
 /// What the driver loop asks of an in-flight attempt once the body is done
-/// with its [`Tx`] accesses: the per-design commit/rollback/materialise
-/// primitives.
-pub trait Attempt: Tx {
-    /// Attempts to commit.  On `Err` the driver rolls the attempt back and
-    /// dispatches on the control request.  A non-serial writer commit leaves
-    /// the stripe cover of its write set in [`Descriptor::cover`]; the cover
-    /// must never under-report, or the targeted wake scan loses wakeups.
-    fn try_commit(&mut self) -> Result<CommitOutcome, TxCtl>;
-
-    /// Rolls the attempt back completely.  Safe to call more than once.
-    fn rollback(&mut self);
+/// with its [`Tx`] accesses: the per-design commit/materialise primitives.
+///
+/// An attempt ends exactly once.  Both endings take it by value, and
+/// dropping an attempt that has not ended *is* its rollback — undo, release
+/// locks and directory slots, leave the epoch slot and the serial gate, free
+/// the attempt's allocations — so a body that unwinds leaves the system as
+/// if the attempt never ran.  Ending an attempt twice does not compile:
+///
+/// ```compile_fail,E0382
+/// fn commit_twice(tx: impl tm_core::Attempt) {
+///     let _ = tx.try_commit();
+///     let _ = tx.try_commit();
+/// }
+/// ```
+///
+/// ```compile_fail,E0382
+/// use tm_core::{Addr, Attempt, WaitSpec};
+/// fn read_after_deschedule(mut tx: impl Attempt, spec: WaitSpec) {
+///     let _ = tx.rollback_for_deschedule(spec);
+///     let _ = tx.read(Addr(0));
+/// }
+/// ```
+pub trait Attempt: Tx + Sized {
+    /// Commits the attempt.  On `Err` it has already been rolled back.  A
+    /// non-serial writer commit leaves the stripe cover of its write set in
+    /// [`Descriptor::cover`]; the cover must never under-report, or the
+    /// targeted wake scan loses wakeups.
+    fn try_commit(self) -> Result<CommitOutcome, AbortReason>;
 
     /// Rolls the attempt back *and* captures the condition the thread wants
     /// to sleep on, consistently with the aborted attempt's view of memory.
     ///
     /// `Err` means the condition could not be captured consistently; the
-    /// attempt is already rolled back and the driver simply re-executes.
-    fn rollback_for_deschedule(&mut self, spec: WaitSpec) -> Result<WaitCondition, TxCtl>;
+    /// attempt is rolled back all the same and the driver re-executes.
+    fn rollback_for_deschedule(self, spec: WaitSpec) -> Result<WaitCondition, AbortReason>;
 }
 
 /// The engine interface between a transaction runtime and the shared driver

@@ -17,7 +17,8 @@
 //!
 //! * [`TxEngine`] — the narrow per-runtime interface (begin plus a few
 //!   mode-policy hooks) and [`Attempt`], what its attempt type supplies
-//!   (commit / rollback / rollback_for_deschedule; a writer commit leaves
+//!   (`try_commit` / `rollback_for_deschedule`, each consuming the attempt,
+//!   and a `Drop` that rolls back an unended one; a writer commit leaves
 //!   its stripe cover in the descriptor, which tells the wake path which
 //!   waiter-registry shards to scan),
 //! * [`run`] — the single generic driver loop,

@@ -16,6 +16,10 @@
 //!                └──────────────────────┴─────────────────────────┘
 //! ```
 //!
+//! Each attempt leaves the diagram exactly once: by `try_commit`, by
+//! `rollback_for_deschedule`, or by being dropped, which rolls it back — so
+//! a body that panics unwinds through the same rollback as an abort.
+//!
 //! The deschedule hand-off ([`super::deschedule`]) and the post-commit
 //! [`super::wake_waiters_matching`] scan are called from here and *only* here, so a
 //! future runtime (e.g. a hybrid HTM/STM path) picks up the paper's whole
@@ -135,13 +139,17 @@ where
         }
         let mut common = TxCommon::new(mode, attempts).with_kind(kind);
         common.wake_reason = pending_wake;
+        attempts += 1;
+        // Speculative attempts are exactly the `Hardware`-mode ones: every
+        // other mode runs on a software rung.
+        let hardware_attempt = !mode.is_software();
         let mut tx = engine.begin(thread, logs, common);
+        // Every arm ends the attempt exactly once: a commit, a deschedule's
+        // rollback, or — for every other outcome — dropping it, which is its
+        // rollback, before anything else runs on this thread.
         let ctl = match body(&mut tx) {
             Ok(value) => match tx.try_commit() {
                 Ok(outcome) => {
-                    // Release attempt-held resources (e.g. the HTM serial
-                    // lock's bookkeeping) before running wake-up transactions.
-                    drop(tx);
                     if outcome.hardware {
                         TxStats::bump(&thread.stats.hw_commits);
                     } else {
@@ -206,19 +214,48 @@ where
                     }
                     return value;
                 }
-                Err(ctl) => ctl,
+                Err(reason) => TxCtl::Abort(reason),
             },
-            Err(ctl) => ctl,
+            Err(TxCtl::Deschedule(spec))
+                if !hardware_attempt && !relogs_first(&spec, mode, kind) =>
+            {
+                // The deadline (if any) was stashed in the attempt metadata
+                // by the timed construct (`retry_for` & friends); read it
+                // before the attempt ends.
+                let deadline = tx.common().wait_deadline;
+                match tx.rollback_for_deschedule(spec) {
+                    Ok(cond) => {
+                        // The double-check is a transaction of its own.
+                        drop(desc);
+                        let outcome = wake::deschedule_until(engine, thread, cond, deadline);
+                        pending_wake = Some(outcome.reason());
+                        desc = thread.checkout();
+                    }
+                    Err(_) => {
+                        // The wait condition could not be captured
+                        // consistently: treat it as an ordinary abort.
+                        TxStats::bump(&thread.stats.sw_aborts);
+                        backoff.abort_and_wait();
+                    }
+                }
+                // After waking, restart plainly; Retry will re-request value
+                // logging if it trips again (the paper resets `is_retry` the
+                // same way).  The sleep also ended whatever contention burst
+                // the attempt saw, so the backoff window and the policy's
+                // abort history start over.
+                switch_mode(&mut mode, engine.mode_after_wake(), thread);
+                history.reset();
+                backoff.reset();
+                continue;
+            }
+            Err(ctl) => {
+                drop(tx);
+                ctl
+            }
         };
 
-        attempts += 1;
-        // Speculative attempts are exactly the `Hardware`-mode ones: every
-        // other mode runs on a software rung.
-        let hardware_attempt = !mode.is_software();
         match ctl {
             TxCtl::Abort(reason) => {
-                tx.rollback();
-                drop(tx);
                 if hardware_attempt {
                     TxStats::bump(&thread.stats.hw_aborts);
                 } else {
@@ -275,8 +312,6 @@ where
                 // (§2.2.3).  Which software mode exists is the engine's
                 // call: the pure HTM simulator only has the serial
                 // fallback, the hybrid runtime has a real STM path.
-                tx.rollback();
-                drop(tx);
                 TxStats::bump(&thread.stats.hw_aborts);
                 let next = match spec {
                     WaitSpec::ReadSetValues | WaitSpec::OrigReadLocks => {
@@ -287,46 +322,13 @@ where
                 };
                 switch_mode(&mut mode, next, thread);
             }
-            TxCtl::Deschedule(spec) if relogs_first(&spec, mode, kind) => {
-                tx.rollback();
-                drop(tx);
+            // A software attempt that needs no relog slept above; this one
+            // must first re-execute value-logging.
+            TxCtl::Deschedule(_) => {
                 TxStats::bump(&thread.stats.retry_relogs);
                 switch_mode(&mut mode, TxMode::SoftwareRetry, thread);
             }
-            TxCtl::Deschedule(spec) => {
-                // The deadline (if any) was stashed in the attempt metadata
-                // by the timed construct (`retry_for` & friends); read it
-                // before the attempt is dropped.
-                let deadline = tx.common().wait_deadline;
-                match tx.rollback_for_deschedule(spec) {
-                    Ok(cond) => {
-                        drop(tx);
-                        // The double-check is a transaction of its own.
-                        drop(desc);
-                        let outcome = wake::deschedule_until(engine, thread, cond, deadline);
-                        pending_wake = Some(outcome.reason());
-                        desc = thread.checkout();
-                    }
-                    Err(_) => {
-                        // The wait condition could not be captured
-                        // consistently: treat it as an ordinary abort.
-                        drop(tx);
-                        TxStats::bump(&thread.stats.sw_aborts);
-                        backoff.abort_and_wait();
-                    }
-                }
-                // After waking, restart plainly; Retry will re-request value
-                // logging if it trips again (the paper resets `is_retry` the
-                // same way).  The sleep also ended whatever contention burst
-                // the attempt saw, so the backoff window and the policy's
-                // abort history start over.
-                switch_mode(&mut mode, engine.mode_after_wake(), thread);
-                history.reset();
-                backoff.reset();
-            }
             TxCtl::SwitchToSoftware => {
-                tx.rollback();
-                drop(tx);
                 let next = engine.mode_for_software_switch(mode);
                 switch_mode(&mut mode, next, thread);
             }
@@ -334,8 +336,6 @@ where
                 // Irrevocability on request: every engine honors the
                 // system-wide serial gate, so this works identically on the
                 // STMs, the HTM simulator and the hybrid runtime.
-                tx.rollback();
-                drop(tx);
                 switch_mode(&mut mode, TxMode::Serial, thread);
             }
         }

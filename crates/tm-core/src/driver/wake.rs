@@ -789,10 +789,9 @@ mod tests {
         let (system, rt) = toy();
         let th = system.register_thread();
         let captured = locks(&system, &[system.orecs.index_for(Addr(80))]);
-        let mut d = crate::access::Descriptor::default();
-        let mut serial = crate::serial::SerialAttempt::begin(&system, &th, &mut d);
-        serial.write(Addr(80), 1);
-        serial.commit(&mut d);
+        let serial = crate::serial::SerialAttempt::begin(&system, &th);
+        system.heap.store(Addr(80), 1);
+        serial.commit(true);
         let outcome = deschedule(&rt, &th, captured);
         assert_eq!(outcome, DescheduleOutcome::SkippedSleep);
     }

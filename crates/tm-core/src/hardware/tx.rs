@@ -26,13 +26,13 @@ use crate::system::TmSystem;
 use crate::thread::ThreadCtx;
 use crate::tx::{Tx, TxCommon};
 
-/// Converts a directory abort into the driver-level control request,
-/// counting injected faults as they surface.
-fn hw_fault(thread: &ThreadCtx, fault: HwAbort) -> TxCtl {
+/// Converts a directory abort into the attempt's abort reason, counting
+/// injected faults as they surface.
+fn hw_fault(thread: &ThreadCtx, fault: HwAbort) -> AbortReason {
     if fault.injected {
         TxStats::bump(&thread.stats.hw_faults_injected);
     }
-    TxCtl::Abort(fault.kind.reason())
+    fault.kind.reason()
 }
 
 /// Writes the stripes of the words `redo` wrote into `cover`, sorted and
@@ -64,7 +64,8 @@ fn written_cover(dir: &Directory, redo: &WriteLog, cover: &mut Vec<usize>) {
     cover.dedup();
 }
 
-/// An in-flight speculative attempt on the HTM simulator.
+/// An in-flight speculative attempt on the HTM simulator; dropping it
+/// without committing rolls it back.
 ///
 /// It owns no log: the borrowed thread [`Descriptor`] holds them
 /// (`crate::access`, so slot membership and read-after-write lookups are
@@ -77,9 +78,6 @@ pub struct HtmTx<'a> {
     thread: &'a Arc<ThreadCtx>,
     d: &'a mut Descriptor,
     common: TxCommon,
-    /// True from begin until the attempt commits or rolls back (and again
-    /// once `commit_and_reopen` begins its continuation).
-    live: bool,
 }
 
 impl<'a> HtmTx<'a> {
@@ -91,23 +89,21 @@ impl<'a> HtmTx<'a> {
         d: &'a mut Descriptor,
         common: TxCommon,
     ) -> Self {
-        let mut tx = HtmTx {
+        let tx = HtmTx {
             rt,
             thread,
             d,
             common,
-            live: false,
         };
         tx.enter();
         tx
     }
 
     /// Starts (or, after `commit_and_reopen`, restarts) the attempt.
-    fn enter(&mut self) {
+    fn enter(&self) {
         self.rt.system().serial.wait_clear();
         // A stale doom flag from a previous attempt must not kill this one.
         self.thread.take_doomed();
-        self.live = true;
     }
 
     /// Clears this attempt's directory registrations.
@@ -121,37 +117,30 @@ impl<'a> HtmTx<'a> {
         }
     }
 
-    /// Rolls the attempt back.  Safe to call more than once.
-    pub fn rollback(&mut self) {
-        if !self.live {
-            return;
-        }
-        self.live = false;
-        self.clear_slots();
-        self.thread.take_doomed();
-        for &(addr, words) in &self.d.mallocs {
-            self.rt.system().heap.dealloc_for(self.thread, addr, words);
-        }
-        self.d.reset(&self.thread.stats);
+    /// Commits the attempt; on `Err` it has already been rolled back.
+    pub fn try_commit(mut self) -> Result<CommitOutcome, AbortReason> {
+        let outcome = self.commit()?;
+        // Committed: there is nothing left to roll back.
+        std::mem::forget(self);
+        Ok(outcome)
     }
 
-    /// Attempts to commit.  On failure the caller must call
-    /// [`HtmTx::rollback`].
-    pub fn try_commit(&mut self) -> Result<CommitOutcome, TxCtl> {
+    /// Commits in place, leaving the attempt ended on `Ok` and still to be
+    /// rolled back on `Err`.
+    fn commit(&mut self) -> Result<CommitOutcome, AbortReason> {
         let was_writer = !self.d.writes.is_empty();
         self.commit_hardware(was_writer)?;
         for &(addr, words) in &self.d.frees {
             self.rt.system().heap.dealloc_for(self.thread, addr, words);
         }
         self.d.reset(&self.thread.stats);
-        self.live = false;
         Ok(CommitOutcome::hardware(was_writer))
     }
 
     /// The hardware commit window: doom check, orec coupling, write-back,
     /// directory clear, and the stripe cover for the wake path, all inside
     /// the gate's hardware commit section.
-    fn commit_hardware(&mut self, was_writer: bool) -> Result<(), TxCtl> {
+    fn commit_hardware(&mut self, was_writer: bool) -> Result<(), AbortReason> {
         let rt = self.rt;
         let system: &TmSystem = rt.system();
         // The doom check and the write-back must be one atomic step
@@ -163,7 +152,7 @@ impl<'a> HtmTx<'a> {
         // write-backs enter the same section.
         let _section = system.serial.hw_commit_section();
         if self.thread.is_doomed() {
-            return Err(TxCtl::Abort(AbortReason::HwConflict));
+            return Err(AbortReason::HwConflict);
         }
         // The directory's commit-window check: past the doom check,
         // before anything is written, so an abort here (a fault
@@ -207,7 +196,7 @@ impl<'a> HtmTx<'a> {
                         let c = system.orecs.load(held);
                         system.orecs.store(held, OrecValue::unlocked(c.version()));
                     }
-                    return Err(TxCtl::Abort(AbortReason::HwConflict));
+                    return Err(AbortReason::HwConflict);
                 }
             }
         }
@@ -250,10 +239,17 @@ impl<'a> HtmTx<'a> {
     }
 }
 
+/// The rollback of an attempt that did not commit: its directory
+/// registrations are cleared, a doom aimed at it is consumed, its
+/// allocations are freed and its logs emptied.
 impl Drop for HtmTx<'_> {
     fn drop(&mut self) {
-        // Defensive: never leak stale line registrations if a body panics.
-        self.rollback();
+        self.clear_slots();
+        self.thread.take_doomed();
+        for &(addr, words) in &self.d.mallocs {
+            self.rt.system().heap.dealloc_for(self.thread, addr, words);
+        }
+        self.d.reset(&self.thread.stats);
     }
 }
 
@@ -284,10 +280,10 @@ impl Tx for HtmTx<'_> {
                 // A conflicting speculative writer has been doomed by the
                 // directory (our coherence request invalidates its line); we
                 // abort as well rather than consuming a possibly torn value.
-                return Err(hw_fault(self.thread, f));
+                return Err(hw_fault(self.thread, f).into());
             }
             if let Err(f) = dir.check_footprint(false, self.d.read_slots.len()) {
-                return Err(hw_fault(self.thread, f));
+                return Err(hw_fault(self.thread, f).into());
             }
         }
         let val = self.rt.system().heap.load(addr);
@@ -321,10 +317,10 @@ impl Tx for HtmTx<'_> {
         // registration dooms us, which the commit section checks.
         if self.d.write_slots.insert(slot) {
             if let Err(f) = dir.write_line(line, slot, self.thread.id) {
-                return Err(hw_fault(self.thread, f));
+                return Err(hw_fault(self.thread, f).into());
             }
             if let Err(f) = dir.check_footprint(true, self.d.write_slots.len()) {
-                return Err(hw_fault(self.thread, f));
+                return Err(hw_fault(self.thread, f).into());
             }
         }
         // Buffer the store.  Nothing reads this log's cover (commit
@@ -351,7 +347,7 @@ impl Tx for HtmTx<'_> {
     }
 
     fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
-        self.try_commit()?;
+        self.commit()?;
         TxStats::bump(&self.thread.stats.hw_commits);
         block();
         // Begin the continuation transaction, speculative again, on the
@@ -408,17 +404,13 @@ impl Attempt for LadderTx<'_> {
     // of the written cache lines (a superset) — so the wake scan can be
     // targeted even where orecs were never touched; a serial commit has no
     // metadata at all and reports `serial`, which wakes every shard.
-    fn try_commit(&mut self) -> Result<CommitOutcome, TxCtl> {
+    fn try_commit(self) -> Result<CommitOutcome, AbortReason> {
         delegate!(self, tx => tx.try_commit())
-    }
-
-    fn rollback(&mut self) {
-        delegate!(self, tx => tx.rollback())
     }
 
     /// Only a software attempt can serve a deschedule request: the driver
     /// re-executes a descheduling hardware attempt in software first.
-    fn rollback_for_deschedule(&mut self, spec: WaitSpec) -> Result<WaitCondition, TxCtl> {
+    fn rollback_for_deschedule(self, spec: WaitSpec) -> Result<WaitCondition, AbortReason> {
         match self {
             LadderTx::Hw(_) => unreachable!("hardware attempts have no escape actions"),
             LadderTx::Sw(tx) => tx.rollback_for_deschedule(spec),

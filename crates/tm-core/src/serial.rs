@@ -9,10 +9,11 @@
 //!   in-flight hardware attempt, quiesces every in-flight software attempt
 //!   and drains the commit barrier before entering its serial section, so
 //!   the holder runs truly alone whichever engine it came from.
-//! * [`SerialAttempt`] — the one serial attempt shape of all four runtimes:
-//!   direct heap access (no ownership records, no read set) with an undo log
-//!   kept only so condition synchronization can still roll the attempt back
-//!   and capture a wait condition.
+//! * [`SerialAttempt`] — the gate held by the one serial attempt shape of
+//!   all four runtimes: a [`crate::software::SoftwareTx`] with direct heap
+//!   access (no ownership records, no read set) and an undo log, kept only
+//!   so condition synchronization can still roll the attempt back and
+//!   capture a wait condition.
 //!
 //! The acquisition protocol is a Dekker-style store/load handshake with the
 //! per-thread published start times (see [`crate::thread::ThreadCtx`]):
@@ -36,13 +37,9 @@
 //! version-based fast path can conclude that nothing happened while they
 //! were excluded.
 
-use std::mem::take;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 
-use crate::access::{Descriptor, WriteLog};
-use crate::addr::Addr;
 use crate::backoff::SpinWait;
-use crate::ctl::{TxCtl, WaitCondition, WaitSpec};
 use crate::driver::CommitOutcome;
 use crate::lock::{Mutex, MutexGuard};
 use crate::stats::TxStats;
@@ -192,190 +189,75 @@ pub fn subscribe_begin(system: &TmSystem, thread: &ThreadCtx) -> u64 {
     }
 }
 
-/// One serial (irrevocable) attempt: direct heap access while holding the
-/// [`SerialGate`].
+/// The [`SerialGate`] as held by one serial (irrevocable) attempt, from
+/// [`SerialAttempt::begin`] until the attempt commits or is dropped.
 ///
-/// No ownership records are read or written and no read set is kept — the
-/// gate's acquisition guarantees the holder runs alone, which is what makes
-/// serial mode a guaranteed-progress path for transactions that keep losing
-/// (or that requested irrevocability via `TxCtl::BecomeSerial`), and the
-/// "software mode with escape actions" a descheduling hardware transaction
-/// re-executes in (§2.2.2).  The undo log exists only so the attempt can
-/// still be rolled back when the body requests a deschedule or an explicit
-/// abort.  Its three logs are the thread descriptor's `writes`, `mallocs`
-/// and `frees`, taken at begin and handed back when the attempt ends — so a
-/// warm serial attempt allocates nothing, and dropping one that never ended
-/// (a panicking body) can still undo and release without the descriptor.
+/// The attempt itself is a [`crate::software::SoftwareTx`] on its serial
+/// rung: direct heap access, no ownership records read or written and no
+/// read set kept — the gate's acquisition guarantees the holder runs alone,
+/// which is what makes serial mode a guaranteed-progress path for
+/// transactions that keep losing (or that requested irrevocability via
+/// `TxCtl::BecomeSerial`), and the "software mode with escape actions" a
+/// descheduling hardware transaction re-executes in (§2.2.2).  Like every
+/// other rung it keeps its logs in the thread descriptor it borrows —
+/// `writes` as an undo log, so the attempt can still be rolled back when
+/// the body requests a deschedule, aborts or unwinds — and owns nothing but
+/// the gate, which dropping it releases.
 #[derive(Debug)]
 pub struct SerialAttempt<'a> {
     system: &'a TmSystem,
-    thread: &'a ThreadCtx,
-    /// Old values of written locations, one entry per address (first write
-    /// wins, as in the eager STM's undo log).
-    undo: WriteLog,
-    /// True from begin until the attempt commits or rolls back.
-    holding: bool,
-    mallocs: Vec<(Addr, usize)>,
-    frees: Vec<(Addr, usize)>,
 }
 
 impl<'a> SerialAttempt<'a> {
-    /// Acquires the gate and begins a serial attempt for `thread` on the
-    /// (empty) logs of `d`.
-    pub fn begin(system: &'a TmSystem, thread: &'a ThreadCtx, d: &mut Descriptor) -> Self {
+    /// Acquires the gate for `thread`.
+    pub fn begin(system: &'a TmSystem, thread: &ThreadCtx) -> Self {
         system.serial.acquire(system, thread);
-        SerialAttempt {
-            system,
-            thread,
-            undo: take(&mut d.writes),
-            holding: true,
-            mallocs: take(&mut d.mallocs),
-            frees: take(&mut d.frees),
-        }
+        SerialAttempt { system }
     }
 
-    /// Reads the word at `addr` directly.
-    #[inline]
-    pub fn read(&self, addr: Addr) -> u64 {
-        self.system.heap.load(addr)
-    }
-
-    /// The pre-transaction value of `addr` if this attempt has written it
-    /// (substituted into the `Retry` value log, as Algorithm 5 does with the
-    /// undo log).
-    #[inline]
-    pub fn undo_lookup(&self, addr: Addr) -> Option<u64> {
-        self.undo.lookup(addr)
-    }
-
-    /// Writes `val` to `addr` in place, logging the old value once.
-    pub fn write(&mut self, addr: Addr, val: u64) {
-        let old = self.system.heap.load(addr);
-        self.undo.record_first(addr, old, || 0);
-        self.system.heap.store(addr, val);
-    }
-
-    /// Allocates `words` heap words, undone on rollback.  `None` when the
-    /// allocator is exhausted (the caller converts that to `OutOfMemory`).
-    pub fn alloc(&mut self, words: usize) -> Option<Addr> {
-        let addr = self.system.heap.alloc_for(self.thread, words)?;
-        self.mallocs.push((addr, words));
-        Some(addr)
-    }
-
-    /// Defers freeing `words` words at `addr` until commit.
-    pub fn free(&mut self, addr: Addr, words: usize) {
-        self.frees.push((addr, words));
-    }
-
-    /// Restores the pre-transaction values, newest write first.
-    fn undo_writes(&self) {
-        for e in self.undo.iter().rev() {
-            self.system.heap.store(e.addr, e.val);
-        }
-    }
-
-    fn dealloc_all(&self, blocks: &[(Addr, usize)]) {
-        for &(addr, words) in blocks {
-            self.system.heap.dealloc_for(self.thread, addr, words);
-        }
-    }
-
-    /// Ends the attempt: hands the logs back to `d` — whose reset records
-    /// the write-set high-water mark and empties them — and releases the
-    /// gate.
-    fn end(&mut self, d: &mut Descriptor) {
-        d.writes = take(&mut self.undo);
-        d.mallocs = take(&mut self.mallocs);
-        d.frees = take(&mut self.frees);
-        d.reset(&self.thread.stats);
-        self.holding = false;
-        self.system.serial.release(self.system);
-    }
-
-    /// Rolls the attempt back: undoes writes in reverse order, undoes
-    /// allocations, releases the gate.  Safe to call more than once.
-    pub fn rollback(&mut self, d: &mut Descriptor) {
-        if self.holding {
-            self.undo_writes();
-            self.dealloc_all(&self.mallocs);
-            self.end(d);
-        }
-    }
-
-    /// Commits the attempt: finalizes deferred frees and releases the gate.
-    /// Serial commits carry no metadata, so the outcome tells the wake path
-    /// to scan conservatively.
-    pub fn commit(&mut self, d: &mut Descriptor) -> CommitOutcome {
-        let was_writer = !self.undo.is_empty();
+    /// Commits the serial section whose logs are already retired, and
+    /// releases the gate.  Serial commits carry no metadata, so the outcome
+    /// tells the wake path to scan conservatively.
+    pub fn commit(self, was_writer: bool) -> CommitOutcome {
         if was_writer {
             let commits = &self.system.serial.writer_commits;
             commits.fetch_add(1, Ordering::SeqCst);
         }
-        self.dealloc_all(&self.frees);
-        self.end(d);
         CommitOutcome::serial(was_writer)
-    }
-
-    /// Rolls back and materialises the wait condition for a deschedule
-    /// request, mirroring the instrumented engines' rollback paths
-    /// (`d.waitset` is the attempt's `Retry` value log).  The writes are
-    /// undone first, so an `Addrs` capture reflects the pre-transaction
-    /// state; as the gate holder runs alone, plain loads are a consistent
-    /// snapshot.
-    pub fn rollback_for_deschedule(
-        &mut self,
-        spec: WaitSpec,
-        d: &mut Descriptor,
-    ) -> Result<WaitCondition, TxCtl> {
-        debug_assert!(self.holding, "deschedule of an ended serial attempt");
-        self.undo_writes();
-        let cond = match spec {
-            WaitSpec::ReadSetValues | WaitSpec::OrigReadLocks => {
-                WaitCondition::ValuesChanged(d.waitset.drain_pairs())
-            }
-            WaitSpec::Addrs(addrs) => WaitCondition::ValuesChanged(
-                addrs
-                    .iter()
-                    .map(|&a| (a, self.system.heap.load(a)))
-                    .collect(),
-            ),
-            WaitSpec::Pred { f, args } => WaitCondition::Pred { f, args },
-        };
-        self.dealloc_all(&self.mallocs);
-        self.end(d);
-        Ok(cond)
     }
 }
 
 impl Drop for SerialAttempt<'_> {
     fn drop(&mut self) {
-        // Defensive: never leak the gate (or half a transaction's writes) if
-        // a body panics mid-attempt.
-        if self.holding {
-            self.undo_writes();
-            self.dealloc_all(&self.mallocs);
-            self.system.serial.release(self.system);
-        }
+        self.system.serial.release(self.system);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::Descriptor;
+    use crate::addr::Addr;
     use crate::config::TmConfig;
+    use crate::ctl::{WaitCondition, WaitSpec};
+    use crate::driver::Attempt;
+    use crate::software::LazyTx;
+    use crate::tx::{Tx, TxCommon, TxMode};
     use std::sync::Arc;
+
+    fn serial() -> TxCommon {
+        TxCommon::new(TxMode::Serial, 0)
+    }
 
     #[test]
     fn gate_round_trip() {
         let system = TmSystem::new(TmConfig::small());
         let th = system.register_thread();
-        let mut d = Descriptor::default();
         assert!(!system.serial.held());
-        let mut s = SerialAttempt::begin(&system, &th, &mut d);
+        let s = SerialAttempt::begin(&system, &th);
         assert!(system.serial.held());
         let before = system.clock.now();
-        s.commit(&mut d);
+        s.commit(false);
         assert!(!system.serial.held());
         assert!(system.clock.now() > before, "release must fence the clock");
         assert_eq!(th.stats.snapshot().serial_acquires, 1);
@@ -394,15 +276,14 @@ mod tests {
             system2.heap.store(Addr(1), 1);
             other2.exit_tx();
         });
-        let mut d = Descriptor::default();
-        let mut s = SerialAttempt::begin(&system, &me, &mut d);
+        let s = SerialAttempt::begin(&system, &me);
         assert_eq!(
-            s.read(Addr(1)),
+            system.heap.load(Addr(1)),
             1,
             "acquire returned before the in-flight transaction exited"
         );
         assert!(other.is_doomed(), "acquire dooms in-flight hardware work");
-        s.commit(&mut d);
+        s.commit(false);
         h.join().unwrap();
     }
 
@@ -411,12 +292,12 @@ mod tests {
         let system = TmSystem::new(TmConfig::small());
         let th = system.register_thread();
         let mut d = Descriptor::default();
-        let mut s = SerialAttempt::begin(&system, &th, &mut d);
+        let mut tx = LazyTx::begin(&system, &th, &mut d, serial());
         assert!(system.serial.held());
-        s.write(Addr(5), 42);
-        assert_eq!(s.read(Addr(5)), 42);
+        tx.write(Addr(5), 42).unwrap();
+        assert_eq!(tx.read(Addr(5)).unwrap(), 42);
         assert_eq!(system.heap.load(Addr(5)), 42, "serial writes are direct");
-        let outcome = s.commit(&mut d);
+        let outcome = tx.try_commit().unwrap();
         assert!(outcome.was_writer);
         assert!(outcome.serial);
         assert!(!outcome.hardware);
@@ -424,44 +305,26 @@ mod tests {
         assert_eq!(th.stats.snapshot().write_set_max, 1);
         assert!(
             d.writes.is_empty() && d.writes.capacity() > 0,
-            "the lent log comes back emptied, capacity kept"
+            "the descriptor's undo log is emptied, capacity kept"
         );
     }
 
     #[test]
-    fn serial_attempt_rollback_restores_and_releases() {
+    fn dropping_a_serial_attempt_restores_frees_and_releases() {
         let system = TmSystem::new(TmConfig::small());
         system.heap.store(Addr(7), 9);
         let th = system.register_thread();
         let mut d = Descriptor::default();
-        let mut s = SerialAttempt::begin(&system, &th, &mut d);
-        s.write(Addr(7), 100);
-        s.write(Addr(7), 200);
-        let a = s.alloc(4).unwrap();
-        assert!(!a.is_null());
-        s.rollback(&mut d);
+        let before = system.heap.allocated_words();
+        let mut tx = LazyTx::begin(&system, &th, &mut d, serial());
+        tx.write(Addr(7), 100).unwrap();
+        tx.write(Addr(7), 200).unwrap();
+        assert!(!tx.alloc(4).unwrap().is_null());
+        drop(tx);
         assert_eq!(system.heap.load(Addr(7)), 9, "first-write-wins undo");
+        assert_eq!(system.heap.allocated_words(), before);
         assert!(!system.serial.held());
-        // Idempotent.
-        s.rollback(&mut d);
-        assert_eq!(system.heap.load(Addr(7)), 9);
-        assert!(
-            d.writes.capacity() > 0,
-            "a second rollback hands nothing back"
-        );
-    }
-
-    #[test]
-    fn serial_attempt_drop_releases_the_gate() {
-        let system = TmSystem::new(TmConfig::small());
-        let th = system.register_thread();
-        {
-            let mut s = SerialAttempt::begin(&system, &th, &mut Descriptor::default());
-            s.write(Addr(3), 1);
-            // Dropped without commit or rollback (panic path).
-        }
-        assert!(!system.serial.held());
-        assert_eq!(system.heap.load(Addr(3)), 0, "drop rolls the writes back");
+        assert!(d.writes.is_empty() && d.mallocs.is_empty());
     }
 
     #[test]
@@ -470,10 +333,10 @@ mod tests {
         system.heap.store(Addr(20), 5);
         let th = system.register_thread();
         let mut d = Descriptor::default();
-        let mut s = SerialAttempt::begin(&system, &th, &mut d);
-        s.write(Addr(20), 6);
-        let cond = s
-            .rollback_for_deschedule(WaitSpec::Addrs(vec![Addr(20)]), &mut d)
+        let mut tx = LazyTx::begin(&system, &th, &mut d, serial());
+        tx.write(Addr(20), 6).unwrap();
+        let cond = tx
+            .rollback_for_deschedule(WaitSpec::Addrs(vec![Addr(20)]))
             .unwrap();
         match cond {
             WaitCondition::ValuesChanged(pairs) => assert_eq!(pairs, vec![(Addr(20), 5)]),

@@ -16,7 +16,6 @@ use crate::addr::Addr;
 use crate::ctl::{AbortReason, TxCtl, TxResult};
 use crate::orec::OrecValue;
 use crate::stats::TxStats;
-use crate::tx::TxMode;
 
 /// The eager protocol: Algorithm 8's `undos` and `locks` are the borrowed
 /// descriptor's `writes` (one entry per address holding the
@@ -29,19 +28,6 @@ pub type EagerTx<'a> = SoftwareTx<'a, Eager>;
 
 /// The eager (undo-log) software TM runtime.
 pub type EagerStm = SoftwareStm<Eager>;
-
-/// Records an `(addr, value)` pair in the Retry value log, substituting
-/// the pre-transaction value for locations this transaction has written
-/// (Algorithm 5, `TxRead` lines 2–5): after the rollback that accompanies
-/// a deschedule, memory holds the *old* value, so that is what the
-/// wake-up check must compare against.
-fn retry_log(core: &mut SoftwareTxCore<'_>, addr: Addr, observed: u64) {
-    if core.common.mode != TxMode::SoftwareRetry {
-        return;
-    }
-    let logged = core.d.writes.lookup(addr).unwrap_or(observed);
-    core.d.waitset.record_first(addr, logged, || 0);
-}
 
 /// Acquires the ownership record covering `addr` for writing, or aborts if
 /// it is held by another transaction or is too new.
@@ -70,13 +56,6 @@ fn acquire(core: &mut SoftwareTxCore<'_>, addr: Addr) -> TxResult<()> {
     Err(TxCtl::Abort(AbortReason::WriteConflict))
 }
 
-/// Undoes the in-place writes in reverse order.
-fn undo_writes(core: &SoftwareTxCore<'_>) {
-    for e in core.d.writes.iter().rev() {
-        core.system.heap.store(e.addr, e.val);
-    }
-}
-
 impl SoftwareProtocol for Eager {
     const NAME: &'static str = "eager-stm";
 
@@ -84,7 +63,7 @@ impl SoftwareProtocol for Eager {
 
     fn read(core: &mut SoftwareTxCore<'_>, addr: Addr) -> TxResult<u64> {
         let val = core.read_tracked(addr)?;
-        retry_log(core, addr, val);
+        core.log_pre_value(addr, val);
         Ok(val)
     }
 
@@ -95,9 +74,7 @@ impl SoftwareProtocol for Eager {
         // (`locks`), so the undo log's own cover is left degenerate
         // (constant index) rather than maintained for nobody.
         acquire(core, addr)?;
-        let old = core.system.heap.load(addr);
-        core.d.writes.record_first(addr, old, || 0);
-        core.system.heap.store(addr, val);
+        core.write_in_place(addr, val);
         Ok(())
     }
 
@@ -107,11 +84,11 @@ impl SoftwareProtocol for Eager {
         // add the address to the read set — it is protected by the lock.
         acquire(&mut tx.core, addr)?;
         let val = tx.core.system.heap.load(addr);
-        retry_log(&mut tx.core, addr, val);
+        tx.core.log_pre_value(addr, val);
         Ok(val)
     }
 
-    fn commit_writer(tx: &mut EagerTx<'_>) -> Result<u64, TxCtl> {
+    fn commit_writer(tx: &mut EagerTx<'_>) -> Result<u64, AbortReason> {
         let core = &mut tx.core;
         // Stamped after the lock phase: every orec this commit will touch is
         // already held, which is what makes a non-unique (lazy) stamp sound.
@@ -124,7 +101,7 @@ impl SoftwareProtocol for Eager {
         if (!stamp.unique || end != core.start() + 1)
             && !reads_valid(&core.d.reads, core.system, core.thread, core.start())
         {
-            return Err(TxCtl::Abort(AbortReason::CommitValidation));
+            return Err(AbortReason::CommitValidation);
         }
         // The transaction is committed: release locks at the new version,
         // leaving the lock set as the cover for the driver's wake path.  The
@@ -142,7 +119,7 @@ impl SoftwareProtocol for Eager {
     fn release(core: &mut SoftwareTxCore<'_>) {
         // Algorithm 11: undo writes, release locks at `version + 1`, bump
         // the clock.
-        undo_writes(core);
+        core.undo_writes();
         for idx in core.d.locks.iter() {
             let cur = core.system.orecs.load(idx);
             core.system
@@ -171,7 +148,7 @@ impl SoftwareProtocol for Eager {
         // captured under the stale verdict is already the changed one — the
         // double-check then sees "unchanged" and the thread sleeps on a
         // change that has happened.
-        undo_writes(core);
+        core.undo_writes();
         core.d.writes.clear();
         core.read_words(addrs)
     }
@@ -181,7 +158,8 @@ impl SoftwareProtocol for Eager {
 mod tests {
     use super::*;
     use crate::{
-        Attempt, Descriptor, ThreadCtx, TmConfig, TmSystem, Tx, TxCommon, WaitCondition, WaitSpec,
+        Attempt, Descriptor, ThreadCtx, TmConfig, TmSystem, Tx, TxCommon, TxMode, WaitCondition,
+        WaitSpec,
     };
     use std::sync::Arc;
 
@@ -219,7 +197,7 @@ mod tests {
         let mut tx = EagerTx::begin(&system, &th, &mut d, software());
         tx.write(Addr(5), 100).unwrap();
         assert_eq!(system.heap.load(Addr(5)), 100, "eager STM updates in place");
-        tx.rollback();
+        drop(tx);
         assert_eq!(
             system.heap.load(Addr(5)),
             7,
@@ -242,7 +220,6 @@ mod tests {
         assert!(!o.is_locked());
         assert_eq!(o.version(), info.commit_time);
         assert_eq!(system.heap.load(Addr(9)), 3);
-        drop(tx);
         assert_eq!(d.cover, vec![idx], "the lock set is the commit's cover");
     }
 
@@ -258,8 +235,6 @@ mod tests {
             tx2.write(Addr(4), 2),
             Err(TxCtl::Abort(AbortReason::WriteConflict))
         ));
-        tx1.rollback();
-        tx2.rollback();
     }
 
     #[test]
@@ -271,8 +246,6 @@ mod tests {
         tx1.write(Addr(8), 5).unwrap();
         let mut tx2 = EagerTx::begin(&system, &t2, &mut d2, software());
         assert!(tx2.read(Addr(8)).is_err());
-        tx1.rollback();
-        tx2.rollback();
     }
 
     #[test]
@@ -292,7 +265,6 @@ mod tests {
         // because the write is undone when the transaction deschedules.
         assert_eq!(tx.read(Addr(12)).unwrap(), 99);
         assert_eq!(tx.core.d.waitset.pairs(), vec![(Addr(12), 50)]);
-        tx.rollback();
     }
 
     #[test]
@@ -334,7 +306,7 @@ mod tests {
     fn await_capture_rejects_a_location_committed_after_begin() {
         let system = TmSystem::new(TmConfig::small().without_quiescence());
         let (th, mut d) = party(&system);
-        let mut tx = EagerTx::begin(&system, &th, &mut d, software());
+        let tx = EagerTx::begin(&system, &th, &mut d, software());
         commit_write(&system, Addr(20), 8);
         // The word's version is past our start: the capture must refuse
         // rather than record the new value as the one to wait on.

@@ -15,7 +15,7 @@
 use super::{reads_valid, SoftwareProtocol, SoftwareStm, SoftwareTx, SoftwareTxCore};
 use crate::access::Descriptor;
 use crate::addr::Addr;
-use crate::ctl::{AbortReason, TxCtl, TxResult};
+use crate::ctl::{AbortReason, TxResult};
 use crate::hardware::Directory;
 use crate::orec::OrecValue;
 use crate::system::TmSystem;
@@ -68,7 +68,7 @@ impl SoftwareProtocol for Lazy {
         Ok(())
     }
 
-    fn commit_writer(tx: &mut LazyTx<'_>) -> Result<u64, TxCtl> {
+    fn commit_writer(tx: &mut LazyTx<'_>) -> Result<u64, AbortReason> {
         // Acquire the ownership records covering the write set.  The cover
         // is the redo log's own sorted distinct-stripe list (borrowed, not
         // copied — the abort path stays allocation-free), so on failure at
@@ -107,7 +107,7 @@ impl SoftwareProtocol for Lazy {
             };
             if !ok {
                 release_prefix(k);
-                return Err(TxCtl::Abort(AbortReason::WriteConflict));
+                return Err(AbortReason::WriteConflict);
             }
         }
 
@@ -133,7 +133,7 @@ impl SoftwareProtocol for Lazy {
         if must_validate && !reads_valid(reads, system, thread, start) {
             drop(section);
             release_prefix(write_orecs.len());
-            return Err(TxCtl::Abort(AbortReason::CommitValidation));
+            return Err(AbortReason::CommitValidation);
         }
         // Claim the written lines before the first store, so no speculative
         // reader can see a torn mix of old and new words (one registering
@@ -230,7 +230,7 @@ mod tests {
         let (th, mut d) = party(&system);
         let mut tx = LazyTx::begin(&system, &th, &mut d, software());
         tx.write(Addr(8), 100).unwrap();
-        tx.rollback();
+        drop(tx);
         assert_eq!(system.heap.load(Addr(8)), 9);
     }
 
@@ -246,7 +246,6 @@ mod tests {
         // tx2 started before the other commit, so its lock acquisition sees
         // a version newer than its start and must abort.
         assert!(tx2.try_commit().is_err());
-        tx2.rollback();
         assert_eq!(system.heap.load(Addr(4)), 1);
     }
 
@@ -264,7 +263,6 @@ mod tests {
         tx2.write(Addr(10), 2).unwrap();
         commit_write(&system, Addr(10), 7);
         assert!(tx2.try_commit().is_err());
-        tx2.rollback();
         let idx200 = system.orecs.index_for(Addr(200));
         let idx10 = system.orecs.index_for(Addr(10));
         assert!(!system.orecs.load(idx200).is_locked());
@@ -286,7 +284,6 @@ mod tests {
         tx.write(Addr(12), 99).unwrap();
         assert_eq!(tx.read(Addr(12)).unwrap(), 99);
         assert_eq!(tx.core.d.waitset.pairs(), vec![(Addr(12), 50)]);
-        tx.rollback();
     }
 
     #[test]
@@ -297,7 +294,6 @@ mod tests {
         tx.write(Addr(5), 1).unwrap();
         tx.write(Addr(300), 2).unwrap();
         assert!(tx.try_commit().unwrap().was_writer);
-        drop(tx);
         let mut expect = vec![
             system.orecs.index_for(Addr(5)),
             system.orecs.index_for(Addr(300)),

@@ -4,15 +4,16 @@
 //! and the TL2-style runtime differ only in *when* an ownership record is
 //! locked and *which* log is kept.  This module owns everything else:
 //!
-//! * [`SoftwareTxCore`] — begin and serial-gate delegation, the validated
-//!   lock–value–lock read, the snapshot read path, transactional
-//!   alloc/free, the read-only commit, the writer-commit epilogue and the
-//!   rollback tail, all over the thread's borrowed [`Descriptor`];
+//! * [`SoftwareTxCore`] — begin and the serial rung, the validated
+//!   lock–value–lock read, the snapshot read path, in-place writes and
+//!   their undo, transactional alloc/free, the read-only commit, the
+//!   writer-commit epilogue and the rollback tail, all over the thread's
+//!   borrowed [`Descriptor`];
 //! * [`SoftwareProtocol`] — what a protocol adds: its tracked read, its
 //!   write, its writer commit, and (eager only) undoing in-place writes;
 //! * [`SoftwareTx`] — the attempt type: a core plus a protocol, implementing
-//!   [`Tx`] once.  [`EagerTx`] and [`LazyTx`] are this type at their
-//!   protocol, by static dispatch;
+//!   [`Tx`] once and rolling back when dropped unended.  [`EagerTx`] and
+//!   [`LazyTx`] are this type at their protocol, by static dispatch;
 //! * [`eager`] and [`lazy`] — the two protocols (paper: "Eager STM" and
 //!   "Lazy STM");
 //! * [`engine`] — [`SoftwareStm`], the one [`crate::TxEngine`] over
@@ -61,16 +62,15 @@ pub struct SoftwareTxCore<'a> {
     pub d: &'a mut Descriptor,
     /// Global-clock value sampled at begin (Algorithm 9, `start`).
     start: u64,
-    /// `Some` when this attempt runs serially behind the system's
+    /// `Some` while this attempt runs serially behind the system's
     /// [`crate::SerialGate`] ([`TxMode::Serial`], or any mode of an attempt
-    /// begun with [`SoftwareTx::begin_serial`]): all accesses go straight to
-    /// the shared serial attempt, which borrows the descriptor's write and
-    /// allocation logs; the instrumented logs stay empty.
+    /// begun with [`SoftwareTx::begin_serial`]): accesses go straight to the
+    /// heap, `writes` is an undo log and the read set stays empty.
     serial: Option<SerialAttempt<'a>>,
     /// True when this attempt runs on the snapshot read path: a declared
-    /// read-only transaction in plain [`TxMode::Software`] mode.  Reads
-    /// validate against `start` only, no read set is kept, writes abort with
-    /// [`AbortReason::ReadOnlyWrite`], and the commit is free.
+    /// read-only transaction in plain [`TxMode::Software`] mode, not serial.
+    /// Reads validate against `start` only, no read set is kept, writes
+    /// abort with [`AbortReason::ReadOnlyWrite`], and the commit is free.
     snapshot: bool,
     /// Whether the snapshot attempt has completed at least one read (gates
     /// the first-read refresh).
@@ -82,13 +82,12 @@ pub struct SoftwareTxCore<'a> {
 /// gate's subscription protocol.
 fn open<'a>(
     system: &'a Arc<TmSystem>,
-    thread: &'a Arc<ThreadCtx>,
-    d: &mut Descriptor,
+    thread: &ThreadCtx,
     serial: bool,
 ) -> (Option<SerialAttempt<'a>>, u64) {
     if serial {
         (
-            Some(SerialAttempt::begin(system, thread, d)),
+            Some(SerialAttempt::begin(system, thread)),
             system.clock.now(),
         )
     } else {
@@ -227,32 +226,52 @@ impl<'a> SoftwareTxCore<'a> {
         Ok(())
     }
 
+    /// Records `observed` at `addr` in the `Retry` value log, substituting
+    /// the pre-transaction value of a location written in place (Algorithm
+    /// 5, `TxRead` lines 2–5): after the rollback that accompanies a
+    /// deschedule, memory holds the *old* value, so that is what the wake-up
+    /// check must compare against.
+    #[inline]
+    fn log_pre_value(&mut self, addr: Addr, observed: u64) {
+        if self.common.mode == TxMode::SoftwareRetry {
+            let logged = self.d.writes.lookup(addr).unwrap_or(observed);
+            self.d.waitset.record_first(addr, logged, || 0);
+        }
+    }
+
+    /// Writes `val` to `addr` in place, logging the pre-transaction value in
+    /// `writes` once (first write wins): the eager protocol, once it holds
+    /// the orec, and the serial rung.
+    #[inline]
+    fn write_in_place(&mut self, addr: Addr, val: u64) {
+        let old = self.system.heap.load(addr);
+        self.d.writes.record_first(addr, old, || 0);
+        self.system.heap.store(addr, val);
+    }
+
+    /// Undoes the in-place writes, newest first.
+    fn undo_writes(&self) {
+        for e in self.d.writes.iter().rev() {
+            self.system.heap.store(e.addr, e.val);
+        }
+    }
+
     /// Transactional allocation, undone on abort ("captured memory",
     /// §2.2.4).
     #[inline]
     fn alloc(&mut self, words: usize) -> TxResult<Addr> {
-        let addr = if let Some(serial) = &mut self.serial {
-            serial.alloc(words)
-        } else {
-            self.refuse_on_snapshot()?;
-            let addr = self.system.heap.alloc_for(self.thread, words);
-            if let Some(addr) = addr {
-                self.d.mallocs.push((addr, words));
-            }
-            addr
-        };
-        addr.ok_or(TxCtl::Abort(AbortReason::OutOfMemory))
+        self.refuse_on_snapshot()?;
+        let addr = self.system.heap.alloc_for(self.thread, words);
+        let addr = addr.ok_or(AbortReason::OutOfMemory)?;
+        self.d.mallocs.push((addr, words));
+        Ok(addr)
     }
 
     /// Transactional free, deferred until commit.
     #[inline]
     fn free(&mut self, addr: Addr, words: usize) -> TxResult<()> {
-        if let Some(serial) = &mut self.serial {
-            serial.free(addr, words);
-        } else {
-            self.refuse_on_snapshot()?;
-            self.d.frees.push((addr, words));
-        }
+        self.refuse_on_snapshot()?;
+        self.d.frees.push((addr, words));
         Ok(())
     }
 
@@ -303,7 +322,8 @@ impl<'a> SoftwareTxCore<'a> {
     }
 
     /// The tail of a rollback, once the protocol has restored memory and
-    /// released its locks: undoes allocations and clears all logs.
+    /// released its locks: undoes allocations, clears all logs and leaves
+    /// the epoch slot.
     #[inline]
     fn discard(&mut self) {
         for &(addr, words) in &self.d.mallocs {
@@ -343,10 +363,10 @@ pub trait SoftwareProtocol: fmt::Debug + Send + Sync + Sized + 'static {
     /// and releases every lock at the returned commit timestamp, leaving the
     /// stripe cover of the write set in [`Descriptor::cover`].  On `Err` the
     /// protocol holds exactly the locks it held on entry.
-    fn commit_writer(tx: &mut SoftwareTx<'_, Self>) -> Result<u64, TxCtl>;
+    fn commit_writer(tx: &mut SoftwareTx<'_, Self>) -> Result<u64, AbortReason>;
 
     /// Restores memory and releases the locks held by an attempt that is
-    /// being rolled back.  Nothing to do for a protocol that neither writes
+    /// being rolled back (dropped unended).  Nothing to do for a protocol that neither writes
     /// in place nor holds locks outside its commit.
     fn release(core: &mut SoftwareTxCore<'_>) {
         let _ = core;
@@ -358,7 +378,8 @@ pub trait SoftwareProtocol: fmt::Debug + Send + Sync + Sized + 'static {
     fn capture(core: &mut SoftwareTxCore<'_>, addrs: Vec<Addr>) -> Option<Vec<(Addr, u64)>>;
 }
 
-/// An in-flight software-TM attempt under protocol `P`.
+/// An in-flight software-TM attempt under protocol `P`.  Dropping it
+/// without ending it rolls it back.
 #[derive(Debug)]
 pub struct SoftwareTx<'a, P: SoftwareProtocol> {
     /// The protocol-independent part.
@@ -415,8 +436,9 @@ impl<'a, P: SoftwareProtocol> SoftwareTx<'a, P> {
         state: P::State<'a>,
         serial: bool,
     ) -> Self {
-        let (serial, start) = open(system, thread, d, serial);
-        let snapshot = common.kind == TxKind::ReadOnly && common.mode == TxMode::Software;
+        let snapshot =
+            !serial && common.kind == TxKind::ReadOnly && common.mode == TxMode::Software;
+        let (serial, start) = open(system, thread, serial);
         let core = SoftwareTxCore {
             common,
             system,
@@ -431,12 +453,14 @@ impl<'a, P: SoftwareProtocol> SoftwareTx<'a, P> {
     }
 }
 
-impl<P: SoftwareProtocol> Attempt for SoftwareTx<'_, P> {
-    /// Attempts to commit (Algorithm 9, `TxCommit`).  On failure the caller
-    /// must invoke [`Attempt::rollback`].
-    fn try_commit(&mut self) -> Result<CommitOutcome, TxCtl> {
-        if let Some(serial) = &mut self.core.serial {
-            return Ok(serial.commit(self.core.d));
+impl<P: SoftwareProtocol> SoftwareTx<'_, P> {
+    /// Commits in place (Algorithm 9, `TxCommit`), leaving the attempt
+    /// ended on `Ok` and still to be rolled back on `Err`.
+    fn commit(&mut self) -> Result<CommitOutcome, AbortReason> {
+        if let Some(serial) = self.core.serial.take() {
+            let was_writer = !self.core.d.writes.is_empty();
+            self.core.retire_logs();
+            return Ok(serial.commit(was_writer));
         }
         // A writer holds a lock (eager) or has logged a write (lazy).
         if self.core.d.locks.is_empty() && self.core.d.writes.is_empty() {
@@ -445,46 +469,65 @@ impl<P: SoftwareProtocol> Attempt for SoftwareTx<'_, P> {
         let end = P::commit_writer(self)?;
         Ok(self.core.finish_writer_commit(end))
     }
+}
 
-    /// Rolls the attempt back (Algorithm 11): the protocol restores memory
-    /// and releases its locks, then allocations are undone and all logs
-    /// cleared.  Serial attempts undo their direct writes and release the
-    /// gate.  Safe to call more than once.
-    fn rollback(&mut self) {
-        if let Some(serial) = &mut self.core.serial {
-            serial.rollback(self.core.d);
-            return;
-        }
-        P::release(&mut self.core);
-        self.core.discard();
+impl<P: SoftwareProtocol> Attempt for SoftwareTx<'_, P> {
+    fn try_commit(mut self) -> Result<CommitOutcome, AbortReason> {
+        let outcome = self.commit()?;
+        // Committed: there is nothing left to roll back.
+        std::mem::forget(self);
+        Ok(outcome)
     }
 
-    /// Rolls back and materialises the wait condition for a deschedule
-    /// request.  Returns `Err` (with the transaction already rolled back) if
-    /// the condition could not be captured consistently, in which case the
-    /// driver simply re-executes the transaction.
-    fn rollback_for_deschedule(&mut self, spec: WaitSpec) -> Result<WaitCondition, TxCtl> {
-        if let Some(serial) = &mut self.core.serial {
-            return serial.rollback_for_deschedule(spec, self.core.d);
-        }
+    /// Materialises the wait condition for a deschedule request, then rolls
+    /// back by dropping the attempt.
+    fn rollback_for_deschedule(mut self, spec: WaitSpec) -> Result<WaitCondition, AbortReason> {
+        let core = &mut self.core;
+        let serial = core.serial.is_some();
         let cond = match spec {
-            WaitSpec::ReadSetValues => Some(WaitCondition::ValuesChanged(
-                self.core.d.waitset.drain_pairs(),
-            )),
-            WaitSpec::Addrs(addrs) => {
-                P::capture(&mut self.core, addrs).map(WaitCondition::ValuesChanged)
-            }
-            WaitSpec::Pred { f, args } => Some(WaitCondition::Pred { f, args }),
             // Captured while the start is still published, so the serial
-            // count is the one from begin.
-            WaitSpec::OrigReadLocks => Some(WaitCondition::LocksMoved {
-                cover: self.core.d.reads.orec_cover().to_vec(),
-                start: self.core.start,
-                serial: self.core.system.serial.writer_commits(),
+            // count is the one from begin.  A serial attempt keeps no
+            // read-orec cover; its value log stands in.
+            WaitSpec::OrigReadLocks if !serial => Some(WaitCondition::LocksMoved {
+                cover: core.d.reads.orec_cover().to_vec(),
+                start: core.start,
+                serial: core.system.serial.writer_commits(),
             }),
+            WaitSpec::ReadSetValues | WaitSpec::OrigReadLocks => {
+                Some(WaitCondition::ValuesChanged(core.d.waitset.drain_pairs()))
+            }
+            // The gate holder runs alone: plain loads, with its own writes
+            // looked through to their undo entries, are a consistent
+            // pre-transaction snapshot.
+            WaitSpec::Addrs(addrs) if serial => {
+                let pre = |a| {
+                    core.d
+                        .writes
+                        .lookup(a)
+                        .unwrap_or_else(|| core.system.heap.load(a))
+                };
+                let pairs = addrs.into_iter().map(|a| (a, pre(a))).collect();
+                Some(WaitCondition::ValuesChanged(pairs))
+            }
+            WaitSpec::Addrs(addrs) => P::capture(core, addrs).map(WaitCondition::ValuesChanged),
+            WaitSpec::Pred { f, args } => Some(WaitCondition::Pred { f, args }),
         };
-        self.rollback();
-        cond.ok_or(TxCtl::Abort(AbortReason::ReadConflict))
+        cond.ok_or(AbortReason::ReadConflict)
+    }
+}
+
+/// The rollback of an attempt that did not commit (Algorithm 11): the
+/// protocol — or the serial rung's undo log — restores memory and releases
+/// its locks, then allocations are undone, all logs cleared and the epoch
+/// slot left; a serial attempt's gate is released last, with the field.
+impl<P: SoftwareProtocol> Drop for SoftwareTx<'_, P> {
+    fn drop(&mut self) {
+        if self.core.serial.is_some() {
+            self.core.undo_writes();
+        } else {
+            P::release(&mut self.core);
+        }
+        self.core.discard();
     }
 }
 
@@ -494,15 +537,9 @@ impl<P: SoftwareProtocol> Tx for SoftwareTx<'_, P> {
         // `TxMode::Serial` attempt's reads are not value-logged — its `Retry`
         // relogs in SoftwareRetry mode (see the driver's ReadSetValues
         // dispatch), which is serial only under `begin_serial`.
-        if let Some(serial) = &self.core.serial {
-            let val = serial.read(addr);
-            if self.core.common.mode == TxMode::SoftwareRetry {
-                // The value log must hold what memory will hold once this
-                // attempt is undone: the pre-transaction value of a location
-                // it has already written (Algorithm 5).
-                let logged = serial.undo_lookup(addr).unwrap_or(val);
-                self.core.d.waitset.record_first(addr, logged, || 0);
-            }
+        if self.core.serial.is_some() {
+            let val = self.core.system.heap.load(addr);
+            self.core.log_pre_value(addr, val);
             return Ok(val);
         }
         if self.core.snapshot {
@@ -512,8 +549,8 @@ impl<P: SoftwareProtocol> Tx for SoftwareTx<'_, P> {
     }
 
     fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
-        if let Some(serial) = &mut self.core.serial {
-            serial.write(addr, val);
+        if self.core.serial.is_some() {
+            self.core.write_in_place(addr, val);
             return Ok(());
         }
         self.core.refuse_on_snapshot()?;
@@ -541,7 +578,7 @@ impl<P: SoftwareProtocol> Tx for SoftwareTx<'_, P> {
         // transaction, then begin a fresh transaction for the remainder in
         // the same flavour (a serial attempt re-acquires the gate).
         let serial = self.core.serial.is_some();
-        let outcome = self.try_commit()?;
+        let outcome = self.commit()?;
         // Only writer segments count, and serial_commits ⊆ sw_commits as the
         // stats docs establish.
         if outcome.was_writer {
@@ -551,7 +588,7 @@ impl<P: SoftwareProtocol> Tx for SoftwareTx<'_, P> {
             }
         }
         block();
-        let (reopened, start) = open(self.core.system, self.core.thread, self.core.d, serial);
+        let (reopened, start) = open(self.core.system, self.core.thread, serial);
         self.core.serial = reopened;
         self.core.start = start;
         Ok(())

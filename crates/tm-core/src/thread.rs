@@ -100,11 +100,6 @@ impl DerefMut for Checkout<'_> {
 impl Drop for Checkout<'_> {
     fn drop(&mut self) {
         if self.cold.is_none() {
-            if std::thread::panicking() {
-                // A body panicked mid-attempt: its half-filled logs must not
-                // become the start of this thread's next transaction.
-                self.clear();
-            }
             self.slot.busy.store(false, Ordering::Release);
         }
     }
@@ -478,22 +473,6 @@ mod tests {
         let d = t.checkout();
         assert_eq!(d.reads.len(), 1, "released and checked out again");
         assert!(d.reads.contains(Addr(1)));
-    }
-
-    #[test]
-    fn a_checkout_dropped_by_a_panic_leaves_clean_logs() {
-        use crate::addr::Addr;
-        let r = ThreadRegistry::new();
-        let t = r.register();
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut d = t.checkout();
-            d.writes.record(Addr(1), 9, || 0);
-            panic!("body panicked mid-attempt");
-        }));
-        assert!(unwound.is_err());
-        let d = t.checkout();
-        assert!(d.cold.is_none(), "the unwound guard released the slot");
-        assert!(d.writes.is_empty(), "no stale redo entry survives");
     }
 
     #[test]

@@ -190,7 +190,9 @@ impl<K: TmValue, V: TmValue> TmHashMap<K, V> {
     /// # Panics
     ///
     /// Panics if the table is full and `key` is not already present, or if
-    /// the key's word encoding exceeds 62 bits.
+    /// the key's word encoding exceeds 62 bits.  The transaction is rolled
+    /// back first, as the panic unwinds through its attempt: nothing it did
+    /// stays visible, and the map and every thread keep working.
     pub fn insert(&self, tx: &mut dyn Tx, key: K, value: V) -> TxResult<Option<V>> {
         let key_word = key.into_word();
         let cells = &self.cells;

@@ -64,7 +64,7 @@ fn a_read_hit_on_a_line_a_foreign_writer_took_aborts() {
         ),
         "the second read never asks the directory, yet must see the conflict"
     );
-    tx.rollback();
+    drop(tx);
     dir.clear_write(slot, t1.id);
 }
 
@@ -90,15 +90,16 @@ fn a_write_hit_on_a_line_a_software_commit_claimed_loses_no_update() {
         assert_eq!(t1.stats.snapshot().sw_commits, 1);
 
         let lost = if commit_instead {
-            tx.try_commit().map(drop)
+            tx.try_commit().map(drop).map_err(TxCtl::Abort)
         } else {
-            tx.write(BASE.offset(1), 2)
+            let lost = tx.write(BASE.offset(1), 2);
+            drop(tx);
+            lost
         };
         assert!(
             matches!(lost, Err(TxCtl::Abort(AbortReason::HwConflict))),
             "commit_instead={commit_instead}: got {lost:?}"
         );
-        tx.rollback();
         assert_eq!(v.load_direct(&system), 7, "the software value survives");
         assert_eq!(system.heap.load(BASE.offset(1)), 0);
     }
@@ -138,13 +139,9 @@ fn a_coupled_hardware_commit_publishes_to_the_written_words_orecs_only() {
 
     read_w1.write(elsewhere, 1).unwrap();
     assert!(
-        matches!(
-            read_w1.try_commit(),
-            Err(TxCtl::Abort(AbortReason::CommitValidation))
-        ),
+        matches!(read_w1.try_commit(), Err(AbortReason::CommitValidation)),
         "a software reader of the written word must fail validation"
     );
-    read_w1.rollback();
     read_w2.write(elsewhere, 2).unwrap();
     read_w2
         .try_commit()
@@ -184,7 +181,6 @@ fn past_the_reader_mask<R: TxEngine + TmRt>(
             refused,
             Err(TxCtl::Abort(AbortReason::HwCapacity))
         ));
-        tx.rollback();
     }
     assert!(t0_registered() && !t0.is_doomed());
 
@@ -199,7 +195,7 @@ fn past_the_reader_mask<R: TxEngine + TmRt>(
     assert!(t0_registered());
     assert_eq!(dir.lines().writer_of(dir.slot_for(out.addr().line())), None);
     let doomed = t0.is_doomed();
-    reader.rollback();
+    drop(reader);
     assert!(!t0_registered());
     (t64.stats.snapshot(), doomed)
 }

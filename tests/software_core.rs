@@ -73,9 +73,8 @@ mod case {
         tx1.write(Addr(7), 1).unwrap();
         assert!(matches!(
             tx1.try_commit(),
-            Err(TxCtl::Abort(AbortReason::CommitValidation))
+            Err(AbortReason::CommitValidation)
         ));
-        tx1.rollback();
         assert_eq!(system.heap.load(Addr(7)), 0);
         assert_eq!(system.heap.load(Addr(6)), 9);
     }
@@ -90,7 +89,6 @@ mod case {
         commit_write::<P>(&system, Addr(100), 1);
         // Reading the *updated* location must abort tx1 (version too new).
         assert!(tx1.read(Addr(100)).is_err());
-        tx1.rollback();
     }
 
     pub fn reexecuted_attempts_start_on_the_grown_descriptor<P: SoftwareProtocol>(
@@ -101,7 +99,6 @@ mod case {
         let mut tx = SoftwareTx::<P>::begin(&system, &th, &mut d, software());
         let _ = tx.read(Addr(1)).unwrap();
         tx.write(Addr(2), 2).unwrap();
-        tx.rollback();
         drop(tx);
         assert!(d.grown());
         assert!(d.reads.is_empty() && d.writes.is_empty() && d.locks.is_empty());
@@ -118,7 +115,7 @@ mod case {
         let a = tx.alloc(8).unwrap();
         assert!(!a.is_null());
         assert_eq!(system.heap.allocated_words(), before + 8);
-        tx.rollback();
+        drop(tx);
         assert_eq!(system.heap.allocated_words(), before);
     }
 
@@ -152,17 +149,6 @@ mod case {
         let _ = tx.read(Addr(30)).unwrap();
         let _ = tx.read(Addr(31)).unwrap();
         assert!(tx.core.d.reads.orec_cover().len() <= 2);
-        tx.rollback();
-    }
-
-    pub fn rollback_is_idempotent<P: SoftwareProtocol>(clock: ClockMode) {
-        let system = TmSystem::new(config(clock));
-        let (th, mut d) = party(&system);
-        let mut tx = SoftwareTx::<P>::begin(&system, &th, &mut d, software());
-        tx.write(Addr(40), 1).unwrap();
-        tx.rollback();
-        tx.rollback();
-        assert_eq!(system.heap.load(Addr(40)), 0);
     }
 
     pub fn snapshot_read_keeps_no_read_set_and_commits_free<P: SoftwareProtocol>(clock: ClockMode) {
@@ -206,7 +192,6 @@ mod case {
             Ok(0) => assert_eq!(P::NAME, "lazy-stm"),
             other => panic!("unexpected read-for-write result {other:?}"),
         }
-        tx.rollback();
     }
 
     pub fn snapshot_refreshes_at_first_read_instead_of_aborting<P: SoftwareProtocol>(
@@ -233,7 +218,6 @@ mod case {
             tx.read(Addr(6)),
             Err(TxCtl::Abort(AbortReason::ReadConflict))
         ));
-        tx.rollback();
     }
 
     pub fn an_update_attempt_tracks_its_reads<P: SoftwareProtocol>(clock: ClockMode) {
@@ -270,7 +254,6 @@ cases![
     transactional_alloc_is_undone_on_rollback,
     transactional_free_is_deferred_to_commit,
     read_orec_cover_deduplicates,
-    rollback_is_idempotent,
     snapshot_read_keeps_no_read_set_and_commits_free,
     snapshot_write_aborts_with_read_only_write,
     snapshot_refreshes_at_first_read_instead_of_aborting,
