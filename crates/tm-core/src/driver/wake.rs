@@ -4,16 +4,18 @@
 //! back by the driver loop, which then calls [`deschedule`] with the
 //! materialised wait condition.  `deschedule`:
 //!
-//! 1. publishes a [`Waiter`] record (condition + semaphore) in the sharded
-//!    waiter registry, under every ownership-record stripe of its
-//!    condition's footprint — the addresses a `Retry`/`Await` condition
-//!    names, or the stripes a `WaitPred` predicate read when it was
-//!    evaluated just before,
+//! 1. publishes a [`Waiter`] record (condition + the thread's park
+//!    semaphore, [`ThreadCtx::park`]) in the sharded waiter registry, under
+//!    every ownership-record stripe of its condition's footprint — the
+//!    addresses a `Retry`/`Await` condition names, or the stripes a
+//!    `WaitPred` predicate read when it was evaluated just before,
 //! 2. re-evaluates the condition in a fresh read-only transaction
 //!    (the "double-check" of Algorithm 4 lines 6–13) — publishing *before*
 //!    checking is what removes the need to validate the read set atomically
 //!    with the insertion, and is the key difference from Algorithm 1,
-//! 3. sleeps on the semaphore if the condition still does not hold,
+//! 3. if the condition still does not hold, yields the CPU once — a waker
+//!    sharing it then runs, claims the waiter and posts before the sleeper
+//!    blocks — and waits on the park semaphore,
 //! 4. removes itself upon wake-up and returns, at which point the driver
 //!    re-executes the original transaction from its checkpoint.
 //!
@@ -53,7 +55,6 @@ use crate::addr::Addr;
 use crate::ctl::{TxResult, WaitCondition};
 use crate::orec::OrecTable;
 use crate::runtime::TmRuntime;
-use crate::sem::Semaphore;
 use crate::stats::TxStats;
 use crate::system::TmSystem;
 use crate::thread::ThreadCtx;
@@ -263,12 +264,14 @@ pub fn deschedule(
 /// ```text
 ///            ┌──────────── register + arm timer ───────────┐
 ///            │                                              ▼
-///  double-check true ──▶ SkippedSleep            asleep (sem.wait_deadline)
+///  double-check true ──▶ SkippedSleep      yield once, then park.wait_deadline
 ///                                                 │          │          │
 ///                                       writer claim   timer/self   cancel
 ///                                         Woken         Timeout    Cancelled
 ///                                                 └──────────┼──────────┘
 ///                                                claim CAS: exactly one wins
+///                                              and posts; a sleeper that loses
+///                                              its own claim takes that post
 /// ```
 ///
 /// Timeout delivery is doubly covered: the system's lazily polled timer
@@ -277,6 +280,14 @@ pub fn deschedule(
 /// [`Semaphore::wait_deadline`] bounds the sleep even on an otherwise idle
 /// system.  Whoever gets there first wins the one [`Waiter::claim`]; the
 /// waiter is signalled at most once per sleep regardless.
+///
+/// Every sleep of `thread` parks on its one [`ThreadCtx::park`] semaphore,
+/// so the permit count must be zero between sleeps.  The claim decides who
+/// owes the post: a waker posts only when it wins, so the sleeper takes one
+/// permit for each claim it loses — the double-check's and its own
+/// timeout's — and none for a claim it wins.
+///
+/// [`Semaphore::wait_deadline`]: crate::sem::Semaphore::wait_deadline
 pub fn deschedule_until(
     rt: &dyn TmRuntime,
     thread: &Arc<ThreadCtx>,
@@ -284,12 +295,10 @@ pub fn deschedule_until(
     deadline: Option<Instant>,
 ) -> DescheduleOutcome {
     let system = rt.system();
+    let park = &thread.park;
+    debug_assert_eq!(park.permits(), 0, "a permit left from an earlier sleep");
     TxStats::bump(&thread.stats.descheds);
-
-    // A fresh semaphore per sleep avoids consuming permits left over from
-    // earlier sleeps (a waiter can be woken spuriously and re-deschedule).
-    let sem = Arc::new(Semaphore::new());
-    let waiter = Waiter::with_deadline(thread.id, condition, Arc::clone(&sem), deadline);
+    let waiter = Waiter::with_deadline(thread.id, condition, Arc::clone(park), deadline);
 
     // Publish first, then double-check.  Any writer that commits after this
     // point will see us in its wakeWaiters scan; any writer that committed
@@ -328,33 +337,43 @@ pub fn deschedule_until(
     };
 
     if check(rt, thread, &waiter) {
-        // Claim our own wake-up so a concurrent writer does not also signal
-        // us; if the writer won the race the permit simply goes unused
-        // because the semaphore is private to this sleep.
-        waiter.claim(WakeReason::Woken);
+        // Claim our own wake-up so no waker signals us.  A waker (writer,
+        // timer poll or cancel) that won the race owes the park one post:
+        // take it, or it would end this thread's next sleep.
+        if !waiter.claim(WakeReason::Woken) {
+            park.wait();
+        }
         system.waiters.remove(&waiter);
         if armed {
             system.timers.disarm(&waiter);
         }
         TxStats::bump(&thread.stats.desched_skips);
+        debug_assert_eq!(park.permits(), 0, "a permit left by this sleep");
         return DescheduleOutcome::SkippedSleep;
     }
 
     TxStats::bump(&thread.stats.sleeps);
+    // Hand the CPU over once before blocking: a waker sharing it then runs,
+    // claims the waiter and posts while nobody is blocked, and the wait
+    // below takes that permit without a system call.
+    std::thread::yield_now();
+    if !waiter.is_asleep() {
+        TxStats::bump(&thread.stats.yield_handoffs);
+    }
     match deadline {
-        None => sem.wait(),
+        None => park.wait(),
         Some(d) => {
-            if !sem.wait_deadline(d) {
-                // The deadline passed with no signal: claim the timeout
-                // ourselves.  Losing this claim means a waker (writer, timer
-                // poll, or cancel) got in just before us and its reason
-                // stands; the permit it posted goes unused, which is fine
-                // because the semaphore is private to this sleep.
-                waiter.claim(WakeReason::Timeout);
+            // The deadline passed with no signal: claim the timeout
+            // ourselves.  Losing this claim means a waker got in just
+            // before us and its reason stands; take the post it owes.
+            if !park.wait_deadline(d) && !waiter.claim(WakeReason::Timeout) {
+                park.wait();
             }
         }
     }
-    let reason = waiter.wake_reason().unwrap_or(WakeReason::Woken);
+    let reason = waiter
+        .wake_reason()
+        .expect("the park is posted only for a claimed waiter");
     system.waiters.remove(&waiter);
     if armed {
         system.timers.disarm(&waiter);
@@ -364,6 +383,7 @@ pub fn deschedule_until(
         WakeReason::Timeout => TxStats::bump(&thread.stats.wake_timeouts),
         WakeReason::Cancelled => TxStats::bump(&thread.stats.wake_cancels),
     }
+    debug_assert_eq!(park.permits(), 0, "a permit left by this sleep");
     DescheduleOutcome::Slept(reason)
 }
 
@@ -439,9 +459,11 @@ pub fn wake_waiters_matching(rt: &dyn TmRuntime, thread: &Arc<ThreadCtx>, wake: 
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Duration;
 
     use crate::config::TmConfig;
     use crate::orec::OrecValue;
+    use crate::sem::Semaphore;
     use crate::tx::TxMode;
 
     /// A toy runtime whose "transactions" are direct heap accesses; adequate
@@ -539,6 +561,41 @@ mod tests {
         stripes
     }
 
+    /// Ends a park-balance case: `th`'s park semaphore holds no permit, and
+    /// — the proof that matters — its next untimed sleep lasts until a
+    /// writer establishes the condition, which a stale permit would cut
+    /// short.
+    fn assert_park_balanced(rt: &Arc<ToyRuntime>, th: &Arc<ThreadCtx>) {
+        assert_eq!(th.park.permits(), 0, "a sleep left a permit behind");
+        let word = Addr(90);
+        rt.system.heap.store(word, 0);
+        let sleeps = th.stats.snapshot().sleeps;
+        let (rt2, th2) = (Arc::clone(rt), Arc::clone(th));
+        let sleeper = std::thread::spawn(move || {
+            let outcome = deschedule(
+                rt2.as_ref(),
+                &th2,
+                WaitCondition::ValuesChanged(vec![(word, 0)]),
+            );
+            (outcome, rt2.system.heap.load(word))
+        });
+        while th.stats.snapshot().sleeps == sleeps && !sleeper.is_finished() {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(10));
+        assert!(!sleeper.is_finished(), "the sleep ended before any writer");
+        rt.system.heap.store(word, 1);
+        let writer = rt.system.register_thread();
+        wake_waiters_matching(rt.as_ref(), &writer, &WakeSet::All);
+        assert_eq!(
+            sleeper.join().unwrap(),
+            (DescheduleOutcome::Slept(WakeReason::Woken), 1)
+        );
+        assert_eq!(th.park.permits(), 0);
+        let stats = th.stats.snapshot();
+        assert!(stats.yield_handoffs <= stats.sleeps, "{stats:?}");
+    }
+
     #[test]
     fn double_check_skips_sleep_when_condition_holds() {
         let (system, rt) = toy();
@@ -550,6 +607,38 @@ mod tests {
         assert!(system.waiters.is_empty(), "waiter must deregister itself");
         assert_eq!(th.stats.snapshot().desched_skips, 1);
         assert_eq!(th.stats.snapshot().sleeps, 0);
+        assert_park_balanced(&Arc::new(rt), &th);
+    }
+
+    /// `args = [thread]`: false until that thread's waiter is registered;
+    /// then claims and posts it, as a writer committing between the
+    /// registration and the double-check would, and holds.
+    fn claimed_meanwhile(tx: &mut dyn Tx, args: &[u64]) -> TxResult<bool> {
+        let Some(w) = tx.system().waiters.find_by_thread(args[0] as usize) else {
+            return Ok(false);
+        };
+        if w.claim_wake() {
+            w.sem.post();
+        }
+        Ok(true)
+    }
+
+    /// A double-check that loses its claim to a waker takes the waker's
+    /// post, so the skip leaves the park empty.
+    #[test]
+    fn a_double_check_that_loses_its_claim_takes_the_wakers_post() {
+        let (system, rt) = toy();
+        let th = system.register_thread();
+        let condition = WaitCondition::Pred {
+            f: claimed_meanwhile,
+            args: vec![th.id as u64],
+        };
+        assert_eq!(
+            deschedule(&rt, &th, condition),
+            DescheduleOutcome::SkippedSleep
+        );
+        assert!(system.waiters.is_empty());
+        assert_park_balanced(&Arc::new(rt), &th);
     }
 
     #[test]
@@ -587,6 +676,7 @@ mod tests {
         );
         assert_eq!(writer_thread.stats.snapshot().wakeups, 1);
         assert!(system.waiters.is_empty());
+        assert_park_balanced(&rt, &waiter_thread);
     }
 
     #[test]
@@ -1003,6 +1093,7 @@ mod tests {
         let stats = th.stats.snapshot();
         assert_eq!(stats.wake_timeouts, 1);
         assert_eq!(stats.sleeps, 1);
+        assert_park_balanced(&Arc::new(rt), &th);
     }
 
     #[test]
@@ -1111,6 +1202,116 @@ mod tests {
         assert_eq!(waiter_thread.stats.snapshot().wake_cancels, 1);
         assert!(system.waiters.is_empty());
         assert!(system.timers.idle());
+        assert_park_balanced(&rt, &waiter_thread);
+    }
+
+    /// A waker that claims the waiter but posts only after the deadline has
+    /// passed: the sleeper loses its own timeout claim, and its sleep lasts
+    /// until that post arrives rather than leaving it for the next sleep.
+    #[test]
+    fn a_sleeper_that_loses_its_timeout_claim_takes_the_late_post() {
+        let (system, rt) = toy();
+        let rt = Arc::new(rt);
+        let th = system.register_thread();
+        system.heap.store(Addr(68), 0);
+        let outcome = std::thread::scope(|scope| {
+            let sleeper = scope.spawn(|| {
+                deschedule_until(
+                    rt.as_ref(),
+                    &th,
+                    WaitCondition::ValuesChanged(vec![(Addr(68), 0)]),
+                    Some(Instant::now() + Duration::from_millis(50)),
+                )
+            });
+            let w = loop {
+                match system.waiters.find_by_thread(th.id) {
+                    Some(w) => break w,
+                    None => std::thread::yield_now(),
+                }
+            };
+            assert!(w.claim_wake(), "claimed well before the deadline");
+            std::thread::sleep(Duration::from_millis(100));
+            w.sem.post();
+            sleeper.join().unwrap()
+        });
+        assert_eq!(outcome, DescheduleOutcome::Slept(WakeReason::Woken));
+        assert_park_balanced(&rt, &th);
+    }
+
+    /// Rounds of each park-balance race below.
+    const RACES: u64 = 200;
+
+    /// A commit landing before, during or just after a short timed sleep:
+    /// whichever claim wins, the sleeper leaves the park empty.
+    #[test]
+    fn park_is_balanced_when_a_commit_races_the_deadline() {
+        let (system, rt) = toy();
+        let rt = Arc::new(rt);
+        let th = system.register_thread();
+        let writer = system.register_thread();
+        let word = Addr(66);
+        system.heap.store(word, 0);
+        for round in 0..RACES {
+            let outcome = std::thread::scope(|scope| {
+                let sleeper = scope.spawn(|| {
+                    deschedule_until(
+                        rt.as_ref(),
+                        &th,
+                        WaitCondition::ValuesChanged(vec![(word, round)]),
+                        Some(Instant::now() + Duration::from_micros(200)),
+                    )
+                });
+                std::thread::sleep(Duration::from_micros(round % 8 * 50));
+                system.heap.store(word, round + 1);
+                wake_waiters_matching(rt.as_ref(), &writer, &WakeSet::All);
+                sleeper.join().unwrap()
+            });
+            assert_ne!(outcome.reason(), WakeReason::Cancelled);
+            assert_eq!(th.park.permits(), 0, "round {round}: {outcome:?}");
+        }
+        assert_park_balanced(&rt, &th);
+    }
+
+    /// A cancel racing the commit that establishes the condition: one of
+    /// them claims, and the sleeper takes exactly that one post.
+    #[test]
+    fn park_is_balanced_when_a_cancel_races_a_commit() {
+        let (system, rt) = toy();
+        let rt = Arc::new(rt);
+        let th = system.register_thread();
+        let writer = system.register_thread();
+        let word = Addr(67);
+        system.heap.store(word, 0);
+        for round in 0..RACES {
+            let outcome = std::thread::scope(|scope| {
+                let sleeper = scope.spawn(|| {
+                    deschedule(
+                        rt.as_ref(),
+                        &th,
+                        WaitCondition::ValuesChanged(vec![(word, round)]),
+                    )
+                });
+                let registered = loop {
+                    match system.waiters.find_by_thread(th.id) {
+                        None if !sleeper.is_finished() => std::thread::yield_now(),
+                        found => break found,
+                    }
+                };
+                if let Some(w) = registered {
+                    scope.spawn(move || {
+                        if w.claim(WakeReason::Cancelled) {
+                            w.sem.post();
+                        }
+                    });
+                    system.heap.store(word, round + 1);
+                    wake_waiters_matching(rt.as_ref(), &writer, &WakeSet::All);
+                }
+                sleeper.join().unwrap()
+            });
+            assert_ne!(outcome.reason(), WakeReason::Timeout);
+            assert_eq!(th.park.permits(), 0, "round {round}: {outcome:?}");
+        }
+        assert_park_balanced(&rt, &th);
     }
 
     #[test]

@@ -1,17 +1,33 @@
 //! A counting semaphore used to park and wake descheduled threads.
 //!
-//! The paper uses per-thread semaphores (`sem.wait()` / `sem.signal()`,
-//! Algorithms 1 and 4).  Posting before the waiter blocks must not lose the
+//! The paper parks every thread on a semaphore of its own (`sem.wait()` /
+//! `sem.signal()`, Algorithms 1 and 4), and so does this crate: each
+//! [`crate::thread::ThreadCtx`] owns one (`park`), which every sleep of that
+//! thread reuses.  Posting before the waiter blocks must not lose the
 //! wake-up, which a plain condition variable would; a counting semaphore has
 //! exactly the required memory.
+//!
+//! A post notifies the condition variable only while some thread is blocked
+//! on it.  A waker that shares a CPU with its sleeper usually posts before
+//! the sleeper blocks (the sleeper yields to it first), and notifying then
+//! would be a futex-wake system call that finds nobody: the permit alone is
+//! the hand-off, and the sleeper's `wait` takes it without blocking.
 
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+/// The stored permits and the threads blocked waiting for one, kept under
+/// one mutex so a post knows whether anyone needs the notification.
+#[derive(Debug, Default)]
+struct State {
+    permits: u64,
+    blocked: u64,
+}
+
 /// A counting semaphore built from a mutex and a condition variable.
 #[derive(Debug, Default)]
 pub struct Semaphore {
-    count: Mutex<u64>,
+    state: Mutex<State>,
     cv: Condvar,
 }
 
@@ -23,11 +39,13 @@ impl Semaphore {
 
     /// Blocks until the count is positive, then decrements it.
     pub fn wait(&self) {
-        let mut count = self.count.lock().unwrap();
-        while *count == 0 {
-            count = self.cv.wait(count).unwrap();
+        let mut state = self.state.lock().unwrap();
+        if state.permits == 0 {
+            state.blocked += 1;
+            state = self.cv.wait_while(state, |s| s.permits == 0).unwrap();
+            state.blocked -= 1;
         }
-        *count -= 1;
+        state.permits -= 1;
     }
 
     /// Like [`Semaphore::wait`], but gives up after `timeout`.
@@ -35,20 +53,20 @@ impl Semaphore {
     /// Returns `true` if a permit was consumed.  Used defensively by stress
     /// tests so a lost-wake-up bug fails the test instead of hanging it.
     pub fn wait_timeout(&self, timeout: Duration) -> bool {
-        let mut count = self.count.lock().unwrap();
-        let deadline = std::time::Instant::now() + timeout;
-        while *count == 0 {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, res) = self.cv.wait_timeout(count, deadline - now).unwrap();
-            count = guard;
-            if res.timed_out() && *count == 0 {
+        let mut state = self.state.lock().unwrap();
+        if state.permits == 0 {
+            state.blocked += 1;
+            state = self
+                .cv
+                .wait_timeout_while(state, timeout, |s| s.permits == 0)
+                .unwrap()
+                .0;
+            state.blocked -= 1;
+            if state.permits == 0 {
                 return false;
             }
         }
-        *count -= 1;
+        state.permits -= 1;
         true
     }
 
@@ -67,20 +85,23 @@ impl Semaphore {
         self.wait_timeout(deadline - now)
     }
 
-    /// Increments the count and wakes one blocked waiter (the paper's
-    /// `sem.signal()`).
+    /// Increments the count and wakes one blocked waiter, if any (the
+    /// paper's `sem.signal()`).
     pub fn post(&self) {
-        let mut count = self.count.lock().unwrap();
-        *count += 1;
-        drop(count);
-        self.cv.notify_one();
+        let mut state = self.state.lock().unwrap();
+        state.permits += 1;
+        let blocked = state.blocked > 0;
+        drop(state);
+        if blocked {
+            self.cv.notify_one();
+        }
     }
 
     /// Consumes a permit without blocking, if one is available.
     pub fn try_wait(&self) -> bool {
-        let mut count = self.count.lock().unwrap();
-        if *count > 0 {
-            *count -= 1;
+        let mut state = self.state.lock().unwrap();
+        if state.permits > 0 {
+            state.permits -= 1;
             true
         } else {
             false
@@ -89,7 +110,7 @@ impl Semaphore {
 
     /// Current number of stored permits (for tests).
     pub fn permits(&self) -> u64 {
-        *self.count.lock().unwrap()
+        self.state.lock().unwrap().permits
     }
 }
 
@@ -98,12 +119,33 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    fn blocked(s: &Semaphore) -> u64 {
+        s.state.lock().unwrap().blocked
+    }
+
     #[test]
     fn post_then_wait_does_not_block() {
         let s = Semaphore::new();
         s.post();
+        assert_eq!((s.permits(), blocked(&s)), (1, 0), "nobody to notify");
         s.wait();
-        assert_eq!(s.permits(), 0);
+        assert_eq!((s.permits(), blocked(&s)), (0, 0), "taken without blocking");
+    }
+
+    #[test]
+    fn an_expired_wait_timeout_leaves_no_blocked_count_behind() {
+        let s = Arc::new(Semaphore::new());
+        assert!(!s.wait_timeout(Duration::from_millis(10)));
+        assert_eq!(blocked(&s), 0);
+        // A later blocked wait on another thread is still woken by one post.
+        let s2 = Arc::clone(&s);
+        let waiter = std::thread::spawn(move || s2.wait());
+        while blocked(&s) == 0 {
+            std::thread::yield_now();
+        }
+        s.post();
+        waiter.join().unwrap();
+        assert_eq!((s.permits(), blocked(&s)), (0, 0));
     }
 
     #[test]

@@ -336,8 +336,15 @@ stats_fields! {
     /// Times the Deschedule double-check found the condition already
     /// established, avoiding a sleep.
     desched_skips,
-    /// Times a thread actually blocked on its semaphore.
+    /// Sleeps entered: deschedules whose double-check found the condition
+    /// still false, counted before the thread yields and parks (so a sleep
+    /// that never blocks counts too).
     sleeps,
+    /// Sleeps whose waiter had already been claimed when the sleeper's one
+    /// yield returned: a waker sharing the CPU ran in between and claimed
+    /// it, so the park finds its permit posted (or about to be) instead of
+    /// blocking.
+    yield_handoffs,
     /// Times a committed writer woke a sleeping thread.
     wakeups,
     /// Wait conditions evaluated by committing writers (`wakeWaiters` work).

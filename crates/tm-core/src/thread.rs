@@ -5,8 +5,9 @@
 //! slot in the system's [`EpochTable`] (published start time for
 //! privatization-safe quiescence plus the last commit epoch the lazy clock
 //! scans), the "doomed" flag through which the HTM simulator delivers
-//! asynchronous conflict aborts, and the resident attempt
-//! [`Descriptor`] the driver lends to every transaction attempt.
+//! asynchronous conflict aborts, the resident attempt [`Descriptor`] the
+//! driver lends to every transaction attempt, and the semaphore the thread
+//! parks on when it deschedules.
 
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
@@ -17,6 +18,7 @@ use crate::access::Descriptor;
 use crate::epoch::{EpochSlot, EpochTable};
 use crate::lock::RwLock;
 use crate::pad::CachePadded;
+use crate::sem::Semaphore;
 use crate::stats::{OpClass, TxStats};
 
 /// Identifier of a registered thread (dense, starting from 0).
@@ -126,12 +128,22 @@ impl Drop for LatencyPause<'_> {
 /// Per-thread context shared between the thread itself and other threads
 /// (committers performing quiescence, hardware transactions dooming each
 /// other, writers waking sleepers).
+///
+/// A context is used by one OS thread at a time, so it has at most one
+/// sleep in progress: every sleep parks on the same [`ThreadCtx::park`]
+/// semaphore, and a second one overlapping it could take the first one's
+/// wake-up.
 #[derive(Debug)]
 pub struct ThreadCtx {
     /// Dense thread identifier.
     pub id: ThreadId,
     /// Event counters.
     pub stats: TxStats,
+    /// The semaphore this thread parks on when it deschedules (the paper's
+    /// per-thread `sem`), lent to the waiter record of each sleep.  A waker
+    /// posts it only when it wins the waiter's claim, and the sleeper takes
+    /// that permit before its sleep returns, so it holds none between sleeps.
+    pub park: Arc<Semaphore>,
     /// The shared epoch table; this thread owns slot [`ThreadCtx::id`],
     /// which carries its published start time and last commit epoch on a
     /// private cache line.
@@ -160,6 +172,7 @@ impl ThreadCtx {
         ThreadCtx {
             id,
             stats: TxStats::default(),
+            park: Arc::new(Semaphore::new()),
             epochs,
             doomed: CachePadded::new(AtomicBool::new(false)),
             descriptor: DescriptorSlot::default(),

@@ -5,15 +5,16 @@
 //! lent to each attempt, so once the containers have grown a transaction
 //! performs no heap allocation — with nobody waiting at all, and with a
 //! sleeper parked that the commit cannot affect (a `wait_pred` sleeper is
-//! registered under the stripes its predicate reads).  A counting global
-//! allocator checks exactly that, per thread, so the allocations of other
-//! tests in this binary do not count.
+//! registered under the stripes its predicate reads).  A sleep allocates a
+//! pinned handful — its waiter record and condition, never a semaphore to
+//! park on.  A counting global allocator checks exactly that, per thread,
+//! so the allocations of other tests in this binary do not count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use tm_repro::core::ThreadCtx;
+use tm_repro::core::{StatsSnapshot, ThreadCtx};
 use tm_repro::prelude::*;
 
 struct Counting;
@@ -245,6 +246,66 @@ fn with_a_sleeper_on_a_written_word_each_commit_checks_it_in_reused_buffers() {
             sleeper.join().expect("sleeper wakes and commits");
             assert_eq!(system.stats().wakeups, 1, "{kind}");
         });
+    }
+}
+
+/// Sleeps measured by the `Retry` hand-off case.
+const HANDOFFS: u64 = 200;
+
+/// A `Retry` hand-off: the sleeper waits for `turn` to move past each
+/// round, and the waker moves it only once the sleeper is parked, so every
+/// round is exactly one sleep.  Returns the allocations the sleeper thread
+/// made over `HANDOFFS` warm rounds, and its counters.
+fn retry_handoff_allocations(kind: RuntimeKind) -> (u64, StatsSnapshot) {
+    let rt = kind.build(TmConfig::default());
+    let system = Arc::clone(rt.system());
+    let turn = TmVar::<u64>::alloc(&system, 0);
+    std::thread::scope(|scope| {
+        let sleeper = scope.spawn(|| {
+            let th = system.register_thread();
+            let wait_past = |round: u64| {
+                rt.atomically(&th, |tx| {
+                    if turn.get(tx)? == round {
+                        return retry(tx);
+                    }
+                    Ok(())
+                })
+            };
+            (0..WARM_UP).for_each(wait_past);
+            let allocations = allocations_in(|| (WARM_UP..WARM_UP + HANDOFFS).for_each(wait_past));
+            (allocations, th.stats.snapshot())
+        });
+        let waker = system.register_thread();
+        for round in 0..WARM_UP + HANDOFFS {
+            while system.stats().sleeps == round {
+                std::thread::yield_now();
+            }
+            rt.atomically(&waker, |tx| turn.set(tx, round + 1));
+        }
+        sleeper.join().expect("the sleeper wakes every round")
+    })
+}
+
+/// What one `Retry` sleep allocates on the sleeper thread: the value log
+/// its wait condition is built from, the waiter record, the condition's
+/// stripe list and the waiter's list of where it is registered.  The
+/// semaphore it parks on is its thread's own, so it allocates none.
+const ALLOCATIONS_PER_SLEEP: u64 = 4;
+
+#[test]
+fn a_retry_sleep_allocates_its_waiter_record_and_nothing_for_the_park() {
+    for kind in RuntimeKind::ALL {
+        let (allocations, stats) = retry_handoff_allocations(kind);
+        assert_eq!(
+            (stats.sleeps, stats.desched_skips),
+            (WARM_UP + HANDOFFS, 0),
+            "{kind}: one sleep per round"
+        );
+        assert_eq!(
+            allocations,
+            ALLOCATIONS_PER_SLEEP * HANDOFFS,
+            "{kind}: {HANDOFFS} warm sleeps"
+        );
     }
 }
 
