@@ -3,7 +3,7 @@
 use crate::clock::ClockMode;
 use crate::policy::PolicyKind;
 
-/// Configuration of the simulated best-effort HTM (see the `htm-sim` crate).
+/// Configuration of the simulated best-effort HTM (see [`crate::hardware`]).
 ///
 /// The defaults approximate Intel TSX on a Haswell-class part as used in the
 /// paper's evaluation: L1-bounded write capacity, larger read capacity, and a
@@ -257,8 +257,10 @@ impl TmConfig {
         }
     }
 
-    /// Disables privatization-safety quiescence (used by some benchmarks to
-    /// isolate its cost).
+    /// Disables privatization-safety quiescence.  Only for tests that drive
+    /// two thread handles from one OS thread: a committing handle would
+    /// otherwise quiesce on the other, in-flight one forever.  Kept until a
+    /// deterministic schedule explorer replaces those tests.
     pub fn without_quiescence(mut self) -> Self {
         self.quiescence = false;
         self

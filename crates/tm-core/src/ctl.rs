@@ -240,7 +240,7 @@ impl WaitCondition {
         }
     }
 
-    /// Number of locations / arguments / stripes tracked (ablation bench).
+    /// Number of locations / arguments / stripes tracked.
     pub fn tracked(&self) -> usize {
         match self {
             WaitCondition::ValuesChanged(pairs) => pairs.len(),

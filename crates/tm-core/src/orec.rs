@@ -226,7 +226,7 @@ impl OrecTable {
     /// may have touched: a superset of the written words' stripes, so wake
     /// targeting built on it can never miss a sleeper.  The single source of
     /// truth for that mapping — the HTM simulator, the wake-path tests and
-    /// the `wake_scaling` bench all derive from it.
+    /// the ledger's `tx_bystander` placement all derive from it.
     ///
     /// Returned as an iterator: this sits on the HTM simulator's commit
     /// path, which used to pay a fresh `Vec` allocation per call.

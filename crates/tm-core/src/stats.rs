@@ -418,7 +418,7 @@ stats_fields! {
     /// Arena refills that took the global allocator lock to carve a batch of
     /// blocks.  Steady-state churn should keep `heap_global_refills /
     /// heap_arena_allocs` tiny — that ratio is the arena plane's whole
-    /// point, and the `memory_plane` bench asserts it.
+    /// point: `tests/heap_plane.rs` bounds it and the ledger reports it.
     heap_global_refills,
     /// Frees of a block owned by *another* thread's arena, pushed onto the
     /// owner's lock-free remote-free stack instead of the global allocator.

@@ -37,7 +37,8 @@ pub mod runtime;
 pub mod timeout;
 pub mod zipf;
 
-pub use loc::{measured_table, paper_table, LocRow};
+pub use runtime::{AnyRuntime, RuntimeKind};
+pub use zipf::ZipfGen;
 
 /// The `TM_STRESS_ITERS` soak multiplier, shared by the seeded race suites:
 /// the scheduled CI `stress` job sets it to 10 so interleaving-sensitive
@@ -50,10 +51,3 @@ pub fn stress_iters() -> u64 {
         .unwrap_or(1)
         .max(1)
 }
-pub use kv_store::{run_kv_store_scenario, KvParams, KvResult};
-pub use parsec::{KernelParams, KernelResult, ParsecApp, Scale};
-pub use pc::{run_pc, run_pc_configured, run_pc_trials, PcParams, PcResult};
-pub use report::{DataPoint, Panel, Report, Series};
-pub use runtime::{AnyRuntime, RuntimeKind};
-pub use timeout::{run_timeout_scenario, TimeoutParams, TimeoutResult};
-pub use zipf::ZipfGen;

@@ -93,8 +93,8 @@ impl PcParams {
 
     /// Heap words needed for this trial: the buffer plus slack for the
     /// condition-variable generation words.  [`run_pc`] uses it to size the
-    /// system; callers building their own [`TmConfig`] (the `mode_ladder`
-    /// bench) should too, so the formulas cannot diverge.
+    /// system; callers building their own [`TmConfig`] (the figure
+    /// binaries, the policy tests) should too, so the formulas cannot diverge.
     pub fn heap_words(&self) -> usize {
         (self.buffer_size + 64).next_power_of_two().max(1 << 12)
     }
@@ -134,11 +134,6 @@ impl PcResult {
     pub fn seconds(&self) -> f64 {
         self.elapsed.as_secs_f64()
     }
-
-    /// Throughput in operations (produce + consume) per second.
-    pub fn ops_per_second(&self) -> f64 {
-        (self.produced + self.consumed) as f64 / self.seconds().max(f64::MIN_POSITIVE)
-    }
 }
 
 /// Runs one trial: `params.mechanism` on `runtime_kind`, with the default
@@ -154,9 +149,9 @@ pub fn run_pc(runtime_kind: RuntimeKind, params: &PcParams) -> PcResult {
     run_pc_configured(runtime_kind, params, config)
 }
 
-/// Runs one trial with a caller-supplied system configuration (used by the
-/// `mode_ladder` bench to sweep contention-management policies).  The heap
-/// must be large enough for the buffer; [`run_pc`] sizes it automatically.
+/// Runs one trial with a caller-supplied system configuration (a fault
+/// injector, a contention-management policy).  The heap must be large
+/// enough for the buffer; [`run_pc`] sizes it automatically.
 pub fn run_pc_configured(
     runtime_kind: RuntimeKind,
     params: &PcParams,
@@ -325,13 +320,6 @@ fn run_pc_pthreads(params: &PcParams) -> PcResult {
     }
 }
 
-/// Runs `trials` trials and returns all results.
-pub fn run_pc_trials(runtime_kind: RuntimeKind, params: &PcParams, trials: u32) -> Vec<PcResult> {
-    (0..trials.max(1))
-        .map(|_| run_pc(runtime_kind, params))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,13 +412,5 @@ mod tests {
     fn retry_orig_on_htm_is_rejected() {
         let params = PcParams::new(1, 1, 4, 16, Mechanism::RetryOrig);
         let _ = run_pc(RuntimeKind::Htm, &params);
-    }
-
-    #[test]
-    fn trials_helper_runs_requested_count() {
-        let params = PcParams::new(1, 1, 4, 64, Mechanism::Restart);
-        let results = run_pc_trials(RuntimeKind::EagerStm, &params, 3);
-        assert_eq!(results.len(), 3);
-        assert!(results.iter().all(|r| r.checksum_ok));
     }
 }

@@ -1,25 +1,55 @@
-//! Heap-plane properties: word conservation under multi-thread churn with
-//! cross-thread frees, carve integrity (no two threads are ever handed
-//! overlapping blocks), and exhaustion parity between the bare heap and the
-//! arena front-end.
+//! Heap-plane properties: word conservation under multi-thread
+//! transactional churn with cross-thread frees, carve integrity (no two
+//! threads are ever handed overlapping blocks), refills amortized over a
+//! batch, and exhaustion parity between the bare heap and the arena
+//! front-end.
 
 use std::sync::{mpsc, Arc};
 
 use tm_core::{Addr, TmConfig, TmSystem};
+use tm_repro::workloads::RuntimeKind;
 
 const THREADS: usize = 4;
 const ITERS: usize = 3_000;
-/// Blocks each worker keeps live before it starts freeing.
-const LIVE_CAP: usize = 16;
 /// Every n-th retired block is sent to the next worker, whose free then
 /// lands on a block another thread's arena owns.
 const DONATE_EVERY: usize = 5;
 
-/// Fills every word of a block with a tag unique to (thread, iteration) and
-/// verifies the tag right before the block is freed.  If the allocator ever
-/// carved overlapping blocks for two threads, the later tag fill clobbers
-/// the earlier block and the verification fails.
-fn churn(arenas: bool) -> tm_core::StatsSnapshot {
+/// What each churn worker allocates.
+#[derive(Clone, Copy, Debug)]
+enum Churn {
+    /// 1..=32-word blocks — every arena size class; 32 is the largest small
+    /// block the arenas front — with 16 kept live.
+    Mixed,
+    /// 4-word nodes with 256 kept live: a linked structure's steady state,
+    /// where the live set is large enough that a refill carving one block
+    /// at a time would show up in the refill ratio.
+    Nodes,
+}
+
+impl Churn {
+    fn words(self, rng: u64) -> usize {
+        match self {
+            Churn::Mixed => 1 + (rng >> 33) as usize % 32,
+            Churn::Nodes => 4,
+        }
+    }
+
+    /// Blocks each worker keeps live before it starts freeing.
+    fn live_cap(self) -> usize {
+        match self {
+            Churn::Mixed => 16,
+            Churn::Nodes => 256,
+        }
+    }
+}
+
+/// Allocates and frees in eager-STM transactions, filling every word of a
+/// block with a tag unique to (thread, iteration) and verifying the tag
+/// right before the block is freed.  If the allocator ever carved
+/// overlapping blocks for two threads, the later tag fill clobbers the
+/// earlier block and the verification fails.
+fn churn(arenas: bool, shape: Churn) -> tm_core::StatsSnapshot {
     let system = TmSystem::new(
         TmConfig::default()
             .with_heap_words(1 << 16)
@@ -27,6 +57,7 @@ fn churn(arenas: bool) -> tm_core::StatsSnapshot {
             .with_heap_arenas(arenas),
     );
     assert_eq!(system.heap.has_arenas(), arenas);
+    let rt = RuntimeKind::EagerStm.over(Arc::clone(&system));
     let (mut senders, receivers): (Vec<_>, Vec<_>) = (0..THREADS)
         .map(|_| {
             let (tx, rx) = mpsc::channel::<(Addr, usize, u64)>();
@@ -40,6 +71,7 @@ fn churn(arenas: bool) -> tm_core::StatsSnapshot {
             // finishes and drops its end.
             let donate = senders[(t + 1) % THREADS].take().expect("one donor each");
             let system = Arc::clone(&system);
+            let rt = rt.clone();
             s.spawn(move || {
                 let th = system.register_thread();
                 let verify_and_free = |addr: Addr, words: usize, tag: u64, donated: bool| {
@@ -47,12 +79,12 @@ fn churn(arenas: bool) -> tm_core::StatsSnapshot {
                         assert_eq!(
                             system.heap.load(Addr(addr.0 + w)),
                             tag,
-                            "arenas={arenas}: word {w} of a {}block was clobbered — \
-                             overlapping carve or double-carve",
+                            "arenas={arenas} {shape:?}: word {w} of a {}block was \
+                             clobbered — overlapping carve or double-carve",
                             if donated { "donated " } else { "" }
                         );
                     }
-                    system.heap.dealloc_for(&th, addr, words);
+                    rt.atomically(&th, |tx| tx.free(addr, words));
                 };
                 let mut live: Vec<(Addr, usize, u64)> = Vec::new();
                 let mut rng = 0x9E37_79B9_7F4A_7C15u64.wrapping_add(t as u64);
@@ -60,19 +92,16 @@ fn churn(arenas: bool) -> tm_core::StatsSnapshot {
                     rng = rng
                         .wrapping_mul(6364136223846793005)
                         .wrapping_add(1442695040888963407);
-                    // 1..=32 words: spans every arena size class, and 32 is
-                    // the largest small block the arenas front.
-                    let words = 1 + (rng >> 33) as usize % 32;
+                    let words = shape.words(rng);
                     let tag = ((t as u64) << 48) | ((i as u64) << 8) | 0xA5;
-                    let addr = system
-                        .heap
-                        .alloc_for(&th, words)
-                        .expect("churn heap exhausted");
+                    // Out of memory would rerun forever; fail instead.
+                    let addr =
+                        rt.atomically(&th, |tx| Ok(tx.alloc(words).expect("churn heap exhausted")));
                     for w in 0..words {
                         system.heap.store(Addr(addr.0 + w), tag);
                     }
                     live.push((addr, words, tag));
-                    if live.len() > LIVE_CAP {
+                    if live.len() > shape.live_cap() {
                         let pick = ((rng >> 16) as usize) % live.len();
                         let (a, n, tag) = live.swap_remove(pick);
                         if i.is_multiple_of(DONATE_EVERY) {
@@ -101,37 +130,57 @@ fn churn(arenas: bool) -> tm_core::StatsSnapshot {
     assert_eq!(
         system.heap.allocated_words(),
         0,
-        "arenas={arenas}: churn leaked heap words"
+        "arenas={arenas} {shape:?}: churn leaked heap words"
     );
     system.stats()
 }
 
 #[test]
 fn multi_thread_churn_conserves_every_word_without_arenas() {
-    let stats = churn(false);
-    assert_eq!(stats.heap_arena_allocs, 0, "bare heap served arena allocs");
-    assert_eq!(stats.heap_global_refills, 0, "bare heap recorded refills");
-    assert_eq!(
-        stats.heap_remote_frees, 0,
-        "bare heap recorded remote frees"
-    );
+    for shape in [Churn::Mixed, Churn::Nodes] {
+        let stats = churn(false, shape);
+        assert_eq!(
+            stats.heap_arena_allocs, 0,
+            "{shape:?}: bare heap served arena allocs"
+        );
+        assert_eq!(
+            stats.heap_global_refills, 0,
+            "{shape:?}: bare heap recorded refills"
+        );
+        assert_eq!(
+            stats.heap_remote_frees, 0,
+            "{shape:?}: bare heap recorded remote frees"
+        );
+    }
 }
 
 #[test]
 fn multi_thread_churn_conserves_every_word_with_arenas() {
-    let stats = churn(true);
-    assert!(
-        stats.heap_arena_allocs > 0,
-        "arenas never served an allocation"
-    );
-    assert!(
-        stats.heap_global_refills > 0,
-        "arenas never refilled from the global allocator"
-    );
-    assert!(
-        stats.heap_remote_frees > 0,
-        "ring donations never exercised the remote-free path"
-    );
+    for shape in [Churn::Mixed, Churn::Nodes] {
+        let stats = churn(true, shape);
+        assert!(
+            stats.heap_arena_allocs > 0,
+            "{shape:?}: arenas never served an allocation"
+        );
+        assert!(
+            stats.heap_global_refills > 0,
+            "{shape:?}: arenas never refilled from the global allocator"
+        );
+        assert!(
+            stats.heap_remote_frees > 0,
+            "{shape:?}: ring donations never exercised the remote-free path"
+        );
+        if let Churn::Nodes = shape {
+            // One size class: the bins, not the global lock, carry the
+            // steady state, and each refill carves a batch.
+            assert!(
+                stats.heap_global_refills * 20 < stats.heap_arena_allocs,
+                "refills {} >= 5% of arena allocs {}",
+                stats.heap_global_refills,
+                stats.heap_arena_allocs
+            );
+        }
+    }
 }
 
 #[test]

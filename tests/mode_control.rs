@@ -271,36 +271,67 @@ fn hybrid_mixed_hw_sw_conflicts_are_serializable() {
     assert!(stats.sw_commits > 0, "the software path must participate");
 }
 
+/// The three stock contention-management policies: the hybrid's
+/// hardware-first, software-before-serial ladder must hold under each.
+const POLICIES: [PolicyKind; 3] = [
+    PolicyKind::Fixed,
+    PolicyKind::ADAPTIVE_DEFAULT,
+    PolicyKind::STUBBORN_DEFAULT,
+];
+
+/// One `Retry` producer/consumer trial on the hybrid runtime under `policy`.
+fn hybrid_pc(
+    policy: PolicyKind,
+    producers: usize,
+    consumers: usize,
+    buffer: usize,
+    items: u64,
+) -> tm_repro::workloads::pc::PcResult {
+    use tm_repro::workloads::pc::{run_pc_configured, PcParams};
+    let params = PcParams::new(
+        producers,
+        consumers,
+        buffer,
+        items,
+        condsync::Mechanism::Retry,
+    );
+    let config = TmConfig::default()
+        .with_heap_words(params.heap_words())
+        .with_policy(policy);
+    let result = run_pc_configured(RuntimeKind::Hybrid, &params, config);
+    assert!(result.checksum_ok, "{}", policy.label());
+    result
+}
+
 #[test]
 fn hybrid_commits_in_hardware_under_low_contention() {
-    use condsync::Mechanism;
-    use tm_repro::workloads::pc::{run_pc, PcParams};
-    let params = PcParams::new(1, 1, 64, 1024, Mechanism::Retry);
-    let result = run_pc(RuntimeKind::Hybrid, &params);
-    assert!(result.checksum_ok);
-    assert!(
-        result.stats.hw_commits > 0,
-        "an uncontended hybrid workload must use the hardware fast path"
-    );
+    for policy in POLICIES {
+        let result = hybrid_pc(policy, 1, 1, 64, 1024);
+        assert!(
+            result.stats.hw_commits > 0,
+            "{}: an uncontended hybrid workload must use the hardware fast path",
+            policy.label()
+        );
+    }
 }
 
 #[test]
 fn hybrid_degrades_to_software_not_serial_under_contention() {
-    use condsync::Mechanism;
-    use tm_repro::workloads::pc::{run_pc, PcParams};
-    let params = PcParams::new(4, 4, 2, 2048, Mechanism::Retry);
-    let result = run_pc(RuntimeKind::Hybrid, &params);
-    assert!(result.checksum_ok);
-    assert!(
-        result.stats.sw_commits > 0,
-        "contended hybrid transactions must complete on the software path"
-    );
-    assert!(
-        result.stats.serial_commits < result.stats.sw_commits,
-        "contention must not collapse onto the serial gate (serial {} >= sw {})",
-        result.stats.serial_commits,
-        result.stats.sw_commits
-    );
+    for policy in POLICIES {
+        let stats = hybrid_pc(policy, 4, 4, 2, 2048).stats;
+        assert!(
+            stats.sw_commits > 0,
+            "{}: contended hybrid transactions must complete on the software path",
+            policy.label()
+        );
+        assert!(
+            stats.serial_commits < stats.sw_commits,
+            "{}: contention must not collapse onto the serial gate (serial {} >= sw {})",
+            policy.label(),
+            stats.serial_commits,
+            stats.sw_commits
+        );
+    }
 }
 
 #[test]

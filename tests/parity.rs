@@ -450,31 +450,58 @@ fn writer_commits_advance_the_clock_past_their_begin_snapshot() {
     // transaction began — under GV1 because the commit ticked the counter,
     // under lazy GV5 because the committer published `now() + 1` to its
     // epoch slot.  Pure HTM commits through the simulated cache protocol
-    // and never stamps the clock, so it is exempt.
+    // and never stamps the clock, so it is exempt.  Under lazy GV5 the
+    // stamps are reused rather than written to the shared counter, alone
+    // or next to a second thread committing to a disjoint counter: some
+    // commits count as reuses and the shared-line CASes stay below the
+    // commit count.
     for mode in CLOCK_MODES {
         for kind in [
             RuntimeKind::EagerStm,
             RuntimeKind::LazyStm,
             RuntimeKind::Hybrid,
         ] {
-            let rt = kind.build(TmConfig::small().with_clock(mode));
-            let system = Arc::clone(rt.system());
-            let th = system.register_thread();
-            let v = TmVar::<u64>::alloc(&system, 0);
-            for i in 0..16u64 {
-                let before = system.clock.now();
-                rt.atomically(&th, |tx| {
-                    let x = v.get(tx)?;
-                    v.set(tx, x + 1)
+            for threads in [1, 2] {
+                let rt = kind.build(TmConfig::small().with_clock(mode));
+                let system = Arc::clone(rt.system());
+                let counters: Vec<TmVar<u64>> =
+                    (0..threads).map(|_| TmVar::alloc(&system, 0)).collect();
+                std::thread::scope(|s| {
+                    for v in &counters {
+                        let (rt, system) = (&rt, &system);
+                        s.spawn(move || {
+                            let th = system.register_thread();
+                            for i in 0..16u64 {
+                                let before = system.clock.now();
+                                rt.atomically(&th, |tx| {
+                                    let x = v.get(tx)?;
+                                    v.set(tx, x + 1)
+                                });
+                                let after = system.clock.now();
+                                assert!(
+                                    after > before,
+                                    "{kind} under {}: commit {i} left now() at {after} \
+                                     (begin snapshot {before})",
+                                    mode.label()
+                                );
+                            }
+                        });
+                    }
                 });
-                let after = system.clock.now();
-                assert!(
-                    after > before,
-                    "{kind} under {}: commit {i} left now() at {after} (begin snapshot {before})",
-                    mode.label()
-                );
+                for v in &counters {
+                    assert_eq!(v.load_direct(&system), 16);
+                }
+                if mode == ClockMode::LazyGv5 {
+                    let s = system.stats();
+                    let commits = s.hw_commits + s.sw_commits + s.serial_commits;
+                    assert!(s.clock_reuse > 0, "{kind}/{threads}t: no reuse stamps");
+                    assert!(
+                        s.clock_cas < commits,
+                        "{kind}/{threads}t: clock_cas {} >= commits {commits}",
+                        s.clock_cas
+                    );
+                }
             }
-            assert_eq!(v.load_direct(&system), 16);
         }
     }
 }
