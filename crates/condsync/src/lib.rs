@@ -24,7 +24,9 @@
 //!   one more wait condition, `tm_core::WaitCondition::LocksMoved`, on the
 //!   same registry),
 //! * [`condvar::TmCondVar`] — transaction-safe condition variables, which
-//!   commit the in-flight transaction at the wait point (breaking atomicity).
+//!   commit the in-flight transaction at the wait point (breaking atomicity)
+//!   and sleep there on the same registry, on a transactional generation
+//!   word.
 //!
 //! All of the paper's mechanisms are expressed as a rollback followed by
 //! [`deschedule::deschedule`]; committed writers call
@@ -48,8 +50,9 @@
 //! | `Pred` (`WaitPred`) | predicate + marshalled args | shard of every stripe the predicate *read* when last evaluated — found by evaluating it once before registering, and extended by any later check that sees it read elsewhere (see [`tm_core::PredFn`] for the contract this relies on).  Only a predicate that reads nothing, or more than 16 stripes, or whose footprint will not settle, goes to the *overflow* shard every writer scans |
 //! | `OrigReadLocks` (`Retry-Orig`) | `LocksMoved`: the read set's orec stripes, the start time and the serial gate's writer-commit count (a serial attempt logs values instead) | shard of every read-orec stripe — so the targeted scan *is* Algorithm 1's lock-set intersection, checked on the orecs without a transaction |
 //!
-//! Both functions are invoked exclusively by the unified driver loop in
-//! `tm_core::driver` (where their implementation lives — the dependency
+//! Both functions are invoked exclusively from `tm_core` — the unified
+//! driver loop in `tm_core::driver` and the `TMCondVar` wait point,
+//! `Tx::commit_and_wait` (where their implementation lives — the dependency
 //! points from this crate to `tm-core`); this crate contributes the
 //! user-facing constructs, the `Retry-Orig` and `TMCondVar` baselines, and
 //! the [`Mechanism`] enumeration the evaluation sweeps over.
@@ -62,7 +65,7 @@ pub mod deschedule;
 pub mod mechanism;
 pub mod timed;
 
-pub use condvar::{TmCondVar, WATCHDOG_INTERVAL};
+pub use condvar::TmCondVar;
 pub use deschedule::{
     deschedule, deschedule_until, wake_waiters_matching, DescheduleOutcome, WakeReason,
 };

@@ -223,9 +223,6 @@ mod construct_tests {
         fn free(&mut self, _addr: Addr, _words: usize) -> TxResult<()> {
             Ok(())
         }
-        fn commit_and_reopen(&mut self, _block: &mut dyn FnMut()) -> TxResult<()> {
-            Ok(())
-        }
         fn common(&self) -> &TxCommon {
             &self.common
         }
@@ -255,6 +252,15 @@ mod construct_tests {
         let mut tx = null_tx();
         match retry::<()>(&mut tx) {
             Err(TxCtl::Deschedule(WaitSpec::ReadSetValues)) => {}
+            other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn condvar_wait_without_a_runtime_returns_its_request() {
+        let mut tx = null_tx();
+        match crate::TmCondVar::new().wait(&mut tx) {
+            Err(TxCtl::Deschedule(WaitSpec::Addrs(addrs))) => assert_eq!(addrs.len(), 1),
             other => panic!("unexpected: {other:?}"),
         }
     }

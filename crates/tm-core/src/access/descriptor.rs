@@ -29,7 +29,7 @@ pub struct Descriptor {
     pub writes: WriteLog,
     /// The `Retry` value log (first observed value per address), filled
     /// only in [`crate::tx::TxMode::SoftwareRetry`].  Not touched by
-    /// [`Descriptor::reset`]: it spans a `commit_and_reopen`, and the driver
+    /// [`Descriptor::reset`]: it spans a `commit_and_wait`, and the driver
     /// clears it when it begins a value-logging attempt.
     pub waitset: WriteLog,
     /// Ownership records held by an eager-STM attempt.

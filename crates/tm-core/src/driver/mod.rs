@@ -46,6 +46,7 @@ mod wake;
 
 pub use engine::{Attempt, CommitOutcome, TxEngine};
 pub use run::{run, run_kind};
+pub(crate) use wake::wake_after_commit;
 pub use wake::{
     deschedule, deschedule_until, poll_timers, wake_waiters_matching, DescheduleOutcome,
 };

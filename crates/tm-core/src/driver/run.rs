@@ -21,8 +21,9 @@
 //! a body that panics unwinds through the same rollback as an abort.
 //!
 //! The deschedule hand-off ([`super::deschedule`]) and the post-commit
-//! [`super::wake_waiters_matching`] scan are called from here and *only* here, so a
-//! future runtime (e.g. a hybrid HTM/STM path) picks up the paper's whole
+//! [`super::wake_waiters_matching`] scan are called from here — and from
+//! [`Tx::commit_and_wait`], the `TMCondVar` baseline's wait point, through
+//! the same helpers — so a runtime picks up the paper's whole
 //! condition-synchronization protocol by implementing the engine trait.
 
 use std::sync::Arc;
@@ -35,7 +36,7 @@ use crate::policy::{CmEvent, CmHistory};
 use crate::stats::{latency_sampled, LatencyHistogram, TxStats};
 use crate::thread::ThreadCtx;
 use crate::tx::{Tx, TxCommon, TxKind, TxMode};
-use crate::waitlist::{WakeReason, WakeSet};
+use crate::waitlist::WakeReason;
 
 use super::engine::{Attempt, TxEngine};
 use super::wake;
@@ -187,30 +188,18 @@ where
                             note(thread.stats.op_histogram(class));
                         }
                     }
-                    if outcome.was_writer {
-                        // Post-commit wake-ups (every mechanism's, Retry-Orig
-                        // included), targeted at the shards covering the
-                        // commit's write-set stripes.  The empty-registry
-                        // check keeps the common no-sleeper case at one
-                        // atomic load.  A waiter registering after it is
-                        // covered by its own double-check, which runs after
-                        // our (completed) commit.
-                        if !engine.system().waiters.is_empty() {
-                            // The cover buffer is moved into the wake set,
-                            // not copied, and handed back afterwards; the
-                            // descriptor is released in between because each
-                            // wake check is a transaction of its own.
-                            let wake_set = if outcome.serial {
-                                WakeSet::All
-                            } else {
-                                WakeSet::Stripes(std::mem::take(&mut desc.cover))
-                            };
-                            drop(desc);
-                            wake::wake_waiters_matching(engine, thread, &wake_set);
-                            if let WakeSet::Stripes(cover) = wake_set {
-                                thread.checkout().cover = cover;
-                            }
-                        }
+                    // Post-commit wake-ups (every mechanism's, Retry-Orig
+                    // included).  The empty-registry check keeps the common
+                    // no-sleeper case at one atomic load; a waiter
+                    // registering after it is covered by its own
+                    // double-check, which runs after our (completed) commit.
+                    if outcome.was_writer && !engine.system().waiters.is_empty() {
+                        // Each wake check is a transaction of its own:
+                        // release the descriptor so they find it warm.
+                        let mut cover = std::mem::take(&mut desc.cover);
+                        drop(desc);
+                        wake::wake_after_commit(engine, thread, outcome.serial, &mut cover);
+                        thread.checkout().cover = cover;
                     }
                     return value;
                 }

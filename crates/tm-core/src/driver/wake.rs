@@ -146,8 +146,8 @@ impl Tx for FootprintTx<'_> {
     fn free(&mut self, addr: Addr, words: usize) -> TxResult<()> {
         self.inner.free(addr, words)
     }
-    fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
-        self.inner.commit_and_reopen(block)
+    fn commit_and_wait(&mut self, condition: WaitCondition) -> TxResult<()> {
+        self.inner.commit_and_wait(condition)
     }
     fn common(&self) -> &TxCommon {
         self.inner.common()
@@ -405,6 +405,32 @@ pub fn poll_timers(rt: &dyn TmRuntime, thread: &Arc<ThreadCtx>) {
     }
 }
 
+/// The wake scan a writer commit owes (Algorithm 4, `wakeWaiters`): every
+/// shard after a serial commit, which leaves no write-set metadata, else the
+/// shards of the commit's stripe `cover`, which is moved into the wake set
+/// rather than copied and handed back in place.
+///
+/// The driver calls this after a transaction's last commit and
+/// [`Tx::commit_and_wait`] after the commit at a wait point.  Each wake
+/// check is a transaction of its own on `thread`, so a caller still holding
+/// the thread's descriptor makes them run on a cold one.
+pub(crate) fn wake_after_commit(
+    rt: &dyn TmRuntime,
+    thread: &Arc<ThreadCtx>,
+    serial: bool,
+    cover: &mut Vec<usize>,
+) {
+    let wake_set = if serial {
+        WakeSet::All
+    } else {
+        WakeSet::Stripes(std::mem::take(cover))
+    };
+    wake_waiters_matching(rt, thread, &wake_set);
+    if let WakeSet::Stripes(stripes) = wake_set {
+        *cover = stripes;
+    }
+}
+
 /// Gathers the waiters registered under the stripes of `wake` after a writer
 /// commit and wakes every sleeper whose condition now holds (Algorithm 4,
 /// `wakeWaiters`, sharded).
@@ -468,6 +494,7 @@ mod tests {
 
     /// A toy runtime whose "transactions" are direct heap accesses; adequate
     /// for exercising the deschedule/wake protocol in isolation.
+    #[derive(Debug)]
     struct ToyRuntime {
         system: Arc<TmSystem>,
         exec_count: AtomicU64,
@@ -492,10 +519,6 @@ mod tests {
         }
         fn free(&mut self, addr: Addr, words: usize) -> TxResult<()> {
             self.system.heap.dealloc(addr, words);
-            Ok(())
-        }
-        fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
-            block();
             Ok(())
         }
         fn common(&self) -> &TxCommon {

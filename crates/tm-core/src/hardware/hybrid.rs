@@ -95,12 +95,13 @@ impl TxEngine for HybridTm {
         common: TxCommon,
     ) -> LadderTx<'a> {
         match common.mode {
-            TxMode::Hardware => LadderTx::Hw(HtmTx::begin(&self.htm, thread, desc, common)),
+            // A hardware attempt sleeps on the hybrid, not on its simulator.
+            TxMode::Hardware => LadderTx::Hw(HtmTx::begin(&self.htm, self, thread, desc, common)),
             // The software rungs are real STM attempts whose commits claim
             // their written lines in the directory; `Serial` is the same type
             // behind the gate.
             _ => LadderTx::Sw(LazyTx::begin_with(
-                &self.system,
+                self,
                 thread,
                 desc,
                 common,

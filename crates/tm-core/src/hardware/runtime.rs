@@ -87,10 +87,10 @@ impl TxEngine for HtmSim {
         common: TxCommon,
     ) -> LadderTx<'a> {
         match common.mode {
-            TxMode::Hardware => LadderTx::Hw(HtmTx::begin(self, thread, desc, common)),
+            TxMode::Hardware => LadderTx::Hw(HtmTx::begin(self, self, thread, desc, common)),
             // No instrumented rung exists here: every software mode runs
             // behind the serial gate, value-logging under `SoftwareRetry`.
-            _ => LadderTx::Sw(LazyTx::begin_serial(&self.system, thread, desc, common)),
+            _ => LadderTx::Sw(LazyTx::begin_serial(self, thread, desc, common)),
         }
     }
 

@@ -17,7 +17,7 @@ use super::runtime::HtmSim;
 use crate::access::{Descriptor, WriteLog};
 use crate::addr::Addr;
 use crate::ctl::{AbortReason, TxCtl, TxResult, WaitCondition, WaitSpec};
-use crate::driver::{Attempt, CommitOutcome};
+use crate::driver::{deschedule_until, wake_after_commit, Attempt, CommitOutcome};
 use crate::orec::{OrecTable, OrecValue};
 use crate::runtime::TmRuntime;
 use crate::software::LazyTx;
@@ -75,22 +75,28 @@ fn written_cover(dir: &Directory, redo: &WriteLog, cover: &mut Vec<usize>) {
 #[derive(Debug)]
 pub struct HtmTx<'a> {
     rt: &'a HtmSim,
+    /// The runtime that began the attempt — `rt`, or the hybrid around it:
+    /// a [`Tx::commit_and_wait`] sleeps on it.
+    engine: &'a dyn TmRuntime,
     thread: &'a Arc<ThreadCtx>,
     d: &'a mut Descriptor,
     common: TxCommon,
 }
 
 impl<'a> HtmTx<'a> {
-    /// Begins a new speculative attempt of `thread` on the empty logs of
-    /// `d`, once the serial gate is free (lock-elision subscription).
+    /// Begins a new speculative attempt of `thread` on `rt`, for `engine`,
+    /// on the empty logs of `d`, once the serial gate is free (lock-elision
+    /// subscription).
     pub fn begin(
         rt: &'a HtmSim,
+        engine: &'a dyn TmRuntime,
         thread: &'a Arc<ThreadCtx>,
         d: &'a mut Descriptor,
         common: TxCommon,
     ) -> Self {
         let tx = HtmTx {
             rt,
+            engine,
             thread,
             d,
             common,
@@ -99,7 +105,7 @@ impl<'a> HtmTx<'a> {
         tx
     }
 
-    /// Starts (or, after `commit_and_reopen`, restarts) the attempt.
+    /// Starts (or, after `commit_and_wait`, restarts) the attempt.
     fn enter(&self) {
         self.rt.system().serial.wait_clear();
         // A stale doom flag from a previous attempt must not kill this one.
@@ -346,10 +352,14 @@ impl Tx for HtmTx<'_> {
         Ok(())
     }
 
-    fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
-        self.commit()?;
+    fn commit_and_wait(&mut self, condition: WaitCondition) -> TxResult<()> {
+        // The commit clears every directory slot, so the sleep holds none.
+        let outcome = self.commit()?;
         TxStats::bump(&self.thread.stats.hw_commits);
-        block();
+        if outcome.was_writer {
+            wake_after_commit(self.engine, self.thread, outcome.serial, &mut self.d.cover);
+        }
+        deschedule_until(self.engine, self.thread, condition, None);
         // Begin the continuation transaction, speculative again, on the
         // committed attempt's (emptied) logs.
         self.enter();
@@ -439,8 +449,8 @@ impl Tx for LadderTx<'_> {
         delegate!(self, tx => tx.free(addr, words))
     }
 
-    fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
-        delegate!(self, tx => tx.commit_and_reopen(block))
+    fn commit_and_wait(&mut self, condition: WaitCondition) -> TxResult<()> {
+        delegate!(self, tx => tx.commit_and_wait(condition))
     }
 
     fn common(&self) -> &TxCommon {

@@ -10,7 +10,6 @@
 
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
-use std::time::Duration;
 
 /// A mutual-exclusion lock whose `lock` returns the guard directly.
 #[derive(Debug, Default)]
@@ -61,18 +60,6 @@ impl Condvar {
         let inner = guard.0.take().expect("guard present outside wait");
         let inner = self.0.wait(inner).unwrap_or_else(PoisonError::into_inner);
         guard.0 = Some(inner);
-    }
-
-    /// Like [`Condvar::wait`], but gives up after `timeout`.  Returns `true`
-    /// if the wait timed out.
-    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) -> bool {
-        let inner = guard.0.take().expect("guard present outside wait");
-        let (inner, res) = self
-            .0
-            .wait_timeout(inner, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.0 = Some(inner);
-        res.timed_out()
     }
 
     /// Wakes one blocked waiter.
@@ -139,6 +126,7 @@ impl<T> DerefMut for RwLockWriteGuard<'_, T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn mutex_guards_exclusive_access() {
@@ -175,14 +163,6 @@ mod tests {
         *lock.lock() = true;
         cv.notify_one();
         assert_eq!(h.join().unwrap(), 42);
-    }
-
-    #[test]
-    fn condvar_wait_for_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        assert!(cv.wait_for(&mut g, Duration::from_millis(10)));
     }
 
     #[test]

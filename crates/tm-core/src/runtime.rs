@@ -14,7 +14,7 @@ use crate::thread::ThreadCtx;
 use crate::tx::Tx;
 
 /// Object-safe view of a transaction runtime.
-pub trait TmRuntime: Send + Sync {
+pub trait TmRuntime: Send + Sync + std::fmt::Debug {
     /// The system this runtime executes against.
     fn system(&self) -> &Arc<TmSystem>;
 
@@ -124,6 +124,7 @@ mod tests {
     use crate::config::TmConfig;
 
     /// A trivially sequential runtime used to exercise the default method.
+    #[derive(Debug)]
     struct DirectRuntime {
         system: Arc<TmSystem>,
     }

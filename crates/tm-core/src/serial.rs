@@ -241,7 +241,7 @@ mod tests {
     use crate::config::TmConfig;
     use crate::ctl::{WaitCondition, WaitSpec};
     use crate::driver::Attempt;
-    use crate::software::LazyTx;
+    use crate::software::{LazyStm, LazyTx};
     use crate::tx::{Tx, TxCommon, TxMode};
     use std::sync::Arc;
 
@@ -290,9 +290,10 @@ mod tests {
     #[test]
     fn serial_attempt_commits_writes_in_place() {
         let system = TmSystem::new(TmConfig::small());
+        let rt = LazyStm::new(Arc::clone(&system));
         let th = system.register_thread();
         let mut d = Descriptor::default();
-        let mut tx = LazyTx::begin(&system, &th, &mut d, serial());
+        let mut tx = LazyTx::begin(&*rt, &th, &mut d, serial());
         assert!(system.serial.held());
         tx.write(Addr(5), 42).unwrap();
         assert_eq!(tx.read(Addr(5)).unwrap(), 42);
@@ -312,11 +313,12 @@ mod tests {
     #[test]
     fn dropping_a_serial_attempt_restores_frees_and_releases() {
         let system = TmSystem::new(TmConfig::small());
+        let rt = LazyStm::new(Arc::clone(&system));
         system.heap.store(Addr(7), 9);
         let th = system.register_thread();
         let mut d = Descriptor::default();
         let before = system.heap.allocated_words();
-        let mut tx = LazyTx::begin(&system, &th, &mut d, serial());
+        let mut tx = LazyTx::begin(&*rt, &th, &mut d, serial());
         tx.write(Addr(7), 100).unwrap();
         tx.write(Addr(7), 200).unwrap();
         assert!(!tx.alloc(4).unwrap().is_null());
@@ -330,10 +332,11 @@ mod tests {
     #[test]
     fn deschedule_capture_reflects_pre_transaction_state() {
         let system = TmSystem::new(TmConfig::small());
+        let rt = LazyStm::new(Arc::clone(&system));
         system.heap.store(Addr(20), 5);
         let th = system.register_thread();
         let mut d = Descriptor::default();
-        let mut tx = LazyTx::begin(&system, &th, &mut d, serial());
+        let mut tx = LazyTx::begin(&*rt, &th, &mut d, serial());
         tx.write(Addr(20), 6).unwrap();
         let cond = tx
             .rollback_for_deschedule(WaitSpec::Addrs(vec![Addr(20)]))

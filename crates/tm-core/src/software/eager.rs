@@ -175,7 +175,8 @@ mod tests {
     /// Commits `val` to `addr` from a fresh thread.
     fn commit_write(system: &Arc<TmSystem>, addr: Addr, val: u64) {
         let (th, mut d) = party(system);
-        let mut w = EagerTx::begin(system, &th, &mut d, software());
+        let rt = EagerStm::new(Arc::clone(system));
+        let mut w = EagerTx::begin(&*rt, &th, &mut d, software());
         w.write(addr, val).unwrap();
         w.try_commit().unwrap();
     }
@@ -183,8 +184,9 @@ mod tests {
     #[test]
     fn read_your_own_write() {
         let system = TmSystem::new(TmConfig::small());
+        let rt = EagerStm::new(Arc::clone(&system));
         let (th, mut d) = party(&system);
-        let mut tx = EagerTx::begin(&system, &th, &mut d, software());
+        let mut tx = EagerTx::begin(&*rt, &th, &mut d, software());
         tx.write(Addr(5), 42).unwrap();
         assert_eq!(tx.read(Addr(5)).unwrap(), 42);
     }
@@ -192,9 +194,10 @@ mod tests {
     #[test]
     fn writes_are_in_place_and_undone_on_rollback() {
         let system = TmSystem::new(TmConfig::small());
+        let rt = EagerStm::new(Arc::clone(&system));
         system.heap.store(Addr(5), 7);
         let (th, mut d) = party(&system);
-        let mut tx = EagerTx::begin(&system, &th, &mut d, software());
+        let mut tx = EagerTx::begin(&*rt, &th, &mut d, software());
         tx.write(Addr(5), 100).unwrap();
         assert_eq!(system.heap.load(Addr(5)), 100, "eager STM updates in place");
         drop(tx);
@@ -208,8 +211,9 @@ mod tests {
     #[test]
     fn commit_releases_locks_at_new_version() {
         let system = TmSystem::new(TmConfig::small());
+        let rt = EagerStm::new(Arc::clone(&system));
         let (th, mut d) = party(&system);
-        let mut tx = EagerTx::begin(&system, &th, &mut d, software());
+        let mut tx = EagerTx::begin(&*rt, &th, &mut d, software());
         tx.write(Addr(9), 3).unwrap();
         let idx = system.orecs.index_for(Addr(9));
         assert!(system.orecs.load(idx).is_locked());
@@ -226,10 +230,11 @@ mod tests {
     #[test]
     fn conflicting_write_lock_aborts_second_writer() {
         let system = TmSystem::new(TmConfig::small());
+        let rt = EagerStm::new(Arc::clone(&system));
         let (t1, mut d1) = party(&system);
         let (t2, mut d2) = party(&system);
-        let mut tx1 = EagerTx::begin(&system, &t1, &mut d1, software());
-        let mut tx2 = EagerTx::begin(&system, &t2, &mut d2, software());
+        let mut tx1 = EagerTx::begin(&*rt, &t1, &mut d1, software());
+        let mut tx2 = EagerTx::begin(&*rt, &t2, &mut d2, software());
         tx1.write(Addr(4), 1).unwrap();
         assert!(matches!(
             tx2.write(Addr(4), 2),
@@ -240,25 +245,22 @@ mod tests {
     #[test]
     fn read_of_locked_location_aborts() {
         let system = TmSystem::new(TmConfig::small());
+        let rt = EagerStm::new(Arc::clone(&system));
         let (t1, mut d1) = party(&system);
         let (t2, mut d2) = party(&system);
-        let mut tx1 = EagerTx::begin(&system, &t1, &mut d1, software());
+        let mut tx1 = EagerTx::begin(&*rt, &t1, &mut d1, software());
         tx1.write(Addr(8), 5).unwrap();
-        let mut tx2 = EagerTx::begin(&system, &t2, &mut d2, software());
+        let mut tx2 = EagerTx::begin(&*rt, &t2, &mut d2, software());
         assert!(tx2.read(Addr(8)).is_err());
     }
 
     #[test]
     fn retry_mode_logs_pre_transaction_values() {
         let system = TmSystem::new(TmConfig::small());
+        let rt = EagerStm::new(Arc::clone(&system));
         system.heap.store(Addr(12), 50);
         let (th, mut d) = party(&system);
-        let mut tx = EagerTx::begin(
-            &system,
-            &th,
-            &mut d,
-            TxCommon::new(TxMode::SoftwareRetry, 1),
-        );
+        let mut tx = EagerTx::begin(&*rt, &th, &mut d, TxCommon::new(TxMode::SoftwareRetry, 1));
         assert_eq!(tx.read(Addr(12)).unwrap(), 50);
         tx.write(Addr(12), 99).unwrap();
         // A read-after-write must log the value from *before* the write,
@@ -270,9 +272,10 @@ mod tests {
     #[test]
     fn deschedule_rollback_captures_await_values() {
         let system = TmSystem::new(TmConfig::small());
+        let rt = EagerStm::new(Arc::clone(&system));
         system.heap.store(Addr(20), 5);
         let (th, mut d) = party(&system);
-        let mut tx = EagerTx::begin(&system, &th, &mut d, software());
+        let mut tx = EagerTx::begin(&*rt, &th, &mut d, software());
         assert_eq!(tx.read(Addr(20)).unwrap(), 5);
         tx.write(Addr(20), 6).unwrap();
         let cond = tx
@@ -305,8 +308,9 @@ mod tests {
     #[test]
     fn await_capture_rejects_a_location_committed_after_begin() {
         let system = TmSystem::new(TmConfig::small().without_quiescence());
+        let rt = EagerStm::new(Arc::clone(&system));
         let (th, mut d) = party(&system);
-        let tx = EagerTx::begin(&system, &th, &mut d, software());
+        let tx = EagerTx::begin(&*rt, &th, &mut d, software());
         commit_write(&system, Addr(20), 8);
         // The word's version is past our start: the capture must refuse
         // rather than record the new value as the one to wait on.

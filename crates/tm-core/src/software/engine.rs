@@ -43,7 +43,7 @@ impl<P: SoftwareProtocol> TxEngine for SoftwareStm<P> {
         desc: &'a mut Descriptor,
         common: TxCommon,
     ) -> SoftwareTx<'a, P> {
-        SoftwareTx::begin(&self.system, thread, desc, common)
+        SoftwareTx::begin(self, thread, desc, common)
     }
 }
 

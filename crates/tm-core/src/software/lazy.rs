@@ -189,7 +189,8 @@ mod tests {
     /// Commits `val` to `addr` from a fresh thread.
     fn commit_write(system: &Arc<TmSystem>, addr: Addr, val: u64) {
         let (th, mut d) = party(system);
-        let mut w = LazyTx::begin(system, &th, &mut d, software());
+        let rt = LazyStm::new(Arc::clone(system));
+        let mut w = LazyTx::begin(&*rt, &th, &mut d, software());
         w.write(addr, val).unwrap();
         w.try_commit().unwrap();
     }
@@ -197,8 +198,9 @@ mod tests {
     #[test]
     fn writes_are_buffered_until_commit() {
         let system = TmSystem::new(TmConfig::small());
+        let rt = LazyStm::new(Arc::clone(&system));
         let (th, mut d) = party(&system);
-        let mut tx = LazyTx::begin(&system, &th, &mut d, software());
+        let mut tx = LazyTx::begin(&*rt, &th, &mut d, software());
         tx.write(Addr(5), 42).unwrap();
         assert_eq!(
             system.heap.load(Addr(5)),
@@ -213,8 +215,9 @@ mod tests {
     #[test]
     fn last_write_to_an_address_wins() {
         let system = TmSystem::new(TmConfig::small());
+        let rt = LazyStm::new(Arc::clone(&system));
         let (th, mut d) = party(&system);
-        let mut tx = LazyTx::begin(&system, &th, &mut d, software());
+        let mut tx = LazyTx::begin(&*rt, &th, &mut d, software());
         tx.write(Addr(3), 1).unwrap();
         tx.write(Addr(3), 2).unwrap();
         tx.write(Addr(3), 3).unwrap();
@@ -226,9 +229,10 @@ mod tests {
     #[test]
     fn rollback_discards_buffered_writes() {
         let system = TmSystem::new(TmConfig::small());
+        let rt = LazyStm::new(Arc::clone(&system));
         system.heap.store(Addr(8), 9);
         let (th, mut d) = party(&system);
-        let mut tx = LazyTx::begin(&system, &th, &mut d, software());
+        let mut tx = LazyTx::begin(&*rt, &th, &mut d, software());
         tx.write(Addr(8), 100).unwrap();
         drop(tx);
         assert_eq!(system.heap.load(Addr(8)), 9);
@@ -239,8 +243,9 @@ mod tests {
         // Single-threaded test driving two handles: disable quiescence so the
         // committing handle does not wait for the in-flight one.
         let system = TmSystem::new(TmConfig::small().without_quiescence());
+        let rt = LazyStm::new(Arc::clone(&system));
         let (th, mut d) = party(&system);
-        let mut tx2 = LazyTx::begin(&system, &th, &mut d, software());
+        let mut tx2 = LazyTx::begin(&*rt, &th, &mut d, software());
         tx2.write(Addr(4), 2).unwrap();
         commit_write(&system, Addr(4), 1);
         // tx2 started before the other commit, so its lock acquisition sees
@@ -254,8 +259,9 @@ mod tests {
         // Single-threaded test driving two handles: disable quiescence so the
         // committing handle does not wait for the in-flight one.
         let system = TmSystem::new(TmConfig::small().without_quiescence());
+        let rt = LazyStm::new(Arc::clone(&system));
         let (th, mut d) = party(&system);
-        let mut tx2 = LazyTx::begin(&system, &th, &mut d, software());
+        let mut tx2 = LazyTx::begin(&*rt, &th, &mut d, software());
         // Another commit to addr 10 makes its version newer than tx2's
         // start, forcing tx2's multi-location commit to fail and release the
         // lock it already took on addr 200.
@@ -272,14 +278,10 @@ mod tests {
     #[test]
     fn retry_log_records_committed_values_not_pending_writes() {
         let system = TmSystem::new(TmConfig::small());
+        let rt = LazyStm::new(Arc::clone(&system));
         system.heap.store(Addr(12), 50);
         let (th, mut d) = party(&system);
-        let mut tx = LazyTx::begin(
-            &system,
-            &th,
-            &mut d,
-            TxCommon::new(TxMode::SoftwareRetry, 1),
-        );
+        let mut tx = LazyTx::begin(&*rt, &th, &mut d, TxCommon::new(TxMode::SoftwareRetry, 1));
         assert_eq!(tx.read(Addr(12)).unwrap(), 50);
         tx.write(Addr(12), 99).unwrap();
         assert_eq!(tx.read(Addr(12)).unwrap(), 99);
@@ -289,8 +291,9 @@ mod tests {
     #[test]
     fn writer_commit_leaves_its_lock_cover_in_the_descriptor() {
         let system = TmSystem::new(TmConfig::small());
+        let rt = LazyStm::new(Arc::clone(&system));
         let (th, mut d) = party(&system);
-        let mut tx = LazyTx::begin(&system, &th, &mut d, software());
+        let mut tx = LazyTx::begin(&*rt, &th, &mut d, software());
         tx.write(Addr(5), 1).unwrap();
         tx.write(Addr(300), 2).unwrap();
         assert!(tx.try_commit().unwrap().was_writer);
@@ -306,9 +309,10 @@ mod tests {
     #[test]
     fn await_snapshot_is_current_memory() {
         let system = TmSystem::new(TmConfig::small());
+        let rt = LazyStm::new(Arc::clone(&system));
         system.heap.store(Addr(20), 5);
         let (th, mut d) = party(&system);
-        let mut tx = LazyTx::begin(&system, &th, &mut d, software());
+        let mut tx = LazyTx::begin(&*rt, &th, &mut d, software());
         assert_eq!(tx.read(Addr(20)).unwrap(), 5);
         tx.write(Addr(20), 6).unwrap();
         let cond = tx

@@ -36,7 +36,8 @@ use std::sync::Arc;
 use crate::access::{Descriptor, ReadSet};
 use crate::addr::Addr;
 use crate::ctl::{AbortReason, TxCtl, TxResult, WaitCondition, WaitSpec};
-use crate::driver::{Attempt, CommitOutcome};
+use crate::driver::{deschedule_until, wake_after_commit, Attempt, CommitOutcome};
+use crate::runtime::TmRuntime;
 use crate::serial::{subscribe_begin, SerialAttempt};
 use crate::stats::TxStats;
 use crate::system::TmSystem;
@@ -54,7 +55,10 @@ use crate::tx::{Tx, TxCommon, TxKind, TxMode};
 pub struct SoftwareTxCore<'a> {
     /// The attempt's metadata.
     pub common: TxCommon,
-    /// The system the attempt runs against.
+    /// The runtime that began the attempt: a [`Tx::commit_and_wait`] sleeps
+    /// on it.
+    pub rt: &'a dyn TmRuntime,
+    /// The system the attempt runs against (`rt`'s).
     pub system: &'a Arc<TmSystem>,
     /// The executing thread.
     pub thread: &'a Arc<ThreadCtx>,
@@ -389,29 +393,29 @@ pub struct SoftwareTx<'a, P: SoftwareProtocol> {
 }
 
 impl<'a, P: SoftwareProtocol> SoftwareTx<'a, P> {
-    /// Begins a new attempt of `thread` on the empty logs of `d`: samples
-    /// the clock and publishes the start time for quiescence (through the
-    /// serial gate's subscription protocol), or acquires the serial gate for
-    /// [`TxMode::Serial`] attempts.
+    /// Begins a new attempt of `thread` on `rt` on the empty logs of `d`:
+    /// samples the clock and publishes the start time for quiescence
+    /// (through the serial gate's subscription protocol), or acquires the
+    /// serial gate for [`TxMode::Serial`] attempts.
     pub fn begin(
-        system: &'a Arc<TmSystem>,
+        rt: &'a dyn TmRuntime,
         thread: &'a Arc<ThreadCtx>,
         d: &'a mut Descriptor,
         common: TxCommon,
     ) -> Self {
-        Self::begin_with(system, thread, d, common, Default::default())
+        Self::begin_with(rt, thread, d, common, Default::default())
     }
 
     /// [`SoftwareTx::begin`] with explicit protocol state.
     pub fn begin_with(
-        system: &'a Arc<TmSystem>,
+        rt: &'a dyn TmRuntime,
         thread: &'a Arc<ThreadCtx>,
         d: &'a mut Descriptor,
         common: TxCommon,
         state: P::State<'a>,
     ) -> Self {
         let serial = common.mode == TxMode::Serial;
-        Self::begin_as(system, thread, d, common, state, serial)
+        Self::begin_as(rt, thread, d, common, state, serial)
     }
 
     /// Begins an attempt that runs behind the serial gate whatever
@@ -420,27 +424,29 @@ impl<'a, P: SoftwareProtocol> SoftwareTx<'a, P> {
     /// re-execute "in a software mode with escape actions", §2.2.2).  Under
     /// [`TxMode::SoftwareRetry`] its reads are value-logged.
     pub fn begin_serial(
-        system: &'a Arc<TmSystem>,
+        rt: &'a dyn TmRuntime,
         thread: &'a Arc<ThreadCtx>,
         d: &'a mut Descriptor,
         common: TxCommon,
     ) -> Self {
-        Self::begin_as(system, thread, d, common, Default::default(), true)
+        Self::begin_as(rt, thread, d, common, Default::default(), true)
     }
 
     fn begin_as(
-        system: &'a Arc<TmSystem>,
+        rt: &'a dyn TmRuntime,
         thread: &'a Arc<ThreadCtx>,
         d: &'a mut Descriptor,
         common: TxCommon,
         state: P::State<'a>,
         serial: bool,
     ) -> Self {
+        let system = rt.system();
         let snapshot =
             !serial && common.kind == TxKind::ReadOnly && common.mode == TxMode::Software;
         let (serial, start) = open(system, thread, serial);
         let core = SoftwareTxCore {
             common,
+            rt,
             system,
             thread,
             d,
@@ -572,23 +578,24 @@ impl<P: SoftwareProtocol> Tx for SoftwareTx<'_, P> {
         self.core.free(addr, words)
     }
 
-    fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
-        // Used only by transaction-safe condition variables: commit the work
-        // so far (breaking atomicity), run the blocking section outside any
-        // transaction, then begin a fresh transaction for the remainder in
-        // the same flavour (a serial attempt re-acquires the gate).
+    fn commit_and_wait(&mut self, condition: WaitCondition) -> TxResult<()> {
+        // Commit the work so far (breaking atomicity), sleep holding nothing,
+        // then begin the remainder in the same flavour (a serial attempt
+        // re-acquires the gate).
         let serial = self.core.serial.is_some();
         let outcome = self.commit()?;
+        let (rt, thread) = (self.core.rt, self.core.thread);
         // Only writer segments count, and serial_commits ⊆ sw_commits as the
         // stats docs establish.
         if outcome.was_writer {
-            TxStats::bump(&self.core.thread.stats.sw_commits);
+            TxStats::bump(&thread.stats.sw_commits);
             if serial {
-                TxStats::bump(&self.core.thread.stats.serial_commits);
+                TxStats::bump(&thread.stats.serial_commits);
             }
+            wake_after_commit(rt, thread, outcome.serial, &mut self.core.d.cover);
         }
-        block();
-        let (reopened, start) = open(self.core.system, self.core.thread, serial);
+        deschedule_until(rt, thread, condition, None);
+        let (reopened, start) = open(self.core.system, thread, serial);
         self.core.serial = reopened;
         self.core.start = start;
         Ok(())

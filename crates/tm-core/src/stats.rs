@@ -380,9 +380,6 @@ stats_fields! {
     /// Hardware aborts manufactured by the fault injector
     /// (`FaultInjector`); zero whenever injection is disabled.
     hw_faults_injected,
-    /// TMCondVar watchdog timeouts delivered as spurious wake-ups: the
-    /// bounded re-delivery that closes the signal-before-commit window.
-    watchdog_redeliveries,
     /// Commit-time quiescence rounds executed for privatization safety.
     quiesce_rounds,
     /// Epoch-table slots examined by quiescence scans (commit-time

@@ -257,8 +257,8 @@ impl ThreadCtx {
     /// another transaction on this thread (wake checks, the deschedule
     /// double-check), so those run on the same warm containers.  A
     /// transaction started while the descriptor is still out — from inside
-    /// a body, or from a `commit_and_reopen` block — gets a cold one of its
-    /// own instead of waiting.
+    /// a body, or from a `commit_and_wait`'s wake scan and sleep — gets a
+    /// cold one of its own instead of waiting.
     pub fn checkout(&self) -> Checkout<'_> {
         let busy = self.descriptor.busy.swap(true, Ordering::Acquire);
         Checkout {

@@ -4,14 +4,14 @@
 //! run unchanged on the eager STM, the lazy STM and the HTM simulator.  The
 //! handle exposes word reads and writes (the paper's `TxRead`/`TxWrite`
 //! instrumentation), transactional allocation, the `read-for-write`
-//! optimisation used by production STMs (§2.2.4), and the commit-and-reopen
+//! optimisation used by production STMs (§2.2.4), and the commit-and-wait
 //! hook needed by transaction-safe condition variables.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::addr::Addr;
-use crate::ctl::{AbortReason, TxCtl, TxResult};
+use crate::ctl::{AbortReason, TxCtl, TxResult, WaitCondition, WaitSpec};
 use crate::system::TmSystem;
 use crate::thread::ThreadCtx;
 use crate::waitlist::WakeReason;
@@ -131,14 +131,33 @@ pub trait Tx {
     /// until the transaction commits.
     fn free(&mut self, addr: Addr, words: usize) -> TxResult<()>;
 
-    /// Commits the transaction's work so far, runs `block` outside any
-    /// transaction, then begins a fresh transaction for the remainder of the
-    /// body.
+    /// Commits the transaction's work so far, sleeps until a later commit
+    /// establishes `condition`, then begins a fresh transaction for the
+    /// remainder of the body in the same flavour.
+    ///
+    /// The commit is an ordinary one: it wakes the sleepers its writes
+    /// concern, exactly as the driver's final commit does.  The sleep is the
+    /// ordinary `Deschedule` sleep ([`crate::driver::deschedule_until`]) on
+    /// the runtime that began the attempt, during which the thread holds no
+    /// published start, no serial gate and no directory slot.  An `Err`
+    /// means the commit failed; the attempt is then rolled back like any
+    /// aborted one.
     ///
     /// This deliberately *breaks atomicity* and exists only to implement
     /// transaction-safe condition variables (the `TMCondVar` baseline); the
-    /// paper's own mechanisms never need it.
-    fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()>;
+    /// paper's own mechanisms never need it.  A handle with no runtime
+    /// behind it (a test double such as [`DirectTx`]) cannot sleep: the
+    /// default returns the request to the caller as a
+    /// [`TxCtl::Deschedule`].
+    fn commit_and_wait(&mut self, condition: WaitCondition) -> TxResult<()> {
+        Err(TxCtl::Deschedule(match condition {
+            WaitCondition::ValuesChanged(pairs) => {
+                WaitSpec::Addrs(pairs.into_iter().map(|(addr, _)| addr).collect())
+            }
+            WaitCondition::Pred { f, args } => WaitSpec::Pred { f, args },
+            WaitCondition::LocksMoved { .. } => WaitSpec::OrigReadLocks,
+        }))
+    }
 
     /// Access to the attempt metadata.
     fn common(&self) -> &TxCommon;
@@ -166,8 +185,9 @@ pub trait Tx {
 /// views, data structures, wait constructs — when the logic under test needs
 /// a heap but no runtime.  It reports [`TxMode::Serial`] because, like a
 /// serial attempt, it is only correct while nothing else touches the heap.
-/// Control requests (`Err(TxCtl::…)`) are returned to the caller as they
-/// are: there is no driver loop behind it to act on them.
+/// Control requests (`Err(TxCtl::…)`), a `commit_and_wait` included, are
+/// returned to the caller as they are: there is no driver loop behind it to
+/// act on them.
 #[derive(Debug)]
 pub struct DirectTx {
     common: TxCommon,
@@ -205,11 +225,6 @@ impl Tx for DirectTx {
 
     fn free(&mut self, addr: Addr, words: usize) -> TxResult<()> {
         self.system.heap.dealloc(addr, words);
-        Ok(())
-    }
-
-    fn commit_and_reopen(&mut self, block: &mut dyn FnMut()) -> TxResult<()> {
-        block();
         Ok(())
     }
 

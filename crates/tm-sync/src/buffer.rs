@@ -168,8 +168,7 @@ impl TmBoundedBuffer {
                     self.notfull.wait(tx)?;
                 }
                 self.put(tx, x)?;
-                self.notempty.signal_from(tx);
-                Ok(())
+                self.notempty.signal_from(tx)
             }
             _ => {
                 if self.full(tx)? {
@@ -196,7 +195,7 @@ impl TmBoundedBuffer {
                     self.notempty.wait(tx)?;
                 }
                 let x = self.get(tx)?;
-                self.notfull.signal_from(tx);
+                self.notfull.signal_from(tx)?;
                 Ok(x)
             }
             _ => {

@@ -12,8 +12,8 @@
 //!
 //! The KV plane — [`map::TmHashMap`] (primary store, with a measured
 //! stripe-aligned layout) and [`ordered::TmOrderedMap`] (skiplist index for
-//! range scans) — backs the `kv_store` session-store scenario and its
-//! tail-latency benchmark.
+//! range scans) — backs the benchmark's session-store workload
+//! (`kv_session`).
 //!
 //! The blocking structures also expose **timed** operations built on the
 //! deadline-carrying waits of `condsync`

@@ -6,7 +6,7 @@
 //! using the paper's mechanisms ([`TmHashMap::get_waiting`]).  The table is
 //! the kind of shared index the PARSEC applications keep under a lock
 //! (dedup's chunk index, ferret's result table) and the primary store of the
-//! `kv_store` session-store scenario; it is deliberately simple — no
+//! benchmark's session-store workload; it is deliberately simple — no
 //! resizing, no tombstone compaction beyond what linear probing needs —
 //! because its job is to exercise multi-word transactions, not to be a
 //! general-purpose collection.

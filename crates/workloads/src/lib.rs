@@ -13,10 +13,8 @@
 //!
 //! Beyond the paper, [`timeout`] exercises the timed-wait extension
 //! (`consume_timeout` over a stalling pipeline; lossy consumers that give
-//! up after repeated deadline misses), and [`kv_store`] is the
-//! server-shaped session-store scenario: Zipf-skewed get/put/delete/scan
-//! traffic ([`zipf`]) over the transactional KV plane with bounded-mailbox
-//! flow control and per-operation-class tail latency.
+//! up after repeated deadline misses), and [`zipf`] draws the skewed keys
+//! of the benchmark's session-store mix over the transactional KV plane.
 //!
 //! Both families run every combination of the seven mechanisms
 //! ([`condsync::Mechanism`]) and the three runtime configurations
@@ -28,7 +26,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod json;
-pub mod kv_store;
 pub mod loc;
 pub mod parsec;
 pub mod pc;

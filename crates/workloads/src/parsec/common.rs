@@ -80,7 +80,7 @@ impl ThresholdEvent {
     /// precisely the paper's point.)
     pub fn add(&self, tx: &mut dyn Tx, n: u64) -> TxResult<u64> {
         let v = self.counter.add(tx, n)?;
-        self.condvar.broadcast_from(tx);
+        self.condvar.broadcast_from(tx)?;
         Ok(v)
     }
 

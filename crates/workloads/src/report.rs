@@ -165,14 +165,12 @@ const GROUPS: &[(&str, &[Col])] = &[
             gate("explicit aborts", 8, |s| s.explicit_aborts),
         ],
     ),
-    // Injected faults and TMCondVar watchdog re-deliveries, alongside the
-    // total hardware aborts they hide among.
+    // Injected faults, alongside the total hardware aborts they hide among.
     (
         "hardware-plane",
         &[
             gate("faults injected", 8, |s| s.hw_faults_injected),
             show("hw aborts", 8, |s| s.hw_aborts),
-            gate("watchdog redeliveries", 8, |s| s.watchdog_redeliveries),
         ],
     ),
     // Shared counter writes against lazy stamps that reused the clock (the
@@ -770,7 +768,6 @@ mod tests {
             counters: &[
                 ("hw_faults_injected", 33, "faults injected       33"),
                 ("hw_aborts", 40, "hw aborts       40"),
-                ("watchdog_redeliveries", 2, "watchdog redeliveries        2"),
             ],
         },
         GroupCase {

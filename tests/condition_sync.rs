@@ -3,6 +3,7 @@
 //! multi-address Await, each exercised through the full runtime stack
 //! (driver loop → rollback → deschedule → wakeWaiters), on all runtimes.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -312,40 +313,118 @@ fn staggered_thresholds_all_waiters_finish() {
 }
 
 /// The TMCondVar baseline still synchronizes correctly (it just breaks
-/// atomicity, which `composition.rs` covers).
+/// atomicity, which `composition.rs` covers), and counts its waits and
+/// signals.
 #[test]
 fn tmcondvar_signal_wakes_waiter() {
     let rt = RuntimeKind::EagerStm.build(TmConfig::small());
     let system = Arc::clone(rt.system());
     let ready = TmVar::<u64>::alloc(&system, 0);
-    let cv = Arc::new(TmCondVar::new());
+    let cv = TmCondVar::new();
 
-    let rt_w = rt.clone();
-    let system_w = Arc::clone(&system);
-    let ready_w = ready.clone();
-    let cv_w = Arc::clone(&cv);
-    let waiter = std::thread::spawn(move || {
-        let th = system_w.register_thread();
-        loop {
-            let done = rt_w.atomically(&th, |tx| {
-                if ready_w.get(tx)? != 0 {
+    std::thread::scope(|scope| {
+        let waiter = scope.spawn(|| {
+            let th = system.register_thread();
+            while !rt.atomically(&th, |tx| {
+                if ready.get(tx)? != 0 {
                     return Ok(true);
                 }
-                cv_w.wait(tx)?;
-                Ok(ready_w.get(tx)? != 0)
-            });
-            if done {
-                return;
-            }
-        }
-    });
+                cv.wait(tx)?;
+                Ok(ready.get(tx)? != 0)
+            }) {}
+            th.stats.snapshot().condvar_waits
+        });
 
-    std::thread::sleep(Duration::from_millis(20));
-    let th = system.register_thread();
-    rt.atomically(&th, |tx| {
-        ready.set(tx, 1)?;
-        cv.signal_from(tx);
-        Ok(())
+        std::thread::sleep(Duration::from_millis(20));
+        let th = system.register_thread();
+        rt.atomically(&th, |tx| {
+            ready.set(tx, 1)?;
+            cv.signal_from(tx)
+        });
+        assert!(waiter.join().expect("TMCondVar waiter") >= 1);
+        assert_eq!(th.stats.snapshot().condvar_signals, 1);
     });
-    waiter.join().expect("TMCondVar waiter");
+}
+
+/// The commit at a TMCondVar wait point is an ordinary commit: a write it
+/// publishes wakes a `Retry` sleeper waiting on that word.
+#[test]
+fn tmcondvar_wait_point_commit_wakes_retry_sleepers() {
+    for kind in RuntimeKind::ALL {
+        let rt = kind.build(TmConfig::small());
+        let system = Arc::clone(rt.system());
+        let x = TmVar::<u64>::alloc(&system, 0);
+        let cv = TmCondVar::new();
+        let (woke, done) = std::sync::mpsc::channel();
+
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let th = system.register_thread();
+                rt.atomically(&th, |tx| match x.get(tx)? {
+                    0 => retry(tx),
+                    _ => Ok(()),
+                });
+                let _ = woke.send(());
+            });
+            while system.waiters.is_empty() {
+                std::thread::yield_now();
+            }
+            scope.spawn(|| {
+                let th = system.register_thread();
+                rt.atomically(&th, |tx| {
+                    if x.get(tx)? == 0 {
+                        x.set(tx, 1)?;
+                        cv.wait(tx)?;
+                    }
+                    Ok(())
+                });
+            });
+            let woken = done.recv_timeout(Duration::from_secs(5)).is_ok();
+            // Release both threads whatever happened: a second write wakes a
+            // sleeper the first one missed, the signal ends the wait.
+            let th = system.register_thread();
+            rt.atomically(&th, |tx| {
+                x.set(tx, 2)?;
+                cv.signal_from(tx)
+            });
+            assert!(woken, "{kind}: the wait point's commit woke no sleeper");
+        });
+    }
+}
+
+/// Nothing but a signal ends a TMCondVar wait: unsignalled, the waiter
+/// reaches its wait once and stays asleep.
+#[test]
+fn unsignalled_tmcondvar_wait_stays_asleep() {
+    for kind in RuntimeKind::ALL {
+        let rt = kind.build(TmConfig::small());
+        let system = Arc::clone(rt.system());
+        let released = TmVar::<u64>::alloc(&system, 0);
+        let cv = TmCondVar::new();
+        let waits = AtomicUsize::new(0);
+
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let th = system.register_thread();
+                rt.atomically(&th, |tx| {
+                    while released.get(tx)? == 0 {
+                        waits.fetch_add(1, Ordering::Relaxed);
+                        cv.wait(tx)?;
+                    }
+                    Ok(())
+                });
+            });
+            while waits.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(100));
+            let reached = waits.load(Ordering::Relaxed);
+            let th = system.register_thread();
+            rt.atomically(&th, |tx| {
+                released.set(tx, 1)?;
+                cv.signal_from(tx)
+            });
+            assert_eq!(reached, 1, "{kind}: an unsignalled wait woke up");
+        });
+    }
 }

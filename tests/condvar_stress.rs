@@ -1,12 +1,12 @@
-//! Hang-free TMCondVar: the regression soak for the signal-before-commit
-//! window.
+//! Hang-free TMCondVar: the regression soak for the lost signal.
 //!
 //! The `TMCondVar` baseline commits the in-flight transaction at the wait
-//! point, so on the HTM and hybrid runtimes a signaler's generation bump and
-//! its data commit are separate events.  A waiter that sampled its ticket
-//! after the signal but checked its predicate against pre-commit state used
-//! to sleep forever — a roughly 1-in-120 `producer_consumer` hang before the
-//! watchdog in `condsync::condvar` bounded the window.
+//! point.  When its generation was bumped outside the signaler's
+//! transaction, a waiter that sampled its ticket after the signal but
+//! checked its predicate against pre-commit state slept forever — a roughly
+//! 1-in-120 `producer_consumer` hang on the HTM and hybrid runtimes.  The
+//! generation is now a transactional word the signal writes in the
+//! signaler's own transaction, so the signal commits with its data.
 //!
 //! These tests soak exactly that workload under a hard wall-clock deadline:
 //! each trial runs in its own thread and must report back within
@@ -27,7 +27,7 @@ use tm_repro::workloads::stress_iters;
 const ITEMS: u64 = 384;
 
 /// Hard per-trial deadline.  A healthy trial finishes in well under a
-/// second; a lost wake-up without the watchdog never finishes at all.
+/// second; a lost wake-up never finishes at all.
 const TRIAL_DEADLINE: Duration = Duration::from_secs(60);
 
 /// Runs `5 * stress_iters()` TMCondVar producer/consumer trials on `kind`,
@@ -56,7 +56,7 @@ fn soak(kind: RuntimeKind) {
             Err(_) => panic!(
                 "hang detected: TMCondVar producer/consumer on {kind} \
                  (trial {trial}/{trials}) missed the {TRIAL_DEADLINE:?} deadline \
-                 — a wait slept past the watchdog"
+                 — a signal was lost"
             ),
         }
     }
@@ -75,7 +75,7 @@ fn hybrid_tmcondvar_soak_never_hangs() {
 #[test]
 fn software_tmcondvar_soak_never_hangs() {
     // The software runtimes commit at the wait point synchronously, so the
-    // historical window is narrower there — but the watchdog protocol is
+    // historical window was narrower there — but the wait protocol is
     // shared, and this pins it on every runtime.
     soak(RuntimeKind::EagerStm);
     soak(RuntimeKind::LazyStm);

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use tm_core::software::{Eager, Lazy};
+use tm_core::software::{Eager, Lazy, SoftwareStm};
 use tm_core::{
     AbortReason, Addr, Attempt, ClockMode, Descriptor, SoftwareProtocol, SoftwareTx, ThreadCtx,
     TmConfig, TmSystem, Tx, TxCommon, TxCtl, TxKind, TxMode,
@@ -42,7 +42,8 @@ fn read_only() -> TxCommon {
 /// Commits `val` to `addr` from a fresh thread.
 fn commit_write<P: SoftwareProtocol>(system: &Arc<TmSystem>, addr: Addr, val: u64) {
     let (th, mut d) = party(system);
-    let mut w = SoftwareTx::<P>::begin(system, &th, &mut d, software());
+    let rt = SoftwareStm::<P>::new(Arc::clone(system));
+    let mut w = SoftwareTx::<P>::begin(&*rt, &th, &mut d, software());
     w.write(addr, val).unwrap();
     w.try_commit().unwrap();
 }
@@ -52,9 +53,10 @@ mod case {
 
     pub fn read_only_commit_is_trivial<P: SoftwareProtocol>(clock: ClockMode) {
         let system = TmSystem::new(config(clock));
+        let rt = SoftwareStm::<P>::new(Arc::clone(&system));
         system.heap.store(Addr(3), 11);
         let (th, mut d) = party(&system);
-        let mut tx = SoftwareTx::<P>::begin(&system, &th, &mut d, software());
+        let mut tx = SoftwareTx::<P>::begin(&*rt, &th, &mut d, software());
         assert_eq!(tx.read(Addr(3)).unwrap(), 11);
         let info = tx.try_commit().unwrap();
         assert!(!info.was_writer);
@@ -63,11 +65,12 @@ mod case {
 
     pub fn commit_validation_detects_stale_reads<P: SoftwareProtocol>(clock: ClockMode) {
         let system = two_handle_system(clock);
+        let rt = SoftwareStm::<P>::new(Arc::clone(&system));
         // tx1 reads addr 6, then another transaction commits a write to it,
         // then tx1 writes something else and tries to commit: validation
         // must fail.
         let (t1, mut d1) = party(&system);
-        let mut tx1 = SoftwareTx::<P>::begin(&system, &t1, &mut d1, software());
+        let mut tx1 = SoftwareTx::<P>::begin(&*rt, &t1, &mut d1, software());
         assert_eq!(tx1.read(Addr(6)).unwrap(), 0);
         commit_write::<P>(&system, Addr(6), 9);
         tx1.write(Addr(7), 1).unwrap();
@@ -81,8 +84,9 @@ mod case {
 
     pub fn read_after_foreign_commit_aborts_immediately<P: SoftwareProtocol>(clock: ClockMode) {
         let system = two_handle_system(clock);
+        let rt = SoftwareStm::<P>::new(Arc::clone(&system));
         let (t1, mut d1) = party(&system);
-        let mut tx1 = SoftwareTx::<P>::begin(&system, &t1, &mut d1, software());
+        let mut tx1 = SoftwareTx::<P>::begin(&*rt, &t1, &mut d1, software());
         let _ = tx1.read(Addr(2)).unwrap();
         // Another transaction commits a write to a different orec: tx1 can
         // still read locations whose version predates its start.
@@ -95,8 +99,9 @@ mod case {
         clock: ClockMode,
     ) {
         let system = TmSystem::new(config(clock));
+        let rt = SoftwareStm::<P>::new(Arc::clone(&system));
         let (th, mut d) = party(&system);
-        let mut tx = SoftwareTx::<P>::begin(&system, &th, &mut d, software());
+        let mut tx = SoftwareTx::<P>::begin(&*rt, &th, &mut d, software());
         let _ = tx.read(Addr(1)).unwrap();
         tx.write(Addr(2), 2).unwrap();
         drop(tx);
@@ -109,8 +114,9 @@ mod case {
 
     pub fn transactional_alloc_is_undone_on_rollback<P: SoftwareProtocol>(clock: ClockMode) {
         let system = TmSystem::new(config(clock));
+        let rt = SoftwareStm::<P>::new(Arc::clone(&system));
         let (th, mut d) = party(&system);
-        let mut tx = SoftwareTx::<P>::begin(&system, &th, &mut d, software());
+        let mut tx = SoftwareTx::<P>::begin(&*rt, &th, &mut d, software());
         let before = system.heap.allocated_words();
         let a = tx.alloc(8).unwrap();
         assert!(!a.is_null());
@@ -123,8 +129,9 @@ mod case {
         // Through the read-only commit and through a writer commit.
         for writer in [false, true] {
             let system = TmSystem::new(config(clock));
+            let rt = SoftwareStm::<P>::new(Arc::clone(&system));
             let (th, mut d) = party(&system);
-            let mut tx = SoftwareTx::<P>::begin(&system, &th, &mut d, software());
+            let mut tx = SoftwareTx::<P>::begin(&*rt, &th, &mut d, software());
             let a = system.heap.alloc(4).unwrap();
             let before = system.heap.allocated_words();
             tx.free(a, 4).unwrap();
@@ -143,8 +150,9 @@ mod case {
 
     pub fn read_orec_cover_deduplicates<P: SoftwareProtocol>(clock: ClockMode) {
         let system = TmSystem::new(config(clock));
+        let rt = SoftwareStm::<P>::new(Arc::clone(&system));
         let (th, mut d) = party(&system);
-        let mut tx = SoftwareTx::<P>::begin(&system, &th, &mut d, software());
+        let mut tx = SoftwareTx::<P>::begin(&*rt, &th, &mut d, software());
         let _ = tx.read(Addr(30)).unwrap();
         let _ = tx.read(Addr(30)).unwrap();
         let _ = tx.read(Addr(31)).unwrap();
@@ -153,10 +161,11 @@ mod case {
 
     pub fn snapshot_read_keeps_no_read_set_and_commits_free<P: SoftwareProtocol>(clock: ClockMode) {
         let system = TmSystem::new(config(clock));
+        let rt = SoftwareStm::<P>::new(Arc::clone(&system));
         system.heap.store(Addr(3), 7);
         system.heap.store(Addr(4), 8);
         let (th, mut d) = party(&system);
-        let mut tx = SoftwareTx::<P>::begin(&system, &th, &mut d, read_only());
+        let mut tx = SoftwareTx::<P>::begin(&*rt, &th, &mut d, read_only());
         assert_eq!(tx.read(Addr(3)).unwrap(), 7);
         assert_eq!(tx.read(Addr(4)).unwrap(), 8);
         assert!(tx.core.d.reads.is_empty(), "snapshot reads record nothing");
@@ -169,8 +178,9 @@ mod case {
 
     pub fn snapshot_write_aborts_with_read_only_write<P: SoftwareProtocol>(clock: ClockMode) {
         let system = TmSystem::new(config(clock));
+        let rt = SoftwareStm::<P>::new(Arc::clone(&system));
         let (th, mut d) = party(&system);
-        let mut tx = SoftwareTx::<P>::begin(&system, &th, &mut d, read_only());
+        let mut tx = SoftwareTx::<P>::begin(&*rt, &th, &mut d, read_only());
         assert!(matches!(
             tx.write(Addr(1), 9),
             Err(TxCtl::Abort(AbortReason::ReadOnlyWrite))
@@ -198,8 +208,9 @@ mod case {
         clock: ClockMode,
     ) {
         let system = two_handle_system(clock);
+        let rt = SoftwareStm::<P>::new(Arc::clone(&system));
         let (th, mut d) = party(&system);
-        let mut tx = SoftwareTx::<P>::begin(&system, &th, &mut d, read_only());
+        let mut tx = SoftwareTx::<P>::begin(&*rt, &th, &mut d, read_only());
         // A foreign commit moves Addr(6) past the snapshot's start.
         commit_write::<P>(&system, Addr(6), 9);
         // First read: too new, but nothing observed yet — refresh, not abort.
@@ -210,8 +221,9 @@ mod case {
 
     pub fn snapshot_aborts_on_too_new_after_first_read<P: SoftwareProtocol>(clock: ClockMode) {
         let system = two_handle_system(clock);
+        let rt = SoftwareStm::<P>::new(Arc::clone(&system));
         let (th, mut d) = party(&system);
-        let mut tx = SoftwareTx::<P>::begin(&system, &th, &mut d, read_only());
+        let mut tx = SoftwareTx::<P>::begin(&*rt, &th, &mut d, read_only());
         assert_eq!(tx.read(Addr(5)).unwrap(), 0, "pin the snapshot");
         commit_write::<P>(&system, Addr(6), 9);
         assert!(matches!(
@@ -222,8 +234,9 @@ mod case {
 
     pub fn an_update_attempt_tracks_its_reads<P: SoftwareProtocol>(clock: ClockMode) {
         let system = TmSystem::new(config(clock));
+        let rt = SoftwareStm::<P>::new(Arc::clone(&system));
         let (th, mut d) = party(&system);
-        let mut tx = SoftwareTx::<P>::begin(&system, &th, &mut d, software());
+        let mut tx = SoftwareTx::<P>::begin(&*rt, &th, &mut d, software());
         assert_eq!(tx.read(Addr(3)).unwrap(), 0);
         assert_eq!(tx.core.d.reads.len(), 1, "the tracked read path");
         tx.try_commit().unwrap();
