@@ -177,11 +177,6 @@ pub struct TmConfig {
     /// across nodes instead of landing the whole table on one.  Stripe
     /// indices remain stable global ids regardless of the shard count.
     pub orec_shards: usize,
-    /// Whether threads get per-thread arena front-ends over the global heap
-    /// allocator (see [`crate::heap::TmHeap`]).  On by default; arenas are a
-    /// performance lever only — alloc/free semantics and exhaustion behavior
-    /// are identical either way.
-    pub heap_arenas: bool,
     /// Number of shards in the address-indexed waiter registry (rounded up
     /// to a power of two).  Ownership-record stripes map onto shards by
     /// masking; more shards mean finer wake targeting at the cost of more
@@ -219,7 +214,6 @@ impl Default for TmConfig {
             heap_words: 1 << 20,
             orec_count: 1 << 16,
             orec_shards: default_orec_shards(),
-            heap_arenas: true,
             wake_shards: 256,
             quiescence: true,
             htm: HtmConfig::default(),
@@ -242,7 +236,6 @@ impl TmConfig {
             // A fixed small shard count so unit tests do not depend on the
             // host's core count.
             orec_shards: 2,
-            heap_arenas: true,
             wake_shards: 64,
             quiescence: true,
             htm: HtmConfig::default(),
@@ -308,12 +301,6 @@ impl TmConfig {
         self
     }
 
-    /// Enables or disables the per-thread heap arena front-ends.
-    pub fn with_heap_arenas(mut self, arenas: bool) -> Self {
-        self.heap_arenas = arenas;
-        self
-    }
-
     /// Builds the default configuration with the one environment override
     /// applied: [`FaultConfig::from_env`].
     pub fn from_env() -> Self {
@@ -335,7 +322,6 @@ mod tests {
         assert!(c.orec_count.is_power_of_two());
         assert!(c.orec_shards >= 1);
         assert!(c.orec_shards.is_power_of_two());
-        assert!(c.heap_arenas, "arenas are the production default");
         assert_eq!(
             TmConfig::small().orec_shards,
             2,
@@ -370,10 +356,8 @@ mod tests {
                 ..FaultConfig::default()
             })
             .with_max_threads(8)
-            .with_orec_shards(4)
-            .with_heap_arenas(false);
+            .with_orec_shards(4);
         assert_eq!(c.orec_shards, 4);
-        assert!(!c.heap_arenas);
         assert!(!c.quiescence);
         assert!(c.fault.enabled());
         assert_eq!(c.fault.seed, 7);

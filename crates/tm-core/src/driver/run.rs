@@ -33,7 +33,7 @@ use crate::backoff::Backoff;
 use crate::config::BackoffConfig;
 use crate::ctl::{AbortReason, TxCtl, TxResult, WaitSpec};
 use crate::policy::{CmEvent, CmHistory};
-use crate::stats::{latency_sampled, LatencyHistogram, TxStats};
+use crate::stats::{latency_sampled, TxStats};
 use crate::thread::ThreadCtx;
 use crate::tx::{Tx, TxCommon, TxKind, TxMode};
 use crate::waitlist::WakeReason;
@@ -101,16 +101,16 @@ where
     let seed = thread.next_backoff_seed();
     let mut backoff = Backoff::new(BackoffConfig::default(), seed);
     let mut mode = engine.initial_mode();
-    // The declared kind decides which latency class the transaction reports
-    // to; the *current* kind may be upgraded to `Update` mid-flight.
+    // The declared kind decides which latency histogram the transaction
+    // reports to; the *current* kind may be upgraded to `Update` mid-flight.
     let declared_ro = kind == TxKind::ReadOnly;
-    // `None` for the wait protocol's own transactions (wake checks, the
+    // False for the wait protocol's own transactions (wake checks, the
     // deschedule double-check), which are not operations: neither counted
     // nor timed.
-    let latency_class = thread.latency_class();
+    let records_latency = thread.records_latency();
     // One operation in `LATENCY_SAMPLE_PERIOD` pays the clock-read pair,
     // picked by the draw above; the rest are counted at commit.
-    let started = (latency_class.is_some() && latency_sampled(seed)).then(Instant::now);
+    let started = (records_latency && latency_sampled(seed)).then(Instant::now);
     let mut kind = kind;
     // Abort history for the contention policy, reset when a deschedule ends
     // the contention episode (and by policies when they escalate).
@@ -166,26 +166,15 @@ where
                         // themselves in the engines).
                         TxStats::bump(&thread.stats.ro_fast_commits);
                     }
-                    if let Some(class) = latency_class {
-                        let elapsed_nanos =
-                            started.map(|started| started.elapsed().as_nanos() as u64);
-                        let note = |hist: &LatencyHistogram| match elapsed_nanos {
-                            Some(nanos) => hist.record(nanos),
-                            None => hist.record_untimed(),
-                        };
-                        note(if declared_ro {
+                    if records_latency {
+                        let hist = if declared_ro {
                             &thread.stats.ro_tx_latency
                         } else {
                             &thread.stats.update_tx_latency
-                        });
-                        if let Some(class) = class {
-                            // Workload-declared operation class: the same
-                            // whole-operation latency (retries, backoff and
-                            // upgrades included) also lands in the class's
-                            // own histogram, so reports can show tail latency
-                            // per get/put/delete/scan rather than per commit
-                            // kind.
-                            note(thread.stats.op_histogram(class));
+                        };
+                        match started {
+                            Some(started) => hist.record(started.elapsed().as_nanos() as u64),
+                            None => hist.record_untimed(),
                         }
                     }
                     // Post-commit wake-ups (every mechanism's, Retry-Orig
@@ -303,20 +292,14 @@ where
                 // fallback, the hybrid runtime has a real STM path.
                 TxStats::bump(&thread.stats.hw_aborts);
                 let next = match spec {
-                    WaitSpec::ReadSetValues | WaitSpec::OrigReadLocks => {
-                        TxStats::bump(&thread.stats.retry_relogs);
-                        TxMode::SoftwareRetry
-                    }
+                    WaitSpec::ReadSetValues | WaitSpec::OrigReadLocks => TxMode::SoftwareRetry,
                     _ => engine.mode_for_software_switch(mode),
                 };
                 switch_mode(&mut mode, next, thread);
             }
             // A software attempt that needs no relog slept above; this one
             // must first re-execute value-logging.
-            TxCtl::Deschedule(_) => {
-                TxStats::bump(&thread.stats.retry_relogs);
-                switch_mode(&mut mode, TxMode::SoftwareRetry, thread);
-            }
+            TxCtl::Deschedule(_) => switch_mode(&mut mode, TxMode::SoftwareRetry, thread),
             TxCtl::SwitchToSoftware => {
                 let next = engine.mode_for_software_switch(mode);
                 switch_mode(&mut mode, next, thread);

@@ -168,8 +168,8 @@ impl Tx for FootprintTx<'_> {
 /// left holding the stripes that evaluation read.
 ///
 /// This is bookkeeping of the wait protocol, not an operation: the thread's
-/// latency accounting is suspended around it, so neither a declared
-/// operation class nor the commit-kind histograms see it.
+/// latency accounting is suspended around it, so the commit-kind histograms
+/// do not see it.
 fn evaluate(
     rt: &dyn TmRuntime,
     thread: &Arc<ThreadCtx>,

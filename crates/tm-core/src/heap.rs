@@ -13,16 +13,17 @@
 //! address-ordered coalescing is preserved by lazily flushing the bins back
 //! into the sorted region list whenever a carve fails.
 //!
-//! On top of the global allocator sits an optional **arena plane**
-//! (`ArenaPlane`): per-thread front-ends that serve small allocations
-//! mutex-free.  Each registered thread owns one `ArenaSlot` holding
-//! exact-size bins that refill in batches from the global allocator; a free
-//! of *another* thread's block is pushed onto the owner's lock-free
-//! remote-free stack (threaded through the free blocks' own heap words) and
-//! reclaimed when the owner refills.  Exhaustion spills every arena back
-//! into the global allocator and retries, so "heap full" means exactly what
-//! it meant without arenas, and conservation accounting
-//! ([`TmHeap::allocated_words`]) still balances to zero.
+//! On top of the global allocator sits the **arena plane** (`ArenaPlane`):
+//! per-thread front-ends that serve small allocations mutex-free.  Each
+//! registered thread owns one `ArenaSlot` holding exact-size bins that
+//! refill in batches from the global allocator; a free of *another*
+//! thread's block is pushed onto the owner's lock-free remote-free stack
+//! (threaded through the free blocks' own heap words) and reclaimed when the
+//! owner refills.  Exhaustion spills every arena back into the global
+//! allocator and retries, so "heap full" means the whole heap genuinely
+//! cannot satisfy the request, and conservation accounting
+//! ([`TmHeap::allocated_words`]) still balances to zero.  Identity-less
+//! [`TmHeap::alloc`] always takes the global allocator.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, AtomicUsize, Ordering};
@@ -39,39 +40,23 @@ use crate::thread::ThreadCtx;
 pub struct TmHeap {
     words: Box<[AtomicU64]>,
     alloc: Mutex<Allocator>,
-    arenas: Option<ArenaPlane>,
+    arenas: ArenaPlane,
 }
 
 impl TmHeap {
     /// Creates a heap with `words` 64-bit words, all initialised to zero,
-    /// and no arena plane (every allocation takes the global lock — the
-    /// pre-arena behavior, kept as the plain constructor because most unit
-    /// tests want the allocator's exact global free-list geometry).
+    /// and an arena plane sized for `threads` registered threads (a system
+    /// passes its `max_threads`).
     ///
     /// Word 0 is reserved as the null address and never handed out.
-    pub fn new(words: usize) -> Self {
-        Self::build(words, 0)
-    }
-
-    /// Creates a heap with a per-thread arena plane sized for `threads`
-    /// registered threads (a system passes its `max_threads`).
-    pub fn with_arenas(words: usize, threads: usize) -> Self {
-        Self::build(words, threads)
-    }
-
-    fn build(words: usize, arena_threads: usize) -> Self {
+    pub fn new(words: usize, threads: usize) -> Self {
         assert!(words >= 2, "heap must have at least two words");
         let cells = (0..words).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
         TmHeap {
             words: cells.into_boxed_slice(),
             alloc: Mutex::new(Allocator::new(words)),
-            arenas: (arena_threads > 0).then(|| ArenaPlane::new(words, arena_threads)),
+            arenas: ArenaPlane::new(words, threads),
         }
-    }
-
-    /// True when the per-thread arena plane is installed.
-    pub fn has_arenas(&self) -> bool {
-        self.arenas.is_some()
     }
 
     /// Number of words in the heap.
@@ -122,19 +107,18 @@ impl TmHeap {
     }
 
     /// Allocates `words` contiguous words on behalf of registered thread
-    /// `th`: small requests are served mutex-free from the thread's arena
-    /// when the plane is installed, everything else (and every
-    /// arena-exhausted request) falls through to the global allocator.
+    /// `th`: small requests are served mutex-free from the thread's arena,
+    /// everything else (and every arena-exhausted request) falls through to
+    /// the global allocator.
     pub fn alloc_for(&self, th: &ThreadCtx, words: usize) -> Option<Addr> {
         if words == 0 {
             return Some(Addr::NULL);
         }
-        if let Some(plane) = &self.arenas {
-            if words <= ARENA_MAX_WORDS && th.id < plane.slots.len() {
-                if let Some(addr) = plane.alloc_small(self, th, words) {
-                    self.zero(addr, words);
-                    return Some(addr);
-                }
+        let plane = &self.arenas;
+        if words <= ARENA_MAX_WORDS && th.id < plane.slots.len() {
+            if let Some(addr) = plane.alloc_small(self, th, words) {
+                self.zero(addr, words);
+                return Some(addr);
             }
         }
         let addr = self.global_alloc(words)?;
@@ -152,12 +136,10 @@ impl TmHeap {
         if words == 0 || addr.is_null() {
             return;
         }
-        if let Some(plane) = &self.arenas {
-            let tag = plane.owner_tag(addr);
-            if tag != 0 {
-                plane.push_remote(self, tag as usize - 1, addr, words);
-                return;
-            }
+        let tag = self.arenas.owner_tag(addr);
+        if tag != 0 {
+            self.arenas.push_remote(self, tag as usize - 1, addr, words);
+            return;
         }
         self.alloc.lock().dealloc(addr, words);
     }
@@ -171,22 +153,21 @@ impl TmHeap {
         if words == 0 || addr.is_null() {
             return;
         }
-        if let Some(plane) = &self.arenas {
-            let tag = plane.owner_tag(addr);
-            if tag != 0 {
-                let owner = tag as usize - 1;
-                if owner == th.id && plane.free_local(self, owner, addr, words) {
-                    return;
-                }
-                // Someone else's block — or our own slot was busy, which
-                // only happens if a context is misused across threads; the
-                // remote stack is correct in either case.
-                plane.push_remote(self, owner, addr, words);
-                if owner != th.id {
-                    TxStats::bump(&th.stats.heap_remote_frees);
-                }
+        let plane = &self.arenas;
+        let tag = plane.owner_tag(addr);
+        if tag != 0 {
+            let owner = tag as usize - 1;
+            if owner == th.id && plane.free_local(self, owner, addr, words) {
                 return;
             }
+            // Someone else's block — or our own slot was busy, which only
+            // happens if a context is misused across threads; the remote
+            // stack is correct in either case.
+            plane.push_remote(self, owner, addr, words);
+            if owner != th.id {
+                TxStats::bump(&th.stats.heap_remote_frees);
+            }
+            return;
         }
         self.alloc.lock().dealloc(addr, words);
     }
@@ -203,14 +184,10 @@ impl TmHeap {
         let allocated = self.alloc.lock().allocated;
         let cached: usize = self
             .arenas
-            .as_ref()
-            .map(|p| {
-                p.slots
-                    .iter()
-                    .map(|s| s.cached_words.load(Ordering::Relaxed))
-                    .sum()
-            })
-            .unwrap_or(0);
+            .slots
+            .iter()
+            .map(|s| s.cached_words.load(Ordering::Relaxed))
+            .sum();
         allocated.saturating_sub(cached)
     }
 
@@ -231,7 +208,6 @@ impl TmHeap {
         if let Some(addr) = self.alloc.lock().alloc(words) {
             return Some(addr);
         }
-        self.arenas.as_ref()?;
         self.spill_arenas();
         self.alloc.lock().alloc(words)
     }
@@ -241,7 +217,7 @@ impl TmHeap {
     /// on a slot's busy flag, so it cannot deadlock against a refilling
     /// owner that holds its flag while waiting for the global lock.
     fn spill_arenas(&self) {
-        let Some(plane) = &self.arenas else { return };
+        let plane = &self.arenas;
         for slot in plane.slots.iter() {
             // The owner holds its flag only for short, bounded arena
             // operations, so spinning here terminates.
@@ -691,7 +667,7 @@ mod tests {
 
     #[test]
     fn load_store_round_trip() {
-        let h = TmHeap::new(64);
+        let h = TmHeap::new(64, 1);
         h.store(Addr(3), 0xdead_beef);
         assert_eq!(h.load(Addr(3)), 0xdead_beef);
         assert_eq!(h.load(Addr(4)), 0);
@@ -699,7 +675,7 @@ mod tests {
 
     #[test]
     fn cas_succeeds_only_with_expected_value() {
-        let h = TmHeap::new(16);
+        let h = TmHeap::new(16, 1);
         h.store(Addr(1), 10);
         assert!(h.cas(Addr(1), 10, 20));
         assert!(!h.cas(Addr(1), 10, 30));
@@ -708,7 +684,7 @@ mod tests {
 
     #[test]
     fn alloc_never_returns_null_word() {
-        let h = TmHeap::new(128);
+        let h = TmHeap::new(128, 1);
         for _ in 0..10 {
             let a = h.alloc(4).unwrap();
             assert!(!a.is_null());
@@ -717,13 +693,13 @@ mod tests {
 
     #[test]
     fn alloc_zero_words_is_null() {
-        let h = TmHeap::new(16);
+        let h = TmHeap::new(16, 1);
         assert_eq!(h.alloc(0), Some(Addr::NULL));
     }
 
     #[test]
     fn alloc_returns_zeroed_memory() {
-        let h = TmHeap::new(64);
+        let h = TmHeap::new(64, 1);
         let a = h.alloc(8).unwrap();
         for i in 0..8 {
             h.store(a.offset(i), 7);
@@ -737,7 +713,7 @@ mod tests {
 
     #[test]
     fn alloc_exhaustion_returns_none() {
-        let h = TmHeap::new(16);
+        let h = TmHeap::new(16, 1);
         assert!(h.alloc(32).is_none());
         assert!(h.alloc(15).is_some());
         assert!(h.alloc(1).is_none());
@@ -745,7 +721,7 @@ mod tests {
 
     #[test]
     fn dealloc_coalesces_and_allows_reuse() {
-        let h = TmHeap::new(64);
+        let h = TmHeap::new(64, 1);
         let a = h.alloc(16).unwrap();
         let b = h.alloc(16).unwrap();
         let c = h.alloc(16).unwrap();
@@ -759,7 +735,7 @@ mod tests {
 
     #[test]
     fn small_blocks_are_reused_from_the_bin() {
-        let h = TmHeap::new(256);
+        let h = TmHeap::new(256, 1);
         let a = h.alloc(4).unwrap();
         h.dealloc(a, 4);
         // The very next same-size allocation must come from the bin (the
@@ -774,7 +750,7 @@ mod tests {
 
     #[test]
     fn binned_blocks_coalesce_when_a_large_alloc_needs_them() {
-        let h = TmHeap::new(64);
+        let h = TmHeap::new(64, 1);
         // Carve the whole heap into small binned-size pieces and free them.
         let blocks: Vec<_> = (0..7).map(|_| h.alloc(9).unwrap()).collect();
         for &b in &blocks {
@@ -792,7 +768,7 @@ mod tests {
     fn mixed_bin_and_large_blocks_coalesce_together() {
         // Heap tail (39 words) cannot satisfy the final allocation, so it
         // must come from coalescing binned blocks with the large region.
-        let h = TmHeap::new(256);
+        let h = TmHeap::new(256, 1);
         let small = h.alloc(8).unwrap();
         let large = h.alloc(200).unwrap();
         let small2 = h.alloc(8).unwrap();
@@ -807,7 +783,7 @@ mod tests {
 
     #[test]
     fn allocated_words_tracks_outstanding_allocations() {
-        let h = TmHeap::new(128);
+        let h = TmHeap::new(128, 1);
         assert_eq!(h.allocated_words(), 0);
         let a = h.alloc(10).unwrap();
         assert_eq!(h.allocated_words(), 10);
@@ -819,9 +795,7 @@ mod tests {
     fn arena_alloc_refills_then_reuses_own_blocks() {
         let reg = crate::thread::ThreadRegistry::new();
         let th = reg.register();
-        let h = TmHeap::with_arenas(4096, 64);
-        assert!(h.has_arenas());
-        assert!(!TmHeap::new(64).has_arenas());
+        let h = TmHeap::new(4096, 64);
         let a = h.alloc_for(&th, 4).unwrap();
         h.dealloc_for(&th, a, 4);
         let b = h.alloc_for(&th, 4).unwrap();
@@ -838,7 +812,7 @@ mod tests {
     fn arena_blocks_are_zeroed_on_reuse() {
         let reg = crate::thread::ThreadRegistry::new();
         let th = reg.register();
-        let h = TmHeap::with_arenas(1024, 64);
+        let h = TmHeap::new(1024, 64);
         let a = h.alloc_for(&th, 8).unwrap();
         for i in 0..8 {
             h.store(a.offset(i), 7);
@@ -855,7 +829,7 @@ mod tests {
         let reg = crate::thread::ThreadRegistry::new();
         let a = reg.register();
         let b = reg.register();
-        let h = TmHeap::with_arenas(4096, 64);
+        let h = TmHeap::new(4096, 64);
         // Empty thread A's first refill batch so its bin is dry.
         let blocks: Vec<Addr> = (0..8).map(|_| h.alloc_for(&a, 8).unwrap()).collect();
         // Thread B frees one of A's blocks: a lock-free push, not a global
@@ -877,7 +851,7 @@ mod tests {
     fn identity_less_frees_route_tagged_blocks_to_the_owner() {
         let reg = crate::thread::ThreadRegistry::new();
         let th = reg.register();
-        let h = TmHeap::with_arenas(1024, 64);
+        let h = TmHeap::new(1024, 64);
         let a = h.alloc_for(&th, 4).unwrap();
         // A plain `dealloc` (no thread identity) of an arena block must not
         // hand it to the global allocator: the owner tag routes it onto the
@@ -894,7 +868,7 @@ mod tests {
     fn exhaustion_spills_arenas_and_retries() {
         let reg = crate::thread::ThreadRegistry::new();
         let th = reg.register();
-        let h = TmHeap::with_arenas(128, 64);
+        let h = TmHeap::new(128, 64);
         // One refill carves 64 words; freeing parks them all in the arena.
         let a = h.alloc_for(&th, 8).unwrap();
         h.dealloc_for(&th, a, 8);
@@ -913,7 +887,7 @@ mod tests {
     fn large_allocations_bypass_the_arena() {
         let reg = crate::thread::ThreadRegistry::new();
         let th = reg.register();
-        let h = TmHeap::with_arenas(4096, 64);
+        let h = TmHeap::new(4096, 64);
         let big = h.alloc_for(&th, ARENA_MAX_WORDS + 1).unwrap();
         let snap = th.stats.snapshot();
         assert_eq!(snap.heap_arena_allocs, 0);
@@ -926,7 +900,7 @@ mod tests {
     fn overflowing_bins_spill_back_to_the_global_allocator() {
         let reg = crate::thread::ThreadRegistry::new();
         let th = reg.register();
-        let h = TmHeap::with_arenas(4096, 64);
+        let h = TmHeap::new(4096, 64);
         // Drive one bin past its cap; the spill keeps conservation exact
         // and the blocks stay allocatable.
         let blocks: Vec<Addr> = (0..(BIN_CAP + 8))
@@ -944,7 +918,7 @@ mod tests {
     #[test]
     fn concurrent_allocations_do_not_overlap() {
         use std::sync::Arc;
-        let h = Arc::new(TmHeap::new(4096));
+        let h = Arc::new(TmHeap::new(4096, 1));
         let mut handles = Vec::new();
         for _ in 0..4 {
             let h = Arc::clone(&h);

@@ -54,12 +54,6 @@ impl OrecValue {
         )
     }
 
-    /// Reconstructs an orec value from its raw packed form.
-    #[inline]
-    pub fn from_raw(raw: u64) -> Self {
-        OrecValue(raw)
-    }
-
     /// Returns the raw packed form.
     #[inline]
     pub fn raw(self) -> u64 {

@@ -10,65 +10,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::pad::CachePadded;
 
-/// Workload-level operation classes for per-operation latency routing.
-///
-/// A workload (e.g. the KV/session-store scenario) tags the current thread
-/// with the class of the operation it is about to run
-/// ([`crate::thread::ThreadCtx::set_op_class`]); the driver then records the
-/// whole transaction's wall-clock latency — retries, backoff and upgrades
-/// included — into the matching histogram at commit, alongside the
-/// update/read-only commit-class histograms (for the one transaction in
-/// [`LATENCY_SAMPLE_PERIOD`] it times; the rest are only counted).  Reports
-/// can therefore show p50/p99/p999 *per operation*, not just per commit
-/// class.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum OpClass {
-    /// Point lookup (typically a declared read-only transaction).
-    Get,
-    /// Insert or update.
-    Put,
-    /// Removal.
-    Delete,
-    /// Range scan over an ordered index.
-    Scan,
-}
-
-impl OpClass {
-    /// All operation classes, in rendering order.
-    pub const ALL: [OpClass; 4] = [OpClass::Get, OpClass::Put, OpClass::Delete, OpClass::Scan];
-
-    /// The label used in report `# latency` lines.
-    pub fn label(self) -> &'static str {
-        match self {
-            OpClass::Get => "get",
-            OpClass::Put => "put",
-            OpClass::Delete => "del",
-            OpClass::Scan => "scan",
-        }
-    }
-
-    /// Non-zero wire tag for the thread-context slot (0 means "no class").
-    pub(crate) fn tag(self) -> u8 {
-        match self {
-            OpClass::Get => 1,
-            OpClass::Put => 2,
-            OpClass::Delete => 3,
-            OpClass::Scan => 4,
-        }
-    }
-
-    /// Inverse of [`OpClass::tag`]; `None` for 0 (no class set).
-    pub(crate) fn from_tag(tag: u8) -> Option<OpClass> {
-        match tag {
-            1 => Some(OpClass::Get),
-            2 => Some(OpClass::Put),
-            3 => Some(OpClass::Delete),
-            4 => Some(OpClass::Scan),
-            _ => None,
-        }
-    }
-}
-
 /// Number of log2 buckets in a [`LatencyHistogram`]: bucket `i` holds
 /// samples whose nanosecond value has bit length `i`, so the covered range
 /// tops out around 2 seconds before the last bucket absorbs the overflow.
@@ -369,8 +310,6 @@ stats_fields! {
     wake_cancels,
     /// Timer-wheel ticks advanced by this thread's lazy polls.
     timer_ticks,
-    /// Times a `Retry` transaction restarted to populate its value log.
-    retry_relogs,
     /// Explicit aborts requested by the program (Restart baseline, xabort).
     explicit_aborts,
     /// Condition-variable waits (TMCondVar and Pthreads baselines).
@@ -380,11 +319,10 @@ stats_fields! {
     /// Hardware aborts manufactured by the fault injector
     /// (`FaultInjector`); zero whenever injection is disabled.
     hw_faults_injected,
-    /// Commit-time quiescence rounds executed for privatization safety.
-    quiesce_rounds,
     /// Epoch-table slots examined by quiescence scans (commit-time
-    /// privatization waits); pairs with `quiesce_rounds` to show how much
-    /// commit-path polling the decentralized table absorbs.
+    /// privatization waits): every other registered thread's slot, once per
+    /// scan, so it shows how much commit-path polling the decentralized
+    /// table absorbs.
     quiesce_scans,
     /// Shared clock-line read-modify-writes: every GV1 commit tick, plus
     /// the lazy plane's conflict-path CAS-advances (`note_stale`) and
@@ -446,16 +384,6 @@ stats_fields! {
     /// update transaction) of a one-in-eight pseudo-random sample, exact
     /// operation count.
     ro_tx_latency,
-    /// Wall-clock latency of transactions tagged [`OpClass::Get`] by the
-    /// workload (point lookups), retries and backoff included.
-    op_get_latency,
-    /// Wall-clock latency of transactions tagged [`OpClass::Put`].
-    op_put_latency,
-    /// Wall-clock latency of transactions tagged [`OpClass::Delete`].
-    op_del_latency,
-    /// Wall-clock latency of transactions tagged [`OpClass::Scan`] (range
-    /// scans over the ordered index).
-    op_scan_latency,
     }
 }
 
@@ -482,29 +410,6 @@ impl TxStats {
     pub fn record_max(mark: &AtomicU64, value: u64) {
         if value > mark.load(Ordering::Relaxed) {
             mark.store(value, Ordering::Relaxed);
-        }
-    }
-
-    /// The latency histogram that records transactions of the given
-    /// workload-declared operation class.
-    pub fn op_histogram(&self, class: OpClass) -> &LatencyHistogram {
-        match class {
-            OpClass::Get => &self.op_get_latency,
-            OpClass::Put => &self.op_put_latency,
-            OpClass::Delete => &self.op_del_latency,
-            OpClass::Scan => &self.op_scan_latency,
-        }
-    }
-}
-
-impl StatsSnapshot {
-    /// The latency snapshot for the given workload-declared operation class.
-    pub fn op_latency(&self, class: OpClass) -> &LatencySnapshot {
-        match class {
-            OpClass::Get => &self.op_get_latency,
-            OpClass::Put => &self.op_put_latency,
-            OpClass::Delete => &self.op_del_latency,
-            OpClass::Scan => &self.op_scan_latency,
         }
     }
 }

@@ -71,11 +71,7 @@ impl TmSystem {
     pub fn with_policy(config: TmConfig, policy: Box<dyn ContentionManager>) -> Arc<Self> {
         let epochs = Arc::new(EpochTable::new(config.max_threads));
         Arc::new(TmSystem {
-            heap: if config.heap_arenas {
-                TmHeap::with_arenas(config.heap_words, config.max_threads)
-            } else {
-                TmHeap::new(config.heap_words)
-            },
+            heap: TmHeap::new(config.heap_words, config.max_threads),
             orecs: OrecTable::new_sharded(config.orec_count, config.orec_shards),
             clock: GlobalClock::for_system(config.clock, Arc::clone(&epochs)),
             threads: ThreadRegistry::with_epochs(Arc::clone(&epochs)),
@@ -92,11 +88,6 @@ impl TmSystem {
     #[inline]
     pub fn policy(&self) -> &dyn ContentionManager {
         self.policy.as_ref()
-    }
-
-    /// Convenience constructor with default configuration.
-    pub fn new_default() -> Arc<Self> {
-        Self::new(TmConfig::default())
     }
 
     /// Registers the calling thread and returns its context.
@@ -121,7 +112,6 @@ impl TmSystem {
         }
         let epochs = self.threads.epochs();
         let n = epochs.len();
-        let mut any = false;
         for id in 0..n {
             if id == me.id {
                 continue;
@@ -133,14 +123,10 @@ impl TmSystem {
                 if s == NOT_IN_TX || s >= commit_time {
                     break;
                 }
-                any = true;
                 spin.pause();
             }
         }
         TxStats::add(&me.stats.quiesce_scans, n.saturating_sub(1) as u64);
-        if any {
-            TxStats::bump(&me.stats.quiesce_rounds);
-        }
     }
 
     /// Aggregated statistics across all registered threads, overlaid with
@@ -171,14 +157,8 @@ mod tests {
         assert!(!s.serial.held());
         assert_eq!(s.policy().name(), "fixed");
         assert_eq!(s.orecs.shard_count(), TmConfig::small().orec_shards);
-        assert!(s.heap.has_arenas());
-        let bare = TmSystem::new(
-            TmConfig::small()
-                .with_heap_arenas(false)
-                .with_orec_shards(8),
-        );
-        assert!(!bare.heap.has_arenas());
-        assert_eq!(bare.orecs.shard_count(), 8);
+        let sharded = TmSystem::new(TmConfig::small().with_orec_shards(8));
+        assert_eq!(sharded.orecs.shard_count(), 8);
     }
 
     #[test]

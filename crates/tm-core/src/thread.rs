@@ -11,7 +11,7 @@
 
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::access::Descriptor;
@@ -19,7 +19,7 @@ use crate::epoch::{EpochSlot, EpochTable};
 use crate::lock::RwLock;
 use crate::pad::CachePadded;
 use crate::sem::Semaphore;
-use crate::stats::{OpClass, TxStats};
+use crate::stats::TxStats;
 
 /// Identifier of a registered thread (dense, starting from 0).
 pub type ThreadId = usize;
@@ -107,21 +107,19 @@ impl Drop for Checkout<'_> {
     }
 }
 
-/// [`ThreadCtx::op_class`] tag meaning "latency accounting suspended"; no
-/// [`OpClass`] has it, so the slot reads as "no class" meanwhile.
-const LATENCY_PAUSED: u8 = u8::MAX;
-
 /// Guard of [`ThreadCtx::pause_latency`]; dropping it restores the thread's
-/// operation-class tag.
+/// pause flag to what it was before, so pauses nest.
 #[derive(Debug)]
-pub struct LatencyPause<'a> {
+pub(crate) struct LatencyPause<'a> {
     thread: &'a ThreadCtx,
-    resume: u8,
+    resume: bool,
 }
 
 impl Drop for LatencyPause<'_> {
     fn drop(&mut self) {
-        self.thread.op_class.store(self.resume, Ordering::Relaxed);
+        self.thread
+            .latency_paused
+            .store(self.resume, Ordering::Relaxed);
     }
 }
 
@@ -159,12 +157,11 @@ pub struct ThreadCtx {
     /// thread id.  Owner-only (replaces the driver's old process-global
     /// seed atomic, which was a shared hot line).
     backoff_rng: CachePadded<AtomicU64>,
-    /// Workload-declared [`OpClass`] tag of the operation this thread is
-    /// currently running (0 = none; [`LATENCY_PAUSED`] inside a
-    /// [`ThreadCtx::pause_latency`] guard).  Owner-written around each
-    /// operation and owner-read by the driver, but padded so the store/load
-    /// traffic never dirties a neighbour's line.
-    op_class: CachePadded<AtomicU8>,
+    /// Set inside a [`ThreadCtx::pause_latency`] guard.  Owner-written
+    /// around the wait protocol's own transactions and owner-read by the
+    /// driver, but padded so the store/load traffic never dirties a
+    /// neighbour's line.
+    latency_paused: CachePadded<AtomicBool>,
 }
 
 impl ThreadCtx {
@@ -180,49 +177,31 @@ impl ThreadCtx {
             // maps nothing to 0 except one input; or-in a bit so xorshift
             // (which fixes 0) always starts live.
             backoff_rng: CachePadded::new(AtomicU64::new(splitmix64(id as u64 + 1) | 1)),
-            op_class: CachePadded::new(AtomicU8::new(0)),
+            latency_paused: CachePadded::new(AtomicBool::new(false)),
         }
     }
 
-    /// Declares the operation class of the transactions this thread is about
-    /// to run; the driver routes their commit latency into the class's
-    /// histogram until [`clear_op_class`](Self::clear_op_class).
-    #[inline]
-    pub fn set_op_class(&self, class: OpClass) {
-        self.op_class.store(class.tag(), Ordering::Relaxed);
-    }
-
-    /// Clears the operation-class tag (latency goes only to the commit-class
-    /// histograms again).
-    #[inline]
-    pub fn clear_op_class(&self) {
-        self.op_class.store(0, Ordering::Relaxed);
-    }
-
     /// Suspends latency accounting on this thread until the guard drops:
-    /// transactions it runs meanwhile record into no histogram — neither an
-    /// operation class's nor the commit-kind ones — and read no clock for
-    /// it.  The wait protocol wraps its own transactions (wake checks, the
-    /// deschedule double-check) in this, so an operation records exactly one
-    /// latency sample however many sleepers its commit had to look at.
-    pub fn pause_latency(&self) -> LatencyPause<'_> {
+    /// transactions it runs meanwhile record into no histogram and read no
+    /// clock for it.  The wait protocol wraps its own transactions (wake
+    /// checks, the deschedule double-check) in this, so an operation records
+    /// exactly one latency sample however many sleepers its commit had to
+    /// look at.
+    pub(crate) fn pause_latency(&self) -> LatencyPause<'_> {
         // Owner-only slot: a load and a store, not a locked swap.
-        let resume = self.op_class.load(Ordering::Relaxed);
-        self.op_class.store(LATENCY_PAUSED, Ordering::Relaxed);
+        let resume = self.latency_paused.load(Ordering::Relaxed);
+        self.latency_paused.store(true, Ordering::Relaxed);
         LatencyPause {
             thread: self,
             resume,
         }
     }
 
-    /// Where a transaction starting now reports its latency, from one load
-    /// of the tag: `None` inside a [`ThreadCtx::pause_latency`] guard
-    /// (nowhere), otherwise the declared operation class, if any, beside the
-    /// commit-kind histogram.
+    /// Whether a transaction starting now counts (and may time) itself as an
+    /// operation: false inside a [`ThreadCtx::pause_latency`] guard.
     #[inline]
-    pub(crate) fn latency_class(&self) -> Option<Option<OpClass>> {
-        let tag = self.op_class.load(Ordering::Relaxed);
-        (tag != LATENCY_PAUSED).then(|| OpClass::from_tag(tag))
+    pub(crate) fn records_latency(&self) -> bool {
+        !self.latency_paused.load(Ordering::Relaxed)
     }
 
     /// This thread's padded epoch-table slot.

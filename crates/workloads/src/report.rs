@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use crate::json::{JsonError, Value};
 use condsync::Mechanism;
-use tm_core::{OpClass, StatsSnapshot};
+use tm_core::StatsSnapshot;
 
 /// One measured point: a configuration label (e.g. buffer size or thread
 /// count) mapped to a wall-clock time and the runtime statistics gathered
@@ -311,14 +311,13 @@ impl Panel {
         out
     }
 
-    /// One line per mechanism and operation class giving whole-transaction
+    /// One line per mechanism and commit class giving whole-transaction
     /// latency quantile upper bounds from the log2 histograms: p50, p99 and
     /// p999, each the inclusive upper edge of the bucket the quantile falls
     /// in.  `n` is the exact operation count and `timed` the one-in-eight
     /// sample of them the quantiles rank over; a class that ran but was
-    /// never timed shows `-`, not a zero bound.  The commit classes (update /
-    /// read-only) come first, then the workload-declared [`OpClass`] classes
-    /// (get/put/del/scan); classes that never ran are skipped.  Each line
+    /// never timed shows `-`, not a zero bound.  The classes are update and
+    /// read-only commits; a class that never ran is skipped.  Each line
     /// also carries the series' `ro_fast_commits` / `snapshot_refreshes`
     /// counters, so the snapshot fast-path claim is visible wherever a
     /// latency is quoted.
@@ -326,14 +325,10 @@ impl Panel {
         let mut out = String::new();
         for s in &self.series {
             let stats = s.merged_stats();
-            let mut classes = vec![
+            for (class, hist) in [
                 ("update", &stats.update_tx_latency),
                 ("ro", &stats.ro_tx_latency),
-            ];
-            for op in OpClass::ALL {
-                classes.push((op.label(), stats.op_latency(op)));
-            }
-            for (class, hist) in classes {
+            ] {
                 if hist.count() == 0 {
                     continue;
                 }
@@ -855,7 +850,7 @@ mod tests {
     }
 
     #[test]
-    fn latency_stats_render_quantiles_per_operation_class() {
+    fn latency_stats_render_quantiles_per_commit_class() {
         let mut panel = Panel::new("p1-c1", "buffer size");
         panel.series_mut(Mechanism::Pthreads).push(point(4, 1.0));
         assert!(
@@ -870,6 +865,8 @@ mod tests {
         hist.record(1_000_000);
         let mut with_lat = point(4, 1.0);
         with_lat.stats.update_tx_latency = hist.snapshot();
+        with_lat.stats.ro_fast_commits = 2;
+        with_lat.stats.snapshot_refreshes = 1;
         panel.series_mut(Mechanism::Retry).push(with_lat);
         let text = panel.render();
         assert!(text.contains("# latency"));
@@ -878,6 +875,11 @@ mod tests {
         assert!(text.contains("p50 <=         1023ns"));
         assert!(text.contains("p999 <=      1048575ns"));
         assert!(!text.contains("    ro:"), "the empty ro class is skipped");
+        // The fast-path counters ride on every latency line.
+        for line in text.lines().filter(|l| l.starts_with("# latency")) {
+            assert!(line.contains("ro_fast          2"), "{line}");
+            assert!(line.contains("refreshes        1"), "{line}");
+        }
     }
 
     #[test]
@@ -913,32 +915,6 @@ mod tests {
             "{update}"
         );
         assert!(update.contains("p50 <=         1023ns"), "{update}");
-    }
-
-    #[test]
-    fn latency_stats_render_workload_operation_classes() {
-        let mut panel = Panel::new("p1-c1", "buffer size");
-        let mut p = point(4, 1.0);
-        let get_hist = tm_core::LatencyHistogram::default();
-        get_hist.record(700);
-        get_hist.record(900);
-        let scan_hist = tm_core::LatencyHistogram::default();
-        scan_hist.record(50_000);
-        p.stats.op_get_latency = get_hist.snapshot();
-        p.stats.op_scan_latency = scan_hist.snapshot();
-        p.stats.ro_fast_commits = 2;
-        p.stats.snapshot_refreshes = 1;
-        panel.series_mut(Mechanism::Await).push(p);
-        let text = panel.render_latency_stats();
-        assert!(text.contains("   get: n          2"), "{text}");
-        assert!(text.contains("  scan: n          1"), "{text}");
-        assert!(
-            !text.contains("   put:") && !text.contains("   del:"),
-            "unrecorded operation classes are skipped: {text}"
-        );
-        // The fast-path counters ride on every latency line.
-        assert!(text.contains("ro_fast          2"), "{text}");
-        assert!(text.contains("refreshes        1"), "{text}");
     }
 
     #[test]

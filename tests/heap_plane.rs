@@ -1,8 +1,8 @@
 //! Heap-plane properties: word conservation under multi-thread
 //! transactional churn with cross-thread frees, carve integrity (no two
 //! threads are ever handed overlapping blocks), refills amortized over a
-//! batch, and exhaustion parity between the bare heap and the arena
-//! front-end.
+//! batch, and exhaustion parity between the arena front-end and the
+//! global allocator alone.
 
 use std::sync::{mpsc, Arc};
 
@@ -49,14 +49,12 @@ impl Churn {
 /// right before the block is freed.  If the allocator ever carved
 /// overlapping blocks for two threads, the later tag fill clobbers the
 /// earlier block and the verification fails.
-fn churn(arenas: bool, shape: Churn) -> tm_core::StatsSnapshot {
+fn churn(shape: Churn) -> tm_core::StatsSnapshot {
     let system = TmSystem::new(
         TmConfig::default()
             .with_heap_words(1 << 16)
-            .with_max_threads(8)
-            .with_heap_arenas(arenas),
+            .with_max_threads(8),
     );
-    assert_eq!(system.heap.has_arenas(), arenas);
     let rt = RuntimeKind::EagerStm.over(Arc::clone(&system));
     let (mut senders, receivers): (Vec<_>, Vec<_>) = (0..THREADS)
         .map(|_| {
@@ -79,7 +77,7 @@ fn churn(arenas: bool, shape: Churn) -> tm_core::StatsSnapshot {
                         assert_eq!(
                             system.heap.load(Addr(addr.0 + w)),
                             tag,
-                            "arenas={arenas} {shape:?}: word {w} of a {}block was \
+                            "{shape:?}: word {w} of a {}block was \
                              clobbered — overlapping carve or double-carve",
                             if donated { "donated " } else { "" }
                         );
@@ -130,34 +128,15 @@ fn churn(arenas: bool, shape: Churn) -> tm_core::StatsSnapshot {
     assert_eq!(
         system.heap.allocated_words(),
         0,
-        "arenas={arenas} {shape:?}: churn leaked heap words"
+        "{shape:?}: churn leaked heap words"
     );
     system.stats()
 }
 
 #[test]
-fn multi_thread_churn_conserves_every_word_without_arenas() {
+fn multi_thread_churn_conserves_every_word_through_the_arenas() {
     for shape in [Churn::Mixed, Churn::Nodes] {
-        let stats = churn(false, shape);
-        assert_eq!(
-            stats.heap_arena_allocs, 0,
-            "{shape:?}: bare heap served arena allocs"
-        );
-        assert_eq!(
-            stats.heap_global_refills, 0,
-            "{shape:?}: bare heap recorded refills"
-        );
-        assert_eq!(
-            stats.heap_remote_frees, 0,
-            "{shape:?}: bare heap recorded remote frees"
-        );
-    }
-}
-
-#[test]
-fn multi_thread_churn_conserves_every_word_with_arenas() {
-    for shape in [Churn::Mixed, Churn::Nodes] {
-        let stats = churn(true, shape);
+        let stats = churn(shape);
         assert!(
             stats.heap_arena_allocs > 0,
             "{shape:?}: arenas never served an allocation"
@@ -186,36 +165,42 @@ fn multi_thread_churn_conserves_every_word_with_arenas() {
 #[test]
 fn exhaustion_is_identical_with_and_without_arenas() {
     // The arena front-end spills its caches and retries before reporting
-    // out-of-memory, so the same request sequence must succeed and fail at
-    // exactly the same points as the bare heap.
-    let outcomes: Vec<Vec<bool>> = [false, true]
+    // out-of-memory, so the arena-fronted `alloc_for`/`dealloc_for`
+    // sequence must succeed and fail at exactly the same points as the same
+    // sequence through identity-less `alloc`/`dealloc`, which always takes
+    // the global allocator, on a twin system of the same size.
+    let outcomes: Vec<Vec<bool>> = [true, false]
         .into_iter()
         .map(|arenas| {
-            let system = TmSystem::new(
-                TmConfig::default()
-                    .with_heap_words(128)
-                    .with_max_threads(4)
-                    .with_heap_arenas(arenas),
-            );
+            let system =
+                TmSystem::new(TmConfig::default().with_heap_words(128).with_max_threads(4));
             let th = system.register_thread();
+            let heap = &system.heap;
+            let alloc = |words| match arenas {
+                true => heap.alloc_for(&th, words),
+                false => heap.alloc(words),
+            };
             let mut got = Vec::new();
             // A large block, an impossible one, a small (arena-fronted)
             // one while nearly full, then the same small one after the
             // large block is freed.
-            let big = system.heap.alloc_for(&th, 100);
+            let big = alloc(100);
             got.push(big.is_some());
-            got.push(system.heap.alloc_for(&th, 500).is_some());
-            got.push(system.heap.alloc_for(&th, 32).is_some());
+            got.push(alloc(500).is_some());
+            got.push(alloc(32).is_some());
             if let Some(addr) = big {
-                system.heap.dealloc_for(&th, addr, 100);
+                match arenas {
+                    true => heap.dealloc_for(&th, addr, 100),
+                    false => heap.dealloc(addr, 100),
+                }
             }
-            got.push(system.heap.alloc_for(&th, 32).is_some());
+            got.push(alloc(32).is_some());
             got
         })
         .collect();
     assert_eq!(
         outcomes[0], outcomes[1],
-        "exhaustion behavior diverged between bare heap and arenas"
+        "exhaustion behavior diverged between the arenas and the global allocator"
     );
     assert_eq!(outcomes[0], vec![true, false, false, true]);
 }

@@ -335,45 +335,34 @@ fn clock_plane_sweep_keeps_golden_results_identical() {
 fn memory_plane_sweep_keeps_golden_results_identical() {
     // The memory plane is a performance lever, not a semantic one: stripe
     // indices stay stable global ids regardless of how many shards the orec
-    // table is split into, and the per-thread arenas front the same heap
-    // words.  The deterministic large transaction must produce the same
-    // checksum and heap image on every runtime at every shard count with
-    // arenas on or off, and the deschedule scenario must reach the same
-    // final state.
+    // table is split into.  The deterministic large transaction must
+    // produce the same checksum and heap image on every runtime at every
+    // shard count, and the deschedule scenario must reach the same final
+    // state.
     let golden = large_tx_outcome(RuntimeKind::EagerStm, TmConfig::default());
     for shards in [1, 4, tm_core::default_orec_shards()] {
-        for arenas in [false, true] {
-            for kind in RuntimeKind::ALL {
-                let config = TmConfig::default()
-                    .with_orec_shards(shards)
-                    .with_heap_arenas(arenas);
-                let outcome = large_tx_outcome(kind, config);
-                assert_eq!(
-                    outcome, golden,
-                    "{kind} with {shards} orec shards (arenas={arenas}) diverged \
-                     from the golden outcome"
-                );
+        for kind in RuntimeKind::ALL {
+            let outcome = large_tx_outcome(kind, TmConfig::default().with_orec_shards(shards));
+            assert_eq!(
+                outcome, golden,
+                "{kind} with {shards} orec shards diverged from the golden outcome"
+            );
 
-                let small = TmConfig::small()
-                    .with_orec_shards(shards)
-                    .with_heap_arenas(arenas);
-                let result = run_scenario_configured(kind, small);
-                assert_eq!(
-                    result.final_count, 3,
-                    "{kind} with {shards} orec shards (arenas={arenas}): wrong final count"
-                );
-                assert_eq!(
-                    result.observed.len(),
-                    3,
-                    "{kind} with {shards} orec shards (arenas={arenas}): a waiter was lost"
-                );
-                assert_eq!(
-                    result.observed.iter().max(),
-                    Some(&3),
-                    "{kind} with {shards} orec shards (arenas={arenas}): no waiter \
-                     saw the established condition"
-                );
-            }
+            let result = run_scenario_configured(kind, TmConfig::small().with_orec_shards(shards));
+            assert_eq!(
+                result.final_count, 3,
+                "{kind} with {shards} orec shards: wrong final count"
+            );
+            assert_eq!(
+                result.observed.len(),
+                3,
+                "{kind} with {shards} orec shards: a waiter was lost"
+            );
+            assert_eq!(
+                result.observed.iter().max(),
+                Some(&3),
+                "{kind} with {shards} orec shards: no waiter saw the established condition"
+            );
         }
     }
 }
