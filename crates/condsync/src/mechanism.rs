@@ -52,7 +52,7 @@ pub const RESTART_ABORT_CODE: u8 = 0xFE;
 ///
 /// ```
 /// use std::sync::Arc;
-/// use tm_core::{TmConfig, TmRt, TmSystem, TmVar};
+/// use tm_core::{TmConfig, TmRuntime, TmSystem, TmVar};
 ///
 /// let system = TmSystem::new(TmConfig::small());
 /// let rt = tm_core::software::EagerStm::new(Arc::clone(&system));
@@ -96,7 +96,7 @@ pub fn retry<T>(tx: &mut dyn Tx) -> TxResult<T> {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use tm_core::{TmConfig, TmRt, TmSystem, TmVar};
+/// use tm_core::{TmConfig, TmRuntime, TmSystem, TmVar};
 ///
 /// let system = TmSystem::new(TmConfig::small());
 /// let rt = tm_core::software::EagerStm::new(Arc::clone(&system));
@@ -142,7 +142,7 @@ pub fn await_one<T>(tx: &mut dyn Tx, addr: Addr) -> TxResult<T> {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use tm_core::{Addr, TmConfig, TmRt, TmSystem, TmVar, Tx, TxResult};
+/// use tm_core::{Addr, TmConfig, TmRuntime, TmSystem, TmVar, Tx, TxResult};
 ///
 /// // Predicates are plain functions over transactional state.
 /// fn at_least(tx: &mut dyn Tx, args: &[u64]) -> TxResult<bool> {

@@ -70,7 +70,7 @@ use tm_core::{
 /// ```
 /// use std::sync::Arc;
 /// use std::time::Duration;
-/// use tm_core::{TmConfig, TmRt, TmSystem, TmVar};
+/// use tm_core::{TmConfig, TmRuntime, TmSystem, TmVar};
 ///
 /// let system = TmSystem::new(TmConfig::small());
 /// let rt = tm_core::software::EagerStm::new(Arc::clone(&system));

@@ -4,7 +4,7 @@
 //! entry vector.  It stores *only* positions: the owner keeps the actual
 //! keys (addresses, stripe indices) in its entries and supplies an equality
 //! probe, so the map stays a flat `u32` slab that is cheap to clear and to
-//! recycle through the [`crate::access::LogPool`].
+//! reuse across attempts in the resident [`crate::access::Descriptor`].
 //!
 //! Linear probing over a power-of-two table at ≤ 75 % load keeps probe
 //! chains short; the owner rebuilds the map from its entries when

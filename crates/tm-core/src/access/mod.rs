@@ -17,8 +17,8 @@
 //!   [`crate::thread::ThreadCtx`] and lent by `&mut` to each attempt, so a
 //!   re-executed attempt (and the thread's next transaction) starts on the
 //!   previous one's capacity without constructing or returning anything,
-//! * [`LogPool`] — a standalone mutex-guarded recycler of the same
-//!   containers for callers outside the driver; no attempt path uses it.
+//! * [`LogPool`] — a standalone mutex-guarded recycler of read sets for
+//!   callers outside the driver; no attempt path uses it.
 //!
 //! Exactly the workloads the paper cares about — large transactions that
 //! block, roll back and re-execute under condition synchronization — used

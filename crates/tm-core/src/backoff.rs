@@ -70,27 +70,15 @@ impl Backoff {
 #[derive(Debug)]
 pub struct SpinWait {
     spins: u32,
-    threshold: u32,
 }
 
 impl SpinWait {
-    /// Default number of busy spins before yielding.
+    /// Number of busy spins before yielding.
     pub const DEFAULT_SPINS: u32 = 64;
 
-    /// Creates a waiter with the default spin threshold.
+    /// Creates a waiter.
     pub fn new() -> Self {
-        SpinWait {
-            spins: 0,
-            threshold: Self::DEFAULT_SPINS,
-        }
-    }
-
-    /// Creates a waiter that busy-spins `threshold` times before yielding.
-    pub fn with_threshold(threshold: u32) -> Self {
-        SpinWait {
-            spins: 0,
-            threshold,
-        }
+        SpinWait { spins: 0 }
     }
 
     /// Number of pauses taken so far.
@@ -103,7 +91,7 @@ impl SpinWait {
     #[inline]
     pub fn pause(&mut self) {
         self.spins += 1;
-        if self.spins > self.threshold {
+        if self.spins > Self::DEFAULT_SPINS {
             std::thread::yield_now();
         } else {
             std::hint::spin_loop();
@@ -234,15 +222,12 @@ mod tests {
 
     #[test]
     fn spin_wait_counts_and_resets() {
-        let mut s = SpinWait::with_threshold(3);
-        for _ in 0..10 {
+        let mut s = SpinWait::new();
+        for _ in 0..SpinWait::DEFAULT_SPINS + 2 {
             s.pause();
         }
-        assert_eq!(s.pauses(), 10);
+        assert_eq!(s.pauses(), SpinWait::DEFAULT_SPINS + 2);
         s.reset();
         assert_eq!(s.pauses(), 0);
-        let mut d = SpinWait::new();
-        d.pause();
-        assert_eq!(d.pauses(), 1);
     }
 }

@@ -78,26 +78,6 @@ impl FaultConfig {
             || self.spurious_per_64k != 0
             || self.commit_window_per_64k != 0
     }
-
-    /// Builds a configuration from `TM_FAULT_*` environment variables
-    /// (`TM_FAULT_SEED`, `TM_FAULT_CONFLICT`, `TM_FAULT_CONFLICT_LINE_MOD`,
-    /// `TM_FAULT_CAP_READ`, `TM_FAULT_CAP_WRITE`, `TM_FAULT_SPURIOUS`,
-    /// `TM_FAULT_COMMIT`); unset or unparsable variables keep their default
-    /// of zero.  Lets soak jobs turn injection on without recompiling.
-    pub fn from_env() -> Self {
-        fn var<T: std::str::FromStr>(name: &str) -> Option<T> {
-            std::env::var(name).ok()?.trim().parse().ok()
-        }
-        FaultConfig {
-            seed: var("TM_FAULT_SEED").unwrap_or(0),
-            conflict_per_64k: var("TM_FAULT_CONFLICT").unwrap_or(0),
-            conflict_line_mod: var("TM_FAULT_CONFLICT_LINE_MOD").unwrap_or(0),
-            capacity_read_lines: var("TM_FAULT_CAP_READ").unwrap_or(0),
-            capacity_write_lines: var("TM_FAULT_CAP_WRITE").unwrap_or(0),
-            spurious_per_64k: var("TM_FAULT_SPURIOUS").unwrap_or(0),
-            commit_window_per_64k: var("TM_FAULT_COMMIT").unwrap_or(0),
-        }
-    }
 }
 
 /// Configuration of the randomized exponential backoff used between aborted
@@ -299,12 +279,6 @@ impl TmConfig {
     pub fn with_orec_shards(mut self, shards: usize) -> Self {
         self.orec_shards = shards;
         self
-    }
-
-    /// Builds the default configuration with the one environment override
-    /// applied: [`FaultConfig::from_env`].
-    pub fn from_env() -> Self {
-        TmConfig::default().with_fault(FaultConfig::from_env())
     }
 }
 

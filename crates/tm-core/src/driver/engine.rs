@@ -9,13 +9,15 @@
 //! software-STM behaviour; the HTM simulator overrides them to express its
 //! speculative/serial mode ladder.
 
+use std::fmt;
 use std::sync::Arc;
 
 use crate::access::Descriptor;
-use crate::ctl::{AbortReason, WaitCondition, WaitSpec};
+use crate::ctl::{AbortReason, TxResult, WaitCondition, WaitSpec};
 use crate::runtime::TmRuntime;
+use crate::system::TmSystem;
 use crate::thread::ThreadCtx;
-use crate::tx::{Tx, TxCommon, TxMode};
+use crate::tx::{Tx, TxCommon, TxKind, TxMode};
 
 /// What a successful commit tells the driver loop.
 ///
@@ -120,8 +122,14 @@ pub trait Attempt: Tx + Sized {
 /// Implementations are thin: they construct attempts.  Everything that used
 /// to be copied between the three runtime crates — re-execution, abort-reason
 /// dispatch, `Retry` value-log restarts, the deschedule hand-off and
-/// post-commit `wakeWaiters` — lives in [`super::run`] instead.
-pub trait TxEngine: TmRuntime + Sized {
+/// post-commit `wakeWaiters` — lives in [`super::run`] instead, and one
+/// blanket impl makes every engine a [`TmRuntime`] whose entry points
+/// forward there.  A concrete engine with both traits in scope names its
+/// system as `TmRuntime::system(&engine)`.
+pub trait TxEngine: Send + Sync + fmt::Debug + Sized {
+    /// The system this engine executes against.
+    fn system(&self) -> &Arc<TmSystem>;
+
     /// One attempt.  It owns nothing: the engine, the thread and the
     /// thread's [`Descriptor`] are all borrowed for `'a`.
     type Tx<'a>: Attempt
@@ -172,60 +180,32 @@ pub trait TxEngine: TmRuntime + Sized {
     }
 }
 
-/// Implements [`TmRuntime`] and [`crate::TmRt`] for a [`TxEngine`] whose
-/// system lives in a `system: Arc<TmSystem>` field: every entry point
-/// forwards to the shared driver loop ([`super::run`] / [`super::run_kind`]),
-/// so a runtime crate states only its benchmark name.
-///
-/// `engine_runtime!("htm", HtmSim)`, or with the type's generics last:
-/// `engine_runtime!(P::NAME, SoftwareStm<P>, P: SoftwareProtocol)`.
-#[macro_export]
-macro_rules! engine_runtime {
-    ($name:expr, $ty:ty $(, $($generics:tt)+)?) => {
-        impl$(<$($generics)+>)? $crate::TmRuntime for $ty {
-            fn system(&self) -> &::std::sync::Arc<$crate::TmSystem> {
-                &self.system
-            }
+/// Every engine is a [`TmRuntime`]: each entry point forwards to the shared
+/// driver loop ([`super::run`] / [`super::run_kind`]).
+impl<E: TxEngine> TmRuntime for E {
+    fn system(&self) -> &Arc<TmSystem> {
+        TxEngine::system(self)
+    }
 
-            fn name(&self) -> &'static str {
-                $name
-            }
+    fn exec_bool(
+        &self,
+        thread: &Arc<ThreadCtx>,
+        body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<bool>,
+    ) -> bool {
+        super::run(self, thread, body)
+    }
 
-            fn exec_u64(
-                &self,
-                thread: &::std::sync::Arc<$crate::ThreadCtx>,
-                body: &mut dyn FnMut(&mut dyn $crate::Tx) -> $crate::TxResult<u64>,
-            ) -> u64 {
-                $crate::driver::run(self, thread, body)
-            }
+    fn atomically<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T
+    where
+        F: FnMut(&mut dyn Tx) -> TxResult<T>,
+    {
+        super::run(self, thread, body)
+    }
 
-            fn exec_bool(
-                &self,
-                thread: &::std::sync::Arc<$crate::ThreadCtx>,
-                body: &mut dyn FnMut(&mut dyn $crate::Tx) -> $crate::TxResult<bool>,
-            ) -> bool {
-                $crate::driver::run(self, thread, body)
-            }
-        }
-
-        impl$(<$($generics)+>)? $crate::TmRt for $ty {
-            fn atomically<T, F>(&self, thread: &::std::sync::Arc<$crate::ThreadCtx>, body: F) -> T
-            where
-                F: FnMut(&mut dyn $crate::Tx) -> $crate::TxResult<T>,
-            {
-                $crate::driver::run(self, thread, body)
-            }
-
-            fn atomically_read<T, F>(
-                &self,
-                thread: &::std::sync::Arc<$crate::ThreadCtx>,
-                body: F,
-            ) -> T
-            where
-                F: FnMut(&mut dyn $crate::Tx) -> $crate::TxResult<T>,
-            {
-                $crate::driver::run_kind(self, thread, $crate::TxKind::ReadOnly, body)
-            }
-        }
-    };
+    fn atomically_read<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T
+    where
+        F: FnMut(&mut dyn Tx) -> TxResult<T>,
+    {
+        super::run_kind(self, thread, TxKind::ReadOnly, body)
+    }
 }

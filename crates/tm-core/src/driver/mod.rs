@@ -34,11 +34,10 @@
 //! [`crate::tx::TxCommon::wake_reason`], so the re-executed body can observe
 //! a timeout or cancellation.
 //!
-//! Runtime crates implement [`TxEngine`] and get their public
-//! [`crate::TmRuntime`] / [`crate::TmRt`] entry points, which forward to
-//! [`run`], from [`crate::engine_runtime!`]; adding a fourth runtime (e.g. a
-//! hybrid HTM/STM path) means implementing the engine trait, not re-writing
-//! the protocol.
+//! Runtimes implement [`TxEngine`] and get [`crate::TmRuntime`], whose
+//! entry points forward to [`run`], from one blanket impl; adding a runtime
+//! (e.g. the hybrid HTM/STM path) means implementing the engine trait, not
+//! re-writing the protocol.
 
 mod engine;
 mod run;

@@ -539,14 +539,18 @@ mod tests {
         fn system(&self) -> &Arc<TmSystem> {
             &self.system
         }
-        fn name(&self) -> &'static str {
-            "toy"
-        }
-        fn exec_u64(
+        fn exec_bool(
             &self,
             thread: &Arc<ThreadCtx>,
-            body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<u64>,
-        ) -> u64 {
+            body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<bool>,
+        ) -> bool {
+            self.atomically(thread, body)
+        }
+        /// Runs the body once on a [`ToyTx`].
+        fn atomically<T, F>(&self, thread: &Arc<ThreadCtx>, mut body: F) -> T
+        where
+            F: FnMut(&mut dyn Tx) -> TxResult<T>,
+        {
             self.exec_count.fetch_add(1, Ordering::Relaxed);
             let mut tx = ToyTx {
                 common: TxCommon::new(TxMode::Software, 0),
@@ -554,6 +558,12 @@ mod tests {
                 thread: Arc::clone(thread),
             };
             body(&mut tx).expect("toy runtime cannot abort")
+        }
+        fn atomically_read<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T
+        where
+            F: FnMut(&mut dyn Tx) -> TxResult<T>,
+        {
+            self.atomically(thread, body)
         }
     }
 

@@ -85,8 +85,16 @@ impl HybridTm {
     }
 }
 
+// A declared read-only transaction tries the hardware fast path first, as
+// always; if the attempt falls off speculation, the software rung is a
+// lazy-STM snapshot attempt (no read set, free commit) instead of a full
+// instrumented transaction.
 impl TxEngine for HybridTm {
     type Tx<'a> = LadderTx<'a>;
+
+    fn system(&self) -> &Arc<TmSystem> {
+        &self.system
+    }
 
     fn begin<'a>(
         &'a self,
@@ -143,16 +151,10 @@ impl TxEngine for HybridTm {
     }
 }
 
-// A declared read-only transaction tries the hardware fast path first, as
-// always; if the attempt falls off speculation, the software rung is a
-// lazy-STM snapshot attempt (no read set, free commit) instead of a full
-// instrumented transaction.
-crate::engine_runtime!("hybrid", HybridTm);
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Addr, HtmConfig, TmConfig, TmRt, TmVar, TxCtl};
+    use crate::{Addr, HtmConfig, TmConfig, TmRuntime, TmVar, TxCtl};
 
     fn runtime() -> (Arc<TmSystem>, Arc<HybridTm>) {
         let system = TmSystem::new(TmConfig::small());

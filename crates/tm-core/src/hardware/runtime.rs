@@ -77,8 +77,15 @@ impl HtmSim {
     }
 }
 
+// No software snapshot rung exists here (the fallback is the serial lock),
+// but declared-read-only hardware commits still count as `ro_fast_commits`
+// in the driver.
 impl TxEngine for HtmSim {
     type Tx<'a> = LadderTx<'a>;
+
+    fn system(&self) -> &Arc<TmSystem> {
+        &self.system
+    }
 
     fn begin<'a>(
         &'a self,
@@ -111,16 +118,11 @@ impl TxEngine for HtmSim {
     }
 }
 
-// No software snapshot rung exists here (the fallback is the serial lock),
-// but declared-read-only hardware commits still count as `ro_fast_commits`
-// in the driver.
-crate::engine_runtime!("htm", HtmSim);
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hardware::directory::probe::Call;
-    use crate::{AbortReason, Addr, HtmConfig, TmConfig, TmRt, TmVar, Tx, TxCtl, LINE_WORDS};
+    use crate::{AbortReason, Addr, HtmConfig, TmConfig, TmRuntime, TmVar, Tx, TxCtl, LINE_WORDS};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn runtime() -> (Arc<TmSystem>, Arc<HtmSim>) {

@@ -94,7 +94,7 @@ pub use heap::TmHeap;
 pub use orec::{OrecTable, OrecValue};
 pub use pad::{CachePadded, CACHE_LINE_BYTES};
 pub use policy::{CmAction, CmEvent, CmHistory, ContentionManager, PolicyKind};
-pub use runtime::{TmRt, TmRuntime};
+pub use runtime::TmRuntime;
 pub use sem::Semaphore;
 pub use serial::{subscribe_begin, SerialAttempt, SerialGate};
 pub use software::{SoftwareProtocol, SoftwareTx, SoftwareTxCore};

@@ -1,10 +1,16 @@
-//! Runtime traits: how workloads execute transactions.
+//! The runtime trait: how workloads execute transactions.
 //!
-//! [`TmRuntime`] is object-safe and is what the condition-synchronization
-//! layer uses (it must start read-only transactions for the `Deschedule`
-//! double-check and for `wakeWaiters` without knowing which runtime it is
-//! running on).  [`TmRt`] adds the ergonomic generic `atomically` entry
-//! point used by data structures and workloads.
+//! [`TmRuntime`] is one trait in two halves.  The object-safe half —
+//! [`TmRuntime::system`] and [`TmRuntime::exec_bool`] — is what the
+//! condition-synchronization layer uses through `&dyn TmRuntime`: it must
+//! start read-only boolean transactions for the `Deschedule` double-check
+//! and for `wakeWaiters` without knowing which runtime it is running on.
+//! The `Sized` half — [`TmRuntime::atomically`] and
+//! [`TmRuntime::atomically_read`], generic in the body's return type — is
+//! what data structures and workloads call.
+//!
+//! Every [`crate::driver::TxEngine`] gets the whole trait from one blanket
+//! impl that forwards to the shared driver loop.
 
 use std::sync::Arc;
 
@@ -13,22 +19,10 @@ use crate::system::TmSystem;
 use crate::thread::ThreadCtx;
 use crate::tx::Tx;
 
-/// Object-safe view of a transaction runtime.
+/// A transaction runtime.
 pub trait TmRuntime: Send + Sync + std::fmt::Debug {
     /// The system this runtime executes against.
     fn system(&self) -> &Arc<TmSystem>;
-
-    /// Short name used in benchmark output (`"eager-stm"`, `"lazy-stm"`,
-    /// `"htm"`).
-    fn name(&self) -> &'static str;
-
-    /// Runs a transaction body to completion, re-executing it as needed, and
-    /// returns the body's value encoded as a `u64`.
-    fn exec_u64(
-        &self,
-        thread: &Arc<ThreadCtx>,
-        body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<u64>,
-    ) -> u64;
 
     /// Runs a read-only transaction returning a boolean.
     ///
@@ -39,17 +33,8 @@ pub trait TmRuntime: Send + Sync + std::fmt::Debug {
         &self,
         thread: &Arc<ThreadCtx>,
         body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<bool>,
-    ) -> bool {
-        self.exec_u64(thread, &mut |tx| body(tx).map(u64::from)) != 0
-    }
-}
+    ) -> bool;
 
-/// Ergonomic, generic transaction execution.
-///
-/// Not object-safe; workloads that need to be generic over the runtime take
-/// `R: TmRt` as a type parameter, while the condition-synchronization layer
-/// sticks to `&dyn TmRuntime`.
-pub trait TmRt: TmRuntime {
     /// Runs `body` as a transaction, re-executing it until it commits, and
     /// returns its result.
     ///
@@ -61,7 +46,7 @@ pub trait TmRt: TmRuntime {
     ///
     /// ```
     /// use std::sync::Arc;
-    /// use tm_core::{TmConfig, TmRt, TmSystem, TmVar};
+    /// use tm_core::{TmConfig, TmRuntime, TmSystem, TmVar};
     ///
     /// let system = TmSystem::new(TmConfig::small());
     /// let rt = tm_core::software::EagerStm::new(Arc::clone(&system));
@@ -78,6 +63,7 @@ pub trait TmRt: TmRuntime {
     /// ```
     fn atomically<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T
     where
+        Self: Sized,
         F: FnMut(&mut dyn Tx) -> TxResult<T>;
 
     /// Runs `body` as a *declared read-only* transaction.
@@ -89,15 +75,11 @@ pub trait TmRt: TmRuntime {
     /// update transaction and re-executes it, so declaring read-only is
     /// always safe — merely fastest when true.
     ///
-    /// The default implementation falls back to [`TmRt::atomically`];
-    /// runtimes built on the unified driver override it to pass
-    /// [`crate::tx::TxKind::ReadOnly`].
-    ///
     /// # Examples
     ///
     /// ```
     /// use std::sync::Arc;
-    /// use tm_core::{TmConfig, TmRt, TmSystem, TmVar};
+    /// use tm_core::{TmConfig, TmRuntime, TmSystem, TmVar};
     ///
     /// let system = TmSystem::new(TmConfig::small());
     /// let rt = tm_core::software::EagerStm::new(Arc::clone(&system));
@@ -112,61 +94,6 @@ pub trait TmRt: TmRuntime {
     /// ```
     fn atomically_read<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T
     where
-        F: FnMut(&mut dyn Tx) -> TxResult<T>,
-    {
-        self.atomically(thread, body)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::TmConfig;
-
-    /// A trivially sequential runtime used to exercise the default method.
-    #[derive(Debug)]
-    struct DirectRuntime {
-        system: Arc<TmSystem>,
-    }
-
-    impl TmRuntime for DirectRuntime {
-        fn system(&self) -> &Arc<TmSystem> {
-            &self.system
-        }
-        fn name(&self) -> &'static str {
-            "direct"
-        }
-        fn exec_u64(
-            &self,
-            _thread: &Arc<ThreadCtx>,
-            body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<u64>,
-        ) -> u64 {
-            let mut tx = crate::tx::DirectTx::new(&self.system);
-            body(&mut tx).expect("direct runtime cannot abort")
-        }
-    }
-
-    #[test]
-    fn exec_bool_default_goes_through_exec_u64() {
-        let system = TmSystem::new(TmConfig::small());
-        let th = system.register_thread();
-        let rt = DirectRuntime { system };
-        assert!(rt.exec_bool(&th, &mut |_tx| Ok(true)));
-        assert!(!rt.exec_bool(&th, &mut |_tx| Ok(false)));
-    }
-
-    #[test]
-    fn direct_runtime_reads_and_writes_heap() {
-        let system = TmSystem::new(TmConfig::small());
-        let th = system.register_thread();
-        let rt = DirectRuntime {
-            system: Arc::clone(&system),
-        };
-        let v = rt.exec_u64(&th, &mut |tx| {
-            tx.write(crate::addr::Addr(7), 99)?;
-            tx.read(crate::addr::Addr(7))
-        });
-        assert_eq!(v, 99);
-        assert_eq!(system.heap.load(crate::addr::Addr(7)), 99);
-    }
+        Self: Sized,
+        F: FnMut(&mut dyn Tx) -> TxResult<T>;
 }

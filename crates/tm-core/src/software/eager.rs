@@ -57,8 +57,6 @@ fn acquire(core: &mut SoftwareTxCore<'_>, addr: Addr) -> TxResult<()> {
 }
 
 impl SoftwareProtocol for Eager {
-    const NAME: &'static str = "eager-stm";
-
     type State<'a> = ();
 
     fn read(core: &mut SoftwareTxCore<'_>, addr: Addr) -> TxResult<u64> {

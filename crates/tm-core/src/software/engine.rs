@@ -37,6 +37,10 @@ impl<P: SoftwareProtocol> SoftwareStm<P> {
 impl<P: SoftwareProtocol> TxEngine for SoftwareStm<P> {
     type Tx<'a> = SoftwareTx<'a, P>;
 
+    fn system(&self) -> &Arc<TmSystem> {
+        &self.system
+    }
+
     fn begin<'a>(
         &'a self,
         thread: &'a Arc<ThreadCtx>,
@@ -46,5 +50,3 @@ impl<P: SoftwareProtocol> TxEngine for SoftwareStm<P> {
         SoftwareTx::begin(self, thread, desc, common)
     }
 }
-
-crate::engine_runtime!(P::NAME, SoftwareStm<P>, P: SoftwareProtocol);

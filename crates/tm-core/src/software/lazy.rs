@@ -34,8 +34,6 @@ pub type LazyTx<'a> = SoftwareTx<'a, Lazy>;
 pub type LazyStm = SoftwareStm<Lazy>;
 
 impl SoftwareProtocol for Lazy {
-    const NAME: &'static str = "lazy-stm";
-
     /// The hybrid's hardware directory, whose speculative occupants of the
     /// written lines a commit must doom; `None` for the plain lazy runtime.
     type State<'a> = Option<&'a Directory>;

@@ -345,9 +345,6 @@ impl<'a> SoftwareTxCore<'a> {
 /// instrumented attempts (never serial), and `read`/`write` never on the
 /// snapshot path.
 pub trait SoftwareProtocol: fmt::Debug + Send + Sync + Sized + 'static {
-    /// The runtime's short name in benchmark output.
-    const NAME: &'static str;
-
     /// Per-attempt protocol state beyond the shared logs.
     type State<'a>: Default + fmt::Debug;
 

@@ -85,14 +85,6 @@ impl LatencyHistogram {
             untimed: self.untimed.load(Ordering::Relaxed),
         }
     }
-
-    /// Zeroes every bucket and the untimed count.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.untimed.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A point-in-time copy of a [`LatencyHistogram`], mergeable across threads.
@@ -162,11 +154,9 @@ macro_rules! stats_fields {
         /// caller's own context), so an update is a relaxed load and a
         /// relaxed store, not a locked read-modify-write.  Any thread may
         /// read ([`TxStats::snapshot`]): each field it sees is a value the
-        /// owner stored, so polled counters are exact and monotone.
-        /// [`TxStats::reset`] is the one foreign store; call it only while
-        /// the owner runs no transaction, or an in-flight update may
-        /// overwrite the zero.  A counter that gains a second concurrent
-        /// writer must go back to `fetch_add`.
+        /// owner stored, so polled counters are exact and monotone.  A
+        /// counter that gains a second concurrent writer must go back to
+        /// `fetch_add`.
         ///
         /// Counters sit on commit/abort hot paths, so each one is padded to
         /// its own cache line: a thread banging on `sw_commits` must never
@@ -200,13 +190,6 @@ macro_rules! stats_fields {
                     $($hname: self.$hname.snapshot(),)+
                 }
             }
-
-            /// Resets all counters to zero.
-            pub fn reset(&self) {
-                $(self.$cname.store(0, Ordering::Relaxed);)+
-                $(self.$mname.store(0, Ordering::Relaxed);)+
-                $(self.$hname.reset();)+
-            }
         }
 
         impl StatsSnapshot {
@@ -222,30 +205,12 @@ macro_rules! stats_fields {
             }
 
             /// Field names and values in declaration order, for serialization
-            /// without a reflection framework.  Histograms are not included
-            /// (readers of old reports simply never see them, and
-            /// [`StatsSnapshot::set_by_name`] already ignores unknown names).
+            /// without a reflection framework.  Histograms are not included.
             pub fn as_pairs(&self) -> Vec<(&'static str, u64)> {
                 vec![
                     $((stringify!($cname), self.$cname),)+
                     $((stringify!($mname), self.$mname),)+
                 ]
-            }
-
-            /// Sets a counter by field name; returns `false` for unknown
-            /// names (forward compatibility when reading old reports).
-            pub fn set_by_name(&mut self, name: &str, value: u64) -> bool {
-                match name {
-                    $(stringify!($cname) => {
-                        self.$cname = value;
-                        true
-                    })+
-                    $(stringify!($mname) => {
-                        self.$mname = value;
-                        true
-                    })+
-                    _ => false,
-                }
             }
         }
     };
@@ -424,15 +389,6 @@ impl StatsSnapshot {
     pub fn total_aborts(&self) -> u64 {
         self.sw_aborts + self.hw_aborts
     }
-
-    /// Aborts per commit; 0 when nothing committed.
-    pub fn abort_ratio(&self) -> f64 {
-        if self.total_commits() == 0 {
-            0.0
-        } else {
-            self.total_aborts() as f64 / self.total_commits() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -470,7 +426,7 @@ mod tests {
     }
 
     #[test]
-    fn ratios() {
+    fn totals_add_both_planes() {
         let s = StatsSnapshot {
             sw_commits: 10,
             sw_aborts: 5,
@@ -480,17 +436,6 @@ mod tests {
         };
         assert_eq!(s.total_commits(), 20);
         assert_eq!(s.total_aborts(), 10);
-        assert!((s.abort_ratio() - 0.5).abs() < 1e-9);
-        assert_eq!(StatsSnapshot::default().abort_ratio(), 0.0);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let s = TxStats::default();
-        TxStats::bump(&s.descheds);
-        TxStats::record_max(&s.read_set_max, 99);
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
 
     #[test]
@@ -525,11 +470,12 @@ mod tests {
     }
 
     #[test]
-    fn as_pairs_and_set_by_name_cover_high_water_marks() {
-        let mut s = StatsSnapshot::default();
-        assert!(s.set_by_name("read_set_max", 5));
-        assert!(s.set_by_name("log_pool_reuses", 3));
-        assert!(!s.set_by_name("no_such_stat", 1));
+    fn as_pairs_cover_high_water_marks() {
+        let s = StatsSnapshot {
+            read_set_max: 5,
+            log_pool_reuses: 3,
+            ..Default::default()
+        };
         let pairs = s.as_pairs();
         assert!(pairs.contains(&("read_set_max", 5)));
         assert!(pairs.contains(&("log_pool_reuses", 3)));
@@ -618,8 +564,6 @@ mod tests {
         assert!((10_000..100_000).contains(&p99), "p99 bound {p99}");
         assert!(p999 >= 1_000_000, "p999 bound {p999}");
         assert!(p50 <= p99 && p99 <= p999);
-        h.reset();
-        assert_eq!(h.snapshot().count(), 0);
     }
 
     #[test]
@@ -643,10 +587,6 @@ mod tests {
         let m = a.snapshot().merge(&b.snapshot());
         assert_eq!(m.update_tx_latency.count(), 2);
         assert_eq!(m.ro_tx_latency.count(), 1);
-        // Reset clears histograms too.
-        a.update_tx_latency.record(1);
-        a.reset();
-        assert_eq!(a.snapshot(), StatsSnapshot::default());
     }
 
     #[test]
@@ -671,9 +611,6 @@ mod tests {
         other.record_untimed();
         let merged = snap.merge(&other.snapshot());
         assert_eq!((merged.count(), merged.samples()), (102, 11));
-
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
 
     #[test]

@@ -278,12 +278,6 @@ impl ThreadCtx {
         self.epoch_slot().set_epoch(ts);
     }
 
-    /// The thread's last published commit epoch.
-    #[inline]
-    pub fn commit_epoch(&self) -> u64 {
-        self.epoch_slot().epoch()
-    }
-
     /// Marks this thread's hardware transaction as doomed.
     #[inline]
     pub fn doom(&self) {
@@ -390,13 +384,6 @@ impl ThreadRegistry {
             .map(|t| t.stats.snapshot())
             .fold(crate::stats::StatsSnapshot::default(), |a, b| a.merge(&b))
     }
-
-    /// Resets every thread's statistics (between benchmark phases).
-    pub fn reset_stats(&self) {
-        for t in self.threads.read().iter() {
-            t.stats.reset();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -468,7 +455,7 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_and_reset_stats() {
+    fn aggregate_stats_merges_every_thread() {
         let r = ThreadRegistry::new();
         let a = r.register();
         let b = r.register();
@@ -478,8 +465,6 @@ mod tests {
         let agg = r.aggregate_stats();
         assert_eq!(agg.sw_commits, 2);
         assert_eq!(agg.sleeps, 1);
-        r.reset_stats();
-        assert_eq!(r.aggregate_stats().sw_commits, 0);
     }
 
     #[test]
@@ -497,10 +482,10 @@ mod tests {
         let r = ThreadRegistry::new();
         let a = r.register();
         let b = r.register();
-        assert_eq!(a.commit_epoch(), 0);
+        assert_eq!(a.epoch_slot().epoch(), 0);
         a.publish_epoch(5);
         b.publish_epoch(3);
-        assert_eq!(a.commit_epoch(), 5);
+        assert_eq!(a.epoch_slot().epoch(), 5);
         assert_eq!(r.epochs().max_epoch(), 5);
     }
 

@@ -39,7 +39,7 @@
 //!   commit none of them covers costs one count load per written stripe: no
 //!   lock, no buffer, no allocation.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -275,8 +275,6 @@ pub struct WaitList {
     /// Total registered waiters; the committing writer's fast path is one
     /// atomic load of this count.
     count: AtomicUsize,
-    /// Monotone counter of registrations, handy for tests and tracing.
-    registrations: AtomicU64,
 }
 
 impl Default for WaitList {
@@ -298,7 +296,6 @@ impl WaitList {
             unindexed: CachePadded::new(Shard::default()),
             mask: shards - 1,
             count: AtomicUsize::new(0),
-            registrations: AtomicU64::new(0),
         }
     }
 
@@ -332,11 +329,6 @@ impl WaitList {
         self.count.load(Ordering::Acquire)
     }
 
-    /// Total number of registrations ever performed.
-    pub fn registrations(&self) -> u64 {
-        self.registrations.load(Ordering::Relaxed)
-    }
-
     /// Publishes a waiter under `stripes`, its condition's first footprint;
     /// an empty list means it has none and the waiter goes to the overflow
     /// shard, scanned by every writer.
@@ -356,7 +348,6 @@ impl WaitList {
         self.publish(&w, &mut registered, stripes);
         if first {
             self.count.fetch_add(1, Ordering::Release);
-            self.registrations.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -529,7 +520,6 @@ mod tests {
         r.register(Arc::clone(&w2), &[4]);
         assert_eq!(r.len(), 2);
         assert!(!r.is_empty());
-        assert_eq!(r.registrations(), 2);
         assert_eq!(w1.published(), 1);
         r.remove(&w1);
         assert_eq!(r.len(), 1);
@@ -632,7 +622,6 @@ mod tests {
         r.extend(&w, &[11, 2, 11]);
         assert_eq!(w.published(), 2, "already published stripes are kept");
         assert_eq!(r.len(), 1, "still one waiter");
-        assert_eq!(r.registrations(), 1);
         assert!(w.covers(&[11, 2]));
         assert_eq!(scanned(&r, &[11]).len(), 1);
         // The overflow shard covers every footprint.

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use condsync::Mechanism;
-use tm_core::{Addr, ThreadCtx, TmRt, TmSystem, TmVar, Tx, TxResult};
+use tm_core::{Addr, ThreadCtx, TmRuntime, TmSystem, TmVar, Tx, TxResult};
 
 /// How a timed barrier wait ([`TmBarrier::wait_for`]) ended.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -73,7 +73,7 @@ impl TmBarrier {
     ///
     /// Returns `true` for the last arriver (the "serial" thread, in
     /// `pthread_barrier` terms).
-    pub fn wait<R: TmRt + ?Sized>(
+    pub fn wait<R: TmRuntime>(
         &self,
         rt: &R,
         thread: &Arc<ThreadCtx>,
@@ -129,7 +129,7 @@ impl TmBarrier {
     ///
     /// Panics for mechanisms without timed-wait support (`Pthreads`,
     /// `TMCondVar`, `Retry-Orig`, `Restart`).
-    pub fn wait_for<R: TmRt + ?Sized>(
+    pub fn wait_for<R: TmRuntime>(
         &self,
         rt: &R,
         thread: &Arc<ThreadCtx>,

@@ -20,7 +20,7 @@ use tm_core::{Addr, TmArray, TmSystem, TmVar, Tx, TxResult};
 /// ```
 /// use std::sync::Arc;
 /// use condsync::Mechanism;
-/// use tm_core::{TmConfig, TmRt, TmSystem};
+/// use tm_core::{TmConfig, TmRuntime, TmSystem};
 /// use tm_sync::TmBoundedBuffer;
 ///
 /// let system = TmSystem::new(TmConfig::small());

@@ -57,7 +57,7 @@ const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 ///
 /// ```
 /// use std::sync::Arc;
-/// use tm_core::{TmConfig, TmRt, TmSystem};
+/// use tm_core::{TmConfig, TmRuntime, TmSystem};
 /// use tm_sync::TmHashMap;
 ///
 /// let system = TmSystem::new(TmConfig::small());

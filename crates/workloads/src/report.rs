@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use crate::json::{JsonError, Value};
+use crate::json::Value;
 use condsync::Mechanism;
 use tm_core::StatsSnapshot;
 
@@ -423,17 +423,11 @@ impl Report {
     pub fn to_json(&self) -> String {
         self.to_value().pretty()
     }
-
-    /// Parses a report back from JSON.
-    pub fn from_json(s: &str) -> Result<Self, JsonError> {
-        Report::from_value(&Value::parse(s)?)
-    }
 }
 
-// Hand-written JSON (de)serialization: the build environment cannot fetch
+// Hand-written JSON serialization: the build environment cannot fetch
 // serde, and the record types are few and flat enough that explicit code
-// stays readable.  Field names match what a serde derive would emit, so
-// reports written by earlier builds keep parsing.
+// stays readable.  Field names match what a serde derive would emit.
 
 fn stats_to_value(stats: &StatsSnapshot) -> Value {
     Value::Obj(
@@ -445,41 +439,6 @@ fn stats_to_value(stats: &StatsSnapshot) -> Value {
     )
 }
 
-fn stats_from_value(v: &Value) -> Result<StatsSnapshot, JsonError> {
-    let pairs = match v {
-        Value::Obj(pairs) => pairs,
-        _ => return Err(JsonError::new("stats must be an object")),
-    };
-    let mut stats = StatsSnapshot::default();
-    for (name, value) in pairs {
-        let n = value
-            .as_u64()
-            .ok_or_else(|| JsonError::new(format!("stat `{name}` must be a u64")))?;
-        // Unknown counters are ignored so old reports survive renames.
-        stats.set_by_name(name, n);
-    }
-    Ok(stats)
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, JsonError> {
-    v.require(key)?
-        .as_u64()
-        .ok_or_else(|| JsonError::new(format!("`{key}` must be a u64")))
-}
-
-fn f64_field(v: &Value, key: &str) -> Result<f64, JsonError> {
-    v.require(key)?
-        .as_f64()
-        .ok_or_else(|| JsonError::new(format!("`{key}` must be a number")))
-}
-
-fn str_field(v: &Value, key: &str) -> Result<String, JsonError> {
-    Ok(v.require(key)?
-        .as_str()
-        .ok_or_else(|| JsonError::new(format!("`{key}` must be a string")))?
-        .to_string())
-}
-
 impl DataPoint {
     fn to_value(&self) -> Value {
         Value::obj(vec![
@@ -489,16 +448,6 @@ impl DataPoint {
             ("trials", Value::Num(self.trials as f64)),
             ("stats", stats_to_value(&self.stats)),
         ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self, JsonError> {
-        Ok(DataPoint {
-            x: u64_field(v, "x")?,
-            seconds: f64_field(v, "seconds")?,
-            stddev: f64_field(v, "stddev")?,
-            trials: u64_field(v, "trials")? as u32,
-            stats: stats_from_value(v.require("stats")?)?,
-        })
     }
 }
 
@@ -512,20 +461,6 @@ impl Series {
             ),
         ])
     }
-
-    fn from_value(v: &Value) -> Result<Self, JsonError> {
-        let mechanism = str_field(v, "mechanism")?
-            .parse::<Mechanism>()
-            .map_err(JsonError::new)?;
-        let points = v
-            .require("points")?
-            .as_arr()
-            .ok_or_else(|| JsonError::new("`points` must be an array"))?
-            .iter()
-            .map(DataPoint::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Series { mechanism, points })
-    }
 }
 
 impl Panel {
@@ -538,21 +473,6 @@ impl Panel {
                 Value::Arr(self.series.iter().map(Series::to_value).collect()),
             ),
         ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self, JsonError> {
-        let series = v
-            .require("series")?
-            .as_arr()
-            .ok_or_else(|| JsonError::new("`series` must be an array"))?
-            .iter()
-            .map(Series::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Panel {
-            label: str_field(v, "label")?,
-            x_label: str_field(v, "x_label")?,
-            series,
-        })
     }
 }
 
@@ -576,32 +496,6 @@ impl Report {
                 ),
             ),
         ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self, JsonError> {
-        let panels = v
-            .require("panels")?
-            .as_arr()
-            .ok_or_else(|| JsonError::new("`panels` must be an array"))?
-            .iter()
-            .map(Panel::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut notes = BTreeMap::new();
-        if let Value::Obj(pairs) = v.require("notes")? {
-            for (k, note) in pairs {
-                let s = note
-                    .as_str()
-                    .ok_or_else(|| JsonError::new("notes must map to strings"))?;
-                notes.insert(k.clone(), s.to_string());
-            }
-        }
-        Ok(Report {
-            experiment: str_field(v, "experiment")?,
-            title: str_field(v, "title")?,
-            runtime: str_field(v, "runtime")?,
-            panels,
-            notes,
-        })
     }
 }
 
@@ -675,7 +569,7 @@ mod tests {
     }
 
     #[test]
-    fn report_renders_tables_and_round_trips_json() {
+    fn report_renders_tables_and_writes_parsable_json() {
         let mut r = Report::new("fig2.3", "Bounded buffer, eager STM", "eager-stm");
         r.note("items", "65536");
         let panel = r.panel_mut("p1-c1", "buffer size");
@@ -687,125 +581,203 @@ mod tests {
         assert!(text.contains("Retry"));
         assert!(text.contains("0.9"));
 
-        let json = r.to_json();
-        let back = Report::from_json(&json).unwrap();
-        assert_eq!(back.experiment, "fig2.3");
-        assert_eq!(back.panels.len(), 1);
-        assert_eq!(back.notes["items"], "65536");
+        let json = Value::parse(&r.to_json()).unwrap();
+        assert_eq!(json.require("experiment").unwrap().as_str(), Some("fig2.3"));
+        let panels = json.require("panels").unwrap().as_arr().unwrap();
+        assert_eq!(panels.len(), 1);
+        let series = panels[0].require("series").unwrap().as_arr().unwrap();
+        assert_eq!(
+            series[0].require("mechanism").unwrap().as_str(),
+            Some("Retry")
+        );
+        let point = &series[0].require("points").unwrap().as_arr().unwrap()[0];
+        assert_eq!(point.require("seconds").unwrap().as_f64(), Some(0.9));
+        let notes = json.require("notes").unwrap();
+        assert_eq!(notes.require("items").unwrap().as_str(), Some("65536"));
     }
 
     /// One row per statistics line: counters that must not print it on their
-    /// own, then the counters of a series that did the work, each with how
-    /// the line prints it.
+    /// own, then the counters of a series that did the work, and how the line
+    /// prints each of them.
     struct GroupCase {
         title: &'static str,
-        context_only: &'static [(&'static str, u64)],
-        counters: &'static [(&'static str, u64, &'static str)],
+        context_only: StatsSnapshot,
+        worked: StatsSnapshot,
+        printed: &'static [&'static str],
     }
 
-    const GROUP_CASES: &[GroupCase] = &[
-        GroupCase {
-            title: "wake-path",
-            context_only: &[("wakeups", 3), ("timer_ticks", 99)],
-            counters: &[
-                ("wake_checks", 12, "waiters scanned       12"),
-                ("wakeups", 3, "wakeups        3"),
-                ("wake_shard_scans", 5, "shards scanned        5"),
-                ("wake_shard_skips", 200, "shards skipped        200"),
-                ("wake_targeted", 7, "targeted commits        7"),
-                ("pred_reindexes", 2, "pred reindexes      2"),
-                ("wake_timeouts", 4, "timeouts        4"),
-                ("wake_cancels", 1, "cancels      1"),
-                ("timer_ticks", 99, "timer ticks       99"),
-            ],
-        },
-        // A lossy consumer can time out without any writer ever scanning a
-        // shard; its series must still surface the timeout counters.
-        GroupCase {
-            title: "wake-path",
-            context_only: &[],
-            counters: &[("wake_timeouts", 6, "timeouts        6")],
-        },
-        GroupCase {
-            title: "access-set",
-            context_only: &[],
-            counters: &[
-                ("read_set_max", 16384, "read set max    16384"),
-                ("write_set_max", 512, "write set max      512"),
-                ("log_pool_reuses", 31, "pool reuses         31"),
-            ],
-        },
-        // Plain software commits alone do not make a mode-ladder line; the
-        // Restart baseline's explicit aborts do, with no serial work at all.
-        GroupCase {
-            title: "mode-ladder",
-            context_only: &[("sw_commits", 100)],
-            counters: &[
-                ("sw_commits", 10, "sw commits       10"),
-                ("explicit_aborts", 55, "explicit aborts       55"),
-            ],
-        },
-        GroupCase {
-            title: "mode-ladder",
-            context_only: &[("hw_commits", 50)],
-            counters: &[
-                ("hw_commits", 7, "hw commits        7"),
-                ("sw_commits", 3, "sw commits        3"),
-                ("serial_commits", 2, "serial commits        2"),
-                ("mode_switches", 9, "mode switches        9"),
-                ("cm_escalations", 4, "cm escalations        4"),
-            ],
-        },
-        // Genuine hardware aborts alone do not make a hardware-plane line.
-        GroupCase {
-            title: "hardware-plane",
-            context_only: &[("hw_commits", 50), ("hw_aborts", 5)],
-            counters: &[
-                ("hw_faults_injected", 33, "faults injected       33"),
-                ("hw_aborts", 40, "hw aborts       40"),
-            ],
-        },
-        GroupCase {
-            title: "clock",
-            context_only: &[],
-            counters: &[
-                ("clock_cas", 3, "shared-line cas        3"),
-                ("clock_reuse", 997, "lazy reuses      997"),
-                ("quiesce_scans", 1234, "quiesce scans       1234"),
-            ],
-        },
-        GroupCase {
-            title: "snapshot",
-            context_only: &[],
-            counters: &[
-                ("ro_fast_commits", 420, "ro fast commits      420"),
-                ("ro_upgrades", 7, "ro upgrades        7"),
-                ("snapshot_refreshes", 13, "refreshes         13"),
-            ],
-        },
-        GroupCase {
-            title: "memory-plane",
-            context_only: &[],
-            counters: &[
-                ("heap_arena_allocs", 640, "arena allocs      640"),
-                ("heap_global_refills", 9, "global refills        9"),
-                ("heap_remote_frees", 17, "remote frees       17"),
-                ("orec_cas_failures", 3, "orec cas failures        3"),
-            ],
-        },
-    ];
+    fn group_cases() -> Vec<GroupCase> {
+        let zero = StatsSnapshot::default;
+        vec![
+            GroupCase {
+                title: "wake-path",
+                context_only: StatsSnapshot {
+                    wakeups: 3,
+                    timer_ticks: 99,
+                    ..zero()
+                },
+                worked: StatsSnapshot {
+                    wake_checks: 12,
+                    wakeups: 3,
+                    wake_shard_scans: 5,
+                    wake_shard_skips: 200,
+                    wake_targeted: 7,
+                    pred_reindexes: 2,
+                    wake_timeouts: 4,
+                    wake_cancels: 1,
+                    timer_ticks: 99,
+                    ..zero()
+                },
+                printed: &[
+                    "waiters scanned       12",
+                    "wakeups        3",
+                    "shards scanned        5",
+                    "shards skipped        200",
+                    "targeted commits        7",
+                    "pred reindexes      2",
+                    "timeouts        4",
+                    "cancels      1",
+                    "timer ticks       99",
+                ],
+            },
+            // A lossy consumer can time out without any writer ever scanning
+            // a shard; its series must still surface the timeout counters.
+            GroupCase {
+                title: "wake-path",
+                context_only: zero(),
+                worked: StatsSnapshot {
+                    wake_timeouts: 6,
+                    ..zero()
+                },
+                printed: &["timeouts        6"],
+            },
+            GroupCase {
+                title: "access-set",
+                context_only: zero(),
+                worked: StatsSnapshot {
+                    read_set_max: 16384,
+                    write_set_max: 512,
+                    log_pool_reuses: 31,
+                    ..zero()
+                },
+                printed: &[
+                    "read set max    16384",
+                    "write set max      512",
+                    "pool reuses         31",
+                ],
+            },
+            // Plain software commits alone do not make a mode-ladder line; the
+            // Restart baseline's explicit aborts do, with no serial work at all.
+            GroupCase {
+                title: "mode-ladder",
+                context_only: StatsSnapshot {
+                    sw_commits: 100,
+                    ..zero()
+                },
+                worked: StatsSnapshot {
+                    sw_commits: 10,
+                    explicit_aborts: 55,
+                    ..zero()
+                },
+                printed: &["sw commits       10", "explicit aborts       55"],
+            },
+            GroupCase {
+                title: "mode-ladder",
+                context_only: StatsSnapshot {
+                    hw_commits: 50,
+                    ..zero()
+                },
+                worked: StatsSnapshot {
+                    hw_commits: 7,
+                    sw_commits: 3,
+                    serial_commits: 2,
+                    mode_switches: 9,
+                    cm_escalations: 4,
+                    ..zero()
+                },
+                printed: &[
+                    "hw commits        7",
+                    "sw commits        3",
+                    "serial commits        2",
+                    "mode switches        9",
+                    "cm escalations        4",
+                ],
+            },
+            // Genuine hardware aborts alone do not make a hardware-plane line.
+            GroupCase {
+                title: "hardware-plane",
+                context_only: StatsSnapshot {
+                    hw_commits: 50,
+                    hw_aborts: 5,
+                    ..zero()
+                },
+                worked: StatsSnapshot {
+                    hw_faults_injected: 33,
+                    hw_aborts: 40,
+                    ..zero()
+                },
+                printed: &["faults injected       33", "hw aborts       40"],
+            },
+            GroupCase {
+                title: "clock",
+                context_only: zero(),
+                worked: StatsSnapshot {
+                    clock_cas: 3,
+                    clock_reuse: 997,
+                    quiesce_scans: 1234,
+                    ..zero()
+                },
+                printed: &[
+                    "shared-line cas        3",
+                    "lazy reuses      997",
+                    "quiesce scans       1234",
+                ],
+            },
+            GroupCase {
+                title: "snapshot",
+                context_only: zero(),
+                worked: StatsSnapshot {
+                    ro_fast_commits: 420,
+                    ro_upgrades: 7,
+                    snapshot_refreshes: 13,
+                    ..zero()
+                },
+                printed: &[
+                    "ro fast commits      420",
+                    "ro upgrades        7",
+                    "refreshes         13",
+                ],
+            },
+            GroupCase {
+                title: "memory-plane",
+                context_only: zero(),
+                worked: StatsSnapshot {
+                    heap_arena_allocs: 640,
+                    heap_global_refills: 9,
+                    heap_remote_frees: 17,
+                    orec_cas_failures: 3,
+                    ..zero()
+                },
+                printed: &[
+                    "arena allocs      640",
+                    "global refills        9",
+                    "remote frees       17",
+                    "orec cas failures        3",
+                ],
+            },
+        ]
+    }
 
-    fn point_with(x: u64, fields: impl IntoIterator<Item = (&'static str, u64)>) -> DataPoint {
-        let mut p = point(x, 1.0);
-        for (name, value) in fields {
-            assert!(p.stats.set_by_name(name, value), "unknown counter {name}");
+    fn point_with(x: u64, stats: StatsSnapshot) -> DataPoint {
+        DataPoint {
+            stats,
+            ..point(x, 1.0)
         }
-        p
     }
 
     #[test]
     fn each_stats_line_renders_only_for_series_that_did_its_work() {
-        for case in GROUP_CASES {
+        for case in group_cases() {
             let title = case.title;
             let (_, cols) = GROUPS
                 .iter()
@@ -814,28 +786,31 @@ mod tests {
             let mut panel = Panel::new("p1-c1", "buffer size");
             panel
                 .series_mut(Mechanism::Pthreads)
-                .push(point_with(4, case.context_only.iter().copied()));
+                .push(point_with(4, case.context_only));
             assert!(
                 panel.render_group(title, cols).is_empty(),
                 "{title}: context counters alone print no line"
             );
 
-            let worked = case.counters.iter().map(|&(name, value, _)| (name, value));
             panel
                 .series_mut(Mechanism::Retry)
-                .push(point_with(4, worked));
+                .push(point_with(4, case.worked));
             // A second point with smaller maxima must not shrink a rendered
             // high-water mark (max-merge, not sum).
-            panel
-                .series_mut(Mechanism::Retry)
-                .push(point_with(16, [("read_set_max", 10)]));
+            panel.series_mut(Mechanism::Retry).push(point_with(
+                16,
+                StatsSnapshot {
+                    read_set_max: 10,
+                    ..StatsSnapshot::default()
+                },
+            ));
             let text = panel.render();
             let mut lines = text
                 .lines()
                 .filter(|l| l.starts_with(&format!("# {title} ")));
             let line = lines.next().unwrap_or_else(|| panic!("{title}: no line"));
             assert!(line.contains("Retry:"), "{line}");
-            for (_, _, printed) in case.counters {
+            for printed in case.printed {
                 assert!(
                     line.contains(printed),
                     "{title}: `{printed}` not in `{line}`"

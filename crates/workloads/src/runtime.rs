@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use tm_core::hardware::{HtmSim, HybridTm};
 use tm_core::software::{EagerStm, LazyStm};
-use tm_core::{ThreadCtx, TmConfig, TmRt, TmRuntime, TmSystem, Tx, TxResult};
+use tm_core::{ThreadCtx, TmConfig, TmRuntime, TmSystem, Tx, TxResult};
 
 /// Which transactional-memory implementation provides the transactions.
 ///
@@ -104,11 +104,12 @@ impl FromStr for RuntimeKind {
     }
 }
 
-/// Enum dispatch over the three runtime implementations.
+/// Enum dispatch over the four runtime implementations.
 ///
-/// [`TmRt::atomically`] is not object-safe (it is generic in the body's
+/// [`TmRuntime::atomically`] is not object-safe (it is generic in the body's
 /// return type), so workloads that must pick their runtime at run time use
-/// this wrapper instead of `&dyn TmRuntime`.
+/// this wrapper instead of `&dyn TmRuntime`.  Its inherent methods need no
+/// trait import; its [`TmRuntime`] impl forwards to them.
 #[derive(Debug, Clone)]
 pub enum AnyRuntime {
     /// The eager (undo-log) STM.
@@ -151,7 +152,7 @@ impl AnyRuntime {
     }
 
     /// Runs `body` as a *declared read-only* transaction (snapshot read path
-    /// on the software runtimes; see [`TmRt::atomically_read`]).
+    /// on the software runtimes; see [`TmRuntime::atomically_read`]).
     pub fn atomically_read<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T
     where
         F: FnMut(&mut dyn Tx) -> TxResult<T>,
@@ -180,18 +181,6 @@ impl TmRuntime for AnyRuntime {
         AnyRuntime::system(self)
     }
 
-    fn name(&self) -> &'static str {
-        self.as_dyn().name()
-    }
-
-    fn exec_u64(
-        &self,
-        thread: &Arc<ThreadCtx>,
-        body: &mut dyn FnMut(&mut dyn Tx) -> TxResult<u64>,
-    ) -> u64 {
-        self.as_dyn().exec_u64(thread, body)
-    }
-
     fn exec_bool(
         &self,
         thread: &Arc<ThreadCtx>,
@@ -199,9 +188,7 @@ impl TmRuntime for AnyRuntime {
     ) -> bool {
         self.as_dyn().exec_bool(thread, body)
     }
-}
 
-impl TmRt for AnyRuntime {
     fn atomically<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T
     where
         F: FnMut(&mut dyn Tx) -> TxResult<T>,
@@ -272,19 +259,23 @@ mod tests {
     }
 
     #[test]
-    fn exec_u64_via_trait_object_dispatches() {
+    fn exec_bool_via_trait_object_dispatches() {
         for kind in RuntimeKind::ALL {
             let rt = kind.build(TmConfig::small());
             let system = Arc::clone(AnyRuntime::system(&rt));
             let th = system.register_thread();
             let v = TmVar::<u64>::alloc(&system, 41);
-            let dynrt: &dyn TmRuntime = &rt;
-            let got = dynrt.exec_u64(&th, &mut |tx| {
-                let x = v.get(tx)?;
-                v.set(tx, x + 1)?;
-                Ok(x + 1)
-            });
-            assert_eq!(got, 42);
+            for dynrt in [&rt as &dyn TmRuntime, rt.as_dyn()] {
+                let before = v.load_direct(&system);
+                let committed = dynrt.exec_bool(&th, &mut |tx| {
+                    let x = v.get(tx)?;
+                    v.set(tx, x + 1)?;
+                    Ok(x == before)
+                });
+                assert!(committed, "{kind}");
+                assert_eq!(v.load_direct(&system), before + 1, "{kind}");
+            }
+            assert_eq!(v.load_direct(&system), 43, "{kind}");
         }
     }
 }

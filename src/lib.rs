@@ -102,7 +102,7 @@ pub mod prelude {
         was_cancelled, Mechanism, TmCondVar, WakeReason,
     };
     pub use tm_core::{
-        Addr, Semaphore, TmArray, TmConfig, TmRt, TmRuntime, TmSystem, TmVar, Tx, TxCtl, TxResult,
+        Addr, Semaphore, TmArray, TmConfig, TmRuntime, TmSystem, TmVar, Tx, TxCtl, TxResult,
     };
     pub use tm_sync::{
         BarrierWait, PthreadBuffer, TmBarrier, TmBoundedBuffer, TmCounter, TmHashMap, TmLatch,

@@ -308,42 +308,3 @@ fn golden_parity_with_the_zero_fault_baseline() {
         }
     }
 }
-
-// --- The env knobs soak jobs use. -----------------------------------------
-
-#[test]
-fn fault_env_knobs_parse_into_a_config() {
-    // No other test in this binary reads TM_FAULT_*: injection everywhere
-    // else comes in through TmConfig, so mutating the process environment
-    // here cannot race a concurrent test.
-    let vars = [
-        ("TM_FAULT_SEED", "12345"),
-        ("TM_FAULT_CONFLICT", "100"),
-        ("TM_FAULT_CONFLICT_LINE_MOD", "16"),
-        ("TM_FAULT_CAP_READ", "32"),
-        ("TM_FAULT_CAP_WRITE", "8"),
-        ("TM_FAULT_SPURIOUS", "200"),
-        ("TM_FAULT_COMMIT", "300"),
-    ];
-    for (k, v) in vars {
-        std::env::set_var(k, v);
-    }
-    let cfg = FaultConfig::from_env();
-    for (k, _) in vars {
-        std::env::remove_var(k);
-    }
-    assert_eq!(
-        cfg,
-        FaultConfig {
-            seed: 12345,
-            conflict_per_64k: 100,
-            conflict_line_mod: 16,
-            capacity_read_lines: 32,
-            capacity_write_lines: 8,
-            spurious_per_64k: 200,
-            commit_window_per_64k: 300,
-        }
-    );
-    assert!(cfg.enabled());
-    assert!(!FaultConfig::from_env().enabled(), "unset means disabled");
-}

@@ -174,7 +174,7 @@ fn serial_fallback_threshold_is_respected() {
 /// Runs a transaction on `rt` that calls `wait` (given a flag's address)
 /// until the flag is non-zero, sets the flag to 3 from this thread once the
 /// waiter has descheduled or restarted, and returns what the waiter saw.
-fn flag_waiter<R: TmRt + Send + Sync + 'static>(
+fn flag_waiter<R: TmRuntime + 'static>(
     rt: Arc<R>,
     system: &Arc<TmSystem>,
     wait: fn(&mut dyn Tx, Addr) -> TxResult<u64>,

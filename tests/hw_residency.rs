@@ -14,8 +14,8 @@ use std::sync::Arc;
 use tm_repro::core::driver::{Attempt, TxEngine};
 use tm_repro::core::hardware::lines::MAX_HW_THREADS;
 use tm_repro::core::{
-    AbortReason, Addr, StatsSnapshot, TmConfig, TmRt, TmSystem, TmVar, Tx, TxCommon, TxCtl, TxMode,
-    LINE_WORDS,
+    AbortReason, Addr, StatsSnapshot, TmConfig, TmRuntime, TmSystem, TmVar, Tx, TxCommon, TxCtl,
+    TxMode, LINE_WORDS,
 };
 use tm_repro::htm::{Directory, HtmSim, HybridTm};
 
@@ -155,7 +155,7 @@ fn a_coupled_hardware_commit_publishes_to_the_written_words_orecs_only() {
 /// beside thread 0, which holds a speculative read registration on `BASE`'s
 /// line.  Returns thread 64's statistics and whether thread 0 ended up
 /// doomed.
-fn past_the_reader_mask<R: TxEngine + TmRt>(
+fn past_the_reader_mask<R: TxEngine>(
     rt: &R,
     dir: &Directory,
     system: &Arc<TmSystem>,
