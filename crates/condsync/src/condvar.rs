@@ -27,7 +27,7 @@
 use std::sync::{Arc, OnceLock};
 
 use tm_core::stats::TxStats;
-use tm_core::{Addr, TmSystem, Tx, TxResult, WaitCondition};
+use tm_core::{AbortReason, Addr, TmSystem, Tx, TxCtl, TxResult, WaitCondition};
 
 /// A condition variable usable from inside transactions.
 #[derive(Debug, Default)]
@@ -43,15 +43,29 @@ impl TmCondVar {
         TmCondVar::default()
     }
 
-    /// The generation word in `tx`'s heap.
-    fn gen(&self, tx: &dyn Tx) -> Addr {
+    /// The generation word in `tx`'s heap, allocated on first use;
+    /// `OutOfMemory` if the heap has no word for it.
+    ///
+    /// The word is allocated outside the transaction (not in its `mallocs`),
+    /// because the variable keeps it across that transaction's aborts.  Of
+    /// two first uses racing, the loser frees its own word.
+    fn gen(&self, tx: &dyn Tx) -> TxResult<Addr> {
         let system = tx.system();
-        let (owner, addr) = self.gen.get_or_init(|| {
-            let addr = system.heap.alloc(1).expect("heap exhausted");
-            (Arc::clone(system), addr)
-        });
+        let (owner, addr) = match self.gen.get() {
+            Some(gen) => gen,
+            None => {
+                let addr = system
+                    .heap
+                    .alloc(1)
+                    .ok_or(TxCtl::Abort(AbortReason::OutOfMemory))?;
+                if let Err((_, lost)) = self.gen.set((Arc::clone(system), addr)) {
+                    system.heap.dealloc(lost, 1);
+                }
+                self.gen.get().expect("set above or by the race's winner")
+            }
+        };
         debug_assert!(Arc::ptr_eq(owner, system), "one condvar, one system");
-        *addr
+        Ok(*addr)
     }
 
     /// Waits on the condition variable from inside a transaction.
@@ -59,18 +73,21 @@ impl TmCondVar {
     /// Commits the caller's in-flight transaction (breaking its atomicity),
     /// sleeps until a signal committed after the caller's reads moves the
     /// generation, then starts a fresh transaction for the rest of the body.
-    /// `Err` means the commit failed and the body re-executes.
+    /// `Err` means the commit failed and the body re-executes, or — on the
+    /// variable's first use — `Abort(OutOfMemory)` if the heap has no word
+    /// left for its generation.
     pub fn wait(&self, tx: &mut dyn Tx) -> TxResult<()> {
         TxStats::bump(&tx.thread().stats.condvar_waits);
-        let gen = self.gen(tx);
+        let gen = self.gen(tx)?;
         let ticket = tx.read(gen)?;
         tx.commit_and_wait(WaitCondition::ValuesChanged(vec![(gen, ticket)]))
     }
 
     /// Wakes every waiter when the caller's transaction commits.
+    /// `Abort(OutOfMemory)` as for [`TmCondVar::wait`].
     pub fn signal_from(&self, tx: &mut dyn Tx) -> TxResult<()> {
         TxStats::bump(&tx.thread().stats.condvar_signals);
-        let gen = self.gen(tx);
+        let gen = self.gen(tx)?;
         let next = tx.read_for_write(gen)? + 1;
         tx.write(gen, next)
     }

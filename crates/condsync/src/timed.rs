@@ -187,11 +187,15 @@ pub fn cancel(waiter: &Arc<Waiter>) -> bool {
 /// Returns `true` if a sleeping waiter was found and this call cancelled it.
 /// This is the discovery-by-thread-id convenience over [`cancel`]; it walks
 /// the registry, so it belongs on control paths (shutdown, watchdogs), not
-/// hot paths.
+/// hot paths.  Holding the system, it also deregisters the waiter it
+/// claims ([`WaitList::claim`](tm_core::WaitList::claim)) before posting.
 pub fn cancel_thread(system: &TmSystem, thread: ThreadId) -> bool {
     match system.waiters.find_by_thread(thread) {
-        Some(w) => cancel(&w),
-        None => false,
+        Some(w) if system.waiters.claim(&w, WakeReason::Cancelled) => {
+            w.sem.post();
+            true
+        }
+        _ => false,
     }
 }
 
@@ -239,7 +243,8 @@ mod tests {
         system.waiters.register(Arc::clone(&w), &stripes);
         assert!(cancel_thread(&system, 7));
         assert_eq!(w.wake_reason(), Some(WakeReason::Cancelled));
+        assert_eq!(w.sem.permits(), 1, "exactly one signal");
+        assert!(system.waiters.is_empty(), "the claim's winner deregisters");
         assert!(!cancel_thread(&system, 7), "already claimed");
-        system.waiters.remove(&w);
     }
 }

@@ -14,10 +14,16 @@
 //!    checking is what removes the need to validate the read set atomically
 //!    with the insertion, and is the key difference from Algorithm 1,
 //! 3. if the condition still does not hold, yields the CPU once — a waker
-//!    sharing it then runs, claims the waiter and posts before the sleeper
-//!    blocks — and waits on the park semaphore,
-//! 4. removes itself upon wake-up and returns, at which point the driver
-//!    re-executes the original transaction from its checkpoint.
+//!    sharing it then runs, claims the waiter, deregisters it and posts
+//!    before the sleeper blocks — and waits on the park semaphore,
+//! 4. returns upon wake-up, at which point the driver re-executes the
+//!    original transaction from its checkpoint.  The claim's winner already
+//!    took the waiter out of the registry ([`WaitList::claim`]) before
+//!    posting, so the commits a waker makes while the sleeper has yet to run
+//!    again find no *unclaimed* sleeper and take the empty-registry fast
+//!    path; the sleeper's own `remove` after waking is only the backstop for
+//!    the claimants that do not hold the registry (`condsync::cancel` by
+//!    waiter handle, the timer wheel).
 //!
 //! Writers call [`wake_waiters_matching`] strictly *after* committing, with
 //! the stripes their commit wrote ([`Descriptor::cover`]): only the waiters
@@ -47,6 +53,7 @@
 //!
 //! [`Descriptor::cover`]: crate::access::Descriptor::cover
 //! [`WaitList::extend`]: crate::waitlist::WaitList::extend
+//! [`WaitList::claim`]: crate::waitlist::WaitList::claim
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -269,9 +276,10 @@ pub fn deschedule(
 ///                                       writer claim   timer/self   cancel
 ///                                         Woken         Timeout    Cancelled
 ///                                                 └──────────┼──────────┘
-///                                                claim CAS: exactly one wins
-///                                              and posts; a sleeper that loses
-///                                              its own claim takes that post
+///                                                claim CAS: exactly one wins,
+///                                              deregisters and posts; a sleeper
+///                                              that loses its own claim takes
+///                                              that post
 /// ```
 ///
 /// Timeout delivery is doubly covered: the system's lazily polled timer
@@ -339,8 +347,9 @@ pub fn deschedule_until(
     if check(rt, thread, &waiter) {
         // Claim our own wake-up so no waker signals us.  A waker (writer,
         // timer poll or cancel) that won the race owes the park one post:
-        // take it, or it would end this thread's next sleep.
-        if !waiter.claim(WakeReason::Woken) {
+        // take it, or it would end this thread's next sleep.  The remove
+        // backs up a winner that does not hold the registry.
+        if !system.waiters.claim(&waiter, WakeReason::Woken) {
             park.wait();
         }
         system.waiters.remove(&waiter);
@@ -366,7 +375,7 @@ pub fn deschedule_until(
             // The deadline passed with no signal: claim the timeout
             // ourselves.  Losing this claim means a waker got in just
             // before us and its reason stands; take the post it owes.
-            if !park.wait_deadline(d) && !waiter.claim(WakeReason::Timeout) {
+            if !park.wait_deadline(d) && !system.waiters.claim(&waiter, WakeReason::Timeout) {
                 park.wait();
             }
         }
@@ -374,6 +383,8 @@ pub fn deschedule_until(
     let reason = waiter
         .wake_reason()
         .expect("the park is posted only for a claimed waiter");
+    // A writer, our own timeout or `cancel_thread` deregistered the waiter
+    // when it won the claim; a cancel by handle or the timer wheel did not.
     system.waiters.remove(&waiter);
     if armed {
         system.timers.disarm(&waiter);
@@ -472,7 +483,9 @@ pub fn wake_waiters_matching(rt: &dyn TmRuntime, thread: &Arc<ThreadCtx>, wake: 
             continue;
         }
         TxStats::bump(&thread.stats.wake_checks);
-        if check(rt, thread, waiter) && waiter.claim_wake() {
+        // Deregister before posting: the commits this thread makes until the
+        // sleeper runs again then find it gone instead of scanning it.
+        if check(rt, thread, waiter) && waiters.claim(waiter, WakeReason::Woken) {
             waiter.sem.post();
             TxStats::bump(&thread.stats.wakeups);
         }
@@ -650,7 +663,7 @@ mod tests {
         let Some(w) = tx.system().waiters.find_by_thread(args[0] as usize) else {
             return Ok(false);
         };
-        if w.claim_wake() {
+        if tx.system().waiters.claim(&w, WakeReason::Woken) {
             w.sem.post();
         }
         Ok(true)
@@ -935,6 +948,41 @@ mod tests {
         wake_waiters_matching(&rt, &writer, &WakeSet::All);
         wake_waiters_matching(&rt, &writer, &WakeSet::All);
         assert_eq!(sem.permits(), 1, "exactly one signal per sleep");
+    }
+
+    /// The claim's winner deregisters before it posts: a woken sleeper that
+    /// has not run yet is already out of the registry, so the waker's next
+    /// commit takes the empty-registry fast path instead of scanning it.
+    #[test]
+    fn a_woken_waiter_leaves_the_registry_before_its_sleeper_runs() {
+        let (system, rt) = toy();
+        let writer = system.register_thread();
+        let sleeper = system.register_thread();
+        let word = Addr(72);
+        system.heap.store(word, 0);
+        let w = Waiter::new(
+            sleeper.id,
+            WaitCondition::ValuesChanged(vec![(word, 0)]),
+            Arc::clone(&sleeper.park),
+        );
+        let wake = WakeSet::Stripes(register_manually(&rt, &w));
+        system.heap.store(word, 1);
+        wake_waiters_matching(&rt, &writer, &wake);
+        assert!(system.waiters.is_empty(), "the winner deregistered it");
+        assert_eq!(w.wake_reason(), Some(WakeReason::Woken));
+        assert_eq!(sleeper.park.permits(), 1, "posted once");
+        let targeted = writer.stats.snapshot().wake_targeted;
+        assert_eq!(targeted, 1);
+        wake_waiters_matching(&rt, &writer, &wake);
+        assert_eq!(
+            writer.stats.snapshot().wake_targeted,
+            targeted,
+            "the next commit finds no unclaimed sleeper and scans nothing"
+        );
+        // What the sleeper does when it runs: take the post, remove (a no-op).
+        sleeper.park.wait();
+        system.waiters.remove(&w);
+        assert!(system.waiters.is_empty());
     }
 
     #[test]
@@ -1262,7 +1310,10 @@ mod tests {
                     None => std::thread::yield_now(),
                 }
             };
-            assert!(w.claim_wake(), "claimed well before the deadline");
+            assert!(
+                w.claim(WakeReason::Woken),
+                "claimed well before the deadline"
+            );
             std::thread::sleep(Duration::from_millis(100));
             w.sem.post();
             sleeper.join().unwrap()

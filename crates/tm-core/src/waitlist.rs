@@ -33,9 +33,13 @@
 //!   double-check in `deschedule` closes the publish/commit race exactly as
 //!   Algorithm 4 requires; sharding does not widen the window because each
 //!   shard's mutex orders registration against the scan.
-//! * **Free fast path** — the common no-waiter case costs committing writers
-//!   a single atomic load of the global count, so in-flight (hardware)
-//!   transactions pay nothing for the mechanism.  With waiters registered, a
+//! * **Free fast path** — whoever wins a waiter's claim
+//!   ([`WaitList::claim`]) deregisters it before posting, so the registry
+//!   holds only sleepers that still need a wake.  The common case of no
+//!   *unclaimed* sleeper costs committing writers a single atomic load of
+//!   the global count, so in-flight (hardware) transactions pay nothing for
+//!   the mechanism — including the commits a waker makes between posting a
+//!   sleeper and that sleeper running again.  With waiters registered, a
 //!   commit none of them covers costs one count load per written stripe: no
 //!   lock, no buffer, no allocation.
 
@@ -147,16 +151,17 @@ impl Waiter {
 
     /// Attempts to claim the right to wake this waiter with the given
     /// reason; returns true for exactly one caller across all reasons.
+    ///
+    /// A claimant that holds the system claims through [`WaitList::claim`]
+    /// instead, which also takes the waiter out of the registry, so later
+    /// commits do not scan a sleeper that no longer needs a wake.  This bare
+    /// form is for the claimants that do not hold the registry (a cancel by
+    /// waiter handle, the timer wheel); the sleeper's own post-wake
+    /// [`WaitList::remove`] deregisters after them.
     pub fn claim(&self, reason: WakeReason) -> bool {
         self.state
             .compare_exchange(ASLEEP, reason as u8, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
-    }
-
-    /// Attempts to claim the right to wake this waiter as
-    /// [`WakeReason::Woken`]; returns true for exactly one caller.
-    pub fn claim_wake(&self) -> bool {
-        self.claim(WakeReason::Woken)
     }
 
     /// True if the waiter has not yet been claimed for wake-up.
@@ -372,9 +377,23 @@ impl WaitList {
         w.published.store(registered.len(), Ordering::Release);
     }
 
-    /// Removes a waiter from every shard it is registered under
-    /// (Algorithm 4 line 16, after wake-up).  Harmless for a waiter that is
-    /// not registered.
+    /// Claims `w` for `reason` ([`Waiter::claim`]) and, if this call won,
+    /// removes it from the registry before returning, so the winner posts a
+    /// waiter no commit will scan again.  Returns true for exactly one
+    /// caller across all reasons; that caller owes the waiter's post.
+    pub fn claim(&self, w: &Arc<Waiter>, reason: WakeReason) -> bool {
+        let won = w.claim(reason);
+        if won {
+            self.remove(w);
+        }
+        won
+    }
+
+    /// Removes a waiter from every shard it is registered under.  The winner
+    /// of a [`WaitList::claim`] has already done this; the sleeper calls it
+    /// again after its wake-up (Algorithm 4 line 16) for the claimants that
+    /// do not hold the registry.  Harmless for a waiter that is not
+    /// registered.
     pub fn remove(&self, w: &Arc<Waiter>) {
         let mut registered = w.registered.lock();
         if registered.is_empty() {
@@ -654,12 +673,12 @@ mod tests {
     }
 
     #[test]
-    fn claim_wake_succeeds_exactly_once() {
+    fn claim_succeeds_exactly_once() {
         let w = dummy_waiter(0);
         assert!(w.is_asleep());
         assert!(w.wake_reason().is_none());
-        assert!(w.claim_wake());
-        assert!(!w.claim_wake());
+        assert!(w.claim(WakeReason::Woken));
+        assert!(!w.claim(WakeReason::Woken));
         assert!(!w.is_asleep());
         assert_eq!(w.wake_reason(), Some(WakeReason::Woken));
     }
@@ -679,6 +698,27 @@ mod tests {
             assert!(!w.claim(WakeReason::Cancelled));
             assert_eq!(w.wake_reason(), Some(reason));
         }
+    }
+
+    #[test]
+    fn a_registry_claim_deregisters_its_winner_only() {
+        let r = WaitList::new(8);
+        let w = dummy_waiter(0);
+        r.register(Arc::clone(&w), &[3, UNINDEXED]);
+        assert!(r.claim(&w, WakeReason::Woken));
+        assert!(r.is_empty() && r.snapshot().is_empty());
+        assert_eq!(w.published(), 0);
+        // A bare claim (cancel by handle, the timer wheel) leaves the waiter
+        // for its sleeper's own remove; a losing registry claim removes
+        // nothing either.
+        let bare = dummy_waiter(1);
+        r.register(Arc::clone(&bare), &[3]);
+        assert!(bare.claim(WakeReason::Cancelled));
+        assert!(!r.claim(&bare, WakeReason::Woken));
+        assert_eq!(r.len(), 1);
+        assert_eq!(bare.wake_reason(), Some(WakeReason::Cancelled));
+        r.remove(&bare);
+        assert!(r.is_empty());
     }
 
     #[test]
@@ -715,7 +755,7 @@ mod tests {
         let mut handles = Vec::new();
         for _ in 0..8 {
             let w = Arc::clone(&w);
-            handles.push(std::thread::spawn(move || w.claim_wake()));
+            handles.push(std::thread::spawn(move || w.claim(WakeReason::Woken)));
         }
         let winners = handles
             .into_iter()
@@ -732,7 +772,7 @@ mod tests {
         r.register(Arc::clone(&w), &[1]);
         let snap = r.snapshot();
         // Claiming through the snapshot is visible through the registry copy.
-        assert!(snap[0].claim_wake());
+        assert!(snap[0].claim(WakeReason::Woken));
         assert!(!r.snapshot()[0].is_asleep());
     }
 }

@@ -8,6 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use condsync::Mechanism;
+use tm_repro::core::AbortReason;
 use tm_repro::prelude::*;
 use tm_repro::workloads::runtime::RuntimeKind;
 
@@ -426,5 +427,34 @@ fn unsignalled_tmcondvar_wait_stays_asleep() {
             });
             assert_eq!(reached, 1, "{kind}: an unsignalled wait woke up");
         });
+    }
+}
+
+/// A TMCondVar allocates its generation word on first use.  On an exhausted
+/// heap that first `wait` or `signal_from` is an `OutOfMemory` error, not a
+/// panic, and keeps no word; once memory is back the variable works and
+/// frees its word when dropped.
+#[test]
+fn tmcondvar_first_use_on_an_exhausted_heap_is_out_of_memory() {
+    let oom = |r: TxResult<()>| matches!(r, Err(TxCtl::Abort(AbortReason::OutOfMemory)));
+    for kind in RuntimeKind::ALL {
+        let rt = kind.build(TmConfig::small());
+        let system = Arc::clone(rt.system());
+        let th = system.register_thread();
+        let baseline = system.heap.allocated_words();
+        let hog: Vec<Addr> = std::iter::from_fn(|| system.heap.alloc(1)).collect();
+        let cv = TmCondVar::new();
+        let signalled = rt.atomically(&th, |tx| Ok(cv.signal_from(tx)));
+        assert!(oom(signalled), "{kind}: signal_from");
+        let waited = rt.atomically(&th, |tx| Ok(cv.wait(tx)));
+        assert!(oom(waited), "{kind}: wait");
+        for addr in hog {
+            system.heap.dealloc(addr, 1);
+        }
+        assert_eq!(system.heap.allocated_words(), baseline, "{kind}");
+        rt.atomically(&th, |tx| cv.signal_from(tx));
+        assert_eq!(system.heap.allocated_words(), baseline + 1, "{kind}");
+        drop(cv);
+        assert_eq!(system.heap.allocated_words(), baseline, "{kind}");
     }
 }

@@ -187,6 +187,49 @@ fn ordered_map_range_composes_with_map_updates() {
     }
 }
 
+/// Insert/remove churn leaks no node: after every cycle the heap holds
+/// exactly what it held before the first, on every runtime.  On the htm
+/// runtime the cycles commit on the hardware rung, whose frees are deferred
+/// to its commit rather than logged by a software attempt.
+#[test]
+fn ordered_map_churn_returns_every_node_to_the_heap() {
+    const CYCLES: u64 = 8;
+    const KEYS: u64 = 64;
+    for kind in RuntimeKind::ALL {
+        let rt = kind.build(TmConfig::small());
+        let system = Arc::clone(rt.system());
+        let index = TmOrderedMap::<u64, u64>::new(&system);
+        let th = system.register_thread();
+        let baseline = system.heap.allocated_words();
+        for cycle in 0..CYCLES {
+            // A different insertion order each cycle (37 is a unit mod 256).
+            let keys = (0..KEYS).map(|i| (i * 37 + cycle * 11) % 256);
+            for key in keys.clone() {
+                rt.atomically(&th, |tx| index.insert(tx, key, key + cycle));
+            }
+            assert_eq!(index.dump_direct(&system).len(), KEYS as usize, "{kind}");
+            for key in keys {
+                let removed = rt.atomically(&th, |tx| index.remove(tx, key));
+                assert_eq!(removed, Some(key + cycle), "{kind}: key {key}");
+            }
+            assert!(index.dump_direct(&system).is_empty(), "{kind}");
+            assert_eq!(
+                system.heap.allocated_words(),
+                baseline,
+                "{kind}: cycle {cycle} leaked"
+            );
+        }
+        if kind == RuntimeKind::Htm {
+            let stats = th.stats.snapshot();
+            assert_eq!(
+                (stats.hw_commits, stats.sw_commits),
+                (2 * CYCLES * KEYS, 0),
+                "every churn transaction committed in hardware"
+            );
+        }
+    }
+}
+
 #[test]
 fn hash_map_get_waiting_sees_a_later_insert() {
     for mechanism in [Mechanism::Retry, Mechanism::Await, Mechanism::WaitPred] {

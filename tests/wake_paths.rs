@@ -503,3 +503,63 @@ fn retry_after_writing_the_awaited_word_logs_the_old_value_and_parks() {
         );
     }
 }
+
+/// Whoever wins a sleeper's claim deregisters it before posting, so the
+/// registry holds only sleepers that still need a wake, and the commits a
+/// waker makes before the woken thread runs again take the empty-registry
+/// fast path.  A capacity-128 `Retry` buffer prefilled to half sleeps only
+/// at the ends of long batches, so few of its commits may reach the wake
+/// scan; were the claimed sleeper left registered until it ran, a waker
+/// sharing its CPU would scan on nearly every commit of its batch.
+#[test]
+fn a_streaming_buffer_reaches_the_wake_scan_on_few_commits() {
+    const CAPACITY: usize = 128;
+    const PREFILL: usize = 64;
+    const ITEMS: u64 = 20_000;
+    for kind in RuntimeKind::ALL {
+        let rt = kind.build(TmConfig::small());
+        let system = Arc::clone(rt.system());
+        let buffer = TmBoundedBuffer::new(&system, CAPACITY);
+        buffer.prefill(&system, PREFILL);
+        let (produced, consumed) = std::thread::scope(|scope| {
+            let producer = scope.spawn(|| {
+                let th = system.register_thread();
+                let mut sum = 0;
+                for value in 1_000..1_000 + ITEMS {
+                    rt.atomically(&th, |tx| buffer.produce(Mechanism::Retry, tx, value));
+                    sum += value;
+                }
+                sum
+            });
+            let consumer = scope.spawn(|| {
+                let th = system.register_thread();
+                (0..ITEMS)
+                    .map(|_| rt.atomically(&th, |tx| buffer.consume(Mechanism::Retry, tx)))
+                    .sum::<u64>()
+            });
+            (producer.join().unwrap(), consumer.join().unwrap())
+        });
+        let stats = system.stats();
+        assert!(system.waiters.is_empty(), "{kind}: the registry drains");
+
+        assert_eq!(buffer.len_direct(&system), PREFILL as u64, "{kind}");
+        let th = system.register_thread();
+        let left: u64 = (0..PREFILL)
+            .map(|_| rt.atomically(&th, |tx| buffer.get(tx)))
+            .sum();
+        let prefilled: u64 = (1..=PREFILL as u64).sum();
+        assert_eq!(
+            produced + prefilled,
+            consumed + left,
+            "{kind}: conservation"
+        );
+
+        let commits = stats.sw_commits + stats.hw_commits;
+        assert!(
+            stats.wake_targeted * 4 < commits,
+            "{kind}: {} of {commits} commits scanned the registry ({} sleeps)",
+            stats.wake_targeted,
+            stats.sleeps
+        );
+    }
+}
