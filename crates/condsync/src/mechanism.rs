@@ -459,11 +459,6 @@ impl Mechanism {
         )
     }
 
-    /// True if the mechanism uses transactions at all.
-    pub fn is_transactional(self) -> bool {
-        self != Mechanism::Pthreads
-    }
-
     /// True if the mechanism can run on the HTM configuration.
     pub fn supports_htm(self) -> bool {
         self != Mechanism::RetryOrig
@@ -570,8 +565,6 @@ mod enum_tests {
         assert!(Mechanism::Await.is_deschedule_based());
         assert!(Mechanism::WaitPred.is_deschedule_based());
         assert!(!Mechanism::TmCondVar.is_deschedule_based());
-        assert!(!Mechanism::Pthreads.is_transactional());
-        assert!(Mechanism::Restart.is_transactional());
     }
 
     #[test]

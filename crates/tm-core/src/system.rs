@@ -217,8 +217,8 @@ mod tests {
         let other2 = Arc::clone(&other);
         let h = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(20));
-            other2.exit_tx();
             s2.heap.store(Addr(1), 1);
+            other2.exit_tx();
         });
         // Commit time 10 > other's start 5, so quiesce must block until the
         // helper thread publishes its exit.

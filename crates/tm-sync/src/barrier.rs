@@ -59,11 +59,6 @@ impl TmBarrier {
         }
     }
 
-    /// Number of participants.
-    pub fn parties(&self) -> u64 {
-        self.parties
-    }
-
     /// Current generation (non-transactional, verification only).
     pub fn generation_direct(&self, system: &TmSystem) -> u64 {
         self.generation.load_direct(system)

@@ -89,11 +89,6 @@ impl TmBoundedBuffer {
         })
     }
 
-    /// The buffer's capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Heap address of the element count (the location `Await` waits on,
     /// `⟨&count⟩` in Figure 2.2).
     pub fn count_addr(&self) -> Addr {

@@ -7,20 +7,19 @@
 //! [`pthread::PthreadBuffer`] is the `Pthreads` baseline (mutex + condition
 //! variables, no transactions).
 //!
-//! The remaining structures (counter, queue, stack, barrier) are the building
-//! blocks of the PARSEC-like synthetic kernels in the `tm-workloads` crate.
+//! [`counter::TmCounter`] and [`barrier::TmBarrier`] are the shared state of
+//! the PARSEC-like synthetic kernels in the `tm-workloads` crate.
 //!
 //! The KV plane — [`map::TmHashMap`] (primary store, with a measured
 //! stripe-aligned layout) and [`ordered::TmOrderedMap`] (skiplist index for
 //! range scans) — backs the benchmark's session-store workload
 //! (`kv_session`).
 //!
-//! The blocking structures also expose **timed** operations built on the
+//! The buffer and the barrier also expose **timed** operations built on the
 //! deadline-carrying waits of `condsync`
 //! ([`TmBoundedBuffer::produce_timeout`] / [`TmBoundedBuffer::consume_timeout`],
-//! [`TmQueue::pop_timeout`], [`TmBarrier::wait_for`], [`TmLatch::wait_for`]):
-//! each returns a "gave up" value instead of blocking past its deadline,
-//! which is what lossy consumers, deadline-bounded pipeline stages and
+//! [`TmBarrier::wait_for`]): each returns a "gave up" value instead of
+//! blocking past its deadline, which is what lossy consumers and
 //! watchdogged barriers are built from.
 
 #![deny(missing_docs)]
@@ -28,22 +27,14 @@
 
 pub mod barrier;
 pub mod buffer;
-pub mod cell;
 pub mod counter;
-pub mod latch;
 pub mod map;
 pub mod ordered;
 pub mod pthread;
-pub mod queue;
-pub mod stack;
 
 pub use barrier::{BarrierWait, TmBarrier};
 pub use buffer::TmBoundedBuffer;
-pub use cell::TmOnceCell;
 pub use counter::TmCounter;
-pub use latch::TmLatch;
 pub use map::TmHashMap;
 pub use ordered::TmOrderedMap;
 pub use pthread::PthreadBuffer;
-pub use queue::TmQueue;
-pub use stack::TmStack;

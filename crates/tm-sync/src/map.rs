@@ -152,20 +152,6 @@ impl<K: TmValue, V: TmValue> TmHashMap<K, V> {
         &self.counters[fib_high(key_word) & (COUNTER_SHARDS - 1)]
     }
 
-    /// Transactional entry count: one read per occupancy-counter shard.
-    pub fn len(&self, tx: &mut dyn Tx) -> TxResult<u64> {
-        let mut total = 0;
-        for c in &self.counters {
-            total += c.get(tx)?;
-        }
-        Ok(total)
-    }
-
-    /// True if the map holds no entries.
-    pub fn is_empty(&self, tx: &mut dyn Tx) -> TxResult<bool> {
-        Ok(self.len(tx)? == 0)
-    }
-
     /// Non-transactional entry count (setup / verification only).
     pub fn len_direct(&self, system: &TmSystem) -> u64 {
         self.counters.iter().map(|c| c.load_direct(system)).sum()
@@ -245,11 +231,6 @@ impl<K: TmValue, V: TmValue> TmHashMap<K, V> {
             }
         }
         Ok(None)
-    }
-
-    /// True if `key` is present.
-    pub fn contains(&self, tx: &mut dyn Tx, key: K) -> TxResult<bool> {
-        Ok(self.get(tx, key)?.is_some())
     }
 
     /// Removes `key`, returning its value if it was present.

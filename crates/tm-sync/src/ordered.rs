@@ -138,16 +138,6 @@ impl<K: TmValue, V: TmValue> TmOrderedMap<K, V> {
         }
     }
 
-    /// True if `key` is present.
-    pub fn contains(&self, tx: &mut dyn Tx, key: K) -> TxResult<bool> {
-        Ok(self.get(tx, key)?.is_some())
-    }
-
-    /// True if the index holds no entries.
-    pub fn is_empty(&self, tx: &mut dyn Tx) -> TxResult<bool> {
-        Ok(tx.read(self.head_link(0))? == NIL)
-    }
-
     /// Inserts or updates `key`, returning the previous value if any.
     ///
     /// A new node's block is allocated inside the transaction (`tx.alloc`),
@@ -295,11 +285,9 @@ mod tests {
     #[test]
     fn insert_get_update_remove_round_trip() {
         let (system, index, mut tx) = setup();
-        assert!(index.is_empty(&mut tx).unwrap());
         assert_eq!(index.insert(&mut tx, 5, 50).unwrap(), None);
         assert_eq!(index.insert(&mut tx, 1, 10).unwrap(), None);
         assert_eq!(index.insert(&mut tx, 9, 90).unwrap(), None);
-        assert!(!index.is_empty(&mut tx).unwrap());
         assert_eq!(index.get(&mut tx, 5).unwrap(), Some(50));
         assert_eq!(index.get(&mut tx, 4).unwrap(), None);
         assert_eq!(index.insert(&mut tx, 5, 55).unwrap(), Some(50));

@@ -47,21 +47,6 @@ impl PthreadBuffer {
         }
     }
 
-    /// The buffer's capacity.
-    pub fn capacity(&self) -> usize {
-        self.state.lock().cap
-    }
-
-    /// Current number of elements.
-    pub fn len(&self) -> usize {
-        self.state.lock().count
-    }
-
-    /// True if the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Fills the buffer with `n` elements (mirrors
     /// [`crate::buffer::TmBoundedBuffer::prefill`]).
     pub fn prefill(&self, n: usize) {
@@ -106,21 +91,6 @@ impl PthreadBuffer {
         x
     }
 
-    /// Non-blocking produce; returns false if the buffer is full.
-    pub fn try_produce(&self, x: u64) -> bool {
-        let mut s = self.state.lock();
-        if s.count == s.cap {
-            return false;
-        }
-        let np = s.nextprod;
-        s.buf[np] = x;
-        s.nextprod = (np + 1) % s.cap;
-        s.count += 1;
-        drop(s);
-        self.notempty.notify_one();
-        true
-    }
-
     /// Non-blocking consume; returns `None` if the buffer is empty.
     pub fn try_consume(&self) -> Option<u64> {
         let mut s = self.state.lock();
@@ -148,21 +118,9 @@ mod tests {
         for i in 1..=4 {
             b.produce(i);
         }
-        assert_eq!(b.len(), 4);
         for i in 1..=4 {
             assert_eq!(b.consume(), i);
         }
-        assert!(b.is_empty());
-    }
-
-    #[test]
-    fn try_variants_respect_bounds() {
-        let b = PthreadBuffer::new(2);
-        assert!(b.try_produce(1));
-        assert!(b.try_produce(2));
-        assert!(!b.try_produce(3));
-        assert_eq!(b.try_consume(), Some(1));
-        assert_eq!(b.try_consume(), Some(2));
         assert_eq!(b.try_consume(), None);
     }
 
@@ -170,9 +128,11 @@ mod tests {
     fn prefill_matches_tm_buffer_convention() {
         let b = PthreadBuffer::new(8);
         b.prefill(4);
-        assert_eq!(b.len(), 4);
         assert_eq!(b.consume(), 1);
         assert_eq!(b.consume(), 2);
+        assert_eq!(b.try_consume(), Some(3));
+        assert_eq!(b.try_consume(), Some(4));
+        assert_eq!(b.try_consume(), None);
     }
 
     #[test]
@@ -201,6 +161,6 @@ mod tests {
         }
         let sum: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
         assert_eq!(sum, total * (total + 1) / 2);
-        assert!(b.is_empty());
+        assert_eq!(b.try_consume(), None);
     }
 }

@@ -1,4 +1,4 @@
-//! Timed waits: `retry_for`, `consume_timeout` and `pop_timeout`.
+//! Timed waits: `consume_timeout` on the bounded buffer.
 //!
 //! A consumer that refuses to stall forever: it drains a bounded buffer
 //! with per-operation deadlines, rides out a slow producer's stalls as
@@ -49,20 +49,6 @@ fn main() {
     producer.join().unwrap();
     println!("consumed {:?}", got);
     println!("deadlines fired {timeouts} times while the producer stalled");
-
-    // The same idea on the unbounded queue: a deadline-bounded pop returns
-    // `None` instead of blocking when upstream is empty.
-    let q = TmQueue::new(&system);
-    let miss = rt.atomically(&th, |tx| {
-        q.pop_timeout(Mechanism::Await, tx, Duration::from_millis(5))
-    });
-    assert_eq!(miss, None);
-    rt.atomically(&th, |tx| q.enqueue(tx, 99));
-    let hit = rt.atomically(&th, |tx| {
-        q.pop_timeout(Mechanism::Await, tx, Duration::from_millis(5))
-    });
-    assert_eq!(hit, Some(99));
-    println!("queue: miss -> None, then hit -> Some(99)");
 
     let stats = system.stats();
     println!(

@@ -61,7 +61,7 @@
 //! | [`htm`] (`tm_core::hardware`) | best-effort HTM runtime over a simulated coherence directory with a seeded fault injector (paper: "HTM") |
 //! | [`hybrid`] (`tm_core::hardware::hybrid`) | hybrid HTM+STM runtime: hardware fast path over the lazy STM, sharing the HTM runtime's attempt type (beyond the paper) |
 //! | [`sync`] (`condsync`) | **the contribution**: Deschedule, Retry, Await, WaitPred, plus TMCondVar / Retry-Orig / Restart baselines |
-//! | [`structures`] (`tm-sync`) | bounded buffer (Fig. 2.2), queue, stack, counter, barrier, once-cell, latch, Pthreads baseline buffer, and the KV plane: stripe-aligned hash map + ordered (skip-list) index |
+//! | [`structures`] (`tm-sync`) | bounded buffer (Fig. 2.2), counter, barrier, Pthreads baseline buffer, and the KV plane: stripe-aligned hash map + ordered (skip-list) index |
 //! | [`workloads`] (`tm-workloads`) | producer/consumer micro-benchmark, PARSEC-like kernels, Zipfian session-store scenario, Table 2.1 accounting |
 
 #![deny(missing_docs)]
@@ -105,8 +105,7 @@ pub mod prelude {
         Addr, Semaphore, TmArray, TmConfig, TmRuntime, TmSystem, TmVar, Tx, TxCtl, TxResult,
     };
     pub use tm_sync::{
-        BarrierWait, PthreadBuffer, TmBarrier, TmBoundedBuffer, TmCounter, TmHashMap, TmLatch,
-        TmOnceCell, TmOrderedMap, TmQueue, TmStack,
+        BarrierWait, PthreadBuffer, TmBarrier, TmBoundedBuffer, TmCounter, TmHashMap, TmOrderedMap,
     };
     pub use tm_workloads::runtime::{AnyRuntime, RuntimeKind};
 }

@@ -140,12 +140,12 @@ fn produce1_consume2_returns_consecutive_elements_single_threaded() {
 fn waiting_inside_a_helper_function_composes() {
     let rt = RuntimeKind::EagerStm.build(TmConfig::small());
     let system = Arc::clone(rt.system());
-    let queue = TmQueue::new(&system);
+    let buffer = TmBoundedBuffer::new(&system, 4);
     let log = TmVar::<u64>::alloc(&system, 0);
 
     let rt_w = rt.clone();
     let system_w = Arc::clone(&system);
-    let queue_w = queue.clone();
+    let buffer_w = Arc::clone(&buffer);
     let log_w = log.clone();
     let consumer = std::thread::spawn(move || {
         let th = system_w.register_thread();
@@ -155,7 +155,7 @@ fn waiting_inside_a_helper_function_composes() {
             // …then calls a library helper that waits inside the same
             // transaction.  If the wait rolls back, the log write must roll
             // back with it (no partial state is ever committed).
-            let v = queue_w.dequeue_waiting(Mechanism::Retry, tx)?;
+            let v = buffer_w.consume(Mechanism::Retry, tx)?;
             log_w.set(tx, v)?;
             Ok(v)
         })
@@ -167,7 +167,7 @@ fn waiting_inside_a_helper_function_composes() {
     assert_eq!(log.load_direct(&system), 0, "partial state leaked");
 
     let th = system.register_thread();
-    rt.atomically(&th, |tx| queue.enqueue(tx, 55));
+    rt.atomically(&th, |tx| buffer.produce(Mechanism::Retry, tx, 55));
     assert_eq!(consumer.join().unwrap(), 55);
     assert_eq!(log.load_direct(&system), 55);
 }

@@ -4,6 +4,7 @@
 //! across transfers), and transactional data structures stay consistent under
 //! contention.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use tm_core::ClockMode;
@@ -94,74 +95,53 @@ fn bank_transfers_conserve_total_balance() {
     }
 }
 
+/// Concurrent writers that allocate lose and duplicate nothing: every
+/// `TmOrderedMap` insert allocates a node and relinks its neighbours.  The
+/// threads draw disjoint keys from one descending ticket, so nearly every
+/// insert lands at the head and they contend on the same links.
 #[test]
-fn queue_and_stack_do_not_lose_elements_under_contention() {
-    const PER_THREAD: u64 = 150;
+fn ordered_map_inserts_are_neither_lost_nor_duplicated_under_contention() {
+    const PER_THREAD: u64 = 1000;
+    const TOTAL: u64 = THREADS as u64 * PER_THREAD;
     for kind in RuntimeKind::ALL {
         let rt = kind.build(TmConfig::default().with_heap_words(1 << 16));
         let system = Arc::clone(rt.system());
-        let queue = TmQueue::new(&system);
-        let stack = TmStack::new(&system);
+        let index = TmOrderedMap::<u64, u64>::new(&system);
+        let baseline = system.heap.allocated_words();
+        let taken = AtomicU64::new(0);
 
         std::thread::scope(|scope| {
-            for tid in 0..THREADS {
+            for _ in 0..THREADS {
                 let rt = rt.clone();
                 let system = Arc::clone(&system);
-                let queue = queue.clone();
-                let stack = stack.clone();
+                let index = index.clone();
+                let taken = &taken;
                 scope.spawn(move || {
                     let th = system.register_thread();
-                    for i in 0..PER_THREAD {
-                        let value = tid as u64 * PER_THREAD + i + 1;
-                        rt.atomically(&th, |tx| queue.enqueue(tx, value));
-                        rt.atomically(&th, |tx| stack.push(tx, value));
+                    for _ in 0..PER_THREAD {
+                        let key = TOTAL - taken.fetch_add(1, Ordering::Relaxed);
+                        let old = rt.atomically(&th, |tx| index.insert(tx, key, key * 10));
+                        assert_eq!(old, None, "key {key} inserted twice on {kind}");
                     }
                 });
             }
         });
 
-        assert_eq!(
-            queue.len_direct(&system),
-            THREADS as u64 * PER_THREAD,
-            "{kind}"
-        );
-        assert_eq!(
-            stack.len_direct(&system),
-            THREADS as u64 * PER_THREAD,
-            "{kind}"
-        );
-
-        // Drain both and check every value appears exactly once.
+        // Drain: every key appears exactly once, in order, with its value.
         let th = system.register_thread();
-        let mut seen_q = vec![false; (THREADS as u64 * PER_THREAD) as usize + 1];
-        let mut seen_s = seen_q.clone();
-        loop {
-            let v = rt.atomically(&th, |tx| queue.try_dequeue(tx));
-            match v {
-                Some(v) => {
-                    assert!(!seen_q[v as usize], "duplicate queue element {v} on {kind}");
-                    seen_q[v as usize] = true;
-                }
-                None => break,
-            }
+        let entries = rt.atomically_read(&th, |tx| index.range(tx, 0, u64::MAX));
+        let keys: Vec<u64> = entries.iter().map(|&(k, _)| k).collect();
+        assert_eq!(keys, (1..=TOTAL).collect::<Vec<_>>(), "{kind}");
+        for (key, value) in entries {
+            let removed = rt.atomically(&th, |tx| index.remove(tx, key));
+            assert_eq!(removed, Some(value), "{kind}: key {key}");
+            assert_eq!(value, key * 10, "{kind}: key {key}");
         }
-        loop {
-            let v = rt.atomically(&th, |tx| stack.try_pop(tx));
-            match v {
-                Some(v) => {
-                    assert!(!seen_s[v as usize], "duplicate stack element {v} on {kind}");
-                    seen_s[v as usize] = true;
-                }
-                None => break,
-            }
-        }
+        assert!(index.dump_direct(&system).is_empty(), "{kind}");
         assert_eq!(
-            seen_q.iter().filter(|&&b| b).count() as u64,
-            THREADS as u64 * PER_THREAD
-        );
-        assert_eq!(
-            seen_s.iter().filter(|&&b| b).count() as u64,
-            THREADS as u64 * PER_THREAD
+            system.heap.allocated_words(),
+            baseline,
+            "{kind}: a node was lost"
         );
     }
 }

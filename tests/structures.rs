@@ -1,5 +1,5 @@
 //! Integration tests for the auxiliary transactional data structures
-//! (once-cell, latch, hash map) under real concurrency on all three
+//! (counter, hash map, ordered map) under real concurrency on all four
 //! runtimes: these are the "library code" consumers the paper argues the
 //! composable mechanisms enable.
 
@@ -11,67 +11,41 @@ use tm_repro::prelude::*;
 use tm_repro::workloads::runtime::RuntimeKind;
 
 #[test]
-fn once_cell_hand_off_wakes_the_reader() {
+fn counter_hand_off_wakes_the_reader() {
     for kind in RuntimeKind::ALL {
         for mechanism in [Mechanism::Retry, Mechanism::Await, Mechanism::WaitPred] {
             let rt = kind.build(TmConfig::small());
             let system = Arc::clone(rt.system());
-            let cell = TmOnceCell::new(&system);
+            let counter = TmCounter::new(&system, 0);
 
-            let (rt_r, system_r, cell_r) = (rt.clone(), Arc::clone(&system), cell.clone());
+            let (rt_r, system_r, counter_r) = (rt.clone(), Arc::clone(&system), counter.clone());
             let reader = std::thread::spawn(move || {
                 let th = system_r.register_thread();
-                rt_r.atomically(&th, |tx| cell_r.get_waiting(mechanism, tx))
+                rt_r.atomically(&th, |tx| counter_r.wait_for_at_least(mechanism, tx, 1))
             });
 
-            std::thread::sleep(Duration::from_millis(5));
+            // Wait for the reader to publish its waiter, so the increment
+            // must wake it.
+            while system.waiters.is_empty() {
+                std::thread::yield_now();
+            }
             let th = system.register_thread();
-            let was_first = rt.atomically(&th, |tx| cell.try_set(tx, 4242));
-            assert!(was_first, "{kind} {mechanism}");
-            assert_eq!(reader.join().unwrap(), 4242, "{kind} {mechanism}");
+            assert_eq!(
+                rt.atomically(&th, |tx| counter.increment(tx)),
+                1,
+                "{kind} {mechanism}"
+            );
+            assert_eq!(reader.join().unwrap(), 1, "{kind} {mechanism}");
         }
     }
 }
 
 #[test]
-fn once_cell_racing_writers_agree_on_one_value() {
-    let rt = RuntimeKind::EagerStm.build(TmConfig::small());
-    let system = Arc::clone(rt.system());
-    let cell = TmOnceCell::new(&system);
-
-    let winners = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for tid in 0..4u64 {
-            let rt = rt.clone();
-            let system = Arc::clone(&system);
-            let cell = cell.clone();
-            handles.push(scope.spawn(move || {
-                let th = system.register_thread();
-                rt.atomically(&th, |tx| cell.try_set(tx, 100 + tid))
-            }));
-        }
-        handles
-            .into_iter()
-            .filter(|_| true)
-            .map(|h| h.join().expect("writer"))
-            .filter(|&won| won)
-            .count()
-    });
-    assert_eq!(winners, 1, "exactly one writer may win a once-cell");
-
-    let th = system.register_thread();
-    let v = rt
-        .atomically(&th, |tx| cell.try_get(tx))
-        .expect("value present");
-    assert!((100..104).contains(&v));
-}
-
-#[test]
-fn latch_releases_waiters_once_all_events_arrive() {
+fn counter_threshold_releases_waiters_once_all_events_arrive() {
     for kind in RuntimeKind::ALL {
         let rt = kind.build(TmConfig::small());
         let system = Arc::clone(rt.system());
-        let latch = TmLatch::new(&system, 4);
+        let events = TmCounter::new(&system, 0);
         let results = TmCounter::new(&system, 0);
 
         std::thread::scope(|scope| {
@@ -79,34 +53,34 @@ fn latch_releases_waiters_once_all_events_arrive() {
             for mechanism in [Mechanism::Retry, Mechanism::WaitPred] {
                 let rt = rt.clone();
                 let system = Arc::clone(&system);
-                let latch = latch.clone();
+                let events = events.clone();
                 let results = results.clone();
                 scope.spawn(move || {
                     let th = system.register_thread();
                     rt.atomically(&th, |tx| {
-                        latch.wait_open(mechanism, tx)?;
+                        events.wait_for_at_least(mechanism, tx, 4)?;
                         results.increment(tx).map(|_| ())
                     });
                 });
             }
-            // Four workers count down, one each.
+            // Four workers report one event each.
             for _ in 0..4 {
                 let rt = rt.clone();
                 let system = Arc::clone(&system);
-                let latch = latch.clone();
+                let events = events.clone();
                 scope.spawn(move || {
                     let th = system.register_thread();
                     std::thread::sleep(Duration::from_millis(2));
-                    rt.atomically(&th, |tx| latch.count_down(tx).map(|_| ()));
+                    rt.atomically(&th, |tx| events.increment(tx).map(|_| ()));
                 });
             }
         });
 
-        assert_eq!(latch.remaining_direct(&system), 0, "{kind}");
+        assert_eq!(events.load_direct(&system), 4, "{kind}");
         assert_eq!(
             results.load_direct(&system),
             2,
-            "{kind}: both waiters ran after the latch opened"
+            "{kind}: both waiters ran after the fourth event"
         );
     }
 }
@@ -253,39 +227,4 @@ fn hash_map_get_waiting_sees_a_later_insert() {
 
         assert_eq!(reader.join().unwrap(), 770, "{mechanism}");
     }
-}
-
-#[test]
-fn dataflow_pipeline_of_once_cells_composes_across_threads() {
-    // stage1 -> cell_a -> stage2 -> cell_b -> main, a miniature dataflow DAG
-    // built only from the public API.
-    let rt = RuntimeKind::LazyStm.build(TmConfig::small());
-    let system = Arc::clone(rt.system());
-    let cell_a = TmOnceCell::new(&system);
-    let cell_b = TmOnceCell::new(&system);
-
-    std::thread::scope(|scope| {
-        {
-            let (rt, system, cell_a) = (rt.clone(), Arc::clone(&system), cell_a.clone());
-            scope.spawn(move || {
-                let th = system.register_thread();
-                std::thread::sleep(Duration::from_millis(3));
-                rt.atomically(&th, |tx| cell_a.try_set(tx, 21).map(|_| ()));
-            });
-        }
-        {
-            let (rt, system) = (rt.clone(), Arc::clone(&system));
-            let (cell_a, cell_b) = (cell_a.clone(), cell_b.clone());
-            scope.spawn(move || {
-                let th = system.register_thread();
-                rt.atomically(&th, |tx| {
-                    let upstream = cell_a.get_waiting(Mechanism::Retry, tx)?;
-                    cell_b.try_set(tx, upstream * 2).map(|_| ())
-                });
-            });
-        }
-        let th = system.register_thread();
-        let result = rt.atomically(&th, |tx| cell_b.get_waiting(Mechanism::WaitPred, tx));
-        assert_eq!(result, 42);
-    });
 }

@@ -1,4 +1,4 @@
-//! Timed and cancellable waiting, end to end on all three runtimes.
+//! Timed and cancellable waiting, end to end on all four runtimes.
 //!
 //! Covers the timeout state machine's three exits and its races:
 //!
@@ -199,35 +199,35 @@ fn cancel_vs_commit_race_wakes_exactly_once() {
     }
 }
 
+/// A timed-out wait leaves nothing behind for the next one on the same
+/// thread: an empty buffer times out on `Await` and then on `WaitPred`,
+/// and a filled one hands its element over without waiting.
 #[test]
-fn queue_pop_timeout_and_latch_wait_for() {
+fn consume_timeout_times_out_then_passes_without_waiting() {
     for kind in RuntimeKind::ALL {
         let rt = kind.build(TmConfig::small());
         let system = Arc::clone(rt.system());
+        let buf = TmBoundedBuffer::new(&system, 4);
         let th = system.register_thread();
 
-        let q = TmQueue::new(&system);
-        let got = rt.atomically(&th, |tx| {
-            q.pop_timeout(Mechanism::Await, tx, Duration::from_millis(20))
-        });
-        assert_eq!(got, None, "{kind}: empty queue times out");
-        rt.atomically(&th, |tx| q.enqueue(tx, 5));
-        let got = rt.atomically(&th, |tx| {
-            q.pop_timeout(Mechanism::Await, tx, Duration::from_millis(20))
-        });
-        assert_eq!(got, Some(5), "{kind}: element arrives without waiting");
-
-        let latch = TmLatch::new(&system, 1);
-        let opened = rt.atomically(&th, |tx| {
-            latch.wait_for(Mechanism::WaitPred, tx, Duration::from_millis(20))
-        });
-        assert!(!opened, "{kind}: closed latch times out");
-        rt.atomically(&th, |tx| latch.count_down(tx).map(|_| ()));
-        let opened = rt.atomically(&th, |tx| {
-            latch.wait_for(Mechanism::WaitPred, tx, Duration::from_millis(20))
-        });
-        assert!(opened, "{kind}: open latch passes");
-        assert!(system.stats().wake_timeouts >= 2, "{kind}");
+        for mechanism in [Mechanism::Await, Mechanism::WaitPred] {
+            let got = rt.atomically(&th, |tx| {
+                buf.consume_timeout(mechanism, tx, Duration::from_millis(20))
+            });
+            assert_eq!(got, None, "{kind}/{mechanism}: empty buffer times out");
+            rt.atomically(&th, |tx| buf.produce(mechanism, tx, 5));
+            let got = rt.atomically(&th, |tx| {
+                buf.consume_timeout(mechanism, tx, Duration::from_millis(20))
+            });
+            assert_eq!(
+                got,
+                Some(5),
+                "{kind}/{mechanism}: element arrives without waiting"
+            );
+        }
+        let stats = system.stats();
+        assert!(stats.wake_timeouts >= 2, "{kind}");
+        assert_eq!(stats.sleeps, 2, "{kind}: only the timed-out waits slept");
     }
 }
 
