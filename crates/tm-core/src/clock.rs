@@ -1,252 +1,97 @@
-//! The version clock plane shared by all transactions.
+//! The version clock shared by all transactions.
 //!
-//! As in TL2 and TinySTM (paper Appendix A, Algorithm 8), a monotonically
-//! increasing logical clock orders writer commits: ownership records store
-//! the clock value at which their stripe was last unlocked, and readers
-//! compare those versions against the clock value sampled at transaction
-//! begin.  *How* that clock advances is the scalability lever, and
-//! [`ClockPlane`] offers two schemes behind one API:
+//! As in TL2 and TinySTM (paper Appendix A, Algorithms 8–11), one
+//! monotonically increasing counter orders writer commits: ownership
+//! records store the clock value at which their stripe was last unlocked,
+//! and readers compare those versions against the clock value sampled at
+//! transaction begin.  Every writer commit `fetch_add`s the counter
+//! (`end ← atomicIncrement(clock)` in Algorithm 9), so timestamps are
+//! globally unique, which enables the `end == start + 1` "nobody else
+//! committed" validation skip.
 //!
-//! * [`ClockMode::Gv1`] — the textbook scheme: every writer commit
-//!   `fetch_add`s one shared counter (`end ← atomicIncrement(clock)` in
-//!   Algorithm 9).  Timestamps are globally unique, which enables the
-//!   `end == start + 1` "nobody else committed" validation-skip, but every
-//!   commit writes the same cache line, the classic TL2/GV1 ceiling.
-//! * [`ClockMode::LazyGv5`] — the decentralized scheme: the logical "now"
-//!   is `max(shared counter, per-thread commit epochs)` over the
-//!   [`EpochTable`], a committing writer stamps `now() + 1` **without
-//!   touching the shared counter** and afterwards publishes the timestamp
-//!   only to its own padded epoch slot.  The shared line is CAS-advanced
-//!   only on the conflict path ([`ClockPlane::note_stale`]) — when a reader
-//!   actually observes a version newer than its snapshot — so uncontended
-//!   commits never write shared state.
+//! # The invariant quiescence relies on
 //!
-//! # Why the lazy scheme is safe
-//!
-//! Timestamps are no longer unique: two concurrent committers may both
-//! stamp `t + 1`.  That is the same situation GV4's "pass on failure"
-//! creates, and it is sound for the same reason — the commit timestamp is
-//! computed **after** the writer holds every ownership record it will
-//! stamp.  Consider a reader with begin snapshot `rv` and any writer commit
-//! with stamp `ts`:
-//!
-//! * If the writer computed `ts` after the reader's begin, then
-//!   `ts = now() + 1 > rv` (the scan's result is at least the counter
-//!   floor, and epochs only grow), so every location it stamps becomes
-//!   invisible to the reader's validation — too new, abort, no torn read.
-//! * If the writer computed `ts ≤ rv`, the writer's lock phase completed
-//!   before the reader's begin-time scan could observe `ts` anywhere, so
-//!   the reader sees either the lock (abort/retry) or the fully written
-//!   final values — never a mix.
-//!
-//! The epoch publish happens only after write-back and lock release, so a
-//! slot's epoch never advertises a commit whose effects are not yet
-//! visible.  The window between lock release and epoch publish can make a
-//! fresh reader begin "in the past" and promptly abort on the new
-//! versions; [`ClockPlane::note_stale`] folds the observed version into the
-//! shared counter so the retry begins current — that conflict path is the
-//! *only* shared-line write the lazy mode performs, counted by the
-//! `clock_cas` statistic (reuses are counted by `clock_reuse`).
+//! Every transaction that begins after a writer commit's tick starts at or
+//! above that commit's timestamp: the tick is an `AcqRel` read-modify-write
+//! of the one counter every begin samples.  The tick happens before the
+//! commit epilogue's [`crate::system::TmSystem::quiesce`], so while the
+//! committer waits, a thread whose published start time is below its
+//! timestamp sampled the clock before the tick and will eventually leave,
+//! and every begin that samples it afterwards publishes a start the wait
+//! already accepts.  That bounds the privatization wait.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use crate::epoch::EpochTable;
 use crate::pad::CachePadded;
 use crate::stats::TxStats;
 
-/// How the version clock advances (see the module docs for the schemes).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub enum ClockMode {
-    /// One shared `fetch_add` per writer commit; unique timestamps.  Kept as
-    /// the deterministic baseline and test double.
-    Gv1,
-    /// Lazy GV5-style reuse over the per-thread epoch table; the shared
-    /// counter is CAS-advanced only on observed conflicts.
-    #[default]
-    LazyGv5,
-}
-
-impl ClockMode {
-    /// The label used in bench output and JSON artifacts.
-    pub fn label(self) -> &'static str {
-        match self {
-            ClockMode::Gv1 => "gv1",
-            ClockMode::LazyGv5 => "lazy-gv5",
-        }
-    }
-}
-
-/// A writer commit timestamp handed out by [`ClockPlane::commit_stamp`].
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct CommitStamp {
-    /// The timestamp to store into released ownership records.
-    pub ts: u64,
-    /// True when `ts` is globally unique (GV1).  Only then may an engine use
-    /// the `ts == start + 1` shortcut to skip read-set validation; lazy
-    /// stamps can collide with a concurrent committer's, so holders of a
-    /// non-unique stamp must always validate.
-    pub unique: bool,
-}
-
-/// The version clock: a shared counter plus (in lazy mode) the decentralized
-/// epoch table it hides behind.
-#[derive(Debug)]
+/// The version clock: one shared counter, padded so neighbours in
+/// `TmSystem` don't share its line.
+#[derive(Debug, Default)]
 pub struct ClockPlane {
-    mode: ClockMode,
-    /// The shared counter: the whole clock in GV1, the conflict-path floor
-    /// in lazy mode.  Padded so neighbours in `TmSystem` don't share its
-    /// line.
     value: CachePadded<AtomicU64>,
-    /// Per-thread commit epochs; scanned by [`now`](Self::now) in lazy mode.
-    epochs: Arc<EpochTable>,
 }
-
-impl Default for ClockPlane {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// The historical name for the version clock, kept for the engine crates and
-/// any code written against the single-counter API.
-pub type GlobalClock = ClockPlane;
 
 impl ClockPlane {
-    /// Creates a standalone GV1 clock starting at time 0 (unit-test
-    /// convenience; systems build theirs with [`ClockPlane::for_system`]).
+    /// Creates a clock starting at time 0.
     pub fn new() -> Self {
-        ClockPlane::for_system(ClockMode::Gv1, Arc::new(EpochTable::new(1)))
-    }
-
-    /// Creates a clock in `mode` over the system's shared epoch table.
-    pub fn for_system(mode: ClockMode, epochs: Arc<EpochTable>) -> Self {
-        ClockPlane {
-            mode,
-            value: CachePadded::new(AtomicU64::new(0)),
-            epochs,
-        }
-    }
-
-    /// Which advancement scheme this clock runs.
-    pub fn mode(&self) -> ClockMode {
-        self.mode
+        Self::default()
     }
 
     /// Samples the current time (used at transaction begin).
-    ///
-    /// In lazy mode this is the max of the shared counter and every
-    /// registered thread's published commit epoch — the counter alone may
-    /// lag arbitrarily far behind, since uncontended commits never write it.
     #[inline]
     pub fn now(&self) -> u64 {
-        let floor = self.value.load(Ordering::Acquire);
-        match self.mode {
-            ClockMode::Gv1 => floor,
-            ClockMode::LazyGv5 => floor.max(self.epochs.max_epoch()),
-        }
+        self.value.load(Ordering::Acquire)
     }
 
-    /// Atomically increments the shared counter and returns the *new* value.
+    /// Atomically increments the counter and returns the *new* value.
     ///
-    /// This is the GV1 commit path, and in **both** modes the serial gate's
-    /// release fence: a gate release must be globally visible as a clock
-    /// advance immediately, not after an epoch publish race.
+    /// This is the commit path and the serial gate's release fence: a gate
+    /// release is globally visible as a clock advance immediately.
     #[inline]
     pub fn tick(&self) -> u64 {
-        let bumped = self.value.fetch_add(1, Ordering::AcqRel) + 1;
-        match self.mode {
-            ClockMode::Gv1 => bumped,
-            // The counter may trail the epochs; the caller needs a value
-            // above every published commit, not floor + 1.
-            ClockMode::LazyGv5 => bumped.max(self.epochs.max_epoch() + 1),
-        }
+        self.value.fetch_add(1, Ordering::AcqRel) + 1
     }
 
-    /// Hands a committing writer its timestamp.
+    /// Hands a committing writer its unique timestamp (one tick, counted in
+    /// `clock_cas`).
     ///
-    /// Must be called **after** the writer has acquired every ownership
-    /// record it will stamp — encounter-time locks in the eager STM, the
-    /// sorted commit-time cover in the lazy STM, the coupled CAS cover in
-    /// the HTM simulator.  That ordering is what makes non-unique lazy
-    /// stamps sound (see the module docs).
+    /// Called **after** the writer has acquired every ownership record it
+    /// will stamp — encounter-time locks in the eager STM, the sorted
+    /// commit-time cover in the lazy STM, the coupled CAS cover in the
+    /// hardware runtimes.
     #[inline]
-    pub fn commit_stamp(&self, stats: &TxStats) -> CommitStamp {
-        match self.mode {
-            ClockMode::Gv1 => {
-                TxStats::bump(&stats.clock_cas);
-                CommitStamp {
-                    ts: self.tick(),
-                    unique: true,
-                }
-            }
-            ClockMode::LazyGv5 => {
-                TxStats::bump(&stats.clock_reuse);
-                CommitStamp {
-                    ts: self.now() + 1,
-                    unique: false,
-                }
-            }
-        }
+    pub fn commit_stamp(&self, stats: &TxStats) -> u64 {
+        TxStats::bump(&stats.clock_cas);
+        self.tick()
     }
 
-    /// Reports that a reader observed `version` newer than its snapshot.
-    ///
-    /// In lazy mode this folds the version into the shared counter
-    /// (CAS-max), so the aborted transaction's retry — and every later
-    /// begin — starts at or above it even before the committer publishes
-    /// its epoch.  This is the lazy scheme's only shared-line write and is
-    /// what the `clock_cas` statistic counts there.  No-op under GV1, where
-    /// the commit tick already advanced the counter.
-    #[inline]
-    pub fn note_stale(&self, version: u64, stats: &TxStats) {
-        if self.mode == ClockMode::LazyGv5 && version > self.value.load(Ordering::Relaxed) {
-            self.value.fetch_max(version, Ordering::AcqRel);
-            TxStats::bump(&stats.clock_cas);
-        }
-    }
-
-    /// The clock side of an eager-STM rollback that bumped orec versions.
+    /// The clock side of an eager-STM rollback that bumped orec versions
+    /// (Algorithm 11, line 5).
     ///
     /// The eager STM releases rolled-back stripes at `version + 1` so
-    /// readers that raced the undo can't validate against torn data.  Under
-    /// GV1 the clock must cover those inflated versions, hence a tick; in
-    /// lazy mode inflated versions are harmless — the stripe still holds its
-    /// last committed data, and any reader that trips on the higher version
-    /// aborts and folds it in via [`note_stale`](Self::note_stale).
+    /// readers that raced the undo can't validate against torn data; the
+    /// tick keeps those inflated versions covered by the clock.
     #[inline]
     pub fn rollback_bump(&self, stats: &TxStats) {
-        if self.mode == ClockMode::Gv1 {
-            self.tick();
-            TxStats::bump(&stats.clock_cas);
-        }
+        self.tick();
+        TxStats::bump(&stats.clock_cas);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn lazy_clock(threads: usize) -> (ClockPlane, Arc<EpochTable>) {
-        let epochs = Arc::new(EpochTable::new(threads));
-        for id in 0..threads {
-            epochs.activate(id);
-        }
-        (
-            ClockPlane::for_system(ClockMode::LazyGv5, Arc::clone(&epochs)),
-            epochs,
-        )
-    }
+    use std::sync::Arc;
 
     #[test]
     fn starts_at_zero() {
-        assert_eq!(GlobalClock::new().now(), 0);
-        assert_eq!(GlobalClock::new().mode(), ClockMode::Gv1);
+        assert_eq!(ClockPlane::new().now(), 0);
     }
 
     #[test]
     fn tick_returns_new_value() {
-        let c = GlobalClock::new();
+        let c = ClockPlane::new();
         assert_eq!(c.tick(), 1);
         assert_eq!(c.tick(), 2);
         assert_eq!(c.now(), 2);
@@ -254,7 +99,7 @@ mod tests {
 
     #[test]
     fn ticks_are_unique_across_threads() {
-        let c = Arc::new(GlobalClock::new());
+        let c = Arc::new(ClockPlane::new());
         let mut handles = Vec::new();
         for _ in 0..4 {
             let c = Arc::clone(&c);
@@ -273,80 +118,20 @@ mod tests {
     }
 
     #[test]
-    fn gv1_commit_stamp_is_a_unique_tick() {
-        let c = GlobalClock::new();
+    fn commit_stamp_is_a_counted_tick() {
+        let c = ClockPlane::new();
         let stats = TxStats::default();
-        let s = c.commit_stamp(&stats);
-        assert_eq!(
-            s,
-            CommitStamp {
-                ts: 1,
-                unique: true
-            }
-        );
+        assert_eq!(c.commit_stamp(&stats), 1);
         assert_eq!(c.now(), 1);
         assert_eq!(stats.snapshot().clock_cas, 1);
-        assert_eq!(stats.snapshot().clock_reuse, 0);
     }
 
     #[test]
-    fn lazy_commit_stamp_reuses_without_writing_shared_state() {
-        let (c, epochs) = lazy_clock(2);
+    fn rollback_bump_is_a_counted_tick() {
+        let c = ClockPlane::new();
         let stats = TxStats::default();
-        let a = c.commit_stamp(&stats);
-        let b = c.commit_stamp(&stats);
-        assert_eq!(
-            a,
-            CommitStamp {
-                ts: 1,
-                unique: false
-            }
-        );
-        assert_eq!(b.ts, 1, "no publish yet, so the stamp repeats");
-        // The shared counter never moved; only epoch publishes advance time.
-        epochs.slot(0).set_epoch(a.ts);
+        c.rollback_bump(&stats);
         assert_eq!(c.now(), 1);
-        assert_eq!(c.commit_stamp(&stats).ts, 2);
-        assert_eq!(stats.snapshot().clock_cas, 0, "no shared-line writes");
-        assert_eq!(stats.snapshot().clock_reuse, 3);
-    }
-
-    #[test]
-    fn lazy_now_is_the_epoch_and_counter_max() {
-        let (c, epochs) = lazy_clock(3);
-        assert_eq!(c.now(), 0);
-        epochs.slot(1).set_epoch(7);
-        assert_eq!(c.now(), 7);
-        let stats = TxStats::default();
-        c.note_stale(9, &stats);
-        assert_eq!(c.now(), 9, "note_stale raised the counter floor");
         assert_eq!(stats.snapshot().clock_cas, 1);
-        c.note_stale(4, &stats);
-        assert_eq!(
-            stats.snapshot().clock_cas,
-            1,
-            "stale hint below now is free"
-        );
-    }
-
-    #[test]
-    fn lazy_tick_lands_above_every_epoch() {
-        let (c, epochs) = lazy_clock(2);
-        epochs.slot(0).set_epoch(10);
-        assert!(
-            c.tick() > 10,
-            "serial-gate release must advance past all commits"
-        );
-    }
-
-    #[test]
-    fn rollback_bump_ticks_only_under_gv1() {
-        let stats = TxStats::default();
-        let gv1 = GlobalClock::new();
-        gv1.rollback_bump(&stats);
-        assert_eq!(gv1.now(), 1);
-        let (lazy, _) = lazy_clock(1);
-        lazy.rollback_bump(&stats);
-        assert_eq!(lazy.now(), 0, "lazy rollback leaves the shared line alone");
     }
 }

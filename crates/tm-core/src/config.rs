@@ -1,6 +1,5 @@
 //! Configuration for a transactional-memory system instance.
 
-use crate::clock::ClockMode;
 use crate::policy::PolicyKind;
 
 /// Configuration of the simulated best-effort HTM (see [`crate::hardware`]).
@@ -177,11 +176,6 @@ pub struct TmConfig {
     /// aborts.  Custom policies go through
     /// [`crate::system::TmSystem::with_policy`] instead.
     pub policy: PolicyKind,
-    /// How the version clock advances (see [`crate::clock::ClockPlane`]).
-    /// The decentralized lazy scheme is the production default;
-    /// [`ClockMode::Gv1`] is the deterministic single-counter baseline that
-    /// [`TmConfig::small`] selects for unit tests.
-    pub clock: ClockMode,
     /// Capacity of the per-thread epoch table — the maximum number of
     /// threads that may register with the system.  Fixed at construction so
     /// epoch slots never move and scans stay lock-free.
@@ -200,15 +194,14 @@ impl Default for TmConfig {
             fault: FaultConfig::default(),
             timer: TimerConfig::default(),
             policy: PolicyKind::Fixed,
-            clock: ClockMode::LazyGv5,
             max_threads: 1024,
         }
     }
 }
 
 impl TmConfig {
-    /// A small configuration for unit tests (fast to allocate, and on the
-    /// deterministic GV1 clock so commit timestamps are unique and exact).
+    /// A small configuration for unit tests: fast to allocate, and
+    /// independent of the host's core count.
     pub fn small() -> Self {
         TmConfig {
             heap_words: 1 << 12,
@@ -225,7 +218,6 @@ impl TmConfig {
                 ..TimerConfig::default()
             },
             policy: PolicyKind::Fixed,
-            clock: ClockMode::Gv1,
             max_threads: 64,
         }
     }
@@ -263,12 +255,6 @@ impl TmConfig {
         self
     }
 
-    /// Overrides the clock-advancement scheme.
-    pub fn with_clock(mut self, clock: ClockMode) -> Self {
-        self.clock = clock;
-        self
-    }
-
     /// Overrides the epoch-table capacity (maximum registered threads).
     pub fn with_max_threads(mut self, max_threads: usize) -> Self {
         self.max_threads = max_threads;
@@ -303,13 +289,7 @@ mod tests {
         );
         assert!(c.quiescence);
         assert_eq!(c.htm.max_attempts, 2);
-        assert_eq!(c.clock, ClockMode::LazyGv5, "lazy clock is the default");
         assert!(c.max_threads >= 64);
-        assert_eq!(
-            TmConfig::small().clock,
-            ClockMode::Gv1,
-            "tests get the deterministic clock"
-        );
     }
 
     #[test]
@@ -323,7 +303,6 @@ mod tests {
                 max_attempts: 1,
             })
             .with_policy(PolicyKind::ADAPTIVE_DEFAULT)
-            .with_clock(ClockMode::LazyGv5)
             .with_fault(FaultConfig {
                 seed: 7,
                 spurious_per_64k: 100,
@@ -335,7 +314,6 @@ mod tests {
         assert!(!c.quiescence);
         assert!(c.fault.enabled());
         assert_eq!(c.fault.seed, 7);
-        assert_eq!(c.clock, ClockMode::LazyGv5);
         assert_eq!(c.max_threads, 8);
         assert_eq!(c.policy, PolicyKind::ADAPTIVE_DEFAULT);
         assert_eq!(c.heap_words, 100);

@@ -1,18 +1,11 @@
-//! The per-thread epoch table: decentralized commit-time hot state.
+//! The per-thread epoch table: the start times other threads poll at
+//! commit time.
 //!
-//! One line-padded [`EpochSlot`] per registered thread carries the two words
-//! other threads poll at commit time:
-//!
-//! * the **published start time** of the thread's in-flight software
-//!   transaction (or [`NOT_IN_TX`]) — what privatization quiescence
-//!   ([`crate::system::TmSystem::quiesce`]) and the serial gate's Dekker
-//!   handshake ([`crate::serial::SerialAttempt::begin`]) wait on, and
-//! * the **commit epoch**: the timestamp of the thread's last writer commit,
-//!   published *after* the commit is fully visible (write-back done, locks
-//!   released).  In the lazy clock mode ([`crate::clock::ClockMode::LazyGv5`])
-//!   the maximum over these slots *is* the logical clock — committing
-//!   writers stamp `max(counter, epochs) + 1` and write only their own slot,
-//!   so the uncontended commit path never touches a shared cache line.
+//! One line-padded [`EpochSlot`] per registered thread carries the
+//! **published start time** of the thread's in-flight software transaction
+//! (or [`NOT_IN_TX`]) — what privatization quiescence
+//! ([`crate::system::TmSystem::quiesce`]) and the serial gate's Dekker
+//! handshake ([`crate::serial::SerialAttempt::begin`]) wait on.
 //!
 //! Each slot is owner-written and remote-read.  Before this table existed,
 //! quiescence took the thread registry's `RwLock`, cloned the `Vec` of
@@ -32,21 +25,18 @@ use crate::thread::NOT_IN_TX;
 
 /// One thread's padded share of the epoch table.
 ///
-/// Both words are written only by the owning thread and read by everyone
-/// else; the padding guarantees two threads' slots never contend.
+/// Written only by the owning thread and read by everyone else; the padding
+/// guarantees two threads' slots never contend.
 #[derive(Debug)]
 pub struct EpochSlot {
     /// Published start time of the in-flight transaction, or [`NOT_IN_TX`].
     start: AtomicU64,
-    /// Timestamp of the thread's last fully completed writer commit.
-    epoch: AtomicU64,
 }
 
 impl EpochSlot {
     fn new() -> Self {
         EpochSlot {
             start: AtomicU64::new(NOT_IN_TX),
-            epoch: AtomicU64::new(0),
         }
     }
 
@@ -66,21 +56,6 @@ impl EpochSlot {
     #[inline]
     pub fn clear_start(&self) {
         self.start.store(NOT_IN_TX, Ordering::Release);
-    }
-
-    /// The owner's last published commit timestamp.
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Publishes a completed writer commit's timestamp (owner only, after
-    /// the commit's effects are fully visible).  Epochs are monotonically
-    /// increasing, which the lazy clock's soundness argument relies on.
-    #[inline]
-    pub fn set_epoch(&self, ts: u64) {
-        debug_assert!(ts >= self.epoch.load(Ordering::Relaxed));
-        self.epoch.store(ts, Ordering::Release);
     }
 }
 
@@ -139,22 +114,6 @@ impl EpochTable {
     pub fn slot(&self, id: usize) -> &EpochSlot {
         &self.slots[id]
     }
-
-    /// The maximum published commit epoch across all registered threads.
-    ///
-    /// In the lazy clock mode this scan (combined with the shared counter's
-    /// floor) is the logical "now": every fully completed writer commit is
-    /// covered either by its owner's slot or, if the owner has not published
-    /// yet, by the conflict path's counter advance.
-    #[inline]
-    pub fn max_epoch(&self) -> u64 {
-        let n = self.len();
-        let mut max = 0;
-        for slot in &self.slots[..n] {
-            max = max.max(slot.epoch());
-        }
-        max
-    }
 }
 
 #[cfg(test)]
@@ -162,7 +121,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slots_start_idle_with_epoch_zero() {
+    fn slots_start_idle() {
         let t = EpochTable::new(4);
         assert_eq!(t.capacity(), 4);
         assert_eq!(t.len(), 0);
@@ -170,8 +129,6 @@ mod tests {
         t.activate(1);
         assert_eq!(t.len(), 2);
         assert_eq!(t.slot(0).start(), NOT_IN_TX);
-        assert_eq!(t.slot(0).epoch(), 0);
-        assert_eq!(t.max_epoch(), 0);
     }
 
     #[test]
@@ -182,17 +139,6 @@ mod tests {
         assert_eq!(t.slot(0).start(), 42);
         t.slot(0).clear_start();
         assert_eq!(t.slot(0).start(), NOT_IN_TX);
-    }
-
-    #[test]
-    fn max_epoch_covers_only_registered_slots() {
-        let t = EpochTable::new(8);
-        t.activate(2);
-        t.slot(0).set_epoch(3);
-        t.slot(2).set_epoch(9);
-        assert_eq!(t.max_epoch(), 9);
-        t.slot(1).set_epoch(20);
-        assert_eq!(t.max_epoch(), 20);
     }
 
     #[test]

@@ -218,14 +218,11 @@ impl<'a> HtmTx<'a> {
             // Release the coupled stripes at a fresh commit timestamp,
             // making the hardware write-back visible to software read
             // validation exactly like a software commit's.  The stamp is
-            // taken while the whole CAS cover is held (the ordering the
-            // lazy clock plane's soundness requires), and the epoch is
-            // published only after every stripe is released.
-            let stamp = system.clock.commit_stamp(&self.thread.stats);
+            // taken while the whole CAS cover is held.
+            let end = system.clock.commit_stamp(&self.thread.stats);
             for &idx in cover.iter() {
-                system.orecs.store(idx, OrecValue::unlocked(stamp.ts));
+                system.orecs.store(idx, OrecValue::unlocked(end));
             }
-            self.thread.publish_epoch(stamp.ts);
         } else if was_writer && !system.waiters.is_empty() {
             // Map the committed cache lines back to orec stripes for the
             // targeted post-commit wake scan (the word-level write set is

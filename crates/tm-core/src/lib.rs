@@ -15,9 +15,9 @@
 //!   allocator, standing in for the raw C memory the paper instruments,
 //! * a table of ownership records ([`orec::OrecTable`]) hashed from addresses,
 //!   exactly as in the paper's Appendix A (entries cache-line padded),
-//! * the version clock plane ([`clock::ClockPlane`]): the GV1 shared counter
-//!   and the decentralized lazy-GV5 scheme over the per-thread epoch table
-//!   ([`epoch::EpochTable`]), plus the cache-line padding primitive both are
+//! * the version clock ([`clock::ClockPlane`]): Algorithm 9's one shared
+//!   counter, the per-thread start-time table quiescence polls
+//!   ([`epoch::EpochTable`]), and the cache-line padding primitive both are
 //!   built from ([`pad::CachePadded`]),
 //! * the object-safe transaction handle trait ([`tx::Tx`]) plus the common
 //!   per-attempt metadata ([`tx::TxCommon`]),
@@ -83,7 +83,7 @@ pub mod waitlist;
 
 pub use access::{Descriptor, IndexSet, LogPool, ReadEntry, ReadSet, WriteEntry, WriteLog};
 pub use addr::{Addr, LineId, LINE_WORDS};
-pub use clock::{ClockMode, ClockPlane, CommitStamp, GlobalClock};
+pub use clock::ClockPlane;
 pub use config::{
     default_orec_shards, BackoffConfig, FaultConfig, HtmConfig, TimerConfig, TmConfig,
 };

@@ -37,20 +37,11 @@ fn acquire(core: &mut SoftwareTxCore<'_>, addr: Addr) -> TxResult<()> {
     if cur.is_locked_by(core.thread.id) {
         return Ok(());
     }
-    if !cur.is_locked() {
-        if cur.version() <= core.start() {
-            let locked = OrecValue::locked(cur.version(), core.thread.id);
-            if core.system.orecs.cas(idx, cur, locked) {
-                core.d.locks.insert(idx);
-                return Ok(());
-            }
-        } else {
-            // Too new: fold the version into the clock so the retry
-            // begins current even before the committer publishes its
-            // epoch (lazy clock plane; no-op under GV1).
-            core.system
-                .clock
-                .note_stale(cur.version(), &core.thread.stats);
+    if !cur.is_locked() && cur.version() <= core.start() {
+        let locked = OrecValue::locked(cur.version(), core.thread.id);
+        if core.system.orecs.cas(idx, cur, locked) {
+            core.d.locks.insert(idx);
+            return Ok(());
         }
     }
     Err(TxCtl::Abort(AbortReason::WriteConflict))
@@ -89,14 +80,11 @@ impl SoftwareProtocol for Eager {
     fn commit_writer(tx: &mut EagerTx<'_>) -> Result<u64, AbortReason> {
         let core = &mut tx.core;
         // Stamped after the lock phase: every orec this commit will touch is
-        // already held, which is what makes a non-unique (lazy) stamp sound.
-        let stamp = core.system.clock.commit_stamp(&core.thread.stats);
-        let end = stamp.ts;
+        // already held.
+        let end = core.system.clock.commit_stamp(&core.thread.stats);
         // Fast path: if no other transaction committed since we started, the
-        // read set cannot have been invalidated.  Requires a *unique* stamp —
-        // a lazy stamp may be shared with a concurrent committer, so lazy
-        // commits always validate.
-        if (!stamp.unique || end != core.start() + 1)
+        // read set cannot have been invalidated (stamps are unique ticks).
+        if end != core.start() + 1
             && !reads_valid(&core.d.reads, core.system, core.thread, core.start())
         {
             return Err(AbortReason::CommitValidation);
@@ -126,9 +114,7 @@ impl SoftwareProtocol for Eager {
         }
         if !core.d.locks.is_empty() {
             // Keep the bumped lock versions legal with respect to the clock
-            // (Algorithm 11, line 5): a blind tick under GV1; in lazy mode
-            // the inflated versions are covered by `note_stale` on the
-            // reader side instead, so the shared line stays untouched.
+            // (Algorithm 11, line 5): a blind tick.
             core.system.clock.rollback_bump(&core.thread.stats);
         }
     }

@@ -95,13 +95,11 @@ impl SoftwareProtocol for Lazy {
             let cur = system.orecs.load(idx);
             let ok = if cur.is_locked() {
                 cur.is_locked_by(me)
-            } else if cur.version() <= start {
-                system
-                    .orecs
-                    .cas(idx, cur, OrecValue::locked(cur.version(), me))
             } else {
-                system.clock.note_stale(cur.version(), &thread.stats);
-                false
+                cur.version() <= start
+                    && system
+                        .orecs
+                        .cas(idx, cur, OrecValue::locked(cur.version(), me))
             };
             if !ok {
                 release_prefix(k);
@@ -109,22 +107,20 @@ impl SoftwareProtocol for Lazy {
             }
         }
 
-        // Stamped after the whole cover is held, which is what makes a
-        // non-unique (lazy) stamp sound: any reader that began before this
-        // point sees our locks, any later reader sees `end > rv`.
-        let stamp = system.clock.commit_stamp(&thread.stats);
-        let end = stamp.ts;
-        // The nothing-committed-since-start fast path needs a *unique*
-        // stamp (GV1): a lazy stamp may be shared with a concurrent
-        // committer.  With a hardware directory, hardware commits publish to
-        // the orecs under their own clock ticks, so the fast path is no
-        // longer a proof of validity either: validate always.  Validation
-        // and write-back then run inside the gate's hardware commit section,
-        // mutually exclusive with hardware commits — a hardware commit
-        // serialises entirely before (its orec releases fail our validation)
-        // or entirely after (it observes our locked orecs / doomed lines)
-        // this section.
-        let must_validate = !stamp.unique || end != start + 1 || directory.is_some();
+        // Stamped after the whole cover is held: any reader that began
+        // before this point sees our locks, any later reader sees
+        // `end > rv`.
+        let end = system.clock.commit_stamp(&thread.stats);
+        // Stamps are unique ticks, so `end == start + 1` proves nobody else
+        // committed since we began.  With a hardware directory, hardware
+        // commits publish to the orecs under their own clock ticks, so the
+        // fast path is no longer a proof of validity: validate always.
+        // Validation and write-back then run inside the gate's hardware
+        // commit section, mutually exclusive with hardware commits — a
+        // hardware commit serialises entirely before (its orec releases fail
+        // our validation) or entirely after (it observes our locked orecs /
+        // doomed lines) this section.
+        let must_validate = end != start + 1 || directory.is_some();
         let section = directory.map(|dir| (dir, system.serial.hw_commit_section()));
         // Validate first: it only reads orecs, so a failed validation aborts
         // without dooming a single speculative transaction.

@@ -109,11 +109,8 @@ pub fn reads_valid(reads: &ReadSet, system: &TmSystem, thread: &ThreadCtx, start
         let o = system.orecs.load(e.stripe);
         if o.is_locked() {
             o.is_locked_by(thread.id)
-        } else if o.version() <= start {
-            true
         } else {
-            system.clock.note_stale(o.version(), &thread.stats);
-            false
+            o.version() <= start
         }
     })
 }
@@ -141,12 +138,6 @@ impl<'a> SoftwareTxCore<'a> {
                 if before.version() <= self.start {
                     return Ok((val, idx, false));
                 }
-                // Too new: fold the version into the clock so the retry
-                // begins current even before the committer publishes its
-                // epoch (lazy clock plane; no-op under GV1).
-                self.system
-                    .clock
-                    .note_stale(before.version(), &self.thread.stats);
             } else if before.is_locked_by(self.thread.id) {
                 return Ok((val, idx, true));
             }
@@ -192,9 +183,6 @@ impl<'a> SoftwareTxCore<'a> {
                     self.snap_observed = true;
                     return Ok(val);
                 }
-                self.system
-                    .clock
-                    .note_stale(before.version(), &self.thread.stats);
                 if self.try_snapshot_refresh() {
                     continue;
                 }
@@ -315,12 +303,10 @@ impl<'a> SoftwareTxCore<'a> {
     #[inline]
     fn finish_writer_commit(&mut self, end: u64) -> CommitOutcome {
         self.retire_logs();
-        // Publish the commit epoch only now that every lock is released and
-        // the write-back is visible; later begins start at or above `end`,
-        // which also bounds the quiescence wait below.
-        self.thread.publish_epoch(end);
         self.thread.exit_tx();
-        // Privatization-safety quiescence (Algorithm 9, line 20).
+        // Privatization-safety quiescence (Algorithm 9, line 20).  The
+        // commit tick already made every later begin start at or above
+        // `end`, which bounds the wait (see `crate::clock`).
         self.system.quiesce(self.thread, end);
         CommitOutcome::software_writer(end)
     }

@@ -289,13 +289,13 @@ stats_fields! {
     /// scan, so it shows how much commit-path polling the decentralized
     /// table absorbs.
     quiesce_scans,
-    /// Shared clock-line read-modify-writes: every GV1 commit tick, plus
-    /// the lazy plane's conflict-path CAS-advances (`note_stale`) and
-    /// eager-rollback bumps.  The number the decentralized clock drives
-    /// toward zero.
+    /// Shared clock-line read-modify-writes: one per writer-commit tick,
+    /// plus eager-rollback ticks.
     clock_cas,
-    /// Writer commits that reused `now() + 1` as their timestamp without
-    /// writing the shared clock line (lazy plane only).
+    /// Always 0: it counted the stamps of the lazy clock, which is gone.
+    /// Kept only because the benchmark ledger still reads it
+    /// (`clock.reuse_per_commit` and its self-check); it is deleted together
+    /// with those two reads.
     clock_reuse,
     /// Attempts that began on a [`crate::access::Descriptor`] whose
     /// containers an earlier attempt had already grown, so their logs cost

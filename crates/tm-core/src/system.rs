@@ -10,9 +10,8 @@
 use std::sync::Arc;
 
 use crate::backoff::SpinWait;
-use crate::clock::GlobalClock;
+use crate::clock::ClockPlane;
 use crate::config::TmConfig;
-use crate::epoch::EpochTable;
 use crate::heap::TmHeap;
 use crate::orec::OrecTable;
 use crate::policy::ContentionManager;
@@ -30,16 +29,12 @@ pub struct TmSystem {
     pub config: TmConfig,
     /// The word-addressable transactional heap.
     pub heap: TmHeap,
-    /// Per-thread epoch table: one padded slot per registered thread with
-    /// the published start time (quiescence) and last commit epoch (lazy
-    /// clock).  Shared by [`TmSystem::clock`] and [`TmSystem::threads`].
-    pub epochs: Arc<EpochTable>,
     /// Ownership records (software runtimes only; hardware transactions do
     /// not touch them, which is the crux of the paper's compatibility
     /// argument).
     pub orecs: OrecTable,
-    /// The version clock plane (shared counter + lazy epoch scan).
-    pub clock: GlobalClock,
+    /// The version clock (Algorithm 9's shared counter).
+    pub clock: ClockPlane,
     /// Registry of worker threads.
     pub threads: ThreadRegistry,
     /// Sharded, address-indexed registry of descheduled (sleeping)
@@ -69,17 +64,15 @@ impl TmSystem {
     /// Builds a system with a caller-supplied (possibly custom) contention
     /// manager, overriding [`TmConfig::policy`].
     pub fn with_policy(config: TmConfig, policy: Box<dyn ContentionManager>) -> Arc<Self> {
-        let epochs = Arc::new(EpochTable::new(config.max_threads));
         Arc::new(TmSystem {
             heap: TmHeap::new(config.heap_words, config.max_threads),
             orecs: OrecTable::new_sharded(config.orec_count, config.orec_shards),
-            clock: GlobalClock::for_system(config.clock, Arc::clone(&epochs)),
-            threads: ThreadRegistry::with_epochs(Arc::clone(&epochs)),
+            clock: ClockPlane::new(),
+            threads: ThreadRegistry::with_capacity(config.max_threads),
             waiters: WaitList::new(config.wake_shards),
             timers: TimerWheel::new(config.timer),
             serial: SerialGate::new(),
             policy,
-            epochs,
             config,
         })
     }
@@ -101,9 +94,9 @@ impl TmSystem {
     ///
     /// Runs as a lock-free scan over the padded epoch table — no registry
     /// lock, no snapshot allocation, one isolated cache line per thread
-    /// polled.  Writers on the lazy clock must publish their commit epoch
-    /// *before* calling this: that makes every later begin start at or
-    /// above `commit_time`, which is what bounds the wait.
+    /// polled.  Writers call this after their commit tick, so every later
+    /// begin starts at or above `commit_time`, which is what bounds the
+    /// wait (see [`crate::clock`]).
     ///
     /// No-op when disabled in the configuration.
     pub fn quiesce(&self, me: &ThreadCtx, commit_time: u64) {
@@ -240,17 +233,6 @@ mod tests {
         // Would deadlock if quiescence were enabled, since nobody ever calls
         // exit_tx for `other`.
         s.quiesce(&me, 10);
-    }
-
-    #[test]
-    fn system_shares_one_epoch_table_between_clock_and_registry() {
-        use crate::clock::ClockMode;
-        let s = TmSystem::new(TmConfig::small().with_clock(ClockMode::LazyGv5));
-        assert_eq!(s.clock.mode(), ClockMode::LazyGv5);
-        let t = s.register_thread();
-        assert!(Arc::ptr_eq(t.epochs(), &s.epochs));
-        t.publish_epoch(17);
-        assert_eq!(s.clock.now(), 17, "clock scans the registry's table");
     }
 
     #[test]

@@ -2,12 +2,11 @@
 //!
 //! Each worker thread registers once with the [`crate::system::TmSystem`] and
 //! receives an [`ThreadCtx`] carrying its identity, statistics, its padded
-//! slot in the system's [`EpochTable`] (published start time for
-//! privatization-safe quiescence plus the last commit epoch the lazy clock
-//! scans), the "doomed" flag through which the HTM simulator delivers
-//! asynchronous conflict aborts, the resident attempt [`Descriptor`] the
-//! driver lends to every transaction attempt, and the semaphore the thread
-//! parks on when it deschedules.
+//! slot in the registry's [`EpochTable`] (its published start time, for
+//! privatization-safe quiescence), the "doomed" flag through which the HTM
+//! simulator delivers asynchronous conflict aborts, the resident attempt
+//! [`Descriptor`] the driver lends to every transaction attempt, and the
+//! semaphore the thread parks on when it deschedules.
 
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
@@ -143,8 +142,7 @@ pub struct ThreadCtx {
     /// that permit before its sleep returns, so it holds none between sleeps.
     pub park: Arc<Semaphore>,
     /// The shared epoch table; this thread owns slot [`ThreadCtx::id`],
-    /// which carries its published start time and last commit epoch on a
-    /// private cache line.
+    /// which carries its published start time on a private cache line.
     epochs: Arc<EpochTable>,
     /// Set by another thread to doom this thread's in-flight *hardware*
     /// transaction (simulating a coherence-triggered abort).  Padded: it is
@@ -210,11 +208,6 @@ impl ThreadCtx {
         self.epochs.slot(self.id)
     }
 
-    /// The epoch table this thread publishes into.
-    pub fn epochs(&self) -> &Arc<EpochTable> {
-        &self.epochs
-    }
-
     /// Next value of the thread's private backoff RNG (xorshift64).
     ///
     /// Deterministic per thread id, and touches only this thread's own
@@ -264,20 +257,6 @@ impl ThreadCtx {
         self.epoch_slot().start()
     }
 
-    /// Publishes a completed writer commit's timestamp to this thread's
-    /// epoch slot.
-    ///
-    /// Call only after the commit is fully visible (write-back done, every
-    /// ownership record released) and **before** [`exit_tx`](Self::exit_tx)
-    /// or quiescence: a published epoch is a promise that any transaction
-    /// beginning afterwards starts at or above it, which is both the lazy
-    /// clock's correctness condition and what guarantees the publisher's own
-    /// quiescence wait terminates.
-    #[inline]
-    pub fn publish_epoch(&self, ts: u64) {
-        self.epoch_slot().set_epoch(ts);
-    }
-
     /// Marks this thread's hardware transaction as doomed.
     #[inline]
     pub fn doom(&self) {
@@ -302,8 +281,8 @@ impl ThreadCtx {
 #[derive(Debug)]
 pub struct ThreadRegistry {
     threads: RwLock<Vec<Arc<ThreadCtx>>>,
-    /// The epoch table shared with the clock plane; registration activates
-    /// one padded slot per thread.
+    /// The registry's epoch table; registration activates one padded slot
+    /// per thread.
     epochs: Arc<EpochTable>,
 }
 
@@ -314,17 +293,16 @@ impl Default for ThreadRegistry {
 }
 
 impl ThreadRegistry {
-    /// Creates an empty standalone registry (with its own small epoch
-    /// table; systems share theirs via [`ThreadRegistry::with_epochs`]).
+    /// Creates an empty standalone registry with a small epoch table.
     pub fn new() -> Self {
-        ThreadRegistry::with_epochs(Arc::new(EpochTable::new(STANDALONE_REGISTRY_CAPACITY)))
+        ThreadRegistry::with_capacity(STANDALONE_REGISTRY_CAPACITY)
     }
 
-    /// Creates an empty registry whose threads publish into `epochs`.
-    pub fn with_epochs(epochs: Arc<EpochTable>) -> Self {
+    /// Creates an empty registry with room for `max_threads` threads.
+    pub fn with_capacity(max_threads: usize) -> Self {
         ThreadRegistry {
             threads: RwLock::new(Vec::new()),
-            epochs,
+            epochs: Arc::new(EpochTable::new(max_threads)),
         }
     }
 
@@ -478,18 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn publish_epoch_feeds_the_shared_scan() {
-        let r = ThreadRegistry::new();
-        let a = r.register();
-        let b = r.register();
-        assert_eq!(a.epoch_slot().epoch(), 0);
-        a.publish_epoch(5);
-        b.publish_epoch(3);
-        assert_eq!(a.epoch_slot().epoch(), 5);
-        assert_eq!(r.epochs().max_epoch(), 5);
-    }
-
-    #[test]
     fn backoff_rng_is_deterministic_per_thread_and_distinct_across_threads() {
         let r1 = ThreadRegistry::new();
         let r2 = ThreadRegistry::new();
@@ -506,7 +472,7 @@ mod tests {
 
     #[test]
     fn registration_panics_when_the_epoch_table_is_full() {
-        let r = ThreadRegistry::with_epochs(Arc::new(EpochTable::new(1)));
+        let r = ThreadRegistry::with_capacity(1);
         let _ok = r.register();
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| r.register()));
         assert!(attempt.is_err());

@@ -2,8 +2,8 @@
 //!
 //! `TmHashMap` is an open-addressing (linear probing) hash table whose slots
 //! live in the transactional heap, so lookups and updates compose with any
-//! other transactional state, and a reader can *wait* for a key to appear
-//! using the paper's mechanisms ([`TmHashMap::get_waiting`]).  The table is
+//! other transactional state — a reader that finds a key missing can wait
+//! for it with the paper's `Retry` in its own transaction body.  The table is
 //! the kind of shared index the PARSEC applications keep under a lock
 //! (dedup's chunk index, ferret's result table) and the primary store of the
 //! benchmark's session-store workload; it is deliberately simple — no
@@ -27,8 +27,7 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use condsync::Mechanism;
-use tm_core::{Addr, TmArray, TmSystem, TmValue, TmVar, Tx, TxResult};
+use tm_core::{TmArray, TmSystem, TmValue, TmVar, Tx, TxResult};
 
 /// A never-used cell's key word.
 const EMPTY: u64 = 0;
@@ -85,16 +84,6 @@ pub struct TmHashMap<K: TmValue = u64, V: TmValue = u64> {
     _marker: PhantomData<(K, V)>,
 }
 
-/// `WaitPred` predicate: the counter word identified by `args = [addr, old]`
-/// has changed.  The map's waiters watch one occupancy counter: a plain
-/// threshold would miss an insert that follows a remove (the count returns
-/// to its old value), but every size-changing commit *changes* the word at
-/// its wake check, so change-detection never strands a waiter whose key
-/// arrived.
-pub fn pred_map_counter_changed(tx: &mut dyn Tx, args: &[u64]) -> TxResult<bool> {
-    Ok(tx.read(Addr(args[0] as usize))? != args[1])
-}
-
 fn fib_high(word: u64) -> usize {
     (word.wrapping_mul(FIB) >> 32) as usize
 }
@@ -139,13 +128,6 @@ impl<K: TmValue, V: TmValue> TmHashMap<K, V> {
     /// The slot capacity (rounded up to a power of two at construction).
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Heap address a waiter for `key` should watch: the key's striped
-    /// occupancy counter.  Every insert of `key` bumps the returned word's
-    /// stripe, so an `Await` on it can never miss the insert.
-    pub fn wait_addr(&self, key: K) -> Addr {
-        self.counter_for(key.into_word()).addr()
     }
 
     fn counter_for(&self, key_word: u64) -> &TmVar<u64> {
@@ -314,45 +296,13 @@ impl<K: TmValue, V: TmValue> TmHashMap<K, V> {
         out.sort_unstable();
         out
     }
-
-    /// Looks `key` up, waiting with `mechanism` until some writer inserts it.
-    ///
-    /// For `Await` the waiter watches [`TmHashMap::wait_addr`], the key's
-    /// striped occupancy counter — a word every insertion of the key writes,
-    /// so the wake can never be missed (the paper's §2.3 discussion of
-    /// choosing what to track applies directly here).
-    ///
-    /// # Panics
-    ///
-    /// Panics for the lock-based mechanisms, which wait outside transactions.
-    pub fn get_waiting(&self, mechanism: Mechanism, tx: &mut dyn Tx, key: K) -> TxResult<V> {
-        if let Some(v) = self.get(tx, key)? {
-            return Ok(v);
-        }
-        let counter = self.counter_for(key.into_word());
-        // WaitPred wakes when the key's occupancy counter *changes* (a
-        // threshold would strand the waiter after a remove-then-insert
-        // returned the count to its old value), so it alone reads the
-        // counter's current value.
-        let current = match mechanism {
-            Mechanism::WaitPred => counter.get(tx)?,
-            _ => 0,
-        };
-        let addr = counter.addr();
-        mechanism.wait(
-            tx,
-            addr,
-            pred_map_counter_changed,
-            &[addr.0 as u64, current],
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashMap;
-    use tm_core::{DirectTx, TmConfig, TxCtl, WaitSpec};
+    use tm_core::{DirectTx, TmConfig};
 
     fn small_map(cap: usize) -> (Arc<TmSystem>, TmHashMap) {
         let system = TmSystem::new(TmConfig::small());
@@ -455,37 +405,12 @@ mod tests {
     }
 
     #[test]
-    fn get_waiting_requests_the_right_deschedule() {
-        let (system, map) = small_map(8);
-        let mut tx = DirectTx::new(&system);
-        assert!(matches!(
-            map.get_waiting(Mechanism::Retry, &mut tx, 5),
-            Err(TxCtl::Deschedule(WaitSpec::ReadSetValues))
-        ));
-        // Await watches the key's striped counter, not a global length word.
-        match map.get_waiting(Mechanism::Await, &mut tx, 5) {
-            Err(TxCtl::Deschedule(WaitSpec::Addrs(a))) => assert_eq!(a, vec![map.wait_addr(5)]),
-            other => panic!("unexpected {other:?}"),
-        }
-        // WaitPred wakes on counter *change*, parameterised by the current
-        // count, so remove-then-insert cannot strand the waiter.
-        match map.get_waiting(Mechanism::WaitPred, &mut tx, 5) {
-            Err(TxCtl::Deschedule(WaitSpec::Pred { args, .. })) => {
-                assert_eq!(args, vec![map.wait_addr(5).0 as u64, 0]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        map.insert(&mut tx, 5, 55).unwrap();
-        assert_eq!(map.get_waiting(Mechanism::Retry, &mut tx, 5).unwrap(), 55);
-    }
-
-    #[test]
     fn counters_sit_on_distinct_orec_stripes() {
         let (system, map) = small_map(64);
-        // Every key's wait address must map to its own ownership record, or
-        // the layout's whole contention argument is void.
+        // The counters must sit on their own ownership records, or the
+        // layout's whole contention argument is void.
         let stripes: Vec<usize> = (0..1000u64)
-            .map(|k| system.orecs.index_for(map.wait_addr(k)))
+            .map(|k| system.orecs.index_for(map.counter_for(k).addr()))
             .collect();
         let mut distinct: Vec<usize> = stripes.clone();
         distinct.sort_unstable();

@@ -173,14 +173,12 @@ const GROUPS: &[(&str, &[Col])] = &[
             show("hw aborts", 8, |s| s.hw_aborts),
         ],
     ),
-    // Shared counter writes against lazy stamps that reused the clock (the
-    // ratio the decentralized clock drives toward zero), and epoch slots
-    // scanned while quiescing.
+    // Shared clock-line writes (one per writer commit, plus eager-rollback
+    // ticks), and epoch slots scanned while quiescing.
     (
         "clock",
         &[
             gate("shared-line cas", 8, |s| s.clock_cas),
-            gate("lazy reuses", 8, |s| s.clock_reuse),
             gate("quiesce scans", 10, |s| s.quiesce_scans),
         ],
     ),
@@ -723,15 +721,10 @@ mod tests {
                 context_only: zero(),
                 worked: StatsSnapshot {
                     clock_cas: 3,
-                    clock_reuse: 997,
                     quiesce_scans: 1234,
                     ..zero()
                 },
-                printed: &[
-                    "shared-line cas        3",
-                    "lazy reuses      997",
-                    "quiesce scans       1234",
-                ],
+                printed: &["shared-line cas        3", "quiesce scans       1234"],
             },
             GroupCase {
                 title: "snapshot",

@@ -7,13 +7,8 @@
 use std::sync::Arc;
 
 use condsync::Mechanism;
-use tm_core::{Addr, ClockMode, StatsSnapshot, TmConfig, Tx, TxResult};
+use tm_core::{Addr, StatsSnapshot, TmConfig, Tx, TxResult};
 use tm_repro::prelude::*;
-
-/// Both clock-plane schemes: the deterministic GV1 baseline and the
-/// decentralized lazy-GV5 default.  Every parity scenario must produce the
-/// same golden results under either.
-const CLOCK_MODES: [ClockMode; 2] = [ClockMode::Gv1, ClockMode::LazyGv5];
 
 /// Outcome of one scenario run: what the waiters observed, plus the
 /// system-wide statistics at the end.
@@ -34,7 +29,7 @@ fn run_scenario(kind: RuntimeKind) -> ScenarioResult {
 }
 
 /// As [`run_scenario`], with an explicit configuration (used by the
-/// clock-plane sweep).
+/// memory-plane sweep).
 fn run_scenario_configured(kind: RuntimeKind, config: TmConfig) -> ScenarioResult {
     const TARGET: u64 = 3;
 
@@ -292,46 +287,6 @@ fn large_transactions_are_identical_across_runtimes() {
 }
 
 #[test]
-fn clock_plane_sweep_keeps_golden_results_identical() {
-    // The clock scheme is a performance lever, not a semantic one: the same
-    // deterministic large transaction must produce the same checksum and
-    // heap image on every runtime under GV1 and lazy GV5, and the
-    // deschedule scenario must reach the same final state.
-    let golden = large_tx_outcome(RuntimeKind::EagerStm, TmConfig::default());
-    for mode in CLOCK_MODES {
-        for kind in RuntimeKind::ALL {
-            let outcome = large_tx_outcome(kind, TmConfig::default().with_clock(mode));
-            assert_eq!(
-                outcome,
-                golden,
-                "{kind} under {} diverged from the golden outcome",
-                mode.label()
-            );
-
-            let result = run_scenario_configured(kind, TmConfig::small().with_clock(mode));
-            assert_eq!(
-                result.final_count,
-                3,
-                "{kind} under {}: wrong final count",
-                mode.label()
-            );
-            assert_eq!(
-                result.observed.len(),
-                3,
-                "{kind} under {}: a waiter was lost",
-                mode.label()
-            );
-            assert_eq!(
-                result.observed.iter().max(),
-                Some(&3),
-                "{kind} under {}: no waiter saw the established condition",
-                mode.label()
-            );
-        }
-    }
-}
-
-#[test]
 fn memory_plane_sweep_keeps_golden_results_identical() {
     // The memory plane is a performance lever, not a semantic one: stripe
     // indices stay stable global ids regardless of how many shards the orec
@@ -434,62 +389,45 @@ fn snapshot_and_tracked_reads_return_identical_golden_results() {
 
 #[test]
 fn writer_commits_advance_the_clock_past_their_begin_snapshot() {
-    // Observable `commit_ts > start_ts` in both clock modes: after a writer
-    // commit, `clock.now()` strictly exceeds any snapshot taken before the
-    // transaction began — under GV1 because the commit ticked the counter,
-    // under lazy GV5 because the committer published `now() + 1` to its
-    // epoch slot.  Pure HTM commits through the simulated cache protocol
-    // and never stamps the clock, so it is exempt.  Under lazy GV5 the
-    // stamps are reused rather than written to the shared counter, alone
-    // or next to a second thread committing to a disjoint counter: some
-    // commits count as reuses and the shared-line CASes stay below the
-    // commit count.
-    for mode in CLOCK_MODES {
-        for kind in [
-            RuntimeKind::EagerStm,
-            RuntimeKind::LazyStm,
-            RuntimeKind::Hybrid,
-        ] {
-            for threads in [1, 2] {
-                let rt = kind.build(TmConfig::small().with_clock(mode));
-                let system = Arc::clone(rt.system());
-                let counters: Vec<TmVar<u64>> =
-                    (0..threads).map(|_| TmVar::alloc(&system, 0)).collect();
-                std::thread::scope(|s| {
-                    for v in &counters {
-                        let (rt, system) = (&rt, &system);
-                        s.spawn(move || {
-                            let th = system.register_thread();
-                            for i in 0..16u64 {
-                                let before = system.clock.now();
-                                rt.atomically(&th, |tx| {
-                                    let x = v.get(tx)?;
-                                    v.set(tx, x + 1)
-                                });
-                                let after = system.clock.now();
-                                assert!(
-                                    after > before,
-                                    "{kind} under {}: commit {i} left now() at {after} \
-                                     (begin snapshot {before})",
-                                    mode.label()
-                                );
-                            }
-                        });
-                    }
-                });
+    // Observable `commit_ts > start_ts`: after a writer commit,
+    // `clock.now()` strictly exceeds any snapshot taken before the
+    // transaction began, because the commit ticked the counter — alone or
+    // next to a second thread committing to a disjoint counter.  Pure HTM
+    // commits through the simulated cache protocol and never stamps the
+    // clock, so it is exempt.
+    for kind in [
+        RuntimeKind::EagerStm,
+        RuntimeKind::LazyStm,
+        RuntimeKind::Hybrid,
+    ] {
+        for threads in [1, 2] {
+            let rt = kind.build(TmConfig::small());
+            let system = Arc::clone(rt.system());
+            let counters: Vec<TmVar<u64>> =
+                (0..threads).map(|_| TmVar::alloc(&system, 0)).collect();
+            std::thread::scope(|s| {
                 for v in &counters {
-                    assert_eq!(v.load_direct(&system), 16);
+                    let (rt, system) = (&rt, &system);
+                    s.spawn(move || {
+                        let th = system.register_thread();
+                        for i in 0..16u64 {
+                            let before = system.clock.now();
+                            rt.atomically(&th, |tx| {
+                                let x = v.get(tx)?;
+                                v.set(tx, x + 1)
+                            });
+                            let after = system.clock.now();
+                            assert!(
+                                after > before,
+                                "{kind}/{threads}t: commit {i} left now() at {after} \
+                                 (begin snapshot {before})"
+                            );
+                        }
+                    });
                 }
-                if mode == ClockMode::LazyGv5 {
-                    let s = system.stats();
-                    let commits = s.hw_commits + s.sw_commits + s.serial_commits;
-                    assert!(s.clock_reuse > 0, "{kind}/{threads}t: no reuse stamps");
-                    assert!(
-                        s.clock_cas < commits,
-                        "{kind}/{threads}t: clock_cas {} >= commits {commits}",
-                        s.clock_cas
-                    );
-                }
+            });
+            for v in &counters {
+                assert_eq!(v.load_direct(&system), 16);
             }
         }
     }

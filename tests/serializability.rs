@@ -7,7 +7,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use tm_core::ClockMode;
 use tm_repro::prelude::*;
 use tm_repro::workloads::runtime::RuntimeKind;
 
@@ -147,75 +146,70 @@ fn ordered_map_inserts_are_neither_lost_nor_duplicated_under_contention() {
 }
 
 #[test]
-fn clock_modes_preserve_serializability_and_version_monotonicity() {
-    // The clock-plane sweep: the contended-counter workload must stay
-    // serializable (no lost updates) under both GV1 and lazy GV5 on every
-    // runtime, and the ownership records covering the counter must never
-    // publish a regressing version — the invariant non-unique lazy stamps
-    // could violate if a commit ever stamped below an already-released
-    // version.  A watcher thread samples the orecs concurrently with the
-    // workload and tracks every unlocked version it observes.
+fn contended_commits_stay_serializable_and_orec_versions_never_regress() {
+    // The contended-counter workload must stay serializable (no lost
+    // updates) on every runtime, and no ownership record may publish a
+    // regressing version — which a commit stamping below an
+    // already-released version would do.  A watcher thread samples the
+    // orecs concurrently with the workload and tracks every unlocked
+    // version it observes.
     use std::sync::atomic::{AtomicBool, Ordering};
 
     const PER_THREAD: u64 = 200;
-    for mode in [ClockMode::Gv1, ClockMode::LazyGv5] {
-        for kind in RuntimeKind::ALL {
-            let rt = kind.build(TmConfig::small().with_clock(mode));
-            let system = Arc::clone(rt.system());
-            let counter = TmCounter::new(&system, 0);
-            let watched: Vec<usize> = (0..system.orecs.len()).collect();
-            let done = AtomicBool::new(false);
+    for kind in RuntimeKind::ALL {
+        let rt = kind.build(TmConfig::small());
+        let system = Arc::clone(rt.system());
+        let counter = TmCounter::new(&system, 0);
+        let watched: Vec<usize> = (0..system.orecs.len()).collect();
+        let done = AtomicBool::new(false);
 
-            std::thread::scope(|scope| {
-                let watcher_system = Arc::clone(&system);
-                let watcher_done = &done;
-                let watcher_watched = &watched;
-                scope.spawn(move || {
-                    let mut floors = vec![0u64; watcher_watched.len()];
-                    while !watcher_done.load(Ordering::Acquire) {
-                        for (&idx, floor) in watcher_watched.iter().zip(floors.iter_mut()) {
-                            let v = watcher_system.orecs.load(idx);
-                            if v.is_locked() {
-                                continue;
-                            }
-                            assert!(
-                                v.version() >= *floor,
-                                "{kind} under {}: orec {idx} regressed from {} to {}",
-                                mode.label(),
-                                floor,
-                                v.version()
-                            );
-                            *floor = v.version();
+        std::thread::scope(|scope| {
+            let watcher_system = Arc::clone(&system);
+            let watcher_done = &done;
+            let watcher_watched = &watched;
+            scope.spawn(move || {
+                let mut floors = vec![0u64; watcher_watched.len()];
+                while !watcher_done.load(Ordering::Acquire) {
+                    for (&idx, floor) in watcher_watched.iter().zip(floors.iter_mut()) {
+                        let v = watcher_system.orecs.load(idx);
+                        if v.is_locked() {
+                            continue;
                         }
-                        std::thread::yield_now();
+                        assert!(
+                            v.version() >= *floor,
+                            "{kind}: orec {idx} regressed from {} to {}",
+                            floor,
+                            v.version()
+                        );
+                        *floor = v.version();
                     }
-                });
-
-                // Inner scope: joins the workers, after which the watcher is
-                // released — the outer scope then joins the watcher itself.
-                std::thread::scope(|workers| {
-                    for _ in 0..THREADS {
-                        let rt = rt.clone();
-                        let system = Arc::clone(&system);
-                        let counter = counter.clone();
-                        workers.spawn(move || {
-                            let th = system.register_thread();
-                            for _ in 0..PER_THREAD {
-                                rt.atomically(&th, |tx| counter.increment(tx).map(|_| ()));
-                            }
-                        });
-                    }
-                });
-                done.store(true, Ordering::Release);
+                    std::thread::yield_now();
+                }
             });
 
-            assert_eq!(
-                counter.load_direct(&system),
-                THREADS as u64 * PER_THREAD,
-                "lost updates on {kind} under {}",
-                mode.label()
-            );
-        }
+            // Inner scope: joins the workers, after which the watcher is
+            // released — the outer scope then joins the watcher itself.
+            std::thread::scope(|workers| {
+                for _ in 0..THREADS {
+                    let rt = rt.clone();
+                    let system = Arc::clone(&system);
+                    let counter = counter.clone();
+                    workers.spawn(move || {
+                        let th = system.register_thread();
+                        for _ in 0..PER_THREAD {
+                            rt.atomically(&th, |tx| counter.increment(tx).map(|_| ()));
+                        }
+                    });
+                }
+            });
+            done.store(true, Ordering::Release);
+        });
+
+        assert_eq!(
+            counter.load_direct(&system),
+            THREADS as u64 * PER_THREAD,
+            "lost updates on {kind}"
+        );
     }
 }
 
@@ -225,8 +219,8 @@ fn snapshot_readers_never_observe_torn_invariants() {
     // transactions scan a multi-word invariant (cells that always sum to
     // TOTAL) while writers continuously move value between cells.  A torn
     // snapshot — any mix of pre- and post-transfer cells — breaks the sum.
-    // Swept over both clock planes on every runtime; iteration counts scale
-    // with `TM_STRESS_ITERS` for the scheduled soak job.
+    // Run on every runtime; iteration counts scale with `TM_STRESS_ITERS`
+    // for the scheduled soak job.
     use std::sync::atomic::{AtomicBool, Ordering};
 
     const CELLS: usize = 6;
@@ -235,89 +229,81 @@ fn snapshot_readers_never_observe_torn_invariants() {
     const WRITERS: usize = 2;
     let transfers: u64 = 150 * tm_repro::workloads::stress_iters();
 
-    for mode in [ClockMode::Gv1, ClockMode::LazyGv5] {
-        for kind in RuntimeKind::ALL {
-            let rt = kind.build(TmConfig::small().with_clock(mode));
-            let system = Arc::clone(rt.system());
-            let cells: Arc<Vec<TmVar<u64>>> = Arc::new(
-                (0..CELLS)
-                    .map(|i| TmVar::alloc(&system, if i == 0 { TOTAL } else { 0 }))
-                    .collect(),
-            );
-            let done = AtomicBool::new(false);
+    for kind in RuntimeKind::ALL {
+        let rt = kind.build(TmConfig::small());
+        let system = Arc::clone(rt.system());
+        let cells: Arc<Vec<TmVar<u64>>> = Arc::new(
+            (0..CELLS)
+                .map(|i| TmVar::alloc(&system, if i == 0 { TOTAL } else { 0 }))
+                .collect(),
+        );
+        let done = AtomicBool::new(false);
 
-            std::thread::scope(|scope| {
-                for _ in 0..READERS {
+        std::thread::scope(|scope| {
+            for _ in 0..READERS {
+                let rt = rt.clone();
+                let system = Arc::clone(&system);
+                let cells = Arc::clone(&cells);
+                let done = &done;
+                scope.spawn(move || {
+                    let th = system.register_thread();
+                    // Check `done` at the bottom: on a one-core host
+                    // the writers can finish before a reader is ever
+                    // scheduled, and each reader must still scan once.
+                    loop {
+                        let sum: u64 = rt.atomically_read(&th, |tx| {
+                            let mut s = 0u64;
+                            for c in cells.iter() {
+                                s += c.get(tx)?;
+                            }
+                            Ok(s)
+                        });
+                        assert_eq!(sum, TOTAL, "{kind}: torn read-only snapshot");
+                        if done.load(Ordering::Acquire) {
+                            break;
+                        }
+                    }
+                });
+            }
+            // Inner scope joins the writers, after which the readers
+            // are released; the outer scope then joins the readers.
+            std::thread::scope(|writers| {
+                for tid in 0..WRITERS {
                     let rt = rt.clone();
                     let system = Arc::clone(&system);
                     let cells = Arc::clone(&cells);
-                    let done = &done;
-                    scope.spawn(move || {
+                    writers.spawn(move || {
                         let th = system.register_thread();
-                        // Check `done` at the bottom: on a one-core host
-                        // the writers can finish before a reader is ever
-                        // scheduled, and each reader must still scan once.
-                        loop {
-                            let sum: u64 = rt.atomically_read(&th, |tx| {
-                                let mut s = 0u64;
-                                for c in cells.iter() {
-                                    s += c.get(tx)?;
+                        let mut seed = 0x9E37_79B9_u64.wrapping_add(tid as u64);
+                        for _ in 0..transfers {
+                            seed ^= seed << 13;
+                            seed ^= seed >> 7;
+                            seed ^= seed << 17;
+                            let from = (seed % CELLS as u64) as usize;
+                            let to = ((seed >> 8) % CELLS as u64) as usize;
+                            rt.atomically(&th, |tx| {
+                                let f = cells[from].get(tx)?;
+                                if f == 0 || from == to {
+                                    return Ok(());
                                 }
-                                Ok(s)
+                                let t = cells[to].get(tx)?;
+                                cells[from].set(tx, f - 1)?;
+                                cells[to].set(tx, t + 1)
                             });
-                            assert_eq!(
-                                sum,
-                                TOTAL,
-                                "{kind} under {}: torn read-only snapshot",
-                                mode.label()
-                            );
-                            if done.load(Ordering::Acquire) {
-                                break;
-                            }
                         }
                     });
                 }
-                // Inner scope joins the writers, after which the readers
-                // are released; the outer scope then joins the readers.
-                std::thread::scope(|writers| {
-                    for tid in 0..WRITERS {
-                        let rt = rt.clone();
-                        let system = Arc::clone(&system);
-                        let cells = Arc::clone(&cells);
-                        writers.spawn(move || {
-                            let th = system.register_thread();
-                            let mut seed = 0x9E37_79B9_u64.wrapping_add(tid as u64);
-                            for _ in 0..transfers {
-                                seed ^= seed << 13;
-                                seed ^= seed >> 7;
-                                seed ^= seed << 17;
-                                let from = (seed % CELLS as u64) as usize;
-                                let to = ((seed >> 8) % CELLS as u64) as usize;
-                                rt.atomically(&th, |tx| {
-                                    let f = cells[from].get(tx)?;
-                                    if f == 0 || from == to {
-                                        return Ok(());
-                                    }
-                                    let t = cells[to].get(tx)?;
-                                    cells[from].set(tx, f - 1)?;
-                                    cells[to].set(tx, t + 1)
-                                });
-                            }
-                        });
-                    }
-                });
-                done.store(true, Ordering::Release);
             });
+            done.store(true, Ordering::Release);
+        });
 
-            let total: u64 = cells.iter().map(|c| c.load_direct(&system)).sum();
-            assert_eq!(total, TOTAL, "{kind}: writers corrupted the invariant");
-            let stats = system.stats();
-            assert!(
-                stats.ro_fast_commits > 0,
-                "{kind} under {}: no read-only fast commits recorded",
-                mode.label()
-            );
-        }
+        let total: u64 = cells.iter().map(|c| c.load_direct(&system)).sum();
+        assert_eq!(total, TOTAL, "{kind}: writers corrupted the invariant");
+        let stats = system.stats();
+        assert!(
+            stats.ro_fast_commits > 0,
+            "{kind}: no read-only fast commits recorded"
+        );
     }
 }
 

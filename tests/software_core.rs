@@ -1,7 +1,6 @@
 //! The behaviour the eager and the lazy STM share (`tm_core::software`),
 //! checked once per protocol from one table: each case below is a function
-//! generic over the protocol, and `cases!` runs it on both protocols under
-//! both clock planes.
+//! generic over the protocol, and `cases!` runs it on both protocols.
 //!
 //! These are the unit tests that used to be written twice, once in each
 //! runtime crate.  Protocol-specific behaviour (undo in place, redo
@@ -13,18 +12,14 @@ use std::sync::Arc;
 
 use tm_core::software::{Eager, Lazy, SoftwareStm};
 use tm_core::{
-    AbortReason, Addr, Attempt, ClockMode, Descriptor, SoftwareProtocol, SoftwareTx, ThreadCtx,
-    TmConfig, TmSystem, Tx, TxCommon, TxCtl, TxKind, TxMode,
+    AbortReason, Addr, Attempt, Descriptor, SoftwareProtocol, SoftwareTx, ThreadCtx, TmConfig,
+    TmSystem, Tx, TxCommon, TxCtl, TxKind, TxMode,
 };
-
-fn config(clock: ClockMode) -> TmConfig {
-    TmConfig::small().with_clock(clock)
-}
 
 /// Two handles are driven from one OS thread in many cases, so a committer
 /// must not quiesce waiting for the other handle (it could never finish).
-fn two_handle_system(clock: ClockMode) -> Arc<TmSystem> {
-    TmSystem::new(config(clock).without_quiescence())
+fn two_handle_system() -> Arc<TmSystem> {
+    TmSystem::new(TmConfig::small().without_quiescence())
 }
 
 /// A thread context and a private descriptor for one test handle.
@@ -52,8 +47,8 @@ fn commit_write<P: SoftwareProtocol>(system: &Arc<TmSystem>, addr: Addr, val: u6
 mod case {
     use super::*;
 
-    pub fn read_only_commit_is_trivial<P: SoftwareProtocol>(clock: ClockMode) {
-        let system = TmSystem::new(config(clock));
+    pub fn read_only_commit_is_trivial<P: SoftwareProtocol>() {
+        let system = TmSystem::new(TmConfig::small());
         let rt = SoftwareStm::<P>::new(Arc::clone(&system));
         system.heap.store(Addr(3), 11);
         let (th, mut d) = party(&system);
@@ -64,8 +59,8 @@ mod case {
         assert_eq!(info.commit_time, 0);
     }
 
-    pub fn commit_validation_detects_stale_reads<P: SoftwareProtocol>(clock: ClockMode) {
-        let system = two_handle_system(clock);
+    pub fn commit_validation_detects_stale_reads<P: SoftwareProtocol>() {
+        let system = two_handle_system();
         let rt = SoftwareStm::<P>::new(Arc::clone(&system));
         // tx1 reads addr 6, then another transaction commits a write to it,
         // then tx1 writes something else and tries to commit: validation
@@ -83,8 +78,8 @@ mod case {
         assert_eq!(system.heap.load(Addr(6)), 9);
     }
 
-    pub fn read_after_foreign_commit_aborts_immediately<P: SoftwareProtocol>(clock: ClockMode) {
-        let system = two_handle_system(clock);
+    pub fn read_after_foreign_commit_aborts_immediately<P: SoftwareProtocol>() {
+        let system = two_handle_system();
         let rt = SoftwareStm::<P>::new(Arc::clone(&system));
         let (t1, mut d1) = party(&system);
         let mut tx1 = SoftwareTx::<P>::begin(&*rt, &t1, &mut d1, software());
@@ -96,10 +91,8 @@ mod case {
         assert!(tx1.read(Addr(100)).is_err());
     }
 
-    pub fn reexecuted_attempts_start_on_the_grown_descriptor<P: SoftwareProtocol>(
-        clock: ClockMode,
-    ) {
-        let system = TmSystem::new(config(clock));
+    pub fn reexecuted_attempts_start_on_the_grown_descriptor<P: SoftwareProtocol>() {
+        let system = TmSystem::new(TmConfig::small());
         let rt = SoftwareStm::<P>::new(Arc::clone(&system));
         let (th, mut d) = party(&system);
         let mut tx = SoftwareTx::<P>::begin(&*rt, &th, &mut d, software());
@@ -113,8 +106,8 @@ mod case {
         assert_eq!((snap.read_set_max, snap.write_set_max), (1, 1));
     }
 
-    pub fn transactional_alloc_is_undone_on_rollback<P: SoftwareProtocol>(clock: ClockMode) {
-        let system = TmSystem::new(config(clock));
+    pub fn transactional_alloc_is_undone_on_rollback<P: SoftwareProtocol>() {
+        let system = TmSystem::new(TmConfig::small());
         let rt = SoftwareStm::<P>::new(Arc::clone(&system));
         let (th, mut d) = party(&system);
         let mut tx = SoftwareTx::<P>::begin(&*rt, &th, &mut d, software());
@@ -126,10 +119,10 @@ mod case {
         assert_eq!(system.heap.allocated_words(), before);
     }
 
-    pub fn transactional_free_is_deferred_to_commit<P: SoftwareProtocol>(clock: ClockMode) {
+    pub fn transactional_free_is_deferred_to_commit<P: SoftwareProtocol>() {
         // Through the read-only commit and through a writer commit.
         for writer in [false, true] {
-            let system = TmSystem::new(config(clock));
+            let system = TmSystem::new(TmConfig::small());
             let rt = SoftwareStm::<P>::new(Arc::clone(&system));
             let (th, mut d) = party(&system);
             let mut tx = SoftwareTx::<P>::begin(&*rt, &th, &mut d, software());
@@ -149,8 +142,8 @@ mod case {
         }
     }
 
-    pub fn read_orec_cover_deduplicates<P: SoftwareProtocol>(clock: ClockMode) {
-        let system = TmSystem::new(config(clock));
+    pub fn read_orec_cover_deduplicates<P: SoftwareProtocol>() {
+        let system = TmSystem::new(TmConfig::small());
         let rt = SoftwareStm::<P>::new(Arc::clone(&system));
         let (th, mut d) = party(&system);
         let mut tx = SoftwareTx::<P>::begin(&*rt, &th, &mut d, software());
@@ -160,8 +153,8 @@ mod case {
         assert!(tx.core.d.reads.orec_cover().len() <= 2);
     }
 
-    pub fn snapshot_read_keeps_no_read_set_and_commits_free<P: SoftwareProtocol>(clock: ClockMode) {
-        let system = TmSystem::new(config(clock));
+    pub fn snapshot_read_keeps_no_read_set_and_commits_free<P: SoftwareProtocol>() {
+        let system = TmSystem::new(TmConfig::small());
         let rt = SoftwareStm::<P>::new(Arc::clone(&system));
         system.heap.store(Addr(3), 7);
         system.heap.store(Addr(4), 8);
@@ -177,8 +170,8 @@ mod case {
         assert_eq!(snap.read_set_max, 0, "no read set was ever built");
     }
 
-    pub fn snapshot_write_aborts_with_read_only_write<P: SoftwareProtocol>(clock: ClockMode) {
-        let system = TmSystem::new(config(clock));
+    pub fn snapshot_write_aborts_with_read_only_write<P: SoftwareProtocol>() {
+        let system = TmSystem::new(TmConfig::small());
         let rt = SoftwareStm::<P>::new(Arc::clone(&system));
         let (th, mut d) = party(&system);
         let mut tx = SoftwareTx::<P>::begin(&*rt, &th, &mut d, read_only());
@@ -206,10 +199,8 @@ mod case {
         }
     }
 
-    pub fn snapshot_refreshes_at_first_read_instead_of_aborting<P: SoftwareProtocol>(
-        clock: ClockMode,
-    ) {
-        let system = two_handle_system(clock);
+    pub fn snapshot_refreshes_at_first_read_instead_of_aborting<P: SoftwareProtocol>() {
+        let system = two_handle_system();
         let rt = SoftwareStm::<P>::new(Arc::clone(&system));
         let (th, mut d) = party(&system);
         let mut tx = SoftwareTx::<P>::begin(&*rt, &th, &mut d, read_only());
@@ -221,8 +212,8 @@ mod case {
         assert_eq!(th.stats.snapshot().snapshot_refreshes, 1);
     }
 
-    pub fn snapshot_aborts_on_too_new_after_first_read<P: SoftwareProtocol>(clock: ClockMode) {
-        let system = two_handle_system(clock);
+    pub fn snapshot_aborts_on_too_new_after_first_read<P: SoftwareProtocol>() {
+        let system = two_handle_system();
         let rt = SoftwareStm::<P>::new(Arc::clone(&system));
         let (th, mut d) = party(&system);
         let mut tx = SoftwareTx::<P>::begin(&*rt, &th, &mut d, read_only());
@@ -234,8 +225,8 @@ mod case {
         ));
     }
 
-    pub fn an_update_attempt_tracks_its_reads<P: SoftwareProtocol>(clock: ClockMode) {
-        let system = TmSystem::new(config(clock));
+    pub fn an_update_attempt_tracks_its_reads<P: SoftwareProtocol>() {
+        let system = TmSystem::new(TmConfig::small());
         let rt = SoftwareStm::<P>::new(Arc::clone(&system));
         let (th, mut d) = party(&system);
         let mut tx = SoftwareTx::<P>::begin(&*rt, &th, &mut d, software());
@@ -246,17 +237,13 @@ mod case {
     }
 }
 
-/// The table: every case runs on both protocols under both clock planes.
-/// `TmConfig::small()` is GV1, which production never uses, so the lazy
-/// plane is swept alongside it.
+/// The table: every case runs on both protocols.
 macro_rules! cases {
     ($($name:ident),* $(,)?) => {$(
         #[test]
         fn $name() {
-            for clock in [ClockMode::Gv1, ClockMode::LazyGv5] {
-                case::$name::<Eager>(clock);
-                case::$name::<Lazy>(clock);
-            }
+            case::$name::<Eager>();
+            case::$name::<Lazy>();
         }
     )*};
 }

@@ -149,6 +149,33 @@ fn pure_lookups_commit_free_and_build_no_read_set() {
     }
 }
 
+/// The one version clock costs exactly one shared-line tick per writer
+/// commit (`clock_cas`), on every runtime that stamps orecs: the eager and
+/// the lazy commit and the hybrid's orec-coupled hardware commit.  Pure HTM
+/// commits through the simulated cache protocol and never stamps, and a
+/// read-only commit reads the clock without writing it.
+#[test]
+fn each_writer_commit_ticks_the_clock_once_and_readers_never() {
+    const N: u64 = 500;
+    for kind in RuntimeKind::ALL {
+        let rt = kind.build(TmConfig::default());
+        let system = Arc::clone(rt.system());
+        let var = TmVar::<u64>::alloc(&system, 0);
+        let th = system.register_thread();
+        for _ in 0..N {
+            increment(&rt, &th, &var);
+        }
+        let ticks = if kind == RuntimeKind::Htm { 0 } else { N };
+        assert_eq!(system.stats().clock_cas, ticks, "{kind}: writer commits");
+        for _ in 0..N {
+            assert_eq!(rt.atomically_read(&th, |tx| var.get(tx)), N, "{kind}");
+        }
+        let stats = system.stats();
+        assert_eq!(stats.clock_cas, ticks, "{kind}: read-only commits");
+        assert_eq!(stats.total_commits(), 2 * N, "{kind}");
+    }
+}
+
 fn at_least(tx: &mut dyn Tx, args: &[u64]) -> TxResult<bool> {
     Ok(tx.read(Addr(args[0] as usize))? >= args[1])
 }

@@ -205,26 +205,33 @@ fn ordered_map_churn_returns_every_node_to_the_heap() {
 }
 
 #[test]
-fn hash_map_get_waiting_sees_a_later_insert() {
-    for mechanism in [Mechanism::Retry, Mechanism::Await, Mechanism::WaitPred] {
-        let rt = RuntimeKind::EagerStm.build(TmConfig::small());
-        let system = Arc::clone(rt.system());
-        let map = TmHashMap::new(&system, 32);
+fn hash_map_reader_retries_until_its_key_is_inserted() {
+    let rt = RuntimeKind::EagerStm.build(TmConfig::small());
+    let system = Arc::clone(rt.system());
+    let map = TmHashMap::new(&system, 32);
 
-        let (rt_r, system_r, map_r) = (rt.clone(), Arc::clone(&system), map.clone());
-        let reader = std::thread::spawn(move || {
-            let th = system_r.register_thread();
-            rt_r.atomically(&th, |tx| map_r.get_waiting(mechanism, tx, 77))
-        });
+    let (rt_r, system_r, map_r) = (rt.clone(), Arc::clone(&system), map.clone());
+    let reader = std::thread::spawn(move || {
+        let th = system_r.register_thread();
+        rt_r.atomically(&th, |tx| match map_r.get(tx, 77)? {
+            Some(v) => Ok(v),
+            None => condsync::retry(tx),
+        })
+    });
 
-        std::thread::sleep(Duration::from_millis(5));
-        let th = system.register_thread();
-        // An unrelated insertion may wake the reader (it watches the map's
-        // size), but the reader must keep waiting until key 77 appears.
-        rt.atomically(&th, |tx| map.insert(tx, 5, 50).map(|_| ()));
-        std::thread::sleep(Duration::from_millis(5));
-        rt.atomically(&th, |tx| map.insert(tx, 77, 770).map(|_| ()));
+    // Wait for the reader to publish its waiter before each insert.  An
+    // unrelated insertion must not release the reader: woken or not, it
+    // sleeps again until key 77 appears.
+    let wait_for_sleeper = || {
+        while system.waiters.is_empty() {
+            std::thread::yield_now();
+        }
+    };
+    wait_for_sleeper();
+    let th = system.register_thread();
+    rt.atomically(&th, |tx| map.insert(tx, 5, 50).map(|_| ()));
+    wait_for_sleeper();
+    rt.atomically(&th, |tx| map.insert(tx, 77, 770).map(|_| ()));
 
-        assert_eq!(reader.join().unwrap(), 770, "{mechanism}");
-    }
+    assert_eq!(reader.join().unwrap(), 770);
 }
