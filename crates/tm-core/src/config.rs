@@ -152,9 +152,11 @@ pub struct TmConfig {
     pub orec_count: usize,
     /// Number of shards the ownership-record table is split into (rounded up
     /// to a power of two and clamped to the table size).  Each shard is its
-    /// own heap allocation, so on a NUMA machine first-touch places shards
-    /// across nodes instead of landing the whole table on one.  Stripe
-    /// indices remain stable global ids regardless of the shard count.
+    /// own zeroed allocation whose pages are first touched when a stripe on
+    /// them is first used, by the thread that uses it, so on a NUMA machine
+    /// first-touch places them near their users instead of landing the
+    /// whole table on the node that built the system.  Stripe indices remain
+    /// stable global ids regardless of the shard count.
     pub orec_shards: usize,
     /// Number of shards in the address-indexed waiter registry (rounded up
     /// to a power of two).  Ownership-record stripes map onto shards by

@@ -19,6 +19,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::addr::LineId;
+use crate::pad::{zeroed_slice, Zeroable};
 use crate::thread::ThreadId;
 
 /// Maximum number of threads the reader bitmask can represent.  A thread
@@ -37,13 +38,17 @@ fn bit(tid: ThreadId) -> u64 {
 }
 
 /// One directory slot.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct LineState {
     /// Bitmask of thread ids currently reading this line speculatively.
     readers: AtomicU64,
     /// Thread id + 1 of the current speculative writer, or 0.
     writer: AtomicU64,
 }
+
+// SAFETY: both fields are atomic integers, and an all-zero slot is the
+// empty one: no readers, no writer.
+unsafe impl Zeroable for LineState {}
 
 /// The global table of line states, hashed by [`LineId`].
 #[derive(Debug)]
@@ -56,9 +61,8 @@ impl LineTable {
     /// Creates a table with `size` slots (rounded up to a power of two).
     pub fn new(size: usize) -> Self {
         let size = size.next_power_of_two().max(2);
-        let slots = (0..size).map(|_| LineState::default()).collect::<Vec<_>>();
         LineTable {
-            slots: slots.into_boxed_slice(),
+            slots: zeroed_slice(size),
             mask: size - 1,
         }
     }

@@ -14,24 +14,30 @@
 //! into the sorted region list whenever a carve fails.
 //!
 //! On top of the global allocator sits the **arena plane** (`ArenaPlane`):
-//! per-thread front-ends that serve small allocations mutex-free.  Each
-//! registered thread owns one `ArenaSlot` holding exact-size bins that
-//! refill in batches from the global allocator; a free of *another*
-//! thread's block is pushed onto the owner's lock-free remote-free stack
-//! (threaded through the free blocks' own heap words) and reclaimed when the
-//! owner refills.  Exhaustion spills every arena back into the global
+//! per-thread front-ends that serve small allocations mutex-free.  A
+//! registered thread's first arena allocation makes its `ArenaSlot`, which
+//! holds exact-size bins that refill in batches from the global allocator;
+//! a free of *another* thread's block is pushed onto the owner's lock-free
+//! remote-free stack (threaded through the free blocks' own heap words) and
+//! reclaimed when the owner refills.  Exhaustion spills every arena back into the global
 //! allocator and retries, so "heap full" means the whole heap genuinely
 //! cannot satisfy the request, and conservation accounting
 //! ([`TmHeap::allocated_words`]) still balances to zero.  Identity-less
 //! [`TmHeap::alloc`] always takes the global allocator.
+//!
+//! The word array and the owner tags are zeroed allocations
+//! (`tm_core::pad::zeroed_slice`) and the arena slots are made on first use,
+//! so building a heap writes none of its pages: each is faulted in by the
+//! thread that first uses it.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use crate::lock::Mutex;
 
 use crate::addr::Addr;
-use crate::pad::CachePadded;
+use crate::pad::{zeroed_slice, CachePadded};
 use crate::stats::TxStats;
 use crate::thread::ThreadCtx;
 
@@ -45,15 +51,14 @@ pub struct TmHeap {
 
 impl TmHeap {
     /// Creates a heap with `words` 64-bit words, all initialised to zero,
-    /// and an arena plane sized for `threads` registered threads (a system
-    /// passes its `max_threads`).
+    /// and an arena plane with room for `threads` registered threads (a
+    /// system passes its `max_threads`).  Neither is written here.
     ///
     /// Word 0 is reserved as the null address and never handed out.
     pub fn new(words: usize, threads: usize) -> Self {
         assert!(words >= 2, "heap must have at least two words");
-        let cells = (0..words).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
         TmHeap {
-            words: cells.into_boxed_slice(),
+            words: zeroed_slice(words),
             alloc: Mutex::new(Allocator::new(words)),
             arenas: ArenaPlane::new(words, threads),
         }
@@ -186,6 +191,7 @@ impl TmHeap {
             .arenas
             .slots
             .iter()
+            .filter_map(OnceLock::get)
             .map(|s| s.cached_words.load(Ordering::Relaxed))
             .sum();
         allocated.saturating_sub(cached)
@@ -218,7 +224,7 @@ impl TmHeap {
     /// owner that holds its flag while waiting for the global lock.
     fn spill_arenas(&self) {
         let plane = &self.arenas;
-        for slot in plane.slots.iter() {
+        for slot in plane.slots.iter().filter_map(OnceLock::get) {
             // The owner holds its flag only for short, bounded arena
             // operations, so spinning here terminates.
             let mut guard = loop {
@@ -364,8 +370,12 @@ impl Drop for BusyGuard<'_> {
 /// The per-thread arena front-ends over the global allocator, plus the
 /// owner-tag side table that routes frees back to the carving arena.
 struct ArenaPlane {
-    /// One slot per registrable thread, indexed by `ThreadCtx::id`.
-    slots: Box<[ArenaSlot]>,
+    /// One slot per registrable thread, indexed by `ThreadCtx::id`, made by
+    /// the thread's first arena allocation (`ArenaPlane::slot`): a slot is
+    /// ~1 KiB and a system has room for `max_threads` threads, while a
+    /// workload registers a few.  The exhaustion spill and
+    /// `allocated_words` visit only the slots made.
+    slots: Box<[OnceLock<Box<ArenaSlot>>]>,
     /// Per-word owner tags, meaningful at block base addresses: `0` means
     /// globally carved, `tid + 1` means the block belongs to thread `tid`'s
     /// arena.  Set when a refill carves the block, cleared when a spill
@@ -392,15 +402,16 @@ impl ArenaPlane {
         // simply use the global path (`alloc_for` guards on slot count).
         let threads = threads.min(u16::MAX as usize - 1);
         ArenaPlane {
-            slots: (0..threads)
-                .map(|_| ArenaSlot::new())
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            owner: (0..heap_words)
-                .map(|_| AtomicU16::new(0))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
+            slots: (0..threads).map(|_| OnceLock::new()).collect(),
+            owner: zeroed_slice(heap_words),
         }
+    }
+
+    /// Thread `tid`'s arena slot, made on first use.  A remote push always
+    /// targets an owner that has carved, so it finds the slot made.
+    #[inline]
+    fn slot(&self, tid: usize) -> &ArenaSlot {
+        self.slots[tid].get_or_init(|| Box::new(ArenaSlot::new()))
     }
 
     /// The owner tag at a block base address.
@@ -414,7 +425,7 @@ impl ArenaPlane {
     /// allocator.  `None` when the global heap is exhausted (the caller
     /// runs the spill-coalesce-retry path) or the slot is busy.
     fn alloc_small(&self, heap: &TmHeap, th: &ThreadCtx, words: usize) -> Option<Addr> {
-        let slot = &self.slots[th.id];
+        let slot = self.slot(th.id);
         let mut guard = slot.try_enter()?;
         if let Some(base) = guard.bins().by_size[words - 1].pop() {
             slot.cached_words.fetch_sub(words, Ordering::Relaxed);
@@ -487,7 +498,7 @@ impl ArenaPlane {
     /// `false` if the slot was busy (context misuse; the caller routes the
     /// block through the remote stack instead).
     fn free_local(&self, heap: &TmHeap, tid: usize, addr: Addr, words: usize) -> bool {
-        let slot = &self.slots[tid];
+        let slot = self.slot(tid);
         let Some(mut guard) = slot.try_enter() else {
             return false;
         };
@@ -514,7 +525,7 @@ impl ArenaPlane {
     /// happen only via whole-list detachment, a recycled head value always
     /// carries a valid link — the packed entry fully identifies the block.
     fn push_remote(&self, heap: &TmHeap, owner: usize, addr: Addr, words: usize) {
-        let slot = &self.slots[owner];
+        let slot = self.slot(owner);
         // Count the block as cached *before* it becomes poppable, so the
         // owner's matching decrement can never race this below zero.
         slot.cached_words.fetch_add(words, Ordering::Relaxed);

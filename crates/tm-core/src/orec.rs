@@ -19,7 +19,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::addr::{Addr, LineId, LINE_WORDS};
-use crate::pad::CachePadded;
+use crate::pad::{zeroed_slice, CachePadded};
 use crate::thread::ThreadId;
 
 const LOCK_BIT: u64 = 1;
@@ -89,17 +89,17 @@ impl OrecValue {
     }
 }
 
-/// One shard of the ownership-record plane: an independently heap-allocated
-/// slice of padded lock words plus its own CAS-failure counter.
+/// One shard of the ownership-record plane: an independently allocated slice
+/// of lock words plus its own CAS-failure counter.
 ///
-/// Separate allocations are the point of sharding: with one flat 4MB box the
-/// whole plane is first-touched (and on a NUMA machine physically placed) by
-/// whichever thread constructs the system.  Per-shard boxes let the allocator
-/// spread them, and give each shard a private contention counter that does
-/// not bounce between shards.
+/// The slice is one zeroed allocation ([`zeroed_slice`]), so building a
+/// system touches none of it: each page is faulted in, and on a NUMA machine
+/// placed, by the first thread that uses a stripe on it.  Separate shards
+/// give each a private contention counter that does not bounce between
+/// shards.
 #[derive(Debug)]
 struct OrecShard {
-    slots: Box<[CachePadded<AtomicU64>]>,
+    slots: Box<[AtomicU64]>,
     /// Failed `cas` attempts on this shard's stripes — the direct measure of
     /// lock-word contention the memory-plane report surfaces.
     cas_failures: CachePadded<AtomicU64>,
@@ -108,10 +108,7 @@ struct OrecShard {
 impl OrecShard {
     fn new(slots: usize) -> Self {
         OrecShard {
-            slots: (0..slots)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
+            slots: zeroed_slice(slots),
             cas_failures: CachePadded::new(AtomicU64::new(0)),
         }
     }
@@ -119,11 +116,13 @@ impl OrecShard {
 
 /// The global table of ownership records, indexed by a hash of the address.
 ///
-/// Entries are cache-line padded: a stripe's lock word is CAS-hammered by
-/// every writer that hashes onto it, and without padding eight stripes share
-/// one line, so transactions on completely disjoint data still ping-pong
-/// that line between cores ("false conflicts at the coherence level", as
-/// opposed to the hash-collision kind).
+/// Entries are plain 8-byte words, eight to a 64-byte cache line, so the
+/// default table is 512 KiB.  Padding each one to a line would buy nothing:
+/// under the Fibonacci hash of [`OrecTable::index_for`] the eight words of
+/// any heap line land on eight different orec lines, so two cores writing
+/// neighbouring words never share one.  What is left is two unrelated words
+/// whose stripes fall in one group of eight, the same aliasing a stripe
+/// collision already causes, at eight times its rate.
 ///
 /// The table is split into power-of-two `OrecShard`s, each its own heap
 /// allocation.  A global stripe index `idx` maps to shard `idx & shard_mask`
@@ -170,7 +169,7 @@ impl OrecTable {
 
     /// The slot holding the orec at global index `idx`.
     #[inline]
-    fn slot(&self, idx: usize) -> &CachePadded<AtomicU64> {
+    fn slot(&self, idx: usize) -> &AtomicU64 {
         &self.shards[idx & self.shard_mask].slots[idx >> self.shard_bits]
     }
 
@@ -373,15 +372,35 @@ mod tests {
     }
 
     #[test]
-    fn table_entries_do_not_share_cache_lines() {
+    fn heap_line_words_sit_on_distinct_orec_lines() {
+        // What padding each orec would buy: two cores writing neighbouring
+        // words never CAS one orec cache line.  A line holds `per_line`
+        // unpadded orecs, so the stripes of one heap line's words must fall
+        // in distinct groups of `per_line` slots.  Asked as "at least
+        // `per_line` slots apart within a shard", which holds whatever
+        // offset the allocator gives the shard's base, for the flat table
+        // and for the default shard count alike.
+        use crate::config::TmConfig;
         use crate::pad::CACHE_LINE_BYTES;
-        let t = OrecTable::new_sharded(8, 2);
-        for shard in &t.shards {
-            let base = shard.slots.as_ptr() as usize;
-            assert_eq!(base % CACHE_LINE_BYTES, 0);
+        let config = TmConfig::default();
+        let per_line = CACHE_LINE_BYTES / std::mem::size_of::<AtomicU64>();
+        for shards in [1, config.orec_shards] {
+            let t = OrecTable::new_sharded(config.orec_count, shards);
+            for line in 0..config.heap_words / LINE_WORDS {
+                let slots: Vec<(usize, usize)> = t
+                    .line_indices(LineId(line))
+                    .map(|idx| (idx & t.shard_mask, idx >> t.shard_bits))
+                    .collect();
+                for (i, &(shard, slot)) in slots.iter().enumerate() {
+                    for &(other_shard, other) in &slots[i + 1..] {
+                        assert!(
+                            shard != other_shard || slot.abs_diff(other) >= per_line,
+                            "{shards} shards: heap line {line} shares an orec line: {slots:?}"
+                        );
+                    }
+                }
+            }
         }
-        let stride = std::mem::size_of::<CachePadded<AtomicU64>>();
-        assert!(stride >= CACHE_LINE_BYTES);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Heap-plane properties: word conservation under multi-thread
 //! transactional churn with cross-thread frees, carve integrity (no two
 //! threads are ever handed overlapping blocks), refills amortized over a
-//! batch, and exhaustion parity between the arena front-end and the
-//! global allocator alone.
+//! batch, exhaustion parity between the arena front-end and the global
+//! allocator alone, and arenas made on a thread's first allocation.
 
 use std::sync::{mpsc, Arc};
 
-use tm_core::{Addr, TmConfig, TmSystem};
+use tm_core::{Addr, ThreadRegistry, TmConfig, TmHeap, TmSystem};
 use tm_repro::workloads::RuntimeKind;
 
 const THREADS: usize = 4;
@@ -203,4 +203,58 @@ fn exhaustion_is_identical_with_and_without_arenas() {
         "exhaustion behavior diverged between the arenas and the global allocator"
     );
     assert_eq!(outcomes[0], vec![true, false, false, true]);
+}
+
+#[test]
+fn an_arena_made_on_first_use_conserves_and_spills_like_the_rest() {
+    // A heap sized for 1,024 threads of which only thread 700 allocates:
+    // its arena slot is made by that first allocation, another thread's
+    // frees are remote pushes into it, and exhaustion spills it.
+    const THREADS: usize = 1024;
+    const BLOCK: usize = 4;
+    let registry = ThreadRegistry::with_capacity(THREADS);
+    let threads: Vec<_> = (0..=700).map(|_| registry.register()).collect();
+    let (owner, freer) = (&threads[700], &threads[1]);
+    assert_eq!(owner.id, 700);
+    let heap = TmHeap::new(1 << 12, THREADS);
+
+    let blocks: Vec<Addr> = (0..64)
+        .map(|_| heap.alloc_for(owner, BLOCK).expect("room for 64 blocks"))
+        .collect();
+    let served = owner.stats.snapshot();
+    assert!(
+        served.heap_global_refills > 0 && served.heap_arena_allocs > 0,
+        "thread 700's arena served its blocks: {served:?}"
+    );
+    let (freed, kept): (Vec<Addr>, Vec<Addr>) = blocks.chunks(2).map(|p| (p[0], p[1])).unzip();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for &addr in &freed {
+                heap.dealloc_for(freer, addr, BLOCK);
+            }
+        });
+    });
+    assert_eq!(freer.stats.snapshot().heap_remote_frees, freed.len() as u64);
+    assert_eq!(heap.allocated_words(), kept.len() * BLOCK);
+
+    // Fill the heap through the global allocator: the last requests
+    // succeed only because the blocks cached in thread 700's remote-free
+    // stack spill back.
+    let mut filled = Vec::new();
+    while let Some(addr) = heap.alloc(BLOCK) {
+        filled.push(addr);
+    }
+    assert!(
+        heap.allocated_words() > heap.len() - 1 - BLOCK,
+        "exhaustion left {} of {} words unallocated",
+        heap.len() - 1 - heap.allocated_words(),
+        heap.len() - 1
+    );
+    for addr in kept {
+        heap.dealloc_for(owner, addr, BLOCK);
+    }
+    for addr in filled {
+        heap.dealloc(addr, BLOCK);
+    }
+    assert_eq!(heap.allocated_words(), 0, "the lazily made arena leaked");
 }
