@@ -160,18 +160,6 @@ pub enum WaitSpec {
     OrigReadLocks,
 }
 
-impl WaitSpec {
-    /// A short human-readable label for statistics and tracing.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            WaitSpec::ReadSetValues => "retry",
-            WaitSpec::Addrs(_) => "await",
-            WaitSpec::Pred { .. } => "waitpred",
-            WaitSpec::OrigReadLocks => "retry-orig",
-        }
-    }
-}
-
 /// The materialised condition a sleeping thread waits on.
 ///
 /// Writers evaluate this after they commit (`wakeWaiters`, Algorithm 4), as
@@ -231,24 +219,6 @@ impl WaitCondition {
                 || system.serial.writer_commits() != *serial)
     }
 
-    /// A short human-readable label for statistics and tracing.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            WaitCondition::ValuesChanged(_) => "values",
-            WaitCondition::Pred { .. } => "pred",
-            WaitCondition::LocksMoved { .. } => "locks",
-        }
-    }
-
-    /// Number of locations / arguments / stripes tracked.
-    pub fn tracked(&self) -> usize {
-        match self {
-            WaitCondition::ValuesChanged(pairs) => pairs.len(),
-            WaitCondition::Pred { args, .. } => args.len(),
-            WaitCondition::LocksMoved { cover, .. } => cover.len(),
-        }
-    }
-
     /// The ownership-record stripes covering every address this condition
     /// names, sorted and deduplicated — for `LocksMoved`, its cover.  Empty
     /// for predicate conditions, which name none: their stripes are the ones
@@ -286,23 +256,6 @@ mod tests {
         assert!(!AbortReason::HwCapacity.is_conflict());
         assert!(!AbortReason::HwSpurious.is_conflict());
         assert!(!AbortReason::ReadOnlyWrite.is_conflict());
-    }
-
-    #[test]
-    fn waitspec_kinds() {
-        assert_eq!(WaitSpec::ReadSetValues.kind(), "retry");
-        assert_eq!(WaitSpec::Addrs(vec![]).kind(), "await");
-        fn p(_: &mut dyn Tx, _: &[u64]) -> TxResult<bool> {
-            Ok(true)
-        }
-        assert_eq!(WaitSpec::Pred { f: p, args: vec![] }.kind(), "waitpred");
-    }
-
-    #[test]
-    fn waitcondition_tracked_counts() {
-        let c = WaitCondition::ValuesChanged(vec![(Addr(1), 0), (Addr(2), 5)]);
-        assert_eq!(c.tracked(), 2);
-        assert_eq!(c.kind(), "values");
     }
 
     #[test]

@@ -44,6 +44,7 @@ mod run;
 mod wake;
 
 pub use engine::{Attempt, CommitOutcome, TxEngine};
+pub(crate) use run::count_commit;
 pub use run::{run, run_kind};
 pub(crate) use wake::wake_after_commit;
 pub use wake::{

@@ -27,18 +27,17 @@
 //! condition-synchronization protocol by implementing the engine trait.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::backoff::Backoff;
 use crate::config::BackoffConfig;
 use crate::ctl::{AbortReason, TxCtl, TxResult, WaitSpec};
 use crate::policy::{CmEvent, CmHistory};
-use crate::stats::{latency_sampled, TxStats};
+use crate::stats::TxStats;
 use crate::thread::ThreadCtx;
 use crate::tx::{Tx, TxCommon, TxKind, TxMode};
 use crate::waitlist::WakeReason;
 
-use super::engine::{Attempt, TxEngine};
+use super::engine::{Attempt, CommitOutcome, TxEngine};
 use super::wake;
 
 /// Moves the transaction to `next` mode, counting the change (the
@@ -48,6 +47,29 @@ fn switch_mode(mode: &mut TxMode, next: TxMode, thread: &ThreadCtx) {
     if *mode != next {
         TxStats::bump(&thread.stats.mode_switches);
         *mode = next;
+    }
+}
+
+/// Counts one committed segment of a `kind` transaction on the rung it
+/// committed on: `hw_commits` or `sw_commits`, plus `serial_commits` for a
+/// serial commit and `ro_fast_commits` for a hardware commit of a
+/// declared-read-only transaction that wrote nothing (free the same way a
+/// software snapshot commit is, which the engines count themselves).  The
+/// driver's commit and every [`Tx::commit_and_wait`] call this, so a wait
+/// point's segment is one commit on every runtime.
+#[inline]
+pub(crate) fn count_commit(thread: &ThreadCtx, kind: TxKind, outcome: &CommitOutcome) {
+    let stats = &thread.stats;
+    TxStats::bump(if outcome.hardware {
+        &stats.hw_commits
+    } else {
+        &stats.sw_commits
+    });
+    if outcome.serial {
+        TxStats::bump(&stats.serial_commits);
+    }
+    if kind == TxKind::ReadOnly && outcome.hardware && !outcome.was_writer {
+        TxStats::bump(&stats.ro_fast_commits);
     }
 }
 
@@ -101,16 +123,6 @@ where
     let seed = thread.next_backoff_seed();
     let mut backoff = Backoff::new(BackoffConfig::default(), seed);
     let mut mode = engine.initial_mode();
-    // The declared kind decides which latency histogram the transaction
-    // reports to; the *current* kind may be upgraded to `Update` mid-flight.
-    let declared_ro = kind == TxKind::ReadOnly;
-    // False for the wait protocol's own transactions (wake checks, the
-    // deschedule double-check), which are not operations: neither counted
-    // nor timed.
-    let records_latency = thread.records_latency();
-    // One operation in `LATENCY_SAMPLE_PERIOD` pays the clock-read pair,
-    // picked by the draw above; the rest are counted at commit.
-    let started = (records_latency && latency_sampled(seed)).then(Instant::now);
     let mut kind = kind;
     // Abort history for the contention policy, reset when a deschedule ends
     // the contention episode (and by policies when they escalate).
@@ -151,32 +163,7 @@ where
         let ctl = match body(&mut tx) {
             Ok(value) => match tx.try_commit() {
                 Ok(outcome) => {
-                    if outcome.hardware {
-                        TxStats::bump(&thread.stats.hw_commits);
-                    } else {
-                        TxStats::bump(&thread.stats.sw_commits);
-                    }
-                    if outcome.serial {
-                        TxStats::bump(&thread.stats.serial_commits);
-                    }
-                    if kind == TxKind::ReadOnly && outcome.hardware && !outcome.was_writer {
-                        // Hardware commits of a declared-read-only
-                        // transaction that wrote nothing are free the same
-                        // way software snapshot commits are (which count
-                        // themselves in the engines).
-                        TxStats::bump(&thread.stats.ro_fast_commits);
-                    }
-                    if records_latency {
-                        let hist = if declared_ro {
-                            &thread.stats.ro_tx_latency
-                        } else {
-                            &thread.stats.update_tx_latency
-                        };
-                        match started {
-                            Some(started) => hist.record(started.elapsed().as_nanos() as u64),
-                            None => hist.record_untimed(),
-                        }
-                    }
+                    count_commit(thread, kind, &outcome);
                     // Post-commit wake-ups (every mechanism's, Retry-Orig
                     // included).  The empty-registry check keeps the common
                     // no-sleeper case at one atomic load; a waiter

@@ -173,17 +173,12 @@ impl Tx for FootprintTx<'_> {
 /// Evaluates `condition` once, in a transaction of its own on `thread`
 /// (`LocksMoved` on the orecs directly); for a predicate, `footprint` is
 /// left holding the stripes that evaluation read.
-///
-/// This is bookkeeping of the wait protocol, not an operation: the thread's
-/// latency accounting is suspended around it, so the commit-kind histograms
-/// do not see it.
 fn evaluate(
     rt: &dyn TmRuntime,
     thread: &Arc<ThreadCtx>,
     condition: &WaitCondition,
     footprint: &mut Vec<usize>,
 ) -> bool {
-    let _pause = thread.pause_latency();
     let orecs = &rt.system().orecs;
     match condition {
         WaitCondition::Pred { f, args } => rt.exec_bool(thread, &mut |tx| {
@@ -467,8 +462,6 @@ pub fn wake_waiters_matching(rt: &dyn TmRuntime, thread: &Arc<ThreadCtx>, wake: 
     // Second fast path: sleepers exist, but none this commit could affect.
     // Count loads only; no lock, no buffer.
     if !waiters.any_covered(wake) {
-        let skipped = waiters.shards_skipped(0);
-        TxStats::add(&thread.stats.wake_shard_skips, skipped as u64);
         return;
     }
     // Shallow copy of the covered waiters, into the thread's reused buffer,
@@ -476,8 +469,6 @@ pub fn wake_waiters_matching(rt: &dyn TmRuntime, thread: &Arc<ThreadCtx>, wake: 
     let mut candidates = std::mem::take(&mut thread.checkout().wake_candidates);
     let scanned = waiters.scan_into(wake, &mut candidates);
     TxStats::add(&thread.stats.wake_shard_scans, scanned as u64);
-    let skipped = waiters.shards_skipped(scanned);
-    TxStats::add(&thread.stats.wake_shard_skips, skipped as u64);
     for waiter in &candidates {
         if !waiter.is_asleep() {
             continue;
@@ -787,8 +778,9 @@ mod tests {
         system.heap.store(Addr(30), 1);
         wake_waiters_matching(&rt, &writer, &WakeSet::Stripes(vec![other_stripe]));
         assert!(w.is_asleep(), "unrelated commit must not wake the sleeper");
-        assert_eq!(writer.stats.snapshot().wake_checks, 0);
-        assert!(writer.stats.snapshot().wake_shard_skips >= 1);
+        let snap = writer.stats.snapshot();
+        assert_eq!(snap.wake_checks, 0);
+        assert_eq!((snap.wake_targeted, snap.wake_shard_scans), (1, 0));
 
         // A commit touching the right stripe wakes it.
         wake_waiters_matching(&rt, &writer, &WakeSet::Stripes(stripes.clone()));

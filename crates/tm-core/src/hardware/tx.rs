@@ -17,7 +17,7 @@ use super::runtime::HtmSim;
 use crate::access::{Descriptor, WriteLog};
 use crate::addr::Addr;
 use crate::ctl::{AbortReason, TxCtl, TxResult, WaitCondition, WaitSpec};
-use crate::driver::{deschedule_until, wake_after_commit, Attempt, CommitOutcome};
+use crate::driver::{count_commit, deschedule_until, wake_after_commit, Attempt, CommitOutcome};
 use crate::orec::{OrecTable, OrecValue};
 use crate::runtime::TmRuntime;
 use crate::software::LazyTx;
@@ -352,7 +352,7 @@ impl Tx for HtmTx<'_> {
     fn commit_and_wait(&mut self, condition: WaitCondition) -> TxResult<()> {
         // The commit clears every directory slot, so the sleep holds none.
         let outcome = self.commit()?;
-        TxStats::bump(&self.thread.stats.hw_commits);
+        count_commit(self.thread, self.common.kind, &outcome);
         if outcome.was_writer {
             wake_after_commit(self.engine, self.thread, outcome.serial, &mut self.d.cover);
         }

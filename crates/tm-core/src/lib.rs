@@ -98,7 +98,7 @@ pub use runtime::TmRuntime;
 pub use sem::Semaphore;
 pub use serial::{subscribe_begin, SerialAttempt, SerialGate};
 pub use software::{SoftwareProtocol, SoftwareTx, SoftwareTxCore};
-pub use stats::{LatencyHistogram, LatencySnapshot, StatsSnapshot, TxStats};
+pub use stats::{StatsSnapshot, TxStats};
 pub use system::TmSystem;
 pub use thread::{Checkout, ThreadCtx, ThreadId, ThreadRegistry};
 pub use timer::{TimerPoll, TimerWheel};

@@ -36,7 +36,7 @@ use std::sync::Arc;
 use crate::access::{Descriptor, ReadSet};
 use crate::addr::Addr;
 use crate::ctl::{AbortReason, TxCtl, TxResult, WaitCondition, WaitSpec};
-use crate::driver::{deschedule_until, wake_after_commit, Attempt, CommitOutcome};
+use crate::driver::{count_commit, deschedule_until, wake_after_commit, Attempt, CommitOutcome};
 use crate::runtime::TmRuntime;
 use crate::serial::{subscribe_begin, SerialAttempt};
 use crate::stats::TxStats;
@@ -568,13 +568,8 @@ impl<P: SoftwareProtocol> Tx for SoftwareTx<'_, P> {
         let serial = self.core.serial.is_some();
         let outcome = self.commit()?;
         let (rt, thread) = (self.core.rt, self.core.thread);
-        // Only writer segments count, and serial_commits ⊆ sw_commits as the
-        // stats docs establish.
+        count_commit(thread, self.core.common.kind, &outcome);
         if outcome.was_writer {
-            TxStats::bump(&thread.stats.sw_commits);
-            if serial {
-                TxStats::bump(&thread.stats.serial_commits);
-            }
             wake_after_commit(rt, thread, outcome.serial, &mut self.core.d.cover);
         }
         deschedule_until(rt, thread, condition, None);

@@ -5,153 +5,25 @@
 //! across threads so the benchmark output can report abort rates, wake-up
 //! counts and fallback frequencies alongside raw execution time (useful when
 //! explaining *why* a mechanism wins, as §2.4.1 does).
+//!
+//! Counters and high-water marks only: nothing here reads a clock.  The one
+//! per-operation latency measurement is the benchmark ledger's own probe.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::pad::CachePadded;
 
-/// Number of log2 buckets in a [`LatencyHistogram`]: bucket `i` holds
-/// samples whose nanosecond value has bit length `i`, so the covered range
-/// tops out around 2 seconds before the last bucket absorbs the overflow.
-pub const LATENCY_BUCKETS: usize = 32;
-
-/// The driver times one transaction in this many and only counts the rest:
-/// a clock-read pair costs about as much as an empty transaction's whole
-/// protocol, and a pseudo-random one-in-eight sample has the population's
-/// quantiles.
-/// A power of two, so the decision is a shift of a value the driver already
-/// drew.
-pub const LATENCY_SAMPLE_PERIOD: u64 = 8;
-
-/// Whether the transaction that drew `draw` from its thread's xorshift
-/// stream is one of the timed ones: the top `log2(LATENCY_SAMPLE_PERIOD)`
-/// bits are zero.  Pseudo-random rather than every eighth, because workloads
-/// alternate operation kinds with small periods (`pc_*` has period two) and
-/// a stride would hand one kind every sample.
-#[inline]
-pub(crate) fn latency_sampled(draw: u64) -> bool {
-    draw >> (u64::BITS - LATENCY_SAMPLE_PERIOD.trailing_zeros()) == 0
-}
-
-/// A cheap fixed-bucket latency histogram: 32 log2 buckets of plain
-/// relaxed counters holding the timed operations, plus one counter for the
-/// operations that were counted without being timed.
-///
-/// Recording is one `leading_zeros` plus an owner-only load and store (the
-/// one-writer rule of [`TxStats`]) — cheap enough for the driver's
-/// per-transaction hot path.  The whole histogram is
-/// wrapped in [`CachePadded`] inside [`TxStats`], so one thread's recording
-/// never invalidates another thread's counter lines; buckets *within* a
-/// thread's histogram deliberately share lines (only the owner writes them).
-#[derive(Debug)]
-pub struct LatencyHistogram {
-    buckets: [AtomicU64; LATENCY_BUCKETS],
-    untimed: AtomicU64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            untimed: AtomicU64::new(0),
-        }
-    }
-}
-
-/// The log2 bucket index for a sample of `nanos` nanoseconds.
-#[inline]
-fn bucket_for(nanos: u64) -> usize {
-    let bits = (u64::BITS - nanos.leading_zeros()) as usize;
-    bits.min(LATENCY_BUCKETS - 1)
-}
-
-impl LatencyHistogram {
-    /// Records one sample of `nanos` nanoseconds (owner thread only).
-    #[inline]
-    pub fn record(&self, nanos: u64) {
-        TxStats::bump(&self.buckets[bucket_for(nanos)]);
-    }
-
-    /// Counts one operation that was not timed (owner thread only).
-    #[inline]
-    pub fn record_untimed(&self) {
-        TxStats::bump(&self.untimed);
-    }
-
-    /// A point-in-time copy of the bucket counts and the untimed count.
-    pub fn snapshot(&self) -> LatencySnapshot {
-        LatencySnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            untimed: self.untimed.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of a [`LatencyHistogram`], mergeable across threads.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct LatencySnapshot {
-    buckets: [u64; LATENCY_BUCKETS],
-    untimed: u64,
-}
-
-impl LatencySnapshot {
-    /// Bucket-wise sum of two snapshots; the untimed counts add too.
-    pub fn merge(&self, other: &LatencySnapshot) -> LatencySnapshot {
-        LatencySnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i] + other.buckets[i]),
-            untimed: self.untimed + other.untimed,
-        }
-    }
-
-    /// Exact number of operations the histogram saw, timed or not.
-    pub fn count(&self) -> u64 {
-        self.samples() + self.untimed
-    }
-
-    /// Number of timed operations: the samples the quantiles rank over.
-    pub fn samples(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// An upper bound (in nanoseconds) on the `q`-quantile timed sample,
-    /// `0.0 < q <= 1.0`: the inclusive upper edge of the log2 bucket the
-    /// quantile falls in.  Returns 0 when nothing was timed — check
-    /// [`samples`](Self::samples) before reading that as a measurement.
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        let total = self.samples();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut cum = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            cum += n;
-            if cum >= target {
-                // Bucket 0 holds only zero; the last bucket absorbs every
-                // overflowing sample, so its upper edge is unbounded.
-                return match i {
-                    0 => 0,
-                    i if i == LATENCY_BUCKETS - 1 => u64::MAX,
-                    i => (1u64 << i) - 1,
-                };
-            }
-        }
-        u64::MAX
-    }
-}
-
 macro_rules! stats_fields {
     (
         counters { $($(#[$cdoc:meta])* $cname:ident),+ $(,)? }
         maxima { $($(#[$mdoc:meta])* $mname:ident),+ $(,)? }
-        histograms { $($(#[$hdoc:meta])* $hname:ident),+ $(,)? }
     ) => {
         /// Live (atomic) per-thread counters, plus high-water marks.
         ///
         /// **One writer.**  Only the thread that owns the enclosing
-        /// [`crate::thread::ThreadCtx`] updates these (every `bump`, `add`,
-        /// `record_max` and histogram `record` in the workspace is handed the
-        /// caller's own context), so an update is a relaxed load and a
+        /// [`crate::thread::ThreadCtx`] updates these (every `bump`, `add`
+        /// and `record_max` in the workspace is handed the caller's own
+        /// context), so an update is a relaxed load and a
         /// relaxed store, not a locked read-modify-write.  Any thread may
         /// read ([`TxStats::snapshot`]): each field it sees is a value the
         /// owner stored, so polled counters are exact and monotone.  A
@@ -169,7 +41,6 @@ macro_rules! stats_fields {
         pub struct TxStats {
             $($(#[$cdoc])* pub $cname: CachePadded<AtomicU64>,)+
             $($(#[$mdoc])* pub $mname: CachePadded<AtomicU64>,)+
-            $($(#[$hdoc])* pub $hname: CachePadded<LatencyHistogram>,)+
         }
 
         /// A point-in-time copy of [`TxStats`], suitable for aggregation and
@@ -178,7 +49,6 @@ macro_rules! stats_fields {
         pub struct StatsSnapshot {
             $($(#[$cdoc])* pub $cname: u64,)+
             $($(#[$mdoc])* pub $mname: u64,)+
-            $($(#[$hdoc])* pub $hname: LatencySnapshot,)+
         }
 
         impl TxStats {
@@ -187,7 +57,6 @@ macro_rules! stats_fields {
                 StatsSnapshot {
                     $($cname: self.$cname.load(Ordering::Relaxed),)+
                     $($mname: self.$mname.load(Ordering::Relaxed),)+
-                    $($hname: self.$hname.snapshot(),)+
                 }
             }
         }
@@ -195,17 +64,16 @@ macro_rules! stats_fields {
         impl StatsSnapshot {
             /// Combines two snapshots: event counters add, high-water marks
             /// take the larger value (a maximum across threads summed would
-            /// overstate every per-transaction peak), histogram buckets add.
+            /// overstate every per-transaction peak).
             pub fn merge(&self, other: &StatsSnapshot) -> StatsSnapshot {
                 StatsSnapshot {
                     $($cname: self.$cname + other.$cname,)+
                     $($mname: self.$mname.max(other.$mname),)+
-                    $($hname: self.$hname.merge(&other.$hname),)+
                 }
             }
 
             /// Field names and values in declaration order, for serialization
-            /// without a reflection framework.  Histograms are not included.
+            /// without a reflection framework.
             pub fn as_pairs(&self) -> Vec<(&'static str, u64)> {
                 vec![
                     $((stringify!($cname), self.$cname),)+
@@ -218,11 +86,15 @@ macro_rules! stats_fields {
 
 stats_fields! {
     counters {
-    /// Software-mode transactions committed.
+    /// Segments committed on a software rung (serial included).  Every
+    /// committed segment is one commit, counted on the rung it committed
+    /// on: a transaction's final commit, and each segment a `TMCondVar`
+    /// wait point commits before it sleeps, writer or not.
     sw_commits,
     /// Software-mode transaction attempts aborted.
     sw_aborts,
-    /// Hardware-mode transactions committed.
+    /// Segments committed in (simulated) hardware, by the rule of
+    /// `sw_commits`.
     hw_commits,
     /// Hardware-mode transaction attempts aborted.
     hw_aborts,
@@ -257,9 +129,6 @@ stats_fields! {
     wake_checks,
     /// Waiter-registry shards a committing writer actually visited.
     wake_shard_scans,
-    /// Waiter-registry shards a committing writer skipped (either outside
-    /// its write set's stripes, or empty at scan time).
-    wake_shard_skips,
     /// Writer commits that used a targeted (stripe-filtered) wake scan
     /// instead of the conservative scan-everything path.
     wake_targeted,
@@ -337,18 +206,6 @@ stats_fields! {
     read_set_max,
     /// Largest write log (distinct addresses) any single attempt built.
     write_set_max,
-    }
-    histograms {
-    /// Committed update transactions: whole-operation wall-clock latency
-    /// (begin of the first attempt to commit, including aborted attempts and
-    /// backoff) of a one-in-eight pseudo-random sample, exact operation
-    /// count.
-    update_tx_latency,
-    /// Committed declared-read-only transactions: whole-operation
-    /// wall-clock latency (including any upgrade and re-execution as an
-    /// update transaction) of a one-in-eight pseudo-random sample, exact
-    /// operation count.
-    ro_tx_latency,
     }
 }
 
@@ -540,89 +397,6 @@ mod tests {
         assert!(pairs.contains(&("heap_global_refills", 1)));
         assert!(pairs.contains(&("heap_remote_frees", 2)));
         assert!(pairs.contains(&("orec_cas_failures", 0)));
-    }
-
-    #[test]
-    fn histogram_buckets_by_log2_and_quantiles_bound_samples() {
-        let h = LatencyHistogram::default();
-        assert_eq!(h.snapshot().count(), 0);
-        assert_eq!(h.snapshot().quantile_upper_bound(0.5), 0);
-        // 90 samples at ~100ns, 9 at ~10µs, 1 at ~1ms.
-        for _ in 0..90 {
-            h.record(100);
-        }
-        for _ in 0..9 {
-            h.record(10_000);
-        }
-        h.record(1_000_000);
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), 100);
-        let p50 = snap.quantile_upper_bound(0.50);
-        let p99 = snap.quantile_upper_bound(0.99);
-        let p999 = snap.quantile_upper_bound(0.999);
-        assert!((100..1000).contains(&p50), "p50 bound {p50}");
-        assert!((10_000..100_000).contains(&p99), "p99 bound {p99}");
-        assert!(p999 >= 1_000_000, "p999 bound {p999}");
-        assert!(p50 <= p99 && p99 <= p999);
-    }
-
-    #[test]
-    fn histogram_extremes_stay_in_range() {
-        let h = LatencyHistogram::default();
-        h.record(0);
-        h.record(u64::MAX);
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), 2);
-        assert_eq!(snap.quantile_upper_bound(0.25), 0, "zero lands in bucket 0");
-        assert_eq!(snap.quantile_upper_bound(1.0), u64::MAX);
-    }
-
-    #[test]
-    fn histograms_merge_bucket_wise_through_snapshots() {
-        let a = TxStats::default();
-        let b = TxStats::default();
-        a.update_tx_latency.record(100);
-        b.update_tx_latency.record(100);
-        b.ro_tx_latency.record(50);
-        let m = a.snapshot().merge(&b.snapshot());
-        assert_eq!(m.update_tx_latency.count(), 2);
-        assert_eq!(m.ro_tx_latency.count(), 1);
-    }
-
-    #[test]
-    fn untimed_operations_count_but_do_not_rank() {
-        let s = TxStats::default();
-        for _ in 0..10 {
-            s.update_tx_latency.record(100);
-        }
-        for _ in 0..90 {
-            s.update_tx_latency.record_untimed();
-        }
-        let snap = s.snapshot().update_tx_latency;
-        assert_eq!((snap.count(), snap.samples()), (100, 10));
-        // The median ranks over the ten timed samples, all in the 100ns
-        // bucket; ranked over `count()` it would run off the end.
-        let p50 = snap.quantile_upper_bound(0.50);
-        assert!((100..128).contains(&p50), "p50 bound {p50}");
-        assert_eq!(snap.quantile_upper_bound(1.0), p50);
-
-        let other = LatencyHistogram::default();
-        other.record(100);
-        other.record_untimed();
-        let merged = snap.merge(&other.snapshot());
-        assert_eq!((merged.count(), merged.samples()), (102, 11));
-    }
-
-    #[test]
-    fn one_draw_in_eight_is_sampled() {
-        assert!(latency_sampled(0));
-        assert!(latency_sampled(u64::MAX >> 3));
-        assert!(!latency_sampled(1 << 61));
-        assert!(!latency_sampled(u64::MAX));
-        let sampled = (0..LATENCY_SAMPLE_PERIOD)
-            .filter(|top| latency_sampled(top << 61))
-            .count();
-        assert_eq!(sampled, 1);
     }
 
     #[test]

@@ -106,22 +106,6 @@ impl Drop for Checkout<'_> {
     }
 }
 
-/// Guard of [`ThreadCtx::pause_latency`]; dropping it restores the thread's
-/// pause flag to what it was before, so pauses nest.
-#[derive(Debug)]
-pub(crate) struct LatencyPause<'a> {
-    thread: &'a ThreadCtx,
-    resume: bool,
-}
-
-impl Drop for LatencyPause<'_> {
-    fn drop(&mut self) {
-        self.thread
-            .latency_paused
-            .store(self.resume, Ordering::Relaxed);
-    }
-}
-
 /// Per-thread context shared between the thread itself and other threads
 /// (committers performing quiescence, hardware transactions dooming each
 /// other, writers waking sleepers).
@@ -155,11 +139,6 @@ pub struct ThreadCtx {
     /// thread id.  Owner-only (replaces the driver's old process-global
     /// seed atomic, which was a shared hot line).
     backoff_rng: CachePadded<AtomicU64>,
-    /// Set inside a [`ThreadCtx::pause_latency`] guard.  Owner-written
-    /// around the wait protocol's own transactions and owner-read by the
-    /// driver, but padded so the store/load traffic never dirties a
-    /// neighbour's line.
-    latency_paused: CachePadded<AtomicBool>,
 }
 
 impl ThreadCtx {
@@ -175,31 +154,7 @@ impl ThreadCtx {
             // maps nothing to 0 except one input; or-in a bit so xorshift
             // (which fixes 0) always starts live.
             backoff_rng: CachePadded::new(AtomicU64::new(splitmix64(id as u64 + 1) | 1)),
-            latency_paused: CachePadded::new(AtomicBool::new(false)),
         }
-    }
-
-    /// Suspends latency accounting on this thread until the guard drops:
-    /// transactions it runs meanwhile record into no histogram and read no
-    /// clock for it.  The wait protocol wraps its own transactions (wake
-    /// checks, the deschedule double-check) in this, so an operation records
-    /// exactly one latency sample however many sleepers its commit had to
-    /// look at.
-    pub(crate) fn pause_latency(&self) -> LatencyPause<'_> {
-        // Owner-only slot: a load and a store, not a locked swap.
-        let resume = self.latency_paused.load(Ordering::Relaxed);
-        self.latency_paused.store(true, Ordering::Relaxed);
-        LatencyPause {
-            thread: self,
-            resume,
-        }
-    }
-
-    /// Whether a transaction starting now counts (and may time) itself as an
-    /// operation: false inside a [`ThreadCtx::pause_latency`] guard.
-    #[inline]
-    pub(crate) fn records_latency(&self) -> bool {
-        !self.latency_paused.load(Ordering::Relaxed)
     }
 
     /// This thread's padded epoch-table slot.

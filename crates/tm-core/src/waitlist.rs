@@ -210,16 +210,14 @@ pub enum WakeSet {
     Stripes(Vec<usize>),
 }
 
-/// What a scan gathered: the waiters to evaluate plus shard-level
-/// accounting for the effectiveness counters in [`crate::stats::TxStats`].
+/// What a scan gathered: the waiters to evaluate plus the number of shards
+/// it visited (the `wake_shard_scans` counter in [`crate::stats::TxStats`]).
 #[derive(Debug, Default)]
 pub struct ScanPlan {
     /// Distinct waiters the wake set covers.
     pub waiters: Vec<Arc<Waiter>>,
     /// Shards whose lists were visited.
     pub shards_scanned: usize,
-    /// Shards the wake set allowed the writer to skip entirely.
-    pub shards_skipped: usize,
 }
 
 /// One shard: a mutex-protected list of `(stripe, waiter)` registrations
@@ -458,21 +456,14 @@ impl WaitList {
         scanned
     }
 
-    /// [`WaitList::scan_into`] a fresh buffer, with the shard accounting.
+    /// [`WaitList::scan_into`] a fresh buffer, with the count of shards it visited.
     pub fn scan(&self, wake: &WakeSet) -> ScanPlan {
         let mut waiters = Vec::new();
         let shards_scanned = self.scan_into(wake, &mut waiters);
         ScanPlan {
             waiters,
             shards_scanned,
-            shards_skipped: self.shards_skipped(shards_scanned),
         }
-    }
-
-    /// The shards (overflow included) a scan that visited `scanned` lists
-    /// did not have to look at.
-    pub fn shards_skipped(&self, scanned: usize) -> usize {
-        (self.shards.len() + 1).saturating_sub(scanned)
     }
 
     /// A shallow copy of every registered waiter (`waiting.copy()` in the
@@ -584,11 +575,10 @@ mod tests {
         assert_eq!(hit.waiters.len(), 1);
         assert!(Arc::ptr_eq(&hit.waiters[0], &a));
         assert_eq!(hit.shards_scanned, 1);
-        assert_eq!(hit.shards_skipped, 8);
         assert!(r.any_covered(&WakeSet::Stripes(vec![0])));
         let miss = r.scan(&WakeSet::Stripes(vec![2]));
         assert!(miss.waiters.is_empty());
-        assert_eq!((miss.shards_scanned, miss.shards_skipped), (0, 9));
+        assert_eq!(miss.shards_scanned, 0);
         assert!(!r.any_covered(&WakeSet::Stripes(vec![2])));
     }
 

@@ -3,7 +3,10 @@
 //! Every figure binary produces a [`Report`]: a set of [`Series`] (one per
 //! condition-synchronization mechanism), each containing measured
 //! [`DataPoint`]s.  Reports can be rendered as the plain-text tables the
-//! paper's figures plot, or serialized to JSON for post-processing.
+//! paper's figures plot, or serialized to JSON for post-processing.  Under
+//! each table, a panel prints one `# <group>` line of counters per counter
+//! group a series touched; it prints no latency line, because the runtimes
+//! keep counters only and the benchmark ledger times operations itself.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -134,7 +137,6 @@ const GROUPS: &[(&str, &[Col])] = &[
             gate("waiters scanned", 8, |s| s.wake_checks),
             show("wakeups", 8, |s| s.wakeups),
             gate("shards scanned", 8, |s| s.wake_shard_scans),
-            gate("shards skipped", 10, |s| s.wake_shard_skips),
             show("targeted commits", 8, |s| s.wake_targeted),
             show("pred reindexes", 6, |s| s.pred_reindexes),
             gate("timeouts", 8, |s| s.wake_timeouts),
@@ -259,8 +261,7 @@ impl Panel {
 
     /// Renders the panel as a fixed-width text table (x value per row, one
     /// column per mechanism), matching the rows the paper's plots encode,
-    /// followed by one statistics line per counter group a series touched
-    /// and the latency lines.
+    /// followed by one statistics line per counter group a series touched.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "## {}", self.label);
@@ -286,7 +287,6 @@ impl Panel {
         for (title, cols) in GROUPS {
             out.push_str(&self.render_group(title, cols));
         }
-        out.push_str(&self.render_latency_stats());
         out
     }
 
@@ -305,49 +305,6 @@ impl Panel {
                 let _ = write!(out, "{sep}{} {:>w$}", c.label, (c.get)(&stats), w = c.width);
             }
             let _ = writeln!(out);
-        }
-        out
-    }
-
-    /// One line per mechanism and commit class giving whole-transaction
-    /// latency quantile upper bounds from the log2 histograms: p50, p99 and
-    /// p999, each the inclusive upper edge of the bucket the quantile falls
-    /// in.  `n` is the exact operation count and `timed` the one-in-eight
-    /// sample of them the quantiles rank over; a class that ran but was
-    /// never timed shows `-`, not a zero bound.  The classes are update and
-    /// read-only commits; a class that never ran is skipped.  Each line
-    /// also carries the series' `ro_fast_commits` / `snapshot_refreshes`
-    /// counters, so the snapshot fast-path claim is visible wherever a
-    /// latency is quoted.
-    pub fn render_latency_stats(&self) -> String {
-        let mut out = String::new();
-        for s in &self.series {
-            let stats = s.merged_stats();
-            for (class, hist) in [
-                ("update", &stats.update_tx_latency),
-                ("ro", &stats.ro_tx_latency),
-            ] {
-                if hist.count() == 0 {
-                    continue;
-                }
-                let bound = |q: f64| match hist.samples() {
-                    0 => "-".to_string(),
-                    _ => format!("{}ns", hist.quantile_upper_bound(q)),
-                };
-                let _ = writeln!(
-                    out,
-                    "# latency {:>10} {:>6}: n {:>10}  timed {:>10}  p50 <= {:>14}  p99 <= {:>14}  p999 <= {:>14}  ro_fast {:>10}  refreshes {:>8}",
-                    s.mechanism.label(),
-                    class,
-                    hist.count(),
-                    hist.samples(),
-                    bound(0.50),
-                    bound(0.99),
-                    bound(0.999),
-                    stats.ro_fast_commits,
-                    stats.snapshot_refreshes,
-                );
-            }
         }
         out
     }
@@ -618,7 +575,6 @@ mod tests {
                     wake_checks: 12,
                     wakeups: 3,
                     wake_shard_scans: 5,
-                    wake_shard_skips: 200,
                     wake_targeted: 7,
                     pred_reindexes: 2,
                     wake_timeouts: 4,
@@ -630,7 +586,6 @@ mod tests {
                     "waiters scanned       12",
                     "wakeups        3",
                     "shards scanned        5",
-                    "shards skipped        200",
                     "targeted commits        7",
                     "pred reindexes      2",
                     "timeouts        4",
@@ -815,74 +770,6 @@ mod tests {
                 "{title}: series without that work stay out of the block"
             );
         }
-    }
-
-    #[test]
-    fn latency_stats_render_quantiles_per_commit_class() {
-        let mut panel = Panel::new("p1-c1", "buffer size");
-        panel.series_mut(Mechanism::Pthreads).push(point(4, 1.0));
-        assert!(
-            panel.render_latency_stats().is_empty(),
-            "no samples, no latency lines"
-        );
-
-        let hist = tm_core::LatencyHistogram::default();
-        for _ in 0..99 {
-            hist.record(700);
-        }
-        hist.record(1_000_000);
-        let mut with_lat = point(4, 1.0);
-        with_lat.stats.update_tx_latency = hist.snapshot();
-        with_lat.stats.ro_fast_commits = 2;
-        with_lat.stats.snapshot_refreshes = 1;
-        panel.series_mut(Mechanism::Retry).push(with_lat);
-        let text = panel.render();
-        assert!(text.contains("# latency"));
-        assert!(text.contains("update"));
-        // p50 falls in the 700ns bucket (upper edge 1023), p999 in the 1ms one.
-        assert!(text.contains("p50 <=         1023ns"));
-        assert!(text.contains("p999 <=      1048575ns"));
-        assert!(!text.contains("    ro:"), "the empty ro class is skipped");
-        // The fast-path counters ride on every latency line.
-        for line in text.lines().filter(|l| l.starts_with("# latency")) {
-            assert!(line.contains("ro_fast          2"), "{line}");
-            assert!(line.contains("refreshes        1"), "{line}");
-        }
-    }
-
-    #[test]
-    fn latency_stats_show_counted_and_timed_and_never_a_bound_nobody_measured() {
-        let mut panel = Panel::new("p1-c1", "buffer size");
-        let mut p = point(4, 1.0);
-        // A ten-op run whose draws all missed the sample: counted, not timed.
-        let short = tm_core::LatencyHistogram::default();
-        for _ in 0..10 {
-            short.record_untimed();
-        }
-        p.stats.ro_tx_latency = short.snapshot();
-        let sampled = tm_core::LatencyHistogram::default();
-        for _ in 0..7 {
-            sampled.record_untimed();
-        }
-        sampled.record(700);
-        p.stats.update_tx_latency = sampled.snapshot();
-        panel.series_mut(Mechanism::Retry).push(p);
-        let text = panel.render_latency_stats();
-        let line = |class: &str| {
-            text.lines()
-                .find(|l| l.contains(class))
-                .unwrap_or_else(|| panic!("no {class} line in {text}"))
-        };
-        let ro = line("    ro:");
-        assert!(ro.contains("n         10  timed          0"), "{ro}");
-        assert!(ro.contains("p50 <=              -  "), "{ro}");
-        assert!(!ro.contains("ns"), "an unmeasured bound printed: {ro}");
-        let update = line("update:");
-        assert!(
-            update.contains("n          8  timed          1"),
-            "{update}"
-        );
-        assert!(update.contains("p50 <=         1023ns"), "{update}");
     }
 
     #[test]

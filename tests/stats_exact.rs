@@ -58,7 +58,6 @@ fn four_threads_of_updates_count_every_commit_exactly() {
                     assert!(now.total_commits() >= last.total_commits(), "{kind}");
                     assert!(now.total_aborts() >= last.total_aborts(), "{kind}");
                     assert!(now.log_pool_reuses >= last.log_pool_reuses, "{kind}");
-                    assert!(now.update_tx_latency.count() >= last.update_tx_latency.count());
                     assert!(now.total_commits() <= THREADS * OPS_PER_THREAD, "{kind}");
                     (polls, last) = (polls + 1, now);
                 }
@@ -75,11 +74,6 @@ fn four_threads_of_updates_count_every_commit_exactly() {
         let ops = THREADS * OPS_PER_THREAD;
         let stats = system.stats();
         assert_eq!(stats.total_commits(), ops, "{kind}: one commit per op");
-        assert_eq!(
-            stats.update_tx_latency.count(),
-            ops,
-            "{kind}: one sample per op"
-        );
         let shared_ops = THREADS * OPS_PER_THREAD.div_ceil(SHARED_EVERY);
         assert_eq!(shared.load_direct(&system), shared_ops, "{kind}");
         for block in &blocks {
@@ -140,7 +134,7 @@ fn pure_lookups_commit_free_and_build_no_read_set() {
             }
         });
         let stats = system.stats();
-        assert_eq!(stats.ro_tx_latency.count(), READERS * LOOKUPS, "{kind}");
+        assert_eq!(stats.total_commits(), READERS * LOOKUPS, "{kind}");
         assert!(stats.ro_fast_commits > 0, "{kind}: no free commit");
         if matches!(kind, RuntimeKind::EagerStm | RuntimeKind::LazyStm) {
             assert_eq!(stats.ro_fast_commits, READERS * LOOKUPS, "{kind}");
@@ -180,12 +174,10 @@ fn at_least(tx: &mut dyn Tx, args: &[u64]) -> TxResult<bool> {
     Ok(tx.read(Addr(args[0] as usize))? >= args[1])
 }
 
-/// Wake checks and the deschedule double-check are transactions of the wait
-/// protocol, not operations: with a sleeper parked on a word every commit
-/// writes, each commit runs one, and none of them may add a sample to the
-/// latency histograms (or an operation would seem to be several).
+/// A sleeper parked on a word every commit writes costs each of those
+/// commits exactly one wake check, and is put to sleep and woken once.
 #[test]
-fn wake_checks_record_no_latency_samples() {
+fn one_sleeper_costs_each_commit_one_wake_check() {
     const OPS: u64 = 2_000;
     for kind in RuntimeKind::ALL {
         let rt = kind.build(TmConfig::default());
@@ -220,33 +212,7 @@ fn wake_checks_record_no_latency_samples() {
         let stats = system.stats();
         assert_eq!(stats.wake_checks, OPS, "{kind}: one check per commit");
         assert_eq!((stats.sleeps, stats.wakeups), (1, 1), "{kind}");
-        // The increments and the sleeper's own transaction; not its first
-        // evaluation, its double-check, or the writer's wake checks.
-        assert_eq!(stats.update_tx_latency.count(), OPS + 1, "{kind}");
-        assert_eq!(stats.ro_tx_latency.count(), 0, "{kind}");
-        assert_eq!(stats.ro_tx_latency.samples(), 0, "{kind}");
-        assert!(stats.update_tx_latency.samples() <= OPS + 1, "{kind}");
     }
-}
-
-/// Operations per sampling test: one in eight is timed, so 1,000 expected
-/// with σ ≈ 30 — [`SAMPLED`] is more than ten σ either side.
-const SAMPLING_OPS: u64 = 8_000;
-const SAMPLED: std::ops::RangeInclusive<u64> = 600..=1_400;
-
-/// One thread running `SAMPLING_OPS` iterations of `op` on a fresh system.
-fn single_thread_stats(
-    kind: RuntimeKind,
-    op: impl Fn(&AnyRuntime, &Arc<tm_repro::core::ThreadCtx>, &TmVar<u64>),
-) -> tm_repro::core::StatsSnapshot {
-    let rt = kind.build(TmConfig::default());
-    let system = Arc::clone(rt.system());
-    let var = TmVar::<u64>::alloc(&system, 0);
-    let th = system.register_thread();
-    for _ in 0..SAMPLING_OPS {
-        op(&rt, &th, &var);
-    }
-    system.stats()
 }
 
 fn increment(rt: &AnyRuntime, th: &Arc<tm_repro::core::ThreadCtx>, var: &TmVar<u64>) {
@@ -256,44 +222,40 @@ fn increment(rt: &AnyRuntime, th: &Arc<tm_repro::core::ThreadCtx>, var: &TmVar<u
     });
 }
 
-/// The driver times one transaction in eight and counts all of them; which
-/// ones it times follows the thread's own seeded stream, so a rerun picks
-/// the same ones.
+/// Every committed segment is one commit, counted on the rung it committed
+/// on — also the segment a `TMCondVar` wait commits before it sleeps, and
+/// also when that segment only read.  A consumer waits on an empty buffer,
+/// one produced item releases it, and every runtime counts the same
+/// commits: the consumer's wait segment, its double-check and its
+/// continuation, the producer's commit and that commit's wake check.
 #[test]
-fn one_transaction_in_eight_is_timed_and_every_one_counted() {
+fn a_read_only_wait_point_segment_counts_one_commit_on_every_runtime() {
+    let mut totals = Vec::new();
     for kind in RuntimeKind::ALL {
-        let first = single_thread_stats(kind, increment).update_tx_latency;
-        assert_eq!(first.count(), SAMPLING_OPS, "{kind}");
-        assert!(
-            SAMPLED.contains(&first.samples()),
-            "{kind}: {}",
-            first.samples()
-        );
-        let again = single_thread_stats(kind, increment).update_tx_latency;
-        assert_eq!(again.samples(), first.samples(), "{kind}: not repeatable");
-    }
-}
-
-/// A workload alternating two kinds of operation (as `pc_*` alternates
-/// blocking and non-blocking ones) still gets each kind timed at the same
-/// rate: a timed-every-eighth counter would hand one of them every sample.
-#[test]
-fn alternating_operation_kinds_are_both_sampled() {
-    for kind in RuntimeKind::ALL {
-        let stats = single_thread_stats(kind, |rt, th, var| {
-            increment(rt, th, var);
-            rt.atomically_read(th, |tx| var.get(tx));
+        let rt = kind.build(TmConfig::default());
+        let system = Arc::clone(rt.system());
+        let buffer = TmBoundedBuffer::new(&system, 4);
+        std::thread::scope(|scope| {
+            let consumer = scope.spawn(|| {
+                let th = system.register_thread();
+                rt.atomically(&th, |tx| buffer.consume(Mechanism::TmCondVar, tx))
+            });
+            while system.stats().sleeps == 0 {
+                std::thread::yield_now();
+            }
+            let th = system.register_thread();
+            rt.atomically(&th, |tx| buffer.produce(Mechanism::TmCondVar, tx, 7));
+            assert_eq!(consumer.join().expect("the item wakes the consumer"), 7);
         });
-        for (class, hist) in [
-            ("update", stats.update_tx_latency),
-            ("ro", stats.ro_tx_latency),
-        ] {
-            assert_eq!(hist.count(), SAMPLING_OPS, "{kind} {class}");
-            assert!(
-                SAMPLED.contains(&hist.samples()),
-                "{kind} {class}: {}",
-                hist.samples()
-            );
-        }
+        let stats = system.stats();
+        assert_eq!(
+            (stats.condvar_waits, stats.sleeps, stats.wakeups),
+            (1, 1, 1),
+            "{kind}"
+        );
+        totals.push((kind, stats.total_commits()));
+    }
+    for &(kind, total) in &totals {
+        assert_eq!(total, 5, "{kind}: commits on every runtime {totals:?}");
     }
 }

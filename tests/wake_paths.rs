@@ -259,7 +259,6 @@ fn disjoint_writer_scans_nothing(kind: RuntimeKind, wait: fn(&mut dyn Tx, Addr) 
     rt.atomically(&writer, |tx| tx.write(writer_addr, 1));
     let s = writer.stats.snapshot();
     assert_eq!(s.wake_shard_scans, 0, "{kind}: empty-registry fast path");
-    assert_eq!(s.wake_shard_skips, 0, "{kind}: empty-registry fast path");
 
     let n_sleepers = 4;
     let sleeper_addrs =
@@ -294,9 +293,14 @@ fn disjoint_writer_scans_nothing(kind: RuntimeKind, wait: fn(&mut dyn Tx, Addr) 
             0,
             "{kind}: disjoint commits must not evaluate any wait condition"
         );
-        assert!(
-            after.wake_shard_skips > before.wake_shard_skips,
-            "{kind}: disjoint commits should be skipping shards"
+        assert_eq!(
+            after.wake_targeted - before.wake_targeted,
+            100,
+            "{kind}: every disjoint commit took the targeted scan"
+        );
+        assert_eq!(
+            after.wake_shard_scans, before.wake_shard_scans,
+            "{kind}: disjoint commits must not visit a shard"
         );
         assert_eq!(after.wakeups - before.wakeups, 0, "{kind}: nobody woken");
 
