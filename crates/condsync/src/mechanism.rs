@@ -201,55 +201,15 @@ pub fn restart<T>(_tx: &mut dyn Tx) -> TxResult<T> {
 #[cfg(test)]
 mod construct_tests {
     use super::*;
-    use std::sync::Arc;
-    use tm_core::{ThreadCtx, TmConfig, TmSystem, TxCommon, TxMode};
+    use tm_core::{DirectTx, TmConfig, TmSystem};
 
-    struct NullTx {
-        common: TxCommon,
-        system: Arc<TmSystem>,
-        thread: Arc<ThreadCtx>,
-    }
-
-    impl Tx for NullTx {
-        fn read(&mut self, _addr: Addr) -> TxResult<u64> {
-            Ok(0)
-        }
-        fn write(&mut self, _addr: Addr, _val: u64) -> TxResult<()> {
-            Ok(())
-        }
-        fn alloc(&mut self, _words: usize) -> TxResult<Addr> {
-            Ok(Addr(1))
-        }
-        fn free(&mut self, _addr: Addr, _words: usize) -> TxResult<()> {
-            Ok(())
-        }
-        fn common(&self) -> &TxCommon {
-            &self.common
-        }
-        fn common_mut(&mut self) -> &mut TxCommon {
-            &mut self.common
-        }
-        fn system(&self) -> &Arc<TmSystem> {
-            &self.system
-        }
-        fn thread(&self) -> &Arc<ThreadCtx> {
-            &self.thread
-        }
-    }
-
-    fn null_tx() -> NullTx {
-        let system = TmSystem::new(TmConfig::small());
-        let th = system.register_thread();
-        NullTx {
-            common: TxCommon::new(TxMode::Software, 0),
-            thread: th,
-            system,
-        }
+    fn direct_tx() -> DirectTx {
+        DirectTx::new(&TmSystem::new(TmConfig::small()))
     }
 
     #[test]
     fn retry_requests_readset_deschedule() {
-        let mut tx = null_tx();
+        let mut tx = direct_tx();
         match retry::<()>(&mut tx) {
             Err(TxCtl::Deschedule(WaitSpec::ReadSetValues)) => {}
             other => panic!("unexpected: {other:?}"),
@@ -258,7 +218,7 @@ mod construct_tests {
 
     #[test]
     fn condvar_wait_without_a_runtime_returns_its_request() {
-        let mut tx = null_tx();
+        let mut tx = direct_tx();
         match crate::TmCondVar::new().wait(&mut tx) {
             Err(TxCtl::Deschedule(WaitSpec::Addrs(addrs))) => assert_eq!(addrs.len(), 1),
             other => panic!("unexpected: {other:?}"),
@@ -267,7 +227,7 @@ mod construct_tests {
 
     #[test]
     fn await_carries_address_list() {
-        let mut tx = null_tx();
+        let mut tx = direct_tx();
         match await_addrs::<()>(&mut tx, &[Addr(3), Addr(9)]) {
             Err(TxCtl::Deschedule(WaitSpec::Addrs(a))) => assert_eq!(a, vec![Addr(3), Addr(9)]),
             other => panic!("unexpected: {other:?}"),
@@ -283,7 +243,7 @@ mod construct_tests {
         fn p(_tx: &mut dyn Tx, args: &[u64]) -> TxResult<bool> {
             Ok(args[0] > 0)
         }
-        let mut tx = null_tx();
+        let mut tx = direct_tx();
         match wait_pred::<()>(&mut tx, p, &[7, 8]) {
             Err(TxCtl::Deschedule(WaitSpec::Pred { args, .. })) => assert_eq!(args, vec![7, 8]),
             other => panic!("unexpected: {other:?}"),
@@ -292,7 +252,7 @@ mod construct_tests {
 
     #[test]
     fn retry_orig_requests_lock_based_deschedule() {
-        let mut tx = null_tx();
+        let mut tx = direct_tx();
         match retry_orig::<()>(&mut tx) {
             Err(TxCtl::Deschedule(WaitSpec::OrigReadLocks)) => {}
             other => panic!("unexpected: {other:?}"),
@@ -301,7 +261,7 @@ mod construct_tests {
 
     #[test]
     fn restart_is_an_explicit_abort() {
-        let mut tx = null_tx();
+        let mut tx = direct_tx();
         match restart::<()>(&mut tx) {
             Err(TxCtl::Abort(AbortReason::Explicit(code))) => assert_eq!(code, RESTART_ABORT_CODE),
             other => panic!("unexpected: {other:?}"),
@@ -313,7 +273,7 @@ mod construct_tests {
         fn p(_: &mut dyn Tx, _: &[u64]) -> TxResult<bool> {
             Ok(true)
         }
-        let mut tx = null_tx();
+        let mut tx = direct_tx();
         let mut wait = |m: Mechanism| m.wait::<()>(&mut tx, Addr(4), p, &[4, 1]).unwrap_err();
         assert!(matches!(
             wait(Mechanism::Retry),
@@ -350,12 +310,12 @@ mod construct_tests {
             Ok(true)
         }
         let timeout = Duration::from_secs(1);
-        let _ = Mechanism::RetryOrig.wait_for::<()>(&mut null_tx(), Addr(4), p, &[], timeout);
+        let _ = Mechanism::RetryOrig.wait_for::<()>(&mut direct_tx(), Addr(4), p, &[], timeout);
     }
 
     #[test]
     fn unbounded_constructs_clear_a_stale_deadline() {
-        let mut tx = null_tx();
+        let mut tx = direct_tx();
         tx.common_mut().wait_deadline = Some(std::time::Instant::now());
         let _ = retry::<()>(&mut tx);
         assert!(tx.common().wait_deadline.is_none());

@@ -1,61 +1,60 @@
 //! Randomized exponential backoff between aborted transaction attempts.
 
-use crate::config::BackoffConfig;
+use crate::thread::ThreadCtx;
+
+/// Base of the spin ceiling, doubled once per consecutive abort.
+const MIN_SPINS: u32 = 16;
+/// Cap on the (jittered) spin ceiling.
+const MAX_SPINS: u32 = 4096;
+/// Cap on the exponential growth: the ceiling stops doubling after this
+/// many consecutive aborts, so the `1 << exp` shift cannot overflow.
+const MAX_EXP: u32 = 16;
+/// Consecutive aborts after which the thread yields the CPU instead of
+/// spinning (important when threads outnumber cores, as in the paper's
+/// oversubscribed configurations).
+const YIELD_AFTER: u32 = 6;
 
 /// Per-transaction backoff state.
 ///
 /// Spins (with `spin_loop` hints) for a randomized, exponentially growing
 /// number of iterations after each abort, and starts yielding the CPU once
-/// the abort count passes `yield_after` — which matters in the paper's
-/// oversubscribed configurations where threads outnumber cores.
-#[derive(Debug)]
+/// the abort count reaches `YIELD_AFTER`.  The jitter is drawn from the
+/// thread's private RNG ([`ThreadCtx::next_backoff_seed`]) only when the
+/// thread actually spins, so a transaction that never aborts never touches
+/// it, and each thread's jitter stays deterministic by thread id.
+#[derive(Debug, Default)]
 pub struct Backoff {
-    config: BackoffConfig,
     attempts: u32,
-    rng: XorShift64,
 }
 
 impl Backoff {
-    /// Creates backoff state; `seed` only needs to differ across threads.
-    pub fn new(config: BackoffConfig, seed: u64) -> Self {
-        Backoff {
-            config,
-            attempts: 0,
-            rng: XorShift64::new(seed),
-        }
-    }
-
-    /// Number of aborts observed so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempts
-    }
-
-    /// Resets the state after a successful commit.
+    /// Starts a fresh contention episode (the driver calls it after a
+    /// deschedule).
     pub fn reset(&mut self) {
         self.attempts = 0;
     }
 
     /// Records an abort and waits an appropriate amount of time: a jittered
-    /// exponentially growing spin whose growth stops at the configured cap
-    /// (`max_exp` doublings, ceiling `max_spins`), switching to yielding the
-    /// CPU after `yield_after` consecutive aborts.
-    pub fn abort_and_wait(&mut self) {
+    /// spin of at most `spin_ceiling` iterations, switching to yielding
+    /// the CPU after `YIELD_AFTER` consecutive aborts.
+    pub fn abort_and_wait(&mut self, thread: &ThreadCtx) {
         self.attempts += 1;
-        if self.attempts >= self.config.yield_after {
+        if self.attempts >= YIELD_AFTER {
             std::thread::yield_now();
             return;
         }
-        let exp = self.attempts.min(self.config.max_exp).min(31);
-        let ceiling = (self.config.min_spins.saturating_mul(1 << exp)).min(self.config.max_spins);
-        let spins = if ceiling <= 1 {
-            1
-        } else {
-            (self.rng.next() % ceiling as u64) as u32 + 1
-        };
+        let spins = (thread.next_backoff_seed() % spin_ceiling(self.attempts) as u64) as u32 + 1;
         for _ in 0..spins {
             std::hint::spin_loop();
         }
     }
+}
+
+/// The jitter ceiling after `attempts` consecutive aborts: [`MIN_SPINS`]
+/// doubled per abort, at most [`MAX_EXP`] times, capped at [`MAX_SPINS`].
+fn spin_ceiling(attempts: u32) -> u32 {
+    let exp = attempts.min(MAX_EXP);
+    MIN_SPINS.saturating_mul(1 << exp).min(MAX_SPINS)
 }
 
 /// A cheap spin-then-yield waiter for short waits on a condition another
@@ -81,11 +80,6 @@ impl SpinWait {
         SpinWait { spins: 0 }
     }
 
-    /// Number of pauses taken so far.
-    pub fn pauses(&self) -> u32 {
-        self.spins
-    }
-
     /// Waits once: a `spin_loop` hint while under the threshold, a CPU yield
     /// beyond it.
     #[inline]
@@ -97,17 +91,23 @@ impl SpinWait {
             std::hint::spin_loop();
         }
     }
-
-    /// Resets the waiter for a fresh wait.
-    pub fn reset(&mut self) {
-        self.spins = 0;
-    }
 }
 
 impl Default for SpinWait {
     fn default() -> Self {
         SpinWait::new()
     }
+}
+
+/// `splitmix64`: a bijective 64-bit mixer.  Seeds per-thread xorshift
+/// streams so nearby seeds and thread ids still produce uncorrelated
+/// streams, and hashes keys where a well-spread, deterministic value is
+/// needed.
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
 }
 
 /// A tiny xorshift PRNG so `tm-core` does not need the `rand` crate on the
@@ -147,6 +147,7 @@ impl XorShift64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::thread::ThreadRegistry;
 
     #[test]
     fn xorshift_is_deterministic_and_nonzero() {
@@ -175,59 +176,54 @@ mod tests {
 
     #[test]
     fn backoff_counts_attempts_and_resets() {
-        let mut b = Backoff::new(BackoffConfig::default(), 3);
-        assert_eq!(b.attempts(), 0);
-        b.abort_and_wait();
-        b.abort_and_wait();
-        assert_eq!(b.attempts(), 2);
+        let th = ThreadRegistry::new().register();
+        let mut b = Backoff::default();
+        assert_eq!(b.attempts, 0);
+        b.abort_and_wait(&th);
+        b.abort_and_wait(&th);
+        assert_eq!(b.attempts, 2);
         b.reset();
-        assert_eq!(b.attempts(), 0);
+        assert_eq!(b.attempts, 0);
     }
 
     #[test]
     fn backoff_survives_many_aborts() {
-        let mut b = Backoff::new(
-            BackoffConfig {
-                min_spins: 1,
-                max_spins: 8,
-                max_exp: 4,
-                yield_after: 3,
-            },
-            99,
-        );
+        // Past `YIELD_AFTER` every abort yields instead of spinning.
+        let th = ThreadRegistry::new().register();
+        let mut b = Backoff::default();
         for _ in 0..50 {
-            b.abort_and_wait();
+            b.abort_and_wait(&th);
         }
-        assert_eq!(b.attempts(), 50);
+        assert_eq!(b.attempts, 50);
+        // Only the spinning aborts drew jitter from the thread's RNG.
+        let twin = ThreadRegistry::new().register();
+        for _ in 1..YIELD_AFTER {
+            twin.next_backoff_seed();
+        }
+        assert_eq!(th.next_backoff_seed(), twin.next_backoff_seed());
     }
 
     #[test]
     fn exponent_cap_bounds_growth_without_overflow() {
-        // max_exp far above 31 must not overflow the 1 << exp shift, and a
-        // huge abort count must stay bounded by max_spins.
-        let mut b = Backoff::new(
-            BackoffConfig {
-                min_spins: 2,
-                max_spins: 64,
-                max_exp: 1000,
-                yield_after: u32::MAX,
-            },
-            7,
-        );
-        for _ in 0..100 {
-            b.abort_and_wait();
+        // A huge abort count must not overflow the `1 << exp` shift (a debug
+        // build panics if it does), and the ceiling stays bounded by
+        // `MAX_SPINS` while never shrinking.
+        let mut last = 0;
+        for attempts in (0..64).chain([1000, u32::MAX]) {
+            let ceiling = spin_ceiling(attempts);
+            assert!((MIN_SPINS..=MAX_SPINS).contains(&ceiling), "{attempts}");
+            assert!(ceiling >= last, "{attempts}");
+            last = ceiling;
         }
-        assert_eq!(b.attempts(), 100);
+        assert_eq!(spin_ceiling(u32::MAX), MAX_SPINS);
     }
 
     #[test]
-    fn spin_wait_counts_and_resets() {
+    fn spin_wait_counts_its_pauses() {
         let mut s = SpinWait::new();
         for _ in 0..SpinWait::DEFAULT_SPINS + 2 {
             s.pause();
         }
-        assert_eq!(s.pauses(), SpinWait::DEFAULT_SPINS + 2);
-        s.reset();
-        assert_eq!(s.pauses(), 0);
+        assert_eq!(s.spins, SpinWait::DEFAULT_SPINS + 2);
     }
 }

@@ -51,13 +51,6 @@ pub struct FaultConfig {
     /// index is a multiple of this value (`0` disables; `1` dooms every
     /// line).
     pub conflict_line_mod: u64,
-    /// Inject a capacity abort when a hardware transaction's *read* footprint
-    /// exceeds this many distinct lines (`0` leaves the configured
-    /// [`HtmConfig`] capacity in charge).
-    pub capacity_read_lines: usize,
-    /// Inject a capacity abort when the *write* footprint exceeds this many
-    /// distinct lines (`0` disables).
-    pub capacity_write_lines: usize,
     /// Spurious-abort probability per speculative line registration, in
     /// 65536ths.
     pub spurious_per_64k: u16,
@@ -72,39 +65,8 @@ impl FaultConfig {
     pub fn enabled(self) -> bool {
         self.conflict_per_64k != 0
             || self.conflict_line_mod != 0
-            || self.capacity_read_lines != 0
-            || self.capacity_write_lines != 0
             || self.spurious_per_64k != 0
             || self.commit_window_per_64k != 0
-    }
-}
-
-/// Configuration of the randomized exponential backoff used between aborted
-/// attempts.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct BackoffConfig {
-    /// Minimum spin iterations after the first abort.
-    pub min_spins: u32,
-    /// Cap on spin iterations.
-    pub max_spins: u32,
-    /// Cap on the exponential growth: the (jittered) spin ceiling stops
-    /// doubling after this many consecutive aborts, bounding the worst-case
-    /// wait even when `max_spins` is set very high.
-    pub max_exp: u32,
-    /// Number of consecutive aborts after which the thread yields the CPU
-    /// instead of spinning (important when threads outnumber cores, as in
-    /// the paper's oversubscribed configurations).
-    pub yield_after: u32,
-}
-
-impl Default for BackoffConfig {
-    fn default() -> Self {
-        BackoffConfig {
-            min_spins: 16,
-            max_spins: 4096,
-            max_exp: 16,
-            yield_after: 6,
-        }
     }
 }
 
@@ -173,10 +135,9 @@ pub struct TmConfig {
     pub fault: FaultConfig,
     /// Timer-wheel parameters for timed waits.
     pub timer: TimerConfig,
-    /// Which stock contention-management policy the system installs (see
+    /// Which contention-management policy the system runs (see
     /// [`crate::policy`]); decides backoff versus mode escalation after
-    /// aborts.  Custom policies go through
-    /// [`crate::system::TmSystem::with_policy`] instead.
+    /// aborts.
     pub policy: PolicyKind,
     /// Capacity of the per-thread epoch table — the maximum number of
     /// threads that may register with the system.  Fixed at construction so
@@ -338,7 +299,7 @@ mod tests {
         }
         .enabled());
         assert!(FaultConfig {
-            capacity_read_lines: 4,
+            spurious_per_64k: 4,
             ..FaultConfig::default()
         }
         .enabled());

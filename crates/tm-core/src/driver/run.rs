@@ -29,7 +29,6 @@
 use std::sync::Arc;
 
 use crate::backoff::Backoff;
-use crate::config::BackoffConfig;
 use crate::ctl::{AbortReason, TxCtl, TxResult, WaitSpec};
 use crate::policy::{CmEvent, CmHistory};
 use crate::stats::TxStats;
@@ -116,12 +115,9 @@ where
     E: TxEngine,
     F: FnMut(&mut dyn Tx) -> TxResult<T>,
 {
-    // Backoff jitter comes from the thread's private RNG (seeded from its
-    // id): no shared seed line, and each thread's jitter sequence is
-    // deterministic.  Seeds only need to differ across concurrently running
-    // transactions.
-    let seed = thread.next_backoff_seed();
-    let mut backoff = Backoff::new(BackoffConfig::default(), seed);
+    // Backoff jitter comes from the thread's private RNG, drawn only when
+    // the transaction actually backs off.
+    let mut backoff = Backoff::default();
     let mut mode = engine.initial_mode();
     let mut kind = kind;
     // Abort history for the contention policy, reset when a deschedule ends
@@ -200,7 +196,7 @@ where
                         // The wait condition could not be captured
                         // consistently: treat it as an ordinary abort.
                         TxStats::bump(&thread.stats.sw_aborts);
-                        backoff.abort_and_wait();
+                        backoff.abort_and_wait(thread);
                     }
                 }
                 // After waking, restart plainly; Retry will re-request value
@@ -243,14 +239,14 @@ where
                     // back off, re-execute immediately, or climb one rung
                     // of the engine's mode ladder (hardware → software →
                     // serial) so the transaction is guaranteed to finish.
+                    let config = &engine.system().config;
                     let event = CmEvent {
                         reason,
                         hardware: hardware_attempt,
-                        mode,
-                        hw_budget: engine.system().config.htm.max_attempts,
+                        hw_budget: config.htm.max_attempts,
                     };
                     history.note(&event);
-                    let action = engine.system().policy().on_abort(&mut history, &event);
+                    let action = config.policy.on_abort(&mut history, &event);
                     if action.escalate {
                         TxStats::bump(&thread.stats.cm_escalations);
                         let next = engine.escalated_mode(mode);
@@ -263,11 +259,11 @@ where
                         // committing.  One atomic load when no timer is
                         // armed.
                         wake::poll_timers(engine, thread);
-                        // Jittered exponential backoff (capped via
-                        // `BackoffConfig`): the one wait policy for every
+                        // Jittered exponential backoff (fixed geometry, see
+                        // `crate::backoff`): the one wait policy for every
                         // contention-class abort, rather than ad-hoc
                         // spinning.
-                        backoff.abort_and_wait();
+                        backoff.abort_and_wait(thread);
                     }
                 }
             }

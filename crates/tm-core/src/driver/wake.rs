@@ -494,7 +494,7 @@ mod tests {
     use crate::config::TmConfig;
     use crate::orec::OrecValue;
     use crate::sem::Semaphore;
-    use crate::tx::TxMode;
+    use crate::tx::DirectTx;
 
     /// A toy runtime whose "transactions" are direct heap accesses; adequate
     /// for exercising the deschedule/wake protocol in isolation.
@@ -502,41 +502,6 @@ mod tests {
     struct ToyRuntime {
         system: Arc<TmSystem>,
         exec_count: AtomicU64,
-    }
-
-    struct ToyTx {
-        common: TxCommon,
-        system: Arc<TmSystem>,
-        thread: Arc<ThreadCtx>,
-    }
-
-    impl Tx for ToyTx {
-        fn read(&mut self, addr: Addr) -> TxResult<u64> {
-            Ok(self.system.heap.load(addr))
-        }
-        fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
-            self.system.heap.store(addr, val);
-            Ok(())
-        }
-        fn alloc(&mut self, words: usize) -> TxResult<Addr> {
-            Ok(self.system.heap.alloc(words).unwrap())
-        }
-        fn free(&mut self, addr: Addr, words: usize) -> TxResult<()> {
-            self.system.heap.dealloc(addr, words);
-            Ok(())
-        }
-        fn common(&self) -> &TxCommon {
-            &self.common
-        }
-        fn common_mut(&mut self) -> &mut TxCommon {
-            &mut self.common
-        }
-        fn system(&self) -> &Arc<TmSystem> {
-            &self.system
-        }
-        fn thread(&self) -> &Arc<ThreadCtx> {
-            &self.thread
-        }
     }
 
     impl TmRuntime for ToyRuntime {
@@ -550,17 +515,13 @@ mod tests {
         ) -> bool {
             self.atomically(thread, body)
         }
-        /// Runs the body once on a [`ToyTx`].
+        /// Runs the body once on a [`DirectTx`].
         fn atomically<T, F>(&self, thread: &Arc<ThreadCtx>, mut body: F) -> T
         where
             F: FnMut(&mut dyn Tx) -> TxResult<T>,
         {
             self.exec_count.fetch_add(1, Ordering::Relaxed);
-            let mut tx = ToyTx {
-                common: TxCommon::new(TxMode::Software, 0),
-                system: Arc::clone(&self.system),
-                thread: Arc::clone(thread),
-            };
+            let mut tx = DirectTx::on_thread(&self.system, Arc::clone(thread));
             body(&mut tx).expect("toy runtime cannot abort")
         }
         fn atomically_read<T, F>(&self, thread: &Arc<ThreadCtx>, body: F) -> T

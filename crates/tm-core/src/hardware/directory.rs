@@ -223,9 +223,6 @@ impl Directory {
         write: bool,
         distinct_lines: usize,
     ) -> Result<(), HwAbort> {
-        if let Some(f) = &self.faults {
-            f.capacity_fault(write, distinct_lines)?;
-        }
         let htm = &self.system.config.htm;
         if distinct_lines > [htm.max_read_lines, htm.max_write_lines][write as usize] {
             return Err(HwAbort::real(HwAbortKind::Capacity));

@@ -3,31 +3,24 @@
 //!
 //! The paper's hybrid designs assume a best-effort hardware TM whose aborts
 //! (conflict, capacity, spurious) the software rungs must absorb.  The
-//! injector manufactures exactly those aborts on demand — conflicts on
-//! chosen lines or at a chosen rate, capacity aborts at a chosen footprint,
-//! spurious aborts, and aborts *inside the commit window* — so the
-//! Hw→Sw→Serial mode ladder, the serial-gate drain and the orec-coupled
-//! write-back are drivable on purpose instead of by luck.  With injection
-//! disabled the directory holds no injector and pays one `None` test per
-//! injection point.
+//! injector manufactures conflict and spurious aborts on demand — conflicts
+//! on chosen lines or at a chosen rate, spurious aborts, and aborts *inside
+//! the commit window* — so the Hw→Sw→Serial mode ladder, the serial-gate
+//! drain and the orec-coupled write-back are drivable on purpose instead of
+//! by luck.  Capacity aborts need no injector: a small
+//! [`crate::config::HtmConfig`] footprint produces real ones.  With
+//! injection disabled the directory holds no injector and pays one `None`
+//! test per injection point.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use super::directory::{HwAbort, HwAbortKind};
 use crate::addr::LineId;
+use crate::backoff::splitmix64;
 use crate::config::FaultConfig;
 use crate::pad::CachePadded;
 use crate::thread::ThreadId;
-
-/// `splitmix64` — seeds the per-thread xorshift streams so nearby seeds and
-/// thread ids still produce uncorrelated streams.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Manufactures hardware aborts according to a seeded [`FaultConfig`].
 ///
@@ -46,9 +39,6 @@ fn splitmix64(mut x: u64) -> u64 {
 ///   write of a line), not per access, so that is what the rates count.
 ///   Injection is decided *before* registering, so no registration is left
 ///   behind.
-/// * [`FaultInjector::capacity_fault`] — capacity aborts at a chosen
-///   footprint (`capacity_read_lines` / `capacity_write_lines`), tighter
-///   than the real capacity.
 /// * [`FaultInjector::commit_fault`] — conflict aborts *inside the commit
 ///   window* (`commit_window_per_64k`): past the doom check, before the
 ///   write-back.
@@ -132,17 +122,6 @@ impl FaultInjector {
         Ok(())
     }
 
-    /// A capacity abort once a read (`write == false`) or write footprint
-    /// grew past the configured line count.
-    pub(crate) fn capacity_fault(&self, write: bool, distinct_lines: usize) -> Result<(), HwAbort> {
-        let cfg = &self.cfg;
-        let cap = [cfg.capacity_read_lines, cfg.capacity_write_lines][write as usize];
-        if cap != 0 && distinct_lines > cap {
-            return self.inject(HwAbortKind::Capacity);
-        }
-        Ok(())
-    }
-
     /// The commit-window decision: a conflict abort past the doom check.
     pub(crate) fn commit_fault(&self, tid: ThreadId) -> Result<(), HwAbort> {
         if self.hit(tid, self.cfg.commit_window_per_64k) {
@@ -167,8 +146,6 @@ mod tests {
             assert!(f.access_fault(LineId(i), i % 4).is_ok());
             assert!(f.commit_fault(0).is_ok());
         }
-        assert!(f.capacity_fault(false, usize::MAX).is_ok());
-        assert!(f.capacity_fault(true, usize::MAX).is_ok());
         assert_eq!(f.injected_total(), 0);
     }
 
@@ -183,20 +160,6 @@ mod tests {
         assert!(f.access_fault(LineId(7), 0).is_ok());
         assert!(f.access_fault(LineId(12), 1).is_err());
         assert!(f.access_fault(LineId(13), 1).is_ok());
-    }
-
-    #[test]
-    fn capacity_faults_at_the_chosen_footprint() {
-        let f = injector(FaultConfig {
-            capacity_read_lines: 3,
-            capacity_write_lines: 2,
-            ..FaultConfig::default()
-        });
-        assert!(f.capacity_fault(false, 3).is_ok());
-        let fault = f.capacity_fault(false, 4).unwrap_err();
-        assert_eq!(fault, HwAbort::injected(HwAbortKind::Capacity));
-        assert!(f.capacity_fault(true, 2).is_ok());
-        assert!(f.capacity_fault(true, 3).is_err());
     }
 
     #[test]

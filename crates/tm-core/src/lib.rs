@@ -26,7 +26,7 @@
 //!   [`access::Descriptor`] that backs every runtime's transaction logs,
 //! * the mode-control plane: the system-wide serial/irrevocable gate (which
 //!   owns the hardware commit barrier) and the one serial attempt all four
-//!   runtimes run ([`serial`]) plus the pluggable contention-
+//!   runtimes run ([`serial`]) plus the contention-
 //!   management policies that drive backoff and mode escalation ([`policy`]),
 //! * the software TM ([`software`]): the one copy of what the eager and the
 //!   lazy STM do identically, the [`software::Eager`] and [`software::Lazy`]
@@ -84,16 +84,14 @@ pub mod waitlist;
 pub use access::{Descriptor, IndexSet, LogPool, ReadEntry, ReadSet, WriteEntry, WriteLog};
 pub use addr::{Addr, LineId, LINE_WORDS};
 pub use clock::ClockPlane;
-pub use config::{
-    default_orec_shards, BackoffConfig, FaultConfig, HtmConfig, TimerConfig, TmConfig,
-};
+pub use config::{default_orec_shards, FaultConfig, HtmConfig, TimerConfig, TmConfig};
 pub use ctl::{AbortReason, PredFn, TxCtl, TxResult, WaitCondition, WaitSpec};
 pub use driver::{Attempt, CommitOutcome, TxEngine};
 pub use epoch::{EpochSlot, EpochTable};
 pub use heap::TmHeap;
 pub use orec::{OrecTable, OrecValue};
 pub use pad::{CachePadded, CACHE_LINE_BYTES};
-pub use policy::{CmAction, CmEvent, CmHistory, ContentionManager, PolicyKind};
+pub use policy::{CmAction, CmEvent, CmHistory, PolicyKind};
 pub use runtime::TmRuntime;
 pub use sem::Semaphore;
 pub use serial::{subscribe_begin, SerialAttempt, SerialGate};

@@ -188,11 +188,6 @@ impl OrecTable {
         self.shards.len()
     }
 
-    /// Failed `cas` attempts on shard `shard` (contention telemetry).
-    pub fn shard_cas_failures(&self, shard: usize) -> u64 {
-        self.shards[shard].cas_failures.load(Ordering::Relaxed)
-    }
-
     /// Failed `cas` attempts summed over every shard.
     pub fn cas_failure_total(&self) -> u64 {
         self.shards
@@ -473,7 +468,8 @@ mod tests {
         // A stale-snapshot CAS is.
         assert!(!t.cas(idx, before, OrecValue::locked(before.version(), 2)));
         assert_eq!(t.cas_failure_total(), 1);
-        assert_eq!(t.shard_cas_failures(idx & t.shard_mask), 1);
+        let shard = &t.shards[idx & t.shard_mask];
+        assert_eq!(shard.cas_failures.load(Ordering::Relaxed), 1);
     }
 
     #[test]

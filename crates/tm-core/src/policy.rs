@@ -1,18 +1,13 @@
-//! Pluggable contention management: what the driver loop does *between*
-//! attempts.
+//! Contention management: what the driver loop does *between* attempts.
 //!
-//! The driver used to hard-wire one reaction to every abort — jittered
-//! exponential backoff for contention-class aborts, plus the HTM simulator's
-//! private "serial after N speculative failures" rule.  This module lifts
-//! that decision behind the [`ContentionManager`] trait: the driver reports
-//! each abort (with the per-transaction [`CmHistory`]) and the installed
-//! policy answers with a [`CmAction`] — whether to back off before
-//! re-executing, and whether to escalate the transaction one rung up the
-//! engine's mode ladder (hardware → software → serial; see
+//! The driver reports each abort (with the per-transaction [`CmHistory`])
+//! to the system's [`PolicyKind`], whose [`PolicyKind::on_abort`] answers
+//! with a [`CmAction`] — whether to back off before re-executing, and
+//! whether to escalate the transaction one rung up the engine's mode ladder
+//! (hardware → software → serial; see
 //! [`crate::driver::TxEngine::escalated_mode`]).
 //!
-//! Three stock policies ship with the system, selected by
-//! [`crate::config::TmConfig::policy`]:
+//! Three policies exist, selected by [`crate::config::TmConfig::policy`]:
 //!
 //! * [`PolicyKind::Fixed`] — the historical behavior, and the default:
 //!   backoff on contention, escalate only when a *hardware* transaction
@@ -26,19 +21,14 @@
 //!   immediately for the first half of its patience (optimists win fast),
 //!   back off for the second half, then escalate.
 //!
-//! Custom policies plug in through
-//! [`crate::system::TmSystem::with_policy`]; the stats they drive
-//! (`cm_escalations`, `mode_switches`, `serial_commits`) are rendered by the
-//! workload reports.
+//! The stats they drive (`cm_escalations`, `mode_switches`,
+//! `serial_commits`) are rendered by the workload reports.
 //!
 //! Explicit aborts (the `Restart` baseline, `xabort`) never reach the
 //! policy: a program-requested restart is control flow, not contention, so
 //! it re-executes immediately and feeds no history.
 
-use std::fmt;
-
 use crate::ctl::AbortReason;
-use crate::tx::TxMode;
 
 /// Per-transaction abort history, owned by the driver loop and reset when
 /// the transaction commits, deschedules, or escalates.
@@ -88,8 +78,6 @@ pub struct CmEvent {
     pub reason: AbortReason,
     /// True if the failed attempt ran in (simulated) hardware.
     pub hardware: bool,
-    /// The mode the failed attempt ran in.
-    pub mode: TxMode,
     /// The engine's speculative-attempt budget
     /// ([`crate::config::HtmConfig::max_attempts`]).
     pub hw_budget: u32,
@@ -125,24 +113,12 @@ impl CmAction {
     };
 }
 
-/// A contention-management policy: decides backoff versus escalation from a
-/// transaction's abort history.
-///
-/// Implementations must be stateless across transactions — all mutable state
-/// lives in the [`CmHistory`] the driver threads through — so one boxed
-/// policy instance serves every thread of a [`crate::system::TmSystem`].
-pub trait ContentionManager: Send + Sync + fmt::Debug {
-    /// A short label for reports and benches.
-    fn name(&self) -> &'static str;
-
-    /// Decides what the driver does after an abort.  `history` has already
-    /// absorbed `event` via [`CmHistory::note`]; a policy that escalates
-    /// should reset the counters it spent so a later rung starts fresh.
-    fn on_abort(&self, history: &mut CmHistory, event: &CmEvent) -> CmAction;
-}
-
-/// Which stock [`ContentionManager`] a system installs
+/// The contention-management policy a system runs
 /// (see [`crate::config::TmConfig::policy`]).
+///
+/// Stateless across transactions: all mutable state lives in the
+/// [`CmHistory`] the driver threads through, so one value serves every
+/// thread of a [`crate::system::TmSystem`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PolicyKind {
     /// The historical hard-wired behavior (default): backoff on contention,
@@ -153,14 +129,15 @@ pub enum PolicyKind {
     /// consecutive contention aborts (or two `OutOfMemory` aborts) on any
     /// engine.
     Adaptive {
-        /// Consecutive contention aborts before the transaction escalates.
+        /// Consecutive contention aborts before the transaction escalates
+        /// (at least 1).
         contention_threshold: u32,
     },
     /// Bounded-retry ladder: immediate retries, then backoff, then
     /// escalation once `patience` aborts have been spent.
     Stubborn {
-        /// Total aborts tolerated before escalating; the first half retry
-        /// without backoff.
+        /// Total aborts tolerated before escalating (at least 2); the first
+        /// half retry without backoff.
         patience: u32,
     },
 }
@@ -175,103 +152,40 @@ impl PolicyKind {
     /// A stubborn default (8 aborts of patience, first 4 without backoff).
     pub const STUBBORN_DEFAULT: PolicyKind = PolicyKind::Stubborn { patience: 8 };
 
-    /// The label used in benches and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            PolicyKind::Fixed => "fixed",
-            PolicyKind::Adaptive { .. } => "adaptive",
-            PolicyKind::Stubborn { .. } => "stubborn",
-        }
-    }
-
-    /// Builds the stock policy this kind names.
-    pub fn build(self) -> Box<dyn ContentionManager> {
-        match self {
-            PolicyKind::Fixed => Box::new(Fixed),
+    /// Decides what the driver does after an abort.  `history` has already
+    /// absorbed `event` via [`CmHistory::note`]; an escalation resets it so
+    /// the next rung starts fresh.
+    pub fn on_abort(self, history: &mut CmHistory, event: &CmEvent) -> CmAction {
+        let budget_spent = event.hardware && history.hw_failures >= event.hw_budget;
+        let contention = event.reason.is_contention();
+        let (escalate, backoff) = match self {
+            // Escalate only when a hardware transaction exhausts its
+            // speculative budget (GCC libitm's rule).
+            PolicyKind::Fixed => (budget_spent, contention),
+            // A transaction that keeps losing to contention (on any engine)
+            // or keeps running out of memory takes the guaranteed-progress
+            // rung instead of backing off forever.
             PolicyKind::Adaptive {
                 contention_threshold,
-            } => Box::new(Adaptive {
-                contention_threshold: contention_threshold.max(1),
-            }),
-            PolicyKind::Stubborn { patience } => Box::new(Stubborn {
-                patience: patience.max(2),
-            }),
-        }
-    }
-}
-
-/// The historical behavior: backoff on contention-class aborts; escalate
-/// only when a hardware transaction exhausts its speculative budget.
-#[derive(Debug)]
-pub struct Fixed;
-
-impl ContentionManager for Fixed {
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-
-    fn on_abort(&self, history: &mut CmHistory, event: &CmEvent) -> CmAction {
-        if event.hardware && history.hw_failures >= event.hw_budget {
-            history.reset();
-            return CmAction::ESCALATE;
-        }
-        if event.reason.is_contention() {
-            CmAction::BACKOFF
-        } else {
-            CmAction::RERUN
-        }
-    }
-}
-
-/// [`Fixed`] plus starvation escalation: a transaction that keeps losing to
-/// contention (on any engine) or keeps running out of memory takes the
-/// guaranteed-progress rung instead of backing off forever.
-#[derive(Debug)]
-pub struct Adaptive {
-    /// Consecutive contention aborts before escalating.
-    pub contention_threshold: u32,
-}
-
-impl ContentionManager for Adaptive {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-
-    fn on_abort(&self, history: &mut CmHistory, event: &CmEvent) -> CmAction {
-        let starved = history.contention >= self.contention_threshold || history.oom >= 2;
-        if starved || (event.hardware && history.hw_failures >= event.hw_budget) {
-            history.reset();
-            return CmAction::ESCALATE;
-        }
-        if event.reason.is_contention() {
-            CmAction::BACKOFF
-        } else {
-            CmAction::RERUN
-        }
-    }
-}
-
-/// HTM-style bounded-retry ladder: optimistic immediate retries first, then
-/// backoff, then escalation once the patience budget is spent.
-#[derive(Debug)]
-pub struct Stubborn {
-    /// Total aborts tolerated before escalating.
-    pub patience: u32,
-}
-
-impl ContentionManager for Stubborn {
-    fn name(&self) -> &'static str {
-        "stubborn"
-    }
-
-    fn on_abort(&self, history: &mut CmHistory, _event: &CmEvent) -> CmAction {
-        if history.aborts > self.patience {
+            } => {
+                let starved = history.contention >= contention_threshold.max(1) || history.oom >= 2;
+                (starved || budget_spent, contention)
+            }
+            // Optimistic immediate retries for the first half of the
+            // patience, then backoff, then escalation.
+            PolicyKind::Stubborn { patience } => {
+                let patience = patience.max(2);
+                (history.aborts > patience, history.aborts > patience / 2)
+            }
+        };
+        if escalate {
             history.reset();
             CmAction::ESCALATE
-        } else if history.aborts > self.patience / 2 {
-            CmAction::BACKOFF
         } else {
-            CmAction::RERUN
+            CmAction {
+                backoff,
+                escalate: false,
+            }
         }
     }
 }
@@ -284,16 +198,11 @@ mod tests {
         CmEvent {
             reason,
             hardware,
-            mode: if hardware {
-                TxMode::Hardware
-            } else {
-                TxMode::Software
-            },
             hw_budget: 2,
         }
     }
 
-    fn drive(policy: &dyn ContentionManager, events: &[CmEvent]) -> (CmHistory, Vec<CmAction>) {
+    fn drive(policy: PolicyKind, events: &[CmEvent]) -> (CmHistory, Vec<CmAction>) {
         let mut history = CmHistory::default();
         let mut actions = Vec::new();
         for e in events {
@@ -305,55 +214,55 @@ mod tests {
 
     #[test]
     fn fixed_matches_the_historical_behavior() {
-        let p = Fixed;
+        let p = PolicyKind::Fixed;
         // Software contention: backoff forever, never escalate.
         let sw = event(AbortReason::WriteConflict, false);
-        let (_, actions) = drive(&p, &[sw; 20]);
+        let (_, actions) = drive(p, &[sw; 20]);
         assert!(actions.iter().all(|a| *a == CmAction::BACKOFF));
 
         // Hardware: escalate once the budget (2) is spent.
         let hw = event(AbortReason::HwConflict, true);
-        let (_, actions) = drive(&p, &[hw, hw, hw]);
+        let (_, actions) = drive(p, &[hw, hw, hw]);
         assert_eq!(actions[0], CmAction::BACKOFF);
         assert_eq!(actions[1], CmAction::ESCALATE);
 
         // Capacity aborts are not contention (no backoff) but spend budget.
         let cap = event(AbortReason::HwCapacity, true);
-        let (_, actions) = drive(&p, &[cap, cap]);
+        let (_, actions) = drive(p, &[cap, cap]);
         assert_eq!(actions[0], CmAction::RERUN);
         assert_eq!(actions[1], CmAction::ESCALATE);
 
         // OutOfMemory reruns immediately, forever (the historical rule).
         let oom = event(AbortReason::OutOfMemory, false);
-        let (_, actions) = drive(&p, &[oom; 5]);
+        let (_, actions) = drive(p, &[oom; 5]);
         assert!(actions.iter().all(|a| *a == CmAction::RERUN));
     }
 
     #[test]
     fn adaptive_escalates_on_starvation_and_oom() {
-        let p = Adaptive {
+        let p = PolicyKind::Adaptive {
             contention_threshold: 3,
         };
         let sw = event(AbortReason::ReadConflict, false);
-        let (history, actions) = drive(&p, &[sw, sw, sw]);
+        let (history, actions) = drive(p, &[sw, sw, sw]);
         assert_eq!(actions[0], CmAction::BACKOFF);
         assert_eq!(actions[1], CmAction::BACKOFF);
         assert_eq!(actions[2], CmAction::ESCALATE);
         assert_eq!(history, CmHistory::default(), "escalation resets history");
 
         let oom = event(AbortReason::OutOfMemory, false);
-        let (_, actions) = drive(&p, &[oom, oom]);
+        let (_, actions) = drive(p, &[oom, oom]);
         assert_eq!(actions[1], CmAction::ESCALATE);
     }
 
     #[test]
     fn adaptive_contention_counter_resets_on_non_contention_abort() {
-        let p = Adaptive {
+        let p = PolicyKind::Adaptive {
             contention_threshold: 2,
         };
         let sw = event(AbortReason::WriteConflict, false);
         let cap = event(AbortReason::HwCapacity, false);
-        let (_, actions) = drive(&p, &[sw, cap, sw]);
+        let (_, actions) = drive(p, &[sw, cap, sw]);
         assert_eq!(
             actions[2],
             CmAction::BACKOFF,
@@ -363,23 +272,14 @@ mod tests {
 
     #[test]
     fn stubborn_climbs_its_ladder() {
-        let p = Stubborn { patience: 4 };
+        let p = PolicyKind::Stubborn { patience: 4 };
         let sw = event(AbortReason::WriteConflict, false);
-        let (_, actions) = drive(&p, &[sw; 5]);
+        let (_, actions) = drive(p, &[sw; 5]);
         assert_eq!(actions[0], CmAction::RERUN, "optimistic rung");
         assert_eq!(actions[1], CmAction::RERUN);
         assert_eq!(actions[2], CmAction::BACKOFF, "backoff rung");
         assert_eq!(actions[3], CmAction::BACKOFF);
         assert_eq!(actions[4], CmAction::ESCALATE, "patience spent");
-    }
-
-    #[test]
-    fn kinds_build_their_namesakes() {
-        assert_eq!(PolicyKind::Fixed.build().name(), "fixed");
-        assert_eq!(PolicyKind::ADAPTIVE_DEFAULT.build().name(), "adaptive");
-        assert_eq!(PolicyKind::STUBBORN_DEFAULT.build().name(), "stubborn");
-        assert_eq!(PolicyKind::default(), PolicyKind::Fixed);
-        assert_eq!(PolicyKind::ADAPTIVE_DEFAULT.label(), "adaptive");
     }
 
     #[test]

@@ -14,7 +14,6 @@ use crate::clock::ClockPlane;
 use crate::config::TmConfig;
 use crate::heap::TmHeap;
 use crate::orec::OrecTable;
-use crate::policy::ContentionManager;
 use crate::serial::SerialGate;
 use crate::stats::TxStats;
 use crate::thread::{ThreadCtx, ThreadRegistry, NOT_IN_TX};
@@ -49,21 +48,11 @@ pub struct TmSystem {
     /// HTM fallback lock, lifted out of the simulator; see
     /// [`crate::serial`]).
     pub serial: SerialGate,
-    /// The installed contention-management policy (see [`crate::policy`]).
-    policy: Box<dyn ContentionManager>,
 }
 
 impl TmSystem {
-    /// Builds a system from `config`, installing the stock contention
-    /// manager named by [`TmConfig::policy`].
+    /// Builds a system from `config`.
     pub fn new(config: TmConfig) -> Arc<Self> {
-        let policy = config.policy.build();
-        Self::with_policy(config, policy)
-    }
-
-    /// Builds a system with a caller-supplied (possibly custom) contention
-    /// manager, overriding [`TmConfig::policy`].
-    pub fn with_policy(config: TmConfig, policy: Box<dyn ContentionManager>) -> Arc<Self> {
         Arc::new(TmSystem {
             heap: TmHeap::new(config.heap_words, config.max_threads),
             orecs: OrecTable::new_sharded(config.orec_count, config.orec_shards),
@@ -72,15 +61,8 @@ impl TmSystem {
             waiters: WaitList::new(config.wake_shards),
             timers: TimerWheel::new(config.timer),
             serial: SerialGate::new(),
-            policy,
             config,
         })
-    }
-
-    /// The installed contention-management policy.
-    #[inline]
-    pub fn policy(&self) -> &dyn ContentionManager {
-        self.policy.as_ref()
     }
 
     /// Registers the calling thread and returns its context.
@@ -148,7 +130,7 @@ mod tests {
         assert!(s.timers.idle());
         assert_eq!(s.timers.slot_count(), TmConfig::small().timer.slots);
         assert!(!s.serial.held());
-        assert_eq!(s.policy().name(), "fixed");
+        assert_eq!(s.config.policy, crate::policy::PolicyKind::Fixed);
         assert_eq!(s.orecs.shard_count(), TmConfig::small().orec_shards);
         let sharded = TmSystem::new(TmConfig::small().with_orec_shards(8));
         assert_eq!(sharded.orecs.shard_count(), 8);
@@ -165,23 +147,6 @@ mod tests {
             .orecs
             .cas(idx, OrecValue::unlocked(cur.version() + 9), cur));
         assert_eq!(s.stats().orec_cas_failures, 1);
-    }
-
-    #[test]
-    fn custom_policy_overrides_the_config_kind() {
-        use crate::policy::{CmAction, CmEvent, CmHistory, ContentionManager};
-        #[derive(Debug)]
-        struct AlwaysEscalate;
-        impl ContentionManager for AlwaysEscalate {
-            fn name(&self) -> &'static str {
-                "always-escalate"
-            }
-            fn on_abort(&self, _h: &mut CmHistory, _e: &CmEvent) -> CmAction {
-                CmAction::ESCALATE
-            }
-        }
-        let s = TmSystem::with_policy(TmConfig::small(), Box::new(AlwaysEscalate));
-        assert_eq!(s.policy().name(), "always-escalate");
     }
 
     #[test]

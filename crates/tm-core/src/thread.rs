@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::access::Descriptor;
+use crate::backoff::splitmix64;
 use crate::epoch::{EpochSlot, EpochTable};
 use crate::lock::RwLock;
 use crate::pad::CachePadded;
@@ -31,13 +32,6 @@ pub const NOT_IN_TX: u64 = u64::MAX;
 /// convenience; systems size theirs from
 /// [`crate::config::TmConfig::max_threads`]).
 const STANDALONE_REGISTRY_CAPACITY: usize = 64;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// The thread's resident attempt descriptor behind an exclusive-access
 /// flag — the heap arenas' `ArenaSlot` idiom: one swap to enter, one release

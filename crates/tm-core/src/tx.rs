@@ -198,9 +198,14 @@ pub struct DirectTx {
 impl DirectTx {
     /// A handle on `system`, running as a freshly registered thread.
     pub fn new(system: &Arc<TmSystem>) -> Self {
+        DirectTx::on_thread(system, system.register_thread())
+    }
+
+    /// A handle on `system`, running as `thread` (one of its threads).
+    pub fn on_thread(system: &Arc<TmSystem>, thread: Arc<ThreadCtx>) -> Self {
         DirectTx {
             common: TxCommon::new(TxMode::Serial, 0),
-            thread: system.register_thread(),
+            thread,
             system: Arc::clone(system),
         }
     }

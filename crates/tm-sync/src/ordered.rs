@@ -20,6 +20,7 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
+use tm_core::backoff::splitmix64;
 use tm_core::{Addr, TmArray, TmSystem, TmValue, Tx, TxResult};
 
 /// Maximum tower height; supports key sets far beyond what the fixed-size
@@ -32,13 +33,6 @@ const NIL: u64 = u64::MAX;
 
 /// Node block header words before the link tower.
 const HDR: usize = 3; // key, value, level
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Deterministic tower height for a key: geometric(1/2) via the trailing
 /// ones of a hash, clamped to [`MAX_LEVEL`].  Identical on every runtime

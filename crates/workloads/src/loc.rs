@@ -36,18 +36,6 @@ pub struct LocRow {
     pub removed: usize,
 }
 
-impl LocRow {
-    /// True if the row exhibits the two relationships §2.4.2 highlights:
-    /// `Await` costs at least as many lines as `Retry`/`WaitPred`, and the
-    /// added code is within the same order of magnitude as the removed code.
-    pub fn shape_holds(&self) -> bool {
-        self.await_added >= self.retry_added
-            && self.waitpred_added == self.retry_added
-            && self.retry_added > 0
-            && self.removed > 0
-    }
-}
-
 /// The paper's Table 2.1 row for `app`.
 pub fn paper_row(app: ParsecApp) -> LocRow {
     let (waitpred, awaited, retry, removed) = match app {
@@ -199,10 +187,20 @@ mod tests {
         assert_eq!(paper_table().len(), 8);
     }
 
+    /// True if the row exhibits the two relationships §2.4.2 highlights:
+    /// `Await` costs at least as many lines as `Retry`/`WaitPred`, and the
+    /// added code is within the same order of magnitude as the removed code.
+    fn has_the_paper_shape(row: &LocRow) -> bool {
+        row.await_added >= row.retry_added
+            && row.waitpred_added == row.retry_added
+            && row.retry_added > 0
+            && row.removed > 0
+    }
+
     #[test]
     fn every_paper_row_has_the_expected_shape() {
         for row in paper_table() {
-            assert!(row.shape_holds(), "{:?}", row.app);
+            assert!(has_the_paper_shape(&row), "{:?}", row.app);
         }
     }
 
@@ -211,7 +209,7 @@ mod tests {
         for row in measured_table() {
             assert!(row.retry_added > 0, "{}: no TM sync lines counted", row.app);
             assert!(row.removed > 0, "{}: no lock sync lines counted", row.app);
-            assert!(row.shape_holds(), "{:?}", row);
+            assert!(has_the_paper_shape(&row), "{:?}", row);
         }
     }
 

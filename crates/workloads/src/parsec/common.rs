@@ -84,16 +84,6 @@ impl ThresholdEvent {
         Ok(v)
     }
 
-    /// Transactionally reads the counter.
-    pub fn value(&self, tx: &mut dyn Tx) -> TxResult<u64> {
-        self.counter.get(tx)
-    }
-
-    /// Non-transactional read (setup/verification only).
-    pub fn value_direct(&self, system: &TmSystem) -> u64 {
-        self.counter.load_direct(system)
-    }
-
     /// Non-transactional reset (between frames/iterations, while no worker
     /// is running).
     pub fn reset_direct(&self, system: &TmSystem, value: u64) {
@@ -306,7 +296,7 @@ mod tests {
             rt.atomically(&th, |tx| ev.add(tx, 1).map(|_| ()));
             rt.atomically(&th, |tx| ev.add(tx, 1).map(|_| ()));
             assert!(waiter.join().unwrap() >= 2, "{mech}");
-            assert_eq!(ev.value_direct(&system), 2);
+            assert_eq!(ev.counter.load_direct(&system), 2);
         }
     }
 

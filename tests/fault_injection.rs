@@ -2,7 +2,8 @@
 //!
 //! Every test here runs with an explicit [`FaultConfig`] — a fixed seed plus
 //! one or more injection knobs — layered between the HTM runtimes and the
-//! simulated hardware backend.  The assertions are always the same two
+//! simulated hardware backend, or with a hardware capacity shrunk below the
+//! transactions' footprint.  The assertions are always the same two
 //! properties, exercised per fault kind and per runtime:
 //!
 //! 1. **No lost work**: injected aborts (conflict, capacity, spurious, and
@@ -20,7 +21,7 @@
 
 use std::sync::Arc;
 
-use tm_repro::core::{FaultConfig, StatsSnapshot, TmArray, TmConfig, TmVar};
+use tm_repro::core::{FaultConfig, HtmConfig, StatsSnapshot, TmArray, TmConfig, TmVar};
 use tm_repro::sync::Mechanism;
 use tm_repro::workloads::pc::{run_pc, run_pc_configured, PcParams};
 use tm_repro::workloads::runtime::RuntimeKind;
@@ -35,7 +36,7 @@ const THREADS: usize = 4;
 const INCS: u64 = 256;
 
 /// Array indices one cache line (8 words) apart: four distinct lines, so
-/// footprint-based capacity knobs have something to trip on.
+/// a shrunken hardware capacity has something to trip on.
 const CELLS: [usize; 4] = [0, 8, 16, 24];
 
 /// Runs `THREADS x INCS` concurrent increments of one shared counter on
@@ -70,9 +71,10 @@ fn hammer_counter(kind: RuntimeKind, fault: FaultConfig) -> StatsSnapshot {
 }
 
 /// Like [`hammer_counter`] but each transaction reads and increments four
-/// cells one line apart, so its footprint spans four distinct cache lines.
-fn hammer_lines(kind: RuntimeKind, fault: FaultConfig, threads: usize, txs: u64) -> StatsSnapshot {
-    let rt = kind.build(TmConfig::small().with_fault(fault));
+/// cells one line apart, so its footprint spans four distinct cache lines;
+/// `config` carries the fault knobs or a shrunken hardware capacity.
+fn hammer_lines(kind: RuntimeKind, config: TmConfig, threads: usize, txs: u64) -> StatsSnapshot {
+    let rt = kind.build(config);
     let system = Arc::clone(rt.system());
     let cells = TmArray::<u64>::alloc(&system, 32, 0);
     std::thread::scope(|scope| {
@@ -98,7 +100,9 @@ fn hammer_lines(kind: RuntimeKind, fault: FaultConfig, threads: usize, txs: u64)
         assert_eq!(
             cells.load_direct(&system, i),
             threads as u64 * txs,
-            "cell {i} lost updates on {kind} under {fault:?}"
+            "cell {i} lost updates on {kind} under {:?} / {:?}",
+            config.fault,
+            config.htm
         );
     }
     system.stats()
@@ -142,20 +146,15 @@ fn injected_conflicts_degrade_hybrid_to_software() {
 }
 
 #[test]
-fn capacity_faults_fire_at_the_configured_write_footprint() {
-    // Every transaction writes 4 distinct lines; the injected write capacity
-    // is 2 lines, so no hardware attempt can ever reach its commit point.
-    let stats = hammer_lines(
-        RuntimeKind::Htm,
-        FaultConfig {
-            seed: SEED,
-            capacity_write_lines: 2,
-            ..FaultConfig::default()
-        },
-        1,
-        64,
-    );
-    assert!(stats.hw_faults_injected > 0);
+fn capacity_aborts_fire_at_the_configured_write_footprint() {
+    // Every transaction writes 4 distinct lines; the write capacity is 2
+    // lines, so no hardware attempt can ever reach its commit point.
+    let config = TmConfig::small().with_htm(HtmConfig {
+        max_write_lines: 2,
+        ..HtmConfig::default()
+    });
+    let stats = hammer_lines(RuntimeKind::Htm, config, 1, 64);
+    assert!(stats.hw_aborts > 0, "the capacity limit must have fired");
     assert_eq!(
         stats.hw_commits, 0,
         "a 4-line writer can never fit in a 2-line capacity"
@@ -190,48 +189,52 @@ fn poisoned_lines_force_all_work_off_speculation() {
 fn fault_matrix_conserves_on_both_hardware_runtimes() {
     // fault kind x rate x runtime: each cell runs the 4-line walker and the
     // helper asserts exact conservation; here we additionally require that
-    // the configured kind actually fired.
+    // the configured kind actually fired.  A capacity abort is a real one
+    // (the walker reads 4 lines into a 2-line read capacity), so it fires
+    // when no hardware attempt commits.
+    let injected = |fault| TmConfig::small().with_fault(fault);
     let kinds = [
         (
             "conflict",
-            FaultConfig {
+            injected(FaultConfig {
                 seed: SEED,
                 conflict_per_64k: 8192, // ~12.5% per access
                 ..FaultConfig::default()
-            },
+            }),
         ),
         (
             "capacity",
-            FaultConfig {
-                seed: SEED,
-                capacity_read_lines: 2, // the walker reads 4 lines
-                ..FaultConfig::default()
-            },
+            TmConfig::small().with_htm(HtmConfig {
+                max_read_lines: 2,
+                ..HtmConfig::default()
+            }),
         ),
         (
             "spurious",
-            FaultConfig {
+            injected(FaultConfig {
                 seed: SEED,
                 spurious_per_64k: 8192,
                 ..FaultConfig::default()
-            },
+            }),
         ),
         (
             "commit-window",
-            FaultConfig {
+            injected(FaultConfig {
                 seed: SEED,
                 commit_window_per_64k: 32768, // half of all commit attempts
                 ..FaultConfig::default()
-            },
+            }),
         ),
     ];
     for runtime in [RuntimeKind::Htm, RuntimeKind::Hybrid] {
-        for (name, fault) in kinds {
-            let stats = hammer_lines(runtime, fault, THREADS, 64);
-            assert!(
-                stats.hw_faults_injected > 0,
-                "{name} on {runtime}: the plane never fired"
-            );
+        for (name, config) in kinds {
+            let stats = hammer_lines(runtime, config, THREADS, 64);
+            let fired = if name == "capacity" {
+                stats.hw_commits == 0
+            } else {
+                stats.hw_faults_injected > 0
+            };
+            assert!(fired, "{name} on {runtime}: the knob never fired");
         }
     }
 }

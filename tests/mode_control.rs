@@ -209,6 +209,33 @@ fn adaptive_policy_escalates_a_starving_transaction() {
 }
 
 #[test]
+fn adaptive_policy_escalates_repeated_out_of_memory() {
+    // The body runs out of memory until the driver escalates it to the
+    // serial rung: two `OutOfMemory` aborts must escalate under the adaptive
+    // policy on every runtime, though they are not contention.
+    for kind in RuntimeKind::ALL {
+        let rt = kind.build(TmConfig::small().with_policy(PolicyKind::ADAPTIVE_DEFAULT));
+        let system = Arc::clone(rt.system());
+        let th = system.register_thread();
+        let v = TmVar::<u64>::alloc(&system, 3);
+        let got = rt.atomically(&th, |tx| {
+            if tx.mode() != TxMode::Serial {
+                return Err(TxCtl::Abort(tm_repro::core::AbortReason::OutOfMemory));
+            }
+            v.get(tx)
+        });
+        assert_eq!(got, 3, "{kind}");
+        let stats = th.stats.snapshot();
+        assert!(
+            stats.cm_escalations >= 1,
+            "{kind}: the policy must have escalated"
+        );
+        assert_eq!(stats.serial_commits, 1, "{kind}");
+        assert!(!system.serial.held(), "{kind}");
+    }
+}
+
+#[test]
 fn stubborn_policy_escalates_after_its_patience() {
     let rt = RuntimeKind::EagerStm
         .build(TmConfig::small().with_policy(PolicyKind::Stubborn { patience: 4 }));
@@ -299,7 +326,7 @@ fn hybrid_pc(
         .with_heap_words(params.heap_words())
         .with_policy(policy);
     let result = run_pc_configured(RuntimeKind::Hybrid, &params, config);
-    assert!(result.checksum_ok, "{}", policy.label());
+    assert!(result.checksum_ok, "{policy:?}");
     result
 }
 
@@ -309,8 +336,7 @@ fn hybrid_commits_in_hardware_under_low_contention() {
         let result = hybrid_pc(policy, 1, 1, 64, 1024);
         assert!(
             result.stats.hw_commits > 0,
-            "{}: an uncontended hybrid workload must use the hardware fast path",
-            policy.label()
+            "{policy:?}: an uncontended hybrid workload must use the hardware fast path"
         );
     }
 }
@@ -321,13 +347,11 @@ fn hybrid_degrades_to_software_not_serial_under_contention() {
         let stats = hybrid_pc(policy, 4, 4, 2, 2048).stats;
         assert!(
             stats.sw_commits > 0,
-            "{}: contended hybrid transactions must complete on the software path",
-            policy.label()
+            "{policy:?}: contended hybrid transactions must complete on the software path"
         );
         assert!(
             stats.serial_commits < stats.sw_commits,
-            "{}: contention must not collapse onto the serial gate (serial {} >= sw {})",
-            policy.label(),
+            "{policy:?}: contention must not collapse onto the serial gate (serial {} >= sw {})",
             stats.serial_commits,
             stats.sw_commits
         );
